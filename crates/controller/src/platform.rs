@@ -20,6 +20,7 @@
 //! | OpenDaylight | `public PacketResult receiveDataPacket(RawPacket inPkt)` |
 //! | **here** | a [`policy::Program`] executed per `packet_in` by [`ControllerPlatform::handle_packet_in`] |
 
+use bytes::Bytes;
 use ofproto::flow_mod::FlowMod;
 use ofproto::messages::{OfBody, OfMessage, PacketIn, PacketOut};
 use ofproto::types::{BufferId, DatapathId, PortNo};
@@ -135,12 +136,17 @@ impl ControllerPlatform {
         let in_port = pi.in_port.physical().unwrap_or(0);
         let keys = packet.flow_keys(in_port);
         let mut buffer: Option<BufferId> = pi.buffer_id;
+        // Serialised on first use; every reply that ships the payload
+        // shares the one buffer.
+        let mut wire: Option<Bytes> = None;
+        let mut payload = || wire.get_or_insert_with(|| packet.to_bytes()).clone();
         for app in &mut self.apps {
             let result = match execute(&app.program, &keys, &mut app.env) {
                 Ok(r) => r,
-                // A handler error is an application bug; charge the work
-                // done so far and move on, like a platform catching an
-                // exception from one listener.
+                // A handler error is an application bug; move on to the
+                // next app, like a platform catching an exception from one
+                // listener. The failed handler's work is not charged: the
+                // error carries no node count.
                 Err(_) => continue,
             };
             app.handled += 1;
@@ -167,7 +173,7 @@ impl ControllerPlatform {
                                     buffer_id: None,
                                     in_port: pi.in_port,
                                     actions,
-                                    data: Some(packet.to_bytes()),
+                                    data: Some(payload()),
                                 }),
                             ),
                         );
@@ -182,7 +188,7 @@ impl ControllerPlatform {
                                 buffer_id: consumed_buffer,
                                 in_port: pi.in_port,
                                 actions: vec![ofproto::actions::Action::Output(PortNo::Flood)],
-                                data: consumed_buffer.is_none().then(|| packet.to_bytes()),
+                                data: consumed_buffer.is_none().then(&mut payload),
                             }),
                         ),
                     );
@@ -198,7 +204,7 @@ impl ControllerPlatform {
                                 actions: vec![ofproto::actions::Action::Output(PortNo::Physical(
                                     port,
                                 ))],
-                                data: consumed_buffer.is_none().then(|| packet.to_bytes()),
+                                data: consumed_buffer.is_none().then(&mut payload),
                             }),
                         ),
                     );
@@ -251,7 +257,6 @@ impl ControlPlane for ControllerPlatform {
 mod tests {
     use super::*;
     use crate::apps;
-    use bytes::Bytes;
     use ofproto::messages::PacketInReason;
     use ofproto::types::{MacAddr, Xid};
     use std::net::Ipv4Addr;

@@ -369,6 +369,46 @@ struct ConnState {
     timed_out: bool,
 }
 
+/// The control loop's connection table: connections by key, plus the key
+/// outbound messages for each identity are routed to, so that [`flush`]
+/// does not scan every connection for every frame.
+#[derive(Default)]
+struct ConnTable {
+    by_key: HashMap<u64, ConnState>,
+    route: HashMap<Identity, u64>,
+}
+
+impl ConnTable {
+    /// Adds a handshaken connection; it takes over its identity's traffic.
+    fn insert(&mut self, key: u64, st: ConnState) {
+        self.route.insert(st.identity, key);
+        self.by_key.insert(key, st);
+    }
+
+    /// Removes a connection. If it carried its identity's traffic, another
+    /// live connection of that identity (a reconnect that overlapped)
+    /// takes over.
+    fn remove(&mut self, key: u64) -> Option<ConnState> {
+        let st = self.by_key.remove(&key)?;
+        if self.route.get(&st.identity) == Some(&key) {
+            let heir = self
+                .by_key
+                .iter()
+                .find_map(|(k, c)| (c.identity == st.identity).then_some(*k));
+            match heir {
+                Some(heir) => self.route.insert(st.identity, heir),
+                None => self.route.remove(&st.identity),
+            };
+        }
+        Some(st)
+    }
+
+    /// The connection that messages for `identity` go to, if one is up.
+    fn for_identity(&self, identity: Identity) -> Option<&ConnState> {
+        self.by_key.get(self.route.get(&identity)?)
+    }
+}
+
 const EVENT_BUDGET: usize = 512;
 const EVENT_CHANNEL_CAP: usize = 4096;
 
@@ -509,11 +549,11 @@ async fn serve_connection(
     let Ok(local_closer) = stream.try_clone_std() else {
         return true;
     };
-    let Ok((mut read_half, mut write_half)) = stream.into_split() else {
+    let Ok((mut read_half, write_half)) = stream.into_split() else {
         return true;
     };
     let key = shared.keys.fetch_add(1, Ordering::Relaxed);
-    let (tx, mut rx) = mpsc::channel::<Bytes>(shared.cfg.send_queue_cap);
+    let (tx, rx) = mpsc::channel::<Bytes>(shared.cfg.send_queue_cap);
     let sender = FrameSender {
         tx,
         budget: Arc::clone(&shared.budget),
@@ -532,28 +572,12 @@ async fn serve_connection(
         return false;
     }
 
-    let writer = {
-        let budget = Arc::clone(&shared.budget);
-        let counters = Arc::clone(&shared.counters);
-        tokio::spawn(async move {
-            while let Some(frame) = rx.recv().await {
-                let result = write_half.write_all(&frame).await;
-                budget.release();
-                match result {
-                    Ok(()) => counters.record_frame_out(frame.len()),
-                    Err(_) => {
-                        // Make sure the reader notices too.
-                        let _ = write_half.shutdown_now(Shutdown::Both);
-                        break;
-                    }
-                }
-            }
-            // Frames still queued when the writer stops hold permits.
-            while rx.try_recv().is_ok() {
-                budget.release();
-            }
-        })
-    };
+    let writer = tokio::spawn(write_loop(
+        rx,
+        write_half,
+        Arc::clone(&shared.budget),
+        Arc::clone(&shared.counters),
+    ));
 
     let mut buf = residue;
     let mut chunk = vec![0u8; shared.cfg.read_chunk.max(wire::OFP_HEADER_LEN)];
@@ -603,6 +627,60 @@ async fn serve_connection(
     shared.events.send(Event::Closed { key }).await.is_ok()
 }
 
+/// Bytes after which [`write_loop`] stops adding frames to a batch. A
+/// batch ends with the frame that crosses it, so a connection's buffer
+/// never exceeds this plus one frame (64 KiB on the wire at most).
+const WRITE_BATCH_BYTES: usize = 64 * 1024;
+
+/// One connection's writer: takes the next queued frame, appends whatever
+/// else is *already* queued — it never waits for more — and hands the
+/// socket one `write_all`, so a burst of replies costs one syscall, not one
+/// per frame. Every frame still gives back its own [`SendBudget`] permit
+/// and, once written, is counted on its own, in queue order.
+async fn write_loop(
+    mut rx: mpsc::Receiver<Bytes>,
+    mut write_half: tokio::net::OwnedWriteHalf,
+    budget: Arc<SendBudget>,
+    counters: Arc<ChannelCounters>,
+) {
+    // Both stay unallocated until the first frame: an idle connection
+    // costs nothing.
+    let mut batch: Vec<u8> = Vec::new();
+    let mut lens: Vec<usize> = Vec::new();
+    while let Some(first) = rx.recv().await {
+        batch.clear();
+        lens.clear();
+        let mut next = Some(first);
+        while let Some(frame) = next {
+            batch.extend_from_slice(&frame);
+            lens.push(frame.len());
+            next = if batch.len() < WRITE_BATCH_BYTES {
+                rx.try_recv().ok()
+            } else {
+                None
+            };
+        }
+        let result = write_half.write_all(&batch).await;
+        for &len in &lens {
+            budget.release();
+            if result.is_ok() {
+                counters.record_frame_out(len);
+            }
+        }
+        if result.is_err() {
+            // Make sure the reader notices too.
+            let _ = write_half.shutdown_now(Shutdown::Both);
+            break;
+        }
+    }
+    // Frames still queued when the writer stops hold permits; refuse new
+    // ones first so none can slip in behind the drain.
+    rx.close();
+    while rx.try_recv().is_ok() {
+        budget.release();
+    }
+}
+
 #[allow(clippy::too_many_lines)]
 async fn control_loop(
     mut control: Box<dyn ControlPlane>,
@@ -615,7 +693,7 @@ async fn control_loop(
 ) -> Box<dyn ControlPlane> {
     let cfg = config.channel;
     let epoch = Instant::now();
-    let mut conns: HashMap<u64, ConnState> = HashMap::new();
+    let mut conns = ConnTable::default();
     // Identities that completed a handshake at least once; a later
     // handshake by the same identity is a reconnect needing resync.
     let mut ever: HashSet<Identity> = HashSet::new();
@@ -660,7 +738,7 @@ async fn control_loop(
             next = events.try_recv().ok();
         }
         flush(
-            &mut conns,
+            &conns,
             &mut replay,
             &ever,
             &tables,
@@ -673,6 +751,7 @@ async fn control_loop(
             last_telemetry = Instant::now();
             let telemetry = Telemetry {
                 switches: conns
+                    .by_key
                     .values()
                     .filter_map(|c| match c.identity {
                         Identity::Switch(dpid) => Some(SwitchTelemetry {
@@ -692,7 +771,7 @@ async fn control_loop(
             let mut out = ControlOutput::new();
             control.on_telemetry(&telemetry, now, &mut out);
             flush(
-                &mut conns,
+                &conns,
                 &mut replay,
                 &ever,
                 &tables,
@@ -708,7 +787,7 @@ async fn control_loop(
                 let mut out = ControlOutput::new();
                 control.on_tick(now, &mut out);
                 flush(
-                    &mut conns,
+                    &conns,
                     &mut replay,
                     &ever,
                     &tables,
@@ -722,7 +801,7 @@ async fn control_loop(
         if last_keepalive.elapsed() >= keepalive_scan {
             last_keepalive = Instant::now();
             let now_ms = epoch.elapsed().as_millis() as u64;
-            for st in conns.values_mut() {
+            for st in conns.by_key.values_mut() {
                 if st.last_echo.elapsed() >= cfg.echo_interval {
                     st.last_echo = Instant::now();
                     xid = xid.wrapping_add(1);
@@ -746,6 +825,7 @@ async fn control_loop(
         // Publish liveness for observers.
         {
             let mut switches: Vec<DatapathId> = conns
+                .by_key
                 .values()
                 .filter_map(|c| match c.identity {
                     Identity::Switch(dpid) => Some(dpid),
@@ -755,6 +835,7 @@ async fn control_loop(
             switches.sort_unstable();
             switches.dedup();
             let mut devices: Vec<DeviceId> = conns
+                .by_key
                 .values()
                 .filter_map(|c| match c.identity {
                     Identity::Device(device) => Some(device),
@@ -781,7 +862,7 @@ fn next_wait(until_telemetry: Duration, until_keepalive: Duration) -> Duration {
 fn handle_event(
     event: Event,
     control: &mut Box<dyn ControlPlane>,
-    conns: &mut HashMap<u64, ConnState>,
+    conns: &mut ConnTable,
     ever: &mut HashSet<Identity>,
     replay: &mut HashMap<Identity, VecDeque<OfMessage>>,
     counters: &ChannelCounters,
@@ -834,7 +915,7 @@ fn handle_event(
             );
         }
         Event::Inbound { key, msg } => {
-            let Some(st) = conns.get(&key) else {
+            let Some(st) = conns.by_key.get(&key) else {
                 return; // raced with teardown
             };
             match st.identity {
@@ -843,7 +924,7 @@ fn handle_event(
             }
         }
         Event::Closed { key } => {
-            if let Some(st) = conns.remove(&key) {
+            if let Some(st) = conns.remove(key) {
                 if let Identity::Switch(dpid) = st.identity {
                     control.on_switch_disconnect(dpid, now, out);
                 }
@@ -860,7 +941,7 @@ fn handle_event(
 /// bounded replay ring (for post-reconnect resync) and mirrored into the
 /// ops-facing flow tables.
 fn flush(
-    conns: &mut HashMap<u64, ConnState>,
+    conns: &ConnTable,
     replay: &mut HashMap<Identity, VecDeque<OfMessage>>,
     ever: &HashSet<Identity>,
     tables: &Mutex<HashMap<u64, Vec<FlowRuleView>>>,
@@ -869,7 +950,7 @@ fn flush(
 ) {
     for (dpid, msg) in out.messages {
         let identity = Identity::Switch(dpid);
-        let target = conns.values().find(|c| c.identity == identity);
+        let target = conns.for_identity(identity);
         if target.is_none() && !ever.contains(&identity) {
             continue; // never handshaken: nothing to record or send
         }
@@ -925,5 +1006,189 @@ fn mirror_flow_mod(
         FlowModCommand::DeleteStrict => {
             table.retain(|r| !(r.of_match == fm.of_match && r.priority == fm.priority));
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::io::Read;
+
+    const BODY: usize = 16 * 1024;
+    const FRAME: usize = wire::OFP_HEADER_LEN + BODY;
+
+    /// One accepted connection with [`write_loop`]'s inputs laid out, the
+    /// writer not yet started: frames sent now pile up in the queue.
+    struct Rig {
+        rt: tokio::runtime::Runtime,
+        peer: std::net::TcpStream,
+        sender: FrameSender,
+        budget: Arc<SendBudget>,
+        counters: Arc<ChannelCounters>,
+        rx: mpsc::Receiver<Bytes>,
+        read_half: tokio::net::OwnedReadHalf,
+        write_half: tokio::net::OwnedWriteHalf,
+    }
+
+    fn rig(permits: usize) -> Rig {
+        let rt = tokio::runtime::Builder::new_multi_thread()
+            .worker_threads(1)
+            .enable_all()
+            .build()
+            .expect("runtime");
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind");
+        let peer =
+            std::net::TcpStream::connect(listener.local_addr().expect("addr")).expect("connect");
+        let (server, _) = listener.accept().expect("accept");
+        let (read_half, write_half) = rt
+            .block_on(async { tokio::net::TcpStream::from_std(server)?.into_split() })
+            .expect("register");
+        let budget = SendBudget::new(permits);
+        let counters = Arc::new(ChannelCounters::new());
+        let (tx, rx) = mpsc::channel(permits);
+        let sender = FrameSender {
+            tx,
+            budget: Arc::clone(&budget),
+            counters: Arc::clone(&counters),
+        };
+        Rig {
+            rt,
+            peer,
+            sender,
+            budget,
+            counters,
+            rx,
+            read_half,
+            write_half,
+        }
+    }
+
+    fn frame(i: usize) -> OfMessage {
+        let body = Bytes::from(vec![i as u8; BODY]);
+        OfMessage::new(Xid(i as u32), OfBody::EchoRequest(body))
+    }
+
+    fn permits(budget: &SendBudget) -> usize {
+        budget.permits.load(Ordering::Acquire)
+    }
+
+    #[test]
+    fn stalled_peer_gets_every_frame_in_order_and_the_budget_refills() {
+        // 16 MiB: far more than a socket pair buffers for a peer that is
+        // not reading, so the writer stalls inside a batch.
+        const FRAMES: usize = 1024;
+        let Rig {
+            rt,
+            mut peer,
+            sender,
+            budget,
+            counters,
+            rx,
+            read_half: _read_half,
+            write_half,
+        } = rig(FRAMES);
+        for i in 0..FRAMES {
+            sender.send(&frame(i)).expect("queue holds every frame");
+        }
+        assert_eq!(permits(&budget), 0);
+        let writer = rt.spawn(write_loop(
+            rx,
+            write_half,
+            Arc::clone(&budget),
+            Arc::clone(&counters),
+        ));
+
+        // The peer resumes reading.
+        let mut buf = BytesMut::new();
+        let mut chunk = vec![0u8; 64 * 1024];
+        let mut next = 0usize;
+        while next < FRAMES {
+            let n = peer.read(&mut chunk).expect("read");
+            assert!(n > 0, "stream ended after {next} frames");
+            buf.extend_from_slice(&chunk[..n]);
+            for msg in wire::decode_frames(&mut buf).expect("well-formed frames") {
+                assert_eq!(msg, frame(next), "frame {next} out of order or damaged");
+                next += 1;
+            }
+        }
+        assert!(buf.is_empty(), "bytes beyond the last frame");
+
+        // With every sender gone the writer runs out of frames and ends.
+        drop(sender);
+        rt.block_on(writer).expect("writer panicked");
+        let snap = counters.snapshot();
+        assert_eq!(snap.frames_out, FRAMES as u64);
+        assert_eq!(snap.bytes_out, (FRAMES * FRAME) as u64);
+        assert_eq!(permits(&budget), FRAMES);
+    }
+
+    #[test]
+    fn peer_reset_mid_batch_leaks_no_permit_and_ends_the_reader() {
+        const PERMITS: usize = 256;
+        let Rig {
+            rt,
+            mut peer,
+            sender,
+            budget,
+            counters,
+            rx,
+            mut read_half,
+            write_half,
+        } = rig(PERMITS);
+        // Queued before the writer starts: its first write is a batch.
+        let mut accepted = 0u64;
+        for i in 0..PERMITS {
+            sender
+                .send(&frame(i))
+                .expect("queue holds the first frames");
+            accepted += 1;
+        }
+        let writer = rt.spawn(write_loop(
+            rx,
+            write_half,
+            Arc::clone(&budget),
+            Arc::clone(&counters),
+        ));
+        // One frame read proves the writer is under way; then the peer
+        // vanishes with the rest unread.
+        let mut first = vec![0u8; FRAME];
+        peer.read_exact(&mut first).expect("first frame");
+        drop(peer);
+
+        // Keep frames coming until the writer has hit the dead socket and
+        // closed its queue, however much the kernel buffered before that.
+        let deadline = Instant::now() + Duration::from_secs(30);
+        loop {
+            match sender.send(&frame(0)) {
+                Ok(()) => accepted += 1,
+                Err(SendError::Backpressure) => std::thread::yield_now(),
+                Err(SendError::Closed) => break,
+            }
+            assert!(Instant::now() < deadline, "writer never noticed the reset");
+        }
+        rt.block_on(writer).expect("writer panicked");
+
+        // Written, failed and stranded frames all gave their permits back,
+        // while a sender is still alive.
+        assert_eq!(permits(&budget), PERMITS);
+        assert_eq!(sender.send(&frame(0)), Err(SendError::Closed));
+        assert_eq!(permits(&budget), PERMITS);
+        let snap = counters.snapshot();
+        assert!(
+            snap.frames_out < accepted,
+            "the failed batch is not counted"
+        );
+        assert_eq!(snap.bytes_out, snap.frames_out * FRAME as u64);
+
+        // The reader's half of the socket is shut down with it.
+        let mut byte = [0u8; 1];
+        let read = rt.block_on(tokio::time::timeout(
+            Duration::from_secs(5),
+            read_half.read(&mut byte),
+        ));
+        assert!(
+            matches!(read, Ok(Ok(0) | Err(_))),
+            "reader still blocked or fed: {read:?}"
+        );
     }
 }

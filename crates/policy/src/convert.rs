@@ -102,13 +102,13 @@ pub fn instantiate_action(
 ) -> Result<Action, EvalError> {
     Ok(match action {
         ActionTemplate::Output(e) => {
-            let port = e.eval(keys, env, nodes)?.as_int()? as u16;
+            let port = e.eval_ref(keys, env, nodes)?.as_int()? as u16;
             Action::Output(PortNo::Physical(port))
         }
         ActionTemplate::Flood => Action::Output(PortNo::Flood),
-        ActionTemplate::SetNwDst(e) => Action::SetNwDst(e.eval(keys, env, nodes)?.as_ip()?),
-        ActionTemplate::SetNwSrc(e) => Action::SetNwSrc(e.eval(keys, env, nodes)?.as_ip()?),
-        ActionTemplate::SetDlDst(e) => Action::SetDlDst(e.eval(keys, env, nodes)?.as_mac()?),
+        ActionTemplate::SetNwDst(e) => Action::SetNwDst(e.eval_ref(keys, env, nodes)?.as_ip()?),
+        ActionTemplate::SetNwSrc(e) => Action::SetNwSrc(e.eval_ref(keys, env, nodes)?.as_ip()?),
+        ActionTemplate::SetDlDst(e) => Action::SetDlDst(e.eval_ref(keys, env, nodes)?.as_mac()?),
     })
 }
 
@@ -129,11 +129,11 @@ pub fn instantiate_rule(
     for m in &rule.match_on {
         of_match = match m {
             MatchTemplate::Exact(field, e) => {
-                let v = e.eval(keys, env, nodes)?;
+                let v = e.eval_ref(keys, env, nodes)?;
                 constrain_exact(of_match, *field, &v)?
             }
             MatchTemplate::Prefix(field, e, prefix_len) => {
-                let v = e.eval(keys, env, nodes)?;
+                let v = e.eval_ref(keys, env, nodes)?;
                 constrain_prefix(of_match, *field, &v, *prefix_len)?
             }
         };

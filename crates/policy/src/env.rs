@@ -31,21 +31,30 @@ impl Env {
 
     /// Writes a global, bumping the version.
     pub fn set(&mut self, name: &str, value: Value) {
-        self.globals.insert(name.to_owned(), value);
+        // Overwrite in place: the name is allocated on first insert only.
+        match self.globals.get_mut(name) {
+            Some(slot) => *slot = value,
+            None => {
+                self.globals.insert(name.to_owned(), value);
+            }
+        }
         self.version += 1;
     }
 
     /// Inserts `key -> value` into the map global `name`, creating the map
     /// if needed. Bumps the version only when the map actually changes.
     pub fn learn(&mut self, name: &str, key: Value, value: Value) {
-        let entry = self
-            .globals
-            .entry(name.to_owned())
-            .or_insert_with(|| Value::Map(BTreeMap::new()));
-        if let Value::Map(map) = entry {
-            let changed = map.get(&key) != Some(&value);
-            if changed {
-                map.insert(key, value);
+        match self.globals.get_mut(name) {
+            Some(Value::Map(map)) => {
+                if map.get(&key) != Some(&value) {
+                    map.insert(key, value);
+                    self.version += 1;
+                }
+            }
+            Some(_) => {}
+            None => {
+                let map = BTreeMap::from([(key, value)]);
+                self.globals.insert(name.to_owned(), Value::Map(map));
                 self.version += 1;
             }
         }

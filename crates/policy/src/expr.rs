@@ -1,6 +1,7 @@
 //! Expressions of the policy IR: packet-field reads, global-variable reads
 //! and the operators controller applications branch on.
 
+use std::borrow::Cow;
 use std::fmt;
 use std::net::Ipv4Addr;
 
@@ -180,76 +181,103 @@ pub fn mask_ip(ip: Ipv4Addr, prefix_len: u32) -> Ipv4Addr {
 }
 
 impl Expr {
-    /// Evaluates against concrete packet keys and an environment.
+    /// Evaluates against concrete packet keys and an environment, copying
+    /// the result out of [`Expr::eval_ref`].
+    ///
+    /// # Errors
+    ///
+    /// [`EvalError`] on unknown globals or type mismatches.
+    pub fn eval(&self, keys: &FlowKeys, env: &Env, nodes: &mut u64) -> Result<Value, EvalError> {
+        self.eval_ref(keys, env, nodes).map(Cow::into_owned)
+    }
+
+    /// Evaluates against concrete packet keys and an environment without
+    /// copying a container: constants, globals and entries looked up in
+    /// them are borrowed from `self` and `env`; only scalars computed on
+    /// the way (field reads, booleans, masked addresses) and tuples are
+    /// owned. The cost of `macToPort[dl_dst]` is therefore one tree probe
+    /// whatever the table's size.
     ///
     /// `nodes` counts evaluated AST nodes (the interpreter's cost model).
     ///
     /// # Errors
     ///
     /// [`EvalError`] on unknown globals or type mismatches.
-    pub fn eval(&self, keys: &FlowKeys, env: &Env, nodes: &mut u64) -> Result<Value, EvalError> {
+    pub fn eval_ref<'a>(
+        &'a self,
+        keys: &FlowKeys,
+        env: &'a Env,
+        nodes: &mut u64,
+    ) -> Result<Cow<'a, Value>, EvalError> {
         *nodes += 1;
-        match self {
-            Expr::Const(v) => Ok(v.clone()),
-            Expr::Field(f) => Ok(f.read(keys)),
-            Expr::Global(name) => env
-                .get(name)
-                .cloned()
-                .ok_or_else(|| EvalError::UnknownGlobal(name.clone())),
-            Expr::Eq(a, b) => Ok(Value::Bool(
-                a.eval(keys, env, nodes)? == b.eval(keys, env, nodes)?,
-            )),
+        let owned = match self {
+            Expr::Const(v) => return Ok(Cow::Borrowed(v)),
+            Expr::Field(f) => f.read(keys),
+            Expr::Global(name) => {
+                return env
+                    .get(name)
+                    .map(Cow::Borrowed)
+                    .ok_or_else(|| EvalError::UnknownGlobal(name.clone()))
+            }
+            Expr::Eq(a, b) => {
+                Value::Bool(a.eval_ref(keys, env, nodes)? == b.eval_ref(keys, env, nodes)?)
+            }
             Expr::And(a, b) => {
                 // Short-circuit like handler code does.
-                if a.eval(keys, env, nodes)?.as_bool()? {
-                    Ok(Value::Bool(b.eval(keys, env, nodes)?.as_bool()?))
-                } else {
-                    Ok(Value::Bool(false))
-                }
+                Value::Bool(
+                    a.eval_ref(keys, env, nodes)?.as_bool()?
+                        && b.eval_ref(keys, env, nodes)?.as_bool()?,
+                )
             }
-            Expr::Or(a, b) => {
-                if a.eval(keys, env, nodes)?.as_bool()? {
-                    Ok(Value::Bool(true))
-                } else {
-                    Ok(Value::Bool(b.eval(keys, env, nodes)?.as_bool()?))
-                }
-            }
-            Expr::Not(e) => Ok(Value::Bool(!e.eval(keys, env, nodes)?.as_bool()?)),
+            Expr::Or(a, b) => Value::Bool(
+                a.eval_ref(keys, env, nodes)?.as_bool()?
+                    || b.eval_ref(keys, env, nodes)?.as_bool()?,
+            ),
+            Expr::Not(e) => Value::Bool(!e.eval_ref(keys, env, nodes)?.as_bool()?),
             Expr::MapContains { map, key } => {
-                let map = map.eval(keys, env, nodes)?;
-                let key = key.eval(keys, env, nodes)?;
-                Ok(Value::Bool(map.as_map()?.contains_key(&key)))
+                let map = map.eval_ref(keys, env, nodes)?;
+                let key = key.eval_ref(keys, env, nodes)?;
+                Value::Bool(map.as_map()?.contains_key(&*key))
             }
             Expr::MapGet { map, key } => {
-                let map = map.eval(keys, env, nodes)?;
-                let key = key.eval(keys, env, nodes)?;
-                Ok(map.as_map()?.get(&key).cloned().unwrap_or(Value::None))
+                let map = map.eval_ref(keys, env, nodes)?;
+                let key = key.eval_ref(keys, env, nodes)?;
+                return Ok(match map {
+                    Cow::Borrowed(map) => map
+                        .as_map()?
+                        .get(&*key)
+                        .map_or(Cow::Owned(Value::None), Cow::Borrowed),
+                    Cow::Owned(map) => {
+                        Cow::Owned(map.as_map()?.get(&*key).cloned().unwrap_or(Value::None))
+                    }
+                });
             }
             Expr::SetContains { set, item } => {
-                let set = set.eval(keys, env, nodes)?;
-                let item = item.eval(keys, env, nodes)?;
-                Ok(Value::Bool(set.as_set()?.contains(&item)))
+                let set = set.eval_ref(keys, env, nodes)?;
+                let item = item.eval_ref(keys, env, nodes)?;
+                Value::Bool(set.as_set()?.contains(&*item))
             }
             Expr::HighBit(e) => {
-                let ip = e.eval(keys, env, nodes)?.as_ip()?;
-                Ok(Value::Bool(u32::from(ip) & 0x8000_0000 != 0))
+                let ip = e.eval_ref(keys, env, nodes)?.as_ip()?;
+                Value::Bool(u32::from(ip) & 0x8000_0000 != 0)
             }
             Expr::IsBroadcast(e) => {
-                let mac = e.eval(keys, env, nodes)?.as_mac()?;
-                Ok(Value::Bool(mac.is_broadcast()))
+                let mac = e.eval_ref(keys, env, nodes)?.as_mac()?;
+                Value::Bool(mac.is_broadcast())
             }
             Expr::Prefix(e, prefix_len) => {
-                let ip = e.eval(keys, env, nodes)?.as_ip()?;
-                Ok(Value::Ip(mask_ip(ip, *prefix_len)))
+                let ip = e.eval_ref(keys, env, nodes)?.as_ip()?;
+                Value::Ip(mask_ip(ip, *prefix_len))
             }
             Expr::Tuple(items) => {
                 let mut out = Vec::with_capacity(items.len());
                 for item in items {
-                    out.push(item.eval(keys, env, nodes)?);
+                    out.push(item.eval_ref(keys, env, nodes)?.into_owned());
                 }
-                Ok(Value::Tuple(out))
+                Value::Tuple(out)
             }
-        }
+        };
+        Ok(Cow::Owned(owned))
     }
 
     /// Partially evaluates: substitutes globals from `env`, folds constant
@@ -447,6 +475,9 @@ mod tests {
     use super::*;
     use crate::builder::*;
     use ofproto::types::MacAddr;
+    use proptest::collection::{btree_map, btree_set, vec};
+    use proptest::option;
+    use proptest::prelude::*;
 
     fn keys() -> FlowKeys {
         FlowKeys {
@@ -465,6 +496,300 @@ mod tests {
     fn eval(e: &Expr, env: &Env) -> Value {
         let mut nodes = 0;
         e.eval(&keys(), env, &mut nodes).unwrap()
+    }
+
+    /// The evaluator this crate shipped before [`Expr::eval_ref`]: every
+    /// sub-expression yields an owned [`Value`], so a global read copies the
+    /// whole container. Kept as the reference the borrowing evaluator is
+    /// compared against, result and node count.
+    fn eval_cloning(
+        e: &Expr,
+        keys: &FlowKeys,
+        env: &Env,
+        nodes: &mut u64,
+    ) -> Result<Value, EvalError> {
+        *nodes += 1;
+        match e {
+            Expr::Const(v) => Ok(v.clone()),
+            Expr::Field(f) => Ok(f.read(keys)),
+            Expr::Global(name) => env
+                .get(name)
+                .cloned()
+                .ok_or_else(|| EvalError::UnknownGlobal(name.clone())),
+            Expr::Eq(a, b) => Ok(Value::Bool(
+                eval_cloning(a, keys, env, nodes)? == eval_cloning(b, keys, env, nodes)?,
+            )),
+            Expr::And(a, b) => {
+                if eval_cloning(a, keys, env, nodes)?.as_bool()? {
+                    Ok(Value::Bool(eval_cloning(b, keys, env, nodes)?.as_bool()?))
+                } else {
+                    Ok(Value::Bool(false))
+                }
+            }
+            Expr::Or(a, b) => {
+                if eval_cloning(a, keys, env, nodes)?.as_bool()? {
+                    Ok(Value::Bool(true))
+                } else {
+                    Ok(Value::Bool(eval_cloning(b, keys, env, nodes)?.as_bool()?))
+                }
+            }
+            Expr::Not(e) => Ok(Value::Bool(!eval_cloning(e, keys, env, nodes)?.as_bool()?)),
+            Expr::MapContains { map, key } => {
+                let map = eval_cloning(map, keys, env, nodes)?;
+                let key = eval_cloning(key, keys, env, nodes)?;
+                Ok(Value::Bool(map.as_map()?.contains_key(&key)))
+            }
+            Expr::MapGet { map, key } => {
+                let map = eval_cloning(map, keys, env, nodes)?;
+                let key = eval_cloning(key, keys, env, nodes)?;
+                Ok(map.as_map()?.get(&key).cloned().unwrap_or(Value::None))
+            }
+            Expr::SetContains { set, item } => {
+                let set = eval_cloning(set, keys, env, nodes)?;
+                let item = eval_cloning(item, keys, env, nodes)?;
+                Ok(Value::Bool(set.as_set()?.contains(&item)))
+            }
+            Expr::HighBit(e) => {
+                let ip = eval_cloning(e, keys, env, nodes)?.as_ip()?;
+                Ok(Value::Bool(u32::from(ip) & 0x8000_0000 != 0))
+            }
+            Expr::IsBroadcast(e) => {
+                let mac = eval_cloning(e, keys, env, nodes)?.as_mac()?;
+                Ok(Value::Bool(mac.is_broadcast()))
+            }
+            Expr::Prefix(e, prefix_len) => {
+                let ip = eval_cloning(e, keys, env, nodes)?.as_ip()?;
+                Ok(Value::Ip(mask_ip(ip, *prefix_len)))
+            }
+            Expr::Tuple(items) => {
+                let mut out = Vec::with_capacity(items.len());
+                for item in items {
+                    out.push(eval_cloning(item, keys, env, nodes)?);
+                }
+                Ok(Value::Tuple(out))
+            }
+        }
+    }
+
+    // Small pools, so that generated keys hit generated tables and
+    // generated operands often have the type their operator wants.
+    fn arb_scalar() -> BoxedStrategy<Value> {
+        prop_oneof![
+            Just(Value::None),
+            any::<bool>().prop_map(Value::Bool),
+            (0u64..4).prop_map(Value::Int),
+            (0u64..4).prop_map(|m| Value::Mac(MacAddr::from_u64(m))),
+            Just(Value::Mac(MacAddr::BROADCAST)),
+            (0u8..4).prop_map(|o| Value::Ip(Ipv4Addr::new(o << 6, 0, 0, o))),
+        ]
+        .boxed()
+    }
+
+    fn arb_map(of: BoxedStrategy<Value>) -> BoxedStrategy<Value> {
+        btree_map(arb_scalar(), of, 0..6)
+            .prop_map(Value::Map)
+            .boxed()
+    }
+
+    fn arb_set() -> BoxedStrategy<Value> {
+        let item = prop_oneof![arb_scalar(), vec(arb_scalar(), 2..3).prop_map(Value::Tuple),];
+        btree_set(item, 0..6).prop_map(Value::Set).boxed()
+    }
+
+    /// `m`: scalar → scalar, `nested`: scalar → map, `s`: a set, `x`: a
+    /// scalar. Each is sometimes left out (an expression may also name
+    /// `missing`, which never exists).
+    fn arb_env() -> BoxedStrategy<Env> {
+        (
+            option::of(arb_map(arb_scalar())),
+            option::of(arb_map(arb_map(arb_scalar()))),
+            option::of(arb_set()),
+            option::of(arb_scalar()),
+        )
+            .prop_map(|(m, nested, s, x)| {
+                let mut env = Env::new();
+                for (name, value) in [("m", m), ("nested", nested), ("s", s), ("x", x)] {
+                    if let Some(value) = value {
+                        env.set(name, value);
+                    }
+                }
+                env
+            })
+            .boxed()
+    }
+
+    fn arb_keys() -> BoxedStrategy<FlowKeys> {
+        ((0u16..4, 0u64..5, 0u64..5), (0u8..4, 0u8..4, 0u16..4))
+            .prop_map(|((in_port, src, dst), (nw_src, nw_dst, tp))| FlowKeys {
+                in_port,
+                dl_src: MacAddr::from_u64(src),
+                dl_dst: if dst == 4 {
+                    MacAddr::BROADCAST
+                } else {
+                    MacAddr::from_u64(dst)
+                },
+                dl_type: 0x0800,
+                nw_src: Ipv4Addr::new(nw_src << 6, 0, 0, nw_src),
+                nw_dst: Ipv4Addr::new(nw_dst << 6, 0, 0, nw_dst),
+                nw_proto: 17,
+                tp_src: tp,
+                tp_dst: tp,
+                ..FlowKeys::default()
+            })
+            .boxed()
+    }
+
+    /// Expression strategies by the type the expression usually has, so
+    /// that operators mostly get operands they accept. "Usually": a global
+    /// may hold anything or be missing, a lookup may return anything, and
+    /// every operand slot now and then takes an expression of any type.
+    #[derive(Clone)]
+    struct Sorts {
+        any: BoxedStrategy<Expr>,
+        boolean: BoxedStrategy<Expr>,
+        ip: BoxedStrategy<Expr>,
+        mac: BoxedStrategy<Expr>,
+        map: BoxedStrategy<Expr>,
+        set: BoxedStrategy<Expr>,
+    }
+
+    impl Sorts {
+        fn leaves() -> Sorts {
+            let fields = |fs: &'static [Field]| (0..fs.len()).prop_map(move |i| field(fs[i]));
+            let globals = |ns: &'static [&str]| (0..ns.len()).prop_map(move |i| global(ns[i]));
+            Sorts {
+                any: prop_oneof![
+                    arb_scalar().prop_map(Expr::Const),
+                    fields(&Field::ALL),
+                    globals(&["m", "nested", "s", "x", "missing"]),
+                ]
+                .boxed(),
+                boolean: prop_oneof![any::<bool>().prop_map(constant), globals(&["x"])].boxed(),
+                ip: fields(&[Field::NwSrc, Field::NwDst]).boxed(),
+                mac: fields(&[Field::DlSrc, Field::DlDst]).boxed(),
+                map: prop_oneof![
+                    globals(&["m", "nested", "m", "nested", "missing"]),
+                    arb_map(arb_scalar()).prop_map(Expr::Const),
+                ]
+                .boxed(),
+                set: prop_oneof![globals(&["s"]), arb_set().prop_map(Expr::Const)].boxed(),
+            }
+        }
+
+        /// One more level of operators over `self`.
+        fn grow(&self) -> Sorts {
+            let slot = |typed: &BoxedStrategy<Expr>| {
+                prop_oneof![
+                    typed.clone(),
+                    typed.clone(),
+                    typed.clone(),
+                    self.any.clone()
+                ]
+            };
+            let lookup = (slot(&self.map), self.any.clone()).prop_map(|(m, k)| map_get(m, k));
+            let boolean = prop_oneof![
+                self.boolean.clone(),
+                (self.any.clone(), self.any.clone()).prop_map(|(a, b)| eq(a, b)),
+                (slot(&self.boolean), slot(&self.boolean)).prop_map(|(a, b)| and(a, b)),
+                (slot(&self.boolean), slot(&self.boolean)).prop_map(|(a, b)| or(a, b)),
+                slot(&self.boolean).prop_map(not),
+                (slot(&self.map), self.any.clone()).prop_map(|(m, k)| map_contains(m, k)),
+                (slot(&self.set), self.any.clone()).prop_map(|(s, i)| set_contains(s, i)),
+                slot(&self.ip).prop_map(high_bit),
+                slot(&self.mac).prop_map(is_broadcast),
+            ]
+            .boxed();
+            let ip = prop_oneof![
+                self.ip.clone(),
+                (slot(&self.ip), 0u32..33).prop_map(|(e, n)| prefix(e, n)),
+            ]
+            .boxed();
+            let map = prop_oneof![self.map.clone(), lookup.clone()].boxed();
+            Sorts {
+                any: prop_oneof![
+                    self.any.clone(),
+                    boolean.clone(),
+                    ip.clone(),
+                    self.mac.clone(),
+                    map.clone(),
+                    self.set.clone(),
+                    lookup,
+                    vec(self.any.clone(), 0..3).prop_map(tuple),
+                ]
+                .boxed(),
+                boolean,
+                ip,
+                mac: self.mac.clone(),
+                map,
+                set: self.set.clone(),
+            }
+        }
+    }
+
+    fn arb_expr() -> BoxedStrategy<Expr> {
+        Sorts::leaves().grow().grow().grow().any
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(4096))]
+        #[test]
+        fn borrowing_eval_agrees_with_cloning_reference(
+            e in arb_expr(),
+            env in arb_env(),
+            keys in arb_keys(),
+        ) {
+            let (mut nodes_ref, mut nodes) = (0, 0);
+            let reference = eval_cloning(&e, &keys, &env, &mut nodes_ref);
+            let got = e.eval_ref(&keys, &env, &mut nodes).map(Cow::into_owned);
+            prop_assert_eq!(&got, &reference, "{}", e);
+            prop_assert_eq!(nodes, nodes_ref, "{}", e);
+        }
+    }
+
+    /// The differential test above is only as good as its generator: it
+    /// must reach values of every kind, both errors, and expressions that
+    /// stop early.
+    #[test]
+    fn generator_reaches_every_outcome() {
+        let mut rng = proptest::test_runner::TestRng::from_name("expr::outcomes");
+        let (exprs, envs, keys) = (arb_expr(), arb_env(), arb_keys());
+        let mut seen = std::collections::BTreeMap::<&str, u32>::new();
+        for _ in 0..4096 {
+            let e = exprs.generate(&mut rng);
+            let mut nodes = 0;
+            let outcome = match e.eval(
+                &keys.generate(&mut rng),
+                &envs.generate(&mut rng),
+                &mut nodes,
+            ) {
+                Ok(v) => v.type_name(),
+                Err(EvalError::UnknownGlobal(_)) => "unknown global",
+                Err(EvalError::Type(_)) => "type error",
+                Err(EvalError::SymbolicField(_)) => "symbolic field",
+            };
+            *seen.entry(outcome).or_default() += 1;
+            if nodes < e.node_count() {
+                *seen.entry("stopped early").or_default() += 1;
+            }
+        }
+        for outcome in [
+            "none",
+            "bool",
+            "int",
+            "mac",
+            "ip",
+            "tuple",
+            "map",
+            "set",
+            "unknown global",
+            "type error",
+            "stopped early",
+        ] {
+            assert!(
+                seen.get(outcome).copied().unwrap_or(0) >= 4,
+                "{outcome}: {seen:?}"
+            );
+        }
     }
 
     #[test]

@@ -63,19 +63,19 @@ fn exec_block(
         *nodes += 1;
         match stmt {
             Stmt::If { cond, then, els } => {
-                let taken = cond.eval(keys, env, nodes)?.as_bool()?;
+                let taken = cond.eval_ref(keys, env, nodes)?.as_bool()?;
                 let branch = if taken { then } else { els };
                 if let Some(decision) = exec_block(branch, keys, env, nodes)? {
                     return Ok(Some(decision));
                 }
             }
             Stmt::Learn { map, key, value } => {
-                let key = key.eval(keys, env, nodes)?;
-                let value = value.eval(keys, env, nodes)?;
+                let key = key.eval_ref(keys, env, nodes)?.into_owned();
+                let value = value.eval_ref(keys, env, nodes)?.into_owned();
                 env.learn(map, key, value);
             }
             Stmt::SetGlobal { name, value } => {
-                let value = value.eval(keys, env, nodes)?;
+                let value = value.eval_ref(keys, env, nodes)?.into_owned();
                 env.set(name, value);
             }
             Stmt::Emit(decision) => {
@@ -83,9 +83,9 @@ fn exec_block(
                     Decision::InstallRule(rule) => {
                         ConcreteDecision::Install(instantiate_rule(rule, keys, env, nodes)?)
                     }
-                    Decision::PacketOutPort(e) => {
-                        ConcreteDecision::PacketOutPort(e.eval(keys, env, nodes)?.as_int()? as u16)
-                    }
+                    Decision::PacketOutPort(e) => ConcreteDecision::PacketOutPort(
+                        e.eval_ref(keys, env, nodes)?.as_int()? as u16,
+                    ),
                     Decision::PacketOutFlood => ConcreteDecision::PacketOutFlood,
                     Decision::Drop => ConcreteDecision::Drop,
                 };

@@ -575,8 +575,8 @@ fn solve_conjunction(
                     let free = expr.free_fields();
                     if candidate.covers(&free) {
                         let mut nodes = 0;
-                        match expr.eval(&keys, env, &mut nodes) {
-                            Ok(Value::Bool(b)) if b == *polarity => {}
+                        match expr.eval_ref(&keys, env, &mut nodes).as_deref() {
+                            Ok(Value::Bool(b)) if b == polarity => {}
                             Ok(_) => {
                                 out.stats.candidates_rejected += 1;
                                 continue 'candidates;

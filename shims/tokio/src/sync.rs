@@ -194,6 +194,13 @@ pub mod mpsc {
             }
             Err(TryRecvError::Empty)
         }
+
+        /// Refuses further sends; messages already queued stay receivable.
+        pub fn close(&mut self) {
+            let mut chan = self.chan.lock().unwrap();
+            chan.rx_alive = false;
+            chan.wake_senders();
+        }
     }
 
     impl<T> Drop for Receiver<T> {

@@ -246,8 +246,10 @@ fn many_concurrent_connections() {
                 tokio::spawn(async move {
                     let mut buf = [0u8; 8];
                     if let Ok(n) = conn.read(&mut buf).await {
-                        let _ = conn.write_all(&buf[..n]).await;
+                        // Counted before the echo leaves: a client that has
+                        // its echo must find itself counted.
                         served.fetch_add(1, Ordering::SeqCst);
+                        let _ = conn.write_all(&buf[..n]).await;
                     }
                 });
             }
