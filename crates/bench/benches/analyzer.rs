@@ -23,6 +23,12 @@
 //! reported, and gated only on machines with ≥ 8 cores (the ratio is
 //! meaningless on fewer).
 //!
+//! **Defense tick** — what one rule-update round of a defended flood costs
+//! (`detect_changes` + `Analyzer::update` after 7 new spoofed sources, the
+//! paper's five apps) on 300 and on 3000 learned sources. The attacker
+//! decides how much the applications have learned, so the two must cost
+//! the same: the 3000/300 ratio is a hard bar at 1.5.
+//!
 //! **Regression gate** — compares against `FG_ANALYZER_BASELINE` (default
 //! `results/BENCH_analyzer_baseline.json`) and exits non-zero when a
 //! gated ratio drops more than 25%. All gated quantities are ratios of
@@ -52,6 +58,71 @@ const HIT_RATE_FLOOR: f64 = 0.99;
 
 /// Minimum cold/incremental speedup for the same workload.
 const INCR_SPEEDUP_FLOOR: f64 = 10.0;
+
+/// Maximum 3000-source / 300-source cost of one defense tick.
+const DEFENSE_TICK_RATIO_CEILING: f64 = 1.5;
+
+/// Spoofed sources a defense tick finds new (the cache re-raises 150
+/// packets a second; CI boxes tick every 20–50 ms).
+const SOURCES_PER_TICK: u64 = 7;
+
+/// The paper's five applications under a flood, and the analyzer
+/// defending them.
+struct Defended {
+    apps: Vec<controller::platform::App>,
+    analyzer: Analyzer,
+    learned: u64,
+    round: u32,
+    tick_us: Vec<f64>,
+}
+
+impl Defended {
+    /// After `sources` spoofed sources and the first rule update.
+    fn after(sources: u64) -> Defended {
+        use controller::{apps, platform::App};
+        let apps: Vec<App> = apps::evaluation_apps().into_iter().map(App::new).collect();
+        let analyzer = Analyzer::offline(&apps);
+        let mut defended = Defended {
+            apps,
+            analyzer,
+            learned: 0,
+            round: 0,
+            tick_us: Vec::new(),
+        };
+        defended.learn(sources);
+        defended.analyzer.update(&defended.apps, 1, 0.0);
+        defended
+    }
+
+    fn learn(&mut self, sources: u64) {
+        use controller::apps;
+        for _ in 0..sources {
+            // Scattered like spoofed addresses, not in table order.
+            let at = self.learned.wrapping_mul(0x9e37_79b9_7f4a_7c15) >> 20;
+            self.learned += 1;
+            let port = (at % 3 + 1) as u16;
+            let mac = ofproto::types::MacAddr::from_u64(at);
+            apps::l2_learning::learn_host(&mut self.apps[0].env, mac, port);
+            apps::l3_learning::learn_host(&mut self.apps[2].env, (at as u32).into(), port);
+        }
+    }
+
+    /// One timed defense tick: the application tracker, then the update.
+    fn tick(&mut self) {
+        self.learn(SOURCES_PER_TICK);
+        self.round += 1;
+        let t0 = Instant::now();
+        std::hint::black_box(self.analyzer.detect_changes(&self.apps));
+        let now = f64::from(self.round) * 0.02;
+        std::hint::black_box(self.analyzer.update(&self.apps, 1, now));
+        self.tick_us.push(t0.elapsed().as_secs_f64() * 1e6);
+    }
+
+    fn median_us(&mut self) -> f64 {
+        self.tick_us.sort_by(f64::total_cmp);
+        self.tick_us[self.tick_us.len() / 2]
+    }
+}
 
 /// Median of `reps` timed runs of `f`, in seconds.
 fn median_secs<F: FnMut()>(reps: usize, mut f: F) -> f64 {
@@ -170,6 +241,22 @@ fn main() {
     analyzer.set_threads(0);
     let par_speedup = par_rows[0].1 / par_rows.last().expect("non-empty").1;
 
+    // --- Defense tick: cost against learned state. ------------------------
+    let tick_rounds = if smoke { 5 } else { 50 };
+    let (mut small, mut large) = (Defended::after(300), Defended::after(3000));
+    for _ in 0..tick_rounds {
+        // Turn about, so that whatever else the machine does in these
+        // milliseconds is in both medians.
+        small.tick();
+        large.tick();
+    }
+    let (tick_300, tick_3000) = (small.median_us(), large.median_us());
+    let tick_ratio = tick_3000 / tick_300;
+    println!("# defense tick — {SOURCES_PER_TICK} new sources per round, {tick_rounds} rounds");
+    println!(
+        "300 learned: {tick_300:>8.1} us | 3000 learned: {tick_3000:>8.1} us | ratio {tick_ratio:.2}"
+    );
+
     if smoke {
         // The hard bars still bind in smoke mode — a broken cache or an
         // over-budget rule set must fail `cargo test`, not just the full
@@ -201,6 +288,13 @@ fn main() {
         );
         failed = true;
     }
+    if tick_ratio > DEFENSE_TICK_RATIO_CEILING {
+        eprintln!(
+            "REGRESSION: a defense tick on 3000 learned sources costs {tick_ratio:.2}x one on \
+             300 (> {DEFENSE_TICK_RATIO_CEILING})"
+        );
+        failed = true;
+    }
 
     let mut report = Json::obj()
         .set("bench", "analyzer")
@@ -226,7 +320,10 @@ fn main() {
         .set("fits_budget", cstats.fits_budget)
         .set("tcam_budget", TCAM_BUDGET)
         .set("par_speedup", par_speedup)
-        .set("par_cores_available", cores);
+        .set("par_cores_available", cores)
+        .set("defense_tick_us_n300", tick_300)
+        .set("defense_tick_us_n3000", tick_3000)
+        .set("defense_tick_ratio", tick_ratio);
     for &(threads, t_s) in &par_rows {
         report = report.set(format!("par_ms_t{threads}").as_str(), t_s * 1e3);
     }

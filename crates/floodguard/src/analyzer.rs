@@ -4,39 +4,56 @@
 //!
 //! Production-scale pipeline: Algorithm 1 results are shared through the
 //! process-wide [`symexec::memo`] (a thousand copies of a template app run
-//! symbolic execution once), per-app Algorithm 2 conversions are cached
-//! keyed on `(handler hash, env version)` so a convert re-solves only the
-//! apps whose globals actually moved, and stale apps are converted on
-//! worker threads ([`symexec::par`]) with a deterministic app-order merge —
-//! the rule vector is byte-identical at any thread count.
+//! symbolic execution once), and each application's Algorithm 2 result is
+//! kept as a [`KeyedConversion`]. When an application's globals move, that
+//! converts the table keys written since and nothing else, where it can
+//! prove that this is all a full conversion would change; everything else
+//! (a replaced global, a forgotten journal, a path that reads the table
+//! some other way) converts the application in full, on worker threads
+//! ([`symexec::par`]) with a deterministic app-order merge. Either way the
+//! rules, their order and the statistics are those of a cold conversion of
+//! the same state, at any thread count.
+//!
+//! [`Analyzer::update`] turns the same bookkeeping into the flow-mods for
+//! the switch without building the whole rule set: what one round costs is
+//! set by what changed since the last, not by how much the applications
+//! have learned — which, under a spoofing flood, the attacker decides.
 
 use std::collections::{HashMap, HashSet};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use controller::platform::App;
 use ofproto::flow_mod::FlowMod;
 use policy::ProactiveRule;
 use symexec::compress::{compress, CompressionConfig, CompressionStats};
 use symexec::{
-    convert_to_rules, generate_path_conditions_cached, handler_hash, Conversion, ConversionStats,
+    generate_path_conditions_cached, handler_hash, ConversionStats, KeyDelta, KeyedConversion,
     PathConditions,
 };
 
 use crate::config::UpdateStrategy;
 
-/// One app's cached Algorithm 2 result, valid while its handler and its
-/// tracked globals are unchanged.
+/// How one application's conversion moved in a refresh.
 #[derive(Debug)]
-struct CachedConversion {
-    handler_hash: u64,
-    env_version: u64,
-    conversion: Arc<Conversion>,
+enum Moved {
+    /// Key by key.
+    Keys(KeyDelta),
+    /// Converted in full; the conversion it replaced, if there was one.
+    Whole(Option<KeyedConversion>),
 }
 
-impl CachedConversion {
-    fn fresh(&self, handler_hash: u64, env_version: u64) -> bool {
-        self.handler_hash == handler_hash && self.env_version == env_version
-    }
+/// The rule set the switches hold, as far as the analyzer knows.
+#[derive(Debug)]
+enum Installed {
+    /// Exactly what the per-application conversions hold.
+    Tracked {
+        /// How many times each rule occurs across them.
+        count: HashMap<ProactiveRule, u32>,
+        /// All of them in registration order, once asked for.
+        flat: OnceLock<Vec<ProactiveRule>>,
+    },
+    /// A set of its own: handed to [`Analyzer::dispatch`], or emptied.
+    Detached(Vec<ProactiveRule>),
 }
 
 /// Conversion-cache counters (per-app Algorithm 2 results).
@@ -44,7 +61,8 @@ impl CachedConversion {
 pub struct CacheStats {
     /// App conversions served from cache across the analyzer's lifetime.
     pub hits: u64,
-    /// App conversions that re-ran Algorithm 2 across the lifetime.
+    /// App conversions that re-ran Algorithm 2 across the lifetime, for
+    /// every key or for the written ones.
     pub misses: u64,
     /// Cache hits in the most recent [`Analyzer::convert`] call.
     pub last_hits: u64,
@@ -68,19 +86,25 @@ impl CacheStats {
 /// The analyzer: holds each application's offline path conditions, tracks
 /// the live values of their state-sensitive variables, and dispatches
 /// proactive flow rules.
+///
+/// Applications are known by their position in the slice handed to
+/// [`Analyzer::offline`]; every later call takes the same applications in
+/// the same order.
 #[derive(Debug)]
 pub struct Analyzer {
     path_conditions: Vec<Arc<PathConditions>>,
     app_hashes: Vec<u64>,
-    conversion_cache: Vec<Option<CachedConversion>>,
-    last_versions: HashMap<String, u64>,
-    installed: Vec<ProactiveRule>,
+    /// Each application's conversion. Written by [`Analyzer::refresh`] and
+    /// [`Analyzer::invalidate`] only, which see to `installed`.
+    states: Vec<Option<KeyedConversion>>,
+    last_versions: Vec<Option<u64>>,
+    installed: Installed,
     pending_changes: u64,
     last_update_at: f64,
     cache_stats: CacheStats,
     threads: usize,
     compression: Option<CompressionConfig>,
-    truncation_warned: HashSet<String>,
+    truncation_warned: Vec<bool>,
     /// Cumulative conversion statistics from the last convert (summed over
     /// every app, cached or not).
     pub last_stats: ConversionStats,
@@ -90,6 +114,10 @@ pub struct Analyzer {
     pub last_rules_raw: usize,
     /// Number of conversions run.
     pub conversions: u64,
+    /// Stale applications brought up to date by converting only the keys
+    /// written since (each also one [`CacheStats`] miss). For tests.
+    #[doc(hidden)]
+    pub key_refreshes: u64,
 }
 
 /// The flow-mod batch a dispatch produces.
@@ -122,28 +150,26 @@ impl Analyzer {
     /// the process-wide Algorithm 1 memo, so duplicate handlers (a fleet
     /// instantiated from a few templates) are analyzed once.
     pub fn offline(apps: &[App]) -> Analyzer {
-        let path_conditions: Vec<Arc<PathConditions>> = apps
-            .iter()
-            .map(|app| generate_path_conditions_cached(&app.program))
-            .collect();
-        let app_hashes = apps.iter().map(|app| handler_hash(&app.program)).collect();
-        let conversion_cache = apps.iter().map(|_| None).collect();
         Analyzer {
-            path_conditions,
-            app_hashes,
-            conversion_cache,
-            last_versions: HashMap::new(),
-            installed: Vec::new(),
+            path_conditions: apps
+                .iter()
+                .map(|app| generate_path_conditions_cached(&app.program))
+                .collect(),
+            app_hashes: apps.iter().map(|app| handler_hash(&app.program)).collect(),
+            states: apps.iter().map(|_| None).collect(),
+            last_versions: vec![None; apps.len()],
+            installed: Installed::Detached(Vec::new()),
             pending_changes: 0,
             last_update_at: f64::NEG_INFINITY,
             cache_stats: CacheStats::default(),
             threads: 0,
             compression: None,
-            truncation_warned: HashSet::new(),
+            truncation_warned: vec![false; apps.len()],
             last_stats: ConversionStats::default(),
             last_compression: None,
             last_rules_raw: 0,
             conversions: 0,
+            key_refreshes: 0,
         }
     }
 
@@ -178,26 +204,19 @@ impl Analyzer {
     /// next convert re-runs Algorithm 2 for all apps). Lifetime hit/miss
     /// counters are kept.
     pub fn clear_conversion_cache(&mut self) {
-        for slot in &mut self.conversion_cache {
-            *slot = None;
-        }
+        self.invalidate(0..self.states.len());
     }
 
     /// Application tracker: returns `true` when any app's globals changed
     /// since the last call (its env version moved).
     pub fn detect_changes(&mut self, apps: &[App]) -> bool {
         let mut changed = false;
-        for app in apps {
-            let version = app.env.version();
-            let entry = self
-                .last_versions
-                .entry(app.program.name.clone())
-                .or_insert(u64::MAX);
-            if *entry != version {
-                if *entry != u64::MAX {
-                    changed = true;
-                }
-                *entry = version;
+        for (app, seen) in apps.iter().zip(&mut self.last_versions) {
+            let version = Some(app.env.version());
+            if *seen != version {
+                // The first observation is the baseline, not a change.
+                changed |= seen.is_some();
+                *seen = version;
             }
         }
         if changed {
@@ -228,104 +247,158 @@ impl Analyzer {
     /// registered program in place.
     pub fn refresh_handlers(&mut self, apps: &[App]) {
         debug_assert_eq!(self.app_hashes.len(), apps.len());
+        let mut edited = Vec::new();
         for (i, app) in apps.iter().enumerate() {
             let hash = handler_hash(&app.program);
             if hash != self.app_hashes[i] {
                 self.path_conditions[i] = generate_path_conditions_cached(&app.program);
                 self.app_hashes[i] = hash;
-                self.conversion_cache[i] = None;
+                edited.push(i);
             }
+        }
+        if !edited.is_empty() {
+            self.invalidate(edited);
         }
     }
 
-    /// Runs Algorithm 2 over every application with its current globals,
-    /// producing the full proactive rule set.
-    ///
-    /// Incremental: an app whose `(handler hash, env version)` matches its
-    /// cached conversion is served from cache; only stale apps are
-    /// re-solved, on worker threads. The returned vector is in registration
-    /// order and byte-identical at any thread count. With compression
-    /// enabled the merged set is compressed before being returned. Handler
-    /// bodies are assumed fixed since [`Analyzer::offline`] (or the last
-    /// [`Analyzer::refresh_handlers`]); only env versions are re-checked.
-    pub fn convert(&mut self, apps: &[App]) -> Vec<ProactiveRule> {
-        debug_assert_eq!(self.path_conditions.len(), apps.len());
-        let mut stale = Vec::new();
-        for (i, app) in apps.iter().enumerate() {
-            let fresh = match &self.conversion_cache[i] {
-                Some(cached) => cached.fresh(self.app_hashes[i], app.env.version()),
-                None => false,
-            };
-            if !fresh {
-                stale.push(i);
-            }
+    /// Forgets the conversions of `which` applications. The installed set
+    /// is what it was, so from here on it is one of its own.
+    fn invalidate(&mut self, which: impl IntoIterator<Item = usize>) {
+        self.detach_installed();
+        for i in which {
+            self.states[i] = None;
         }
+    }
+
+    /// Brings every application's conversion up to its current globals.
+    ///
+    /// With a cookie to `follow` with — while the installed set is what
+    /// the conversions hold ([`Installed::Tracked`]) — it stays that, and
+    /// what is returned is what [`Analyzer::dispatch`] would make of the
+    /// move: deletes for the rules no application yields any more, in the
+    /// order they were converted, and adds for the rules none yielded
+    /// before. Without, the installed set stays what it was and becomes
+    /// one of its own.
+    fn refresh(&mut self, apps: &[App], follow: Option<u64>) -> RuleUpdate {
+        debug_assert_eq!(self.path_conditions.len(), apps.len());
+        if follow.is_none() {
+            self.detach_installed();
+        }
+        let stale: Vec<usize> = (0..apps.len())
+            .filter(|&i| {
+                self.states[i]
+                    .as_ref()
+                    .map_or(true, |state| state.env_version() != apps[i].env.version())
+            })
+            .collect();
         self.cache_stats.last_hits = (apps.len() - stale.len()) as u64;
         self.cache_stats.last_misses = stale.len() as u64;
         self.cache_stats.hits += self.cache_stats.last_hits;
         self.cache_stats.misses += self.cache_stats.last_misses;
 
-        // Re-solve stale apps in parallel; each job reads only its own
+        let mut moved: Vec<(usize, Moved)> = Vec::with_capacity(stale.len());
+        let mut whole = Vec::new();
+        for i in stale {
+            let delta = self.states[i]
+                .as_mut()
+                .and_then(|state| state.apply(&self.path_conditions[i], &apps[i].env));
+            match delta {
+                Some(delta) => moved.push((i, Moved::Keys(delta))),
+                None => whole.push(i),
+            }
+        }
+        self.key_refreshes += moved.len() as u64;
+        // Full conversions run in parallel; each job reads only its own
         // app's path conditions and env, so worker count changes wall-clock
-        // time only, never the merged output.
+        // time only, never the outcome.
         let path_conditions = &self.path_conditions;
         let threads = if self.threads == 0 {
-            symexec::par::thread_count(stale.len())
+            symexec::par::thread_count(whole.len())
         } else {
             self.threads
         };
-        let converted = symexec::par::par_map_with(threads, &stale, |&i| {
-            convert_to_rules(&path_conditions[i], &apps[i].env)
+        let converted = symexec::par::par_map_with(threads, &whole, |&i| {
+            KeyedConversion::convert(&path_conditions[i], &apps[i].env)
         });
-        for (&i, conversion) in stale.iter().zip(converted) {
-            self.conversion_cache[i] = Some(CachedConversion {
-                handler_hash: self.app_hashes[i],
-                env_version: apps[i].env.version(),
-                conversion: Arc::new(conversion),
-            });
+        for (&i, state) in whole.iter().zip(converted) {
+            moved.push((i, Moved::Whole(self.states[i].replace(state))));
         }
+        moved.sort_by_key(|(i, _)| *i);
 
-        // Deterministic merge in registration order, aggregating stats over
-        // every app (cached or re-solved) so `last_stats` always describes
-        // the whole returned set.
-        let total: usize = self
-            .conversion_cache
-            .iter()
-            .map(|c| c.as_ref().map_or(0, |c| c.conversion.rules.len()))
-            .sum();
-        let mut rules = Vec::with_capacity(total);
-        let mut stats = ConversionStats::default();
-        for (i, app) in apps.iter().enumerate() {
-            // The conversion reflects this exact state: baseline the
-            // tracker here so later mutations are seen as changes.
-            match self.last_versions.get_mut(&app.program.name) {
-                Some(v) => *v = app.env.version(),
-                None => {
-                    self.last_versions
-                        .insert(app.program.name.clone(), app.env.version());
-                }
+        let update = match (&mut self.installed, follow) {
+            (Installed::Tracked { count, flat }, Some(cookie)) if !moved.is_empty() => {
+                // A flattened copy of the conversions is no longer one.
+                flat.take();
+                settle(count, &self.states, moved, cookie)
             }
-            let cached = self.conversion_cache[i]
-                .as_ref()
-                .expect("every app converted above");
-            stats.merge(&cached.conversion.stats);
-            if cached.conversion.stats.truncated()
-                && self.truncation_warned.insert(app.program.name.clone())
+            _ => RuleUpdate::default(),
+        };
+
+        // Aggregate stats over every app (cached or re-solved) so
+        // `last_stats` always describes the whole rule set.
+        let mut stats = ConversionStats::default();
+        let mut total = 0;
+        for (i, app) in apps.iter().enumerate() {
+            // The conversions reflect this exact env: baseline the tracker
+            // here so later mutations are seen as changes.
+            self.last_versions[i] = Some(app.env.version());
+            let state = self.states[i].as_ref().expect("every app converted above");
+            stats.merge(state.stats());
+            total += state.len();
+            if state.stats().truncated() && !std::mem::replace(&mut self.truncation_warned[i], true)
             {
                 eprintln!(
                     "floodguard analyzer: app `{}`: conversion truncated \
                      (paths_truncated={}, rules_truncated={}); proactive rules incomplete",
                     app.program.name,
-                    cached.conversion.stats.paths_truncated,
-                    cached.conversion.stats.rules_truncated,
+                    state.stats().paths_truncated,
+                    state.stats().rules_truncated,
                 );
             }
-            rules.extend_from_slice(&cached.conversion.rules);
         }
         self.last_stats = stats;
-        self.last_rules_raw = rules.len();
+        self.last_rules_raw = total;
         self.conversions += 1;
+        update
+    }
 
+    /// Every application's rules in registration order.
+    fn flatten(&self) -> Vec<ProactiveRule> {
+        let mut rules = Vec::with_capacity(self.last_rules_raw);
+        for state in self.states.iter().flatten() {
+            state.for_each_rule(|rule| rules.push(rule.clone()));
+        }
+        rules
+    }
+
+    /// Takes the installed set, leaving none.
+    fn take_installed(&mut self) -> Vec<ProactiveRule> {
+        match std::mem::replace(&mut self.installed, Installed::Detached(Vec::new())) {
+            Installed::Tracked { flat, .. } => flat.into_inner().unwrap_or_else(|| self.flatten()),
+            Installed::Detached(rules) => rules,
+        }
+    }
+
+    /// Gives the installed set a copy of its own before the conversions it
+    /// mirrors move without it.
+    fn detach_installed(&mut self) {
+        self.installed = Installed::Detached(self.take_installed());
+    }
+
+    /// Runs Algorithm 2 over every application with its current globals,
+    /// producing the full proactive rule set.
+    ///
+    /// Incremental: an app whose env version matches its cached conversion
+    /// is served from cache; a stale one has its written keys or all of
+    /// itself re-solved, the latter on worker threads. The returned vector
+    /// is in registration order and byte-identical at any thread count.
+    /// With compression enabled the merged set is compressed before being
+    /// returned. Handler bodies are assumed fixed since
+    /// [`Analyzer::offline`] (or the last [`Analyzer::refresh_handlers`]);
+    /// only env versions are re-checked.
+    pub fn convert(&mut self, apps: &[App]) -> Vec<ProactiveRule> {
+        self.refresh(apps, None);
+        let rules = self.flatten();
         match &self.compression {
             Some(config) => {
                 let (compressed, cstats) = compress(&rules, config);
@@ -343,54 +416,148 @@ impl Analyzer {
     /// the flow-mods realizing the difference, stamping them with `cookie`.
     ///
     /// §IV-D: "The variation should be quite simple as adding or removing a
-    /// few matching rules." The diff is hash-set membership on whole rules
-    /// (O(n) instead of the old O(n²) `Vec::contains` scan), emitting
-    /// removals in installed order and additions in `new_rules` order.
+    /// few matching rules." The diff is hash-set membership on whole rules,
+    /// emitting removals in installed order and additions in `new_rules`
+    /// order.
     pub fn dispatch(&mut self, new_rules: Vec<ProactiveRule>, cookie: u64, now: f64) -> RuleUpdate {
+        let installed = self.take_installed();
         let mut update = RuleUpdate::default();
-        {
-            let new_set: HashSet<&ProactiveRule> = new_rules.iter().collect();
-            let old_set: HashSet<&ProactiveRule> = self.installed.iter().collect();
-            for rule in &self.installed {
-                if !new_set.contains(rule) {
-                    update
-                        .to_remove
-                        .push(FlowMod::delete_strict(rule.of_match, rule.priority));
-                }
-            }
-            for rule in &new_rules {
-                if !old_set.contains(rule) {
-                    update.to_add.push(rule.to_flow_mod().with_cookie(cookie));
-                }
+        let new_set: HashSet<&ProactiveRule> = new_rules.iter().collect();
+        let old_set: HashSet<&ProactiveRule> = installed.iter().collect();
+        for rule in &installed {
+            if !new_set.contains(rule) {
+                update
+                    .to_remove
+                    .push(FlowMod::delete_strict(rule.of_match, rule.priority));
             }
         }
-        self.installed = new_rules;
+        for rule in &new_rules {
+            if !old_set.contains(rule) {
+                update.to_add.push(rule.to_flow_mod().with_cookie(cookie));
+            }
+        }
+        self.installed = Installed::Detached(new_rules);
         self.pending_changes = 0;
         self.last_update_at = now;
         update
     }
 
+    /// One rule-update round: converts what changed and returns the
+    /// flow-mods that bring the switches from the installed set to the
+    /// current one — `dispatch(convert(apps), cookie, now)`, flow-mod for
+    /// flow-mod.
+    ///
+    /// While the installed set is the one the last round left (nothing but
+    /// `update` touched the analyzer since) and compression is off, the
+    /// round neither builds nor hashes the rule set: its cost is that of
+    /// the keys written since, or of the applications that need converting
+    /// in full.
+    pub fn update(&mut self, apps: &[App], cookie: u64, now: f64) -> RuleUpdate {
+        if self.compression.is_none() && matches!(self.installed, Installed::Tracked { .. }) {
+            let update = self.refresh(apps, Some(cookie));
+            self.pending_changes = 0;
+            self.last_update_at = now;
+            return update;
+        }
+        let rules = self.convert(apps);
+        let update = self.dispatch(rules, cookie, now);
+        if self.compression.is_none() {
+            // What was just installed is what the conversions hold; the
+            // rounds to come follow them.
+            let mut count = HashMap::with_capacity(self.last_rules_raw);
+            for state in self.states.iter().flatten() {
+                state.for_each_rule(|rule| *count.entry(rule.clone()).or_insert(0) += 1);
+            }
+            self.installed = Installed::Tracked {
+                count,
+                flat: OnceLock::from(self.take_installed()),
+            };
+        }
+        update
+    }
+
     /// The currently installed proactive rules.
     pub fn installed(&self) -> &[ProactiveRule] {
-        &self.installed
+        match &self.installed {
+            Installed::Tracked { flat, .. } => flat.get_or_init(|| self.flatten()),
+            Installed::Detached(rules) => rules,
+        }
     }
 
     /// Forgets the installed set (rules may have aged out of the switch
     /// since the last defense round); the next dispatch re-adds everything.
     pub fn reset_installed(&mut self) {
-        self.installed.clear();
+        self.installed = Installed::Detached(Vec::new());
     }
 
     /// Strict deletes removing every installed proactive rule.
     pub fn teardown(&mut self) -> Vec<FlowMod> {
-        let mods = self
-            .installed
+        self.take_installed()
             .iter()
             .map(|r| FlowMod::delete_strict(r.of_match, r.priority))
-            .collect();
-        self.installed.clear();
-        mods
+            .collect()
     }
+}
+
+/// Brings `count` in line with the conversions that `moved` and returns
+/// the flow-mods of the move. What came is judged against the count as it
+/// was — a rule is new to the switch when nothing it holds equals it — and
+/// what went against the count as it will be.
+fn settle(
+    count: &mut HashMap<ProactiveRule, u32>,
+    states: &[Option<KeyedConversion>],
+    moved: Vec<(usize, Moved)>,
+    cookie: u64,
+) -> RuleUpdate {
+    let state = |i: usize| states[i].as_ref().expect("converted in this refresh");
+    let mut update = RuleUpdate::default();
+    let mut announce = |rule: &ProactiveRule| {
+        if !count.contains_key(rule) {
+            update.to_add.push(rule.to_flow_mod().with_cookie(cookie));
+        }
+    };
+    for (i, moved) in &moved {
+        match moved {
+            Moved::Keys(delta) => delta.added.iter().for_each(&mut announce),
+            Moved::Whole(_) => state(*i).for_each_rule(&mut announce),
+        }
+    }
+    let mut went: Vec<ProactiveRule> = Vec::new();
+    for (i, moved) in moved {
+        let gone = match moved {
+            Moved::Keys(delta) => {
+                for rule in delta.added {
+                    *count.entry(rule).or_insert(0) += 1;
+                }
+                delta.removed
+            }
+            Moved::Whole(old) => {
+                state(i).for_each_rule(|rule| match count.get_mut(rule) {
+                    Some(n) => *n += 1,
+                    None => {
+                        count.insert(rule.clone(), 1);
+                    }
+                });
+                old.map_or_else(Vec::new, KeyedConversion::into_rules)
+            }
+        };
+        for rule in &gone {
+            let n = count
+                .get_mut(rule)
+                .expect("a rule a conversion held is counted");
+            *n -= 1;
+            if *n == 0 {
+                count.remove(rule);
+            }
+        }
+        went.extend(gone);
+    }
+    update.to_remove.extend(
+        went.iter()
+            .filter(|rule| !count.contains_key(rule))
+            .map(|rule| FlowMod::delete_strict(rule.of_match, rule.priority)),
+    );
+    update
 }
 
 #[cfg(test)]
@@ -479,6 +646,50 @@ mod tests {
         let update = analyzer.dispatch(rules, 1, 1.0);
         assert!(update.is_empty());
         assert_eq!(update.len(), 0);
+    }
+
+    #[test]
+    fn update_sends_what_changed_since_the_last() {
+        let mut app = l2_app();
+        apps::l2_learning::learn_host(&mut app.env, MacAddr::from_u64(0xa), 1);
+        let mut analyzer = Analyzer::offline(std::slice::from_ref(&app));
+        let first = analyzer.update(std::slice::from_ref(&app), 0xc0de, 0.0);
+        assert_eq!((first.to_add.len(), first.to_remove.len()), (1, 0));
+        assert_eq!(first.to_add[0].cookie, 0xc0de);
+        // A new host and a moved one: one rule each way for the latter.
+        apps::l2_learning::learn_host(&mut app.env, MacAddr::from_u64(0xb), 2);
+        apps::l2_learning::learn_host(&mut app.env, MacAddr::from_u64(0xa), 3);
+        let second = analyzer.update(std::slice::from_ref(&app), 0xc0de, 1.0);
+        assert_eq!((second.to_add.len(), second.to_remove.len()), (2, 1));
+        assert_eq!(analyzer.key_refreshes, 1);
+        assert_eq!(analyzer.installed().len(), 2);
+        assert!(analyzer
+            .update(std::slice::from_ref(&app), 0xc0de, 2.0)
+            .is_empty());
+    }
+
+    #[test]
+    fn installed_set_stays_put_while_conversions_move_without_it() {
+        let learn = apps::l2_learning::learn_host;
+        let mut app = l2_app();
+        learn(&mut app.env, MacAddr::from_u64(0xa), 1);
+        let mut analyzer = Analyzer::offline(std::slice::from_ref(&app));
+        analyzer.update(std::slice::from_ref(&app), 1, 0.0);
+        // A `convert` in between sees the new host; the switch has not.
+        learn(&mut app.env, MacAddr::from_u64(0xb), 2);
+        assert_eq!(analyzer.convert(std::slice::from_ref(&app)).len(), 2);
+        let update = analyzer.update(std::slice::from_ref(&app), 1, 1.0);
+        assert_eq!((update.to_add.len(), update.to_remove.len()), (1, 0));
+        // Dropping the conversions drops nothing from the switch either:
+        // the next round has nothing to send, the one after a move to.
+        analyzer.clear_conversion_cache();
+        assert!(analyzer
+            .update(std::slice::from_ref(&app), 1, 2.0)
+            .is_empty());
+        learn(&mut app.env, MacAddr::from_u64(0xa), 3);
+        let update = analyzer.update(std::slice::from_ref(&app), 1, 3.0);
+        assert_eq!((update.to_add.len(), update.to_remove.len()), (1, 1));
+        assert_eq!(analyzer.installed().len(), 2);
     }
 
     #[test]

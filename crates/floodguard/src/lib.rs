@@ -468,8 +468,9 @@ impl FloodGuard {
     }
 
     fn run_update(&mut self, now: f64, out: &mut ControlOutput) {
-        let rules = self.analyzer.convert(self.platform.apps());
-        let update = self.analyzer.dispatch(rules, self.config.cookie, now);
+        let update = self
+            .analyzer
+            .update(self.platform.apps(), self.config.cookie, now);
         self.stats.proactive_installed += update.to_add.len() as u64;
         self.stats.proactive_removed += update.to_remove.len() as u64;
         if !update.is_empty() {
@@ -1062,6 +1063,50 @@ mod tests {
             "rule refreshed with the newly learned host"
         );
         assert_eq!(fg.state(), State::Defense);
+    }
+
+    #[test]
+    fn second_episode_reinstalls_every_rule() {
+        // Rules age out of the switch between episodes, so Init forgets
+        // what is installed: whatever the analyzer still holds from the
+        // first episode, the first update of the second sends it all.
+        let adds = |out: &ControlOutput| {
+            out.messages
+                .iter()
+                .filter(|(_, m)| matches!(&m.body, OfBody::FlowMod(fm) if fm.command == ofproto::flow_mod::FlowModCommand::Add && fm.cookie == FloodGuardConfig::default().cookie))
+                .count()
+        };
+        let mut fg = fg_with_l2();
+        flood_packet_in(&mut fg, 1.0, 60);
+        fg.on_telemetry(&telemetry(), 1.05, &mut ControlOutput::new());
+        let mut out = ControlOutput::new();
+        fg.on_telemetry(&telemetry(), 1.1, &mut out);
+        assert_eq!(fg.state(), State::Defense);
+        assert_eq!(adds(&out), 60);
+        // A host learned mid-defense costs one flow-mod, not 61.
+        fg.cache_handle().lock().stats.received = 1000;
+        apps::l2_learning::learn_host(
+            &mut fg.platform_mut().app_mut("l2_learning").unwrap().env,
+            MacAddr::from_u64(0xbb),
+            2,
+        );
+        let mut out = ControlOutput::new();
+        fg.on_telemetry(&telemetry(), 1.15, &mut out);
+        assert_eq!(adds(&out), 1);
+        // Quiet cache: Finish, then Idle.
+        for now in [1.5, 2.0, 2.1] {
+            fg.on_telemetry(&telemetry(), now, &mut ControlOutput::new());
+        }
+        assert_eq!(fg.state(), State::Idle);
+        // The same sources flood again: nothing new is learned.
+        flood_packet_in(&mut fg, 5.0, 60);
+        fg.on_telemetry(&telemetry(), 5.05, &mut ControlOutput::new());
+        assert_eq!(fg.state(), State::Init);
+        let mut out = ControlOutput::new();
+        fg.on_telemetry(&telemetry(), 5.1, &mut out);
+        assert_eq!(fg.state(), State::Defense);
+        assert_eq!(adds(&out), 61);
+        assert_eq!(fg.analyzer().installed().len(), 61);
     }
 
     #[test]

@@ -280,66 +280,87 @@ impl Expr {
         Ok(Cow::Owned(owned))
     }
 
-    /// Partially evaluates: substitutes globals from `env`, folds constant
-    /// sub-expressions, and leaves field reads symbolic.
+    /// Partially evaluates: substitutes scalar globals from `env`, folds
+    /// sub-expressions that read no packet field, and leaves field reads
+    /// symbolic. A global holding a map or a set stays a read — copying a
+    /// table the attacker can grow into every residual would make the cost
+    /// of a conversion the size of that table — so the residual means what
+    /// `self` means only against the same `env`.
     ///
     /// This is the runtime half of the paper's hybrid approach: after the
     /// application tracker reads current global values, path conditions
-    /// contain only symbolic packet fields.
+    /// contain only symbolic packet fields and table lookups keyed on them.
     ///
     /// # Errors
     ///
     /// [`EvalError::UnknownGlobal`] when a global is missing from `env` and
     /// [`EvalError::Type`] when constant folding hits a type error.
     pub fn substitute(&self, env: &Env) -> Result<Expr, EvalError> {
-        let folded = match self {
-            Expr::Const(v) => Expr::Const(v.clone()),
-            Expr::Field(f) => Expr::Field(*f),
-            Expr::Global(name) => Expr::Const(
-                env.get(name)
-                    .cloned()
-                    .ok_or_else(|| EvalError::UnknownGlobal(name.clone()))?,
-            ),
-            Expr::Eq(a, b) => Expr::Eq(Box::new(a.substitute(env)?), Box::new(b.substitute(env)?)),
-            Expr::And(a, b) => {
-                Expr::And(Box::new(a.substitute(env)?), Box::new(b.substitute(env)?))
-            }
-            Expr::Or(a, b) => Expr::Or(Box::new(a.substitute(env)?), Box::new(b.substitute(env)?)),
-            Expr::Not(e) => Expr::Not(Box::new(e.substitute(env)?)),
-            Expr::MapContains { map, key } => Expr::MapContains {
-                map: Box::new(map.substitute(env)?),
-                key: Box::new(key.substitute(env)?),
-            },
-            Expr::MapGet { map, key } => Expr::MapGet {
-                map: Box::new(map.substitute(env)?),
-                key: Box::new(key.substitute(env)?),
-            },
-            Expr::SetContains { set, item } => Expr::SetContains {
-                set: Box::new(set.substitute(env)?),
-                item: Box::new(item.substitute(env)?),
-            },
-            Expr::HighBit(e) => Expr::HighBit(Box::new(e.substitute(env)?)),
-            Expr::IsBroadcast(e) => Expr::IsBroadcast(Box::new(e.substitute(env)?)),
-            Expr::Prefix(e, n) => Expr::Prefix(Box::new(e.substitute(env)?), *n),
-            Expr::Tuple(items) => Expr::Tuple(
-                items
-                    .iter()
-                    .map(|i| i.substitute(env))
-                    .collect::<Result<_, _>>()?,
-            ),
+        self.partial(env).map(|(residual, _)| residual)
+    }
+
+    /// [`Expr::substitute`], also saying whether the residual reads a field.
+    fn partial(&self, env: &Env) -> Result<(Expr, bool), EvalError> {
+        type Partial = Result<(Expr, bool), EvalError>;
+        let unary = |e: &Expr, make: fn(Box<Expr>) -> Expr| -> Partial {
+            e.partial(env).map(|(e, f)| (make(Box::new(e)), f))
         };
-        // Fold when fully concrete.
-        if folded.is_concrete() {
-            let empty = Env::new();
-            let keys = FlowKeys::default();
+        let binary = |a: &Expr, b: &Expr, make: fn(Box<Expr>, Box<Expr>) -> Expr| -> Partial {
+            let ((a, fa), (b, fb)) = (a.partial(env)?, b.partial(env)?);
+            Ok((make(Box::new(a), Box::new(b)), fa || fb))
+        };
+        let (residual, reads_field) = match self {
+            Expr::Const(_) => return Ok((self.clone(), false)),
+            Expr::Field(_) => return Ok((self.clone(), true)),
+            Expr::Global(name) => {
+                return match env.get(name) {
+                    None => Err(EvalError::UnknownGlobal(name.clone())),
+                    Some(Value::Map(_) | Value::Set(_)) => Ok((self.clone(), false)),
+                    Some(scalar) => Ok((Expr::Const(scalar.clone()), false)),
+                }
+            }
+            Expr::Eq(a, b) => binary(a, b, Expr::Eq)?,
+            Expr::And(a, b) => binary(a, b, Expr::And)?,
+            Expr::Or(a, b) => binary(a, b, Expr::Or)?,
+            Expr::Not(e) => unary(e, Expr::Not)?,
+            Expr::MapContains { map, key } => {
+                binary(map, key, |map, key| Expr::MapContains { map, key })?
+            }
+            Expr::MapGet { map, key } => binary(map, key, |map, key| Expr::MapGet { map, key })?,
+            Expr::SetContains { set, item } => {
+                binary(set, item, |set, item| Expr::SetContains { set, item })?
+            }
+            Expr::HighBit(e) => unary(e, Expr::HighBit)?,
+            Expr::IsBroadcast(e) => unary(e, Expr::IsBroadcast)?,
+            Expr::Prefix(e, n) => {
+                let (e, f) = e.partial(env)?;
+                (Expr::Prefix(Box::new(e), *n), f)
+            }
+            Expr::Tuple(items) => {
+                let mut reads_field = false;
+                let items = items
+                    .iter()
+                    .map(|i| {
+                        i.partial(env).map(|(i, f)| {
+                            reads_field |= f;
+                            i
+                        })
+                    })
+                    .collect::<Result<_, _>>()?;
+                (Expr::Tuple(items), reads_field)
+            }
+        };
+        // Fold what no packet can change. Its operands are constants and
+        // tables that `env` holds, so nothing is unknown here.
+        if !reads_field {
             let mut nodes = 0;
-            match folded.eval(&keys, &empty, &mut nodes) {
-                Ok(v) => return Ok(Expr::Const(v)),
+            match residual.eval(&FlowKeys::default(), env, &mut nodes) {
+                Ok(v) => return Ok((Expr::Const(v), false)),
                 Err(EvalError::Type(e)) => return Err(EvalError::Type(e)),
                 Err(_) => {}
             }
         }
-        Ok(folded)
+        Ok((residual, reads_field))
     }
 
     /// Whether the expression reads no packet field and no global.
@@ -890,6 +911,29 @@ mod tests {
             constant(Value::Ip(Ipv4Addr::new(10, 1, 2, 3))),
         );
         assert_eq!(e.substitute(&env).unwrap(), constant(true));
+    }
+
+    #[test]
+    fn substitute_reads_tables_in_place() {
+        // The residual of a membership test names the table, it does not
+        // hold a copy of it; what no packet can change still folds.
+        let mut env = Env::new();
+        env.set(
+            "m",
+            map_value((0..100u64).map(|i| (Value::Int(i), Value::Int(i + 1)))),
+        );
+        let contains = map_contains(global("m"), field(Field::TpDst));
+        assert_eq!(contains.substitute(&env).unwrap(), contains);
+        assert_eq!(
+            map_get(global("m"), constant(5u64))
+                .substitute(&env)
+                .unwrap(),
+            constant(6u64)
+        );
+        assert_eq!(
+            global("gone").substitute(&env).unwrap_err(),
+            EvalError::UnknownGlobal("gone".into())
+        );
     }
 
     #[test]

@@ -42,7 +42,7 @@ pub mod stmt;
 pub mod value;
 
 pub use convert::ProactiveRule;
-pub use env::Env;
+pub use env::{Change, Env};
 pub use expr::{EvalError, Expr, Field};
 pub use interp::{execute, ConcreteDecision, ExecResult};
 pub use program::{GlobalSpec, Program};

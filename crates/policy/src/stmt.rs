@@ -73,6 +73,22 @@ impl RuleTemplate {
         self.priority = priority;
         self
     }
+
+    /// The expressions instantiating the template evaluates: matches, then
+    /// actions.
+    pub fn exprs(&self) -> impl Iterator<Item = &Expr> {
+        let matches = self.match_on.iter().map(|m| match m {
+            MatchTemplate::Exact(_, e) | MatchTemplate::Prefix(_, e, _) => e,
+        });
+        let actions = self.actions.iter().filter_map(|a| match a {
+            ActionTemplate::Output(e)
+            | ActionTemplate::SetNwDst(e)
+            | ActionTemplate::SetNwSrc(e)
+            | ActionTemplate::SetDlDst(e) => Some(e),
+            ActionTemplate::Flood => None,
+        });
+        matches.chain(actions)
+    }
 }
 
 /// The terminal decision of one handler path.

@@ -50,6 +50,7 @@
 
 pub mod compress;
 pub mod engine;
+pub mod keyed;
 pub mod memo;
 pub mod par;
 pub mod path;
@@ -57,6 +58,7 @@ pub mod solve;
 
 pub use compress::{compress, winner, CompressionConfig, CompressionStats};
 pub use engine::{generate_path_conditions, MAX_PATHS};
+pub use keyed::{KeyDelta, KeyedConversion};
 pub use memo::{
     clear_path_memo, generate_path_conditions_cached, handler_hash, path_memo_stats, PathMemoStats,
 };

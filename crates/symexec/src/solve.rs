@@ -3,23 +3,32 @@
 //! that stands in for STP.
 //!
 //! After the application tracker substitutes current global values into a
-//! path's conditions, the residual constraints mention only packet fields.
-//! The solver normalizes them into atoms (equalities, prefix tests,
-//! map/set-membership), enumerates membership atoms over the concrete
-//! container contents, checks each candidate assignment for consistency,
-//! and instantiates the path's rule template under it.
+//! path's conditions, the residual constraints mention only packet fields
+//! and the tables they are looked up in. The solver normalizes them into
+//! atoms (equalities, prefix tests, map/set-membership), enumerates
+//! membership atoms over the tables' contents, checks each candidate
+//! assignment for consistency, and instantiates the path's rule template
+//! under it.
+//!
+//! Tables are borrowed from the environment, never copied, and a path that
+//! does nothing with a table but enumerate its keys and look the
+//! enumerated key up (`PathRules::Keyed`) can be converted for a chosen
+//! set of keys: `convert_path` with `Only` is the same routine as a full
+//! conversion, ranging over fewer values. [`KeyedConversion`] is what the
+//! crate offers of it.
 
-use std::collections::BTreeMap;
+use std::collections::{btree_map, btree_set, BTreeMap, BTreeSet, HashSet};
 use std::net::Ipv4Addr;
 
 use ofproto::types::MacAddr;
 use policy::convert::instantiate_rule;
 use policy::expr::mask_ip;
-use policy::stmt::{ActionTemplate, Decision, MatchTemplate, RuleTemplate};
+use policy::stmt::{Decision, RuleTemplate};
 use policy::{Env, EvalError, Expr, Field, ProactiveRule, Value};
 
 use ofproto::flow_match::FlowKeys;
 
+use crate::keyed::KeyedConversion;
 use crate::path::{Path, PathConditions};
 
 /// Cap on rules produced per conversion, against enumeration blowups.
@@ -49,9 +58,58 @@ fn key_expr(expr: &Expr) -> Option<KeyExpr> {
     }
 }
 
-/// A normalized constraint atom.
-#[derive(Debug, Clone, PartialEq)]
-enum Atom {
+/// The table a membership atom ranges over: a global's current value in
+/// the environment, or a constant of the residual expression.
+#[derive(Debug, Clone, Copy)]
+enum Table<'a> {
+    Map(&'a BTreeMap<Value, Value>),
+    Set(&'a BTreeSet<Value>),
+}
+
+impl<'a> Table<'a> {
+    fn contains(self, value: &Value) -> bool {
+        match self {
+            Table::Map(m) => m.contains_key(value),
+            Table::Set(s) => s.contains(value),
+        }
+    }
+
+    fn len(self) -> usize {
+        match self {
+            Table::Map(m) => m.len(),
+            Table::Set(s) => s.len(),
+        }
+    }
+
+    /// The enumeration source: keys of a map, items of a set, ascending.
+    fn keys(self) -> TableKeys<'a> {
+        match self {
+            Table::Map(m) => TableKeys::Map(m.keys()),
+            Table::Set(s) => TableKeys::Set(s.iter()),
+        }
+    }
+}
+
+enum TableKeys<'a> {
+    Map(btree_map::Keys<'a, Value, Value>),
+    Set(btree_set::Iter<'a, Value>),
+}
+
+impl<'a> Iterator for TableKeys<'a> {
+    type Item = &'a Value;
+
+    fn next(&mut self) -> Option<&'a Value> {
+        match self {
+            TableKeys::Map(keys) => keys.next(),
+            TableKeys::Set(items) => items.next(),
+        }
+    }
+}
+
+/// A normalized constraint atom, borrowing from the residual expressions
+/// and the environment they were substituted under.
+#[derive(Debug, Clone)]
+enum Atom<'a> {
     True,
     False,
     /// `key == value` (or `!=` when `eq` is false).
@@ -66,26 +124,29 @@ enum Atom {
         net: Ipv4Addr,
         len: u32,
     },
-    /// `key` takes one of `values` (enumeration source).
+    /// `key` takes one of the table's keys (enumeration source); `global`
+    /// names the table when it is a global's value.
     In {
         key: KeyExpr,
-        values: Vec<Value>,
+        table: Table<'a>,
+        global: Option<&'a str>,
     },
-    /// `key` takes none of `values`.
+    /// `key` takes none of the table's keys.
     NotIn {
         key: KeyExpr,
-        values: Vec<Value>,
+        table: Table<'a>,
     },
     /// Arbitrary residual expression checked by concrete evaluation once
     /// its fields are assigned.
     Opaque {
-        expr: Expr,
+        expr: &'a Expr,
         polarity: bool,
     },
 }
 
 /// Normalizes `(expr, polarity)` to a disjunction of atom conjunctions.
-fn atomize(expr: &Expr, polarity: bool) -> Vec<Vec<Atom>> {
+fn atomize<'a>(expr: &'a Expr, polarity: bool, env: &'a Env) -> Vec<Vec<Atom<'a>>> {
+    let opaque = || vec![vec![Atom::Opaque { expr, polarity }]];
     match expr {
         Expr::Const(Value::Bool(b)) => {
             vec![vec![if *b == polarity {
@@ -94,20 +155,20 @@ fn atomize(expr: &Expr, polarity: bool) -> Vec<Vec<Atom>> {
                 Atom::False
             }]]
         }
-        Expr::Not(inner) => atomize(inner, !polarity),
-        Expr::And(a, b) if polarity => conjoin(atomize(a, true), atomize(b, true)),
+        Expr::Not(inner) => atomize(inner, !polarity, env),
+        Expr::And(a, b) if polarity => conjoin(atomize(a, true, env), atomize(b, true, env)),
         Expr::And(a, b) => {
             // !(a && b) == !a || !b
-            let mut alts = atomize(a, false);
-            alts.extend(atomize(b, false));
+            let mut alts = atomize(a, false, env);
+            alts.extend(atomize(b, false, env));
             alts
         }
         Expr::Or(a, b) if polarity => {
-            let mut alts = atomize(a, true);
-            alts.extend(atomize(b, true));
+            let mut alts = atomize(a, true, env);
+            alts.extend(atomize(b, true, env));
             alts
         }
-        Expr::Or(a, b) => conjoin(atomize(a, false), atomize(b, false)),
+        Expr::Or(a, b) => conjoin(atomize(a, false, env), atomize(b, false, env)),
         Expr::Eq(a, b) => {
             let (key, value) = match (key_expr(a), &**b, key_expr(b), &**a) {
                 (Some(k), Expr::Const(v), _, _) => (Some(k), Some(v.clone())),
@@ -124,10 +185,7 @@ fn atomize(expr: &Expr, polarity: bool) -> Vec<Vec<Atom>> {
                     value,
                     eq: polarity,
                 }]],
-                _ => vec![vec![Atom::Opaque {
-                    expr: expr.clone(),
-                    polarity,
-                }]],
+                _ => opaque(),
             }
         }
         Expr::HighBit(inner) => match &**inner {
@@ -140,10 +198,7 @@ fn atomize(expr: &Expr, polarity: bool) -> Vec<Vec<Atom>> {
                 },
                 len: 1,
             }]],
-            _ => vec![vec![Atom::Opaque {
-                expr: expr.clone(),
-                polarity,
-            }]],
+            _ => opaque(),
         },
         Expr::IsBroadcast(inner) => match &**inner {
             Expr::Field(f) => vec![vec![Atom::Cmp {
@@ -151,49 +206,54 @@ fn atomize(expr: &Expr, polarity: bool) -> Vec<Vec<Atom>> {
                 value: Value::Mac(MacAddr::BROADCAST),
                 eq: polarity,
             }]],
-            _ => vec![vec![Atom::Opaque {
-                expr: expr.clone(),
-                polarity,
-            }]],
+            _ => opaque(),
         },
-        Expr::MapContains { map, key } => membership(map, key, polarity, expr, true),
-        Expr::SetContains { set, item } => membership(set, item, polarity, expr, false),
-        _ => vec![vec![Atom::Opaque {
-            expr: expr.clone(),
-            polarity,
-        }]],
+        Expr::MapContains { map, key } => match (table(map, env), key_expr(key)) {
+            (Some((table @ Table::Map(_), global)), Some(key)) => {
+                vec![vec![membership(key, table, global, polarity)]]
+            }
+            _ => opaque(),
+        },
+        Expr::SetContains { set, item } => match (table(set, env), key_expr(item)) {
+            (Some((table @ Table::Set(_), global)), Some(key)) => {
+                vec![vec![membership(key, table, global, polarity)]]
+            }
+            _ => opaque(),
+        },
+        _ => opaque(),
     }
 }
 
-fn membership(
-    container: &Expr,
-    key: &Expr,
-    polarity: bool,
-    original: &Expr,
-    is_map: bool,
-) -> Vec<Vec<Atom>> {
-    let values: Option<Vec<Value>> = match container {
-        Expr::Const(Value::Map(m)) if is_map => Some(m.keys().cloned().collect()),
-        Expr::Const(Value::Set(s)) if !is_map => Some(s.iter().cloned().collect()),
-        _ => None,
+/// The table a residual container expression denotes, and the global it is
+/// the value of: [`Expr::substitute`] leaves a table-valued global as a
+/// read of `env`.
+fn table<'a>(container: &'a Expr, env: &'a Env) -> Option<(Table<'a>, Option<&'a str>)> {
+    let (value, global) = match container {
+        Expr::Const(value) => (value, None),
+        Expr::Global(name) => (env.get(name)?, Some(name.as_str())),
+        _ => return None,
     };
-    match (values, key_expr(key)) {
-        (Some(values), Some(key)) => {
-            let atom = if polarity {
-                Atom::In { key, values }
-            } else {
-                Atom::NotIn { key, values }
-            };
-            vec![vec![atom]]
-        }
-        _ => vec![vec![Atom::Opaque {
-            expr: original.clone(),
-            polarity,
-        }]],
+    match value {
+        Value::Map(m) => Some((Table::Map(m), global)),
+        Value::Set(s) => Some((Table::Set(s), global)),
+        _ => None,
     }
 }
 
-fn conjoin(a: Vec<Vec<Atom>>, b: Vec<Vec<Atom>>) -> Vec<Vec<Atom>> {
+fn membership<'a>(
+    key: KeyExpr,
+    table: Table<'a>,
+    global: Option<&'a str>,
+    polarity: bool,
+) -> Atom<'a> {
+    if polarity {
+        Atom::In { key, table, global }
+    } else {
+        Atom::NotIn { key, table }
+    }
+}
+
+fn conjoin<'a>(a: Vec<Vec<Atom<'a>>>, b: Vec<Vec<Atom<'a>>>) -> Vec<Vec<Atom<'a>>> {
     let mut out = Vec::with_capacity(a.len() * b.len());
     for ca in &a {
         for cb in &b {
@@ -206,24 +266,29 @@ fn conjoin(a: Vec<Vec<Atom>>, b: Vec<Vec<Atom>>) -> Vec<Vec<Atom>> {
 }
 
 /// A partially solved candidate: exact field assignments plus prefix
-/// constraints.
+/// constraints. Indexed by field, so that copying one for each enumerated
+/// value allocates nothing while it carries no prefix.
 #[derive(Debug, Clone, Default)]
 struct Candidate {
-    assign: BTreeMap<Field, Value>,
+    assign: [Option<Value>; Field::ALL.len()],
     prefixes: Vec<(Field, Ipv4Addr, u32)>,
-    /// Fields whose assignment is a representative network address from a
-    /// prefix bind (not an exact constraint): their prefix must still be
-    /// carried into the rule match.
-    prefix_assigned: std::collections::BTreeSet<Field>,
+    /// Bit `f` set: field `f`'s assignment is a representative network
+    /// address from a prefix bind (not an exact constraint), so its prefix
+    /// must still be carried into the rule match.
+    prefix_assigned: u16,
 }
 
 impl Candidate {
+    fn get(&self, field: Field) -> Option<&Value> {
+        self.assign[field as usize].as_ref()
+    }
+
     fn bind(&mut self, key: &KeyExpr, value: &Value) -> bool {
         match key {
-            KeyExpr::Field(f) => match self.assign.get(f) {
+            KeyExpr::Field(f) => match self.get(*f) {
                 Some(existing) => existing == value,
                 None => {
-                    self.assign.insert(*f, value.clone());
+                    self.assign[*f as usize] = Some(value.clone());
                     true
                 }
             },
@@ -234,14 +299,14 @@ impl Candidate {
                     // reading the field (e.g. `prefix24(pt.nw_dst)` in the
                     // route app) evaluate under this enumeration; masked
                     // uses are unaffected by the low bits being zero.
-                    match self.assign.get(f) {
+                    match self.get(*f) {
                         Some(Value::Ip(existing)) => {
                             mask_ip(*existing, *len) == mask_ip(*net, *len)
                         }
                         Some(_) => false,
                         None => {
-                            self.assign.insert(*f, value.clone());
-                            self.prefix_assigned.insert(*f);
+                            self.assign[*f as usize] = Some(value.clone());
+                            self.prefix_assigned |= 1 << *f as usize;
                             true
                         }
                     }
@@ -260,20 +325,22 @@ impl Candidate {
     /// Builds synthetic packet keys from the assignment (defaults elsewhere).
     fn to_keys(&self) -> FlowKeys {
         let mut keys = FlowKeys::default();
-        for (field, value) in &self.assign {
-            let _ = assign_key(&mut keys, *field, value);
+        for (field, value) in Field::ALL.iter().zip(&self.assign) {
+            if let Some(value) = value {
+                let _ = assign_key(&mut keys, *field, value);
+            }
         }
         keys
     }
 
     fn covers(&self, fields: &[Field]) -> bool {
-        fields.iter().all(|f| self.assign.contains_key(f))
+        fields.iter().all(|f| self.get(*f).is_some())
     }
 
     /// Checks prefix constraints against exact assignments and each other.
     fn prefixes_consistent(&self) -> bool {
         for (field, net, len) in &self.prefixes {
-            if let Some(v) = self.assign.get(field) {
+            if let Some(v) = self.get(*field) {
                 match v {
                     Value::Ip(ip) => {
                         if mask_ip(*ip, *len) != mask_ip(*net, *len) {
@@ -300,7 +367,7 @@ impl Candidate {
     fn residual_prefixes(&self) -> Vec<(Field, Ipv4Addr, u32)> {
         let mut best: BTreeMap<Field, (Ipv4Addr, u32)> = BTreeMap::new();
         for (field, net, len) in &self.prefixes {
-            if self.assign.contains_key(field) && !self.prefix_assigned.contains(field) {
+            if self.get(*field).is_some() && self.prefix_assigned & (1 << *field as usize) == 0 {
                 continue;
             }
             let entry = best.entry(*field).or_insert((*net, *len));
@@ -330,23 +397,7 @@ fn assign_key(keys: &mut FlowKeys, field: Field, value: &Value) -> Result<(), Ev
 }
 
 fn template_fields(rule: &RuleTemplate) -> Vec<Field> {
-    let mut fields = Vec::new();
-    for m in &rule.match_on {
-        match m {
-            MatchTemplate::Exact(_, e) | MatchTemplate::Prefix(_, e, _) => {
-                fields.extend(e.free_fields())
-            }
-        }
-    }
-    for a in &rule.actions {
-        match a {
-            ActionTemplate::Output(e)
-            | ActionTemplate::SetNwDst(e)
-            | ActionTemplate::SetNwSrc(e)
-            | ActionTemplate::SetDlDst(e) => fields.extend(e.free_fields()),
-            ActionTemplate::Flood => {}
-        }
-    }
+    let mut fields: Vec<Field> = rule.exprs().flat_map(Expr::free_fields).collect();
     fields.sort();
     fields.dedup();
     fields
@@ -376,6 +427,29 @@ pub struct ConversionStats {
 }
 
 impl ConversionStats {
+    /// The statistics of a conversion of `pcs` before any of its
+    /// modify-state paths is accounted with [`ConversionStats::add_path`].
+    pub(crate) fn of(pcs: &PathConditions) -> ConversionStats {
+        ConversionStats {
+            paths_total: pcs.paths.len(),
+            paths_truncated: pcs.paths_truncated,
+            ..ConversionStats::default()
+        }
+    }
+
+    /// Accounts one modify-state path: the rules it yielded, the
+    /// candidates it rejected and the enumeration items the cap dropped.
+    pub(crate) fn add_path(&mut self, rules: usize, rejected: usize, truncated: usize) {
+        self.paths_modify_state += 1;
+        if rules > 0 {
+            self.paths_converted += 1;
+        } else {
+            self.paths_skipped += 1;
+        }
+        self.candidates_rejected += rejected;
+        self.rules_truncated += truncated;
+    }
+
     /// Whether any cap truncated this conversion.
     pub fn truncated(&self) -> bool {
         self.paths_truncated > 0 || self.rules_truncated > 0
@@ -405,100 +479,344 @@ pub struct Conversion {
 /// Converts path conditions to proactive flow rules under the current
 /// global-variable values (the paper's Algorithm 2).
 pub fn convert_to_rules(pcs: &PathConditions, env: &Env) -> Conversion {
-    let mut conversion = Conversion::default();
-    conversion.stats.paths_total = pcs.paths.len();
-    conversion.stats.paths_truncated = pcs.paths_truncated;
-    for path in &pcs.paths {
-        if !path.is_modify_state() {
-            continue;
-        }
-        conversion.stats.paths_modify_state += 1;
-        match convert_path(path, env, &mut conversion) {
-            Ok(n) if n > 0 => conversion.stats.paths_converted += 1,
-            Ok(_) => conversion.stats.paths_skipped += 1,
-            Err(_) => conversion.stats.paths_skipped += 1,
-        }
+    let converted = KeyedConversion::convert(pcs, env);
+    Conversion {
+        stats: *converted.stats(),
+        rules: converted.into_rules(),
     }
-    // Deduplicate while keeping order.
-    let mut seen = Vec::new();
-    conversion.rules.retain(|r| {
-        if seen.contains(r) {
-            false
-        } else {
-            seen.push(r.clone());
-            true
-        }
-    });
-    conversion
 }
 
-fn convert_path(path: &Path, env: &Env, out: &mut Conversion) -> Result<usize, EvalError> {
-    let Some(Decision::InstallRule(template)) = &path.decision else {
-        return Ok(0);
+/// Drops every rule equal to an earlier one, keeping order.
+pub(crate) fn dedupe(rules: &mut Vec<ProactiveRule>) {
+    let first: Vec<bool> = {
+        let mut seen = HashSet::with_capacity(rules.len());
+        rules.iter().map(|r| seen.insert(r)).collect()
     };
-    // Substitute current globals into the template's expressions.
-    let template = substitute_template(template, env)?;
+    let mut first = first.into_iter();
+    rules.retain(|_| first.next().expect("one flag per rule"));
+}
+
+/// The rules one modify-state path converts to.
+#[derive(Debug, Clone, PartialEq)]
+pub(crate) enum PathRules {
+    /// Rules in the order the solver produced them, and how many
+    /// candidates it rejected on the way.
+    Flat {
+        rules: Vec<ProactiveRule>,
+        rejected: usize,
+    },
+    /// The path is **delta-safe** for the table `global`: it reads it
+    /// nowhere but as the container of its one enumerated membership test
+    /// and, in the rule template, as a lookup of that same key. Each key
+    /// of the table is then one candidate whose outcome depends on no
+    /// other key, in ascending key order — so after a write to one key,
+    /// converting that key again ([`Only`]) gives what a full conversion
+    /// would give for it.
+    Keyed {
+        /// The enumerated table.
+        global: String,
+        /// Per key that binds: the candidate's rule, `None` when rejected.
+        by_key: BTreeMap<Value, Option<ProactiveRule>>,
+        /// Entries of `by_key` holding a rule.
+        rules: usize,
+    },
+}
+
+impl PathRules {
+    const NONE: PathRules = PathRules::Flat {
+        rules: Vec::new(),
+        rejected: 0,
+    };
+
+    /// How many rules.
+    pub(crate) fn len(&self) -> usize {
+        match self {
+            PathRules::Flat { rules, .. } => rules.len(),
+            PathRules::Keyed { rules, .. } => *rules,
+        }
+    }
+
+    /// How many candidates were rejected.
+    pub(crate) fn rejected(&self) -> usize {
+        match self {
+            PathRules::Flat { rejected, .. } => *rejected,
+            PathRules::Keyed { by_key, rules, .. } => by_key.len() - rules,
+        }
+    }
+
+    /// Visits the rules in production order.
+    pub(crate) fn for_each<'a>(&'a self, mut f: impl FnMut(&'a ProactiveRule)) {
+        match self {
+            PathRules::Flat { rules, .. } => rules.iter().for_each(f),
+            PathRules::Keyed { by_key, .. } => by_key.values().flatten().for_each(&mut f),
+        }
+    }
+
+    /// Records what `key`'s candidate of a [`PathRules::Keyed`] path now
+    /// comes to: a rule, a rejection (`Some(None)`), or — the key no longer
+    /// binds — nothing.
+    pub(crate) fn write(&mut self, key: Value, outcome: Option<Option<ProactiveRule>>) {
+        let PathRules::Keyed { by_key, rules, .. } = self else {
+            unreachable!("only a keyed path is written key by key");
+        };
+        *rules += usize::from(matches!(outcome, Some(Some(_))));
+        let old = match outcome {
+            Some(outcome) => by_key.insert(key, outcome),
+            None => by_key.remove(&key),
+        };
+        *rules -= usize::from(matches!(old, Some(Some(_))));
+    }
+
+    /// The rules, in production order.
+    pub(crate) fn into_rules(self) -> Vec<ProactiveRule> {
+        match self {
+            PathRules::Flat { rules, .. } => rules,
+            PathRules::Keyed { by_key, .. } => by_key.into_values().flatten().collect(),
+        }
+    }
+}
+
+/// One converted path.
+#[derive(Debug, Clone, PartialEq)]
+pub(crate) struct PathConversion {
+    pub(crate) rules: PathRules,
+    /// Enumeration items [`MAX_RULES`] dropped.
+    pub(crate) truncated: usize,
+}
+
+/// Restricts a conversion to some keys of one table.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Only<'a> {
+    /// The table, by the name of the global holding it.
+    pub(crate) global: &'a str,
+    /// The keys to enumerate, ascending and distinct; those the table does
+    /// not hold are passed over.
+    pub(crate) keys: &'a [Value],
+}
+
+/// Converts one modify-state path under `env`, producing at most `room`
+/// rules (and taking what it produces off `room`, the budget a whole
+/// application shares).
+///
+/// With `only`, a path that is [`PathRules::Keyed`] by `only.global`
+/// enumerates `only.keys` where it would enumerate the whole table; any
+/// other path is converted in full, and the variant returned says which
+/// happened. A path that cannot be converted — it reads a global `env`
+/// lacks, or folds to a type error — yields no rule.
+pub(crate) fn convert_path(
+    path: &Path,
+    env: &Env,
+    only: Option<Only<'_>>,
+    room: &mut usize,
+) -> PathConversion {
+    let mut truncated = 0;
+    let rules = solve_path(path, env, only, room, &mut truncated).unwrap_or(PathRules::NONE);
+    PathConversion { rules, truncated }
+}
+
+fn solve_path(
+    path: &Path,
+    env: &Env,
+    only: Option<Only<'_>>,
+    room: &mut usize,
+    truncated: &mut usize,
+) -> Result<PathRules, EvalError> {
+    let Some(Decision::InstallRule(template)) = &path.decision else {
+        return Ok(PathRules::NONE);
+    };
+    // The template is instantiated against `env` itself; substituting it
+    // serves to find out now whether that can work at all.
+    for expr in template.exprs() {
+        expr.substitute(env)?;
+    }
     // Substitute and normalize the path constraints.
+    let residuals = path
+        .constraints
+        .iter()
+        .map(|c| c.expr.substitute(env))
+        .collect::<Result<Vec<_>, _>>()?;
     let mut alternatives: Vec<Vec<Atom>> = vec![Vec::new()];
-    for constraint in &path.constraints {
-        let residual = constraint.expr.substitute(env)?;
-        let atomized = atomize(&residual, constraint.polarity);
+    for (constraint, residual) in path.constraints.iter().zip(&residuals) {
+        let atomized = atomize(residual, constraint.polarity, env);
         alternatives = conjoin(alternatives, atomized);
         if alternatives.len() > MAX_RULES {
-            out.stats.rules_truncated += alternatives.len() - MAX_RULES;
+            *truncated += alternatives.len() - MAX_RULES;
             alternatives.truncate(MAX_RULES);
         }
     }
-    let needed = template_fields(&template);
-    let mut produced = 0;
+    let needed = template_fields(template);
+    if let Some(global) = keyed_by(path, template, &alternatives) {
+        let only = only.filter(|o| o.global == global).map(|o| o.keys);
+        let candidates = match only {
+            Some(keys) => keys.len(),
+            None => env.get(global).map_or(0, Value::container_len),
+        };
+        let mut by_key = Vec::with_capacity(candidates);
+        solve_conjunction(
+            &alternatives[0],
+            template,
+            &needed,
+            env,
+            only,
+            room,
+            truncated,
+            &mut |key, rule| by_key.push((key.expect("one enumeration").clone(), rule)),
+        );
+        return Ok(PathRules::Keyed {
+            global: global.to_owned(),
+            rules: by_key.iter().filter(|(_, rule)| rule.is_some()).count(),
+            // Ascending already: built in one pass, not key by key.
+            by_key: by_key.into_iter().collect(),
+        });
+    }
+    let (mut rules, mut rejected) = (Vec::new(), 0);
     for atoms in &alternatives {
-        produced += solve_conjunction(atoms, &template, &needed, env, out)?;
+        solve_conjunction(
+            atoms,
+            template,
+            &needed,
+            env,
+            None,
+            room,
+            truncated,
+            &mut |_, rule| match rule {
+                Some(rule) => rules.push(rule),
+                None => rejected += 1,
+            },
+        );
     }
-    Ok(produced)
+    Ok(PathRules::Flat { rules, rejected })
 }
 
-fn substitute_template(rule: &RuleTemplate, env: &Env) -> Result<RuleTemplate, EvalError> {
-    let mut out = rule.clone();
-    for m in &mut out.match_on {
-        match m {
-            MatchTemplate::Exact(_, e) | MatchTemplate::Prefix(_, e, _) => {
-                *e = e.substitute(env)?;
+/// The table `path` is delta-safe for (see [`PathRules::Keyed`]), if any:
+/// its constraints come to one conjunction with one enumeration, over the
+/// keys of a global that the path reads nowhere else but as lookups of the
+/// enumerated key in `template`.
+fn keyed_by<'a>(
+    path: &Path,
+    template: &RuleTemplate,
+    alternatives: &[Vec<Atom<'a>>],
+) -> Option<&'a str> {
+    let [atoms] = alternatives else { return None };
+    let mut enumerated = atoms.iter().filter_map(|a| match a {
+        Atom::In { global, .. } => Some(*global),
+        _ => None,
+    });
+    let (Some(Some(global)), None) = (enumerated.next(), enumerated.next()) else {
+        return None;
+    };
+    // One read among the constraints: the enumerated membership test.
+    let mut reads = path
+        .constraints
+        .iter()
+        .flat_map(|c| reads_of(&c.expr, global));
+    let (Some(Read::Membership(key)), None) = (reads.next(), reads.next()) else {
+        return None;
+    };
+    template
+        .exprs()
+        .flat_map(|e| reads_of(e, global))
+        .all(|read| read == Read::Lookup(key))
+        .then_some(global)
+}
+
+/// Whether converting `path` reads `global`, in a constraint or in the rule
+/// template the path ends in.
+pub(crate) fn path_reads(path: &Path, global: &str) -> bool {
+    let template = match &path.decision {
+        Some(Decision::InstallRule(template)) => Some(template),
+        _ => None,
+    };
+    path.constraints
+        .iter()
+        .map(|c| &c.expr)
+        .chain(template.into_iter().flat_map(RuleTemplate::exprs))
+        .any(|expr| !reads_of(expr, global).is_empty())
+}
+
+/// One read of a global in an expression.
+#[derive(Debug, PartialEq)]
+enum Read<'a> {
+    /// `key in global`.
+    Membership(&'a Expr),
+    /// `global[key]`.
+    Lookup(&'a Expr),
+    /// Anything else.
+    Other,
+}
+
+/// Every read of `global` in `expr`.
+fn reads_of<'a>(expr: &'a Expr, global: &str) -> Vec<Read<'a>> {
+    fn walk<'a>(expr: &'a Expr, global: &str, out: &mut Vec<Read<'a>>) {
+        let is_global = |e: &Expr| matches!(e, Expr::Global(name) if name == global);
+        match expr {
+            Expr::Const(_) | Expr::Field(_) => {}
+            Expr::Global(_) => {
+                if is_global(expr) {
+                    out.push(Read::Other);
+                }
             }
+            Expr::MapContains { map, key } if is_global(map) => {
+                out.push(Read::Membership(key));
+                walk(key, global, out);
+            }
+            Expr::SetContains { set, item } if is_global(set) => {
+                out.push(Read::Membership(item));
+                walk(item, global, out);
+            }
+            Expr::MapGet { map, key } if is_global(map) => {
+                out.push(Read::Lookup(key));
+                walk(key, global, out);
+            }
+            Expr::Eq(a, b)
+            | Expr::And(a, b)
+            | Expr::Or(a, b)
+            | Expr::MapContains { map: a, key: b }
+            | Expr::MapGet { map: a, key: b }
+            | Expr::SetContains { set: a, item: b } => {
+                walk(a, global, out);
+                walk(b, global, out);
+            }
+            Expr::Not(e) | Expr::HighBit(e) | Expr::IsBroadcast(e) | Expr::Prefix(e, _) => {
+                walk(e, global, out)
+            }
+            Expr::Tuple(items) => items.iter().for_each(|i| walk(i, global, out)),
         }
     }
-    for a in &mut out.actions {
-        match a {
-            ActionTemplate::Output(e)
-            | ActionTemplate::SetNwDst(e)
-            | ActionTemplate::SetNwSrc(e)
-            | ActionTemplate::SetDlDst(e) => *e = e.substitute(env)?,
-            ActionTemplate::Flood => {}
-        }
-    }
-    Ok(out)
+    let mut out = Vec::new();
+    walk(expr, global, &mut out);
+    out
 }
 
-fn solve_conjunction(
-    atoms: &[Atom],
+/// Solves one conjunction, handing `emit` every candidate that survives
+/// enumeration: its rule, or `None` when a check rejected it, along with
+/// the enumerated value when the conjunction has exactly one enumeration.
+/// `only` replaces that one enumeration's source.
+#[allow(clippy::too_many_arguments)]
+fn solve_conjunction<'a>(
+    atoms: &[Atom<'a>],
     template: &RuleTemplate,
     needed_fields: &[Field],
     env: &Env,
-    out: &mut Conversion,
-) -> Result<usize, EvalError> {
+    only: Option<&'a [Value]>,
+    room: &mut usize,
+    truncated: &mut usize,
+    emit: &mut dyn FnMut(Option<&'a Value>, Option<ProactiveRule>),
+) {
     let mut base = Candidate::default();
-    let mut enumerations: Vec<(&KeyExpr, &Vec<Value>)> = Vec::new();
+    let mut enumerations: Vec<(&KeyExpr, Table<'a>)> = Vec::new();
     let mut negatives: Vec<&Atom> = Vec::new();
     for atom in atoms {
         match atom {
             Atom::True => {}
-            Atom::False => return Ok(0),
+            Atom::False => return,
             Atom::Cmp {
                 key,
                 value,
                 eq: true,
             } => {
                 if !base.bind(key, value) {
-                    return Ok(0);
+                    return;
                 }
             }
             Atom::Cmp { eq: false, .. } => negatives.push(atom),
@@ -508,46 +826,108 @@ fn solve_conjunction(
                 // instantiable (sound: the network address satisfies the
                 // prefix constraint).
                 if !base.bind(&KeyExpr::Prefix(*field, *len), &Value::Ip(*net)) {
-                    return Ok(0);
+                    return;
                 }
             }
-            Atom::In { key, values } => enumerations.push((key, values)),
+            Atom::In { key, table, .. } => enumerations.push((key, *table)),
             Atom::NotIn { .. } | Atom::Opaque { .. } => negatives.push(atom),
         }
     }
-    // Cartesian enumeration over membership atoms.
-    let mut candidates = vec![base];
-    for (key, values) in enumerations {
+    // Cartesian enumeration over membership atoms: all but the last are
+    // expanded into partial candidates, the last is walked, and each
+    // complete candidate is judged as it is formed — nothing the size of
+    // the last table is built. While there is one enumeration, `emit`
+    // learns the value a candidate came from.
+    let keyed = enumerations.len() == 1;
+    let restricted = only.filter(|_| keyed);
+    let last = enumerations.pop();
+    let mut partial = vec![base];
+    for (key, table) in enumerations {
         let mut next = Vec::new();
-        for candidate in &candidates {
-            for (vi, value) in values.iter().enumerate() {
+        for candidate in &partial {
+            for (vi, value) in table.keys().enumerate() {
                 let mut c = candidate.clone();
                 if c.bind(key, value) {
                     next.push(c);
                 }
                 if next.len() > MAX_RULES {
-                    out.stats.rules_truncated += values.len() - vi - 1;
+                    *truncated += table.len() - vi - 1;
                     break;
                 }
             }
         }
-        candidates = next;
+        partial = next;
     }
-    let mut produced = 0;
-    let candidate_total = candidates.len();
-    'candidates: for (ci, candidate) in candidates.into_iter().enumerate() {
-        if out.rules.len() >= MAX_RULES {
-            out.stats.rules_truncated += candidate_total - ci;
-            break;
+    // Candidates dropped for want of room, and values never bound because
+    // the candidate cap was reached.
+    let (mut dropped, mut cut) = (0, 0);
+    let mut judge = |candidate: &Candidate, from: Option<&'a Value>| {
+        if *room == 0 {
+            dropped += 1;
+            return;
         }
-        if !candidate.prefixes_consistent() {
-            out.stats.candidates_rejected += 1;
-            continue;
+        let rule = candidate.rule(&negatives, template, needed_fields, env);
+        *room -= usize::from(rule.is_some());
+        emit(from, rule);
+    };
+    match last {
+        None => partial.iter().for_each(|candidate| judge(candidate, None)),
+        Some((key, table)) => {
+            let mut formed = 0;
+            for candidate in &partial {
+                let mut bind = |vi: usize, total: usize, value: &'a Value| {
+                    let mut c = candidate.clone();
+                    if c.bind(key, value) {
+                        formed += 1;
+                        judge(&c, keyed.then_some(value));
+                    }
+                    if formed > MAX_RULES {
+                        cut += total - vi - 1;
+                        return false;
+                    }
+                    true
+                };
+                match restricted {
+                    Some(keys) => {
+                        let held = keys.iter().filter(|k| table.contains(k));
+                        for (vi, value) in held.enumerate() {
+                            if !bind(vi, keys.len(), value) {
+                                break;
+                            }
+                        }
+                    }
+                    None => {
+                        for (vi, value) in table.keys().enumerate() {
+                            if !bind(vi, table.len(), value) {
+                                break;
+                            }
+                        }
+                    }
+                }
+            }
         }
-        let keys = candidate.to_keys();
+    }
+    *truncated += dropped + cut;
+}
+
+impl Candidate {
+    /// The rule `template` comes to under this assignment, unless a
+    /// negative or opaque constraint, an undetermined template field or an
+    /// evaluation error rejects the candidate.
+    fn rule(
+        &self,
+        negatives: &[&Atom],
+        template: &RuleTemplate,
+        needed_fields: &[Field],
+        env: &Env,
+    ) -> Option<ProactiveRule> {
+        if !self.prefixes_consistent() {
+            return None;
+        }
+        let keys = self.to_keys();
         // Check negative/opaque constraints whose fields are all assigned.
-        for atom in &negatives {
-            match atom {
+        for atom in negatives {
+            let holds = match atom {
                 // Unassigned fields with a disequality: the rule the
                 // application would install matches on its template fields
                 // only, so the disequality cannot over-select — accept,
@@ -556,75 +936,48 @@ fn solve_conjunction(
                     key: KeyExpr::Field(f),
                     value,
                     ..
-                } if candidate.assign.get(f) == Some(value) => {
-                    out.stats.candidates_rejected += 1;
-                    continue 'candidates;
-                }
+                } => self.get(*f) != Some(value),
                 Atom::NotIn {
                     key: KeyExpr::Field(f),
-                    values,
-                } => {
-                    if let Some(v) = candidate.assign.get(f) {
-                        if values.contains(v) {
-                            out.stats.candidates_rejected += 1;
-                            continue 'candidates;
-                        }
-                    }
-                }
+                    table,
+                } => !self.get(*f).is_some_and(|v| table.contains(v)),
+                // Cannot be discharged proactively unless every field it
+                // reads is assigned.
                 Atom::Opaque { expr, polarity } => {
-                    let free = expr.free_fields();
-                    if candidate.covers(&free) {
-                        let mut nodes = 0;
-                        match expr.eval_ref(&keys, env, &mut nodes).as_deref() {
-                            Ok(Value::Bool(b)) if b == polarity => {}
-                            Ok(_) => {
-                                out.stats.candidates_rejected += 1;
-                                continue 'candidates;
-                            }
-                            Err(_) => {
-                                out.stats.candidates_rejected += 1;
-                                continue 'candidates;
-                            }
-                        }
-                    } else {
-                        // Cannot discharge the constraint proactively.
-                        out.stats.candidates_rejected += 1;
-                        continue 'candidates;
-                    }
+                    let mut nodes = 0;
+                    self.covers(&expr.free_fields())
+                        && matches!(
+                            expr.eval_ref(&keys, env, &mut nodes).as_deref(),
+                            Ok(Value::Bool(b)) if b == polarity
+                        )
+                }
+                _ => true,
+            };
+            if !holds {
+                return None;
+            }
+        }
+        // The template's expressions must be fully determined.
+        if !self.covers(needed_fields) {
+            return None;
+        }
+        let mut nodes = 0;
+        let mut rule = instantiate_rule(template, &keys, env, &mut nodes).ok()?;
+        // Carry residual prefix constraints into the match when the
+        // template did not already constrain those fields.
+        for (field, net, len) in self.residual_prefixes() {
+            match field {
+                Field::NwSrc if rule.of_match.wildcards.nw_src_bits() >= 32 => {
+                    rule.of_match = rule.of_match.with_nw_src_prefix(net, len);
+                }
+                Field::NwDst if rule.of_match.wildcards.nw_dst_bits() >= 32 => {
+                    rule.of_match = rule.of_match.with_nw_dst_prefix(net, len);
                 }
                 _ => {}
             }
         }
-        // The template's expressions must be fully determined.
-        if !candidate.covers(needed_fields) {
-            out.stats.candidates_rejected += 1;
-            continue;
-        }
-        let mut nodes = 0;
-        match instantiate_rule(template, &keys, env, &mut nodes) {
-            Ok(mut rule) => {
-                // Carry residual prefix constraints into the match when the
-                // template did not already constrain those fields.
-                for (field, net, len) in candidate.residual_prefixes() {
-                    match field {
-                        Field::NwSrc if rule.of_match.wildcards.nw_src_bits() >= 32 => {
-                            rule.of_match = rule.of_match.with_nw_src_prefix(net, len);
-                        }
-                        Field::NwDst if rule.of_match.wildcards.nw_dst_bits() >= 32 => {
-                            rule.of_match = rule.of_match.with_nw_dst_prefix(net, len);
-                        }
-                        _ => {}
-                    }
-                }
-                out.rules.push(rule);
-                produced += 1;
-            }
-            Err(_) => {
-                out.stats.candidates_rejected += 1;
-            }
-        }
+        Some(rule)
     }
-    Ok(produced)
 }
 
 #[cfg(test)]
@@ -635,6 +988,7 @@ mod tests {
     use ofproto::types::PortNo;
     use policy::builder::*;
     use policy::program::GlobalSpec;
+    use policy::stmt::{ActionTemplate, MatchTemplate};
     use policy::Program;
 
     fn l2_program() -> Program {
@@ -701,6 +1055,126 @@ mod tests {
             .rules
             .iter()
             .all(|r| r.of_match.keys.dl_dst != MacAddr::BROADCAST));
+    }
+
+    fn l2_install_path() -> Path {
+        let pcs = generate_path_conditions(&l2_program());
+        let path = pcs.modify_state_paths().next().expect("one install path");
+        path.clone()
+    }
+
+    #[test]
+    fn a_path_that_only_enumerates_a_table_converts_key_by_key() {
+        let path = l2_install_path();
+        let mut env = Env::new();
+        let entries: Vec<(Value, Value)> = (1..=20)
+            .map(|i| (Value::Mac(MacAddr::from_u64(i)), Value::Int(i % 4 + 1)))
+            .collect();
+        env.set("macToPort", map_value(entries));
+        env.learn("macToPort", Value::Mac(MacAddr::BROADCAST), Value::Int(9));
+        let full = convert_path(&path, &env, None, &mut MAX_RULES.clone());
+        let PathRules::Keyed { global, by_key, .. } = &full.rules else {
+            panic!("l2's install path reads macToPort as a membership test and a lookup of the same key: {full:?}");
+        };
+        assert_eq!(global, "macToPort");
+        assert_eq!(by_key.len(), 21, "one candidate per key, in key order");
+        assert_eq!(full.rules.len(), 20);
+        assert_eq!(full.rules.rejected(), 1, "the broadcast key");
+        // Some of the keys, one of them not in the table: the same routine
+        // yields the same outcomes for those it holds.
+        let keys = [
+            Value::Mac(MacAddr::from_u64(3)),
+            Value::Mac(MacAddr::from_u64(17)),
+            Value::Mac(MacAddr::from_u64(99)),
+            Value::Mac(MacAddr::BROADCAST),
+        ];
+        let only = Only {
+            global: "macToPort",
+            keys: &keys,
+        };
+        let some = convert_path(&path, &env, Some(only), &mut MAX_RULES.clone());
+        let expected: BTreeMap<_, _> = by_key
+            .iter()
+            .filter(|(k, _)| keys.contains(k))
+            .map(|(k, rule)| (k.clone(), rule.clone()))
+            .collect();
+        assert_eq!(expected.len(), 3);
+        assert_eq!(
+            some.rules,
+            PathRules::Keyed {
+                global: "macToPort".into(),
+                by_key: expected,
+                rules: 2,
+            }
+        );
+        // Keys of another table restrict nothing.
+        let other = Only {
+            global: "ipToPort",
+            keys: &keys,
+        };
+        assert_eq!(
+            convert_path(&path, &env, Some(other), &mut MAX_RULES.clone()),
+            full
+        );
+    }
+
+    #[test]
+    fn other_reads_of_the_table_make_a_path_flat() {
+        let install = |cond: Expr, output: Expr| {
+            let program = Program::new(
+                "p",
+                vec![],
+                vec![if_then(
+                    cond,
+                    vec![emit(Decision::InstallRule(RuleTemplate::new(
+                        vec![MatchTemplate::Exact(Field::DlDst, field(Field::DlDst))],
+                        vec![ActionTemplate::Output(output)],
+                    )))],
+                )],
+            );
+            let pcs = generate_path_conditions(&program);
+            let path = pcs.modify_state_paths().next().unwrap().clone();
+            path
+        };
+        let mut env = Env::new();
+        env.set(
+            "m",
+            map_value([
+                (Value::Mac(MacAddr::from_u64(1)), Value::Int(1)),
+                (Value::Mac(MacAddr::from_u64(2)), Value::Int(2)),
+            ]),
+        );
+        env.set("port", Value::Int(7));
+        let contains = || map_contains(global("m"), field(Field::DlDst));
+        let lookup = || map_get(global("m"), field(Field::DlDst));
+        let keyed = |path: &Path| {
+            let converted = convert_path(path, &env, None, &mut MAX_RULES.clone());
+            assert_eq!(converted.rules.len(), 2, "{path}");
+            matches!(converted.rules, PathRules::Keyed { .. })
+        };
+        assert!(keyed(&install(contains(), lookup())));
+        assert!(keyed(&install(contains(), global("port"))));
+        // A second membership test, even one that folds to a constant.
+        let fixed = map_contains(global("m"), constant(Value::Mac(MacAddr::from_u64(1))));
+        assert!(!keyed(&install(and(contains(), fixed), lookup())));
+        // A lookup under another key.
+        let other = map_get(global("m"), constant(Value::Mac(MacAddr::from_u64(1))));
+        assert!(!keyed(&install(contains(), other)));
+        // Two conjunctions: rules come alternative by alternative.
+        let either = or(
+            contains(),
+            eq(
+                field(Field::DlDst),
+                constant(Value::Mac(MacAddr::from_u64(2))),
+            ),
+        );
+        let converted = convert_path(
+            &install(either, global("port")),
+            &env,
+            None,
+            &mut MAX_RULES.clone(),
+        );
+        assert!(matches!(converted.rules, PathRules::Flat { .. }));
     }
 
     #[test]

@@ -1,18 +1,25 @@
-//! The concrete interpreter must not copy application state: what one
-//! `packet_in` costs may depend on the handler's path, never on how many
-//! hosts the application has learned. A spoofing attacker writes that
-//! state, so a per-packet cost that grows with it is a lever against the
-//! controller (ROADMAP item 1).
+//! What a spoofing attacker writes — the tables the applications learn —
+//! must not set what the controller's own work costs (ROADMAP item 1).
 //!
-//! A counting allocator makes the property exact: for each of the six
+//! * The concrete interpreter must not copy application state: what one
+//!   `packet_in` costs may depend on the handler's path, never on how many
+//!   hosts the application has learned.
+//! * A rule-update round of the analyzer must cost what changed since the
+//!   last one, and a cold conversion no more than linearly in the state.
+//!
+//! A counting allocator makes the first two exact: for each of the six
 //! benchmark applications, `execute` on 16-entry and on 1024-entry state
-//! performs the same number of allocations of the same total size.
+//! performs the same number of allocations of the same total size, and so
+//! does `Analyzer::update` after seven new sources on 300 and on 3000
+//! learned ones.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::net::Ipv4Addr;
 
 use controller::apps;
+use controller::platform::App;
+use floodguard::analyzer::Analyzer;
 use ofproto::flow_match::FlowKeys;
 use ofproto::types::MacAddr;
 use policy::interp::{execute, ConcreteDecision};
@@ -144,4 +151,104 @@ fn execute_allocations_do_not_depend_on_state_size() {
             program.name
         );
     }
+}
+
+/// The paper's five applications, `sources` spoofed sources learned by
+/// `l2_learning` and `l3_learning` (every fourth address, leaving room for
+/// [`learn_between`]).
+fn flooded_apps(sources: usize) -> Vec<App> {
+    let mut apps: Vec<App> = apps::evaluation_apps().into_iter().map(App::new).collect();
+    for i in 0..sources {
+        learn_between(&mut apps, i, 0);
+    }
+    apps
+}
+
+/// Teaches both learning switches the source `offset` addresses after the
+/// `i`-th original one.
+fn learn_between(apps: &mut [App], i: usize, offset: usize) {
+    let (l2, l3) = (0, 2);
+    assert_eq!(apps[l2].program.name, "l2_learning");
+    assert_eq!(apps[l3].program.name, "l3_learning");
+    let (at, port) = (4 * i + offset, (i % 3 + 1) as u16);
+    apps::l2_learning::learn_host(&mut apps[l2].env, host_mac(at), port);
+    apps::l3_learning::learn_host(&mut apps[l3].env, host_ip(at), port);
+}
+
+/// (allocations, bytes) of one update round after seven new sources, on
+/// `sources` learned ones.
+fn update_round_cost(sources: usize) -> (u64, u64) {
+    const COOKIE: u64 = 1;
+    let mut apps = flooded_apps(sources);
+    let mut analyzer = Analyzer::offline(&apps);
+    let first = analyzer.update(&apps, COOKIE, 0.0);
+    assert_eq!(first.to_add.len(), 2 * sources + 2, "two balancer halves");
+    // The measured round's sources are the neighbours of a round before
+    // it. A B-tree built in one go has full leaves, and whether an insert
+    // splits one (an allocation) depends on that leaf's history, not on
+    // the size of the tree: the first round splits them, the second finds
+    // room — on any size — and what is left to count is the analyzer's
+    // own work.
+    let spread = |j: usize| j * 41 + 3;
+    for (round, offset) in [(1, 1), (2, 2)] {
+        for j in 0..7 {
+            learn_between(&mut apps, spread(j), offset);
+        }
+        let keywise = analyzer.key_refreshes;
+        let before = ALLOCATED.with(Cell::get);
+        let update = analyzer.update(&apps, COOKIE, round as f64 * 0.02);
+        let after = ALLOCATED.with(Cell::get);
+        assert_eq!((update.to_add.len(), update.to_remove.len()), (14, 0));
+        assert_eq!(analyzer.key_refreshes, keywise + 2, "both learners");
+        if round == 2 {
+            return (after.0 - before.0, after.1 - before.1);
+        }
+    }
+    unreachable!("the second round returns")
+}
+
+#[test]
+fn update_round_allocations_do_not_depend_on_state_size() {
+    assert_eq!(
+        update_round_cost(300),
+        update_round_cost(3000),
+        "(allocations, bytes) of a round on 300 learned sources vs on 3000"
+    );
+}
+
+#[test]
+fn cold_conversion_is_linear_in_state_size() {
+    // Thirty times the state: thirty times the allocations, give or take
+    // what does not grow. The time is the best of five, so that a busy
+    // machine does not decide, and bounded at five times linear: a
+    // quadratic step (the `Vec::contains` dedupe this replaced) reads
+    // several hundred times here.
+    let cold = |sources: usize| {
+        let apps = flooded_apps(sources);
+        let mut analyzer = Analyzer::offline(&apps);
+        // On this thread, whose allocations are the ones counted.
+        analyzer.set_threads(1);
+        let mut best = (std::time::Duration::MAX, 0);
+        for _ in 0..5 {
+            analyzer.clear_conversion_cache();
+            let before = ALLOCATED.with(Cell::get).0;
+            let started = std::time::Instant::now();
+            let rules = analyzer.convert(&apps);
+            let elapsed = started.elapsed();
+            let allocations = ALLOCATED.with(Cell::get).0 - before;
+            assert_eq!(rules.len(), 2 * sources + 2);
+            best = best.min((elapsed, allocations));
+        }
+        best
+    };
+    let (small_time, small_allocations) = cold(300);
+    let (large_time, large_allocations) = cold(9000);
+    assert!(
+        large_allocations <= 33 * small_allocations,
+        "{small_allocations} allocations on 300 sources, {large_allocations} on 9000"
+    );
+    assert!(
+        large_time <= 150 * small_time,
+        "{small_time:?} on 300 sources, {large_time:?} on 9000"
+    );
 }

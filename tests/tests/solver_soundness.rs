@@ -208,7 +208,9 @@ proptest! {
     }
 
     /// Substitution then evaluation == direct evaluation (the partial
-    /// evaluator agrees with the interpreter).
+    /// evaluator agrees with the interpreter). The residual is evaluated
+    /// against the environment it was substituted under, which is where
+    /// the tables it still reads live; no scalar global is left in it.
     #[test]
     fn substitution_commutes_with_evaluation(
         cond in arb_cond(),
@@ -225,10 +227,16 @@ proptest! {
         };
         let mut n = 0;
         let direct = cond.eval(&keys, &env, &mut n);
-        let substituted = cond.substitute(&env).and_then(|e| {
-            let empty = Env::new();
-            e.eval(&keys, &empty, &mut n)
-        });
+        let residual = cond.substitute(&env);
+        if let Ok(residual) = &residual {
+            for name in residual.globals() {
+                prop_assert!(
+                    matches!(env.get(&name), Some(Value::Map(_) | Value::Set(_))),
+                    "{} left in {}", name, residual
+                );
+            }
+        }
+        let substituted = residual.and_then(|e| e.eval(&keys, &env, &mut n));
         prop_assert_eq!(direct.ok(), substituted.ok());
     }
 }
