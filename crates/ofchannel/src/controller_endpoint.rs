@@ -19,6 +19,13 @@
 //! (which is `!Sync` by design) stays single-threaded while thousands of
 //! sockets make progress in parallel.
 //!
+//! Replies are pipelined: the control loop routes an event's messages to
+//! their connections as soon as the event is handled, each encoded straight
+//! into its connection's outbound byte queue, and the writer task swaps
+//! that queue out whole for one `write_all` — so the peer works on one
+//! reply while the next event is handled, and no frame is allocated, copied
+//! or locked on its own between handler and socket.
+//!
 //! Backpressure is two-layered: each connection's send queue is bounded by
 //! [`ChannelConfig::send_queue_cap`], and all queues together draw from a
 //! global budget of [`ControllerConfig::global_send_budget`] in-flight
@@ -39,10 +46,12 @@
 //! deployments.
 
 use std::collections::{HashMap, HashSet, VecDeque};
+use std::future::poll_fn;
 use std::io;
 use std::net::{Shutdown, SocketAddr};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
+use std::task::{Poll, Waker};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -302,38 +311,158 @@ impl SendBudget {
     }
 }
 
-/// Queues encoded frames toward one connection's writer task, enforcing
-/// both the per-connection bound and the global budget.
-#[derive(Clone)]
-struct FrameSender {
-    tx: mpsc::Sender<Bytes>,
+/// One connection's outbound queue: encoded frames back to back in `bytes`,
+/// the length of each in `lens`. Producers append under the lock; the writer
+/// swaps both vectors out for its own emptied pair, so a frame is written
+/// once when it is encoded and read once by the socket.
+#[derive(Default)]
+struct Outbound {
+    bytes: Vec<u8>,
+    lens: Vec<usize>,
+    /// [`FrameSender`]s alive; at zero the writer ends once it has drained.
+    senders: usize,
+    /// Set by the writer when it stops: nothing more is accepted.
+    closed: bool,
+    /// The writer's waker while it is parked on an empty queue.
+    writer: Option<Waker>,
+}
+
+/// What a connection's senders and its writer task share.
+struct SendQueue {
+    /// Most frames that may be queued at once; frames the writer has taken
+    /// no longer count.
+    cap: usize,
+    out: Mutex<Outbound>,
     budget: Arc<SendBudget>,
     counters: Arc<ChannelCounters>,
 }
 
+impl SendQueue {
+    /// A queue with one [`FrameSender`] and the handle its writer takes.
+    /// Nothing is allocated for frames until the first one is sent.
+    fn new(
+        cap: usize,
+        budget: Arc<SendBudget>,
+        counters: Arc<ChannelCounters>,
+    ) -> (FrameSender, Arc<SendQueue>) {
+        let queue = Arc::new(SendQueue {
+            cap: cap.max(1),
+            out: Mutex::new(Outbound {
+                senders: 1,
+                ..Outbound::default()
+            }),
+            budget,
+            counters,
+        });
+        (
+            FrameSender {
+                queue: Arc::clone(&queue),
+            },
+            queue,
+        )
+    }
+
+    /// Waits until frames are queued, then exchanges the queue's vectors
+    /// for the caller's (which must be empty). `false` once every sender is
+    /// gone and nothing is queued.
+    async fn take(&self, bytes: &mut Vec<u8>, lens: &mut Vec<usize>) -> bool {
+        poll_fn(|cx| {
+            let mut out = self.out.lock();
+            if !out.lens.is_empty() {
+                std::mem::swap(&mut out.bytes, bytes);
+                std::mem::swap(&mut out.lens, lens);
+                return Poll::Ready(true);
+            }
+            if out.senders == 0 {
+                return Poll::Ready(false);
+            }
+            out.writer = Some(cx.waker().clone());
+            Poll::Pending
+        })
+        .await
+    }
+
+    /// Refuses further sends and gives back the permits of frames still
+    /// queued. Both under one lock, so no frame can slip in behind the drain
+    /// and strand its permit.
+    fn close(&self) {
+        let mut out = self.out.lock();
+        out.closed = true;
+        for _ in out.lens.drain(..) {
+            self.budget.release();
+        }
+        out.bytes = Vec::new();
+    }
+}
+
+/// Queues frames toward one connection's writer task, enforcing both the
+/// per-connection bound and the global budget. Any number may exist for
+/// one connection: its reader answers keepalive through one, the control
+/// loop routes replies through another.
+struct FrameSender {
+    queue: Arc<SendQueue>,
+}
+
 impl FrameSender {
     fn send(&self, msg: &OfMessage) -> Result<(), SendError> {
-        if !self.budget.try_acquire() {
-            self.counters.record_budget_exhausted();
+        let queue = &*self.queue;
+        if !queue.budget.try_acquire() {
+            queue.counters.record_budget_exhausted();
             return Err(SendError::Backpressure);
         }
-        let frame = wire::encode(msg);
-        match self.tx.try_send(frame) {
-            Ok(()) => {
-                let depth = self.tx.max_capacity() - self.tx.capacity();
-                self.counters.observe_queue_depth(depth);
+        let queued = {
+            let mut guard = queue.out.lock();
+            let out = &mut *guard;
+            if out.closed {
+                Err(SendError::Closed)
+            } else if out.lens.len() >= queue.cap {
+                Err(SendError::Backpressure)
+            } else {
+                out.lens.push(wire::encode_into(msg, &mut out.bytes));
+                Ok((out.lens.len(), out.writer.take()))
+            }
+        };
+        match queued {
+            Ok((depth, writer)) => {
+                queue.counters.observe_queue_depth(depth);
+                if let Some(writer) = writer {
+                    writer.wake();
+                }
                 Ok(())
             }
-            Err(mpsc::error::TrySendError::Full(_)) => {
-                self.budget.release();
-                self.counters.record_send_blocked();
-                self.counters.observe_queue_depth(self.tx.max_capacity());
-                Err(SendError::Backpressure)
+            Err(refused) => {
+                queue.budget.release();
+                if refused == SendError::Backpressure {
+                    queue.counters.record_send_blocked();
+                    queue.counters.observe_queue_depth(queue.cap);
+                }
+                Err(refused)
             }
-            Err(mpsc::error::TrySendError::Closed(_)) => {
-                self.budget.release();
-                Err(SendError::Closed)
+        }
+    }
+}
+
+impl Clone for FrameSender {
+    fn clone(&self) -> FrameSender {
+        self.queue.out.lock().senders += 1;
+        FrameSender {
+            queue: Arc::clone(&self.queue),
+        }
+    }
+}
+
+impl Drop for FrameSender {
+    fn drop(&mut self) {
+        let writer = {
+            let mut out = self.queue.out.lock();
+            out.senders -= 1;
+            if out.senders > 0 {
+                return;
             }
+            out.writer.take()
+        };
+        if let Some(writer) = writer {
+            writer.wake();
         }
     }
 }
@@ -553,12 +682,11 @@ async fn serve_connection(
         return true;
     };
     let key = shared.keys.fetch_add(1, Ordering::Relaxed);
-    let (tx, rx) = mpsc::channel::<Bytes>(shared.cfg.send_queue_cap);
-    let sender = FrameSender {
-        tx,
-        budget: Arc::clone(&shared.budget),
-        counters: Arc::clone(&shared.counters),
-    };
+    let (sender, queue) = SendQueue::new(
+        shared.cfg.send_queue_cap,
+        Arc::clone(&shared.budget),
+        Arc::clone(&shared.counters),
+    );
     let last_rx = Arc::new(AtomicU64::new(shared.epoch.elapsed().as_millis() as u64));
     let connected = Event::Connected {
         key,
@@ -572,12 +700,7 @@ async fn serve_connection(
         return false;
     }
 
-    let writer = tokio::spawn(write_loop(
-        rx,
-        write_half,
-        Arc::clone(&shared.budget),
-        Arc::clone(&shared.counters),
-    ));
+    let writer = tokio::spawn(write_loop(queue, write_half));
 
     let mut buf = residue;
     let mut chunk = vec![0u8; shared.cfg.read_chunk.max(wire::OFP_HEADER_LEN)];
@@ -627,58 +750,34 @@ async fn serve_connection(
     shared.events.send(Event::Closed { key }).await.is_ok()
 }
 
-/// Bytes after which [`write_loop`] stops adding frames to a batch. A
-/// batch ends with the frame that crosses it, so a connection's buffer
-/// never exceeds this plus one frame (64 KiB on the wire at most).
-const WRITE_BATCH_BYTES: usize = 64 * 1024;
-
-/// One connection's writer: takes the next queued frame, appends whatever
-/// else is *already* queued — it never waits for more — and hands the
-/// socket one `write_all`, so a burst of replies costs one syscall, not one
-/// per frame. Every frame still gives back its own [`SendBudget`] permit
-/// and, once written, is counted on its own, in queue order.
-async fn write_loop(
-    mut rx: mpsc::Receiver<Bytes>,
-    mut write_half: tokio::net::OwnedWriteHalf,
-    budget: Arc<SendBudget>,
-    counters: Arc<ChannelCounters>,
-) {
-    // Both stay unallocated until the first frame: an idle connection
+/// One connection's writer: takes everything that is queued — it never
+/// waits for more — and hands the socket one `write_all`, so a burst of
+/// replies costs one syscall, not one per frame. What it takes is at most
+/// [`ChannelConfig::send_queue_cap`] frames, and no longer counts against
+/// that bound. Every frame still gives back its own [`SendBudget`] permit
+/// after the write and, once written, is counted on its own, in queue order.
+async fn write_loop(queue: Arc<SendQueue>, mut write_half: tokio::net::OwnedWriteHalf) {
+    // This pair and the queue's change places on every write; all four
+    // vectors stay unallocated until the first frame, so an idle connection
     // costs nothing.
-    let mut batch: Vec<u8> = Vec::new();
+    let mut bytes: Vec<u8> = Vec::new();
     let mut lens: Vec<usize> = Vec::new();
-    while let Some(first) = rx.recv().await {
-        batch.clear();
-        lens.clear();
-        let mut next = Some(first);
-        while let Some(frame) = next {
-            batch.extend_from_slice(&frame);
-            lens.push(frame.len());
-            next = if batch.len() < WRITE_BATCH_BYTES {
-                rx.try_recv().ok()
-            } else {
-                None
-            };
-        }
-        let result = write_half.write_all(&batch).await;
-        for &len in &lens {
-            budget.release();
+    while queue.take(&mut bytes, &mut lens).await {
+        let result = write_half.write_all(&bytes).await;
+        for len in lens.drain(..) {
+            queue.budget.release();
             if result.is_ok() {
-                counters.record_frame_out(len);
+                queue.counters.record_frame_out(len);
             }
         }
+        bytes.clear();
         if result.is_err() {
             // Make sure the reader notices too.
             let _ = write_half.shutdown_now(Shutdown::Both);
             break;
         }
     }
-    // Frames still queued when the writer stops hold permits; refuse new
-    // ones first so none can slip in behind the drain.
-    rx.close();
-    while rx.try_recv().is_ok() {
-        budget.release();
-    }
+    queue.close();
 }
 
 #[allow(clippy::too_many_lines)]
@@ -704,6 +803,8 @@ async fn control_loop(
     let keepalive_scan = (cfg.echo_interval.min(cfg.liveness_timeout) / 4)
         .clamp(Duration::from_millis(5), Duration::from_millis(250));
     let mut last_keepalive = Instant::now();
+    // Recycled: every use ends in a `flush`, which leaves it empty.
+    let mut out = ControlOutput::new();
 
     while !shutdown.load(Ordering::SeqCst) {
         // Wait for the first event (bounded so timers and shutdown are
@@ -715,7 +816,6 @@ async fn control_loop(
             keepalive_scan.saturating_sub(last_keepalive.elapsed()),
         );
         let now = epoch.elapsed().as_secs_f64();
-        let mut out = ControlOutput::new();
         let mut batch = 0usize;
         let mut next = tokio::time::timeout(wait, events.recv())
             .await
@@ -731,20 +831,23 @@ async fn control_loop(
                 now,
                 &mut out,
             );
+            // Hand this event's replies to the writers before the next is
+            // handled: they leave while the rest of the drain is worked on,
+            // and no more than one event's messages are ever held here.
+            flush(
+                &conns,
+                &mut replay,
+                &ever,
+                &tables,
+                &mut out,
+                cfg.resync_replay_cap,
+            );
             batch += 1;
             if batch >= EVENT_BUDGET {
                 break;
             }
             next = events.try_recv().ok();
         }
-        flush(
-            &conns,
-            &mut replay,
-            &ever,
-            &tables,
-            out,
-            cfg.resync_replay_cap,
-        );
 
         // Synthesized telemetry: what a live controller can observe.
         if last_telemetry.elapsed() >= config.telemetry_interval {
@@ -768,14 +871,13 @@ async fn control_loop(
                 controller_queue: 0,
                 controller_utilization: 0.0,
             };
-            let mut out = ControlOutput::new();
             control.on_telemetry(&telemetry, now, &mut out);
             flush(
                 &conns,
                 &mut replay,
                 &ever,
                 &tables,
-                out,
+                &mut out,
                 cfg.resync_replay_cap,
             );
         }
@@ -784,14 +886,13 @@ async fn control_loop(
         if let Some(interval) = control.tick_interval() {
             if now - last_tick >= interval {
                 last_tick = now;
-                let mut out = ControlOutput::new();
                 control.on_tick(now, &mut out);
                 flush(
                     &conns,
                     &mut replay,
                     &ever,
                     &tables,
-                    out,
+                    &mut out,
                     cfg.resync_replay_cap,
                 );
             }
@@ -934,42 +1035,45 @@ fn handle_event(
 }
 
 /// Routes queued control-plane messages to the connection owning each
-/// datapath. Messages to datapaths that are not connected, plus frames
-/// rejected by backpressure, are dropped — the control plane will observe
-/// the gap the same way it would observe loss on a congested channel.
-/// Flow-mod frames are additionally recorded into the owning identity's
-/// bounded replay ring (for post-reconnect resync) and mirrored into the
-/// ops-facing flow tables.
+/// datapath — as the connection table stands now, which is why the control
+/// loop calls this after every event — and leaves `out` empty for reuse.
+/// Messages to datapaths that are not connected, plus frames rejected by
+/// backpressure, are dropped — the control plane will observe the gap the
+/// same way it would observe loss on a congested channel. Flow-mod frames
+/// are additionally mirrored into the ops-facing flow tables and then moved
+/// into the owning identity's bounded replay ring (for post-reconnect
+/// resync).
 fn flush(
     conns: &ConnTable,
     replay: &mut HashMap<Identity, VecDeque<OfMessage>>,
     ever: &HashSet<Identity>,
     tables: &Mutex<HashMap<u64, Vec<FlowRuleView>>>,
-    out: ControlOutput,
+    out: &mut ControlOutput,
     replay_cap: usize,
 ) {
-    for (dpid, msg) in out.messages {
+    for (dpid, msg) in out.messages.drain(..) {
         let identity = Identity::Switch(dpid);
         let target = conns.for_identity(identity);
         if target.is_none() && !ever.contains(&identity) {
             continue; // never handshaken: nothing to record or send
-        }
-        if let OfBody::FlowMod(fm) = &msg.body {
-            if replay_cap > 0 {
-                let ring = replay.entry(identity).or_default();
-                if ring.len() >= replay_cap {
-                    ring.pop_front();
-                }
-                ring.push_back(msg.clone());
-            }
-            mirror_flow_mod(tables, dpid, fm);
         }
         if let Some(st) = target {
             match st.sender.send(&msg) {
                 Ok(()) | Err(SendError::Backpressure) | Err(SendError::Closed) => {}
             }
         }
+        if let OfBody::FlowMod(fm) = &msg.body {
+            mirror_flow_mod(tables, dpid, fm);
+            if replay_cap > 0 {
+                let ring = replay.entry(identity).or_default();
+                if ring.len() >= replay_cap {
+                    ring.pop_front();
+                }
+                ring.push_back(msg);
+            }
+        }
     }
+    out.reset();
 }
 
 /// Applies one flow-mod to the ops-facing table mirror.
@@ -1013,6 +1117,7 @@ fn mirror_flow_mod(
 mod tests {
     use super::*;
     use std::io::Read;
+    use std::sync::Barrier;
 
     const BODY: usize = 16 * 1024;
     const FRAME: usize = wire::OFP_HEADER_LEN + BODY;
@@ -1023,41 +1128,40 @@ mod tests {
         rt: tokio::runtime::Runtime,
         peer: std::net::TcpStream,
         sender: FrameSender,
-        budget: Arc<SendBudget>,
-        counters: Arc<ChannelCounters>,
-        rx: mpsc::Receiver<Bytes>,
+        queue: Arc<SendQueue>,
         read_half: tokio::net::OwnedReadHalf,
         write_half: tokio::net::OwnedWriteHalf,
     }
 
-    fn rig(permits: usize) -> Rig {
+    fn socket_pair() -> (std::net::TcpStream, std::net::TcpStream) {
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind");
+        let peer =
+            std::net::TcpStream::connect(listener.local_addr().expect("addr")).expect("connect");
+        let (server, _) = listener.accept().expect("accept");
+        (peer, server)
+    }
+
+    /// `cap` frames of queue, `permits` of endpoint-wide budget.
+    fn rig(cap: usize, permits: usize) -> Rig {
         let rt = tokio::runtime::Builder::new_multi_thread()
             .worker_threads(1)
             .enable_all()
             .build()
             .expect("runtime");
-        let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind");
-        let peer =
-            std::net::TcpStream::connect(listener.local_addr().expect("addr")).expect("connect");
-        let (server, _) = listener.accept().expect("accept");
+        let (peer, server) = socket_pair();
         let (read_half, write_half) = rt
             .block_on(async { tokio::net::TcpStream::from_std(server)?.into_split() })
             .expect("register");
-        let budget = SendBudget::new(permits);
-        let counters = Arc::new(ChannelCounters::new());
-        let (tx, rx) = mpsc::channel(permits);
-        let sender = FrameSender {
-            tx,
-            budget: Arc::clone(&budget),
-            counters: Arc::clone(&counters),
-        };
+        let (sender, queue) = SendQueue::new(
+            cap,
+            SendBudget::new(permits),
+            Arc::new(ChannelCounters::new()),
+        );
         Rig {
             rt,
             peer,
             sender,
-            budget,
-            counters,
-            rx,
+            queue,
             read_half,
             write_half,
         }
@@ -1068,8 +1172,23 @@ mod tests {
         OfMessage::new(Xid(i as u32), OfBody::EchoRequest(body))
     }
 
-    fn permits(budget: &SendBudget) -> usize {
-        budget.permits.load(Ordering::Acquire)
+    fn permits(queue: &SendQueue) -> usize {
+        queue.budget.permits.load(Ordering::Acquire)
+    }
+
+    /// Reads frames off `peer` until `count` have arrived.
+    fn read_frames(peer: &mut std::net::TcpStream, count: usize) -> Vec<OfMessage> {
+        let mut buf = BytesMut::new();
+        let mut chunk = vec![0u8; 64 * 1024];
+        let mut msgs = Vec::new();
+        while msgs.len() < count {
+            let n = peer.read(&mut chunk).expect("read");
+            assert!(n > 0, "stream ended after {} frames", msgs.len());
+            buf.extend_from_slice(&chunk[..n]);
+            msgs.extend(wire::decode_frames(&mut buf).expect("well-formed frames"));
+        }
+        assert!(buf.is_empty(), "bytes beyond the last frame");
+        msgs
     }
 
     #[test]
@@ -1081,45 +1200,28 @@ mod tests {
             rt,
             mut peer,
             sender,
-            budget,
-            counters,
-            rx,
+            queue,
             read_half: _read_half,
             write_half,
-        } = rig(FRAMES);
+        } = rig(FRAMES, FRAMES);
         for i in 0..FRAMES {
             sender.send(&frame(i)).expect("queue holds every frame");
         }
-        assert_eq!(permits(&budget), 0);
-        let writer = rt.spawn(write_loop(
-            rx,
-            write_half,
-            Arc::clone(&budget),
-            Arc::clone(&counters),
-        ));
+        assert_eq!(permits(&queue), 0);
+        let writer = rt.spawn(write_loop(Arc::clone(&queue), write_half));
 
         // The peer resumes reading.
-        let mut buf = BytesMut::new();
-        let mut chunk = vec![0u8; 64 * 1024];
-        let mut next = 0usize;
-        while next < FRAMES {
-            let n = peer.read(&mut chunk).expect("read");
-            assert!(n > 0, "stream ended after {next} frames");
-            buf.extend_from_slice(&chunk[..n]);
-            for msg in wire::decode_frames(&mut buf).expect("well-formed frames") {
-                assert_eq!(msg, frame(next), "frame {next} out of order or damaged");
-                next += 1;
-            }
+        for (i, msg) in read_frames(&mut peer, FRAMES).iter().enumerate() {
+            assert_eq!(*msg, frame(i), "frame {i} out of order or damaged");
         }
-        assert!(buf.is_empty(), "bytes beyond the last frame");
 
         // With every sender gone the writer runs out of frames and ends.
         drop(sender);
         rt.block_on(writer).expect("writer panicked");
-        let snap = counters.snapshot();
+        let snap = queue.counters.snapshot();
         assert_eq!(snap.frames_out, FRAMES as u64);
         assert_eq!(snap.bytes_out, (FRAMES * FRAME) as u64);
-        assert_eq!(permits(&budget), FRAMES);
+        assert_eq!(permits(&queue), FRAMES);
     }
 
     #[test]
@@ -1129,12 +1231,10 @@ mod tests {
             rt,
             mut peer,
             sender,
-            budget,
-            counters,
-            rx,
+            queue,
             mut read_half,
             write_half,
-        } = rig(PERMITS);
+        } = rig(PERMITS, PERMITS);
         // Queued before the writer starts: its first write is a batch.
         let mut accepted = 0u64;
         for i in 0..PERMITS {
@@ -1143,12 +1243,7 @@ mod tests {
                 .expect("queue holds the first frames");
             accepted += 1;
         }
-        let writer = rt.spawn(write_loop(
-            rx,
-            write_half,
-            Arc::clone(&budget),
-            Arc::clone(&counters),
-        ));
+        let writer = rt.spawn(write_loop(Arc::clone(&queue), write_half));
         // One frame read proves the writer is under way; then the peer
         // vanishes with the rest unread.
         let mut first = vec![0u8; FRAME];
@@ -1170,10 +1265,10 @@ mod tests {
 
         // Written, failed and stranded frames all gave their permits back,
         // while a sender is still alive.
-        assert_eq!(permits(&budget), PERMITS);
+        assert_eq!(permits(&queue), PERMITS);
         assert_eq!(sender.send(&frame(0)), Err(SendError::Closed));
-        assert_eq!(permits(&budget), PERMITS);
-        let snap = counters.snapshot();
+        assert_eq!(permits(&queue), PERMITS);
+        let snap = queue.counters.snapshot();
         assert!(
             snap.frames_out < accepted,
             "the failed batch is not counted"
@@ -1189,6 +1284,233 @@ mod tests {
         assert!(
             matches!(read, Ok(Ok(0) | Err(_))),
             "reader still blocked or fed: {read:?}"
+        );
+    }
+
+    #[test]
+    fn the_bound_is_on_queued_frames_and_an_idle_queue_owns_no_buffer() {
+        const CAP: usize = 8;
+        let Rig {
+            rt,
+            mut peer,
+            sender,
+            queue,
+            read_half: _read_half,
+            write_half,
+        } = rig(CAP, 4 * CAP);
+        {
+            let out = queue.out.lock();
+            assert_eq!((out.bytes.capacity(), out.lens.capacity()), (0, 0));
+        }
+        for i in 0..CAP {
+            sender.send(&frame(i)).expect("up to the cap is accepted");
+        }
+        assert_eq!(sender.send(&frame(CAP)), Err(SendError::Backpressure));
+        let snap = queue.counters.snapshot();
+        assert_eq!((snap.sends_blocked, snap.budget_exhausted), (1, 0));
+        assert_eq!(snap.send_queue_hwm, CAP as u64);
+        assert_eq!(permits(&queue), 3 * CAP, "the refused frame holds none");
+
+        // Frames the writer has taken no longer count: with the peer not
+        // reading yet, a second capful is accepted as soon as the first is
+        // in the writer's hands.
+        let writer = rt.spawn(write_loop(Arc::clone(&queue), write_half));
+        let deadline = Instant::now() + Duration::from_secs(30);
+        let mut sent = CAP;
+        while sent < 2 * CAP {
+            match sender.send(&frame(sent)) {
+                Ok(()) => sent += 1,
+                Err(SendError::Backpressure) => std::thread::yield_now(),
+                Err(SendError::Closed) => panic!("writer stopped"),
+            }
+            assert!(Instant::now() < deadline, "writer never took the queue");
+        }
+        for (i, msg) in read_frames(&mut peer, 2 * CAP).iter().enumerate() {
+            assert_eq!(*msg, frame(i));
+        }
+        drop(sender);
+        rt.block_on(writer).expect("writer panicked");
+        assert_eq!(queue.counters.snapshot().frames_out, 2 * CAP as u64);
+        assert_eq!(permits(&queue), 4 * CAP);
+    }
+
+    #[test]
+    fn two_producers_share_one_queue_and_a_lone_frame_leaves_at_once() {
+        const EACH: usize = 200;
+        let Rig {
+            rt,
+            mut peer,
+            sender,
+            queue,
+            read_half: _read_half,
+            write_half,
+        } = rig(2 * EACH + 1, 2 * EACH + 1);
+        let writer = rt.spawn(write_loop(Arc::clone(&queue), write_half));
+
+        // Nothing else is queued and nothing follows: the writer must not
+        // be waiting for company.
+        peer.set_read_timeout(Some(Duration::from_secs(30)))
+            .expect("timeout");
+        sender.send(&frame(7)).expect("lone frame");
+        assert_eq!(read_frames(&mut peer, 1), vec![frame(7)]);
+
+        // The reader task's echo replies and the control loop's messages:
+        // two threads, one queue, released together.
+        let start = Barrier::new(2);
+        let echo = sender.clone();
+        let tagged = |tag: u32, i: usize| {
+            OfMessage::new(Xid(tag << 16 | i as u32), OfBody::EchoReply(Bytes::new()))
+        };
+        let got = std::thread::scope(|s| {
+            s.spawn(|| {
+                start.wait();
+                for i in 0..EACH {
+                    echo.send(&tagged(1, i)).expect("echo side");
+                }
+            });
+            s.spawn(|| {
+                start.wait();
+                for i in 0..EACH {
+                    sender.send(&tagged(2, i)).expect("control side");
+                }
+            });
+            read_frames(&mut peer, 2 * EACH)
+        });
+        // Whole frames only, and each producer's in its own order.
+        for tag in [1, 2] {
+            let mine: Vec<&OfMessage> = got.iter().filter(|m| m.xid.0 >> 16 == tag).collect();
+            assert_eq!(mine.len(), EACH);
+            for (i, msg) in mine.into_iter().enumerate() {
+                assert_eq!(*msg, tagged(tag, i));
+            }
+        }
+        drop((sender, echo));
+        rt.block_on(writer).expect("writer panicked");
+        assert_eq!(permits(&queue), 2 * EACH + 1);
+    }
+
+    /// Emits a flow-mod toward switch 1 for every message from switch 2,
+    /// and a barrier toward whichever switch connects.
+    struct Stub;
+
+    fn rule(cookie: u64) -> OfMessage {
+        let fm = FlowMod::add(OfMatch::any(), Vec::new()).with_cookie(cookie);
+        OfMessage::new(Xid(cookie as u32), OfBody::FlowMod(fm))
+    }
+
+    impl ControlPlane for Stub {
+        fn on_switch_connect(
+            &mut self,
+            dpid: DatapathId,
+            _features: FeaturesReply,
+            _now: f64,
+            out: &mut ControlOutput,
+        ) {
+            out.send(dpid, OfMessage::new(Xid(99), OfBody::BarrierRequest));
+        }
+
+        fn on_message(
+            &mut self,
+            dpid: DatapathId,
+            msg: OfMessage,
+            _now: f64,
+            out: &mut ControlOutput,
+        ) {
+            if dpid == DatapathId(2) {
+                out.send(DatapathId(1), rule(u64::from(msg.xid.0)));
+            }
+        }
+    }
+
+    #[test]
+    fn a_message_is_routed_by_the_table_as_it_stands_when_its_event_is_handled() {
+        let counters = Arc::new(ChannelCounters::new());
+        let budget = SendBudget::new(64);
+        let tables = Mutex::new(HashMap::new());
+        let mut control: Box<dyn ControlPlane> = Box::new(Stub);
+        let mut conns = ConnTable::default();
+        let mut ever = HashSet::new();
+        let mut replay = HashMap::new();
+        let mut out = ControlOutput::new();
+        // What `control_loop` does with one event of a drain.
+        let mut step = |event: Event| {
+            handle_event(
+                event,
+                &mut control,
+                &mut conns,
+                &mut ever,
+                &mut replay,
+                &counters,
+                0.0,
+                &mut out,
+            );
+            flush(&conns, &mut replay, &ever, &tables, &mut out, 16);
+            assert!(out.messages.is_empty(), "flush leaves the output empty");
+        };
+        let mut next_key = 0u64;
+        let mut connect = |dpid: u64| {
+            let (sender, queue) = SendQueue::new(64, Arc::clone(&budget), Arc::clone(&counters));
+            let key = next_key;
+            next_key += 1;
+            let event = Event::Connected {
+                key,
+                identity: Identity::Switch(DatapathId(dpid)),
+                features: FeaturesReply {
+                    datapath_id: DatapathId(dpid),
+                    n_buffers: 0,
+                    n_tables: 1,
+                    ports: Vec::new(),
+                },
+                sender,
+                closer: socket_pair().0,
+                last_rx: Arc::new(AtomicU64::new(0)),
+            };
+            (key, queue, event)
+        };
+        /// Everything queued toward a connection so far, decoded.
+        fn queued(queue: &SendQueue) -> Vec<OfMessage> {
+            let mut out = queue.out.lock();
+            out.lens.clear();
+            let mut buf = BytesMut::new();
+            buf.extend_from_slice(&std::mem::take(&mut out.bytes));
+            wire::decode_frames(&mut buf).expect("well-formed frames")
+        }
+        let inbound = |key: u64, xid: u32| Event::Inbound {
+            key,
+            msg: OfMessage::new(Xid(xid), OfBody::BarrierReply),
+        };
+        let barrier = OfMessage::new(Xid(99), OfBody::BarrierRequest);
+
+        let (a_key, a_queue, a_connected) = connect(1);
+        let (b_key, _b_queue, b_connected) = connect(2);
+        step(a_connected);
+        step(b_connected);
+        step(inbound(b_key, 10));
+        assert_eq!(queued(&a_queue), vec![barrier.clone(), rule(10)]);
+
+        // One drain: A goes away, B's handler addresses A, A is back.
+        step(Event::Closed { key: a_key });
+        step(inbound(b_key, 11));
+        let (_, a_again, a_reconnected) = connect(1);
+        step(a_reconnected);
+        assert!(
+            queued(&a_queue).is_empty(),
+            "nothing for the dead connection"
+        );
+        assert_eq!(
+            queued(&a_again),
+            vec![rule(10), rule(11), barrier],
+            "the ring, with the rule decided while A was away, then the greeting"
+        );
+        let snap = counters.snapshot();
+        assert_eq!(
+            (snap.reconnects, snap.resyncs, snap.frames_replayed),
+            (1, 1, 2)
+        );
+        assert_eq!(
+            tables.lock().get(&1).map(Vec::len),
+            Some(1),
+            "same match and priority: one mirrored rule"
         );
     }
 }

@@ -79,7 +79,7 @@ fn ensure(buf: &impl Buf, needed: usize) -> Result<(), DecodeError> {
     }
 }
 
-fn put_match(buf: &mut BytesMut, m: &OfMatch) {
+fn put_match(buf: &mut impl BufMut, m: &OfMatch) {
     buf.put_u32(m.wildcards.0);
     buf.put_u16(m.keys.in_port);
     buf.put_slice(&m.keys.dl_src.octets());
@@ -139,7 +139,7 @@ fn get_match(buf: &mut impl Buf) -> Result<OfMatch, DecodeError> {
     })
 }
 
-fn put_action(buf: &mut BytesMut, action: &Action) {
+fn put_action(buf: &mut impl BufMut, action: &Action) {
     buf.put_u16(action.type_code());
     buf.put_u16(action.wire_len() as u16);
     match *action {
@@ -308,8 +308,19 @@ pub fn wire_len(msg: &OfMessage) -> usize {
 /// assert_eq!(decode(&bytes).unwrap(), msg);
 /// ```
 pub fn encode(msg: &OfMessage) -> Bytes {
+    let mut buf = BytesMut::with_capacity(wire_len(msg));
+    let total = encode_into(msg, &mut buf);
+    debug_assert_eq!(buf.len(), total, "wire_len disagrees with encoder");
+    buf.freeze()
+}
+
+/// Appends a message's binary representation to `buf` and returns the
+/// number of bytes appended, which is [`wire_len`] of the message.
+///
+/// The one encoder: [`encode`] is this on a fresh buffer. A sender that
+/// queues frames back to back encodes each straight into its queue.
+pub fn encode_into(msg: &OfMessage, buf: &mut impl BufMut) -> usize {
     let total = wire_len(msg);
-    let mut buf = BytesMut::with_capacity(total);
     buf.put_u8(OFP_VERSION);
     buf.put_u8(msg.body.type_code());
     buf.put_u16(total as u16);
@@ -348,14 +359,14 @@ pub fn encode(msg: &OfMessage) -> Bytes {
             buf.put_u16(po.in_port.to_u16());
             buf.put_u16(actions_wire_len(&po.actions) as u16);
             for action in &po.actions {
-                put_action(&mut buf, action);
+                put_action(buf, action);
             }
             if let Some(data) = &po.data {
                 buf.put_slice(data);
             }
         }
         OfBody::FlowMod(fm) => {
-            put_match(&mut buf, &fm.of_match);
+            put_match(buf, &fm.of_match);
             buf.put_u64(fm.cookie);
             buf.put_u16(fm.command.to_u16());
             buf.put_u16(fm.idle_timeout);
@@ -372,11 +383,11 @@ pub fn encode(msg: &OfMessage) -> Bytes {
             }
             buf.put_u16(flags);
             for action in &fm.actions {
-                put_action(&mut buf, action);
+                put_action(buf, action);
             }
         }
         OfBody::FlowRemoved(fr) => {
-            put_match(&mut buf, &fr.of_match);
+            put_match(buf, &fr.of_match);
             buf.put_u64(fr.cookie);
             buf.put_u16(fr.priority);
             buf.put_u8(match fr.reason {
@@ -413,7 +424,7 @@ pub fn encode(msg: &OfMessage) -> Bytes {
             };
             buf.put_u16(code);
             buf.put_u16(0); // flags
-            put_match(&mut buf, of_match);
+            put_match(buf, of_match);
             buf.put_u8(0xff); // table_id: all
             buf.put_u8(0); // pad
             buf.put_u16(PortNo::None.to_u16());
@@ -427,7 +438,7 @@ pub fn encode(msg: &OfMessage) -> Bytes {
                     buf.put_u16(entry_len as u16);
                     buf.put_u8(0); // table_id
                     buf.put_u8(0); // pad
-                    put_match(&mut buf, &s.of_match);
+                    put_match(buf, &s.of_match);
                     buf.put_u32(s.duration_sec);
                     buf.put_u32(0); // duration_nsec
                     buf.put_u16(s.priority);
@@ -438,7 +449,7 @@ pub fn encode(msg: &OfMessage) -> Bytes {
                     buf.put_u64(s.packet_count);
                     buf.put_u64(s.byte_count);
                     for action in &s.actions {
-                        put_action(&mut buf, action);
+                        put_action(buf, action);
                     }
                 }
             }
@@ -452,8 +463,7 @@ pub fn encode(msg: &OfMessage) -> Bytes {
             }
         },
     }
-    debug_assert_eq!(buf.len(), total, "wire_len disagrees with encoder");
-    buf.freeze()
+    total
 }
 
 /// Peeks at a frame header and reports how many bytes the frame spans.
@@ -498,14 +508,22 @@ pub fn frame_len(data: &[u8]) -> Result<Option<usize>, DecodeError> {
 /// the connection down on any decode error.
 pub fn decode_frames(buf: &mut BytesMut) -> Result<Vec<OfMessage>, DecodeError> {
     let mut messages = Vec::new();
-    while let Some(len) = frame_len(&buf[..])? {
-        if buf.len() < len {
-            break;
+    // Frames are decoded where they lie; `at` is how far the buffer is
+    // consumed, whole frames only, the offending one included.
+    let mut at = 0;
+    let outcome = (|| {
+        while let Some(len) = frame_len(&buf[at..])? {
+            if buf.len() - at < len {
+                break;
+            }
+            let frame = &buf[at..at + len];
+            at += len;
+            messages.push(decode(frame)?);
         }
-        let frame = buf.split_to(len);
-        messages.push(decode(&frame[..])?);
-    }
-    Ok(messages)
+        Ok(())
+    })();
+    buf.advance(at);
+    outcome.map(|()| messages)
 }
 
 /// Decodes one message from `data`.

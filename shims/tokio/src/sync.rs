@@ -131,17 +131,6 @@ pub mod mpsc {
             })
             .await
         }
-
-        /// Remaining queue slots.
-        pub fn capacity(&self) -> usize {
-            let chan = self.chan.lock().unwrap();
-            chan.cap - chan.queue.len().min(chan.cap)
-        }
-
-        /// The configured bound.
-        pub fn max_capacity(&self) -> usize {
-            self.chan.lock().unwrap().cap
-        }
     }
 
     impl<T> Clone for Sender<T> {
@@ -193,13 +182,6 @@ pub mod mpsc {
                 return Err(TryRecvError::Disconnected);
             }
             Err(TryRecvError::Empty)
-        }
-
-        /// Refuses further sends; messages already queued stay receivable.
-        pub fn close(&mut self) {
-            let mut chan = self.chan.lock().unwrap();
-            chan.rx_alive = false;
-            chan.wake_senders();
         }
     }
 

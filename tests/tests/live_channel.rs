@@ -11,19 +11,22 @@
 //! machines without being tuned to them.
 
 use std::collections::HashSet;
+use std::io::{Read, Write};
 use std::net::{Ipv4Addr, TcpListener, TcpStream};
+use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use controller::apps;
 use controller::platform::ControllerPlatform;
 use floodguard::{DetectionConfig, FloodGuard, FloodGuardConfig};
-use netsim::iface::NullControlPlane;
+use netsim::iface::{ControlOutput, ControlPlane, NullControlPlane};
 use netsim::packet::Packet;
 use netsim::switch::Switch;
 use netsim::{Fault, SwitchId, SwitchProfile};
 use ofchannel::{handshake, ChannelConfig, ControllerConfig, ControllerEndpoint, SwitchEndpoint};
-use ofproto::messages::FeaturesReply;
-use ofproto::types::{DatapathId, MacAddr, PortNo};
+use ofproto::messages::{FeaturesReply, OfBody, OfMessage};
+use ofproto::types::{DatapathId, MacAddr, PortNo, Xid};
 
 /// Polls `probe` until it returns true or `deadline` elapses.
 fn wait_for(deadline: Duration, mut probe: impl FnMut() -> bool) -> bool {
@@ -200,6 +203,123 @@ fn flood_fills_bounded_send_queue() {
     drop(endpoint);
 }
 
+/// Answers every request with a barrier reply of the same xid, and holds
+/// two of them: the primer (xid 1) until the test lets go, and xid 3 until
+/// the peer has read the reply to xid 2. Clones share their flags.
+#[derive(Clone, Default)]
+struct Lockstep {
+    in_primer: Arc<AtomicBool>,
+    release_primer: Arc<AtomicBool>,
+    /// Highest xid whose reply the peer has read off its socket.
+    read_by_peer: Arc<AtomicU32>,
+    /// Set when request 3 gave up waiting for reply 2 to be read.
+    gave_up: Arc<AtomicBool>,
+}
+
+impl ControlPlane for Lockstep {
+    fn on_switch_connect(
+        &mut self,
+        _dpid: DatapathId,
+        _features: FeaturesReply,
+        _now: f64,
+        _out: &mut ControlOutput,
+    ) {
+    }
+
+    fn on_message(&mut self, dpid: DatapathId, msg: OfMessage, _now: f64, out: &mut ControlOutput) {
+        match msg.xid.0 {
+            1 => {
+                self.in_primer.store(true, Ordering::SeqCst);
+                wait_for(Duration::from_secs(10), || {
+                    self.release_primer.load(Ordering::SeqCst)
+                });
+            }
+            3 => {
+                let read = wait_for(Duration::from_secs(2), || {
+                    self.read_by_peer.load(Ordering::SeqCst) >= 2
+                });
+                self.gave_up.store(!read, Ordering::SeqCst);
+            }
+            _ => {}
+        }
+        out.send(dpid, OfMessage::new(msg.xid, OfBody::BarrierReply));
+    }
+}
+
+/// An event's replies reach the peer while the control loop is still
+/// working through the drain that event arrived in: the handler of request
+/// 3 sees the peer read the reply to request 2, although both requests were
+/// queued behind one primer and are handled in one drain.
+#[test]
+fn replies_leave_before_the_drain_they_were_produced_in_ends() {
+    let flags = Lockstep::default();
+    let controller = ControllerEndpoint::listen(
+        Box::new(flags.clone()),
+        "127.0.0.1:0".parse().unwrap(),
+        ControllerConfig::default(),
+    )
+    .unwrap();
+
+    let mut stream = TcpStream::connect(controller.local_addr().unwrap()).unwrap();
+    stream.set_nodelay(true).unwrap();
+    let features = FeaturesReply {
+        datapath_id: DatapathId(1),
+        n_buffers: 0,
+        n_tables: 1,
+        ports: vec![PortNo::Physical(1)],
+    };
+    let mut buf = handshake::accept(&mut stream, &features, &ChannelConfig::default()).unwrap();
+    let request =
+        |xid: u32| ofproto::wire::encode(&OfMessage::new(Xid(xid), OfBody::BarrierRequest));
+    let before = controller.counters().frames_in;
+
+    // The primer is being handled; requests 2 and 3 arrive behind it and
+    // are both waiting when its handler returns.
+    stream.write_all(&request(1)).unwrap();
+    assert!(wait_for(Duration::from_secs(10), || flags
+        .in_primer
+        .load(Ordering::SeqCst)));
+    let mut both = request(2).to_vec();
+    both.extend_from_slice(&request(3));
+    stream.write_all(&both).unwrap();
+    assert!(wait_for(Duration::from_secs(10), || {
+        controller.counters().frames_in >= before + 3
+    }));
+    // Counted is a few instructions short of queued.
+    std::thread::sleep(Duration::from_millis(50));
+    flags.release_primer.store(true, Ordering::SeqCst);
+
+    stream
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
+    let mut chunk = [0u8; 4096];
+    let mut replies = Vec::new();
+    while replies.last() != Some(&3) {
+        let n = stream.read(&mut chunk).expect("a reply within the timeout");
+        assert!(n > 0, "controller closed the connection");
+        buf.extend_from_slice(&chunk[..n]);
+        for msg in ofproto::wire::decode_frames(&mut buf).unwrap() {
+            match msg.body {
+                OfBody::BarrierReply => {
+                    replies.push(msg.xid.0);
+                    flags.read_by_peer.store(msg.xid.0, Ordering::SeqCst);
+                }
+                OfBody::EchoRequest(data) => {
+                    let reply = OfMessage::new(msg.xid, OfBody::EchoReply(data));
+                    stream.write_all(&ofproto::wire::encode(&reply)).unwrap();
+                }
+                other => panic!("unexpected message {other:?}"),
+            }
+        }
+    }
+    assert_eq!(replies, vec![1, 2, 3]);
+    assert!(
+        !flags.gave_up.load(Ordering::SeqCst),
+        "reply 2 was held back until the drain that produced it had ended"
+    );
+    drop(controller);
+}
+
 /// Garbage bytes after a clean handshake are counted as a decode error and
 /// kill only that session; the endpoint accepts a fresh connection after.
 #[test]
@@ -209,7 +329,6 @@ fn garbage_after_handshake_counts_decode_error() {
 
     let mut stream = TcpStream::connect(endpoint.switch_addr()).unwrap();
     let _ = handshake::initiate(&mut stream, &ChannelConfig::default()).unwrap();
-    use std::io::Write;
     stream.write_all(&[0xde; 64]).unwrap();
 
     assert!(

@@ -8,6 +8,13 @@
 //! * `wire_len(m) == encode(m).len()` (the advertised header length is the
 //!   real frame length, so `decode_frames` framing never drifts).
 //!
+//! and, for the live transport's streaming forms, differentially:
+//!
+//! * `encode_into` appended to a buffer that already holds bytes writes
+//!   exactly `encode`'s bytes and returns `wire_len`, and
+//! * `decode_frames` fed a stream in arbitrary chunks yields the messages,
+//!   residue and errors of splitting frame by frame and calling `decode`.
+//!
 //! Strategies stick to *canonical* wire values: physical port numbers stay
 //! below the reserved `OFPP_*` range, buffer ids below the `NO_BUFFER`
 //! sentinel, and `packet_out` payloads are `None` or non-empty, because the
@@ -25,7 +32,7 @@ use ofproto::messages::{
     StatsRequest,
 };
 use ofproto::types::{BufferId, DatapathId, MacAddr, PortNo, Xid};
-use ofproto::wire;
+use ofproto::wire::{self, DecodeError};
 use proptest::prelude::*;
 
 /// Physical ports must stay below the reserved `OFPP_*` range (0xfff8) or
@@ -375,8 +382,107 @@ fn of_message() -> impl Strategy<Value = OfMessage> {
     (any::<u32>().prop_map(Xid), of_body()).prop_map(|(xid, body)| OfMessage { xid, body })
 }
 
+/// `decode_frames` as it was before it decoded in place: split each whole
+/// frame off the front, then `decode` the copy.
+fn drain_frame_by_frame(data: &mut Vec<u8>) -> Result<Vec<OfMessage>, DecodeError> {
+    let mut messages = Vec::new();
+    while let Some(len) = wire::frame_len(data)? {
+        if data.len() < len {
+            break;
+        }
+        let frame: Vec<u8> = data.drain(..len).collect();
+        messages.push(wire::decode(&frame)?);
+    }
+    Ok(messages)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(512))]
+
+    #[test]
+    fn encode_into_appends_exactly_encodes_bytes(
+        msg in of_message(),
+        already in proptest::collection::vec(any::<u8>(), 1..64),
+    ) {
+        let encoded = wire::encode(&msg);
+        let mut queue = already.clone();
+        let appended = wire::encode_into(&msg, &mut queue);
+        prop_assert_eq!(appended, wire::wire_len(&msg));
+        prop_assert_eq!(&queue[..already.len()], &already[..]);
+        prop_assert_eq!(&queue[already.len()..], &encoded[..]);
+        // The other buffer type the codec is used with.
+        let mut buf = BytesMut::new();
+        buf.extend_from_slice(&already);
+        prop_assert_eq!(wire::encode_into(&msg, &mut buf), appended);
+        prop_assert_eq!(&buf[..], &queue[..]);
+    }
+
+    #[test]
+    fn decode_frames_in_chunks_matches_frame_by_frame_decode(
+        msgs in proptest::collection::vec(of_message(), 1..8),
+        cuts in proptest::collection::vec(any::<u16>(), 0..8),
+        held_back in any::<u16>(),
+    ) {
+        let mut stream = Vec::new();
+        for msg in &msgs {
+            wire::encode_into(msg, &mut stream);
+        }
+        // The stream ends somewhere inside it, so that a residue remains.
+        stream.truncate(stream.len() - held_back as usize % stream.len());
+        let mut cuts: Vec<usize> = cuts.iter().map(|c| *c as usize % stream.len()).collect();
+        cuts.push(stream.len());
+        cuts.sort_unstable();
+
+        let (mut buf, mut reference) = (BytesMut::new(), Vec::new());
+        let (mut got, mut want) = (Vec::new(), Vec::new());
+        let mut fed = 0;
+        for cut in cuts {
+            buf.extend_from_slice(&stream[fed..cut]);
+            reference.extend_from_slice(&stream[fed..cut]);
+            fed = cut;
+            got.extend(wire::decode_frames(&mut buf).expect("valid stream"));
+            want.extend(drain_frame_by_frame(&mut reference).expect("valid stream"));
+            prop_assert_eq!(&buf[..], &reference[..], "residue after {} bytes", fed);
+        }
+        prop_assert_eq!(&got, &want);
+        prop_assert_eq!(&got[..], &msgs[..got.len()]);
+    }
+
+    #[test]
+    fn a_malformed_frame_mid_stream_is_consumed_with_its_error(
+        before in proptest::collection::vec(of_message(), 0..4),
+        victim in of_message(),
+        type_code in any::<u8>(),
+        after in proptest::collection::vec(of_message(), 1..4),
+    ) {
+        // A frame whose header still frames it but whose type byte lies
+        // about the body: decodes to whatever error that body earns (or,
+        // now and then, to some other message).
+        let mut bad = wire::encode(&victim).to_vec();
+        bad[1] = type_code;
+        let mut stream = Vec::new();
+        for msg in &before {
+            wire::encode_into(msg, &mut stream);
+        }
+        stream.extend_from_slice(&bad);
+        let boundary = stream.len();
+        for msg in &after {
+            wire::encode_into(msg, &mut stream);
+        }
+
+        let mut buf = BytesMut::new();
+        buf.extend_from_slice(&stream);
+        let mut reference = stream.clone();
+        let got = wire::decode_frames(&mut buf);
+        prop_assert_eq!(&got, &drain_frame_by_frame(&mut reference));
+        prop_assert_eq!(&buf[..], &reference[..]);
+        if let Err(error) = got {
+            prop_assert_eq!(Err(error), wire::decode(&bad));
+            prop_assert_eq!(&buf[..], &stream[boundary..], "positioned at the next frame");
+            prop_assert_eq!(wire::decode_frames(&mut buf), Ok(after));
+            prop_assert!(buf.is_empty());
+        }
+    }
 
     #[test]
     fn encode_decode_roundtrip(msg in of_message()) {
