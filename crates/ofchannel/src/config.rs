@@ -8,11 +8,13 @@ use std::time::Duration;
 /// The send queue is deliberately bounded: under a control-plane flood the
 /// paper's whole point is that the channel saturates, and an unbounded
 /// queue would hide that as unbounded memory growth. When the queue is full
-/// [`crate::conn::Connection::send`] fails fast with an explicit
-/// backpressure error and the caller decides what to shed.
+/// a send fails fast, is counted as [`crate::CountersSnapshot::sends_blocked`]
+/// and the frame is shed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ChannelConfig {
-    /// Maximum encoded frames waiting for the writer thread.
+    /// Maximum encoded frames waiting for the connection's writer task
+    /// (frames the writer has already taken for its next `write_all` no
+    /// longer count).
     pub send_queue_cap: usize,
     /// Bytes asked of the socket per `read` call.
     pub read_chunk: usize,

@@ -1,512 +1,1022 @@
-//! A framed OpenFlow connection over one TCP stream.
+//! One framed OpenFlow connection on the async runtime — the only one this
+//! crate has. The controller endpoint, [`crate::SwitchEndpoint`] and every
+//! [`crate::swarm`] switch serve their sockets through it.
 //!
-//! Two daemon threads serve each connection: a reader that accumulates the
-//! byte stream and drains whole frames via [`ofproto::wire::decode_frames`],
-//! and a writer that flushes a **bounded** queue of pre-encoded frames.
+//! After the handshake, [`open`] splits the stream into three pieces: a
+//! writer task draining a **bounded** queue of encoded frames
+//! ([`write_loop`]), a [`FrameReader`] the calling task pulls decoded
+//! messages from, and a [`Conn`] handle for whoever owns the session. The
+//! reader counts every frame, stamps the receive clock and answers
+//! `echo_request` through the connection's own [`FrameSender`], so a busy
+//! owner cannot fail its own liveness probes; everything else is handed to
+//! the owner's queue ([`Shared::serve`]).
+//!
 //! The bounded queue is the backpressure mechanism: when the peer stops
-//! reading (the saturation scenario this repo studies), the writer blocks on
-//! the socket, the queue fills, and [`Connection::send`] starts failing with
-//! [`SendError::Backpressure`] instead of buffering without limit.
+//! reading (the saturation scenario this repo studies), the writer blocks
+//! on the socket, the queue fills, and [`FrameSender::send`] starts failing
+//! with [`SendError::Backpressure`] instead of buffering without limit.
+//! All queues of one endpoint additionally draw from one [`SendBudget`].
 
-use std::io::{Read, Write};
-use std::net::{Shutdown, SocketAddr, TcpStream};
+use std::future::{poll_fn, Future};
+use std::io;
+use std::net::Shutdown;
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
+use std::task::{Poll, Waker};
 use std::time::{Duration, Instant};
 
-use bytes::BytesMut;
-use crossbeam::channel::{self, Receiver, RecvTimeoutError, Sender, TrySendError};
-use ofproto::messages::OfMessage;
-use ofproto::wire::{self, DecodeError};
+use bytes::{Bytes, BytesMut};
+use ofproto::messages::{OfBody, OfMessage};
+use ofproto::types::Xid;
+use ofproto::wire;
 use parking_lot::Mutex;
+use tokio::sync::mpsc;
 
 use crate::config::ChannelConfig;
 use crate::counters::ChannelCounters;
 
-/// Why a connection stopped.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum CloseReason {
-    /// The peer closed the stream.
-    Eof,
-    /// A socket error.
-    Io(std::io::ErrorKind),
-    /// Inbound bytes failed to decode; the stream cannot be trusted past
-    /// this point, so the connection is torn down.
-    Decode(DecodeError),
-}
-
-/// What the reader thread delivers to the endpoint.
-#[derive(Debug)]
-pub enum ConnEvent {
-    /// A decoded inbound message.
-    Message(OfMessage),
-    /// The connection is dead; no further events follow.
-    Closed(CloseReason),
-}
-
-/// Error from [`Connection::send`].
+/// Error from [`FrameSender::send`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SendError {
-    /// The bounded send queue is full; the frame was **not** queued.
-    /// Callers shed load (drop the frame) or retry later.
+pub(crate) enum SendError {
+    /// The bounded send queue (or the endpoint's budget) is full; the frame
+    /// was **not** queued. Callers shed load (drop the frame).
     Backpressure,
-    /// The writer thread is gone; the connection is dead.
+    /// The writer task is gone; the connection is dead.
     Closed,
 }
 
-impl std::fmt::Display for SendError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            SendError::Backpressure => f.write_str("send queue full (backpressure)"),
-            SendError::Closed => f.write_str("connection closed"),
-        }
-    }
+/// The endpoint-wide pool of in-flight frame permits.
+pub(crate) struct SendBudget {
+    permits: AtomicUsize,
 }
 
-impl std::error::Error for SendError {}
-
-/// Notifies a waiting endpoint that a connection has new inbound events,
-/// so the endpoint's loop can block instead of polling with a sleep.
-#[derive(Clone)]
-pub struct WakeHandle {
-    notify: Arc<dyn Fn() + Send + Sync>,
-}
-
-impl std::fmt::Debug for WakeHandle {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str("WakeHandle")
-    }
-}
-
-impl WakeHandle {
-    /// Wraps an arbitrary wake callback (e.g. a send into the endpoint's
-    /// own command channel). The callback must be cheap and non-blocking;
-    /// it runs on connection reader threads.
-    pub fn from_fn(f: impl Fn() + Send + Sync + 'static) -> WakeHandle {
-        WakeHandle {
-            notify: Arc::new(f),
-        }
-    }
-
-    /// Signals the endpoint; cheap and never blocks.
-    pub fn notify(&self) {
-        (self.notify)();
-    }
-}
-
-/// A coalescing wake channel; share the [`WakeHandle`] across connections
-/// and block on the receiver in the endpoint's event loop. Notifications
-/// coalesce through the bounded(1) queue: any number of `notify` calls
-/// while the endpoint is busy collapse into one pending token.
-pub fn wake_channel() -> (WakeHandle, Receiver<()>) {
-    let (tx, rx) = channel::bounded(1);
-    (
-        WakeHandle::from_fn(move || {
-            let _ = tx.try_send(());
-        }),
-        rx,
-    )
-}
-
-/// A live, framed OpenFlow connection.
-pub struct Connection {
-    stream: TcpStream,
-    /// `None` only while `Drop` runs (taken to disconnect the writer).
-    send_tx: Option<Sender<bytes::Bytes>>,
-    events_rx: Receiver<ConnEvent>,
-    counters: Arc<ChannelCounters>,
-    last_rx: Arc<Mutex<Instant>>,
-    peer: SocketAddr,
-    threads: Vec<std::thread::JoinHandle<()>>,
-}
-
-impl std::fmt::Debug for Connection {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Connection")
-            .field("peer", &self.peer)
-            .field("queued", &self.queue_len())
-            .finish()
-    }
-}
-
-impl Connection {
-    /// Takes ownership of a handshaken stream and starts the reader/writer
-    /// threads.
-    ///
-    /// `residue` is whatever the handshake over-read past its last frame —
-    /// the reader starts from it so coalesced post-handshake messages are
-    /// not lost.
-    ///
-    /// # Errors
-    ///
-    /// Fails when the stream cannot be cloned for the second thread.
-    pub fn spawn(
-        stream: TcpStream,
-        config: &ChannelConfig,
-        counters: Arc<ChannelCounters>,
-        residue: BytesMut,
-    ) -> std::io::Result<Connection> {
-        Connection::spawn_with_waker(stream, config, counters, residue, None)
-    }
-
-    /// Like [`Connection::spawn`], but the reader additionally signals
-    /// `waker` whenever new events are delivered, so an endpoint serving
-    /// many connections can block on one wake channel instead of polling.
-    ///
-    /// # Errors
-    ///
-    /// Fails when the stream cannot be cloned for the second thread.
-    pub fn spawn_with_waker(
-        stream: TcpStream,
-        config: &ChannelConfig,
-        counters: Arc<ChannelCounters>,
-        residue: BytesMut,
-        waker: Option<WakeHandle>,
-    ) -> std::io::Result<Connection> {
-        let peer = stream.peer_addr()?;
-        // The handshake may have left a read timeout armed; the reader
-        // thread wants plain blocking reads.
-        stream.set_read_timeout(None)?;
-        let (send_tx, send_rx) = channel::bounded::<bytes::Bytes>(config.send_queue_cap);
-        let (events_tx, events_rx) = channel::unbounded::<ConnEvent>();
-        let last_rx = Arc::new(Mutex::new(Instant::now()));
-        let mut threads = Vec::with_capacity(2);
-
-        let reader_stream = stream.try_clone()?;
-        let writer_stream = stream.try_clone()?;
-        let read_chunk = config.read_chunk;
-
-        {
-            let counters = Arc::clone(&counters);
-            let last_rx = Arc::clone(&last_rx);
-            threads.push(
-                std::thread::Builder::new()
-                    .name(format!("ofchannel-read-{peer}"))
-                    .spawn(move || {
-                        reader_loop(
-                            reader_stream,
-                            residue,
-                            read_chunk,
-                            counters,
-                            last_rx,
-                            events_tx,
-                            waker,
-                        )
-                    })
-                    .expect("spawn reader thread"),
-            );
-        }
-        {
-            let counters = Arc::clone(&counters);
-            threads.push(
-                std::thread::Builder::new()
-                    .name(format!("ofchannel-write-{peer}"))
-                    .spawn(move || writer_loop(writer_stream, send_rx, counters))
-                    .expect("spawn writer thread"),
-            );
-        }
-
-        Ok(Connection {
-            stream,
-            send_tx: Some(send_tx),
-            events_rx,
-            counters,
-            last_rx,
-            peer,
-            threads,
+impl SendBudget {
+    pub(crate) fn new(permits: usize) -> Arc<SendBudget> {
+        Arc::new(SendBudget {
+            permits: AtomicUsize::new(permits.max(1)),
         })
     }
 
-    /// The peer's address.
-    pub fn peer_addr(&self) -> SocketAddr {
-        self.peer
+    fn try_acquire(&self) -> bool {
+        self.permits
+            .fetch_update(Ordering::AcqRel, Ordering::Acquire, |p| p.checked_sub(1))
+            .is_ok()
     }
 
-    /// Encodes and queues one message for the writer thread.
-    ///
-    /// # Errors
-    ///
-    /// [`SendError::Backpressure`] when the bounded queue is full (the
-    /// frame is dropped and counted) and [`SendError::Closed`] when the
-    /// writer is gone.
-    pub fn send(&self, msg: &OfMessage) -> Result<(), SendError> {
-        let send_tx = self.send_tx.as_ref().ok_or(SendError::Closed)?;
-        let frame = wire::encode(msg);
-        match send_tx.try_send(frame) {
-            Ok(()) => {
-                self.counters.observe_queue_depth(send_tx.len());
+    fn release(&self) {
+        self.permits.fetch_add(1, Ordering::AcqRel);
+    }
+}
+
+/// One connection's outbound queue: encoded frames back to back in `bytes`,
+/// the length of each in `lens`. Producers append under the lock; the writer
+/// swaps both vectors out for its own emptied pair, so a frame is written
+/// once when it is encoded and read once by the socket.
+#[derive(Default)]
+struct Outbound {
+    bytes: Vec<u8>,
+    lens: Vec<usize>,
+    /// [`FrameSender`]s alive; at zero the writer ends once it has drained.
+    senders: usize,
+    /// Set by the writer when it stops: nothing more is accepted.
+    closed: bool,
+    /// The writer's waker while it is parked on an empty queue.
+    writer: Option<Waker>,
+}
+
+/// What a connection's senders and its writer task share.
+pub(crate) struct SendQueue {
+    /// Most frames that may be queued at once; frames the writer has taken
+    /// no longer count.
+    cap: usize,
+    out: Mutex<Outbound>,
+    budget: Arc<SendBudget>,
+    counters: Arc<ChannelCounters>,
+}
+
+impl SendQueue {
+    /// A queue with one [`FrameSender`] and the handle its writer takes.
+    /// Nothing is allocated for frames until the first one is sent.
+    pub(crate) fn new(
+        cap: usize,
+        budget: Arc<SendBudget>,
+        counters: Arc<ChannelCounters>,
+    ) -> (FrameSender, Arc<SendQueue>) {
+        let queue = Arc::new(SendQueue {
+            cap: cap.max(1),
+            out: Mutex::new(Outbound {
+                senders: 1,
+                ..Outbound::default()
+            }),
+            budget,
+            counters,
+        });
+        (
+            FrameSender {
+                queue: Arc::clone(&queue),
+            },
+            queue,
+        )
+    }
+
+    /// Waits until frames are queued, then exchanges the queue's vectors
+    /// for the caller's (which must be empty). `false` once every sender is
+    /// gone and nothing is queued.
+    async fn take(&self, bytes: &mut Vec<u8>, lens: &mut Vec<usize>) -> bool {
+        poll_fn(|cx| {
+            let mut out = self.out.lock();
+            if !out.lens.is_empty() {
+                std::mem::swap(&mut out.bytes, bytes);
+                std::mem::swap(&mut out.lens, lens);
+                return Poll::Ready(true);
+            }
+            if out.senders == 0 {
+                return Poll::Ready(false);
+            }
+            out.writer = Some(cx.waker().clone());
+            Poll::Pending
+        })
+        .await
+    }
+
+    /// Refuses further sends and gives back the permits of frames still
+    /// queued. Both under one lock, so no frame can slip in behind the drain
+    /// and strand its permit.
+    fn close(&self) {
+        let mut out = self.out.lock();
+        out.closed = true;
+        for _ in out.lens.drain(..) {
+            self.budget.release();
+        }
+        out.bytes = Vec::new();
+    }
+}
+
+/// Queues frames toward one connection's writer task, enforcing both the
+/// per-connection bound and the endpoint's budget. Any number may exist for
+/// one connection: its reader answers keepalive through one, its owner
+/// routes messages through another.
+pub(crate) struct FrameSender {
+    queue: Arc<SendQueue>,
+}
+
+impl FrameSender {
+    pub(crate) fn send(&self, msg: &OfMessage) -> Result<(), SendError> {
+        let queue = &*self.queue;
+        if !queue.budget.try_acquire() {
+            queue.counters.record_budget_exhausted();
+            return Err(SendError::Backpressure);
+        }
+        let queued = {
+            let mut guard = queue.out.lock();
+            let out = &mut *guard;
+            if out.closed {
+                Err(SendError::Closed)
+            } else if out.lens.len() >= queue.cap {
+                Err(SendError::Backpressure)
+            } else {
+                out.lens.push(wire::encode_into(msg, &mut out.bytes));
+                Ok((out.lens.len(), out.writer.take()))
+            }
+        };
+        match queued {
+            Ok((depth, writer)) => {
+                queue.counters.observe_queue_depth(depth);
+                if let Some(writer) = writer {
+                    writer.wake();
+                }
                 Ok(())
             }
-            Err(TrySendError::Full(_)) => {
-                self.counters.record_send_blocked();
-                self.counters.observe_queue_depth(send_tx.len());
-                Err(SendError::Backpressure)
+            Err(refused) => {
+                queue.budget.release();
+                if refused == SendError::Backpressure {
+                    queue.counters.record_send_blocked();
+                    queue.counters.observe_queue_depth(queue.cap);
+                }
+                Err(refused)
             }
-            Err(TrySendError::Disconnected(_)) => Err(SendError::Closed),
         }
-    }
-
-    /// Frames currently waiting for the writer.
-    pub fn queue_len(&self) -> usize {
-        self.send_tx.as_ref().map_or(0, Sender::len)
-    }
-
-    /// Next inbound event, if one is already waiting.
-    pub fn try_recv(&self) -> Option<ConnEvent> {
-        self.events_rx.try_recv().ok()
-    }
-
-    /// Next inbound event, waiting at most `timeout`.
-    pub fn recv_timeout(&self, timeout: Duration) -> Option<ConnEvent> {
-        match self.events_rx.recv_timeout(timeout) {
-            Ok(ev) => Some(ev),
-            Err(RecvTimeoutError::Timeout) | Err(RecvTimeoutError::Disconnected) => None,
-        }
-    }
-
-    /// How long the receive side has been silent.
-    pub fn idle_for(&self) -> Duration {
-        self.last_rx.lock().elapsed()
-    }
-
-    /// Tears the connection down; the reader/writer threads exit shortly
-    /// after. Safe to call more than once.
-    pub fn close(&self) {
-        let _ = self.stream.shutdown(Shutdown::Both);
     }
 }
 
-impl Drop for Connection {
+impl Clone for FrameSender {
+    fn clone(&self) -> FrameSender {
+        self.queue.out.lock().senders += 1;
+        FrameSender {
+            queue: Arc::clone(&self.queue),
+        }
+    }
+}
+
+impl Drop for FrameSender {
     fn drop(&mut self) {
-        // The socket shutdown unblocks the reader (and a writer stuck in
-        // `write_all`); dropping `send_tx` unblocks a writer parked in
-        // `recv`. Then join both threads so a spawn/drop churn cannot
-        // accumulate detached threads — but with a deadline, because a
-        // hung kernel-side close must not deadlock the endpoint.
-        self.close();
-        drop(self.send_tx.take());
-        let deadline = Instant::now() + Duration::from_secs(2);
-        for handle in self.threads.drain(..) {
-            while !handle.is_finished() && Instant::now() < deadline {
-                std::thread::sleep(Duration::from_millis(1));
+        let writer = {
+            let mut out = self.queue.out.lock();
+            out.senders -= 1;
+            if out.senders > 0 {
+                return;
             }
-            if handle.is_finished() {
-                let _ = handle.join();
-            }
-            // Else: leak the thread rather than hang; it holds only its
-            // stream clone and exits once the kernel releases the socket.
+            out.writer.take()
+        };
+        if let Some(writer) = writer {
+            writer.wake();
         }
     }
 }
 
-fn notify(waker: &Option<WakeHandle>) {
-    if let Some(waker) = waker {
-        waker.notify();
+/// One connection's writer: takes everything that is queued — it never
+/// waits for more — and hands the socket one `write_all`, so a burst of
+/// replies costs one syscall, not one per frame. What it takes is at most
+/// [`ChannelConfig::send_queue_cap`] frames, and no longer counts against
+/// that bound. Every frame still gives back its own [`SendBudget`] permit
+/// after the write and, once written, is counted on its own, in queue order.
+async fn write_loop(queue: Arc<SendQueue>, mut write_half: tokio::net::OwnedWriteHalf) {
+    // This pair and the queue's change places on every write; all four
+    // vectors stay unallocated until the first frame, so an idle connection
+    // costs nothing.
+    let mut bytes: Vec<u8> = Vec::new();
+    let mut lens: Vec<usize> = Vec::new();
+    while queue.take(&mut bytes, &mut lens).await {
+        let result = write_half.write_all(&bytes).await;
+        for len in lens.drain(..) {
+            queue.budget.release();
+            if result.is_ok() {
+                queue.counters.record_frame_out(len);
+            }
+        }
+        bytes.clear();
+        if result.is_err() {
+            // Make sure the reader notices too.
+            let _ = write_half.shutdown_now(Shutdown::Both);
+            break;
+        }
+    }
+    queue.close();
+}
+
+/// The socket and the receive clock a connection's reader shares with the
+/// session's owner.
+struct Link {
+    socket: std::net::TcpStream,
+    opened: Instant,
+    /// Milliseconds after `opened` at which the last frame arrived.
+    last_rx_ms: AtomicU64,
+}
+
+impl Link {
+    fn close(&self) {
+        let _ = self.socket.shutdown(Shutdown::Both);
     }
 }
 
-fn reader_loop(
-    mut stream: TcpStream,
-    mut buf: BytesMut,
-    read_chunk: usize,
+/// An owner's handle on one open connection: sends, keepalive, teardown.
+pub(crate) struct Conn {
+    sender: FrameSender,
+    link: Arc<Link>,
+    last_echo: Instant,
+    timed_out: bool,
+}
+
+impl Conn {
+    /// Queues `msg` toward the peer. A refused frame is dropped, never
+    /// retried here: the counters record each backpressure rejection, and
+    /// the peer observes the gap the way it would observe loss on a
+    /// congested channel.
+    pub(crate) fn send(&self, msg: &OfMessage) -> Result<(), SendError> {
+        self.sender.send(msg)
+    }
+
+    /// Shuts the socket down. The reader observes it and ends, which is
+    /// what tells the owner the connection is gone — exactly once.
+    pub(crate) fn close(&self) {
+        self.link.close();
+    }
+
+    /// The periodic keepalive duty: probes the peer when
+    /// [`ChannelConfig::echo_interval`] has passed since the last probe, and
+    /// closes the connection — once — when nothing has arrived for
+    /// [`ChannelConfig::liveness_timeout`].
+    pub(crate) fn keepalive(
+        &mut self,
+        cfg: &ChannelConfig,
+        xid: &mut u32,
+        counters: &ChannelCounters,
+    ) {
+        if self.last_echo.elapsed() >= cfg.echo_interval {
+            self.last_echo = Instant::now();
+            *xid = xid.wrapping_add(1);
+            let _ = self.send(&OfMessage::new(
+                Xid(*xid),
+                OfBody::EchoRequest(Bytes::new()),
+            ));
+        }
+        let last_rx = Duration::from_millis(self.link.last_rx_ms.load(Ordering::Relaxed));
+        let idle = self.link.opened.elapsed().saturating_sub(last_rx);
+        if !self.timed_out && idle >= cfg.liveness_timeout {
+            self.timed_out = true;
+            counters.record_keepalive_timeout();
+            self.close();
+        }
+    }
+}
+
+/// The read side of one connection. Dropping it shuts the socket down,
+/// which also unblocks a writer stuck mid-write and ends the peer's read.
+pub(crate) struct FrameReader {
+    read_half: tokio::net::OwnedReadHalf,
+    buf: BytesMut,
+    chunk: Vec<u8>,
+    decoded: std::vec::IntoIter<OfMessage>,
+    link: Arc<Link>,
+    echo: FrameSender,
     counters: Arc<ChannelCounters>,
-    last_rx: Arc<Mutex<Instant>>,
-    events: Sender<ConnEvent>,
-    waker: Option<WakeHandle>,
-) {
-    let mut chunk = vec![0u8; read_chunk.max(wire::OFP_HEADER_LEN)];
-    loop {
-        match wire::decode_frames(&mut buf) {
-            Ok(msgs) => {
-                if !msgs.is_empty() {
-                    *last_rx.lock() = Instant::now();
-                    for msg in msgs {
-                        counters.record_frame_in(wire::wire_len(&msg));
-                        if events.send(ConnEvent::Message(msg)).is_err() {
-                            return; // endpoint dropped the connection
-                        }
+}
+
+impl FrameReader {
+    /// The next inbound message that is not keepalive. `None` once the
+    /// stream has ended, failed, or carried bytes that do not decode — the
+    /// stream cannot be trusted past that point, so the error is counted
+    /// and the connection is over.
+    pub(crate) async fn next(&mut self) -> Option<OfMessage> {
+        loop {
+            for msg in self.decoded.by_ref() {
+                self.counters.record_frame_in(wire::wire_len(&msg));
+                match msg.body {
+                    OfBody::EchoRequest(data) => {
+                        let _ = self
+                            .echo
+                            .send(&OfMessage::new(msg.xid, OfBody::EchoReply(data)));
                     }
-                    notify(&waker);
+                    OfBody::EchoReply(_) => {}
+                    _ => return Some(msg),
                 }
             }
-            Err(err) => {
-                counters.record_decode_error();
-                let _ = events.send(ConnEvent::Closed(CloseReason::Decode(err)));
-                notify(&waker);
-                let _ = stream.shutdown(Shutdown::Both);
-                return;
+            match wire::decode_frames(&mut self.buf) {
+                Ok(msgs) if !msgs.is_empty() => {
+                    let at = self.link.opened.elapsed().as_millis() as u64;
+                    self.link.last_rx_ms.store(at, Ordering::Relaxed);
+                    self.decoded = msgs.into_iter();
+                    continue;
+                }
+                Ok(_) => {}
+                Err(_) => {
+                    self.counters.record_decode_error();
+                    return None;
+                }
             }
-        }
-        match stream.read(&mut chunk) {
-            Ok(0) => {
-                let _ = events.send(ConnEvent::Closed(CloseReason::Eof));
-                notify(&waker);
-                return;
-            }
-            Ok(n) => buf.extend_from_slice(&chunk[..n]),
-            Err(err) => {
-                let _ = events.send(ConnEvent::Closed(CloseReason::Io(err.kind())));
-                notify(&waker);
-                return;
+            match self.read_half.read(&mut self.chunk).await {
+                Ok(0) | Err(_) => return None,
+                Ok(n) => self.buf.extend_from_slice(&self.chunk[..n]),
             }
         }
     }
 }
 
-fn writer_loop(
-    mut stream: TcpStream,
-    frames: Receiver<bytes::Bytes>,
-    counters: Arc<ChannelCounters>,
-) {
-    while let Ok(frame) = frames.recv() {
-        if stream.write_all(&frame).is_err() {
-            // Make sure the reader notices too.
-            let _ = stream.shutdown(Shutdown::Both);
-            return;
+impl Drop for FrameReader {
+    fn drop(&mut self) {
+        self.link.close();
+    }
+}
+
+/// Takes over a handshaken stream: starts its writer task on the current
+/// runtime and returns the owner's handle and the reader, which the calling
+/// task drives ([`Shared::serve`] does, for the endpoints). `residue` is
+/// whatever the handshake over-read past its last frame — the reader starts
+/// from it, so coalesced post-handshake messages are not lost.
+///
+/// # Errors
+///
+/// Fails when the socket cannot be duplicated for its second half.
+pub(crate) fn open(
+    stream: tokio::net::TcpStream,
+    residue: BytesMut,
+    cfg: &ChannelConfig,
+    budget: &Arc<SendBudget>,
+    counters: &Arc<ChannelCounters>,
+) -> io::Result<(Conn, FrameReader)> {
+    let link = Arc::new(Link {
+        socket: stream.try_clone_std()?,
+        opened: Instant::now(),
+        last_rx_ms: AtomicU64::new(0),
+    });
+    let (read_half, write_half) = stream.into_split()?;
+    let (sender, queue) =
+        SendQueue::new(cfg.send_queue_cap, Arc::clone(budget), Arc::clone(counters));
+    tokio::spawn(write_loop(queue, write_half));
+    let reader = FrameReader {
+        read_half,
+        buf: residue,
+        chunk: vec![0u8; cfg.read_chunk.max(wire::OFP_HEADER_LEN)],
+        decoded: Vec::new().into_iter(),
+        link: Arc::clone(&link),
+        echo: sender.clone(),
+        counters: Arc::clone(counters),
+    };
+    let conn = Conn {
+        sender,
+        link,
+        last_echo: Instant::now(),
+        timed_out: false,
+    };
+    Ok((conn, reader))
+}
+
+/// What the connection tasks of one endpoint share; `E` is what the queue
+/// of the endpoint's owner carries.
+pub(crate) struct Shared<E> {
+    pub(crate) cfg: ChannelConfig,
+    pub(crate) counters: Arc<ChannelCounters>,
+    budget: Arc<SendBudget>,
+    events: mpsc::Sender<E>,
+    keys: AtomicU64,
+}
+
+impl<E> Shared<E> {
+    /// `budget` bounds the frames queued across all of the endpoint's
+    /// connections.
+    pub(crate) fn new(
+        cfg: ChannelConfig,
+        counters: Arc<ChannelCounters>,
+        budget: usize,
+        events: mpsc::Sender<E>,
+    ) -> Arc<Shared<E>> {
+        Arc::new(Shared {
+            cfg,
+            counters,
+            budget: SendBudget::new(budget),
+            events,
+            keys: AtomicU64::new(0),
+        })
+    }
+
+    /// Runs one handshaken stream to completion under a fresh key, telling
+    /// the owner — in this order — that it is connected, each message its
+    /// reader yields (`Some`), and exactly once that it is closed (`None`).
+    /// Returns `false` when the owner is gone.
+    pub(crate) async fn serve(
+        &self,
+        stream: tokio::net::TcpStream,
+        residue: BytesMut,
+        connected: impl FnOnce(u64, Conn) -> E,
+        inbound: impl Fn(u64, Option<OfMessage>) -> E,
+    ) -> bool {
+        let Ok((conn, mut reader)) = open(stream, residue, &self.cfg, &self.budget, &self.counters)
+        else {
+            self.counters.record_connect_failure();
+            return true;
+        };
+        let key = self.keys.fetch_add(1, Ordering::Relaxed);
+        if self.events.send(connected(key, conn)).await.is_err() {
+            return false;
         }
-        counters.record_frame_out(frame.len());
+        while let Some(msg) = reader.next().await {
+            if self.events.send(inbound(key, Some(msg))).await.is_err() {
+                return false;
+            }
+        }
+        drop(reader);
+        self.events.send(inbound(key, None)).await.is_ok()
+    }
+}
+
+/// Accepts on `listener` for as long as its endpoint's runtime lives. Every
+/// dial is handed to a task of its own (`serve`), so a peer that connects
+/// and then says nothing holds up nobody else.
+pub(crate) async fn accept_each<F>(
+    listener: std::net::TcpListener,
+    serve: impl Fn(tokio::net::TcpStream) -> F,
+) where
+    F: Future<Output = ()> + Send + 'static,
+{
+    let Ok(listener) = tokio::net::TcpListener::from_std(listener) else {
+        return;
+    };
+    loop {
+        let Ok((stream, _peer)) = listener.accept().await else {
+            // Transient accept errors (e.g. fd pressure): back off briefly.
+            tokio::time::sleep(Duration::from_millis(10)).await;
+            continue;
+        };
+        let _ = stream.set_nodelay(true);
+        tokio::spawn(serve(stream));
+    }
+}
+
+#[cfg(test)]
+impl Conn {
+    /// A handle nobody serves: no writer, no reader. What is sent through
+    /// it piles up in the returned queue.
+    pub(crate) fn unserved(
+        cap: usize,
+        budget: &Arc<SendBudget>,
+        counters: &Arc<ChannelCounters>,
+    ) -> (Conn, Arc<SendQueue>) {
+        let (sender, queue) = SendQueue::new(cap, Arc::clone(budget), Arc::clone(counters));
+        let conn = Conn {
+            sender,
+            link: Arc::new(Link {
+                socket: tests::socket_pair().0,
+                opened: Instant::now(),
+                last_rx_ms: AtomicU64::new(0),
+            }),
+            last_echo: Instant::now(),
+            timed_out: false,
+        };
+        (conn, queue)
+    }
+}
+
+#[cfg(test)]
+impl SendQueue {
+    /// Empties the queue and decodes what was in it.
+    pub(crate) fn drain_decoded(&self) -> Vec<OfMessage> {
+        let mut out = self.out.lock();
+        out.lens.clear();
+        let mut buf = BytesMut::new();
+        buf.extend_from_slice(&std::mem::take(&mut out.bytes));
+        wire::decode_frames(&mut buf).expect("well-formed frames")
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ofproto::messages::OfBody;
-    use ofproto::types::Xid;
-    use std::net::TcpListener;
+    use std::io::{Read, Write};
+    use std::sync::Barrier;
 
-    fn pair() -> (TcpStream, TcpStream) {
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap();
-        let client = TcpStream::connect(addr).unwrap();
-        let (server, _) = listener.accept().unwrap();
-        (client, server)
+    use crate::handshake;
+    use ofproto::messages::FeaturesReply;
+    use ofproto::types::DatapathId;
+
+    const BODY: usize = 16 * 1024;
+    const FRAME: usize = wire::OFP_HEADER_LEN + BODY;
+
+    /// One accepted connection with [`write_loop`]'s inputs laid out, the
+    /// writer not yet started: frames sent now pile up in the queue.
+    struct Rig {
+        rt: tokio::runtime::Runtime,
+        peer: std::net::TcpStream,
+        sender: FrameSender,
+        queue: Arc<SendQueue>,
+        read_half: tokio::net::OwnedReadHalf,
+        write_half: tokio::net::OwnedWriteHalf,
+    }
+
+    pub(super) fn socket_pair() -> (std::net::TcpStream, std::net::TcpStream) {
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind");
+        let peer =
+            std::net::TcpStream::connect(listener.local_addr().expect("addr")).expect("connect");
+        let (server, _) = listener.accept().expect("accept");
+        (peer, server)
+    }
+
+    /// `cap` frames of queue, `permits` of endpoint-wide budget.
+    fn rig(cap: usize, permits: usize) -> Rig {
+        let rt = tokio::runtime::Builder::new_multi_thread()
+            .worker_threads(1)
+            .enable_all()
+            .build()
+            .expect("runtime");
+        let (peer, server) = socket_pair();
+        let (read_half, write_half) = rt
+            .block_on(async { tokio::net::TcpStream::from_std(server)?.into_split() })
+            .expect("register");
+        let (sender, queue) = SendQueue::new(
+            cap,
+            SendBudget::new(permits),
+            Arc::new(ChannelCounters::new()),
+        );
+        Rig {
+            rt,
+            peer,
+            sender,
+            queue,
+            read_half,
+            write_half,
+        }
+    }
+
+    fn frame(i: usize) -> OfMessage {
+        let body = Bytes::from(vec![i as u8; BODY]);
+        OfMessage::new(Xid(i as u32), OfBody::EchoRequest(body))
+    }
+
+    fn permits(queue: &SendQueue) -> usize {
+        queue.budget.permits.load(Ordering::Acquire)
+    }
+
+    /// Reads frames off `peer` until `count` have arrived.
+    fn read_frames(peer: &mut std::net::TcpStream, count: usize) -> Vec<OfMessage> {
+        let mut buf = BytesMut::new();
+        let mut chunk = vec![0u8; 64 * 1024];
+        let mut msgs = Vec::new();
+        while msgs.len() < count {
+            let n = peer.read(&mut chunk).expect("read");
+            assert!(n > 0, "stream ended after {} frames", msgs.len());
+            buf.extend_from_slice(&chunk[..n]);
+            msgs.extend(wire::decode_frames(&mut buf).expect("well-formed frames"));
+        }
+        assert!(buf.is_empty(), "bytes beyond the last frame");
+        msgs
+    }
+
+    #[test]
+    fn stalled_peer_gets_every_frame_in_order_and_the_budget_refills() {
+        // 16 MiB: far more than a socket pair buffers for a peer that is
+        // not reading, so the writer stalls inside a batch.
+        const FRAMES: usize = 1024;
+        let Rig {
+            rt,
+            mut peer,
+            sender,
+            queue,
+            read_half: _read_half,
+            write_half,
+        } = rig(FRAMES, FRAMES);
+        for i in 0..FRAMES {
+            sender.send(&frame(i)).expect("queue holds every frame");
+        }
+        assert_eq!(permits(&queue), 0);
+        let writer = rt.spawn(write_loop(Arc::clone(&queue), write_half));
+
+        // The peer resumes reading.
+        for (i, msg) in read_frames(&mut peer, FRAMES).iter().enumerate() {
+            assert_eq!(*msg, frame(i), "frame {i} out of order or damaged");
+        }
+
+        // With every sender gone the writer runs out of frames and ends.
+        drop(sender);
+        rt.block_on(writer).expect("writer panicked");
+        let snap = queue.counters.snapshot();
+        assert_eq!(snap.frames_out, FRAMES as u64);
+        assert_eq!(snap.bytes_out, (FRAMES * FRAME) as u64);
+        assert_eq!(permits(&queue), FRAMES);
+    }
+
+    #[test]
+    fn peer_reset_mid_batch_leaks_no_permit_and_ends_the_reader() {
+        const PERMITS: usize = 256;
+        let Rig {
+            rt,
+            mut peer,
+            sender,
+            queue,
+            mut read_half,
+            write_half,
+        } = rig(PERMITS, PERMITS);
+        // Queued before the writer starts: its first write is a batch.
+        let mut accepted = 0u64;
+        for i in 0..PERMITS {
+            sender
+                .send(&frame(i))
+                .expect("queue holds the first frames");
+            accepted += 1;
+        }
+        let writer = rt.spawn(write_loop(Arc::clone(&queue), write_half));
+        // One frame read proves the writer is under way; then the peer
+        // vanishes with the rest unread.
+        let mut first = vec![0u8; FRAME];
+        peer.read_exact(&mut first).expect("first frame");
+        drop(peer);
+
+        // Keep frames coming until the writer has hit the dead socket and
+        // closed its queue, however much the kernel buffered before that.
+        let deadline = Instant::now() + Duration::from_secs(30);
+        loop {
+            match sender.send(&frame(0)) {
+                Ok(()) => accepted += 1,
+                Err(SendError::Backpressure) => std::thread::yield_now(),
+                Err(SendError::Closed) => break,
+            }
+            assert!(Instant::now() < deadline, "writer never noticed the reset");
+        }
+        rt.block_on(writer).expect("writer panicked");
+
+        // Written, failed and stranded frames all gave their permits back,
+        // while a sender is still alive.
+        assert_eq!(permits(&queue), PERMITS);
+        assert_eq!(sender.send(&frame(0)), Err(SendError::Closed));
+        assert_eq!(permits(&queue), PERMITS);
+        let snap = queue.counters.snapshot();
+        assert!(
+            snap.frames_out < accepted,
+            "the failed batch is not counted"
+        );
+        assert_eq!(snap.bytes_out, snap.frames_out * FRAME as u64);
+
+        // The reader's half of the socket is shut down with it.
+        let mut byte = [0u8; 1];
+        let read = rt.block_on(tokio::time::timeout(
+            Duration::from_secs(5),
+            read_half.read(&mut byte),
+        ));
+        assert!(
+            matches!(read, Ok(Ok(0) | Err(_))),
+            "reader still blocked or fed: {read:?}"
+        );
+    }
+
+    #[test]
+    fn the_bound_is_on_queued_frames_and_an_idle_queue_owns_no_buffer() {
+        const CAP: usize = 8;
+        let Rig {
+            rt,
+            mut peer,
+            sender,
+            queue,
+            read_half: _read_half,
+            write_half,
+        } = rig(CAP, 4 * CAP);
+        {
+            let out = queue.out.lock();
+            assert_eq!((out.bytes.capacity(), out.lens.capacity()), (0, 0));
+        }
+        for i in 0..CAP {
+            sender.send(&frame(i)).expect("up to the cap is accepted");
+        }
+        assert_eq!(sender.send(&frame(CAP)), Err(SendError::Backpressure));
+        let snap = queue.counters.snapshot();
+        assert_eq!((snap.sends_blocked, snap.budget_exhausted), (1, 0));
+        assert_eq!(snap.send_queue_hwm, CAP as u64);
+        assert_eq!(permits(&queue), 3 * CAP, "the refused frame holds none");
+
+        // Frames the writer has taken no longer count: with the peer not
+        // reading yet, a second capful is accepted as soon as the first is
+        // in the writer's hands.
+        let writer = rt.spawn(write_loop(Arc::clone(&queue), write_half));
+        let deadline = Instant::now() + Duration::from_secs(30);
+        let mut sent = CAP;
+        while sent < 2 * CAP {
+            match sender.send(&frame(sent)) {
+                Ok(()) => sent += 1,
+                Err(SendError::Backpressure) => std::thread::yield_now(),
+                Err(SendError::Closed) => panic!("writer stopped"),
+            }
+            assert!(Instant::now() < deadline, "writer never took the queue");
+        }
+        for (i, msg) in read_frames(&mut peer, 2 * CAP).iter().enumerate() {
+            assert_eq!(*msg, frame(i));
+        }
+        drop(sender);
+        rt.block_on(writer).expect("writer panicked");
+        assert_eq!(queue.counters.snapshot().frames_out, 2 * CAP as u64);
+        assert_eq!(permits(&queue), 4 * CAP);
+    }
+
+    #[test]
+    fn two_producers_share_one_queue_and_a_lone_frame_leaves_at_once() {
+        const EACH: usize = 200;
+        let Rig {
+            rt,
+            mut peer,
+            sender,
+            queue,
+            read_half: _read_half,
+            write_half,
+        } = rig(2 * EACH + 1, 2 * EACH + 1);
+        let writer = rt.spawn(write_loop(Arc::clone(&queue), write_half));
+
+        // Nothing else is queued and nothing follows: the writer must not
+        // be waiting for company.
+        peer.set_read_timeout(Some(Duration::from_secs(30)))
+            .expect("timeout");
+        sender.send(&frame(7)).expect("lone frame");
+        assert_eq!(read_frames(&mut peer, 1), vec![frame(7)]);
+
+        // The reader task's echo replies and the control loop's messages:
+        // two threads, one queue, released together.
+        let start = Barrier::new(2);
+        let echo = sender.clone();
+        let tagged = |tag: u32, i: usize| {
+            OfMessage::new(Xid(tag << 16 | i as u32), OfBody::EchoReply(Bytes::new()))
+        };
+        let got = std::thread::scope(|s| {
+            s.spawn(|| {
+                start.wait();
+                for i in 0..EACH {
+                    echo.send(&tagged(1, i)).expect("echo side");
+                }
+            });
+            s.spawn(|| {
+                start.wait();
+                for i in 0..EACH {
+                    sender.send(&tagged(2, i)).expect("control side");
+                }
+            });
+            read_frames(&mut peer, 2 * EACH)
+        });
+        // Whole frames only, and each producer's in its own order.
+        for tag in [1, 2] {
+            let mine: Vec<&OfMessage> = got.iter().filter(|m| m.xid.0 >> 16 == tag).collect();
+            assert_eq!(mine.len(), EACH);
+            for (i, msg) in mine.into_iter().enumerate() {
+                assert_eq!(*msg, tagged(tag, i));
+            }
+        }
+        drop((sender, echo));
+        rt.block_on(writer).expect("writer panicked");
+        assert_eq!(permits(&queue), 2 * EACH + 1);
+    }
+
+    // Whole connections: both ends opened the way the endpoints open them.
+
+    fn runtime() -> tokio::runtime::Runtime {
+        tokio::runtime::Builder::new_multi_thread()
+            .worker_threads(2)
+            .enable_all()
+            .build()
+            .expect("runtime")
+    }
+
+    struct End {
+        conn: Conn,
+        reader: FrameReader,
+        counters: Arc<ChannelCounters>,
+        budget: Arc<SendBudget>,
+    }
+
+    const PERMITS: usize = 64;
+
+    /// A controller-side and a switch-side end of one handshaken socket,
+    /// each with counters and a budget of its own.
+    async fn ends(cfg: ChannelConfig) -> (End, End) {
+        let listener = tokio::net::TcpListener::bind("127.0.0.1:0")
+            .await
+            .expect("bind");
+        let addr = listener.local_addr().expect("addr");
+        let features = FeaturesReply {
+            datapath_id: DatapathId(5),
+            n_buffers: 0,
+            n_tables: 1,
+            ports: Vec::new(),
+        };
+        let switch_side = tokio::spawn(async move {
+            let mut stream = tokio::net::TcpStream::connect(addr).await.expect("dial");
+            let residue = handshake::accept_async(&mut stream, &features, &cfg)
+                .await
+                .expect("acceptor");
+            end(stream, residue, &cfg)
+        });
+        let (mut stream, _) = listener.accept().await.expect("accept");
+        let (_, residue) = handshake::initiate_async(&mut stream, &cfg)
+            .await
+            .expect("initiator");
+        let controller_side = end(stream, residue, &cfg);
+        (controller_side, switch_side.await.expect("switch side"))
+    }
+
+    fn end(stream: tokio::net::TcpStream, residue: BytesMut, cfg: &ChannelConfig) -> End {
+        let counters = Arc::new(ChannelCounters::new());
+        let budget = SendBudget::new(PERMITS);
+        let (conn, reader) = open(stream, residue, cfg, &budget, &counters).expect("open");
+        End {
+            conn,
+            reader,
+            counters,
+            budget,
+        }
+    }
+
+    fn barrier(xid: u32) -> OfMessage {
+        OfMessage::new(Xid(xid), OfBody::BarrierRequest)
     }
 
     #[test]
     fn messages_cross_the_wire() {
-        let (a, b) = pair();
-        let counters_a = Arc::new(ChannelCounters::new());
-        let counters_b = Arc::new(ChannelCounters::new());
-        let cfg = ChannelConfig::default();
-        let conn_a = Connection::spawn(a, &cfg, counters_a.clone(), BytesMut::new()).unwrap();
-        let conn_b = Connection::spawn(b, &cfg, counters_b.clone(), BytesMut::new()).unwrap();
+        let rt = runtime();
+        rt.block_on(async {
+            let (a, mut b) = ends(ChannelConfig::default()).await;
+            a.conn.send(&barrier(7)).expect("room");
+            let got = tokio::time::timeout(Duration::from_secs(5), b.reader.next()).await;
+            assert_eq!(got, Ok(Some(barrier(7))));
+            assert_eq!(b.counters.snapshot().frames_in, 1);
+            // The writer counts a frame once the socket has taken it.
+            let deadline = Instant::now() + Duration::from_secs(5);
+            while a.counters.snapshot().frames_out < 1 {
+                assert!(Instant::now() < deadline, "frame never counted out");
+                tokio::time::sleep(Duration::from_millis(1)).await;
+            }
 
-        let msg = OfMessage::new(
-            Xid(7),
-            OfBody::EchoRequest(bytes::Bytes::from_static(b"hi")),
-        );
-        conn_a.send(&msg).unwrap();
-        match conn_b.recv_timeout(Duration::from_secs(5)) {
-            Some(ConnEvent::Message(got)) => assert_eq!(got, msg),
-            other => panic!("expected message, got {other:?}"),
-        }
-        assert_eq!(counters_a.snapshot().frames_out, 1);
-        assert_eq!(counters_b.snapshot().frames_in, 1);
-
-        conn_a.close();
-        match conn_b.recv_timeout(Duration::from_secs(5)) {
-            Some(ConnEvent::Closed(_)) => {}
-            other => panic!("expected close, got {other:?}"),
-        }
+            // Closing one end ends the other's reader.
+            a.conn.close();
+            let got = tokio::time::timeout(Duration::from_secs(5), b.reader.next()).await;
+            assert_eq!(got, Ok(None));
+        });
     }
 
+    /// The reader answers keepalive itself, with the probe's xid and
+    /// payload, and hands none of it to the owner.
+    #[test]
+    fn the_reader_answers_echo_and_keeps_keepalive_to_itself() {
+        let rt = runtime();
+        rt.block_on(async {
+            let (mut a, mut b) = ends(ChannelConfig::default()).await;
+            let probe = OfMessage::new(Xid(31), OfBody::EchoRequest(Bytes::from_static(b"hi")));
+            a.conn.send(&probe).expect("room");
+            a.conn.send(&barrier(32)).expect("room");
+            // B's owner sees only the barrier; by then the echo is answered.
+            let got = tokio::time::timeout(Duration::from_secs(5), b.reader.next()).await;
+            assert_eq!(got, Ok(Some(barrier(32))));
+            assert_eq!(b.counters.snapshot().frames_in, 2);
+            // The reply reaches A's reader, which keeps it too: the next
+            // thing A's owner sees is B's barrier, sent after it.
+            b.conn.send(&barrier(33)).expect("room");
+            let got = tokio::time::timeout(Duration::from_secs(5), a.reader.next()).await;
+            assert_eq!(got, Ok(Some(barrier(33))));
+            let snap = a.counters.snapshot();
+            assert_eq!((snap.frames_in, snap.bytes_in), (2, 8 + 2 + 8));
+        });
+    }
+
+    /// Garbage after the handshake, at either end: one decode error, the
+    /// connection is over for reader and writer both, and the dead end's
+    /// budget is whole again.
     #[test]
     fn garbage_bytes_count_and_close() {
-        let (mut a, b) = pair();
-        let counters = Arc::new(ChannelCounters::new());
-        let conn = Connection::spawn(
-            b,
-            &ChannelConfig::default(),
-            counters.clone(),
-            BytesMut::new(),
-        )
-        .unwrap();
-        a.write_all(&[0xde; 64]).unwrap();
-        match conn.recv_timeout(Duration::from_secs(5)) {
-            Some(ConnEvent::Closed(CloseReason::Decode(_))) => {}
-            other => panic!("expected decode close, got {other:?}"),
-        }
-        assert_eq!(counters.snapshot().decode_errors, 1);
+        let rt = runtime();
+        rt.block_on(async {
+            for victim_is_controller in [true, false] {
+                let (a, b) = ends(ChannelConfig::default()).await;
+                let (mut victim, peer) = if victim_is_controller { (a, b) } else { (b, a) };
+                // A frame in the victim's queue's hands when the garbage
+                // lands must not strand its permit either.
+                victim.conn.send(&barrier(1)).expect("room");
+                (&peer.conn.link.socket)
+                    .write_all(&[0xde; 64])
+                    .expect("raw write");
+                let got = tokio::time::timeout(Duration::from_secs(5), victim.reader.next()).await;
+                assert_eq!(got, Ok(None), "the reader gives up on the stream");
+                assert_eq!(victim.counters.snapshot().decode_errors, 1);
+                drop(victim.reader);
+
+                let deadline = Instant::now() + Duration::from_secs(5);
+                while victim.conn.send(&barrier(2)) != Err(SendError::Closed) {
+                    assert!(Instant::now() < deadline, "writer never closed its queue");
+                    tokio::time::sleep(Duration::from_millis(1)).await;
+                }
+                assert_eq!(victim.budget.permits.load(Ordering::Acquire), PERMITS);
+                assert_eq!(peer.counters.snapshot().decode_errors, 0);
+            }
+        });
     }
 
     #[test]
     fn full_queue_reports_backpressure() {
-        let (a, _b) = pair();
-        // _b is never read and never spawned, so after the kernel buffers
-        // fill the writer blocks and the tiny queue overflows.
-        let counters = Arc::new(ChannelCounters::new());
-        let cfg = ChannelConfig::default().with_send_queue_cap(4);
-        let conn = Connection::spawn(a, &cfg, counters.clone(), BytesMut::new()).unwrap();
-        let payload = bytes::Bytes::from(vec![0u8; 32 * 1024]);
-        let msg = OfMessage::new(Xid(1), OfBody::EchoRequest(payload));
-        let mut saw_backpressure = false;
-        for _ in 0..4096 {
-            if conn.send(&msg) == Err(SendError::Backpressure) {
-                saw_backpressure = true;
-                break;
+        let rt = runtime();
+        rt.block_on(async {
+            // The peer's reader is never driven, so once the kernel buffers
+            // are full the writer stalls and the tiny queue overflows.
+            let cfg = ChannelConfig::default().with_send_queue_cap(4);
+            let (a, _b) = ends(cfg).await;
+            let big = OfMessage::new(
+                Xid(1),
+                OfBody::EchoRequest(Bytes::from(vec![0u8; 32 * 1024])),
+            );
+            let mut saw_backpressure = false;
+            for _ in 0..4096 {
+                match a.conn.send(&big) {
+                    Ok(()) => tokio::time::sleep(Duration::from_micros(50)).await,
+                    Err(SendError::Backpressure) => {
+                        saw_backpressure = true;
+                        break;
+                    }
+                    Err(SendError::Closed) => panic!("connection closed"),
+                }
             }
-        }
-        assert!(saw_backpressure, "queue never filled");
-        let snap = counters.snapshot();
-        assert!(snap.sends_blocked >= 1);
-        assert!(snap.send_queue_hwm >= 4);
+            assert!(saw_backpressure, "queue never filled");
+            let snap = a.counters.snapshot();
+            assert!(snap.sends_blocked >= 1);
+            assert_eq!(snap.send_queue_hwm, 4);
+        });
     }
 
+    /// A silent peer is probed, then declared dead exactly once; the close
+    /// is what ends the reader.
     #[test]
-    fn waker_fires_on_inbound_message() {
-        let (a, b) = pair();
-        let cfg = ChannelConfig::default();
-        let (waker, wake_rx) = wake_channel();
-        let conn_a =
-            Connection::spawn(a, &cfg, Arc::new(ChannelCounters::new()), BytesMut::new()).unwrap();
-        let conn_b = Connection::spawn_with_waker(
-            b,
-            &cfg,
-            Arc::new(ChannelCounters::new()),
-            BytesMut::new(),
-            Some(waker),
-        )
-        .unwrap();
-        let msg = OfMessage::new(Xid(3), OfBody::EchoRequest(bytes::Bytes::from_static(b"x")));
-        conn_a.send(&msg).unwrap();
-        wake_rx
-            .recv_timeout(Duration::from_secs(5))
-            .expect("waker never fired");
-        match conn_b.try_recv() {
-            Some(ConnEvent::Message(got)) => assert_eq!(got, msg),
-            other => panic!("expected message after wake, got {other:?}"),
-        }
-    }
-
-    /// Counts this process's live threads via `/proc/self/task`.
-    fn live_threads() -> usize {
-        std::fs::read_dir("/proc/self/task").unwrap().count()
-    }
-
-    /// Regression: reader/writer threads used to be detached, so an
-    /// endpoint churning through reconnects accumulated threads blocked in
-    /// `read` until fd/thread exhaustion. Drop now joins them.
-    #[test]
-    fn drop_joins_connection_threads() {
-        let cfg = ChannelConfig::default();
-        let before = live_threads();
-        for _ in 0..100 {
-            let (a, b) = pair();
-            let conn_a =
-                Connection::spawn(a, &cfg, Arc::new(ChannelCounters::new()), BytesMut::new())
-                    .unwrap();
-            let conn_b =
-                Connection::spawn(b, &cfg, Arc::new(ChannelCounters::new()), BytesMut::new())
-                    .unwrap();
-            drop(conn_a);
-            drop(conn_b);
-        }
-        let after = live_threads();
-        // Parallel test threads add noise; 400 leaked threads (4 per
-        // iteration) would dwarf this slack.
-        assert!(
-            after <= before + 8,
-            "thread leak: {before} threads before churn, {after} after"
-        );
+    fn keepalive_probes_then_times_a_silent_peer_out_once() {
+        let rt = runtime();
+        rt.block_on(async {
+            let cfg = ChannelConfig::default()
+                .with_echo_interval(Duration::from_millis(10))
+                .with_liveness_timeout(Duration::from_millis(60));
+            // B's reader is never driven: A hears nothing back.
+            let started = Instant::now();
+            let (mut a, _b) = ends(cfg).await;
+            let mut xid = 0u32;
+            while a.counters.snapshot().keepalive_timeouts == 0 {
+                a.conn.keepalive(&cfg, &mut xid, &a.counters);
+                assert!(
+                    started.elapsed() < Duration::from_secs(5),
+                    "never timed out"
+                );
+                tokio::time::sleep(Duration::from_millis(2)).await;
+            }
+            assert!(started.elapsed() >= cfg.liveness_timeout);
+            assert!(xid >= 1, "gave up without ever probing");
+            a.conn.keepalive(&cfg, &mut xid, &a.counters);
+            assert_eq!(a.counters.snapshot().keepalive_timeouts, 1);
+            let got = tokio::time::timeout(Duration::from_secs(5), a.reader.next()).await;
+            assert_eq!(got, Ok(None));
+        });
     }
 }

@@ -1,7 +1,7 @@
 //! Per-endpoint transport counters.
 //!
 //! Shared by every connection an endpoint owns and updated lock-free from
-//! the reader/writer threads, so tests and operators can observe channel
+//! the reader/writer tasks, so tests and operators can observe channel
 //! health (decode errors from hostile bytes, backpressure under flood,
 //! reconnect churn) without stopping the endpoint.
 

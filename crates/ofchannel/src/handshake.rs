@@ -1,20 +1,26 @@
 //! The OpenFlow 1.0 session handshake.
 //!
-//! Runs synchronously on the fresh stream before the reader/writer threads
-//! take over: `HELLO` exchange, then `FEATURES_REQUEST`/`FEATURES_REPLY`.
-//! The features reply is the identity step — its `datapath_id` tells the
+//! Runs on the fresh stream before the connection's reader and writer take
+//! over: `HELLO` exchange, then `FEATURES_REQUEST`/`FEATURES_REPLY`. The
+//! features reply is the identity step — its `datapath_id` tells the
 //! controller which switch (or, with [`crate::DEVICE_DPID_FLAG`], which
 //! data-plane cache) it is talking to.
 //!
-//! Both sides tolerate reordering and keepalive probes mid-handshake, and
-//! both return the bytes they over-read so the connection's reader thread
-//! can pick up exactly where the handshake stopped.
+//! The protocol is one state machine that does no I/O (`Handshake`): fed
+//! the peer's bytes, it yields the bytes to send and, at the end, the
+//! peer's features and whatever was over-read, so the connection's reader
+//! can pick up exactly where the handshake stopped. It alone knows the
+//! ordering rules; both sides tolerate reordering and keepalive probes
+//! mid-handshake. Two drivers move its bytes: a blocking one over
+//! `std::net` ([`initiate`], [`accept`] — what a plain-socket peer uses)
+//! and an async one for the endpoints, which never park a runtime worker
+//! on a silent peer.
 
 use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::time::{Duration, Instant};
 
-use bytes::BytesMut;
+use bytes::{Buf, BytesMut};
 use ofproto::messages::{FeaturesReply, OfBody, OfMessage};
 use ofproto::types::Xid;
 use ofproto::wire::{self, DecodeError};
@@ -64,6 +70,92 @@ impl From<DecodeError> for HandshakeError {
     }
 }
 
+/// The HELLO/FEATURES exchange as seen from one side, free of I/O.
+///
+/// A driver writes `outbound` to the peer whenever it is not empty, clears
+/// it, and passes what it reads to [`Handshake::feed`] until that returns
+/// the outcome — after which `outbound` may hold one last frame to write.
+pub(crate) struct Handshake<'a> {
+    /// What a `FEATURES_REQUEST` is answered with. The initiating side has
+    /// none: it asks, and completes on the peer's reply instead.
+    features: Option<&'a FeaturesReply>,
+    saw_hello: bool,
+    inbound: BytesMut,
+    outbound: Vec<u8>,
+}
+
+/// How a completed handshake ended: the peer's features (initiating side
+/// only) and the bytes read past the last handshake frame.
+type Outcome = (Option<FeaturesReply>, BytesMut);
+
+impl<'a> Handshake<'a> {
+    /// Controller side: opens with `HELLO` + `FEATURES_REQUEST`.
+    pub(crate) fn initiator() -> Handshake<'a> {
+        let mut machine = Handshake::opening(None);
+        machine.queue(&OfMessage::new(Xid(1), OfBody::FeaturesRequest));
+        machine
+    }
+
+    /// Switch/device side: opens with `HELLO`, answers the peer's
+    /// `FEATURES_REQUEST` with `features`.
+    pub(crate) fn acceptor(features: &'a FeaturesReply) -> Handshake<'a> {
+        Handshake::opening(Some(features))
+    }
+
+    fn opening(features: Option<&'a FeaturesReply>) -> Handshake<'a> {
+        let mut machine = Handshake {
+            features,
+            saw_hello: false,
+            inbound: BytesMut::new(),
+            outbound: Vec::new(),
+        };
+        machine.queue(&OfMessage::new(Xid(0), OfBody::Hello));
+        machine
+    }
+
+    fn queue(&mut self, msg: &OfMessage) {
+        wire::encode_into(msg, &mut self.outbound);
+    }
+
+    /// Takes bytes the peer sent. `Ok(None)` asks for more.
+    ///
+    /// # Errors
+    ///
+    /// [`HandshakeError::Decode`] for bytes that are not OpenFlow 1.0 and
+    /// [`HandshakeError::Unexpected`] for a valid message out of place.
+    pub(crate) fn feed(&mut self, bytes: &[u8]) -> Result<Option<Outcome>, HandshakeError> {
+        self.inbound.extend_from_slice(bytes);
+        while let Some(len) = wire::frame_len(&self.inbound)? {
+            if self.inbound.len() < len {
+                break;
+            }
+            let msg = wire::decode(&self.inbound[..len])?;
+            self.inbound.advance(len);
+            match (msg.body, self.features) {
+                (OfBody::Hello, _) => self.saw_hello = true,
+                (OfBody::EchoRequest(data), _) => {
+                    self.queue(&OfMessage::new(msg.xid, OfBody::EchoReply(data)));
+                }
+                (OfBody::FeaturesReply(theirs), None) => {
+                    return Ok(Some((Some(theirs), std::mem::take(&mut self.inbound))));
+                }
+                (OfBody::FeaturesRequest, Some(mine)) => {
+                    if !self.saw_hello {
+                        return Err(HandshakeError::Unexpected("features_request before hello"));
+                    }
+                    self.queue(&OfMessage::new(
+                        msg.xid,
+                        OfBody::FeaturesReply(mine.clone()),
+                    ));
+                    return Ok(Some((None, std::mem::take(&mut self.inbound))));
+                }
+                _ => return Err(HandshakeError::Unexpected("message")),
+            }
+        }
+        Ok(None)
+    }
+}
+
 /// Controller side: sends `HELLO` + `FEATURES_REQUEST`, waits for the
 /// peer's `FEATURES_REPLY`.
 ///
@@ -76,21 +168,8 @@ pub fn initiate(
     stream: &mut TcpStream,
     config: &ChannelConfig,
 ) -> Result<(FeaturesReply, BytesMut), HandshakeError> {
-    let deadline = Instant::now() + config.handshake_timeout;
-    write_msg(stream, &OfMessage::new(Xid(0), OfBody::Hello))?;
-    write_msg(stream, &OfMessage::new(Xid(1), OfBody::FeaturesRequest))?;
-    let mut buf = BytesMut::new();
-    loop {
-        let msg = read_frame(stream, &mut buf, deadline)?;
-        match msg.body {
-            OfBody::Hello => {}
-            OfBody::EchoRequest(data) => {
-                write_msg(stream, &OfMessage::new(msg.xid, OfBody::EchoReply(data)))?;
-            }
-            OfBody::FeaturesReply(features) => return Ok((features, buf)),
-            _ => return Err(HandshakeError::Unexpected("message")),
-        }
-    }
+    let (features, residue) = drive(stream, Handshake::initiator(), config)?;
+    Ok((features.expect("the initiator ends on a reply"), residue))
 }
 
 /// Switch/device side: sends `HELLO`, answers the peer's
@@ -106,202 +185,106 @@ pub fn accept(
     features: &FeaturesReply,
     config: &ChannelConfig,
 ) -> Result<BytesMut, HandshakeError> {
-    let deadline = Instant::now() + config.handshake_timeout;
-    write_msg(stream, &OfMessage::new(Xid(0), OfBody::Hello))?;
-    let mut buf = BytesMut::new();
-    let mut saw_hello = false;
-    loop {
-        let msg = read_frame(stream, &mut buf, deadline)?;
-        match msg.body {
-            OfBody::Hello => saw_hello = true,
-            OfBody::EchoRequest(data) => {
-                write_msg(stream, &OfMessage::new(msg.xid, OfBody::EchoReply(data)))?;
-            }
-            OfBody::FeaturesRequest => {
-                if !saw_hello {
-                    return Err(HandshakeError::Unexpected("features_request before hello"));
-                }
-                write_msg(
-                    stream,
-                    &OfMessage::new(msg.xid, OfBody::FeaturesReply(features.clone())),
-                )?;
-                return Ok(buf);
-            }
-            _ => return Err(HandshakeError::Unexpected("message")),
-        }
-    }
+    Ok(drive(stream, Handshake::acceptor(features), config)?.1)
 }
 
-fn write_msg(stream: &mut TcpStream, msg: &OfMessage) -> Result<(), HandshakeError> {
-    stream.write_all(&wire::encode(msg))?;
-    Ok(())
-}
-
-/// Reads exactly one frame, leaving any extra bytes in `buf`.
-fn read_frame(
-    stream: &mut TcpStream,
-    buf: &mut BytesMut,
-    deadline: Instant,
-) -> Result<OfMessage, HandshakeError> {
-    let mut chunk = [0u8; 4096];
-    loop {
-        if let Some(len) = wire::frame_len(&buf[..])? {
-            if buf.len() >= len {
-                let frame = buf.split_to(len);
-                return Ok(wire::decode(&frame[..])?);
-            }
-        }
-        let now = Instant::now();
-        if now >= deadline {
-            return Err(HandshakeError::Timeout);
-        }
-        // An almost-expired deadline can round to a zero Duration, which
-        // `set_read_timeout` rejects with InvalidInput; clamp to 1 ms so the
-        // edge reads as a (near-immediate) timeout, not an I/O error.
-        let remaining = (deadline - now).max(Duration::from_millis(1));
-        stream.set_read_timeout(Some(remaining))?;
-        match stream.read(&mut chunk) {
-            Ok(0) => return Err(HandshakeError::Eof),
-            Ok(n) => buf.extend_from_slice(&chunk[..n]),
-            Err(e)
-                if e.kind() == std::io::ErrorKind::WouldBlock
-                    || e.kind() == std::io::ErrorKind::TimedOut =>
-            {
-                return Err(HandshakeError::Timeout);
-            }
-            Err(e) => return Err(HandshakeError::Io(e)),
-        }
-    }
-}
-
-/// Controller side over an async stream: sends `HELLO` +
-/// `FEATURES_REQUEST`, waits for the peer's `FEATURES_REPLY`.
-///
-/// The async twin of [`initiate`], used by the async
-/// [`crate::controller_endpoint::ControllerEndpoint`] so a handshake in
-/// progress never blocks a runtime worker.
-///
-/// # Errors
-///
-/// Any [`HandshakeError`]; the stream should be discarded on failure.
-pub async fn initiate_async(
+/// [`initiate`] over an async stream.
+pub(crate) async fn initiate_async(
     stream: &mut tokio::net::TcpStream,
     config: &ChannelConfig,
 ) -> Result<(FeaturesReply, BytesMut), HandshakeError> {
-    let deadline = Instant::now() + config.handshake_timeout;
-    write_msg_async(stream, &OfMessage::new(Xid(0), OfBody::Hello), deadline).await?;
-    write_msg_async(
-        stream,
-        &OfMessage::new(Xid(1), OfBody::FeaturesRequest),
-        deadline,
-    )
-    .await?;
-    let mut buf = BytesMut::new();
-    loop {
-        let msg = read_frame_async(stream, &mut buf, deadline).await?;
-        match msg.body {
-            OfBody::Hello => {}
-            OfBody::EchoRequest(data) => {
-                write_msg_async(
-                    stream,
-                    &OfMessage::new(msg.xid, OfBody::EchoReply(data)),
-                    deadline,
-                )
-                .await?;
-            }
-            OfBody::FeaturesReply(features) => return Ok((features, buf)),
-            _ => return Err(HandshakeError::Unexpected("message")),
-        }
-    }
+    let (features, residue) = drive_async(stream, Handshake::initiator(), config).await?;
+    Ok((features.expect("the initiator ends on a reply"), residue))
 }
 
-/// Switch/device side over an async stream: sends `HELLO`, answers the
-/// peer's `FEATURES_REQUEST` with `features`.
-///
-/// The async twin of [`accept`], used by simulated switch swarms.
-///
-/// # Errors
-///
-/// Any [`HandshakeError`]; the stream should be discarded on failure.
-pub async fn accept_async(
+/// [`accept`] over an async stream.
+pub(crate) async fn accept_async(
     stream: &mut tokio::net::TcpStream,
     features: &FeaturesReply,
     config: &ChannelConfig,
 ) -> Result<BytesMut, HandshakeError> {
+    Ok(drive_async(stream, Handshake::acceptor(features), config)
+        .await?
+        .1)
+}
+
+/// The blocking driver: the whole exchange within
+/// [`ChannelConfig::handshake_timeout`], enforced through read timeouts.
+fn drive(
+    stream: &mut TcpStream,
+    mut machine: Handshake<'_>,
+    config: &ChannelConfig,
+) -> Result<Outcome, HandshakeError> {
     let deadline = Instant::now() + config.handshake_timeout;
-    write_msg_async(stream, &OfMessage::new(Xid(0), OfBody::Hello), deadline).await?;
-    let mut buf = BytesMut::new();
-    let mut saw_hello = false;
+    let mut chunk = [0u8; 4096];
+    let mut outcome = None;
     loop {
-        let msg = read_frame_async(stream, &mut buf, deadline).await?;
-        match msg.body {
-            OfBody::Hello => saw_hello = true,
-            OfBody::EchoRequest(data) => {
-                write_msg_async(
-                    stream,
-                    &OfMessage::new(msg.xid, OfBody::EchoReply(data)),
-                    deadline,
-                )
-                .await?;
-            }
-            OfBody::FeaturesRequest => {
-                if !saw_hello {
-                    return Err(HandshakeError::Unexpected("features_request before hello"));
-                }
-                write_msg_async(
-                    stream,
-                    &OfMessage::new(msg.xid, OfBody::FeaturesReply(features.clone())),
-                    deadline,
-                )
-                .await?;
-                return Ok(buf);
-            }
-            _ => return Err(HandshakeError::Unexpected("message")),
+        if !machine.outbound.is_empty() {
+            stream.write_all(&machine.outbound)?;
+            machine.outbound.clear();
         }
+        if let Some(outcome) = outcome {
+            return Ok(outcome);
+        }
+        let n = read_before(stream, &mut chunk, deadline)?;
+        outcome = machine.feed(&chunk[..n])?;
     }
 }
 
-fn remaining(deadline: Instant) -> Result<Duration, HandshakeError> {
+/// One blocking read that gives up at `deadline`.
+fn read_before(
+    stream: &mut TcpStream,
+    chunk: &mut [u8],
+    deadline: Instant,
+) -> Result<usize, HandshakeError> {
     let now = Instant::now();
     if now >= deadline {
         return Err(HandshakeError::Timeout);
     }
-    Ok(deadline - now)
-}
-
-async fn write_msg_async(
-    stream: &mut tokio::net::TcpStream,
-    msg: &OfMessage,
-    deadline: Instant,
-) -> Result<(), HandshakeError> {
-    let frame = wire::encode(msg);
-    match tokio::time::timeout(remaining(deadline)?, stream.write_all(&frame)).await {
-        Ok(result) => Ok(result?),
-        Err(_) => Err(HandshakeError::Timeout),
+    // An almost-expired deadline can round to a zero Duration, which
+    // `set_read_timeout` rejects with InvalidInput; clamp to 1 ms so the
+    // edge reads as a (near-immediate) timeout, not an I/O error.
+    let remaining = (deadline - now).max(Duration::from_millis(1));
+    stream.set_read_timeout(Some(remaining))?;
+    match stream.read(chunk) {
+        Ok(0) => Err(HandshakeError::Eof),
+        Ok(n) => Ok(n),
+        Err(e)
+            if e.kind() == std::io::ErrorKind::WouldBlock
+                || e.kind() == std::io::ErrorKind::TimedOut =>
+        {
+            Err(HandshakeError::Timeout)
+        }
+        Err(e) => Err(HandshakeError::Io(e)),
     }
 }
 
-/// Reads exactly one frame from an async stream, leaving extra bytes in
-/// `buf`.
-async fn read_frame_async(
+/// The async driver: the whole exchange under one runtime timer.
+async fn drive_async(
     stream: &mut tokio::net::TcpStream,
-    buf: &mut BytesMut,
-    deadline: Instant,
-) -> Result<OfMessage, HandshakeError> {
-    let mut chunk = [0u8; 4096];
-    loop {
-        if let Some(len) = wire::frame_len(&buf[..])? {
-            if buf.len() >= len {
-                let frame = buf.split_to(len);
-                return Ok(wire::decode(&frame[..])?);
+    mut machine: Handshake<'_>,
+    config: &ChannelConfig,
+) -> Result<Outcome, HandshakeError> {
+    let exchange = async {
+        let mut chunk = [0u8; 4096];
+        let mut outcome = None;
+        loop {
+            if !machine.outbound.is_empty() {
+                stream.write_all(&machine.outbound).await?;
+                machine.outbound.clear();
+            }
+            if let Some(outcome) = outcome {
+                return Ok(outcome);
+            }
+            match stream.read(&mut chunk).await? {
+                0 => return Err(HandshakeError::Eof),
+                n => outcome = machine.feed(&chunk[..n])?,
             }
         }
-        match tokio::time::timeout(remaining(deadline)?, stream.read(&mut chunk)).await {
-            Ok(Ok(0)) => return Err(HandshakeError::Eof),
-            Ok(Ok(n)) => buf.extend_from_slice(&chunk[..n]),
-            Ok(Err(e)) => return Err(HandshakeError::Io(e)),
-            Err(_) => return Err(HandshakeError::Timeout),
-        }
+    };
+    match tokio::time::timeout(config.handshake_timeout, exchange).await {
+        Ok(result) => result,
+        Err(_) => Err(HandshakeError::Timeout),
     }
 }
 
@@ -380,7 +363,7 @@ mod tests {
         drop(listener);
     }
 
-    /// Regression: a deadline that is almost expired when `read_frame`
+    /// Regression: a deadline that is almost expired when `read_before`
     /// computes the remaining budget used to produce a zero (or sub-tick)
     /// `Duration`, which `set_read_timeout` either rejects with
     /// `InvalidInput` or treats as "block forever". Both must surface as
@@ -393,8 +376,7 @@ mod tests {
         let started = std::time::Instant::now();
         for pad_ns in [0u64, 100, 10_000, 500_000] {
             let deadline = Instant::now() + Duration::from_nanos(pad_ns);
-            let mut buf = BytesMut::new();
-            match read_frame(&mut client, &mut buf, deadline) {
+            match read_before(&mut client, &mut [0u8; 64], deadline) {
                 Err(HandshakeError::Timeout) => {}
                 other => panic!("pad {pad_ns}ns: expected timeout, got {other:?}"),
             }
@@ -445,9 +427,8 @@ mod tests {
         });
     }
 
-    /// The async accept path must interoperate with the blocking initiate
-    /// path (and vice versa) — the swarm and the legacy `SwitchEndpoint`
-    /// share one wire protocol.
+    /// The async driver must interoperate with the blocking one — the
+    /// endpoints and a plain `std::net` peer run the same machine.
     #[test]
     fn blocking_initiate_async_accept_interop() {
         let rt = tokio::runtime::Runtime::new().unwrap();
@@ -467,5 +448,203 @@ mod tests {
         let (reply, _) = initiate(&mut client, &cfg).unwrap();
         assert_eq!(reply, features());
         server.join().unwrap().unwrap();
+    }
+
+    // The machine on its own: no socket, no clock.
+
+    fn frames(msgs: &[OfMessage]) -> Vec<u8> {
+        let mut bytes = Vec::new();
+        for msg in msgs {
+            wire::encode_into(msg, &mut bytes);
+        }
+        bytes
+    }
+
+    fn hello() -> OfMessage {
+        OfMessage::new(Xid(0), OfBody::Hello)
+    }
+
+    fn request() -> OfMessage {
+        OfMessage::new(Xid(1), OfBody::FeaturesRequest)
+    }
+
+    fn reply() -> OfMessage {
+        OfMessage::new(Xid(1), OfBody::FeaturesReply(features()))
+    }
+
+    fn echo(xid: u32) -> OfMessage {
+        OfMessage::new(
+            Xid(xid),
+            OfBody::EchoRequest(bytes::Bytes::from_static(b"ping")),
+        )
+    }
+
+    fn barrier() -> OfMessage {
+        OfMessage::new(Xid(9), OfBody::BarrierRequest)
+    }
+
+    /// Feeds `transcript` cut at `cuts` (each taken modulo what is left;
+    /// none: whole) and returns everything the machine asked to send, the
+    /// outcome, and how many bytes it had been fed when it finished.
+    fn run(
+        mut machine: Handshake<'_>,
+        transcript: &[u8],
+        cuts: &[usize],
+    ) -> (Vec<u8>, Result<Option<Outcome>, String>, usize) {
+        let mut sent = std::mem::take(&mut machine.outbound);
+        let mut fed = 0;
+        let mut cuts = cuts.iter();
+        while fed < transcript.len() {
+            let left = transcript.len() - fed;
+            let take = cuts.next().map_or(left, |cut| 1 + cut % left);
+            let step = machine.feed(&transcript[fed..fed + take]);
+            fed += take;
+            sent.append(&mut machine.outbound);
+            match step {
+                Ok(None) => {}
+                Ok(done) => return (sent, Ok(done), fed),
+                Err(e) => return (sent, Err(e.to_string()), fed),
+            }
+        }
+        (sent, Ok(None), fed)
+    }
+
+    #[test]
+    fn each_side_opens_with_its_frames() {
+        assert_eq!(
+            Handshake::initiator().outbound,
+            frames(&[hello(), request()])
+        );
+        assert_eq!(
+            Handshake::acceptor(&features()).outbound,
+            frames(&[hello()])
+        );
+    }
+
+    #[test]
+    fn a_byte_at_a_time_completes_both_roles() {
+        let mine = features();
+        let to_acceptor = frames(&[hello(), request()]);
+        let every_byte: Vec<usize> = vec![0; to_acceptor.len()];
+        let (sent, outcome, fed) = run(Handshake::acceptor(&mine), &to_acceptor, &every_byte);
+        assert_eq!(sent, frames(&[hello(), reply()]));
+        let (theirs, residue) = outcome.unwrap().expect("complete");
+        assert!(theirs.is_none() && residue.is_empty());
+        assert_eq!(fed, to_acceptor.len());
+
+        let to_initiator = frames(&[hello(), reply()]);
+        let every_byte: Vec<usize> = vec![0; to_initiator.len()];
+        let (sent, outcome, _) = run(Handshake::initiator(), &to_initiator, &every_byte);
+        assert_eq!(sent, frames(&[hello(), request()]));
+        let (theirs, residue) = outcome.unwrap().expect("complete");
+        assert_eq!(theirs, Some(features()));
+        assert!(residue.is_empty());
+    }
+
+    #[test]
+    fn what_follows_the_last_handshake_frame_is_the_residue() {
+        let mine = features();
+        let chunk = frames(&[hello(), request(), barrier()]);
+        let (_, outcome, _) = run(Handshake::acceptor(&mine), &chunk, &[]);
+        let (_, residue) = outcome.unwrap().expect("complete");
+        assert_eq!(&residue[..], &frames(&[barrier()])[..]);
+
+        // A trailing partial frame stays too.
+        let mut chunk = frames(&[hello(), reply(), barrier()]);
+        chunk.truncate(chunk.len() - 3);
+        let (_, outcome, _) = run(Handshake::initiator(), &chunk, &[]);
+        let (_, residue) = outcome.unwrap().expect("complete");
+        assert_eq!(&residue[..], &frames(&[barrier()])[..5]);
+    }
+
+    #[test]
+    fn echo_mid_handshake_is_answered_with_its_xid_and_payload() {
+        let mine = features();
+        let answered = OfMessage::new(
+            Xid(77),
+            OfBody::EchoReply(bytes::Bytes::from_static(b"ping")),
+        );
+        let (sent, outcome, _) = run(
+            Handshake::acceptor(&mine),
+            &frames(&[hello(), echo(77), request()]),
+            &[],
+        );
+        assert_eq!(sent, frames(&[hello(), answered.clone(), reply()]));
+        assert!(outcome.unwrap().is_some());
+        let (sent, outcome, _) = run(Handshake::initiator(), &frames(&[echo(77)]), &[]);
+        assert_eq!(sent, frames(&[hello(), request(), answered]));
+        assert!(outcome.unwrap().is_none(), "still waiting for the reply");
+    }
+
+    #[test]
+    fn out_of_place_and_malformed_input_is_refused() {
+        let mine = features();
+        let feed = |machine: &mut Handshake<'_>, bytes: &[u8]| machine.feed(bytes);
+        match feed(&mut Handshake::acceptor(&mine), &frames(&[request()])) {
+            Err(HandshakeError::Unexpected("features_request before hello")) => {}
+            other => panic!("expected the ordering error, got {other:?}"),
+        }
+        for (mut machine, bytes) in [
+            (Handshake::acceptor(&mine), frames(&[hello(), reply()])),
+            (Handshake::initiator(), frames(&[hello(), request()])),
+            (Handshake::initiator(), frames(&[barrier()])),
+        ] {
+            match feed(&mut machine, &bytes) {
+                Err(HandshakeError::Unexpected("message")) => {}
+                other => panic!("expected an out-of-place message, got {other:?}"),
+            }
+        }
+        match feed(&mut Handshake::initiator(), &[0xff; 32]) {
+            Err(HandshakeError::Decode(_)) => {}
+            other => panic!("expected a decode error, got {other:?}"),
+        }
+        // A short header is not yet an answer either way.
+        let mut machine = Handshake::acceptor(&mine);
+        assert!(matches!(
+            feed(&mut machine, &frames(&[hello()])[..5]),
+            Ok(None)
+        ));
+        assert!(!machine.saw_hello);
+    }
+
+    proptest::proptest! {
+        /// However the peer's bytes are cut up, the machine sends the same
+        /// bytes, ends the same way and leaves the same residue as when it
+        /// is fed them whole.
+        #[test]
+        fn any_chunking_of_a_transcript_gives_the_same_handshake(
+            initiating in proptest::prelude::any::<bool>(),
+            echoes in proptest::collection::vec(0u32..1000, 0..3),
+            echo_before_hello in proptest::prelude::any::<bool>(),
+            trailing in proptest::collection::vec(proptest::prelude::any::<u8>(), 0..40),
+            cuts in proptest::collection::vec(proptest::prelude::any::<u16>(), 0..24),
+        ) {
+            let mine = features();
+            let machine = || match initiating {
+                true => Handshake::initiator(),
+                false => Handshake::acceptor(&mine),
+            };
+            let mut msgs = vec![hello()];
+            msgs.extend(echoes.iter().map(|&xid| echo(xid)));
+            if echo_before_hello && msgs.len() > 1 {
+                msgs.swap(0, 1);
+            }
+            msgs.push(if initiating { reply() } else { request() });
+            let mut transcript = frames(&msgs);
+            transcript.extend_from_slice(&trailing);
+            let cuts: Vec<usize> = cuts.into_iter().map(usize::from).collect();
+
+            let (whole_sent, whole, _) = run(machine(), &transcript, &[]);
+            let (cut_sent, cut, fed) = run(machine(), &transcript, &cuts);
+            proptest::prop_assert_eq!(cut_sent, whole_sent);
+            let (features, whole_residue) = whole.unwrap().expect("a valid transcript completes");
+            let (cut_features, mut residue) = cut.unwrap().expect("a valid transcript completes");
+            proptest::prop_assert_eq!(cut_features, features);
+            // What had not been fed yet when the machine finished is still
+            // on the wire behind the residue.
+            residue.extend_from_slice(&transcript[fed..]);
+            proptest::prop_assert_eq!(&residue[..], &whole_residue[..]);
+            proptest::prop_assert_eq!(&whole_residue[..], &trailing[..]);
+        }
     }
 }

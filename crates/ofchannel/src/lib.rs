@@ -4,21 +4,29 @@
 //! discrete-event simulation; this crate runs the same components over real
 //! TCP sockets. It provides:
 //!
-//! * [`conn::Connection`] — one framed connection: a reader thread driving
-//!   [`ofproto::wire::decode_frames`] over the byte stream and a writer
-//!   thread draining a **bounded** send queue, so a peer that stops reading
-//!   surfaces as explicit [`conn::SendError::Backpressure`] instead of
-//!   unbounded buffering.
-//! * [`handshake`] — the synchronous `HELLO` → `FEATURES` exchange that
-//!   opens every session and identifies the peer.
+//! * One framed connection (the crate-private `conn` module) that every
+//!   endpoint here serves its sockets through: tasks on the vendored async
+//!   runtime, never a thread per socket. A reader drives
+//!   [`ofproto::wire::decode_frames`] over the byte stream, counts frames,
+//!   stamps the receive clock and answers `echo_request` itself; a writer
+//!   task drains a **bounded** send queue with one `write_all` per burst, so
+//!   a peer that stops reading surfaces as counted backpressure
+//!   ([`CountersSnapshot::sends_blocked`]) instead of unbounded buffering.
+//! * [`handshake`] — the `HELLO` → `FEATURES` exchange that opens every
+//!   session and identifies the peer: one I/O-free state machine, driven
+//!   over `std::net` for plain-socket peers and over the runtime for the
+//!   endpoints.
 //! * [`switch_endpoint::SwitchEndpoint`] — a [`netsim::switch::Switch`]
 //!   (plus attached data-plane devices) served from a listening socket,
-//!   the way Open vSwitch serves a bridge in `ptcp` mode.
+//!   the way Open vSwitch serves a bridge in `ptcp` mode. One task owns the
+//!   switch; accepting and handshaking happen in tasks of their own, so a
+//!   peer that dials and says nothing holds nothing up.
 //! * [`controller_endpoint::ControllerEndpoint`] — a
 //!   [`netsim::iface::ControlPlane`] (the controller platform, optionally
-//!   wrapped by FloodGuard) dialing switches and caches, with echo
-//!   keepalive, liveness timeouts, and capped-exponential-backoff
-//!   reconnect.
+//!   wrapped by FloodGuard) dialing switches and caches or accepting them
+//!   on a listener, with echo keepalive, liveness timeouts, and
+//!   capped-exponential-backoff reconnect.
+//! * [`swarm`] — a fleet of simulated switches as tasks, for load.
 //! * [`counters::ChannelCounters`] — frames/bytes in/out, decode errors,
 //!   reconnects, backpressure rejections and queue high-water marks, so
 //!   channel saturation is measurable from outside.
@@ -30,7 +38,7 @@
 #![warn(missing_docs)]
 
 pub mod config;
-pub mod conn;
+mod conn;
 pub mod controller_endpoint;
 pub mod counters;
 pub mod handshake;
@@ -39,7 +47,7 @@ pub mod swarm;
 pub mod switch_endpoint;
 
 pub use config::ChannelConfig;
-pub use conn::{wake_channel, CloseReason, ConnEvent, Connection, SendError, WakeHandle};
+
 pub use controller_endpoint::{
     ControllerConfig, ControllerEndpoint, ControllerStatus, ControllerView, FlowRuleView,
 };

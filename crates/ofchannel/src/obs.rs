@@ -1,7 +1,7 @@
 //! Bridge from [`ChannelCounters`](crate::counters::ChannelCounters) to the
 //! workspace observability hub.
 //!
-//! The transport threads already keep lock-free counters per endpoint;
+//! The transport tasks already keep lock-free counters per endpoint;
 //! [`ChannelObs`] registers matching gauges against an [`obs::Registry`] and
 //! mirrors a [`CountersSnapshot`] into them on demand (pull model — call
 //! [`ChannelObs::publish`] from whatever cadence the harness uses, e.g. each

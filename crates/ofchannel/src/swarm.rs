@@ -3,8 +3,9 @@
 //! Simulates a fleet of OpenFlow switches as lightweight async tasks on
 //! one shared runtime: each task dials the controller, completes the
 //! HELLO/FEATURES handshake as datapath `base + i`, then generates
-//! table-miss `packet_in` traffic at a configured per-switch rate while a
-//! companion reader drains (and echo-answers) the controller's frames.
+//! table-miss `packet_in` traffic at a configured per-switch rate through
+//! the crate's one connection type (the `conn` module), whose reader drains
+//! (and echo-answers) the controller's frames.
 //!
 //! The driver reports what the paper's scale question needs measured:
 //! connect-to-handshake latency per switch, handshake failures, and the
@@ -12,18 +13,18 @@
 //! the whole fleet is connected — connect-phase warmup never inflates it.
 
 use std::net::SocketAddr;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use bytes::Bytes;
 use netsim::packet::Packet;
 use ofproto::messages::{FeaturesReply, OfBody, OfMessage, PacketIn, PacketInReason};
 use ofproto::types::{DatapathId, MacAddr, PortNo, Xid};
-use ofproto::wire;
 use parking_lot::Mutex;
 
 use crate::config::ChannelConfig;
+use crate::conn::{self, SendBudget, SendError};
+use crate::counters::ChannelCounters;
 use crate::handshake;
 
 /// Swarm shape and pacing.
@@ -74,8 +75,12 @@ pub struct SwarmReport {
     /// Connect-to-handshake-complete latency per connected switch, sorted
     /// ascending.
     pub connect_latencies: Vec<Duration>,
-    /// `packet_in` frames sent during the measured window.
+    /// `packet_in` frames the connections' send queues accepted during the
+    /// measured window.
     pub packet_ins_sent: u64,
+    /// `packet_in` frames refused by a full send queue during the window —
+    /// dropped and counted, not retried.
+    pub packet_ins_shed: u64,
     /// Frames received from the controller during the whole run.
     pub frames_in: u64,
     /// Actual measured window length.
@@ -110,8 +115,13 @@ struct SwarmShared {
     connected: AtomicUsize,
     failed: AtomicUsize,
     sent: AtomicU64,
-    frames_in: AtomicU64,
-    stop: AtomicBool,
+    shed: AtomicU64,
+    /// The fleet's transport counters; `frames_in` is what the controller
+    /// sent it.
+    counters: Arc<ChannelCounters>,
+    /// Unlimited: a load generator sheds only what a connection's own queue
+    /// bound refuses.
+    budget: Arc<SendBudget>,
     latencies: Mutex<Vec<Duration>>,
 }
 
@@ -132,24 +142,19 @@ pub fn run_swarm(addr: SocketAddr, config: &SwarmConfig) -> std::io::Result<Swar
         connected: AtomicUsize::new(0),
         failed: AtomicUsize::new(0),
         sent: AtomicU64::new(0),
-        frames_in: AtomicU64::new(0),
-        stop: AtomicBool::new(false),
+        shed: AtomicU64::new(0),
+        counters: Arc::new(ChannelCounters::new()),
+        budget: SendBudget::new(usize::MAX),
         latencies: Mutex::new(Vec::with_capacity(config.switches)),
     });
 
     for i in 0..config.switches {
-        let shared = Arc::clone(&shared);
-        rt.spawn(async move {
-            switch_task(addr, i, shared).await;
-        });
+        rt.spawn(switch_task(addr, i, Arc::clone(&shared)));
     }
 
-    let report = rt.block_on(drive(Arc::clone(&shared)));
-    shared.stop.store(true, Ordering::SeqCst);
-    // Give tasks a beat to observe the stop flag before the runtime drops.
-    rt.block_on(tokio::time::sleep(Duration::from_millis(50)));
-    drop(rt);
-    report
+    // Dropping the runtime drops every switch task, and with it the task's
+    // reader, which shuts the socket down: stopping is closing the sockets.
+    rt.block_on(drive(shared))
 }
 
 /// Waits for the fleet to settle, then measures one throughput window.
@@ -174,11 +179,13 @@ async fn drive(shared: Arc<SwarmShared>) -> std::io::Result<SwarmReport> {
         ));
     }
 
-    let count0 = shared.sent.load(Ordering::SeqCst);
+    let sent0 = shared.sent.load(Ordering::SeqCst);
+    let shed0 = shared.shed.load(Ordering::SeqCst);
     let window_started = Instant::now();
     tokio::time::sleep(cfg.window).await;
     let window = window_started.elapsed();
-    let count1 = shared.sent.load(Ordering::SeqCst);
+    let sent1 = shared.sent.load(Ordering::SeqCst);
+    let shed1 = shared.shed.load(Ordering::SeqCst);
 
     let mut latencies = shared.latencies.lock().clone();
     latencies.sort_unstable();
@@ -186,111 +193,60 @@ async fn drive(shared: Arc<SwarmShared>) -> std::io::Result<SwarmReport> {
         connected,
         handshake_failures: shared.failed.load(Ordering::SeqCst),
         connect_latencies: latencies,
-        packet_ins_sent: count1 - count0,
-        frames_in: shared.frames_in.load(Ordering::SeqCst),
+        packet_ins_sent: sent1 - sent0,
+        packet_ins_shed: shed1 - shed0,
+        frames_in: shared.counters.snapshot().frames_in,
         window,
     })
 }
 
-/// One simulated switch: dial, handshake, then split into a frame-draining
-/// reader and a paced `packet_in` generator.
+/// One simulated switch: dial, handshake, then a frame-draining reader task
+/// beside a paced `packet_in` generator.
 async fn switch_task(addr: SocketAddr, index: usize, shared: Arc<SwarmShared>) {
     let cfg = shared.cfg;
     tokio::time::sleep(cfg.connect_stagger * index as u32).await;
 
     let started = Instant::now();
     let features = swarm_features(cfg.dpid_base + index as u64);
-    let connect = async {
-        let stream = tokio::net::TcpStream::connect(addr).await?;
-        stream.set_nodelay(true)?;
-        Ok::<_, std::io::Error>(stream)
+    let handshaken = async {
+        let mut stream = tokio::net::TcpStream::connect(addr).await.ok()?;
+        stream.set_nodelay(true).ok()?;
+        let residue = handshake::accept_async(&mut stream, &features, &cfg.channel)
+            .await
+            .ok()?;
+        let latency = started.elapsed();
+        let ends = conn::open(
+            stream,
+            residue,
+            &cfg.channel,
+            &shared.budget,
+            &shared.counters,
+        );
+        Some((ends.ok()?, latency))
     };
-    let Ok(mut stream) = connect.await else {
+    let Some(((conn, mut reader), latency)) = handshaken.await else {
         shared.failed.fetch_add(1, Ordering::SeqCst);
         return;
     };
-    let Ok(residue) = handshake::accept_async(&mut stream, &features, &cfg.channel).await else {
-        shared.failed.fetch_add(1, Ordering::SeqCst);
-        return;
-    };
-    shared.latencies.lock().push(started.elapsed());
+    shared.latencies.lock().push(latency);
     shared.connected.fetch_add(1, Ordering::SeqCst);
 
-    let Ok((read_half, write_half)) = stream.into_split() else {
-        return;
-    };
-    // Echo replies cross from the reader to the writer through a small
-    // queue; the write half stays single-owner.
-    let (reply_tx, mut reply_rx) = tokio::sync::mpsc::channel::<Bytes>(16);
+    // The reader counts the controller's frames and answers its keepalive;
+    // flow-mods installed on a simulated switch have no table to land in.
+    tokio::spawn(async move { while reader.next().await.is_some() {} });
 
-    let reader_shared = Arc::clone(&shared);
-    tokio::task::spawn(async move {
-        reader_loop(read_half, residue, reply_tx, reader_shared).await;
-    });
-
-    sender_loop(write_half, index, &mut reply_rx, &shared).await;
-}
-
-/// Drains controller frames: counts them, answers `echo_request`, discards
-/// the rest (flow-mods installed on a simulated switch have no table to
-/// land in).
-async fn reader_loop(
-    mut read_half: tokio::net::OwnedReadHalf,
-    mut buf: bytes::BytesMut,
-    reply_tx: tokio::sync::mpsc::Sender<Bytes>,
-    shared: Arc<SwarmShared>,
-) {
-    let mut chunk = vec![0u8; 16 * 1024];
-    loop {
-        if shared.stop.load(Ordering::SeqCst) {
-            return;
-        }
-        let msgs = match wire::decode_frames(&mut buf) {
-            Ok(msgs) => msgs,
-            Err(_) => return,
-        };
-        for msg in msgs {
-            shared.frames_in.fetch_add(1, Ordering::SeqCst);
-            if let OfBody::EchoRequest(data) = msg.body {
-                let reply = wire::encode(&OfMessage::new(msg.xid, OfBody::EchoReply(data)));
-                let _ = reply_tx.try_send(reply);
-            }
-        }
-        match tokio::time::timeout(Duration::from_millis(250), read_half.read(&mut chunk)).await {
-            Ok(Ok(0)) | Ok(Err(_)) => return,
-            Ok(Ok(n)) => buf.extend_from_slice(&chunk[..n]),
-            Err(_) => {} // timeout: re-check the stop flag
-        }
-    }
-}
-
-/// Paces `packet_in` generation at the configured rate; each packet is a
-/// fresh table-miss (unique source per sequence number).
-async fn sender_loop(
-    mut write_half: tokio::net::OwnedWriteHalf,
-    index: usize,
-    reply_rx: &mut tokio::sync::mpsc::Receiver<Bytes>,
-    shared: &SwarmShared,
-) {
-    let interval = Duration::from_secs_f64(1.0 / shared.cfg.pps_per_switch.max(1.0));
+    // Paced `packet_in` generation at the configured rate; each packet is a
+    // fresh table-miss (unique source per sequence number).
+    let interval = Duration::from_secs_f64(1.0 / cfg.pps_per_switch.max(1.0));
     let mut next = Instant::now();
     let mut seq: u64 = 0;
     loop {
-        if shared.stop.load(Ordering::SeqCst) {
-            let _ = write_half.shutdown_now(std::net::Shutdown::Both);
-            return;
-        }
-        while let Ok(reply) = reply_rx.try_recv() {
-            if write_half.write_all(&reply).await.is_err() {
-                return;
-            }
-        }
         seq += 1;
-        let frame = packet_in_frame(index, seq);
-        if write_half.write_all(&frame).await.is_err() {
-            return;
-        }
-        shared.sent.fetch_add(1, Ordering::SeqCst);
+        match conn.send(&packet_in(index, seq)) {
+            Ok(()) => shared.sent.fetch_add(1, Ordering::SeqCst),
+            Err(SendError::Backpressure) => shared.shed.fetch_add(1, Ordering::SeqCst),
+            Err(SendError::Closed) => return,
+        };
         next += interval;
         let now = Instant::now();
         if next > now {
@@ -314,8 +270,8 @@ fn swarm_features(dpid: u64) -> FeaturesReply {
     }
 }
 
-/// A unique-source UDP table-miss, encoded as a `packet_in` frame.
-fn packet_in_frame(index: usize, seq: u64) -> Bytes {
+/// A unique-source UDP table-miss as a `packet_in`.
+fn packet_in(index: usize, seq: u64) -> OfMessage {
     let src = 0x0a00_0000u32 | ((index as u32) << 12) | (seq as u32 & 0xfff);
     let pkt = Packet::udp(
         MacAddr::from_u64(0x5_0000_0000 + ((index as u64) << 16) + (seq & 0xffff)),
@@ -334,7 +290,7 @@ fn packet_in_frame(index: usize, seq: u64) -> Bytes {
         reason: PacketInReason::NoMatch,
         data,
     };
-    wire::encode(&OfMessage::new(Xid(seq as u32), OfBody::PacketIn(pi)))
+    OfMessage::new(Xid(seq as u32), OfBody::PacketIn(pi))
 }
 
 #[cfg(test)]
@@ -353,6 +309,7 @@ mod tests {
                 Duration::from_millis(100),
             ],
             packet_ins_sent: 500,
+            packet_ins_shed: 0,
             frames_in: 0,
             window: Duration::from_secs(2),
         };
@@ -367,6 +324,7 @@ mod tests {
             handshake_failures: 1,
             connect_latencies: Vec::new(),
             packet_ins_sent: 0,
+            packet_ins_shed: 0,
             frames_in: 0,
             window: Duration::ZERO,
         };

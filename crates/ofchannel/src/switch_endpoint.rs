@@ -15,45 +15,73 @@
 //! uses. Forwards that land on a device port are handed to the device
 //! in-process (the cable between a switch port and its cache is not
 //! modelled as a socket).
+//!
+//! One task on the endpoint's own small runtime owns the switch, the
+//! devices and the fault state, and waits on one queue: commands from the
+//! handle, reports from the connection tasks, the earliest timed duty.
+//! Listeners, handshakes, reads and writes are tasks of their own on the
+//! crate's one connection type, so nothing a peer does — or fails to do —
+//! on a socket can hold the datapath, the device ticks or keepalive up.
 
+use std::collections::{HashMap, HashSet};
 use std::net::{SocketAddr, TcpListener};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use crossbeam::channel::{self, Receiver, Sender};
 use netsim::iface::{DataPlaneDevice, DeviceOutput, SwitchTelemetry};
 use netsim::packet::Packet;
 use netsim::switch::Switch;
 use netsim::Fault;
 use ofproto::flow_match::OfMatch;
-use ofproto::messages::{OfBody, OfMessage};
+use ofproto::messages::{FeaturesReply, OfBody, OfMessage};
 use ofproto::types::Xid;
 use parking_lot::Mutex;
-use std::collections::{HashMap, HashSet};
+use tokio::sync::mpsc;
 
 use crate::config::ChannelConfig;
-use crate::conn::{wake_channel, ConnEvent, Connection, SendError, WakeHandle};
+use crate::conn::{self, Conn};
 use crate::counters::{ChannelCounters, CountersSnapshot};
 use crate::{device_features, handshake};
 
-enum Cmd {
-    Inject { in_port: u16, packet: Packet },
+/// What the serving task waits on: commands from the handle and reports
+/// from the connection tasks. Reports for one `key` are ordered:
+/// `Connected`, then `Inbound`s, then exactly one `Closed`. `slot` 0 is the
+/// switch's own session, `1 + i` that of device `i`.
+enum Event {
+    Inject {
+        in_port: u16,
+        packet: Packet,
+    },
     Fault(Fault),
+    Shutdown,
+    Connected {
+        slot: usize,
+        key: u64,
+        conn: Conn,
+    },
+    Inbound {
+        slot: usize,
+        key: u64,
+        msg: OfMessage,
+    },
+    Closed {
+        slot: usize,
+        key: u64,
+    },
 }
 
 /// Handle to a switch being served over TCP.
 pub struct SwitchEndpoint {
     switch_addr: SocketAddr,
     device_addrs: Vec<SocketAddr>,
-    cmd_tx: Sender<Cmd>,
-    waker: WakeHandle,
+    events: mpsc::Sender<Event>,
     counters: Arc<ChannelCounters>,
     telemetry: Arc<Mutex<SwitchTelemetry>>,
     flow_rules: Arc<Mutex<Vec<(OfMatch, u16, u64)>>>,
-    shutdown: Arc<AtomicBool>,
-    handle: Option<JoinHandle<Switch>>,
+    /// The serving task; `None` once it has been stopped.
+    task: Option<tokio::task::JoinHandle<Switch>>,
+    rt: tokio::runtime::Runtime,
 }
 
 impl std::fmt::Debug for SwitchEndpoint {
@@ -74,81 +102,77 @@ impl SwitchEndpoint {
     ///
     /// # Errors
     ///
-    /// Fails when a listener cannot be bound.
+    /// Fails when a listener cannot be bound or the runtime cannot start.
     pub fn spawn(
         switch: Switch,
         devices: Vec<(u16, Box<dyn DataPlaneDevice>)>,
         config: ChannelConfig,
     ) -> std::io::Result<SwitchEndpoint> {
-        let listener = TcpListener::bind("127.0.0.1:0")?;
-        listener.set_nonblocking(true)?;
-        let switch_addr = listener.local_addr()?;
-
+        let rt = tokio::runtime::Runtime::new()?;
+        let (events, events_rx) = mpsc::channel(EVENT_CHANNEL_CAP);
+        let counters = Arc::new(ChannelCounters::new());
+        // One switch has no fleet to budget: only a connection's own queue
+        // bound refuses frames here.
+        let shared = conn::Shared::new(config, Arc::clone(&counters), usize::MAX, events.clone());
+        // Every listener gets an accept task of its own; the session state
+        // the serving task keeps for it shares the task's `refusing` flag.
+        let listen = |slot: usize, features: FeaturesReply| {
+            let listener = TcpListener::bind("127.0.0.1:0")?;
+            let addr = listener.local_addr()?;
+            let session = Session::default();
+            let refusing = Arc::clone(&session.refusing);
+            let (features, shared) = (Arc::new(features), Arc::clone(&shared));
+            rt.spawn(conn::accept_each(listener, move |stream| {
+                let (features, refusing) = (Arc::clone(&features), Arc::clone(&refusing));
+                accepted(stream, slot, features, refusing, Arc::clone(&shared))
+            }));
+            Ok::<_, std::io::Error>((addr, session))
+        };
+        let (switch_addr, session) = listen(0, switch.features())?;
         let mut device_slots = Vec::new();
         let mut device_addrs = Vec::new();
         for (index, (port, logic)) in devices.into_iter().enumerate() {
-            let dev_listener = TcpListener::bind("127.0.0.1:0")?;
-            dev_listener.set_nonblocking(true)?;
-            device_addrs.push(dev_listener.local_addr()?);
+            let (addr, session) = listen(1 + index, device_features(index))?;
+            device_addrs.push(addr);
             device_slots.push(DeviceSlot {
-                index,
                 port,
                 logic,
-                listener: dev_listener,
-                conn: None,
-                last_echo: Instant::now(),
+                session,
                 last_tick: Instant::now(),
-                connected_before: false,
                 down: false,
                 restart_at: None,
             });
         }
 
-        let (cmd_tx, cmd_rx) = channel::unbounded();
-        // One wake channel serves every wake source: connection readers,
-        // `inject`/`inject_fault` callers, and shutdown. The serving loop
-        // blocks on it instead of polling on a fixed interval.
-        let (waker, wake_rx) = wake_channel();
-        let counters = Arc::new(ChannelCounters::new());
         let telemetry = Arc::new(Mutex::new(switch.telemetry(0.0)));
         let flow_rules = Arc::new(Mutex::new(Vec::new()));
-        let shutdown = Arc::new(AtomicBool::new(false));
-
-        let handle = {
-            let counters = Arc::clone(&counters);
-            let telemetry = Arc::clone(&telemetry);
-            let flow_rules = Arc::clone(&flow_rules);
-            let shutdown = Arc::clone(&shutdown);
-            let waker = waker.clone();
-            std::thread::Builder::new()
-                .name(format!("ofchannel-switch-{}", switch.dpid.0))
-                .spawn(move || {
-                    run(
-                        switch,
-                        listener,
-                        device_slots,
-                        config,
-                        cmd_rx,
-                        waker,
-                        wake_rx,
-                        counters,
-                        telemetry,
-                        flow_rules,
-                        shutdown,
-                    )
-                })?
+        let serving = Serving {
+            switch,
+            session,
+            devices: device_slots,
+            faults: FaultState::new(),
+            config,
+            counters: Arc::clone(&counters),
+            telemetry: Arc::clone(&telemetry),
+            flow_rules: Arc::clone(&flow_rules),
+            start: Instant::now(),
+            last_expire: Instant::now(),
+            last_util_at: Instant::now(),
+            busy_accum: 0.0,
+            datapath_util: 0.0,
+            xid: 1,
         };
+        let task = rt.spawn(serve(serving, events_rx));
 
         Ok(SwitchEndpoint {
             switch_addr,
             device_addrs,
-            cmd_tx,
-            waker,
+            events,
             counters,
             telemetry,
             flow_rules,
-            shutdown,
-            handle: Some(handle),
+            task: Some(task),
+            rt,
         })
     }
 
@@ -162,10 +186,18 @@ impl SwitchEndpoint {
         &self.device_addrs
     }
 
+    /// Queues a command for the serving task. When the task is so far
+    /// behind that its queue is full, the caller waits for room: a command
+    /// is never dropped.
+    fn submit(&self, event: Event) {
+        if let Err(mpsc::error::TrySendError::Full(event)) = self.events.try_send(event) {
+            let _ = self.rt.block_on(self.events.send(event));
+        }
+    }
+
     /// Feeds one packet into the data plane at `in_port`.
     pub fn inject(&self, in_port: u16, packet: Packet) {
-        let _ = self.cmd_tx.send(Cmd::Inject { in_port, packet });
-        self.waker.notify();
+        self.submit(Event::Inject { in_port, packet });
     }
 
     /// Injects an infrastructure fault — the same [`Fault`] values a
@@ -173,20 +205,20 @@ impl SwitchEndpoint {
     /// this live endpoint:
     ///
     /// * [`Fault::SwitchCrash`] wipes the switch state and kills the
-    ///   controller socket; the listener accepts again after `restart_after`
-    ///   seconds (the switch-id field is ignored — this endpoint *is* the
-    ///   switch).
+    ///   controller socket; until `restart_after` seconds have passed every
+    ///   dial is closed before a `HELLO` is sent (the switch-id field is
+    ///   ignored — this endpoint *is* the switch).
     /// * [`Fault::ControlPartition`] / [`Fault::ControlHeal`] sever and
-    ///   restore the controller socket without touching switch state.
-    /// * [`Fault::DeviceCrash`] wipes the indexed attached device and stops
-    ///   feeding it until restart.
+    ///   restore the controller socket without touching switch state; dials
+    ///   in between are turned away the same way.
+    /// * [`Fault::DeviceCrash`] wipes the indexed attached device, kills
+    ///   its controller socket and stops feeding it until restart.
     /// * [`Fault::LinkDown`] / [`Fault::LinkUp`] / [`Fault::LinkLoss`] drop
     ///   (or probabilistically lose) data-plane packets on the given port,
     ///   in both directions.
     /// * [`Fault::ControllerStall`] is controller-side and ignored here.
     pub fn inject_fault(&self, fault: Fault) {
-        let _ = self.cmd_tx.send(Cmd::Fault(fault));
-        self.waker.notify();
+        self.submit(Event::Fault(fault));
     }
 
     /// Current transport counters.
@@ -208,40 +240,98 @@ impl SwitchEndpoint {
 
     /// Stops serving and returns the switch for inspection.
     pub fn shutdown(mut self) -> Switch {
-        self.shutdown.store(true, Ordering::SeqCst);
-        self.waker.notify();
-        self.handle
-            .take()
-            .expect("endpoint already shut down")
-            .join()
-            .expect("switch endpoint thread panicked")
+        let task = self.task.take().expect("endpoint already shut down");
+        self.submit(Event::Shutdown);
+        self.rt
+            .block_on(task)
+            .expect("switch endpoint task panicked")
     }
 }
 
 impl Drop for SwitchEndpoint {
     fn drop(&mut self) {
-        self.shutdown.store(true, Ordering::SeqCst);
-        self.waker.notify();
-        if let Some(handle) = self.handle.take() {
-            let _ = handle.join();
+        if let Some(task) = self.task.take() {
+            self.submit(Event::Shutdown);
+            let _ = self.rt.block_on(task);
+        }
+        // Dropping the runtime joins its threads and drops every accept and
+        // connection task, which closes their sockets.
+    }
+}
+
+/// One dial on listener `slot`: handshake under its deadline, then the
+/// connection, reporting to the serving task.
+async fn accepted(
+    mut stream: tokio::net::TcpStream,
+    slot: usize,
+    features: Arc<FeaturesReply>,
+    refusing: Arc<AtomicBool>,
+    shared: Arc<conn::Shared<Event>>,
+) {
+    // A crashed or partitioned endpoint completes no handshake: the dial is
+    // closed before a HELLO is sent.
+    if refusing.load(Ordering::SeqCst) {
+        return;
+    }
+    match handshake::accept_async(&mut stream, &features, &shared.cfg).await {
+        Ok(residue) => {
+            let connected = |key, conn| Event::Connected { slot, key, conn };
+            let inbound = |key, msg| match msg {
+                Some(msg) => Event::Inbound { slot, key, msg },
+                None => Event::Closed { slot, key },
+            };
+            shared.serve(stream, residue, connected, inbound).await;
+        }
+        Err(_) => shared.counters.record_connect_failure(),
+    }
+}
+
+/// The serving task's side of one listener: the connection that currently
+/// carries the session, if any.
+#[derive(Default)]
+struct Session {
+    /// The live connection and its key; reports carrying another key are
+    /// from a connection this one has superseded.
+    conn: Option<(u64, Conn)>,
+    connected_before: bool,
+    /// Read by the listener's accept task: dials are turned away while set.
+    refusing: Arc<AtomicBool>,
+}
+
+impl Session {
+    /// Sends on the connection if one is up; a refused frame is dropped.
+    fn send(&self, msg: &OfMessage) {
+        if let Some((_, conn)) = &self.conn {
+            let _ = conn.send(msg);
+        }
+    }
+
+    fn sever(&mut self) {
+        if let Some((_, conn)) = self.conn.take() {
+            conn.close();
         }
     }
 }
 
 struct DeviceSlot {
-    index: usize,
     port: u16,
     logic: Box<dyn DataPlaneDevice>,
-    listener: TcpListener,
-    conn: Option<Connection>,
-    last_echo: Instant,
+    session: Session,
     last_tick: Instant,
-    connected_before: bool,
     /// Crashed and not yet restarted: packets to it are dropped, ticks
-    /// skipped.
+    /// skipped, dials refused.
     down: bool,
     /// When the crashed device restarts; `None` while down means never.
     restart_at: Option<Instant>,
+}
+
+impl DeviceSlot {
+    /// Passes what the device logic produced up to the controller.
+    fn report(&self, out: DeviceOutput) {
+        for up in out.to_controller {
+            self.session.send(&up);
+        }
+    }
 }
 
 /// Live-endpoint fault state: which links are impaired and whether the
@@ -282,469 +372,322 @@ impl FaultState {
 }
 
 /// How many data-plane packets one loop iteration may process before
-/// servicing the sockets again; keeps packet_in latency bounded under load.
+/// servicing the event queue again; keeps packet_in latency bounded under
+/// load.
 const DATAPATH_BUDGET: usize = 512;
 
-/// How many inbound control messages one loop iteration drains per
-/// connection.
+/// How many queued events one loop iteration handles before the datapath
+/// and the timed duties get their turn.
 const EVENT_BUDGET: usize = 512;
 
-#[allow(clippy::too_many_arguments)]
-fn run(
-    mut switch: Switch,
-    listener: TcpListener,
-    mut devices: Vec<DeviceSlot>,
+/// Depth of the serving task's event queue. Connection tasks wait for room
+/// (which is what pushes back on a flooding controller); so do `inject`
+/// callers.
+const EVENT_CHANNEL_CAP: usize = 4096;
+
+/// Flow and buffer expiry cadence. Every other timed duty but the device
+/// ticks (keepalive, telemetry, restarts after a crash) is coarser and
+/// rides on it.
+const EXPIRE_INTERVAL: Duration = Duration::from_millis(10);
+
+/// The single owner of the switch, its devices and the fault state.
+struct Serving {
+    switch: Switch,
+    session: Session,
+    devices: Vec<DeviceSlot>,
+    faults: FaultState,
     config: ChannelConfig,
-    cmd_rx: Receiver<Cmd>,
-    waker: WakeHandle,
-    wake_rx: Receiver<()>,
     counters: Arc<ChannelCounters>,
     telemetry: Arc<Mutex<SwitchTelemetry>>,
     flow_rules: Arc<Mutex<Vec<(OfMatch, u16, u64)>>>,
-    shutdown: Arc<AtomicBool>,
-) -> Switch {
-    let start = Instant::now();
-    let mut conn: Option<Connection> = None;
-    let mut connected_before = false;
-    let mut last_echo = Instant::now();
-    let mut last_expire = Instant::now();
-    let mut xid: u32 = 1;
-    let mut busy_accum = 0.0_f64;
-    let mut last_util_at = Instant::now();
-    let mut datapath_util = 0.0_f64;
-    let mut faults = FaultState::new();
+    start: Instant,
+    last_expire: Instant,
+    last_util_at: Instant,
+    busy_accum: f64,
+    datapath_util: f64,
+    xid: u32,
+}
+
+/// The serving task: waits for an event or the earliest timed duty, handles
+/// a batch of events, pumps the datapath, runs what is due. It never waits
+/// on a socket — accepting, handshaking, reading and writing all happen in
+/// other tasks — so no peer can hold it up.
+async fn serve(mut s: Serving, mut events: mpsc::Receiver<Event>) -> Switch {
     let mut datapath_pending = false;
-
-    while !shutdown.load(Ordering::SeqCst) {
-        let now = start.elapsed().as_secs_f64();
-
-        // Due restarts from earlier crash faults.
-        if faults.switch_down
-            && faults
-                .switch_restart_at
-                .is_some_and(|t| Instant::now() >= t)
-        {
-            faults.switch_down = false;
-            faults.switch_restart_at = None;
-        }
-        for dev in &mut devices {
-            if dev.down && dev.restart_at.is_some_and(|t| Instant::now() >= t) {
-                dev.down = false;
-                dev.restart_at = None;
-                dev.logic.on_restart(now);
-            }
-        }
-
-        // Controller (re)connects — refused while the switch is down or the
-        // control channel is partitioned (the OS backlog may hold the dial;
-        // the handshake simply doesn't complete until we accept again).
-        if !faults.switch_down && !faults.partitioned {
-            accept_controller(
-                &listener,
-                &mut switch,
-                &config,
-                &counters,
-                &mut conn,
-                &mut connected_before,
-                &mut last_echo,
-                &waker,
-            );
-        }
-        for dev in &mut devices {
-            if dev.down {
-                continue;
-            }
-            if let Ok((mut stream, _)) = dev.listener.accept() {
-                let _ = stream.set_nodelay(true);
-                let features = device_features(dev.index);
-                match handshake::accept(&mut stream, &features, &config) {
-                    Ok(residue) => {
-                        match Connection::spawn_with_waker(
-                            stream,
-                            &config,
-                            Arc::clone(&counters),
-                            residue,
-                            Some(waker.clone()),
-                        ) {
-                            Ok(new_conn) => {
-                                if dev.connected_before {
-                                    counters.record_reconnect();
-                                }
-                                dev.connected_before = true;
-                                dev.conn = Some(new_conn);
-                                dev.last_echo = Instant::now();
-                            }
-                            Err(_) => counters.record_connect_failure(),
-                        }
-                    }
-                    Err(_) => counters.record_connect_failure(),
-                }
-            }
-        }
-
-        // Wait for work: an injected command, a connection wake, or the
-        // next timed duty — no fixed-interval polling when idle. Every
-        // wake source (connection readers, `inject`, shutdown) signals the
-        // shared coalescing wake channel; new TCP dials have no wake
-        // source and ride on the wait cap in `next_wait`.
+    loop {
+        // With packets still queued in the datapath the wait is zero: the
+        // event queue is only looked at.
         let wait = if datapath_pending {
             Duration::ZERO
         } else {
-            next_wait(
-                &config,
-                &conn,
-                &devices,
-                last_echo,
-                last_expire,
-                last_util_at,
-            )
+            s.next_wait()
         };
-        if !wait.is_zero() {
-            let _ = wake_rx.recv_timeout(wait);
+        let mut next = match tokio::time::timeout(wait, events.recv()).await {
+            Ok(Some(event)) => Some(event),
+            Ok(None) => return s.switch,
+            Err(_) => None,
+        };
+        let now = s.start.elapsed().as_secs_f64();
+        s.restart_what_is_due(now);
+        let mut batch = 0usize;
+        while let Some(event) = next.take() {
+            if !s.handle(event, now) {
+                return s.switch;
+            }
+            batch += 1;
+            if batch >= EVENT_BUDGET {
+                break;
+            }
+            next = events.try_recv().ok();
         }
-        let mut next_cmd = cmd_rx.try_recv().ok();
-        while let Some(cmd) = next_cmd.take() {
-            match cmd {
-                Cmd::Inject { in_port, packet } => {
-                    if !faults.switch_down && !faults.link_drops(in_port) {
-                        switch.enqueue(in_port, packet);
+        datapath_pending = s.pump_datapath(now);
+        s.run_timed_duties(now);
+    }
+}
+
+impl Serving {
+    /// How long the task may sleep before its next timed duty.
+    fn next_wait(&self) -> Duration {
+        let mut wait = EXPIRE_INTERVAL.saturating_sub(self.last_expire.elapsed());
+        for dev in &self.devices {
+            if !dev.down {
+                let tick = self.config.device_tick_interval;
+                wait = wait.min(tick.saturating_sub(dev.last_tick.elapsed()));
+            }
+        }
+        wait
+    }
+
+    fn session_mut(&mut self, slot: usize) -> &mut Session {
+        match slot.checked_sub(1) {
+            None => &mut self.session,
+            Some(index) => &mut self.devices[index].session,
+        }
+    }
+
+    /// The switch's listener turns dials away while the switch is down or
+    /// the control channel is partitioned.
+    fn regate(&mut self) {
+        let refuse = self.faults.switch_down || self.faults.partitioned;
+        self.session.refusing.store(refuse, Ordering::SeqCst);
+    }
+
+    /// Due restarts from earlier crash faults.
+    fn restart_what_is_due(&mut self, now: f64) {
+        let due = |at: Option<Instant>| at.is_some_and(|t| Instant::now() >= t);
+        if self.faults.switch_down && due(self.faults.switch_restart_at) {
+            self.faults.switch_down = false;
+            self.faults.switch_restart_at = None;
+            self.regate();
+        }
+        for dev in &mut self.devices {
+            if dev.down && due(dev.restart_at) {
+                dev.down = false;
+                dev.restart_at = None;
+                dev.logic.on_restart(now);
+                dev.session.refusing.store(false, Ordering::SeqCst);
+            }
+        }
+    }
+
+    /// Handles one event; `false` is the order to stop.
+    fn handle(&mut self, event: Event, now: f64) -> bool {
+        match event {
+            Event::Shutdown => return false,
+            Event::Inject { in_port, packet } => {
+                if !self.faults.switch_down && !self.faults.link_drops(in_port) {
+                    self.switch.enqueue(in_port, packet);
+                }
+            }
+            Event::Fault(fault) => self.apply_fault(fault),
+            Event::Connected { slot, key, conn } => {
+                let session = self.session_mut(slot);
+                if session.refusing.load(Ordering::SeqCst) {
+                    // Its handshake was under way when the fault struck.
+                    conn.close();
+                    return true;
+                }
+                session.sever();
+                session.conn = Some((key, conn));
+                if std::mem::replace(&mut session.connected_before, true) {
+                    self.counters.record_reconnect();
+                }
+            }
+            Event::Inbound { slot, key, msg } => {
+                if self.session_mut(slot).conn.as_ref().map(|c| c.0) != Some(key) {
+                    return true;
+                }
+                match slot.checked_sub(1) {
+                    None => {
+                        let (forwards, replies) = self.switch.handle_message(msg, now);
+                        self.route_forwards(forwards, now);
+                        for reply in replies {
+                            self.session.send(&reply);
+                        }
+                    }
+                    Some(index) => {
+                        let dev = &mut self.devices[index];
+                        let mut out = DeviceOutput::new();
+                        dev.logic.on_message(msg, now, &mut out);
+                        dev.report(out);
                     }
                 }
-                Cmd::Fault(fault) => {
-                    apply_live_fault(fault, &mut switch, &mut conn, &mut devices, &mut faults);
-                }
             }
-            next_cmd = cmd_rx.try_recv().ok();
-        }
-
-        // Pump the datapath (a crashed switch forwards nothing). When the
-        // budget runs out with packets still queued, the next iteration
-        // skips its wait.
-        datapath_pending = false;
-        if !faults.switch_down {
-            for _ in 0..DATAPATH_BUDGET {
-                let Some((in_port, packet)) = switch.start_next() else {
-                    break;
-                };
-                let res = switch.process(in_port, packet, now);
-                busy_accum += res.service;
-                route_forwards(res.forwards, &mut devices, &mut faults, now);
-                if let Some(pi) = res.packet_in {
-                    xid = xid.wrapping_add(1);
-                    send_best_effort(&conn, &OfMessage::new(Xid(xid), OfBody::PacketIn(pi)));
-                }
-            }
-            datapath_pending = switch.ingress_len() > 0;
-        }
-
-        // Control messages from the controller.
-        let mut conn_died = false;
-        if let Some(active) = &conn {
-            for _ in 0..EVENT_BUDGET {
-                match active.try_recv() {
-                    Some(ConnEvent::Message(msg)) => match msg.body {
-                        OfBody::EchoRequest(data) => {
-                            send_best_effort(
-                                &conn,
-                                &OfMessage::new(msg.xid, OfBody::EchoReply(data)),
-                            );
-                        }
-                        OfBody::EchoReply(_) => {}
-                        _ => {
-                            let (forwards, replies) = switch.handle_message(msg, now);
-                            route_forwards(forwards, &mut devices, &mut faults, now);
-                            for reply in replies {
-                                send_best_effort(&conn, &reply);
-                            }
-                        }
-                    },
-                    Some(ConnEvent::Closed(_)) => {
-                        conn_died = true;
-                        break;
-                    }
-                    None => break,
+            Event::Closed { slot, key } => {
+                let session = self.session_mut(slot);
+                if session.conn.as_ref().map(|c| c.0) == Some(key) {
+                    session.conn = None;
                 }
             }
         }
-        if conn_died {
-            conn = None;
-        }
+        true
+    }
 
-        // Control messages to/from devices, plus their periodic ticks.
-        for dev in &mut devices {
+    /// Pumps the datapath (a crashed switch forwards nothing). `true` when
+    /// the budget ran out with packets still queued.
+    fn pump_datapath(&mut self, now: f64) -> bool {
+        if self.faults.switch_down {
+            return false;
+        }
+        for _ in 0..DATAPATH_BUDGET {
+            let Some((in_port, packet)) = self.switch.start_next() else {
+                break;
+            };
+            let res = self.switch.process(in_port, packet, now);
+            self.busy_accum += res.service;
+            self.route_forwards(res.forwards, now);
+            if let Some(pi) = res.packet_in {
+                self.xid = self.xid.wrapping_add(1);
+                self.session
+                    .send(&OfMessage::new(Xid(self.xid), OfBody::PacketIn(pi)));
+            }
+        }
+        self.switch.ingress_len() > 0
+    }
+
+    fn run_timed_duties(&mut self, now: f64) {
+        // Devices are ticked on a fixed cadence, like the engine's
+        // `DeviceTick` events; a device-requested `next_tick` sooner than
+        // that is honoured too.
+        for dev in &mut self.devices {
             if dev.down {
                 continue;
             }
-            let mut died = false;
-            if let Some(active) = &dev.conn {
-                for _ in 0..EVENT_BUDGET {
-                    match active.try_recv() {
-                        Some(ConnEvent::Message(msg)) => match msg.body {
-                            OfBody::EchoRequest(data) => {
-                                let _ =
-                                    active.send(&OfMessage::new(msg.xid, OfBody::EchoReply(data)));
-                            }
-                            OfBody::EchoReply(_) => {}
-                            _ => {
-                                let mut out = DeviceOutput::new();
-                                dev.logic.on_message(msg, now, &mut out);
-                                for up in out.to_controller {
-                                    let _ = active.send(&up);
-                                }
-                            }
-                        },
-                        Some(ConnEvent::Closed(_)) => {
-                            died = true;
-                            break;
-                        }
-                        None => break,
-                    }
-                }
-            }
-            if died {
-                dev.conn = None;
-            }
-            // Devices are ticked on a fixed cadence, like the engine's
-            // `DeviceTick` events; a device-requested `next_tick` sooner
-            // than that is honoured too.
-            let due_fixed = dev.last_tick.elapsed() >= config.device_tick_interval;
+            let due_fixed = dev.last_tick.elapsed() >= self.config.device_tick_interval;
             let due_requested = dev.logic.next_tick(now).is_some_and(|t| t <= now);
             if due_fixed || due_requested {
                 dev.last_tick = Instant::now();
                 let mut out = DeviceOutput::new();
                 dev.logic.on_tick(now, &mut out);
-                if let Some(active) = &dev.conn {
-                    for up in out.to_controller {
-                        let _ = active.send(&up);
-                    }
-                }
+                dev.report(out);
             }
         }
 
         // Flow/buffer expiry.
-        if last_expire.elapsed() >= Duration::from_millis(10) {
-            last_expire = Instant::now();
-            for msg in switch.expire(now) {
-                send_best_effort(&conn, &msg);
+        if self.last_expire.elapsed() >= EXPIRE_INTERVAL {
+            self.last_expire = Instant::now();
+            for msg in self.switch.expire(now) {
+                self.session.send(&msg);
             }
         }
 
-        // Keepalive probes and liveness.
-        if let Some(active) = &conn {
-            if last_echo.elapsed() >= config.echo_interval {
-                last_echo = Instant::now();
-                xid = xid.wrapping_add(1);
-                let _ = active.send(&OfMessage::new(
-                    Xid(xid),
-                    OfBody::EchoRequest(bytes::Bytes::new()),
-                ));
-            }
-            if active.idle_for() >= config.liveness_timeout {
-                counters.record_keepalive_timeout();
-                active.close();
-                conn = None;
-            }
-        }
-        for dev in &mut devices {
-            if let Some(active) = &dev.conn {
-                if dev.last_echo.elapsed() >= config.echo_interval {
-                    dev.last_echo = Instant::now();
-                    xid = xid.wrapping_add(1);
-                    let _ = active.send(&OfMessage::new(
-                        Xid(xid),
-                        OfBody::EchoRequest(bytes::Bytes::new()),
-                    ));
-                }
-                if active.idle_for() >= config.liveness_timeout {
-                    counters.record_keepalive_timeout();
-                    active.close();
-                    dev.conn = None;
-                }
+        // Keepalive probes and liveness. A connection that timed out is
+        // only shut down here; its reader's `Closed` clears the session.
+        let sessions = std::iter::once(&mut self.session)
+            .chain(self.devices.iter_mut().map(|d| &mut d.session));
+        for session in sessions {
+            if let Some((_, conn)) = &mut session.conn {
+                conn.keepalive(&self.config, &mut self.xid, &self.counters);
             }
         }
 
         // Telemetry snapshot (drives dashboards and the example binary).
-        let dt = last_util_at.elapsed().as_secs_f64();
+        let dt = self.last_util_at.elapsed().as_secs_f64();
         if dt >= 0.05 {
-            datapath_util = (busy_accum / dt).min(1.0);
-            busy_accum = 0.0;
-            last_util_at = Instant::now();
-            *flow_rules.lock() = switch
+            self.datapath_util = (self.busy_accum / dt).min(1.0);
+            self.busy_accum = 0.0;
+            self.last_util_at = Instant::now();
+            *self.flow_rules.lock() = self
+                .switch
                 .table
                 .iter()
                 .map(|e| (e.of_match, e.priority, e.cookie))
                 .collect();
         }
-        *telemetry.lock() = switch.telemetry(datapath_util);
+        *self.telemetry.lock() = self.switch.telemetry(self.datapath_util);
     }
-    switch
-}
 
-/// How long the loop may sleep before its next timed duty. Bounded by
-/// `ACCEPT_POLL` because pending TCP dials on the (non-blocking) listeners
-/// have no wake channel.
-fn next_wait(
-    config: &ChannelConfig,
-    conn: &Option<Connection>,
-    devices: &[DeviceSlot],
-    last_echo: Instant,
-    last_expire: Instant,
-    last_util_at: Instant,
-) -> Duration {
-    const ACCEPT_POLL: Duration = Duration::from_millis(25);
-    const EXPIRE_INTERVAL: Duration = Duration::from_millis(10);
-    const UTIL_INTERVAL: Duration = Duration::from_millis(50);
-    let mut wait = ACCEPT_POLL;
-    wait = wait.min(EXPIRE_INTERVAL.saturating_sub(last_expire.elapsed()));
-    wait = wait.min(UTIL_INTERVAL.saturating_sub(last_util_at.elapsed()));
-    if conn.is_some() {
-        wait = wait.min(config.echo_interval.saturating_sub(last_echo.elapsed()));
-    }
-    for dev in devices {
-        if !dev.down {
-            wait = wait.min(
-                config
-                    .device_tick_interval
-                    .saturating_sub(dev.last_tick.elapsed()),
-            );
-        }
-        if let Some(at) = dev.restart_at {
-            wait = wait.min(at.saturating_duration_since(Instant::now()));
-        }
-    }
-    wait
-}
-
-/// Accepts a pending controller dial on the switch listener, runs the
-/// handshake and installs the resulting connection.
-#[allow(clippy::too_many_arguments)]
-fn accept_controller(
-    listener: &TcpListener,
-    switch: &mut Switch,
-    config: &ChannelConfig,
-    counters: &Arc<ChannelCounters>,
-    conn: &mut Option<Connection>,
-    connected_before: &mut bool,
-    last_echo: &mut Instant,
-    waker: &WakeHandle,
-) {
-    if let Ok((mut stream, _)) = listener.accept() {
-        let _ = stream.set_nodelay(true);
-        match handshake::accept(&mut stream, &switch.features(), config) {
-            Ok(residue) => match Connection::spawn_with_waker(
-                stream,
-                config,
-                Arc::clone(counters),
-                residue,
-                Some(waker.clone()),
-            ) {
-                Ok(new_conn) => {
-                    if *connected_before {
-                        counters.record_reconnect();
-                    }
-                    *connected_before = true;
-                    *conn = Some(new_conn);
-                    *last_echo = Instant::now();
-                }
-                Err(_) => counters.record_connect_failure(),
-            },
-            Err(_) => counters.record_connect_failure(),
-        }
-    }
-}
-
-/// Hands forwarded packets that land on a device port to the device;
-/// other ports lead to hosts, which live mode does not model. Packets
-/// crossing a faulted link, or destined to a crashed device, are dropped.
-fn route_forwards(
-    forwards: Vec<(u16, Packet)>,
-    devices: &mut [DeviceSlot],
-    faults: &mut FaultState,
-    now: f64,
-) {
-    for (out_port, packet) in forwards {
-        if faults.link_drops(out_port) {
-            continue;
-        }
-        if let Some(dev) = devices.iter_mut().find(|d| d.port == out_port) {
-            if dev.down {
+    /// Hands forwarded packets that land on a device port to the device;
+    /// other ports lead to hosts, which live mode does not model. Packets
+    /// crossing a faulted link, or destined to a crashed device, are
+    /// dropped.
+    fn route_forwards(&mut self, forwards: Vec<(u16, Packet)>, now: f64) {
+        for (out_port, packet) in forwards {
+            if self.faults.link_drops(out_port) {
                 continue;
             }
-            let mut out = DeviceOutput::new();
-            dev.logic.on_packet(packet, now, &mut out);
-            if let Some(active) = &dev.conn {
-                for up in out.to_controller {
-                    let _ = active.send(&up);
+            if let Some(dev) = self.devices.iter_mut().find(|d| d.port == out_port) {
+                if dev.down {
+                    continue;
+                }
+                let mut out = DeviceOutput::new();
+                dev.logic.on_packet(packet, now, &mut out);
+                dev.report(out);
+            }
+        }
+    }
+
+    /// Applies one injected [`Fault`] to the live endpoint's state.
+    fn apply_fault(&mut self, fault: Fault) {
+        let restart_at = |after: f64| {
+            after
+                .is_finite()
+                .then(|| Instant::now() + Duration::from_secs_f64(after.max(0.0)))
+        };
+        match fault {
+            Fault::LinkDown { port, .. } => {
+                self.faults.links_down.insert(port);
+            }
+            Fault::LinkUp { port, .. } => {
+                self.faults.links_down.remove(&port);
+            }
+            Fault::LinkLoss {
+                port, probability, ..
+            } => {
+                if probability <= 0.0 {
+                    self.faults.link_loss.remove(&port);
+                } else {
+                    self.faults.link_loss.insert(port, probability.min(1.0));
                 }
             }
-        }
-    }
-}
-
-/// Applies one injected [`Fault`] to the live endpoint's state.
-fn apply_live_fault(
-    fault: Fault,
-    switch: &mut Switch,
-    conn: &mut Option<Connection>,
-    devices: &mut [DeviceSlot],
-    faults: &mut FaultState,
-) {
-    match fault {
-        Fault::LinkDown { port, .. } => {
-            faults.links_down.insert(port);
-        }
-        Fault::LinkUp { port, .. } => {
-            faults.links_down.remove(&port);
-        }
-        Fault::LinkLoss {
-            port, probability, ..
-        } => {
-            if probability <= 0.0 {
-                faults.link_loss.remove(&port);
-            } else {
-                faults.link_loss.insert(port, probability.min(1.0));
+            Fault::ControlPartition { .. } => {
+                self.faults.partitioned = true;
+                self.regate();
+                self.session.sever();
             }
-        }
-        Fault::ControlPartition { .. } => {
-            faults.partitioned = true;
-            if let Some(active) = conn.take() {
-                active.close();
+            Fault::ControlHeal { .. } => {
+                self.faults.partitioned = false;
+                self.regate();
             }
-        }
-        Fault::ControlHeal { .. } => {
-            faults.partitioned = false;
-        }
-        Fault::SwitchCrash { restart_after, .. } => {
-            switch.crash();
-            faults.switch_down = true;
-            faults.switch_restart_at = restart_after
-                .is_finite()
-                .then(|| Instant::now() + Duration::from_secs_f64(restart_after.max(0.0)));
-            if let Some(active) = conn.take() {
-                active.close();
+            Fault::SwitchCrash { restart_after, .. } => {
+                self.switch.crash();
+                self.faults.switch_down = true;
+                self.faults.switch_restart_at = restart_at(restart_after);
+                self.regate();
+                self.session.sever();
             }
-        }
-        Fault::DeviceCrash { dev, restart_after } => {
-            if let Some(slot) = devices.get_mut(dev.0) {
-                slot.logic.on_crash();
-                slot.down = true;
-                slot.restart_at = restart_after
-                    .is_finite()
-                    .then(|| Instant::now() + Duration::from_secs_f64(restart_after.max(0.0)));
+            Fault::DeviceCrash { dev, restart_after } => {
+                if let Some(slot) = self.devices.get_mut(dev.0) {
+                    slot.logic.on_crash();
+                    slot.down = true;
+                    slot.restart_at = restart_at(restart_after);
+                    slot.session.refusing.store(true, Ordering::SeqCst);
+                    slot.session.sever();
+                }
             }
-        }
-        // The stall is a controller-side fault; the switch endpoint has
-        // nothing to stall.
-        Fault::ControllerStall { .. } => {}
-    }
-}
-
-/// Sends on the connection if one is up; backpressure and closure both
-/// drop the frame (the counters record each backpressure rejection).
-fn send_best_effort(conn: &Option<Connection>, msg: &OfMessage) {
-    if let Some(active) = conn {
-        match active.send(msg) {
-            Ok(()) | Err(SendError::Backpressure) | Err(SendError::Closed) => {}
+            // The stall is a controller-side fault; the switch endpoint has
+            // nothing to stall.
+            Fault::ControllerStall { .. } => {}
         }
     }
 }

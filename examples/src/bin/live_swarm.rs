@@ -123,6 +123,7 @@ fn report_json(args: &Args, report: &SwarmReport, probes: &ProbeResults) -> Stri
         ("connect_max_ms", ms(report.latency_quantile(1.0))),
         ("window_s", json::number(report.window.as_secs_f64())),
         ("packet_ins_sent", report.packet_ins_sent.to_string()),
+        ("packet_ins_shed", report.packet_ins_shed.to_string()),
         ("throughput_pps", json::number(report.throughput_pps())),
         ("frames_from_controller", report.frames_in.to_string()),
         ("metrics_probe_ok", probes.metrics_ok.to_string()),
@@ -240,10 +241,11 @@ fn main() {
         report.latency_quantile(1.0)
     );
     println!(
-        "sustained packet_in throughput: {:.0} pps over {:.2?} ({} frames)",
+        "sustained packet_in throughput: {:.0} pps over {:.2?} ({} frames, {} shed)",
         report.throughput_pps(),
         report.window,
-        report.packet_ins_sent
+        report.packet_ins_sent,
+        report.packet_ins_shed
     );
     println!(
         "ops probes while live: /metrics {}  /api/status {}",

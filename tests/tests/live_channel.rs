@@ -441,10 +441,69 @@ fn floodguard_defense_loop_over_live_tcp() {
     drop(endpoint);
 }
 
+/// Passes everything through to `inner`, counting what arrives from the
+/// switch itself (as opposed to its cache device).
+struct Tap<C> {
+    inner: C,
+    /// `on_switch_connect` plus `on_message` calls so far.
+    from_switch: Arc<AtomicU32>,
+}
+
+impl<C: ControlPlane> ControlPlane for Tap<C> {
+    fn on_switch_connect(
+        &mut self,
+        dpid: DatapathId,
+        features: FeaturesReply,
+        now: f64,
+        out: &mut ControlOutput,
+    ) {
+        self.from_switch.fetch_add(1, Ordering::SeqCst);
+        self.inner.on_switch_connect(dpid, features, now, out);
+    }
+
+    fn on_message(&mut self, dpid: DatapathId, msg: OfMessage, now: f64, out: &mut ControlOutput) {
+        self.from_switch.fetch_add(1, Ordering::SeqCst);
+        self.inner.on_message(dpid, msg, now, out);
+    }
+
+    fn on_device_message(
+        &mut self,
+        device: netsim::iface::DeviceId,
+        msg: OfMessage,
+        now: f64,
+        out: &mut ControlOutput,
+    ) {
+        self.inner.on_device_message(device, msg, now, out);
+    }
+
+    fn on_switch_disconnect(&mut self, dpid: DatapathId, now: f64, out: &mut ControlOutput) {
+        self.inner.on_switch_disconnect(dpid, now, out);
+    }
+
+    fn on_telemetry(
+        &mut self,
+        telemetry: &netsim::iface::Telemetry,
+        now: f64,
+        out: &mut ControlOutput,
+    ) {
+        self.inner.on_telemetry(telemetry, now, out);
+    }
+
+    fn on_tick(&mut self, now: f64, out: &mut ControlOutput) {
+        self.inner.on_tick(now, out);
+    }
+
+    fn tick_interval(&self) -> Option<f64> {
+        self.inner.tick_interval()
+    }
+}
+
 /// Fault injection over real sockets: mid-defense, the live switch crashes
 /// (flow table wiped, TCP session cut) and restarts. The controller's
 /// post-reconnect replay plus FloodGuard's rule repair must reinstall the
-/// same defense rule set, and the transport must count the resync.
+/// same defense rule set, and the transport must count the resync. While
+/// the switch is down it completes no handshake: the controller's redials
+/// fail and back off, and nothing from the switch reaches the control plane.
 #[test]
 fn switch_crash_mid_defense_resyncs_rules() {
     const CACHE_PORT: u16 = 99;
@@ -488,7 +547,12 @@ fn switch_crash_mid_defense_resyncs_rules() {
     };
     let mut targets = vec![endpoint.switch_addr()];
     targets.extend_from_slice(endpoint.device_addrs());
-    let controller = ControllerEndpoint::spawn(Box::new(floodguard), targets, controller_config);
+    let from_switch = Arc::new(AtomicU32::new(0));
+    let tap = Tap {
+        inner: floodguard,
+        from_switch: Arc::clone(&from_switch),
+    };
+    let controller = ControllerEndpoint::spawn(Box::new(tap), targets, controller_config);
 
     assert!(
         wait_for(Duration::from_secs(10), || {
@@ -525,10 +589,41 @@ fn switch_crash_mid_defense_resyncs_rules() {
     assert!(!before.is_empty());
 
     let reconnects_before = controller.counters().reconnects;
+    let failures_before = controller.counters().connect_failures;
     endpoint.inject_fault(Fault::SwitchCrash {
         sw: SwitchId(0),
         restart_after: 0.2,
     });
+
+    // The outage, for as long as the switch is certainly still down (the
+    // cache's session stays up throughout): the flood goes on, the redials
+    // are refused, and the control plane hears nothing from the switch.
+    let certainly_down = Instant::now() + Duration::from_millis(120);
+    assert!(wait_for(Duration::from_secs(10), || {
+        controller.status().connected_switches.is_empty()
+    }));
+    let heard = from_switch.load(Ordering::SeqCst);
+    loop {
+        flood(&mut seq);
+        let mut dial = TcpStream::connect(endpoint.switch_addr()).unwrap();
+        let answer = handshake::initiate(&mut dial, &ChannelConfig::default());
+        let seen = (
+            from_switch.load(Ordering::SeqCst),
+            controller.status().connected_switches.len(),
+        );
+        if Instant::now() >= certainly_down {
+            break; // what was just sampled may be from after the restart
+        }
+        match answer {
+            Err(handshake::HandshakeError::Eof | handshake::HandshakeError::Io(_)) => {}
+            other => panic!("a crashed switch answered a dial: {other:?}"),
+        }
+        assert_eq!(seen, (heard, 0), "a session with a switch that is down");
+    }
+    assert!(
+        controller.counters().connect_failures > failures_before,
+        "the controller's redials were not refused"
+    );
 
     // Keep the flood alive across the outage: the reconnect plus the
     // repair path must land every pre-crash defense rule again.
@@ -552,6 +647,180 @@ fn switch_crash_mid_defense_resyncs_rules() {
         "reconnect did not replay the flow-mod ring: {:?}",
         controller.counters()
     );
+
+    drop(controller);
+    drop(endpoint);
+}
+
+/// A peer that connects to a live switch's OpenFlow ports and says nothing
+/// costs the switch one parked handshake task per dial and nothing else:
+/// the established sessions stay up, keepalive is answered, packet_ins and
+/// flow_mods keep flowing, and the silent dials end as counted connect
+/// failures when their deadline passes. (The serving loop used to run the
+/// handshake inline, so one silent dial parked datapath, device ticks and
+/// echo replies for `handshake_timeout` and the controller declared the
+/// healthy switch dead.)
+#[test]
+fn half_open_dial_does_not_take_a_healthy_switch_offline() {
+    const CACHE_PORT: u16 = 99;
+    // A silent dial stays pending for longer than a session may be silent,
+    // so a serving loop that waits on it is a session lost.
+    let channel = ChannelConfig {
+        handshake_timeout: Duration::from_millis(300),
+        ..ChannelConfig::default()
+            .with_echo_interval(Duration::from_millis(50))
+            .with_liveness_timeout(Duration::from_millis(250))
+    };
+
+    let mut platform = ControllerPlatform::new();
+    platform.register(apps::l2_learning::program());
+    let quiet = DetectionConfig {
+        rate_capacity_pps: 1e9,
+        score_threshold: 0.99,
+        ..DetectionConfig::default()
+    };
+    let fg_config = FloodGuardConfig {
+        detection: quiet,
+        ..FloodGuardConfig::default()
+    };
+    let mut floodguard = FloodGuard::new(platform, fg_config, CACHE_PORT);
+    let cache = floodguard.build_cache();
+    let switch = Switch::new(
+        DatapathId(1),
+        SwitchProfile::software(),
+        vec![1, 2, CACHE_PORT],
+    );
+    let endpoint =
+        SwitchEndpoint::spawn(switch, vec![(CACHE_PORT, Box::new(cache))], channel).unwrap();
+    let mut targets = vec![endpoint.switch_addr()];
+    targets.extend_from_slice(endpoint.device_addrs());
+    let controller = ControllerEndpoint::spawn(
+        Box::new(floodguard),
+        targets,
+        ControllerConfig {
+            channel,
+            ..ControllerConfig::default()
+        },
+    );
+    let both_up = || {
+        let status = controller.status();
+        status.connected_switches.len() == 1 && status.connected_devices.len() == 1
+    };
+    assert!(
+        wait_for(Duration::from_secs(10), both_up),
+        "switch and cache sessions never both came up"
+    );
+
+    let opened = Instant::now();
+    let _silent_switch = TcpStream::connect(endpoint.switch_addr()).unwrap();
+    let _silent_device = TcpStream::connect(endpoint.device_addrs()[0]).unwrap();
+    // Long enough for an endpoint that polls its listeners to have picked
+    // the dials up.
+    std::thread::sleep(Duration::from_millis(50));
+
+    // A packet_in → flow_mod round trip while both silent peers are pending.
+    let host = |n: u8| (MacAddr::from_u64(n.into()), Ipv4Addr::new(10, 0, 0, n));
+    let ((mac_a, ip_a), (mac_b, ip_b)) = (host(0xa), host(0xb));
+    let a_to_b = Packet::udp(mac_a, mac_b, ip_a, ip_b, 5000, 5001, 200);
+    let b_to_a = Packet::udp(mac_b, mac_a, ip_b, ip_a, 5001, 5000, 200);
+    assert!(
+        wait_for(Duration::from_secs(1), || {
+            endpoint.inject(1, a_to_b);
+            endpoint.inject(2, b_to_a);
+            endpoint.telemetry().flow_count >= 1
+        }),
+        "no flow installed within 1 s of the silent dials"
+    );
+    assert_eq!(
+        endpoint.counters().connect_failures,
+        0,
+        "the round trip had to wait for a silent dial to time out ({:?} in)",
+        opened.elapsed()
+    );
+
+    // The sessions outlive the liveness bound with the dials still pending.
+    while opened.elapsed() < channel.liveness_timeout + Duration::from_millis(20) {
+        assert!(
+            both_up(),
+            "a session dropped {:?} after the silent dials: {:?}",
+            opened.elapsed(),
+            controller.status()
+        );
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    assert_eq!(controller.counters().keepalive_timeouts, 0);
+    assert_eq!(endpoint.counters().keepalive_timeouts, 0);
+
+    assert!(
+        wait_for(Duration::from_secs(10), || {
+            endpoint.counters().connect_failures == 2
+        }),
+        "the silent dials never timed out: {:?}",
+        endpoint.counters()
+    );
+    assert!(opened.elapsed() >= channel.handshake_timeout);
+    assert!(both_up());
+    assert_eq!(endpoint.counters().reconnects, 0);
+    assert_eq!(controller.counters().reconnects, 0);
+
+    drop(controller);
+    drop(endpoint);
+}
+
+/// A partitioned switch completes no handshake: every dial is closed
+/// before a HELLO is sent, so the controller sees connect failures and backs
+/// off — never a session with a switch it cannot talk to, not one frame
+/// from it — and re-handshakes once the partition heals.
+#[test]
+fn partitioned_switch_completes_no_handshake() {
+    let switch = Switch::new(DatapathId(1), SwitchProfile::software(), vec![1, 2]);
+    let endpoint = SwitchEndpoint::spawn(switch, Vec::new(), ChannelConfig::default()).unwrap();
+    let channel =
+        ChannelConfig::default().with_backoff(Duration::from_millis(5), Duration::from_millis(20));
+    let controller = ControllerEndpoint::spawn(
+        Box::new(NullControlPlane),
+        vec![endpoint.switch_addr()],
+        ControllerConfig {
+            channel,
+            ..ControllerConfig::default()
+        },
+    );
+    let connected = || controller.status().connected_switches.len();
+    assert!(wait_for(Duration::from_secs(10), || connected() == 1));
+
+    endpoint.inject_fault(Fault::ControlPartition { sw: SwitchId(0) });
+    assert!(
+        wait_for(Duration::from_secs(10), || connected() == 0),
+        "the controller never noticed the session was cut"
+    );
+    let before = controller.counters();
+    let cut = Instant::now();
+    while cut.elapsed() < Duration::from_millis(60) {
+        // A dial of our own is turned away without a byte, and at once.
+        let mut dial = TcpStream::connect(endpoint.switch_addr()).unwrap();
+        match handshake::initiate(&mut dial, &ChannelConfig::default()) {
+            Err(handshake::HandshakeError::Eof | handshake::HandshakeError::Io(_)) => {}
+            other => panic!("a partitioned switch answered a dial: {other:?}"),
+        }
+        // Misses raise packet_ins, which have nowhere to go.
+        endpoint.inject(1, udp_flow(1, 100));
+        assert_eq!(connected(), 0, "a session across the partition");
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    let during = controller.counters();
+    assert_eq!(during.frames_in, before.frames_in);
+    assert_eq!(during.reconnects, 0);
+    assert!(
+        during.connect_failures > before.connect_failures,
+        "the controller's redials were not refused"
+    );
+
+    endpoint.inject_fault(Fault::ControlHeal { sw: SwitchId(0) });
+    assert!(
+        wait_for(Duration::from_secs(10), || connected() == 1),
+        "no re-handshake after the heal"
+    );
+    assert_eq!(controller.counters().reconnects, 1);
 
     drop(controller);
     drop(endpoint);

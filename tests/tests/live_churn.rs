@@ -1,0 +1,97 @@
+//! Endpoint churn must leave nothing behind, and connections must not cost
+//! threads.
+//!
+//! The live transport used to run a reader and a writer thread per
+//! connection, joined in `Drop`; an endpoint churning through reconnects
+//! that failed to join them accumulated threads blocked in `read` until fd
+//! or thread exhaustion. Connections are tasks on each endpoint's runtime
+//! now, so the count of OS threads is fixed per endpoint and dropping an
+//! endpoint must return every thread and every descriptor.
+//!
+//! The test lives in its own file so the counted process contains only this
+//! scenario's threads and descriptors.
+
+use std::time::{Duration, Instant};
+
+use netsim::iface::{DataPlaneDevice, DeviceOutput, NullControlPlane};
+use netsim::packet::Packet;
+use netsim::switch::Switch;
+use netsim::SwitchProfile;
+use ofchannel::{ChannelConfig, ControllerConfig, ControllerEndpoint, SwitchEndpoint};
+use ofproto::types::DatapathId;
+
+fn entries(dir: &str) -> usize {
+    std::fs::read_dir(dir).map_or(0, Iterator::count)
+}
+
+/// This process's live threads and open descriptors.
+fn threads_and_fds() -> (usize, usize) {
+    (entries("/proc/self/task"), entries("/proc/self/fd"))
+}
+
+struct Sink;
+
+impl DataPlaneDevice for Sink {
+    fn on_packet(&mut self, _pkt: Packet, _now: f64, _out: &mut DeviceOutput) {}
+}
+
+/// A switch with `devices` attached devices and a controller holding a
+/// session with each of the first `sessions` listeners (switch first).
+fn connected_pair(devices: u16, sessions: usize) -> (SwitchEndpoint, ControllerEndpoint) {
+    let ports: Vec<u16> = (1..=2 + devices).collect();
+    let switch = Switch::new(DatapathId(1), SwitchProfile::software(), ports);
+    let attached = (0..devices)
+        .map(|i| (3 + i, Box::new(Sink) as Box<dyn DataPlaneDevice>))
+        .collect();
+    let endpoint = SwitchEndpoint::spawn(switch, attached, ChannelConfig::default()).unwrap();
+    let mut targets = vec![endpoint.switch_addr()];
+    targets.extend_from_slice(endpoint.device_addrs());
+    targets.truncate(sessions);
+    let controller = ControllerEndpoint::spawn(
+        Box::new(NullControlPlane),
+        targets,
+        // The control loop looks at its stop flag once per wait, and never
+        // waits past a telemetry tick: a short one keeps the rounds short.
+        ControllerConfig {
+            telemetry_interval: Duration::from_millis(2),
+            ..ControllerConfig::default()
+        },
+    );
+    let deadline = Instant::now() + Duration::from_secs(10);
+    loop {
+        let status = controller.status();
+        if status.connected_switches.len() + status.connected_devices.len() == sessions {
+            break;
+        }
+        assert!(Instant::now() < deadline, "sessions never came up");
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    (endpoint, controller)
+}
+
+#[test]
+fn churn_leaves_threads_and_descriptors_flat_and_connections_cost_no_thread() {
+    if entries("/proc/self/task") == 0 {
+        eprintln!("skipping: /proc/self/task unavailable");
+        return;
+    }
+
+    // One round first: lazily created process state is not a leak.
+    drop(connected_pair(1, 2));
+    let before = threads_and_fds();
+    for _ in 0..100 {
+        let (endpoint, controller) = connected_pair(1, 2);
+        drop(controller);
+        drop(endpoint);
+    }
+    assert_eq!(threads_and_fds(), before, "(threads, fds) after 100 rounds");
+
+    // Four sessions run on as many threads as one does.
+    let one = connected_pair(3, 1);
+    let threads_with_one = threads_and_fds().0;
+    drop(one);
+    let four = connected_pair(3, 4);
+    assert_eq!(threads_and_fds().0, threads_with_one);
+    drop(four);
+    assert_eq!(threads_and_fds(), before);
+}
