@@ -193,7 +193,7 @@ mod tests {
                 datapath_utilization: 0.0,
                 ingress_len: 0,
                 misses: 0,
-                flow_count: 0,
+                flow_count: Some(0),
             }],
             controller_queue: 0,
             controller_utilization: 0.0,

@@ -11,23 +11,30 @@
 //!
 //! **Incremental re-analysis** — the tentpole workload: among 1000 apps,
 //! one changes per round. The conversion cache must serve the other 999
-//! (hit rate ≥ 99%) and the incremental convert must beat a cold convert
-//! by ≥ 10x.
+//! (hit rate ≥ 99%) and the round — [`Analyzer::update`], the path the
+//! defense runs — must beat a cold convert by ≥ 100x. (The same round
+//! through `convert`, which copies all 8000 rules out, is reported beside
+//! it and not gated: that copy is most of its time and no defense tick
+//! pays it.)
 //!
 //! **Compression** — the merged 1000-app rule set compressed under the
 //! `hardware` switch profile's 4096-entry TCAM budget; reports the
 //! before/after counts and the ratio, and requires the set to fit.
 //!
 //! **Thread determinism** — the same cold convert at 1, 2 and 8 worker
-//! threads must return identical rule vectors; the parallel speedup is
-//! reported, and gated only on machines with ≥ 8 cores (the ratio is
-//! meaningless on fewer).
+//! threads must return identical rule vectors. The parallel speedup is
+//! taken at the largest of those counts the machine has cores for, written
+//! with that count and the cores beside it, and gated against a baseline
+//! taken at the same count; with one core there is no speedup to report.
 //!
 //! **Defense tick** — what one rule-update round of a defended flood costs
 //! (`detect_changes` + `Analyzer::update` after 7 new spoofed sources, the
 //! paper's five apps) on 300 and on 3000 learned sources. The attacker
 //! decides how much the applications have learned, so the two must cost
-//! the same: the 3000/300 ratio is a hard bar at 1.5.
+//! the same: the 3000/300 ratio is a hard bar at 1.5. Beside it, the same
+//! round on 300 learned sources through `FloodGuard::on_telemetry` as a
+//! live endpoint drives it, worker count left at its default: what a tick
+//! costs on top of its update shows as the difference.
 //!
 //! **Regression gate** — compares against `FG_ANALYZER_BASELINE` (default
 //! `results/BENCH_analyzer_baseline.json`) and exits non-zero when a
@@ -43,6 +50,10 @@ use std::time::Instant;
 use bench::report::{extract_number, read_report, write_report, Json};
 use bench::synthetic;
 use floodguard::analyzer::Analyzer;
+use floodguard::{FloodGuard, FloodGuardConfig};
+use netsim::iface::{ControlOutput, ControlPlane, SwitchTelemetry, Telemetry};
+use ofproto::messages::{FeaturesReply, OfBody, OfMessage, PacketIn, PacketInReason};
+use ofproto::types::{DatapathId, MacAddr, PortNo, Xid};
 use symexec::CompressionConfig;
 
 /// Tolerated drop before the gate fails (25%).
@@ -56,8 +67,14 @@ const TCAM_BUDGET: usize = 4096;
 /// Minimum cache hit rate when 1 app of 1000 changes.
 const HIT_RATE_FLOOR: f64 = 0.99;
 
-/// Minimum cold/incremental speedup for the same workload.
-const INCR_SPEEDUP_FLOOR: f64 = 10.0;
+/// Minimum speedup of an incremental update round over a cold convert of
+/// the same fleet. Thirty runs on the two-core sandbox read 259–671x, and
+/// the same round through `convert` 7.0–18.7x (EXPERIMENTS.md "Fixed costs
+/// of the attack path"): a busy machine passes, a round that walks the
+/// fleet's rules again does not. The ratio of a 12 µs median to a 5 ms one
+/// spreads wider than the baseline gate's 25 %, so this floor is its only
+/// gate.
+const INCR_SPEEDUP_FLOOR: f64 = 100.0;
 
 /// Maximum 3000-source / 300-source cost of one defense tick.
 const DEFENSE_TICK_RATIO_CEILING: f64 = 1.5;
@@ -65,6 +82,17 @@ const DEFENSE_TICK_RATIO_CEILING: f64 = 1.5;
 /// Spoofed sources a defense tick finds new (the cache re-raises 150
 /// packets a second; CI boxes tick every 20–50 ms).
 const SOURCES_PER_TICK: u64 = 7;
+
+/// The `n`-th spoofed source and the port it is learned on: scattered like
+/// spoofed addresses, not in table order.
+fn spoofed(n: u64) -> (MacAddr, std::net::Ipv4Addr, u16) {
+    let at = n.wrapping_mul(0x9e37_79b9_7f4a_7c15) >> 20;
+    (
+        MacAddr::from_u64(at),
+        (at as u32).into(),
+        (at % 3 + 1) as u16,
+    )
+}
 
 /// The paper's five applications under a flood, and the analyzer
 /// defending them.
@@ -97,13 +125,10 @@ impl Defended {
     fn learn(&mut self, sources: u64) {
         use controller::apps;
         for _ in 0..sources {
-            // Scattered like spoofed addresses, not in table order.
-            let at = self.learned.wrapping_mul(0x9e37_79b9_7f4a_7c15) >> 20;
+            let (mac, ip, port) = spoofed(self.learned);
             self.learned += 1;
-            let port = (at % 3 + 1) as u16;
-            let mac = ofproto::types::MacAddr::from_u64(at);
             apps::l2_learning::learn_host(&mut self.apps[0].env, mac, port);
-            apps::l3_learning::learn_host(&mut self.apps[2].env, (at as u32).into(), port);
+            apps::l3_learning::learn_host(&mut self.apps[2].env, ip, port);
         }
     }
 
@@ -124,8 +149,91 @@ impl Defended {
     }
 }
 
-/// Median of `reps` timed runs of `f`, in seconds.
-fn median_secs<F: FnMut()>(reps: usize, mut f: F) -> f64 {
+/// Median, in µs, of `rounds` defense ticks on 300 learned sources taken
+/// through [`FloodGuard::on_telemetry`] with telemetry as a live controller
+/// endpoint assembles it (no utilizations, flow count unobserved).
+fn floodguard_tick_us(rounds: usize) -> f64 {
+    use controller::{apps, platform::ControllerPlatform};
+    const CACHE_PORT: u16 = 99;
+    let dpid = DatapathId(1);
+    let mut platform = ControllerPlatform::new();
+    for program in apps::evaluation_apps() {
+        platform.register(program);
+    }
+    let mut fg = FloodGuard::new(platform, FloodGuardConfig::default(), CACHE_PORT);
+    let mut out = ControlOutput::new();
+    let features = FeaturesReply {
+        datapath_id: dpid,
+        n_buffers: 256,
+        n_tables: 1,
+        ports: [1, 2, 3, CACHE_PORT].map(PortNo::Physical).to_vec(),
+    };
+    fg.on_switch_connect(dpid, features, 0.0, &mut out);
+    let mut learned = 0u64;
+    let mut learn = |fg: &mut FloodGuard, sources: u64| {
+        for _ in 0..sources {
+            let (mac, ip, port) = spoofed(learned);
+            learned += 1;
+            let apps = fg.platform_mut();
+            let l2 = &mut apps.app_mut("l2_learning").expect("registered").env;
+            apps::l2_learning::learn_host(l2, mac, port);
+            let l3 = &mut apps.app_mut("l3_learning").expect("registered").env;
+            apps::l3_learning::learn_host(l3, ip, port);
+        }
+    };
+    learn(&mut fg, 300);
+    // Sixty table misses in one instant trip the detector.
+    for i in 0..60u32 {
+        let (src, dst) = (
+            MacAddr::from_u64(1 << 40 | u64::from(i)),
+            MacAddr::from_u64(2 << 40),
+        );
+        let data =
+            netsim::packet::Packet::udp(src, dst, i.into(), (!i).into(), 1, 2, 64).to_bytes();
+        let packet_in = PacketIn {
+            buffer_id: None,
+            total_len: data.len() as u16,
+            in_port: PortNo::Physical(3),
+            reason: PacketInReason::NoMatch,
+            data,
+        };
+        let msg = OfMessage::new(Xid(i), OfBody::PacketIn(packet_in));
+        fg.on_message(dpid, msg, 1.0, &mut out);
+    }
+    let telemetry = Telemetry {
+        switches: vec![SwitchTelemetry {
+            dpid,
+            buffer_utilization: 0.0,
+            datapath_utilization: 0.0,
+            ingress_len: 0,
+            misses: 0,
+            flow_count: None,
+        }],
+        ..Telemetry::default()
+    };
+    fg.on_telemetry(&telemetry, 1.05, &mut out);
+    fg.on_telemetry(&telemetry, 1.1, &mut out);
+    assert_eq!(fg.state(), floodguard::State::Defense);
+    let mut tick_us: Vec<f64> = (1..=rounds)
+        .map(|round| {
+            learn(&mut fg, SOURCES_PER_TICK);
+            // A busy cache: the attack is not over.
+            fg.cache_handle().lock().stats.received += 1000;
+            out.reset();
+            let t0 = Instant::now();
+            fg.on_telemetry(&telemetry, 1.1 + round as f64 * 0.02, &mut out);
+            let elapsed = t0.elapsed().as_secs_f64() * 1e6;
+            assert_eq!(out.messages.len(), 1 + 2 * SOURCES_PER_TICK as usize);
+            elapsed
+        })
+        .collect();
+    assert_eq!(fg.state(), floodguard::State::Defense);
+    tick_us.sort_by(f64::total_cmp);
+    tick_us[tick_us.len() / 2]
+}
+
+/// `reps` timed runs of `f`, in seconds, fastest first.
+fn sorted_secs<F: FnMut()>(reps: usize, mut f: F) -> Vec<f64> {
     let mut times: Vec<f64> = (0..reps)
         .map(|_| {
             let t0 = Instant::now();
@@ -134,7 +242,12 @@ fn median_secs<F: FnMut()>(reps: usize, mut f: F) -> f64 {
         })
         .collect();
     times.sort_by(f64::total_cmp);
-    times[times.len() / 2]
+    times
+}
+
+/// Median of `reps` timed runs of `f`, in seconds.
+fn median_secs<F: FnMut()>(reps: usize, f: F) -> f64 {
+    sorted_secs(reps, f)[reps / 2]
 }
 
 fn main() {
@@ -160,7 +273,9 @@ fn main() {
         scaling_rows.push((n, cold_s * 1e3, rules));
     }
 
-    // --- Incremental re-analysis: 1 changed app among `fleet`. ------------
+    // --- Incremental re-analysis: 1 changed app among `fleet`, through ----
+    // `convert` here and through `update` after the compression section
+    // (which wants the rule set these nine rounds leave).
     let mut apps = synthetic::population(fleet);
     let mut analyzer = Analyzer::offline(&apps);
     let cold_s = median_secs(reps, || {
@@ -168,22 +283,11 @@ fn main() {
         analyzer.convert(&apps);
     });
     let mut round = 0u64;
-    let incr_s = median_secs(reps.max(5), || {
+    let incr_convert_s = median_secs(reps.max(5), || {
         round += 1;
         synthetic::touch(&mut apps[0], round);
         analyzer.convert(&apps);
     });
-    let last_hits = analyzer.cache_stats().last_hits;
-    let last_misses = analyzer.cache_stats().last_misses;
-    let hit_rate = last_hits as f64 / (last_hits + last_misses) as f64;
-    let incr_speedup = cold_s / incr_s;
-    println!("# incremental — 1 of {fleet} apps changed per round");
-    println!(
-        "cold: {:>9.3} ms | incremental: {:>9.3} ms | speedup {incr_speedup:.1}x \
-         | cache hit rate {hit_rate:.4} ({last_hits} hits / {last_misses} miss)",
-        cold_s * 1e3,
-        incr_s * 1e3
-    );
 
     // --- Compression under the hardware TCAM budget. ----------------------
     let raw = {
@@ -211,6 +315,31 @@ fn main() {
     assert_eq!(cstats.rules_in, raw.len());
     assert_eq!(cstats.rules_out, compressed.len());
 
+    // --- Incremental re-analysis, as the defense runs it: the first -------
+    // `update` installs the fleet's rules, each later one sends what the
+    // touched app changed.
+    analyzer.update(&apps, 1, 0.0);
+    let incr_s = median_secs(reps.max(5) * 11, || {
+        round += 1;
+        synthetic::touch(&mut apps[0], round);
+        let update = analyzer.update(&apps, 1, round as f64);
+        assert_eq!((update.to_add.len(), update.to_remove.len()), (1, 0));
+    });
+    let last_hits = analyzer.cache_stats().last_hits;
+    let last_misses = analyzer.cache_stats().last_misses;
+    let hit_rate = last_hits as f64 / (last_hits + last_misses) as f64;
+    let incr_speedup = cold_s / incr_s;
+    println!("# incremental — 1 of {fleet} apps changed per round");
+    println!(
+        "cold: {:>9.3} ms | update round: {:>9.3} ms | speedup {incr_speedup:.1}x \
+         | through convert: {:>9.3} ms ({:.1}x) \
+         | cache hit rate {hit_rate:.4} ({last_hits} hits / {last_misses} miss)",
+        cold_s * 1e3,
+        incr_s * 1e3,
+        incr_convert_s * 1e3,
+        cold_s / incr_convert_s
+    );
+
     // --- Thread-count determinism + parallel conversion speedup. ----------
     let cores = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
     let thread_counts: &[usize] = if smoke { &[1, 2] } else { &[1, 2, 8] };
@@ -220,16 +349,24 @@ fn main() {
     for &threads in thread_counts {
         analyzer.set_threads(threads);
         let mut out = Vec::new();
-        let t_s = median_secs(reps, || {
+        // The best of `reps`, not the median: the ratio of two of these is
+        // the number, and on a shared machine whatever the neighbours do
+        // only ever adds to a run, to the two-thread ones twice over.
+        let t_s = sorted_secs(reps, || {
             analyzer.clear_conversion_cache();
             out = analyzer.convert(&apps);
-        });
+        })[0];
         match &reference {
             Some(expected) => assert_eq!(
                 &out, expected,
                 "thread count {threads} changed the converted rules — determinism is broken"
             ),
             None => reference = Some(out),
+        }
+        if threads > cores {
+            // Run for the comparison above; its time says nothing.
+            println!("threads={threads}: rules identical (not timed: {cores} cores)");
+            continue;
         }
         println!(
             "threads={threads}: {:>9.3} ms (speedup {:.2}x)",
@@ -239,7 +376,11 @@ fn main() {
         par_rows.push((threads, t_s));
     }
     analyzer.set_threads(0);
-    let par_speedup = par_rows[0].1 / par_rows.last().expect("non-empty").1;
+    // (threads, speedup over one thread) at the most threads timed.
+    let par_speedup = match par_rows[..] {
+        [(_, t1), .., (threads, t_s)] => Some((threads, t1 / t_s)),
+        _ => None,
+    };
 
     // --- Defense tick: cost against learned state. ------------------------
     let tick_rounds = if smoke { 5 } else { 50 };
@@ -253,8 +394,10 @@ fn main() {
     let (tick_300, tick_3000) = (small.median_us(), large.median_us());
     let tick_ratio = tick_3000 / tick_300;
     println!("# defense tick — {SOURCES_PER_TICK} new sources per round, {tick_rounds} rounds");
+    let tick_floodguard = floodguard_tick_us(tick_rounds);
     println!(
-        "300 learned: {tick_300:>8.1} us | 3000 learned: {tick_3000:>8.1} us | ratio {tick_ratio:.2}"
+        "300 learned: {tick_300:>8.1} us | 3000 learned: {tick_3000:>8.1} us | ratio {tick_ratio:.2} \
+         | 300 learned, through FloodGuard::on_telemetry: {tick_floodguard:>8.1} us"
     );
 
     if smoke {
@@ -310,6 +453,7 @@ fn main() {
         .set("cold_ms", cold_s * 1e3)
         .set("incremental_ms", incr_s * 1e3)
         .set("incr_speedup", incr_speedup)
+        .set("incremental_convert_ms", incr_convert_s * 1e3)
         .set("cache_hit_rate", hit_rate)
         .set("rules_raw", raw.len())
         .set("rules_compressed", compressed.len())
@@ -319,11 +463,16 @@ fn main() {
         .set("rules_evicted", cstats.rules_evicted)
         .set("fits_budget", cstats.fits_budget)
         .set("tcam_budget", TCAM_BUDGET)
-        .set("par_speedup", par_speedup)
         .set("par_cores_available", cores)
         .set("defense_tick_us_n300", tick_300)
         .set("defense_tick_us_n3000", tick_3000)
-        .set("defense_tick_ratio", tick_ratio);
+        .set("defense_tick_ratio", tick_ratio)
+        .set("defense_tick_us", tick_floodguard);
+    if let Some((threads, speedup)) = par_speedup {
+        report = report
+            .set("par_speedup", speedup)
+            .set("par_speedup_threads", threads);
+    }
     for &(threads, t_s) in &par_rows {
         report = report.set(format!("par_ms_t{threads}").as_str(), t_s * 1e3);
     }
@@ -354,16 +503,20 @@ fn main() {
         }
     };
     let mut gates = vec![
-        ("incr_speedup", incr_speedup),
         ("cache_hit_rate", hit_rate),
         ("compression_ratio", cstats.ratio()),
     ];
-    // The thread-scaling ratio is only comparable to the baseline when the
-    // machine can actually run the workers in parallel.
-    if cores >= 8 {
-        gates.push(("par_speedup", par_speedup));
-    } else {
-        println!("# gate par_speedup: skipped ({cores} cores < 8)");
+    // The thread-scaling ratio is comparable to the baseline's only when
+    // both were taken at the same worker count, on cores enough to run it.
+    let baseline_threads = extract_number(&baseline, "par_speedup_threads");
+    match par_speedup {
+        Some((threads, speedup)) if baseline_threads == Some(threads as f64) => {
+            gates.push(("par_speedup", speedup));
+        }
+        _ => println!(
+            "# gate par_speedup: skipped (measured {par_speedup:?} on {cores} cores, \
+             baseline at {baseline_threads:?} threads)"
+        ),
     }
     for (label, measured) in gates {
         let Some(expected) = extract_number(&baseline, label) else {

@@ -9,15 +9,20 @@
 //! converts the table keys written since and nothing else, where it can
 //! prove that this is all a full conversion would change; everything else
 //! (a replaced global, a forgotten journal, a path that reads the table
-//! some other way) converts the application in full, on worker threads
-//! ([`symexec::par`]) with a deterministic app-order merge. Either way the
-//! rules, their order and the statistics are those of a cold conversion of
-//! the same state, at any thread count.
+//! some other way) converts the application in full — on worker threads
+//! ([`symexec::par`]) with a deterministic app-order merge when two or more
+//! applications need it at once, which is a cold start or a handler edit.
+//! Either way the rules, their order and the statistics are those of a cold
+//! conversion of the same state, at any thread count.
 //!
 //! [`Analyzer::update`] turns the same bookkeeping into the flow-mods for
 //! the switch without building the whole rule set: what one round costs is
 //! set by what changed since the last, not by how much the applications
-//! have learned — which, under a spoofing flood, the attacker decides.
+//! have learned — which, under a spoofing flood, the attacker decides. Nor
+//! has it a fixed part worth the name: a round with at most one full
+//! conversion to run asks for no worker count, so it reads no environment
+//! variable, no `/proc` or cgroup file, and starts no thread; a round in
+//! which nothing changed does not allocate (`tests/tests/interp_alloc.rs`).
 
 use std::collections::{HashMap, HashSet};
 use std::sync::{Arc, OnceLock};
@@ -179,7 +184,8 @@ impl Analyzer {
     }
 
     /// Pins the worker count for parallel conversion (0 = automatic:
-    /// `FG_BENCH_THREADS` or the machine's available parallelism).
+    /// `FG_BENCH_THREADS` or the machine's available parallelism, whichever
+    /// [`symexec::par::thread_count`] found when the process first asked).
     pub fn set_threads(&mut self, threads: usize) {
         self.threads = threads;
     }
@@ -310,12 +316,13 @@ impl Analyzer {
         self.key_refreshes += moved.len() as u64;
         // Full conversions run in parallel; each job reads only its own
         // app's path conditions and env, so worker count changes wall-clock
-        // time only, never the outcome.
+        // time only, never the outcome. A steady defense round has none to
+        // run, or one, and asks for no workers.
         let path_conditions = &self.path_conditions;
-        let threads = if self.threads == 0 {
-            symexec::par::thread_count(whole.len())
-        } else {
-            self.threads
+        let threads = match (whole.len(), self.threads) {
+            (0 | 1, _) => 1,
+            (jobs, 0) => symexec::par::thread_count(jobs),
+            (_, pinned) => pinned,
         };
         let converted = symexec::par::par_map_with(threads, &whole, |&i| {
             KeyedConversion::convert(&path_conditions[i], &apps[i].env)

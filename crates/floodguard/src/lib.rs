@@ -55,7 +55,8 @@ pub mod state;
 
 use controller::platform::ControllerPlatform;
 use ofproto::actions::Action;
-use ofproto::messages::{OfBody, OfMessage};
+use ofproto::flow_match::OfMatch;
+use ofproto::messages::{OfBody, OfMessage, StatsReply, StatsRequest};
 use ofproto::types::{DatapathId, PortNo};
 
 use netsim::iface::{ControlOutput, ControlPlane, DeviceId, Telemetry};
@@ -174,6 +175,11 @@ pub struct FloodGuard {
     cache_handle: CacheHandle,
     switch_ports: Vec<(DatapathId, Vec<u16>)>,
     repairs: Vec<(DatapathId, RepairEntry)>,
+    /// What each switch last answered this episode's aggregate-stats
+    /// requests with: the flow count the audit goes by where telemetry
+    /// carries none. Forgotten at Init and whenever the switch's connection
+    /// comes or goes — a count from before is not about this table.
+    table_counts: Vec<(DatapathId, usize)>,
     /// Datapath each cache device serves, in device-attachment order.
     device_dpids: Vec<DatapathId>,
     admin: AdminHandle,
@@ -218,6 +224,7 @@ impl FloodGuard {
             cache_handle,
             switch_ports: Vec::new(),
             repairs: Vec::new(),
+            table_counts: Vec::new(),
             device_dpids: Vec::new(),
             admin: AdminHandle::new(&config.detection),
             monitor: Arc::new(Mutex::new(Monitor::default())),
@@ -453,6 +460,7 @@ impl FloodGuard {
     fn enter_init(&mut self, now: f64, out: &mut ControlOutput) {
         self.stats.attacks_detected += 1;
         self.analyzer.reset_installed();
+        self.table_counts.clear();
         // Migrate: per-port wildcard rules on every protected switch.
         for (dpid, ports) in &self.switch_ports {
             for fm in self.agent.install_migration(*dpid, ports) {
@@ -625,10 +633,16 @@ impl FloodGuard {
         }
     }
 
-    /// Audits telemetry against the migration rules the agent believes are
-    /// installed: a `flow_count` below that baseline means the table was
-    /// wiped (crash-restart) behind our back.
-    fn audit_tables(&mut self, telemetry: &Telemetry, now: f64) {
+    /// Audits each switch's flow count against the migration rules the
+    /// agent believes are installed: a count below that baseline means the
+    /// table was wiped (crash-restart) behind our back.
+    ///
+    /// Telemetry that could see the table carries the count. Where it could
+    /// not (a live controller endpoint), the count is the switch's last
+    /// answer to the aggregate-stats request sent here, one per protected
+    /// switch per tick while rules are placed on it; until one arrives
+    /// nothing is known, and nothing is repaired.
+    fn audit_tables(&mut self, telemetry: &Telemetry, now: f64, out: &mut ControlOutput) {
         if !self.agent.is_migrating() || self.agent.is_degraded() {
             return;
         }
@@ -637,7 +651,20 @@ impl FloodGuard {
             if expected == 0 {
                 continue;
             }
-            if sw.flow_count < expected {
+            let flow_count = match sw.flow_count {
+                Some(count) => count,
+                None => {
+                    if self.config.rule_placement == RulePlacement::Switch {
+                        let ask = OfBody::StatsRequest(StatsRequest::Aggregate(OfMatch::any()));
+                        out.send(sw.dpid, OfMessage::new(ofproto::types::Xid(0), ask));
+                    }
+                    match self.table_counts.iter().find(|(d, _)| *d == sw.dpid) {
+                        Some((_, answered)) => *answered,
+                        None => continue,
+                    }
+                }
+            };
+            if flow_count < expected {
                 self.mark_repair(sw.dpid, now, false);
             } else if let Some((_, e)) = self.repairs.iter_mut().find(|(d, _)| *d == sw.dpid) {
                 // Audit passes: the incident is over, restore the budget.
@@ -719,6 +746,7 @@ impl ControlPlane for FloodGuard {
         out: &mut ControlOutput,
     ) {
         let ports: Vec<u16> = features.ports.iter().filter_map(|p| p.physical()).collect();
+        self.table_counts.retain(|(d, _)| *d != dpid);
         match self.switch_ports.iter_mut().find(|(d, _)| *d == dpid) {
             // A reconnect (crash-restart or healed partition): the switch may
             // have lost its table, so owe it a repair round with a fresh
@@ -742,17 +770,29 @@ impl ControlPlane for FloodGuard {
         if self.agent.is_migrating() {
             self.mark_repair(dpid, now, false);
         }
+        self.table_counts.retain(|(d, _)| *d != dpid);
     }
 
     fn on_message(&mut self, dpid: DatapathId, msg: OfMessage, now: f64, out: &mut ControlOutput) {
-        if let OfBody::PacketIn(pi) = &msg.body {
-            self.detector.record_packet_in(now);
-            // The always-on monitor is deliberately cheap (the framework's
-            // "lightweight under normal circumstances" requirement).
-            out.charge(MODULE_NAME, 5e-6);
-            if self.admin_drops(pi) {
-                return;
+        match &msg.body {
+            OfBody::PacketIn(pi) => {
+                self.detector.record_packet_in(now);
+                // The always-on monitor is deliberately cheap (the framework's
+                // "lightweight under normal circumstances" requirement).
+                out.charge(MODULE_NAME, 5e-6);
+                if self.admin_drops(pi) {
+                    return;
+                }
             }
+            // The answer to `audit_tables`' question.
+            OfBody::StatsReply(StatsReply::Aggregate(table)) => {
+                let count = table.flow_count as usize;
+                match self.table_counts.iter_mut().find(|(d, _)| *d == dpid) {
+                    Some((_, seen)) => *seen = count,
+                    None => self.table_counts.push((dpid, count)),
+                }
+            }
+            _ => {}
         }
         self.platform.on_message(dpid, msg, now, out);
         self.rewrite_floods(out);
@@ -812,7 +852,7 @@ impl ControlPlane for FloodGuard {
         self.detector.score(now);
         // Failure recovery runs before the FSM step: health and table audits
         // may change what the lifecycle logic below is allowed to do.
-        self.audit_tables(telemetry, now);
+        self.audit_tables(telemetry, now, out);
         self.check_cache_failover(out);
         self.process_repairs(now, out);
         match self.sm.state() {
@@ -901,27 +941,27 @@ mod tests {
     use ofproto::types::{MacAddr, PortNo, Xid};
     use std::net::Ipv4Addr;
 
+    /// Switch 1: three host ports and the cache port.
+    fn features() -> FeaturesReply {
+        FeaturesReply {
+            datapath_id: DatapathId(1),
+            n_buffers: 256,
+            n_tables: 1,
+            ports: vec![
+                PortNo::Physical(1),
+                PortNo::Physical(2),
+                PortNo::Physical(3),
+                PortNo::Physical(99),
+            ],
+        }
+    }
+
     fn fg_with_l2() -> FloodGuard {
         let mut platform = ControllerPlatform::new();
         platform.register(apps::l2_learning::program());
         let mut fg = FloodGuard::new(platform, FloodGuardConfig::default(), 99);
         let mut out = ControlOutput::new();
-        fg.on_switch_connect(
-            DatapathId(1),
-            FeaturesReply {
-                datapath_id: DatapathId(1),
-                n_buffers: 256,
-                n_tables: 1,
-                ports: vec![
-                    PortNo::Physical(1),
-                    PortNo::Physical(2),
-                    PortNo::Physical(3),
-                    PortNo::Physical(99),
-                ],
-            },
-            0.0,
-            &mut out,
-        );
+        fg.on_switch_connect(DatapathId(1), features(), 0.0, &mut out);
         fg
     }
 
@@ -966,7 +1006,7 @@ mod tests {
                 misses: 0,
                 // A healthy switch reports its installed rules; zero would
                 // read as a wiped table and trigger rule repair.
-                flow_count: 64,
+                flow_count: Some(64),
             }],
             controller_queue: 0,
             controller_utilization: 0.0,
@@ -1107,6 +1147,171 @@ mod tests {
         assert_eq!(fg.state(), State::Defense);
         assert_eq!(adds(&out), 61);
         assert_eq!(fg.analyzer().installed().len(), 61);
+    }
+
+    /// What a live controller endpoint assembles: it cannot see the table.
+    fn unobserved() -> Telemetry {
+        let mut telemetry = telemetry();
+        telemetry.switches[0].flow_count = None;
+        telemetry
+    }
+
+    /// One telemetry tick; what it sent, as (aggregate-stats requests,
+    /// flow-mods).
+    fn tick(fg: &mut FloodGuard, telemetry: &Telemetry, now: f64) -> (usize, usize) {
+        let mut out = ControlOutput::new();
+        fg.on_telemetry(telemetry, now, &mut out);
+        let asks = out.messages.iter().filter(|(dpid, m)| {
+            let any = StatsRequest::Aggregate(OfMatch::any());
+            *dpid == DatapathId(1) && m.body == OfBody::StatsRequest(any)
+        });
+        let mods = out
+            .messages
+            .iter()
+            .filter(|(_, m)| matches!(m.body, OfBody::FlowMod(_)));
+        let (asks, mods) = (asks.count(), mods.count());
+        assert_eq!(asks + mods, out.messages.len(), "nothing else is sent");
+        (asks, mods)
+    }
+
+    /// The switch's answer to an aggregate-stats request.
+    fn answer(fg: &mut FloodGuard, flow_count: u32, now: f64) {
+        let table = ofproto::messages::AggregateStats {
+            flow_count,
+            ..Default::default()
+        };
+        let reply = OfBody::StatsReply(StatsReply::Aggregate(table));
+        let mut out = ControlOutput::new();
+        fg.on_message(DatapathId(1), OfMessage::new(Xid(0), reply), now, &mut out);
+        assert!(out.messages.is_empty());
+    }
+
+    /// Sixty spoofed sources, then the two ticks that reach Defense.
+    fn defend(fg: &mut FloodGuard, telemetry: &Telemetry) {
+        flood_packet_in(fg, 1.0, 60);
+        assert_eq!(tick(fg, telemetry, 1.05), (0, 3), "Init: migration rules");
+        assert_eq!(fg.state(), State::Init);
+        let (_, mods) = tick(fg, telemetry, 1.1);
+        assert_eq!(mods, 60, "Defense: proactive rules");
+        assert_eq!(fg.state(), State::Defense);
+        // Keep the cache looking busy so the attack is not declared over.
+        fg.cache_handle().lock().stats.received = 1000;
+    }
+
+    #[test]
+    fn an_unobserved_table_is_asked_about_and_not_repaired() {
+        let mut fg = fg_with_l2();
+        assert_eq!(tick(&mut fg, &unobserved(), 0.1), (0, 0), "Idle");
+        flood_packet_in(&mut fg, 1.0, 60);
+        // Migration starts in this tick, after the audit: nothing to ask.
+        assert_eq!(tick(&mut fg, &unobserved(), 1.05), (0, 3));
+        // Init and Defense: one request per tick, no answer, no repair.
+        assert_eq!(tick(&mut fg, &unobserved(), 1.1), (1, 60));
+        fg.cache_handle().lock().stats.received = 1000;
+        assert_eq!(tick(&mut fg, &unobserved(), 1.15), (1, 0));
+        assert_eq!(fg.state(), State::Defense);
+        // Quiet cache: the tick that ends the attack still asks (the audit
+        // runs first) and removes the migration rules; nothing after.
+        assert_eq!(tick(&mut fg, &unobserved(), 1.6), (1, 0));
+        assert_eq!(tick(&mut fg, &unobserved(), 2.1), (1, 3));
+        assert_eq!(fg.state(), State::Finish);
+        assert_eq!(tick(&mut fg, &unobserved(), 2.2), (0, 0));
+        assert_eq!(fg.state(), State::Idle);
+        assert_eq!(tick(&mut fg, &unobserved(), 2.3), (0, 0));
+        assert_eq!(fg.stats.rules_repaired, 0);
+    }
+
+    #[test]
+    fn an_observed_table_is_not_asked_about() {
+        // The simulator's telemetry carries the count.
+        let mut fg = fg_with_l2();
+        defend(&mut fg, &telemetry());
+        assert_eq!(tick(&mut fg, &telemetry(), 1.15), (0, 0));
+        assert_eq!(fg.stats.rules_repaired, 0);
+    }
+
+    #[test]
+    fn cache_placement_asks_nothing() {
+        let mut platform = ControllerPlatform::new();
+        platform.register(apps::l2_learning::program());
+        let config = FloodGuardConfig {
+            rule_placement: RulePlacement::Cache,
+            ..FloodGuardConfig::default()
+        };
+        let mut fg = FloodGuard::new(platform, config, 99);
+        fg.on_switch_connect(DatapathId(1), features(), 0.0, &mut ControlOutput::new());
+        flood_packet_in(&mut fg, 1.0, 60);
+        assert_eq!(tick(&mut fg, &unobserved(), 1.05), (0, 3));
+        assert_eq!(tick(&mut fg, &unobserved(), 1.1), (0, 0));
+        assert_eq!(fg.state(), State::Defense);
+        fg.cache_handle().lock().stats.received = 1000;
+        assert_eq!(tick(&mut fg, &unobserved(), 1.15), (0, 0));
+    }
+
+    #[test]
+    fn an_intact_table_restores_the_repair_budget() {
+        let mut fg = fg_with_l2();
+        defend(&mut fg, &unobserved());
+        // A disconnect mid-defense owes the switch a round, sent at the
+        // next tick: migration rules and the installed proactive ones.
+        fg.on_switch_disconnect(DatapathId(1), 1.12, &mut ControlOutput::new());
+        assert_eq!(tick(&mut fg, &unobserved(), 1.15), (1, 63));
+        assert_eq!(fg.stats.rules_repaired, 63);
+        let entry = fg.repairs[0].1;
+        assert!(entry.pending && entry.attempts == 1);
+        // The table holds them all: the incident is over.
+        answer(&mut fg, 63, 1.16);
+        assert_eq!(tick(&mut fg, &unobserved(), 1.3), (1, 0));
+        let entry = fg.repairs[0].1;
+        assert!(!entry.pending && entry.attempts == 0);
+        assert_eq!(fg.stats.rules_repaired, 63);
+    }
+
+    #[test]
+    fn a_short_table_is_repaired_with_backoff_up_to_the_budget() {
+        let mut fg = fg_with_l2();
+        defend(&mut fg, &unobserved());
+        // Wiped behind our back, connection kept: fewer flows than the
+        // three migration rules.
+        answer(&mut fg, 2, 1.12);
+        assert_eq!(tick(&mut fg, &unobserved(), 1.15), (1, 63), "one round");
+        // Still short a tick later: the backoff (0.05 s) holds the second.
+        answer(&mut fg, 2, 1.16);
+        assert_eq!(tick(&mut fg, &unobserved(), 1.17), (1, 0));
+        assert_eq!(tick(&mut fg, &unobserved(), 1.21), (1, 63), "second round");
+        // A switch that never recovers gets `repair_max_attempts` rounds.
+        let mut now = 1.21;
+        for _ in 0..40 {
+            now += 0.1;
+            fg.cache_handle().lock().stats.received += 1000;
+            tick(&mut fg, &unobserved(), now);
+        }
+        assert_eq!(fg.state(), State::Defense);
+        let rounds = u64::from(fg.config.recovery.repair_max_attempts);
+        assert_eq!(fg.stats.rules_repaired, rounds * 63);
+        // The table converges: budget restored, nothing more sent.
+        answer(&mut fg, 63, now);
+        assert_eq!(tick(&mut fg, &unobserved(), now + 0.1), (1, 0));
+        assert_eq!(fg.repairs[0].1.attempts, 0);
+    }
+
+    #[test]
+    fn an_answer_from_before_init_says_nothing_about_this_episode() {
+        let mut fg = fg_with_l2();
+        // An empty table, reported while nothing was installed.
+        answer(&mut fg, 0, 0.5);
+        defend(&mut fg, &unobserved());
+        assert_eq!(tick(&mut fg, &unobserved(), 1.15), (1, 0));
+        assert_eq!(fg.stats.rules_repaired, 0);
+        // So does one from before the connection came back.
+        answer(&mut fg, 0, 1.16);
+        fg.on_switch_connect(DatapathId(1), features(), 1.17, &mut ControlOutput::new());
+        // The reconnect itself owes one round; the old count adds none.
+        assert_eq!(tick(&mut fg, &unobserved(), 1.2), (1, 63));
+        assert_eq!(tick(&mut fg, &unobserved(), 1.22), (1, 0));
+        answer(&mut fg, 63, 1.23);
+        assert_eq!(tick(&mut fg, &unobserved(), 1.4), (1, 0));
+        assert_eq!(fg.stats.rules_repaired, 63);
     }
 
     #[test]

@@ -76,8 +76,11 @@ pub struct SwitchTelemetry {
     pub ingress_len: usize,
     /// Table misses so far (cumulative, batch-expanded).
     pub misses: u64,
-    /// Installed flow rules.
-    pub flow_count: usize,
+    /// Installed flow rules, when whoever assembled the snapshot can see
+    /// the table (the simulation engine, a live switch endpoint). `None`
+    /// is "unobserved", not "empty": a controller-side endpoint knows only
+    /// what a switch tells it, and says so rather than guess.
+    pub flow_count: Option<usize>,
 }
 
 /// Periodic infrastructure telemetry, the raw input to FloodGuard's

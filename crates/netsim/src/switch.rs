@@ -482,7 +482,7 @@ impl Switch {
             datapath_utilization: datapath_utilization.clamp(0.0, 1.0),
             ingress_len: self.ingress_len(),
             misses: self.stats.misses,
-            flow_count: self.table.len(),
+            flow_count: Some(self.table.len()),
         }
     }
 

@@ -39,13 +39,22 @@
 //! with capped exponential backoff redial) or accept inbound switches on a
 //! listener ([`ControllerEndpoint::listen`], the many-switch shape). Both
 //! keep echo keepalive with a liveness timeout, and replay flow-mods from a
-//! bounded per-identity ring after a reconnect. Because live mode has no simulation engine to synthesize
-//! telemetry, the endpoint periodically assembles a [`Telemetry`] snapshot
-//! from what the controller can legitimately observe and feeds it to the
-//! control plane — this is what arms FloodGuard's detector in live
-//! deployments.
+//! bounded per-identity ring after a reconnect. Because live mode has no
+//! simulation engine to synthesize telemetry, the endpoint periodically
+//! assembles a [`Telemetry`] snapshot from what the controller can
+//! legitimately observe and feeds it to the control plane — this is what
+//! arms FloodGuard's detector in live deployments. What it cannot observe
+//! it does not make up: utilizations read zero, and a switch's flow count
+//! is `None` ("unobserved"), never 0, which would say "wiped". Nor does the
+//! endpoint poll for it: a frame the control plane did not ask for is a
+//! frame every switch has to answer, idle ones included. A control plane
+//! that wants the count asks the switches it cares about through its own
+//! output, as FloodGuard does while it is migrating, and reads the
+//! `StatsReply` in `on_message` like any other message.
 
+use std::collections::hash_map::RandomState;
 use std::collections::{HashMap, HashSet, VecDeque};
+use std::hash::{BuildHasher, Hasher};
 use std::io;
 use std::net::SocketAddr;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -104,8 +113,10 @@ pub struct ControllerStatus {
 ///
 /// The mirror is maintained from the flow-mods the endpoint itself sends
 /// (an observability aid for the ops surface, not ground truth from the
-/// switch): non-strict deletes are approximated by exact match equality.
-#[derive(Debug, Clone)]
+/// switch): non-strict deletes are approximated by exact match equality,
+/// and rules the switch ages out stay. Rules are listed in the order their
+/// `(match, priority)` was first sent.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FlowRuleView {
     /// The rule's match.
     pub of_match: OfMatch,
@@ -117,6 +128,135 @@ pub struct FlowRuleView {
     pub n_actions: usize,
 }
 
+/// The mirror of one switch's table: rules in send order, and where each
+/// `(match, priority)` sits among them. The control loop applies every
+/// flow-mod it sends, so what one costs must not be the table's length —
+/// under a flood the attacker's spoofed sources decide that.
+#[derive(Default)]
+struct TableMirror {
+    rules: Vec<FlowRuleView>,
+    index: HashMap<(OfMatch, u16), usize, Fold>,
+}
+
+/// The index's hash: a multiply-xor fold of the key's fields, seeded.
+///
+/// On the small-state path one flow-mod is one index probe, and SipHash
+/// over a match's twenty fields cost that path more than the sixteen-rule
+/// scan it replaced (+0.06 µs a packet_in; EXPERIMENTS.md "Fixed costs of
+/// the attack path"). The fold is a multiplication a field. It is not
+/// collision-resistant against someone who knows the seed, and the keys
+/// are built from packet headers an attacker chooses — so the seed is
+/// drawn per table from the process's `RandomState`, and nothing derived
+/// from a hash ever leaves the process.
+#[derive(Clone, Copy)]
+struct Fold(u64);
+
+impl Default for Fold {
+    fn default() -> Fold {
+        Fold(RandomState::new().hash_one(0u8))
+    }
+}
+
+impl BuildHasher for Fold {
+    type Hasher = Fold;
+
+    fn build_hasher(&self) -> Fold {
+        *self
+    }
+}
+
+impl Fold {
+    fn fold(&mut self, word: u64) {
+        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(0x517c_c1b7_2722_0a95);
+    }
+}
+
+impl Hasher for Fold {
+    fn write(&mut self, bytes: &[u8]) {
+        for chunk in bytes.chunks(8) {
+            let mut word = [0u8; 8];
+            word[..chunk.len()].copy_from_slice(chunk);
+            self.fold(u64::from_le_bytes(word));
+        }
+    }
+
+    fn write_u8(&mut self, n: u8) {
+        self.fold(u64::from(n));
+    }
+
+    fn write_u16(&mut self, n: u16) {
+        self.fold(u64::from(n));
+    }
+
+    fn write_u32(&mut self, n: u32) {
+        self.fold(u64::from(n));
+    }
+
+    fn write_usize(&mut self, n: usize) {
+        self.fold(n as u64);
+    }
+
+    fn finish(&self) -> u64 {
+        // The table takes its bucket from the low bits, which a
+        // multiplication fills last.
+        self.0 ^ (self.0 >> 32)
+    }
+}
+
+impl TableMirror {
+    /// Applies one flow-mod.
+    fn apply(&mut self, fm: &FlowMod) {
+        let slot = (fm.of_match, fm.priority);
+        match fm.command {
+            FlowModCommand::Add | FlowModCommand::Modify | FlowModCommand::ModifyStrict => {
+                let rule = FlowRuleView {
+                    of_match: fm.of_match,
+                    priority: fm.priority,
+                    cookie: fm.cookie,
+                    n_actions: fm.actions.len(),
+                };
+                match self.index.get(&slot) {
+                    Some(&at) => self.rules[at] = rule,
+                    None => {
+                        self.index.insert(slot, self.rules.len());
+                        self.rules.push(rule);
+                    }
+                }
+            }
+            FlowModCommand::Delete if fm.of_match == OfMatch::any() => {
+                self.rules.clear();
+                self.index.clear();
+            }
+            FlowModCommand::Delete => {
+                let before = self.rules.len();
+                self.rules.retain(|r| r.of_match != fm.of_match);
+                if self.rules.len() != before {
+                    self.reindex(0);
+                }
+            }
+            FlowModCommand::DeleteStrict => {
+                if let Some(at) = self.index.remove(&slot) {
+                    self.rules.remove(at);
+                    self.reindex(at);
+                }
+            }
+        }
+    }
+
+    /// Re-points the index at the rules from position `from` on, after the
+    /// ones behind a removed rule moved up; from 0, rebuilds it whole.
+    fn reindex(&mut self, from: usize) {
+        if from == 0 {
+            self.index.clear();
+        }
+        for (at, rule) in self.rules.iter().enumerate().skip(from) {
+            self.index.insert((rule.of_match, rule.priority), at);
+        }
+    }
+}
+
+type Tables = Arc<Mutex<HashMap<u64, TableMirror>>>;
+
 /// A cloneable read-only view of a live endpoint: counters, connection
 /// table, and the mirrored flow tables. Survives for as long as any clone
 /// does, even past the endpoint's shutdown (values then freeze).
@@ -124,7 +264,7 @@ pub struct FlowRuleView {
 pub struct ControllerView {
     counters: Arc<ChannelCounters>,
     status: Arc<Mutex<ControllerStatus>>,
-    tables: Arc<Mutex<HashMap<u64, Vec<FlowRuleView>>>>,
+    tables: Tables,
 }
 
 impl ControllerView {
@@ -140,7 +280,11 @@ impl ControllerView {
 
     /// The mirrored flow tables, keyed by raw datapath id.
     pub fn flow_tables(&self) -> HashMap<u64, Vec<FlowRuleView>> {
-        self.tables.lock().clone()
+        let tables = self.tables.lock();
+        tables
+            .iter()
+            .map(|(dpid, table)| (*dpid, table.rules.clone()))
+            .collect()
     }
 }
 
@@ -148,7 +292,7 @@ impl ControllerView {
 pub struct ControllerEndpoint {
     counters: Arc<ChannelCounters>,
     status: Arc<Mutex<ControllerStatus>>,
-    tables: Arc<Mutex<HashMap<u64, Vec<FlowRuleView>>>>,
+    tables: Tables,
     shutdown: Arc<AtomicBool>,
     local_addr: Option<SocketAddr>,
     handle: Option<JoinHandle<Box<dyn ControlPlane>>>,
@@ -359,7 +503,7 @@ fn run(
     config: ControllerConfig,
     counters: Arc<ChannelCounters>,
     status: Arc<Mutex<ControllerStatus>>,
-    tables: Arc<Mutex<HashMap<u64, Vec<FlowRuleView>>>>,
+    tables: Tables,
     shutdown: Arc<AtomicBool>,
 ) -> Box<dyn ControlPlane> {
     let rt = tokio::runtime::Builder::new_multi_thread()
@@ -478,7 +622,7 @@ async fn control_loop(
     config: ControllerConfig,
     counters: Arc<ChannelCounters>,
     status: Arc<Mutex<ControllerStatus>>,
-    tables: Arc<Mutex<HashMap<u64, Vec<FlowRuleView>>>>,
+    tables: Tables,
     shutdown: Arc<AtomicBool>,
 ) -> Box<dyn ControlPlane> {
     let cfg = config.channel;
@@ -554,7 +698,7 @@ async fn control_loop(
                             datapath_utilization: 0.0,
                             ingress_len: 0,
                             misses: 0,
-                            flow_count: 0,
+                            flow_count: None,
                         }),
                         Identity::Device(_) => None,
                     })
@@ -703,14 +847,14 @@ fn handle_event(
 /// Messages to datapaths that are not connected, plus frames rejected by
 /// backpressure, are dropped — the control plane will observe the gap the
 /// same way it would observe loss on a congested channel. Flow-mod frames
-/// are additionally mirrored into the ops-facing flow tables and then moved
-/// into the owning identity's bounded replay ring (for post-reconnect
-/// resync).
+/// are additionally mirrored into the ops-facing flow tables (one index
+/// probe each, whatever the table holds) and then moved into the owning
+/// identity's bounded replay ring (for post-reconnect resync).
 fn flush(
     conns: &ConnTable,
     replay: &mut HashMap<Identity, VecDeque<OfMessage>>,
     ever: &HashSet<Identity>,
-    tables: &Mutex<HashMap<u64, Vec<FlowRuleView>>>,
+    tables: &Mutex<HashMap<u64, TableMirror>>,
     out: &mut ControlOutput,
     replay_cap: usize,
 ) {
@@ -724,7 +868,7 @@ fn flush(
             let _ = st.conn.send(&msg);
         }
         if let OfBody::FlowMod(fm) = &msg.body {
-            mirror_flow_mod(tables, dpid, fm);
+            tables.lock().entry(dpid.0).or_default().apply(fm);
             if replay_cap > 0 {
                 let ring = replay.entry(identity).or_default();
                 if ring.len() >= replay_cap {
@@ -735,43 +879,6 @@ fn flush(
         }
     }
     out.reset();
-}
-
-/// Applies one flow-mod to the ops-facing table mirror.
-fn mirror_flow_mod(
-    tables: &Mutex<HashMap<u64, Vec<FlowRuleView>>>,
-    dpid: DatapathId,
-    fm: &FlowMod,
-) {
-    let mut tables = tables.lock();
-    let table = tables.entry(dpid.0).or_default();
-    match fm.command {
-        FlowModCommand::Add | FlowModCommand::Modify | FlowModCommand::ModifyStrict => {
-            let rule = FlowRuleView {
-                of_match: fm.of_match,
-                priority: fm.priority,
-                cookie: fm.cookie,
-                n_actions: fm.actions.len(),
-            };
-            match table
-                .iter_mut()
-                .find(|r| r.of_match == fm.of_match && r.priority == fm.priority)
-            {
-                Some(slot) => *slot = rule,
-                None => table.push(rule),
-            }
-        }
-        FlowModCommand::Delete => {
-            if fm.of_match == OfMatch::any() {
-                table.clear();
-            } else {
-                table.retain(|r| r.of_match != fm.of_match);
-            }
-        }
-        FlowModCommand::DeleteStrict => {
-            table.retain(|r| !(r.of_match == fm.of_match && r.priority == fm.priority));
-        }
-    }
 }
 
 #[cfg(test)]
@@ -809,6 +916,83 @@ mod tests {
         ) {
             if dpid == DatapathId(2) {
                 out.send(DatapathId(1), rule(u64::from(msg.xid.0)));
+            }
+        }
+    }
+
+    /// The mirror as it was before it had an index: one scan of the table
+    /// per flow-mod. The reference the indexed one is held to.
+    fn mirror_by_scan(table: &mut Vec<FlowRuleView>, fm: &FlowMod) {
+        match fm.command {
+            FlowModCommand::Add | FlowModCommand::Modify | FlowModCommand::ModifyStrict => {
+                let rule = FlowRuleView {
+                    of_match: fm.of_match,
+                    priority: fm.priority,
+                    cookie: fm.cookie,
+                    n_actions: fm.actions.len(),
+                };
+                match table
+                    .iter_mut()
+                    .find(|r| r.of_match == fm.of_match && r.priority == fm.priority)
+                {
+                    Some(slot) => *slot = rule,
+                    None => table.push(rule),
+                }
+            }
+            FlowModCommand::Delete => {
+                if fm.of_match == OfMatch::any() {
+                    table.clear();
+                } else {
+                    table.retain(|r| r.of_match != fm.of_match);
+                }
+            }
+            FlowModCommand::DeleteStrict => {
+                table.retain(|r| !(r.of_match == fm.of_match && r.priority == fm.priority));
+            }
+        }
+    }
+
+    proptest::proptest! {
+        /// Whatever is sent, in whatever order, the indexed mirror lists
+        /// what the scan listed, rule for rule: five matches (one of them
+        /// `any`) at three priorities, so scripts keep hitting pairs they
+        /// have used, and equal matches at different priorities.
+        #[test]
+        fn indexed_mirror_lists_what_the_scan_listed(
+            script in proptest::collection::vec(
+                (0usize..5, 0usize..5, 0u16..3, 0usize..3),
+                0..60,
+            ),
+        ) {
+            let commands = [
+                FlowModCommand::Add,
+                FlowModCommand::Modify,
+                FlowModCommand::ModifyStrict,
+                FlowModCommand::Delete,
+                FlowModCommand::DeleteStrict,
+            ];
+            let view = ControllerView {
+                counters: Arc::new(ChannelCounters::new()),
+                status: Arc::default(),
+                tables: Arc::default(),
+            };
+            let mut scanned = Vec::new();
+            for (step, (command, which, priority, n_actions)) in script.into_iter().enumerate() {
+                let of_match = match which {
+                    0 => OfMatch::any(),
+                    port => OfMatch::any().with_in_port(port as u16),
+                };
+                let actions = vec![ofproto::actions::Action::Output(ofproto::types::PortNo::Flood); n_actions];
+                let mut fm = FlowMod::add(of_match, actions)
+                    .with_priority(priority)
+                    .with_cookie(step as u64);
+                fm.command = commands[command];
+                view.tables.lock().entry(1).or_default().apply(&fm);
+                mirror_by_scan(&mut scanned, &fm);
+                let tables = view.flow_tables();
+                proptest::prop_assert_eq!(&tables[&1], &scanned, "after step {}: {:?}", step, fm);
+                let mirror = view.tables.lock();
+                proptest::prop_assert_eq!(mirror[&1].index.len(), scanned.len());
             }
         }
     }
@@ -889,7 +1073,7 @@ mod tests {
             (1, 1, 2)
         );
         assert_eq!(
-            tables.lock().get(&1).map(Vec::len),
+            tables.lock().get(&1).map(|table| table.rules.len()),
             Some(1),
             "same match and priority: one mirrored rule"
         );

@@ -10,14 +10,26 @@
 //! conversions read disjoint inputs; scenario runs own their `Simulation`
 //! and RNG), so worker threads change wall-clock time only — never the
 //! numbers. `FG_BENCH_THREADS` pins the worker count for reproducibility
-//! checks.
+//! checks; it is read once, at the first [`thread_count`] of the process.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::OnceLock;
 
 /// Worker count: `FG_BENCH_THREADS` if set (and > 0), else the machine's
 /// available parallelism, capped at the number of items.
+///
+/// Variable and machine are asked once per process. The probe opens the
+/// affinity mask and the cgroup files, and the callers include the
+/// defense's telemetry tick: what they get here must cost a load.
 pub fn thread_count(items: usize) -> usize {
-    let configured = std::env::var("FG_BENCH_THREADS")
+    static CONFIGURED: OnceLock<usize> = OnceLock::new();
+    (*CONFIGURED.get_or_init(configured)).min(items.max(1))
+}
+
+/// The one place the worker count comes from the environment.
+#[allow(clippy::disallowed_methods)] // resolved once per process, by `thread_count`
+fn configured() -> usize {
+    std::env::var("FG_BENCH_THREADS")
         .ok()
         .and_then(|v| v.parse::<usize>().ok())
         .filter(|&n| n > 0)
@@ -25,8 +37,7 @@ pub fn thread_count(items: usize) -> usize {
             std::thread::available_parallelism()
                 .map(|n| n.get())
                 .unwrap_or(1)
-        });
-    configured.min(items.max(1))
+        })
 }
 
 /// Maps `f` over `items` on scoped worker threads, preserving input order
@@ -99,6 +110,24 @@ mod tests {
         let empty: Vec<u32> = Vec::new();
         assert!(par_map_with(8, &empty, |&x| x).is_empty());
         assert_eq!(par_map_with(8, &[7u32], |&x| x + 1), vec![8]);
+    }
+
+    #[test]
+    fn none_or_one_item_runs_on_the_caller() {
+        let caller = std::thread::current().id();
+        let on_caller = |_: &u32| assert_eq!(std::thread::current().id(), caller);
+        par_map_with(8, &[], on_caller);
+        par_map_with(8, &[7], on_caller);
+    }
+
+    #[test]
+    fn worker_count_is_resolved_once() {
+        let before = thread_count(usize::MAX);
+        // Whatever the variable said when it was read, this is not it.
+        std::env::set_var("FG_BENCH_THREADS", (before + 1).to_string());
+        assert_eq!(thread_count(usize::MAX), before);
+        assert_eq!(thread_count(1), 1);
+        assert_eq!(thread_count(0), 1);
     }
 
     #[test]

@@ -144,7 +144,10 @@ fn main() {
     }
     println!(
         "act 2: benign traffic — flows installed on the live switch: {}",
-        endpoint.telemetry().flow_count
+        endpoint
+            .telemetry()
+            .flow_count
+            .expect("a switch endpoint sees its own table")
     );
     println!("  floodguard state: {:?}\n", monitor.lock().state);
 

@@ -11,7 +11,9 @@
 //! benchmark applications, `execute` on 16-entry and on 1024-entry state
 //! performs the same number of allocations of the same total size, and so
 //! does `Analyzer::update` after seven new sources on 300 and on 3000
-//! learned ones.
+//! learned ones; and a round with one key to convert, or none, performs no
+//! allocation the machine probe behind the analyzer's default worker count
+//! would add.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -213,6 +215,56 @@ fn update_round_allocations_do_not_depend_on_state_size() {
         update_round_cost(300),
         update_round_cost(3000),
         "(allocations, bytes) of a round on 300 learned sources vs on 3000"
+    );
+}
+
+/// (allocations, bytes) of a round in which `l2_learning` learned one
+/// source, and of the round after it in which nothing changed, with the
+/// analyzer's worker count set to `threads`.
+fn steady_round_costs(threads: usize) -> ((u64, u64), (u64, u64)) {
+    const COOKIE: u64 = 1;
+    let mut apps = flooded_apps(300);
+    let mut analyzer = Analyzer::offline(&apps);
+    analyzer.set_threads(threads);
+    analyzer.update(&apps, COOKIE, 0.0);
+    let l2 = 0;
+    // As in `update_round_cost`: a first round splits the B-tree leaf, the
+    // measured one finds room next to it.
+    apps::l2_learning::learn_host(&mut apps[l2].env, host_mac(4 * 44 + 1), 1);
+    assert_eq!(analyzer.update(&apps, COOKIE, 0.02).to_add.len(), 1);
+    apps::l2_learning::learn_host(&mut apps[l2].env, host_mac(4 * 44 + 2), 1);
+    let before = ALLOCATED.with(Cell::get);
+    let one_key = analyzer.update(&apps, COOKIE, 0.04);
+    let between = ALLOCATED.with(Cell::get);
+    let none = analyzer.update(&apps, COOKIE, 0.06);
+    let after = ALLOCATED.with(Cell::get);
+    assert_eq!((one_key.to_add.len(), one_key.to_remove.len()), (1, 0));
+    assert!(none.is_empty());
+    (
+        (between.0 - before.0, between.1 - before.1),
+        (after.0 - between.0, after.1 - between.1),
+    )
+}
+
+#[test]
+fn a_steady_round_asks_the_machine_nothing() {
+    // Left at its default of 0 ("as many workers as the machine has") the
+    // analyzer used to ask the machine on every round, wanted or not:
+    // `available_parallelism` reads the affinity mask and the cgroup files
+    // into fresh buffers, fifty times a second under attack. A round with
+    // one key to convert, or none, has nothing to fan out; it must cost
+    // what it costs an analyzer pinned to one thread, which never asks, and
+    // a round in which nothing changed allocates nothing at all.
+    let (one_key, idle) = steady_round_costs(0);
+    assert_eq!(
+        idle,
+        (0, 0),
+        "(allocations, bytes) of a round with no change"
+    );
+    assert_eq!(
+        one_key,
+        steady_round_costs(1).0,
+        "(allocations, bytes) of a one-key round, default workers vs one"
     );
 }
 
