@@ -22,7 +22,13 @@
 //!
 //! * `speedup` = wheel ops/s ÷ heap ops/s (catches wheel regressions);
 //! * `sim_per_heap` = sim events/s ÷ heap ops/s (catches engine
-//!   regressions).
+//!   regressions);
+//! * `par_speedup` = fat-tree events/s at the most worker threads the
+//!   machine has cores for ÷ at one thread, written with that count
+//!   (`par_speedup_threads`) and the cores beside it, and gated only
+//!   against a baseline taken at the same count. Thread counts above the
+//!   cores still run — every count must process the same events — but are
+//!   neither timed nor written.
 //!
 //! Both are ratios of numbers measured in the same process on the same
 //! machine, so the gate is portable across hosts of different speeds —
@@ -262,41 +268,49 @@ fn main() {
     );
 
     // Parallel engine scaling: the same fat-tree fabric at increasing
-    // worker-thread counts. Determinism is asserted unconditionally —
-    // every thread count must process the exact same event set — while
-    // the speedup itself is only meaningful on a machine that actually
-    // has the cores.
+    // worker-thread counts. Determinism is asserted at every count — each
+    // must process the exact same event set — but only the counts the
+    // machine has cores for are timed: with fewer cores than threads the
+    // rate measures the operating system's time slicing, not the engine.
     let cores = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
     let (par_k, par_flows, par_duration, thread_counts): (usize, usize, f64, &[usize]) = if smoke {
         (4, 8, 0.2, &[1, 2])
     } else {
         (8, 64, 2.0, &[1, 2, 4, 8])
     };
-    let mut par_rows: Vec<(usize, u64, f64)> = Vec::new();
-    for &threads in thread_counts {
-        let (events, eps) = fat_tree_run(par_k, threads, par_flows, par_duration);
-        par_rows.push((threads, events, eps));
-    }
     println!(
         "# parallel engine — fat-tree k={par_k} ({} hosts), {par_flows} cross-fabric flows, \
          {par_duration} s ({cores} cores available)",
         par_k * par_k * par_k / 4
     );
-    for &(threads, events, eps) in &par_rows {
+    let mut par_rows: Vec<(usize, f64)> = Vec::new();
+    let mut base_events = None;
+    for &threads in thread_counts {
+        let (events, eps) = fat_tree_run(par_k, threads, par_flows, par_duration);
+        match base_events {
+            Some(base) => assert_eq!(
+                events, base,
+                "thread count changed the simulation: {events} events at {threads} threads \
+                 vs {base} at 1 — determinism is broken"
+            ),
+            None => base_events = Some(events),
+        }
+        if threads > cores {
+            println!("threads={threads}: {events} events, identical (not timed: {cores} cores)");
+            continue;
+        }
         println!(
             "threads={threads}: {eps:>12.0} events/s ({events} events, speedup {:.2}x)",
-            eps / par_rows[0].2
+            par_rows.first().map_or(1.0, |&(_, eps1)| eps / eps1)
         );
+        par_rows.push((threads, eps));
     }
-    let base_events = par_rows[0].1;
-    for &(threads, events, _) in &par_rows[1..] {
-        assert_eq!(
-            events, base_events,
-            "thread count changed the simulation: {events} events at {threads} threads \
-             vs {base_events} at 1 — determinism is broken"
-        );
-    }
-    let par_speedup = par_rows.last().expect("at least one row").2 / par_rows[0].2;
+    let base_events = base_events.expect("at least one thread count");
+    // (threads, speedup over one thread) at the most threads timed.
+    let par_speedup = match par_rows[..] {
+        [(_, eps1), .., (threads, eps)] => Some((threads, eps / eps1)),
+        _ => None,
+    };
 
     if smoke {
         println!("engine bench: ok (smoke mode, no report/gate)");
@@ -307,25 +321,27 @@ fn main() {
     let (ls_hosts, ls_events, ls_wall) = leaf_spine_run(cores.min(8));
     println!("# leaf-spine 1000x100 — {ls_hosts} hosts, {ls_events} events in {ls_wall:.2} s");
 
-    // The >=2x-at-8-threads acceptance bar only manifests with >=8 real
-    // cores; on smaller machines the rows are still reported and the
-    // determinism assertion above still binds.
-    if cores >= 8 && par_speedup < 2.0 {
-        eprintln!(
-            "REGRESSION: parallel speedup {par_speedup:.2}x < 2.0x at {} threads \
-             ({cores} cores available)",
-            thread_counts.last().expect("non-empty")
-        );
-        std::process::exit(1);
+    // Hard bars, checked here and failed on at the very end, so that a run
+    // that misses one still writes what it measured (the analyzer bench's
+    // form). The >=2x-at-8-threads bar only manifests with >=8 real cores;
+    // on smaller machines the determinism assertion above still binds.
+    let mut failed = false;
+    if let Some((8, speedup)) = par_speedup {
+        if speedup < 2.0 {
+            eprintln!(
+                "REGRESSION: parallel speedup {speedup:.2}x < 2.0x at 8 threads \
+                 ({cores} cores available)"
+            );
+            failed = true;
+        }
     }
-
-    // Hard gate: an attached-but-idle registry must cost under 2%.
+    // An attached-but-idle registry must cost under 2%.
     if obs_ratio < OBS_GATE_FLOOR {
         eprintln!(
             "REGRESSION: obs overhead ratio {obs_ratio:.4} < {OBS_GATE_FLOOR} \
              (registry on the hot path costs more than 2%)"
         );
-        std::process::exit(1);
+        failed = true;
     }
 
     let report = Json::obj()
@@ -350,12 +366,16 @@ fn main() {
         .set("par_topology", format!("fat-tree k={par_k}"))
         .set("par_flows", par_flows)
         .set("par_events", base_events)
-        .set("par_speedup", par_speedup)
         .set("par_cores_available", cores)
         .set("leafspine_hosts", ls_hosts)
         .set("leafspine_events", ls_events)
         .set("leafspine_wall_s", ls_wall);
-    for &(threads, _, eps) in &par_rows {
+    if let Some((threads, speedup)) = par_speedup {
+        report = report
+            .set("par_speedup", speedup)
+            .set("par_speedup_threads", threads);
+    }
+    for &(threads, eps) in &par_rows {
         report = report.set(format!("par_eps_t{threads}").as_str(), eps);
     }
     let report = report;
@@ -374,17 +394,24 @@ fn main() {
                 "# no baseline at {} ({err}); gate skipped",
                 baseline_path.display()
             );
+            if failed {
+                std::process::exit(1);
+            }
             return;
         }
     };
-    let mut failed = false;
     let mut gates = vec![("speedup", speedup), ("sim_per_heap", sim_per_heap)];
-    // The thread-scaling ratio is only comparable to the baseline when the
-    // machine can actually run the workers in parallel.
-    if cores >= 8 {
-        gates.push(("par_speedup", par_speedup));
-    } else {
-        println!("# gate par_speedup: skipped ({cores} cores < 8)");
+    // The thread-scaling ratio is comparable to the baseline's only when
+    // both were taken at the same worker count, on cores enough to run it.
+    let baseline_threads = extract_number(&baseline, "par_speedup_threads");
+    match par_speedup {
+        Some((threads, speedup)) if baseline_threads == Some(threads as f64) => {
+            gates.push(("par_speedup", speedup));
+        }
+        _ => println!(
+            "# gate par_speedup: skipped (measured {par_speedup:?} on {cores} cores, \
+             baseline at {baseline_threads:?} threads)"
+        ),
     }
     for (label, measured) in gates {
         let Some(expected) = extract_number(&baseline, label) else {

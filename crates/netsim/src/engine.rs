@@ -265,16 +265,44 @@ struct ChannelState {
 }
 
 /// Static topology shared (read-only) with worker threads during a run.
-/// Port-map keys and values use *global* entity ids; the `*_loc` tables map
-/// global ids to partition-local slots.
+/// Port tables are indexed by *global* switch id and hold *global* entity
+/// ids; the `*_loc` tables map global ids to partition-local slots.
 #[derive(Default, Clone)]
 struct Topo {
-    port_map: HashMap<(usize, u16), Endpoint>,
+    ports: Vec<PortTable>,
     host_attach: Vec<(SwitchId, u16)>,
     sw_loc: Vec<Loc>,
     host_loc: Vec<Loc>,
     dev_loc: Vec<Loc>,
     link_latency: f64,
+}
+
+/// What each port of one switch is wired to, indexed by port number: switch
+/// ports are small integers (`1..=k`, a cache port such as 99), so a hop
+/// costs an index, not a hash. `None` marks a number the switch has no port
+/// for.
+#[derive(Default, Clone)]
+struct PortTable(Vec<Option<Endpoint>>);
+
+impl PortTable {
+    fn get(&self, port: u16) -> Option<Endpoint> {
+        self.0.get(usize::from(port)).copied().flatten()
+    }
+
+    fn set(&mut self, port: u16, endpoint: Endpoint) {
+        let i = usize::from(port);
+        if i >= self.0.len() {
+            self.0.resize(i + 1, None);
+        }
+        self.0[i] = Some(endpoint);
+    }
+}
+
+impl Topo {
+    /// What `(sw, port)` is wired to; `None` if there is no such port.
+    fn endpoint(&self, sw: usize, port: u16) -> Option<Endpoint> {
+        self.ports.get(sw)?.get(port)
+    }
 }
 
 /// Per-switch mutable state that lives beside the `Switch` itself.
@@ -365,11 +393,7 @@ impl Partition {
     /// past `until`). Called from worker threads; everything that crosses
     /// the partition boundary lands in `self.outbox`.
     fn run(&mut self, topo: &Topo, w: f64, until: f64) {
-        while let Some(t) = self.queue.peek_time() {
-            if t >= w || t > until {
-                break;
-            }
-            let (now, ev) = self.queue.pop().expect("peeked event");
+        while let Some((now, ev)) = self.queue.pop_if(|t, _| t < w && t <= until) {
             self.note_event();
             self.dispatch(topo, ev, now, until);
         }
@@ -401,17 +425,18 @@ impl Partition {
                 // stream) is bit-identical to one-event-at-a-time delivery.
                 let mut batch = std::mem::take(&mut self.switch_batch);
                 batch.push((port, pkt));
-                loop {
-                    match self.queue.peek() {
-                        Some((t, PEv::DeliverToSwitch { sw: s2, .. })) if t == now && *s2 == sw => {
-                        }
-                        _ => break,
-                    }
-                    match self.queue.pop() {
+                // The time first: it is in the queue's key, the variant is in
+                // the payload slab.
+                while self.queue.peek_time() == Some(now) {
+                    let next = self.queue.pop_if(
+                        |_, e| matches!(e, PEv::DeliverToSwitch { sw: s2, .. } if *s2 == sw),
+                    );
+                    match next {
                         Some((_, PEv::DeliverToSwitch { port, pkt, .. })) => {
                             batch.push((port, pkt));
                         }
-                        _ => unreachable!("peeked a same-time switch delivery"),
+                        Some(_) => unreachable!("popped a same-time switch delivery"),
+                        None => break,
                     }
                     self.note_event();
                 }
@@ -487,15 +512,14 @@ impl Partition {
                 // Same consecutive-coalescing argument as DeliverToSwitch.
                 let mut batch = std::mem::take(&mut self.device_batch);
                 batch.push(pkt);
-                loop {
-                    match self.queue.peek() {
-                        Some((t, PEv::DeliverToDevice { dev: d2, .. }))
-                            if t == now && *d2 == dev => {}
-                        _ => break,
-                    }
-                    match self.queue.pop() {
+                while self.queue.peek_time() == Some(now) {
+                    let next = self.queue.pop_if(
+                        |_, e| matches!(e, PEv::DeliverToDevice { dev: d2, .. } if *d2 == dev),
+                    );
+                    match next {
                         Some((_, PEv::DeliverToDevice { pkt, .. })) => batch.push(pkt),
-                        _ => unreachable!("peeked a same-time device delivery"),
+                        Some(_) => unreachable!("popped a same-time device delivery"),
+                        None => break,
                     }
                     self.note_event();
                 }
@@ -585,12 +609,7 @@ impl Partition {
             }
         }
         let at = at + topo.link_latency;
-        match topo
-            .port_map
-            .get(&(gid, port))
-            .copied()
-            .unwrap_or(Endpoint::Unconnected)
-        {
+        match topo.endpoint(gid, port).unwrap_or(Endpoint::Unconnected) {
             Endpoint::Host(h) => {
                 let host = topo.host_loc[h.0].idx();
                 self.queue.schedule(at, PEv::DeliverToHost { host, pkt });
@@ -1019,9 +1038,11 @@ impl Simulation {
         let rng = StdRng::seed_from_u64(entity_seed(self.seed, KIND_SWITCH, gid as u64));
         let maintenance_interval = self.maintenance_interval;
         let topo = Arc::make_mut(&mut self.topo);
+        let mut table = PortTable::default();
         for &p in &ports {
-            topo.port_map.insert((gid, p), Endpoint::Unconnected);
+            table.set(p, Endpoint::Unconnected);
         }
+        topo.ports.push(table);
         let pr = self.parts[part].as_mut().expect("partition present");
         topo.sw_loc.push(Loc {
             part: part as u32,
@@ -1056,7 +1077,7 @@ impl Simulation {
             "add_host must be called before the simulation starts"
         );
         assert!(
-            self.topo.port_map.contains_key(&(sw.0, port)),
+            self.topo.endpoint(sw.0, port).is_some(),
             "switch {sw:?} has no port {port}"
         );
         let id = HostId(self.topo.host_attach.len());
@@ -1072,7 +1093,7 @@ impl Simulation {
             part: loc.part,
             idx: idx as u32,
         });
-        topo.port_map.insert((sw.0, port), Endpoint::Host(id));
+        topo.ports[sw.0].set(port, Endpoint::Host(id));
         id
     }
 
@@ -1100,7 +1121,7 @@ impl Simulation {
             "attach_device must be called before the simulation starts"
         );
         assert!(
-            self.topo.port_map.contains_key(&(sw.0, port)),
+            self.topo.endpoint(sw.0, port).is_some(),
             "switch {sw:?} has no port {port}"
         );
         let id = DeviceId(self.topo.dev_loc.len());
@@ -1122,7 +1143,7 @@ impl Simulation {
             part: loc.part,
             idx: idx as u32,
         });
-        topo.port_map.insert((sw.0, port), Endpoint::Device(id));
+        topo.ports[sw.0].set(port, Endpoint::Device(id));
         id
     }
 
@@ -1137,11 +1158,11 @@ impl Simulation {
             !self.started,
             "connect_switches must be called before the simulation starts"
         );
-        assert!(self.topo.port_map.contains_key(&(a.0, pa)));
-        assert!(self.topo.port_map.contains_key(&(b.0, pb)));
+        assert!(self.topo.endpoint(a.0, pa).is_some());
+        assert!(self.topo.endpoint(b.0, pb).is_some());
         let topo = Arc::make_mut(&mut self.topo);
-        topo.port_map.insert((a.0, pa), Endpoint::SwitchPort(b, pb));
-        topo.port_map.insert((b.0, pb), Endpoint::SwitchPort(a, pa));
+        topo.ports[a.0].set(pa, Endpoint::SwitchPort(b, pb));
+        topo.ports[b.0].set(pb, Endpoint::SwitchPort(a, pa));
     }
 
     /// Immutable host access.

@@ -115,10 +115,17 @@ impl BandwidthMeter {
 ///
 /// Used to regenerate the paper's Fig. 12: each controller application's CPU
 /// utilization over time under the flooding attack.
+///
+/// Buckets are a dense vector indexed by bucket number, grown on demand: the
+/// engine adds to a switch's tracker on every packet it serves, and an index
+/// is all that costs. Memory is one `f64` per `bucket_width` of simulated
+/// time up to the latest bucket touched (a tracker never added to holds
+/// none) — less than a map entry per busy bucket, more only for a tracker
+/// touched rarely over a long run.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct UtilizationTracker {
     bucket_width: f64,
-    buckets: BTreeMap<u64, f64>,
+    buckets: Vec<f64>,
 }
 
 impl UtilizationTracker {
@@ -131,7 +138,7 @@ impl UtilizationTracker {
         assert!(bucket_width > 0.0, "bucket width must be positive");
         UtilizationTracker {
             bucket_width,
-            buckets: BTreeMap::new(),
+            buckets: Vec::new(),
         }
     }
 
@@ -151,7 +158,11 @@ impl UtilizationTracker {
             let available = (bucket_end - cursor).max(0.0);
             let chunk = remaining.min(available);
             if chunk > 0.0 {
-                *self.buckets.entry(idx).or_insert(0.0) += chunk;
+                let i = usize::try_from(idx).expect("bucket index fits memory");
+                if i >= self.buckets.len() {
+                    self.buckets.resize(i + 1, 0.0);
+                }
+                self.buckets[i] += chunk;
                 remaining -= chunk;
             }
             cursor = bucket_end;
@@ -166,7 +177,7 @@ impl UtilizationTracker {
         (0..n)
             .map(|idx| Sample {
                 t: idx as f64 * self.bucket_width,
-                v: self.buckets.get(&idx).copied().unwrap_or(0.0) / self.bucket_width,
+                v: self.busy(idx) / self.bucket_width,
             })
             .collect()
     }
@@ -174,7 +185,16 @@ impl UtilizationTracker {
     /// Utilization of the bucket containing time `t`.
     pub fn utilization_at(&self, t: f64) -> f64 {
         let idx = (t.max(0.0) / self.bucket_width) as u64;
-        self.buckets.get(&idx).copied().unwrap_or(0.0) / self.bucket_width
+        self.busy(idx) / self.bucket_width
+    }
+
+    /// Busy seconds recorded in bucket `idx` (zero if never touched).
+    fn busy(&self, idx: u64) -> f64 {
+        usize::try_from(idx)
+            .ok()
+            .and_then(|i| self.buckets.get(i))
+            .copied()
+            .unwrap_or(0.0)
     }
 }
 
@@ -262,6 +282,82 @@ mod tests {
     #[should_panic(expected = "bucket width")]
     fn utilization_tracker_rejects_zero_width() {
         let _ = UtilizationTracker::new(0.0);
+    }
+
+    /// `UtilizationTracker::add` as it was over a `BTreeMap` of buckets: the
+    /// reference the dense buckets are held to, bit for bit.
+    fn add_to_map(buckets: &mut BTreeMap<u64, f64>, width: f64, t: f64, cpu_seconds: f64) {
+        let start = t.max(0.0);
+        let mut remaining = cpu_seconds.max(0.0);
+        let mut idx = (start / width) as u64;
+        let mut cursor = start;
+        while remaining > 0.0 {
+            let bucket_end = (idx + 1) as f64 * width;
+            let available = (bucket_end - cursor).max(0.0);
+            let chunk = remaining.min(available);
+            if chunk > 0.0 {
+                *buckets.entry(idx).or_insert(0.0) += chunk;
+                remaining -= chunk;
+            }
+            cursor = bucket_end;
+            idx += 1;
+        }
+    }
+
+    proptest::proptest! {
+        /// Out-of-order times, busy intervals spanning several buckets,
+        /// zero-length and negative adds: every bucket holds the same bits
+        /// as the map would, so every series built on it does.
+        #[test]
+        fn dense_buckets_match_the_map_bit_for_bit(
+            width in proptest::prop_oneof![
+                proptest::strategy::Just(0.05),
+                proptest::strategy::Just(0.1),
+                proptest::strategy::Just(0.013),
+                proptest::strategy::Just(1.0),
+            ],
+            adds in proptest::collection::vec(
+                (
+                    -0.5f64..6.0,
+                    proptest::prop_oneof![
+                        proptest::strategy::Just(0.0),
+                        -0.01f64..0.0,
+                        0.0f64..1e-4,
+                        0.0f64..0.5,
+                    ],
+                ),
+                0..200,
+            ),
+        ) {
+            let mut tracker = UtilizationTracker::new(width);
+            let mut map = BTreeMap::new();
+            for &(t, cpu) in &adds {
+                tracker.add(t, cpu);
+                add_to_map(&mut map, width, t, cpu);
+            }
+            let until = 7.0;
+            let n = (until / width).ceil() as u64;
+            let expected: Vec<(u64, u64)> = (0..n)
+                .map(|idx| {
+                    let t = idx as f64 * width;
+                    let v = map.get(&idx).copied().unwrap_or(0.0) / width;
+                    (t.to_bits(), v.to_bits())
+                })
+                .collect();
+            let got: Vec<(u64, u64)> = tracker
+                .utilization_series(until)
+                .iter()
+                .map(|s| (s.t.to_bits(), s.v.to_bits()))
+                .collect();
+            proptest::prop_assert_eq!(got, expected);
+            for &(t, _) in &adds {
+                for probe in [t, t + width * 0.5, t + width * 3.0] {
+                    let idx = (probe.max(0.0) / width) as u64;
+                    let v = map.get(&idx).copied().unwrap_or(0.0) / width;
+                    proptest::prop_assert_eq!(tracker.utilization_at(probe).to_bits(), v.to_bits());
+                }
+            }
+        }
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Discrete-event scheduling: time-ordered event queues over `f64` seconds.
 //!
-//! Two interchangeable implementations sit behind the [`Scheduler`] trait:
+//! Three interchangeable implementations sit behind the [`Scheduler`] trait:
 //!
 //! * [`heap::HeapQueue`] — the classic binary-heap queue. Simple, `O(log n)`
 //!   per operation, kept as the reference implementation for equivalence
@@ -9,22 +9,24 @@
 //!   time-bucketed slots for the near future plus a sorted overflow tier for
 //!   events beyond the ring's horizon. Amortized `O(1)` per operation on the
 //!   steady-state attack workloads that dominate FloodGuard experiments.
+//! * [`slab::EventQueue`] — the engine's queue: the calendar queue over
+//!   24-byte `(time, seq, slot)` keys, payloads in a slab, so what the wheel
+//!   moves around does not grow with the event type.
 //!
-//! [`EventQueue`] is the default scheduler used by the engine — an alias for
-//! the calendar queue. Both implementations order events by `(time, seq)`
-//! where `seq` is the insertion sequence number, so ties at the same
-//! timestamp pop in insertion order and the simulation stays bit-exactly
-//! deterministic regardless of which implementation is plugged in.
+//! All of them order events by `(time, seq)` where `seq` is the insertion
+//! sequence number, so ties at the same timestamp pop in insertion order and
+//! the simulation stays bit-exactly deterministic regardless of which
+//! implementation is plugged in.
 
 use std::cmp::Ordering;
 
 pub mod heap;
+pub mod slab;
 pub mod wheel;
 
 pub use heap::HeapQueue;
-pub use wheel::WheelQueue;
-
-/// The default scheduler: the calendar-queue implementation.
+/// The engine's queue: the calendar queue over slot keys, payloads in a
+/// slab.
 ///
 /// # Examples
 ///
@@ -38,7 +40,8 @@ pub use wheel::WheelQueue;
 /// assert_eq!(q.pop(), Some((2.0, "later")));
 /// assert_eq!(q.pop(), None);
 /// ```
-pub type EventQueue<E> = WheelQueue<E>;
+pub use slab::EventQueue;
+pub use wheel::WheelQueue;
 
 /// An entry in an event queue: `(time, seq)` is the total order.
 #[derive(Debug)]
@@ -138,12 +141,16 @@ pub trait Scheduler<E> {
 mod tests {
     use super::*;
     use proptest::prelude::*;
+    use std::cell::RefCell;
+    use std::rc::Rc;
 
-    // The historical EventQueue unit tests, run against both implementations
-    // through the trait so the heap and the wheel stay behaviorally locked.
+    // The historical EventQueue unit tests, run against every implementation
+    // through the trait so the heap, the wheel and the engine's queue stay
+    // behaviorally locked.
     fn each_impl(check: impl Fn(&mut dyn Scheduler<i64>)) {
         check(&mut HeapQueue::new());
         check(&mut WheelQueue::new());
+        check(&mut EventQueue::new());
     }
 
     #[test]
@@ -253,12 +260,12 @@ mod tests {
     #[test]
     fn non_finite_times_cannot_corrupt_ordering() {
         for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
-            for use_wheel in [false, true] {
+            for which in 0..3 {
                 let outcome = std::panic::catch_unwind(move || {
-                    let mut q: Box<dyn Scheduler<i64>> = if use_wheel {
-                        Box::new(WheelQueue::new())
-                    } else {
-                        Box::new(HeapQueue::new())
+                    let mut q: Box<dyn Scheduler<i64>> = match which {
+                        0 => Box::new(HeapQueue::new()),
+                        1 => Box::new(WheelQueue::new()),
+                        _ => Box::new(EventQueue::new()),
                     };
                     q.schedule(1.0, 1);
                     q.schedule(bad, 2);
@@ -344,6 +351,89 @@ mod tests {
                 if a.is_none() {
                     break;
                 }
+            }
+        }
+    }
+
+    /// A payload that counts its own drops, so the slab's bookkeeping shows:
+    /// a payload dropped while still queued, dropped twice, or never dropped.
+    #[derive(Debug)]
+    struct Counted {
+        id: usize,
+        drops: Rc<RefCell<Vec<u32>>>,
+    }
+
+    impl Drop for Counted {
+        fn drop(&mut self) {
+            self.drops.borrow_mut()[self.id] += 1;
+        }
+    }
+
+    proptest! {
+        /// The engine's queue pops what the heap pops, at the same times,
+        /// under random schedule/peek/pop/pop-if interleavings; every
+        /// payload is dropped exactly once — after it is handed out, or with
+        /// the queue — and none is handed out after a reused slot overwrote
+        /// it.
+        #[test]
+        fn engine_queue_matches_heap_and_drops_each_payload_once(
+            ops in proptest::collection::vec((op_strategy(), 0u8..3), 0..600),
+        ) {
+            let drops = Rc::new(RefCell::new(vec![0u32; ops.len()]));
+            let mut heap = HeapQueue::new();
+            let mut queue = EventQueue::new();
+            let mut scheduled = vec![false; ops.len()];
+            let mut popped = 0u32;
+            for (id, &(op, mode)) in ops.iter().enumerate() {
+                let payload = || Counted { id, drops: Rc::clone(&drops) };
+                match op {
+                    Op::Schedule(t) => {
+                        heap.schedule(t, id);
+                        queue.schedule(t, payload());
+                        scheduled[id] = true;
+                    }
+                    Op::ScheduleIn(d) => {
+                        heap.schedule_in(d, id);
+                        queue.schedule_in(d, payload());
+                        scheduled[id] = true;
+                    }
+                    Op::Pop => {
+                        // Mode 2: only even payloads may leave.
+                        let (got, expected) = if mode == 2 {
+                            let even = heap.peek().is_some_and(|(_, &id)| id % 2 == 0);
+                            let got = queue.pop_if(|_, p| p.id % 2 == 0);
+                            (got, if even { heap.pop() } else { None })
+                        } else {
+                            (queue.pop(), heap.pop())
+                        };
+                        let got = match got {
+                            Some((t, p)) => {
+                                // Alive when handed out: no reuse overwrote it.
+                                prop_assert_eq!(drops.borrow()[p.id], 0);
+                                popped += 1;
+                                Some((t, p.id))
+                            }
+                            None => None,
+                        };
+                        prop_assert_eq!(got, expected);
+                    }
+                }
+                if mode == 1 {
+                    prop_assert_eq!(
+                        queue.peek().map(|(t, p)| (t, p.id)),
+                        heap.peek().map(|(t, &id)| (t, id))
+                    );
+                }
+                prop_assert_eq!(queue.len(), heap.len());
+                prop_assert_eq!(queue.now(), heap.now());
+                let drops = drops.borrow();
+                prop_assert!(drops.iter().all(|&n| n <= 1), "a payload dropped twice");
+                prop_assert_eq!(drops.iter().sum::<u32>(), popped, "a queued payload was dropped");
+            }
+            drop(queue);
+            let drops = drops.borrow();
+            for (id, &was_scheduled) in scheduled.iter().enumerate() {
+                prop_assert_eq!(drops[id], u32::from(was_scheduled), "payload {}", id);
             }
         }
     }

@@ -295,16 +295,57 @@ impl<E> WheelQueue<E> {
                 self.now = entry.time;
                 Some((entry.time, entry.event))
             }
-            Tier::Overflow => {
-                // Ring is empty: serve the overflow minimum directly and
-                // re-anchor the window at its time so later short-delay
-                // schedules land back in the ring.
-                let entry = self.overflow.pop().expect("advance saw overflow");
+            Tier::Overflow => Some(self.pop_overflow()),
+        }
+    }
+
+    /// Ring is empty: serve the overflow minimum directly and re-anchor the
+    /// window at its time so later short-delay schedules land back in the
+    /// ring.
+    fn pop_overflow(&mut self) -> (f64, E) {
+        let entry = self.overflow.pop().expect("advance saw overflow");
+        self.now = entry.time;
+        self.cur_bucket = self.bucket_of(entry.time);
+        self.sorted = false;
+        self.migrate_overflow();
+        (entry.time, entry.event)
+    }
+
+    /// Pops the earliest event if `take` accepts it (its time and a
+    /// reference to it), otherwise leaves the queue as it is and returns
+    /// `None`. One cursor walk and one minimum search, where [`Self::peek`]
+    /// followed by [`Self::pop`] does each twice: the engine's "next event,
+    /// if it is inside the window" loop.
+    pub fn pop_if(&mut self, take: impl FnOnce(f64, &E) -> bool) -> Option<(f64, E)> {
+        match self.advance()? {
+            Tier::Ring => {
+                let slot = (self.cur_bucket & self.mask) as usize;
+                let src = self.ring_min_src(slot).expect("advance found this slot");
+                let head = match src {
+                    Src::Bucket => self.slots[slot].front(),
+                    Src::Staged => self.front.peek(),
+                    Src::Tie => self.now_fifo.front(),
+                }
+                .expect("ring_min_src saw it");
+                if !take(head.time, &head.event) {
+                    return None;
+                }
+                let entry = match src {
+                    Src::Bucket => self.slots[slot].pop_front(),
+                    Src::Staged => self.front.pop(),
+                    Src::Tie => self.now_fifo.pop_front(),
+                }
+                .expect("ring_min_src saw it");
+                self.ring_len -= 1;
                 self.now = entry.time;
-                self.cur_bucket = self.bucket_of(entry.time);
-                self.sorted = false;
-                self.migrate_overflow();
                 Some((entry.time, entry.event))
+            }
+            Tier::Overflow => {
+                let head = self.overflow.peek().expect("advance saw overflow");
+                if !take(head.time, &head.event) {
+                    return None;
+                }
+                Some(self.pop_overflow())
             }
         }
     }

@@ -650,11 +650,13 @@ async fn control_loop(
                 .saturating_sub(last_telemetry.elapsed()),
             keepalive_scan.saturating_sub(last_keepalive.elapsed()),
         );
-        let now = epoch.elapsed().as_secs_f64();
-        let mut batch = 0usize;
         let mut next = tokio::time::timeout(wait, events.recv())
             .await
             .unwrap_or_default();
+        // Read after the wait: the drain is stamped with when it starts, not
+        // with when the loop went idle (up to `next_wait`'s 50 ms earlier).
+        let now = epoch.elapsed().as_secs_f64();
+        let mut batch = 0usize;
         while let Some(event) = next.take() {
             handle_event(
                 event,

@@ -323,6 +323,119 @@ fn replies_leave_before_the_drain_they_were_produced_in_ends() {
     drop(controller);
 }
 
+/// Records the `now` each message is handed over with; while `hold` is set,
+/// the next tick parks the control loop until it is cleared.
+#[derive(Clone, Default)]
+struct Stamps {
+    stamps: Arc<Mutex<Vec<f64>>>,
+    hold: Arc<AtomicBool>,
+    holding: Arc<AtomicBool>,
+}
+
+impl ControlPlane for Stamps {
+    fn on_switch_connect(
+        &mut self,
+        _dpid: DatapathId,
+        _features: FeaturesReply,
+        _now: f64,
+        _out: &mut ControlOutput,
+    ) {
+    }
+
+    fn on_message(
+        &mut self,
+        _dpid: DatapathId,
+        _msg: OfMessage,
+        now: f64,
+        _out: &mut ControlOutput,
+    ) {
+        self.stamps.lock().unwrap().push(now);
+    }
+
+    fn on_tick(&mut self, _now: f64, _out: &mut ControlOutput) {
+        if self.hold.load(Ordering::SeqCst) {
+            self.holding.store(true, Ordering::SeqCst);
+            wait_for(Duration::from_secs(10), || {
+                !self.hold.load(Ordering::SeqCst)
+            });
+        }
+    }
+
+    fn tick_interval(&self) -> Option<f64> {
+        Some(0.0)
+    }
+}
+
+/// A message is stamped with when the control loop picked it up, not with
+/// when the loop last went idle: two messages sent 30 ms apart over an
+/// otherwise quiet connection are stamped at least 25 ms apart. The first is
+/// queued while a tick holds the loop, so its stamp is the pick-up time
+/// whichever moment the loop reads the clock at; the second arrives while
+/// the loop waits.
+#[test]
+fn a_drain_is_stamped_with_the_time_it_starts() {
+    let flags = Stamps::default();
+    // Nothing else due for seconds: the loop waits the full 50 ms each turn.
+    let quiet = Duration::from_secs(10);
+    let controller = ControllerEndpoint::listen(
+        Box::new(flags.clone()),
+        "127.0.0.1:0".parse().unwrap(),
+        ControllerConfig {
+            channel: ChannelConfig::default()
+                .with_echo_interval(quiet)
+                .with_liveness_timeout(quiet),
+            telemetry_interval: quiet,
+            ..ControllerConfig::default()
+        },
+    )
+    .unwrap();
+    let mut stream = TcpStream::connect(controller.local_addr().unwrap()).unwrap();
+    stream.set_nodelay(true).unwrap();
+    let features = FeaturesReply {
+        datapath_id: DatapathId(1),
+        n_buffers: 0,
+        n_tables: 1,
+        ports: vec![PortNo::Physical(1)],
+    };
+    handshake::accept(&mut stream, &features, &ChannelConfig::default()).unwrap();
+    assert!(wait_for(Duration::from_secs(10), || {
+        controller.status().connected_switches == vec![DatapathId(1)]
+    }));
+    let request =
+        |xid: u32| ofproto::wire::encode(&OfMessage::new(Xid(xid), OfBody::BarrierRequest));
+    let stamped = |n: usize| {
+        wait_for(Duration::from_secs(10), || {
+            flags.stamps.lock().unwrap().len() >= n
+        })
+    };
+
+    flags.hold.store(true, Ordering::SeqCst);
+    assert!(wait_for(Duration::from_secs(10), || flags
+        .holding
+        .load(Ordering::SeqCst)));
+    let before = controller.counters().frames_in;
+    stream.write_all(&request(1)).unwrap();
+    assert!(wait_for(Duration::from_secs(10), || {
+        controller.counters().frames_in > before
+    }));
+    // Counted is a few instructions short of queued.
+    std::thread::sleep(Duration::from_millis(20));
+    flags.hold.store(false, Ordering::SeqCst);
+    assert!(stamped(1));
+
+    std::thread::sleep(Duration::from_millis(30));
+    stream.write_all(&request(2)).unwrap();
+    assert!(stamped(2));
+    let stamps = flags.stamps.lock().unwrap().clone();
+    let apart = stamps[1] - stamps[0];
+    assert!(
+        apart >= 0.025,
+        "sent 30 ms apart, stamped {:.1} ms apart: a stamp predates the wait it ended",
+        apart * 1e3
+    );
+    drop(controller);
+}
+
 /// Garbage bytes after a clean handshake are counted as a decode error and
 /// kill only that session; the endpoint accepts a fresh connection after.
 #[test]

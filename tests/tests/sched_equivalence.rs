@@ -1,6 +1,7 @@
-//! Cross-implementation equivalence: the calendar queue (`WheelQueue`, the
-//! engine's default `EventQueue`) must produce pop sequences bit-identical
-//! to the reference binary heap (`HeapQueue`) under workloads shaped like
+//! Cross-implementation equivalence: the calendar queue (`WheelQueue`) and
+//! the engine's `EventQueue` (the same wheel over slot keys, payloads in a
+//! slab) must produce pop sequences bit-identical to the reference binary
+//! heap (`HeapQueue`) under workloads shaped like
 //! what the engine actually generates — short service delays, same-time
 //! delivery bursts from saturation attacks, sparse second-scale maintenance
 //! timers, and past-time clamps — not just uniform random times.
@@ -9,35 +10,43 @@
 //! covers random op interleavings; this suite locks the engine-like shapes
 //! and the full-drain determinism the resilience tests depend on.
 
-use netsim::sched::{HeapQueue, WheelQueue};
+use netsim::sched::{EventQueue, HeapQueue, WheelQueue};
 use proptest::prelude::*;
 
-/// Drives both schedulers through the same op sequence, asserting lockstep.
+/// Drives the three schedulers through the same op sequence, asserting
+/// lockstep.
 fn assert_lockstep(ops: &[(u8, f64)]) -> Result<(), TestCaseError> {
     let mut heap: HeapQueue<usize> = HeapQueue::new();
     let mut wheel: WheelQueue<usize> = WheelQueue::new();
+    let mut engine: EventQueue<usize> = EventQueue::new();
     for (i, &(kind, t)) in ops.iter().enumerate() {
         match kind {
             // Absolute schedule (may be in the past → clamp path).
             0 => {
                 heap.schedule(t, i);
                 wheel.schedule(t, i);
+                engine.schedule(t, i);
             }
             // Relative schedule from the (identical) current clock.
             1 => {
                 heap.schedule_in(t, i);
                 wheel.schedule_in(t, i);
+                engine.schedule_in(t, i);
             }
             // Pop.
             _ => {
-                prop_assert_eq!(heap.pop(), wheel.pop());
+                let expected = heap.pop();
+                prop_assert_eq!(expected, wheel.pop());
+                prop_assert_eq!(expected, engine.pop());
                 prop_assert_eq!(heap.now(), wheel.now());
+                prop_assert_eq!(heap.now(), engine.now());
             }
         }
     }
     loop {
-        let (a, b) = (heap.pop(), wheel.pop());
+        let (a, b, c) = (heap.pop(), wheel.pop(), engine.pop());
         prop_assert_eq!(a, b);
+        prop_assert_eq!(a, c);
         if a.is_none() {
             break;
         }
@@ -81,31 +90,38 @@ proptest! {
 fn attack_burst_replay_matches() {
     let mut heap: HeapQueue<u32> = HeapQueue::new();
     let mut wheel: WheelQueue<u32> = WheelQueue::new();
+    let mut engine: EventQueue<u32> = EventQueue::new();
     let mut id = 0u32;
     for tick in 0..50 {
         let t = tick as f64 * 0.02;
         for host in 0..1_000u32 {
             heap.schedule(t, id);
             wheel.schedule(t, id);
+            engine.schedule(t, id);
             id += 1;
             // Per-packet delivery a service time later.
             let d = t + 1e-5 + (host as f64 % 7.0) * 1e-6;
             heap.schedule(d, id);
             wheel.schedule(d, id);
+            engine.schedule(d, id);
             id += 1;
         }
         // Telemetry timer into the overflow tier.
         heap.schedule(t + 5.0, id);
         wheel.schedule(t + 5.0, id);
+        engine.schedule(t + 5.0, id);
         id += 1;
         // Drain roughly half the backlog before the next tick.
         for _ in 0..1_100 {
-            assert_eq!(heap.pop(), wheel.pop());
+            let expected = heap.pop();
+            assert_eq!(expected, wheel.pop());
+            assert_eq!(expected, engine.pop());
         }
     }
     loop {
-        let (a, b) = (heap.pop(), wheel.pop());
+        let (a, b, c) = (heap.pop(), wheel.pop(), engine.pop());
         assert_eq!(a, b);
+        assert_eq!(a, c);
         if a.is_none() {
             break;
         }
