@@ -112,14 +112,6 @@ struct FlowKey {
 /// Estimated bytes per tracked entry (key + timestamp + table overhead).
 pub const ENTRY_BYTES: usize = 48;
 
-fn splitmix64(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
-
 /// The LineSwitch edge-proxy datapath hook.
 pub struct LineSwitch {
     config: LineSwitchConfig,
@@ -219,7 +211,9 @@ impl LineSwitch {
 
     /// Uniform draw in `[0, 1)` from the deterministic internal stream.
     fn draw(&mut self) -> f64 {
-        (splitmix64(&mut self.draw_state) >> 11) as f64 / (1u64 << 53) as f64
+        let word = rand::splitmix64(self.draw_state);
+        self.draw_state = self.draw_state.wrapping_add(rand::GOLDEN_GAMMA);
+        (word >> 11) as f64 / (1u64 << 53) as f64
     }
 
     fn key_of(packet: &Packet) -> Option<FlowKey> {

@@ -91,13 +91,6 @@ struct FlowKey {
 /// expiry, table overhead).
 pub const TRANSLATION_ENTRY_BYTES: usize = 32;
 
-fn splitmix64(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
-
 /// The stateless SYN-cookie datapath hook.
 pub struct SynCookies {
     config: SynCookiesConfig,
@@ -199,7 +192,7 @@ impl SynCookies {
     fn cookie(&self, key: &FlowKey, slot: u64) -> u32 {
         let tuple = (u64::from(u32::from(key.src)) << 32)
             | u64::from(u32::from(key.dst)) ^ (u64::from(key.sport) << 16 | u64::from(key.dport));
-        splitmix64(self.config.secret ^ tuple ^ slot.rotate_left(17)) as u32
+        rand::splitmix64(self.config.secret ^ tuple ^ slot.rotate_left(17)) as u32
     }
 
     fn expire(&mut self, now: f64) {

@@ -9,11 +9,55 @@ use std::collections::VecDeque;
 
 use crate::config::DetectionConfig;
 
+/// Most runs the rate window holds: 4096 `(stamp, count)` runs, 64 KiB,
+/// plus at most 2 KiB of ring capacity for the merged ones.
+///
+/// Below the cap the window is exact. An arrival whose stamp is bit-equal
+/// to the newest run's joins it; any other arrival opens a run of its own.
+/// Equal stamps are contiguous, so each run leaves the window all at once
+/// under the same `now - stamp > window` test a per-arrival queue applies
+/// to each of its elements, and the rate is bit-identical to that queue's.
+///
+/// At the cap, the oldest run merges into the newest merged run if their
+/// stamps fall in the same of the window's [`FOLD_CELLS`] time cells, and
+/// becomes a merged run of its own otherwise (repeating until one merge
+/// frees a slot). A merge keeps the newer stamp, so a merged arrival can
+/// only stay in the window longer than it should, never shorter: the rate
+/// over-counts and never under-counts. A merged run holds arrivals of one
+/// cell only, so the rate over-counts by at most the arrivals of the one
+/// cell the window's edge cuts: 1/64 of a window at a steady rate.
+///
+/// The score does not change at the cap. The window spans at most
+/// `FOLD_CELLS + 2` cells, and merged runs have strictly increasing cells,
+/// so a merged run has at least `WINDOW_RUNS - FOLD_CELLS - 2` newer runs,
+/// and it keeps them while it is in the window (eviction takes the oldest
+/// first; a merge is followed by a push). Each of these runs, and the
+/// merged one, holds an arrival at its own stamp, so while the rate
+/// over-counts at all the window really holds at least 4031 arrivals:
+/// 16 124 packets/s at the default 0.25 s. The score's rate term saturates
+/// at 2 × `rate_capacity_pps`, so the score — and [`Detector::is_over`],
+/// whose calm threshold is below that — is exact whenever
+/// `2 · rate_capacity_pps · window ≤ 4031`: up to 8062 packets/s of
+/// capacity at the default window, which covers the default 60 and fgbench
+/// `live_attack`'s 2000.
+const WINDOW_RUNS: usize = 4096;
+
+/// Time cells per window that bound how far a merge at the cap may move an
+/// arrival (see [`WINDOW_RUNS`]).
+const FOLD_CELLS: usize = 64;
+
 /// The attack detector.
 #[derive(Debug, Clone)]
 pub struct Detector {
     config: DetectionConfig,
-    arrivals: VecDeque<f64>,
+    /// `(stamp, count)` runs of `packet_in` arrivals, oldest first.
+    arrivals: VecDeque<(f64, u64)>,
+    /// Runs merged at the cap, oldest first, all older than `arrivals`: one
+    /// per cell, so at most `FOLD_CELLS + 2`. With `arrivals`, at most
+    /// [`WINDOW_RUNS`] runs.
+    merged: VecDeque<(f64, u64)>,
+    /// The sum of both rings' counts.
+    in_window: u64,
     buffer_utilization: f64,
     datapath_utilization: f64,
     controller_utilization: f64,
@@ -32,6 +76,8 @@ impl Detector {
         Detector {
             config,
             arrivals: VecDeque::new(),
+            merged: VecDeque::new(),
+            in_window: 0,
             buffer_utilization: 0.0,
             datapath_utilization: 0.0,
             controller_utilization: 0.0,
@@ -46,8 +92,42 @@ impl Detector {
     /// Records one `packet_in` arrival (or one migrated-packet arrival at
     /// the cache once migration is active).
     pub fn record_packet_in(&mut self, now: f64) {
-        self.arrivals.push_back(now);
+        // Expired runs leave first, so the cap counts only live ones.
         self.evict(now);
+        self.in_window += 1;
+        match self.arrivals.back_mut() {
+            Some((stamp, count)) if stamp.to_bits() == now.to_bits() => *count += 1,
+            _ => {
+                if self.arrivals.len() + self.merged.len() == WINDOW_RUNS {
+                    self.merge_oldest();
+                }
+                self.arrivals.push_back((now, 1));
+            }
+        }
+    }
+
+    /// Frees one slot of a full window (see [`WINDOW_RUNS`]).
+    fn merge_oldest(&mut self) {
+        let per_second = FOLD_CELLS as f64 / self.config.window;
+        // Stamps are not negative, so `as` floors them, without the library
+        // call `f64::floor` makes on a baseline x86-64 build.
+        let cell = |stamp: f64| (stamp * per_second) as i64;
+        while let Some(run) = self.arrivals.pop_front() {
+            match self.merged.back_mut() {
+                Some(last) if cell(last.0) == cell(run.0) => {
+                    last.0 = last.0.max(run.0);
+                    last.1 += run.1;
+                    return;
+                }
+                _ => self.merged.push_back(run),
+            }
+        }
+        // Every run sat in a cell of its own, which takes stamps out of
+        // order. Fold the oldest into the next.
+        let (stamp, count) = self.merged.pop_front().expect("a full window");
+        let next = self.merged.front_mut().expect("a full window");
+        next.0 = next.0.max(stamp);
+        next.1 += count;
     }
 
     /// Feeds infrastructure utilization from telemetry, stamped with the
@@ -88,11 +168,14 @@ impl Detector {
     }
 
     fn evict(&mut self, now: f64) {
-        while let Some(&t) = self.arrivals.front() {
-            if now - t > self.config.window {
-                self.arrivals.pop_front();
-            } else {
-                break;
+        for runs in [&mut self.merged, &mut self.arrivals] {
+            while let Some(&(t, count)) = runs.front() {
+                if now - t > self.config.window {
+                    runs.pop_front();
+                    self.in_window -= count;
+                } else {
+                    return;
+                }
             }
         }
     }
@@ -100,7 +183,7 @@ impl Detector {
     /// The current `packet_in` rate over the sliding window, packets/s.
     pub fn rate(&mut self, now: f64) -> f64 {
         self.evict(now);
-        self.arrivals.len() as f64 / self.config.window
+        self.in_window as f64 / self.config.window
     }
 
     /// The recent score peak discounted by `0.5^(elapsed/half_life)` — a
@@ -133,9 +216,15 @@ impl Detector {
     /// rate, buffer utilization and controller utilization, floored by the
     /// decaying recent peak ([`Detector::held_score`]).
     pub fn score(&mut self, now: f64) -> f64 {
+        let rate = self.rate(now);
+        self.score_at_rate(rate, now)
+    }
+
+    /// [`Detector::score`] with the window's rate given.
+    fn score_at_rate(&mut self, rate: f64, now: f64) -> f64 {
         // Guard the capacity divisor: a zero-capacity misconfiguration would
         // make 0/0 = NaN here, and `NaN.min(2.0)` silently yields 2.0.
-        let rate_term = (self.rate(now) / self.config.rate_capacity_pps.max(1e-9)).min(2.0);
+        let rate_term = (rate / self.config.rate_capacity_pps.max(1e-9)).min(2.0);
         let fresh = self.staleness_factor(now);
         // The idle baseline is 0: with no arrivals in the window and decayed
         // utilization the score must settle at exactly 0.0, never below it.
@@ -513,5 +602,220 @@ mod tests {
             let end = cycles as f64 * period + 1e4;
             proptest::prop_assert_eq!(d.score(end), 0.0);
         }
+    }
+
+    /// The window as it was kept before runs: one stamp per arrival, pushed
+    /// and then evicted under the same test.
+    #[derive(Default)]
+    struct PerArrival {
+        stamps: VecDeque<f64>,
+        /// Distinct stamps among `stamps` (equal ones are contiguous).
+        distinct: usize,
+    }
+
+    impl PerArrival {
+        fn record(&mut self, now: f64, window: f64) {
+            if self.stamps.back().map(|t| t.to_bits()) != Some(now.to_bits()) {
+                self.distinct += 1;
+            }
+            self.stamps.push_back(now);
+            self.evict(now, window);
+        }
+
+        fn evict(&mut self, now: f64, window: f64) {
+            while let Some(&t) = self.stamps.front() {
+                if now - t > window {
+                    self.stamps.pop_front();
+                    if self.stamps.front().map(|f| f.to_bits()) != Some(t.to_bits()) {
+                        self.distinct -= 1;
+                    }
+                } else {
+                    break;
+                }
+            }
+        }
+
+        fn rate(&mut self, now: f64, window: f64) -> f64 {
+            self.evict(now, window);
+            self.stamps.len() as f64 / window
+        }
+    }
+
+    /// Arrivals the window may hold while the rate over-counts at all (see
+    /// [`WINDOW_RUNS`]).
+    const SATURATED: usize = WINDOW_RUNS - FOLD_CELLS - 1;
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(48))]
+
+        /// The run-length window against a per-arrival queue, on
+        /// non-decreasing streams of drain-shaped repeats (1–512 arrivals per
+        /// stamp), dense distinct-stamp bursts that pass the cap, gaps longer
+        /// than the window, probes in a burst's tail and window changes.
+        /// Until the reference holds more distinct stamps than the cap, every
+        /// reading is bit-identical; past it the rate may only over-count,
+        /// and the score stays bit-identical wherever the capacity is within
+        /// what the cap keeps exact.
+        #[test]
+        fn window_matches_a_per_arrival_queue(
+            capacity in 0usize..3,
+            steps in proptest::collection::vec(
+                (0u8..6, 1usize..=512, 1usize..=6000, 0.0f64..1.0),
+                1..40,
+            ),
+        ) {
+            let rate_capacity_pps = [60.0, 2000.0, 1e6][capacity];
+            let mut config = DetectionConfig {
+                rate_capacity_pps,
+                ..DetectionConfig::default()
+            };
+            // Windows stay below 1 s: 2 × 2000 × 1.0 ≤ SATURATED.
+            let qualifies = 2.0 * rate_capacity_pps < SATURATED as f64;
+            let mut d = Detector::new(config);
+            let mut shadow = Detector::new(config);
+            let mut reference = PerArrival::default();
+            let (mut t, mut past_cap, mut diverged) = (1.0f64, false, false);
+            for (kind, reps, stamps, x) in steps {
+                let w = config.window;
+                match kind {
+                    // Drains: up to 32 stamps, 1..=reps arrivals each.
+                    0 | 1 => {
+                        let dt = 10f64.powf(-6.0 + 4.0 * x);
+                        for j in 0..stamps.min(32) {
+                            t += dt;
+                            for _ in 0..1 + (j * 2_654_435_761 + reps) % reps {
+                                d.record_packet_in(t);
+                                reference.record(t, w);
+                                past_cap |= reference.distinct > WINDOW_RUNS;
+                            }
+                        }
+                    }
+                    // A burst of distinct stamps, 1 µs to 316 µs apart.
+                    2 => {
+                        let dt = 10f64.powf(-6.0 + 2.5 * x);
+                        for _ in 0..stamps {
+                            t += dt;
+                            d.record_packet_in(t);
+                            reference.record(t, w);
+                            past_cap |= reference.distinct > WINDOW_RUNS;
+                        }
+                    }
+                    3 => t += w * (1.0 + 3.0 * x),
+                    4 => {
+                        config.window = 0.05 + 0.95 * x;
+                        d.set_config(config);
+                        shadow.set_config(config);
+                    }
+                    _ => t += w * x,
+                }
+                let w = config.window;
+                let (rate, want) = (d.rate(t), reference.rate(t, w));
+                if past_cap {
+                    proptest::prop_assert!(rate >= want, "{rate} < {want} at {t}");
+                    diverged |= !qualifies;
+                } else {
+                    proptest::prop_assert_eq!(rate.to_bits(), want.to_bits(), "rate at {}", t);
+                }
+                if !diverged {
+                    let (score, want_score) = (d.score(t), shadow.score_at_rate(want, t));
+                    proptest::prop_assert_eq!(score.to_bits(), want_score.to_bits(), "score at {}", t);
+                    let want_attack = shadow.score_at_rate(want, t) >= config.score_threshold;
+                    proptest::prop_assert_eq!(d.is_attack(t), want_attack, "is_attack at {}", t);
+                    proptest::prop_assert_eq!(
+                        d.held_score(t).to_bits(),
+                        shadow.held_score(t).to_bits(),
+                        "held_score at {}", t
+                    );
+                }
+                // An empty reference means an empty window: exact again.
+                if reference.stamps.is_empty() {
+                    past_cap = false;
+                }
+            }
+        }
+    }
+
+    /// Records `seconds` of arrivals at `per_second`, `per_stamp` of them
+    /// sharing each stamp, checking the window's bound after every one.
+    /// Returns the window's heap bytes, and the heap bytes a per-arrival
+    /// queue held on the same stream.
+    fn drive(per_second: f64, per_stamp: usize, seconds: f64) -> (usize, usize) {
+        let mut d = detector();
+        let mut reference = PerArrival::default();
+        let stamps = (per_second * seconds) as usize / per_stamp;
+        let run = std::mem::size_of::<(f64, u64)>();
+        let bytes = |d: &Detector| (d.arrivals.capacity() + d.merged.capacity()) * run;
+        for i in 0..stamps {
+            let now = i as f64 * per_stamp as f64 / per_second;
+            for _ in 0..per_stamp {
+                d.record_packet_in(now);
+                reference.record(now, d.config.window);
+                assert!(d.arrivals.len() + d.merged.len() <= WINDOW_RUNS);
+                assert!(d.merged.len() <= FOLD_CELLS + 2, "{per_second}/s");
+                assert!(d.arrivals.capacity() <= WINDOW_RUNS, "{per_second}/s");
+                assert!(d.merged.capacity() <= 2 * FOLD_CELLS, "{per_second}/s");
+            }
+        }
+        let per_arrival = reference.stamps.capacity() * std::mem::size_of::<f64>();
+        (bytes(&d), per_arrival)
+    }
+
+    /// The window's memory is fixed, whatever the attacker's rate: at most
+    /// 4096 runs (64 KiB) plus 128 merged ones (2 KiB) at 5 k, 50 k and
+    /// 500 k distinct-stamp arrivals/s and on a 565 k/s stream of
+    /// 512-arrival drains (`live_small_state`'s shape), 2 s each.
+    #[test]
+    fn window_memory_is_bounded_at_any_rate() {
+        for (per_second, per_stamp) in [
+            (5_000.0, 1),
+            (50_000.0, 1),
+            (500_000.0, 1),
+            (565_000.0, 512),
+        ] {
+            let (runs, per_arrival) = drive(per_second, per_stamp, 2.0);
+            println!(
+                "{per_second} arrivals/s, {per_stamp} per stamp: window {runs} B, \
+                 per-arrival queue {per_arrival} B"
+            );
+            assert!(runs <= 66 * 1024);
+            if per_stamp > 1 {
+                assert!(per_arrival >= 2 << 20, "the per-arrival queue's 2 MiB");
+            }
+        }
+    }
+
+    /// After a flood past the cap stops, the over-count drains with the
+    /// merged runs: it is never more than one cell's arrivals, and it is
+    /// gone before the real count falls below what saturates the score.
+    #[test]
+    fn over_count_is_small_and_only_while_saturated() {
+        let (per_second, window) = (500_000.0, DetectionConfig::default().window);
+        let mut d = detector();
+        let mut reference = PerArrival::default();
+        let mut over_counted = false;
+        for i in 0..250_000 {
+            let now = i as f64 / per_second;
+            d.record_packet_in(now);
+            reference.record(now, window);
+        }
+        let cell = per_second * window / FOLD_CELLS as f64;
+        for step in 0..=300 {
+            let now = 0.5 + step as f64 * 1e-3;
+            let (have, want) = (d.rate(now) * window, reference.rate(now, window) * window);
+            assert!(have >= want, "under-count at {now}: {have} < {want}");
+            assert!(
+                have - want <= cell + 1.0,
+                "over-count at {now}: {have} vs {want}"
+            );
+            if have > want {
+                over_counted = true;
+                assert!(
+                    want >= SATURATED as f64,
+                    "over-count at {now} with {want} real"
+                );
+            }
+        }
+        assert!(over_counted, "the flood passed the cap");
+        assert_eq!(d.rate(0.8), 0.0);
     }
 }

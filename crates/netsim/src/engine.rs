@@ -199,11 +199,7 @@ const D_CONTROL_PARTITION: usize = 6;
 /// own stream, so sampling depends only on the entity's own event sequence —
 /// never on how entities are interleaved across partitions or threads.
 fn entity_seed(seed: u64, kind: u64, gid: u64) -> u64 {
-    let mut z = seed ^ (kind << 56) ^ gid.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-    z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
+    rand::splitmix64(seed ^ (kind << 56) ^ gid.wrapping_mul(rand::GOLDEN_GAMMA))
 }
 
 const KIND_SWITCH: u64 = 0;

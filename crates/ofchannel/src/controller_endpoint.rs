@@ -640,6 +640,8 @@ async fn control_loop(
     let mut last_keepalive = Instant::now();
     // Recycled: every use ends in a `flush`, which leaves it empty.
     let mut out = ControlOutput::new();
+    // Whether the connection table changed since `status` was published.
+    let mut table_changed = false;
 
     while !shutdown.load(Ordering::SeqCst) {
         // Wait for the first event (bounded so timers and shutdown are
@@ -658,7 +660,7 @@ async fn control_loop(
         let now = epoch.elapsed().as_secs_f64();
         let mut batch = 0usize;
         while let Some(event) = next.take() {
-            handle_event(
+            table_changed |= handle_event(
                 event,
                 &mut control,
                 &mut conns,
@@ -746,8 +748,9 @@ async fn control_loop(
             }
         }
 
-        // Publish liveness for observers.
-        {
+        // Publish liveness for observers, in the iteration whose drain
+        // changed it: only a connect or a close does.
+        if std::mem::take(&mut table_changed) {
             let mut switches: Vec<DatapathId> = conns
                 .by_key
                 .values()
@@ -782,6 +785,8 @@ fn next_wait(until_telemetry: Duration, until_keepalive: Duration) -> Duration {
         .clamp(Duration::from_millis(1), Duration::from_millis(50))
 }
 
+/// Hands one event to the control plane. Returns whether the connection
+/// table changed.
 #[allow(clippy::too_many_arguments)]
 fn handle_event(
     event: Event,
@@ -792,7 +797,7 @@ fn handle_event(
     counters: &ChannelCounters,
     now: f64,
     out: &mut ControlOutput,
-) {
+) -> bool {
     match event {
         Event::Connected {
             key,
@@ -823,22 +828,26 @@ fn handle_event(
                 }
             }
             conns.insert(key, ConnState { identity, conn });
+            true
         }
         Event::Inbound { key, msg } => {
             let Some(st) = conns.by_key.get(&key) else {
-                return; // raced with teardown
+                return false; // raced with teardown
             };
             match st.identity {
                 Identity::Switch(dpid) => control.on_message(dpid, msg, now, out),
                 Identity::Device(device) => control.on_device_message(device, msg, now, out),
             }
+            false
         }
         Event::Closed { key } => {
-            if let Some(st) = conns.remove(key) {
-                if let Identity::Switch(dpid) = st.identity {
-                    control.on_switch_disconnect(dpid, now, out);
-                }
+            let Some(st) = conns.remove(key) else {
+                return false;
+            };
+            if let Identity::Switch(dpid) = st.identity {
+                control.on_switch_disconnect(dpid, now, out);
             }
+            true
         }
     }
 }

@@ -14,6 +14,10 @@
 //! learned ones; and a round with one key to convert, or none, performs no
 //! allocation the machine probe behind the analyzer's default worker count
 //! would add.
+//!
+//! The attacker's rate must not set what the detector holds either: once
+//! its window is warm, recording and scoring `packet_in`s at a steady rate
+//! allocates nothing, below the window's run cap and at it.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -22,6 +26,8 @@ use std::net::Ipv4Addr;
 use controller::apps;
 use controller::platform::App;
 use floodguard::analyzer::Analyzer;
+use floodguard::config::DetectionConfig;
+use floodguard::detector::Detector;
 use ofproto::flow_match::FlowKeys;
 use ofproto::types::MacAddr;
 use policy::interp::{execute, ConcreteDecision};
@@ -303,4 +309,43 @@ fn cold_conversion_is_linear_in_state_size() {
         large_time <= 150 * small_time,
         "{small_time:?} on 300 sources, {large_time:?} on 9000"
     );
+}
+
+/// (allocations, bytes) of `record_packet_in` and `score` over the second
+/// of two seconds: the first at `warm` arrivals/s, the second at
+/// `measured`, `per_stamp` of them sharing each stamp (a live drain's
+/// shape).
+fn window_cost(warm: f64, measured: f64, per_stamp: usize) -> (u64, u64) {
+    let mut detector = Detector::new(DetectionConfig::default());
+    let mut run = |from: f64, per_second: f64| {
+        let stamps = per_second as usize / per_stamp;
+        for i in 0..stamps {
+            let now = from + i as f64 / stamps as f64;
+            for _ in 0..per_stamp {
+                detector.record_packet_in(now);
+            }
+            detector.score(now);
+        }
+    };
+    run(0.0, warm);
+    let before = ALLOCATED.with(Cell::get);
+    run(1.0, measured);
+    let after = ALLOCATED.with(Cell::get);
+    (after.0 - before.0, after.1 - before.1)
+}
+
+#[test]
+fn a_warm_detector_window_allocates_nothing() {
+    for (warm, measured, per_stamp) in [
+        (2_000.0, 2_000.0, 1),       // below the run cap
+        (565_000.0, 565_000.0, 512), // live_small_state's drains
+        (500_000.0, 500_000.0, 1),   // at the run cap: each arrival merges two runs
+        (500_000.0, 1_000_000.0, 1), // a flood that doubles past the cap
+    ] {
+        assert_eq!(
+            window_cost(warm, measured, per_stamp),
+            (0, 0),
+            "(allocations, bytes) at {measured}/s after {warm}/s, {per_stamp} per stamp"
+        );
+    }
 }

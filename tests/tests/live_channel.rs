@@ -1359,3 +1359,43 @@ fn partitioned_switch_completes_no_handshake() {
     drop(controller);
     drop(endpoint);
 }
+
+/// The published connection list follows the connection table and nothing
+/// else: two switches connect, one goes away, the same one comes back, and
+/// `status()` reads right after each step.
+#[test]
+fn status_follows_connects_and_closes() {
+    let controller = ControllerEndpoint::listen(
+        Box::new(NullControlPlane),
+        "127.0.0.1:0".parse().unwrap(),
+        ControllerConfig::default(),
+    )
+    .unwrap();
+    let addr = controller.local_addr().unwrap();
+    let dial = |dpid: u64| {
+        let mut stream = TcpStream::connect(addr).unwrap();
+        let features = FeaturesReply {
+            datapath_id: DatapathId(dpid),
+            n_buffers: 0,
+            n_tables: 1,
+            ports: Vec::new(),
+        };
+        handshake::accept(&mut stream, &features, &ChannelConfig::default()).unwrap();
+        stream
+    };
+    let reads = |want: &[u64]| {
+        let want: Vec<DatapathId> = want.iter().copied().map(DatapathId).collect();
+        wait_for(Duration::from_secs(10), || {
+            controller.status().connected_switches == want
+        })
+    };
+
+    let one = dial(1);
+    let _two = dial(2);
+    assert!(reads(&[1, 2]), "{:?}", controller.status());
+    drop(one);
+    assert!(reads(&[2]), "{:?}", controller.status());
+    let _one = dial(1);
+    assert!(reads(&[1, 2]), "{:?}", controller.status());
+    assert_eq!(controller.counters().reconnects, 1);
+}
