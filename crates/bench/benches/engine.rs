@@ -14,7 +14,13 @@
 //! is the tentpole's ≥5x events/sec claim.
 //!
 //! **Full sim** — a software-profile 400 PPS flood scenario, reporting
-//! engine events/sec via `Simulation::events_processed`.
+//! engine events/sec via `Simulation::events_processed`; and the fat-tree
+//! k=8 fabric with 64 cross-fabric flows (fgbench's `sim_repro` fabric),
+//! reported but not gated.
+//!
+//! **Obs overhead** — the flood scenario with the metrics registry attached
+//! (snapshots off) against the plain one, in interleaved pairs: the median
+//! of the pairs' ratios must stay at or above [`OBS_GATE_FLOOR`].
 //!
 //! **Regression gate** — compares against `FG_BENCH_BASELINE` (default
 //! `results/BENCH_engine_baseline.json`) and exits non-zero when either
@@ -22,13 +28,7 @@
 //!
 //! * `speedup` = wheel ops/s ÷ heap ops/s (catches wheel regressions);
 //! * `sim_per_heap` = sim events/s ÷ heap ops/s (catches engine
-//!   regressions);
-//! * `par_speedup` = fat-tree events/s at the most worker threads the
-//!   machine has cores for ÷ at one thread, written with that count
-//!   (`par_speedup_threads`) and the cores beside it, and gated only
-//!   against a baseline taken at the same count. Thread counts above the
-//!   cores still run — every count must process the same events — but are
-//!   neither timed nor written.
+//!   regressions).
 //!
 //! Both are ratios of numbers measured in the same process on the same
 //! machine, so the gate is portable across hosts of different speeds —
@@ -55,8 +55,8 @@ use ofproto::types::MacAddr;
 /// Tolerated drop before the gate fails (25%).
 const GATE_TOLERANCE: f64 = 0.75;
 
-/// Floor on `events/s with obs registry ÷ events/s plain`: the attached
-/// (but not snapshotting) registry may cost at most 2%.
+/// Floor on the median pair's `events/s with obs registry ÷ events/s
+/// plain`: the attached (but not snapshotting) registry may cost at most 2%.
 const OBS_GATE_FLOOR: f64 = 0.98;
 
 /// The engine's dominant event shape (`Ev::DeliverToSwitch`): queue
@@ -120,8 +120,7 @@ fn best_of<F: FnMut() -> f64>(reps: usize, mut f: F) -> f64 {
 }
 
 /// A wide-fabric profile: control-channel latency raised to the link
-/// latency so the conservative lookahead window is a full millisecond and
-/// partitions get substantial same-window batches.
+/// latency so the lookahead window is a full millisecond.
 fn fabric_profile() -> SwitchProfile {
     SwitchProfile {
         channel_latency: 1e-3,
@@ -130,11 +129,9 @@ fn fabric_profile() -> SwitchProfile {
 }
 
 /// Builds a fat-tree with `flows` cross-fabric CBR streams and runs it for
-/// `duration` simulated seconds on `threads` workers. Returns
-/// `(events_processed, events/sec)`.
-fn fat_tree_run(k: usize, threads: usize, flows: usize, duration: f64) -> (u64, f64) {
+/// `duration` simulated seconds. Returns `(events_processed, events/sec)`.
+fn fat_tree_run(k: usize, flows: usize, duration: f64) -> (u64, f64) {
     let mut sim = Simulation::new(7);
-    sim.set_threads(threads);
     sim.set_link_latency(1e-3);
     let ft = topo::fat_tree(&mut sim, k, fabric_profile());
     let n = ft.hosts.len();
@@ -166,11 +163,10 @@ fn fat_tree_run(k: usize, threads: usize, flows: usize, duration: f64) -> (u64, 
 /// Runs a 10^5-host leaf-spine fabric (1000 leaves x 100 hosts, 16 spines)
 /// to completion with sparse cross-fabric traffic; returns
 /// `(hosts, events, wall seconds)`. Exercises construction, routing and the
-/// partitioned run loop at production scale.
-fn leaf_spine_run(threads: usize) -> (usize, u64, f64) {
+/// run loop at production scale.
+fn leaf_spine_run() -> (usize, u64, f64) {
     let t0 = Instant::now();
     let mut sim = Simulation::new(11);
-    sim.set_threads(threads);
     sim.set_link_latency(1e-3);
     let ls = topo::leaf_spine(&mut sim, 1000, 16, 100, fabric_profile());
     let n = ls.hosts.len();
@@ -236,81 +232,54 @@ fn main() {
     );
 
     // Obs overhead: same scenario with the metrics registry attached but
-    // snapshots disabled — the hot path pays one relaxed atomic increment
-    // per event and nothing else. One scenario run is only ~10 ms of wall
-    // clock, far too short for a 2% gate, so each measurement amortizes
-    // over many consecutive runs; both sides are then best-of-`reps` in
-    // the same process, so the ratio is portable across runner speeds.
-    let sim_runs = if smoke { 2 } else { 20 };
+    // snapshots disabled, in interleaved pairs of one run each (~10 ms of
+    // wall clock a side). The sides alternate which goes first, and the
+    // gate reads the median pair: a host whose speed drifts by 2x within
+    // minutes moves both sides of a pair alike, and a burst of load on one
+    // side moves one pair, not the median.
+    let pairs = if smoke { 2 } else { 301 };
     let sim_events_per_sec = |scenario: &Scenario| {
         let t0 = Instant::now();
-        let mut events = 0u64;
-        for _ in 0..sim_runs {
-            events += run(scenario).sim.events_processed();
-        }
+        let events = run(scenario).sim.events_processed();
         events as f64 / t0.elapsed().as_secs_f64()
     };
     let obs_scenario = scenario.clone().with_obs_registry();
-    // Untimed warmup, then interleave the two sides so drift (thermal,
-    // cache state) hits both equally instead of biasing one.
-    sim_events_per_sec(&scenario);
-    let mut plain_eps = 0.0f64;
-    let mut obs_eps = 0.0f64;
-    for _ in 0..reps {
-        plain_eps = plain_eps.max(sim_events_per_sec(&scenario));
-        obs_eps = obs_eps.max(sim_events_per_sec(&obs_scenario));
+    sim_events_per_sec(&scenario); // untimed warm-up
+    let mut ratios: Vec<f64> = Vec::with_capacity(pairs);
+    let mut obs_eps = Vec::with_capacity(pairs);
+    for pair in 0..pairs {
+        let (plain, obs) = if pair % 2 == 0 {
+            let plain = sim_events_per_sec(&scenario);
+            (plain, sim_events_per_sec(&obs_scenario))
+        } else {
+            let obs = sim_events_per_sec(&obs_scenario);
+            (sim_events_per_sec(&scenario), obs)
+        };
+        ratios.push(obs / plain);
+        obs_eps.push(obs);
     }
-    let obs_ratio = obs_eps / plain_eps;
-    println!("# obs overhead — registry attached, snapshots disabled");
+    let median = |v: &mut Vec<f64>| {
+        v.sort_by(f64::total_cmp);
+        v[v.len() / 2]
+    };
+    let obs_ratio = median(&mut ratios);
+    let obs_eps = median(&mut obs_eps);
+    println!("# obs overhead — registry attached, snapshots disabled, {pairs} interleaved pairs");
     println!(
-        "plain: {plain_eps:>12.0} events/s | with obs: {obs_eps:>12.0} events/s \
-         | ratio {obs_ratio:.4}"
+        "with obs: {obs_eps:>12.0} events/s (median) | ratio to plain, pair by pair: \
+         min {:.4} median {obs_ratio:.4} max {:.4}",
+        ratios[0],
+        ratios[pairs - 1]
     );
 
-    // Parallel engine scaling: the same fat-tree fabric at increasing
-    // worker-thread counts. Determinism is asserted at every count — each
-    // must process the exact same event set — but only the counts the
-    // machine has cores for are timed: with fewer cores than threads the
-    // rate measures the operating system's time slicing, not the engine.
-    let cores = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
-    let (par_k, par_flows, par_duration, thread_counts): (usize, usize, f64, &[usize]) = if smoke {
-        (4, 8, 0.2, &[1, 2])
-    } else {
-        (8, 64, 2.0, &[1, 2, 4, 8])
-    };
+    // The wide fabric of fgbench's `sim_repro`.
+    let (fabric_k, fabric_flows, fabric_duration) = if smoke { (4, 8, 0.2) } else { (8, 64, 2.0) };
+    let (fabric_events, fabric_eps) = fat_tree_run(fabric_k, fabric_flows, fabric_duration);
     println!(
-        "# parallel engine — fat-tree k={par_k} ({} hosts), {par_flows} cross-fabric flows, \
-         {par_duration} s ({cores} cores available)",
-        par_k * par_k * par_k / 4
+        "# fabric — fat-tree k={fabric_k} ({} hosts), {fabric_flows} cross-fabric flows, \
+         {fabric_duration} s: {fabric_eps:>12.0} events/s ({fabric_events} events)",
+        fabric_k * fabric_k * fabric_k / 4
     );
-    let mut par_rows: Vec<(usize, f64)> = Vec::new();
-    let mut base_events = None;
-    for &threads in thread_counts {
-        let (events, eps) = fat_tree_run(par_k, threads, par_flows, par_duration);
-        match base_events {
-            Some(base) => assert_eq!(
-                events, base,
-                "thread count changed the simulation: {events} events at {threads} threads \
-                 vs {base} at 1 — determinism is broken"
-            ),
-            None => base_events = Some(events),
-        }
-        if threads > cores {
-            println!("threads={threads}: {events} events, identical (not timed: {cores} cores)");
-            continue;
-        }
-        println!(
-            "threads={threads}: {eps:>12.0} events/s ({events} events, speedup {:.2}x)",
-            par_rows.first().map_or(1.0, |&(_, eps1)| eps / eps1)
-        );
-        par_rows.push((threads, eps));
-    }
-    let base_events = base_events.expect("at least one thread count");
-    // (threads, speedup over one thread) at the most threads timed.
-    let par_speedup = match par_rows[..] {
-        [(_, eps1), .., (threads, eps)] => Some((threads, eps / eps1)),
-        _ => None,
-    };
 
     if smoke {
         println!("engine bench: ok (smoke mode, no report/gate)");
@@ -318,24 +287,13 @@ fn main() {
     }
 
     // Production-scale completion check: 10^5 hosts behind 1016 switches.
-    let (ls_hosts, ls_events, ls_wall) = leaf_spine_run(cores.min(8));
+    let (ls_hosts, ls_events, ls_wall) = leaf_spine_run();
     println!("# leaf-spine 1000x100 — {ls_hosts} hosts, {ls_events} events in {ls_wall:.2} s");
 
-    // Hard bars, checked here and failed on at the very end, so that a run
-    // that misses one still writes what it measured (the analyzer bench's
-    // form). The >=2x-at-8-threads bar only manifests with >=8 real cores;
-    // on smaller machines the determinism assertion above still binds.
+    // The hard bar, checked here and failed on at the very end, so that a
+    // run that misses it still writes what it measured (the analyzer
+    // bench's form): an attached-but-idle registry must cost under 2%.
     let mut failed = false;
-    if let Some((8, speedup)) = par_speedup {
-        if speedup < 2.0 {
-            eprintln!(
-                "REGRESSION: parallel speedup {speedup:.2}x < 2.0x at 8 threads \
-                 ({cores} cores available)"
-            );
-            failed = true;
-        }
-    }
-    // An attached-but-idle registry must cost under 2%.
     if obs_ratio < OBS_GATE_FLOOR {
         eprintln!(
             "REGRESSION: obs overhead ratio {obs_ratio:.4} < {OBS_GATE_FLOOR} \
@@ -361,24 +319,19 @@ fn main() {
         .set("events_per_sec", sim_eps)
         .set("sim_per_heap", sim_per_heap)
         .set("obs_events_per_sec", obs_eps)
-        .set("obs_overhead_ratio", obs_ratio);
-    let mut report = report
-        .set("par_topology", format!("fat-tree k={par_k}"))
-        .set("par_flows", par_flows)
-        .set("par_events", base_events)
-        .set("par_cores_available", cores)
+        .set("obs_overhead_ratio", obs_ratio)
+        .set("obs_pairs", pairs)
+        .set("fabric_topology", format!("fat-tree k={fabric_k}"))
+        .set("fabric_flows", fabric_flows)
+        .set("fabric_events", fabric_events)
+        .set("fabric_events_per_sec", fabric_eps)
+        .set(
+            "cores_available",
+            std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get),
+        )
         .set("leafspine_hosts", ls_hosts)
         .set("leafspine_events", ls_events)
         .set("leafspine_wall_s", ls_wall);
-    if let Some((threads, speedup)) = par_speedup {
-        report = report
-            .set("par_speedup", speedup)
-            .set("par_speedup_threads", threads);
-    }
-    for &(threads, eps) in &par_rows {
-        report = report.set(format!("par_eps_t{threads}").as_str(), eps);
-    }
-    let report = report;
     match write_report("engine", &report) {
         Ok(path) => println!("# wrote {}", path.display()),
         Err(err) => eprintln!("warning: could not write BENCH_engine.json: {err}"),
@@ -400,20 +353,7 @@ fn main() {
             return;
         }
     };
-    let mut gates = vec![("speedup", speedup), ("sim_per_heap", sim_per_heap)];
-    // The thread-scaling ratio is comparable to the baseline's only when
-    // both were taken at the same worker count, on cores enough to run it.
-    let baseline_threads = extract_number(&baseline, "par_speedup_threads");
-    match par_speedup {
-        Some((threads, speedup)) if baseline_threads == Some(threads as f64) => {
-            gates.push(("par_speedup", speedup));
-        }
-        _ => println!(
-            "# gate par_speedup: skipped (measured {par_speedup:?} on {cores} cores, \
-             baseline at {baseline_threads:?} threads)"
-        ),
-    }
-    for (label, measured) in gates {
+    for (label, measured) in [("speedup", speedup), ("sim_per_heap", sim_per_heap)] {
         let Some(expected) = extract_number(&baseline, label) else {
             eprintln!(
                 "warning: baseline {} has no \"{label}\" field",

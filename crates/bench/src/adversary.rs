@@ -9,7 +9,7 @@
 //! feedback, or cycles millions of spoofed 5-tuples?
 //!
 //! Everything here is a pure function of the configuration — no wall-clock
-//! fields — so `render` is byte-identical across runs and worker-thread
+//! fields — so `render` is byte-identical across runs and sweep-thread
 //! counts. The `defense_arena` bin drives it next to the classic matrix;
 //! `tests/tests/adversaries.rs` asserts a defended-or-documented-gap
 //! verdict for every cell.
@@ -39,9 +39,6 @@ pub struct AdversaryMatrixConfig {
     /// RNG seed for every run (the acceptance tests sweep it via
     /// `FG_FAULT_SEED`; the checked-in baseline uses the default).
     pub seed: u64,
-    /// Engine worker-thread pin for every run (`None` keeps the default);
-    /// the determinism test compares rendered bytes across values.
-    pub sim_threads: Option<usize>,
 }
 
 impl AdversaryMatrixConfig {
@@ -52,7 +49,6 @@ impl AdversaryMatrixConfig {
             defenses: crate::arena::ArenaConfig::all_defenses(),
             victim_syn_capacity: VICTIM_SYN_CAPACITY,
             seed: Scenario::software().seed,
-            sim_threads: None,
         }
     }
 
@@ -136,9 +132,6 @@ pub fn cell_scenario(
         .with_adversary(*adversary)
         .with_victim_syn_capacity(config.victim_syn_capacity);
     s.seed = config.seed;
-    if let Some(threads) = config.sim_threads {
-        s = s.with_sim_threads(threads);
-    }
     s
 }
 
@@ -147,9 +140,6 @@ fn clean_scenario(defense: &Defense, config: &AdversaryMatrixConfig) -> Scenario
         .with_defense(defense.clone())
         .with_victim_syn_capacity(config.victim_syn_capacity);
     s.seed = config.seed;
-    if let Some(threads) = config.sim_threads {
-        s = s.with_sim_threads(threads);
-    }
     s
 }
 
@@ -357,7 +347,6 @@ mod tests {
             defenses: vec![Defense::None, Defense::NaiveDrop],
             victim_syn_capacity: 64,
             seed: 42,
-            sim_threads: None,
         }
     }
 

@@ -235,10 +235,6 @@ pub struct Scenario {
     pub standby_cache: bool,
     /// Observability attachment (registry / timeline recorder).
     pub obs: ObsMode,
-    /// Worker-thread count for the parallel engine (`None` keeps the
-    /// engine's default, i.e. the `FG_SIM_THREADS` environment override or
-    /// single-threaded execution). Results are bit-identical for any value.
-    pub sim_threads: Option<usize>,
 }
 
 impl Scenario {
@@ -265,7 +261,6 @@ impl Scenario {
             faults: Vec::new(),
             standby_cache: false,
             obs: ObsMode::Off,
-            sim_threads: None,
         }
     }
 
@@ -342,13 +337,6 @@ impl Scenario {
         self.obs = ObsMode::Timeline { interval };
         self
     }
-
-    /// Pins the engine's worker-thread count (overrides `FG_SIM_THREADS`).
-    #[must_use]
-    pub fn with_sim_threads(mut self, threads: usize) -> Scenario {
-        self.sim_threads = Some(threads);
-        self
-    }
 }
 
 /// The measurements a scenario run produces.
@@ -384,9 +372,6 @@ pub struct Outcome {
 /// Runs a scenario to completion.
 pub fn run(scenario: &Scenario) -> Outcome {
     let mut sim = Simulation::new(scenario.seed);
-    if let Some(threads) = scenario.sim_threads {
-        sim.set_threads(threads);
-    }
     if let Some(profile) = scenario.controller {
         sim.set_controller_profile(profile);
     }

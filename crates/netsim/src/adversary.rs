@@ -22,17 +22,16 @@
 //!
 //! # Determinism contract
 //!
-//! Every adversary is an ordinary [`TrafficSource`], scheduled on its host's
-//! partition queue, so the PDES engine's determinism guarantees apply
-//! unchanged: emission *times* are pure arithmetic over the config and a
-//! monotone emission counter (never wall clock, never feedback-dependent
-//! jitter), and all randomness is drawn either from the owning host's
-//! per-entity splitmix64 stream (`emit_into`'s `rng`) or from the
-//! counter-indexed [`splitmix64`] generator. Closed-loop state
+//! Every adversary is an ordinary [`TrafficSource`], scheduled on the data
+//! plane's queue like any other workload, so the engine's determinism
+//! applies unchanged: emission *times* are pure arithmetic over the config
+//! and a monotone emission counter (never wall clock, never
+//! feedback-dependent jitter), and all randomness is drawn either from the
+//! owning host's per-entity splitmix64 stream (`emit_into`'s `rng`) or from
+//! the counter-indexed [`splitmix64`] generator. Closed-loop state
 //! ([`ProbeAndEvade`]'s feedback, [`SlowDrain`]'s keepalive cursor) only
-//! changes inside `emit_into`/`on_receive`, both of which run in the host's
-//! own partition — so byte-identical artifacts at any `FG_SIM_THREADS`
-//! come for free.
+//! changes inside `emit_into`/`on_receive`, on the host's own events — so
+//! the same seed renders byte-identical artifacts.
 //!
 //! # Feedback channel
 //!

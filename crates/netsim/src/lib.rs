@@ -67,7 +67,7 @@ pub use adversary::{
     Adversary, AdversaryStats, BotnetFlood, BotnetFloodConfig, ProbeAndEvade, ProbeAndEvadeConfig,
     PulsedFlood, PulsedFloodConfig, SlowDrain, SlowDrainConfig,
 };
-pub use engine::{Endpoint, Partitioner, Simulation, SwitchId};
+pub use engine::{Endpoint, Simulation, SwitchId};
 pub use faults::{Fault, FaultLogEntry, FaultScript};
 pub use host::{Host, HostId, TrafficSource};
 pub use iface::{ControlOutput, ControlPlane, DataPlaneDevice, DeviceId, DeviceOutput, Telemetry};

@@ -215,7 +215,13 @@ impl Recorder {
 
     /// Increments counter `name` by `by`.
     pub fn count(&mut self, name: &str, by: u64) {
-        *self.counters.entry(name.to_owned()).or_insert(0) += by;
+        // The key is copied only the first time it is counted.
+        match self.counters.get_mut(name) {
+            Some(n) => *n += by,
+            None => {
+                self.counters.insert(name.to_owned(), by);
+            }
+        }
     }
 
     /// Reads counter `name` (zero when absent).

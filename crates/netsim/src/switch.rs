@@ -92,6 +92,14 @@ pub struct ProcessResult {
     pub service: f64,
 }
 
+/// What processing one packet produced besides its forwards (see
+/// [`Switch::process_into`]).
+pub(crate) struct Hop {
+    pub(crate) packet_in: Option<PacketIn>,
+    pub(crate) was_miss: bool,
+    pub(crate) service: f64,
+}
+
 /// A simulated OpenFlow 1.0 switch.
 ///
 /// The datapath is a single server: the engine pairs [`Switch::enqueue`] /
@@ -116,6 +124,9 @@ pub struct Switch {
     buffer: Slab<BufferedPacket>,
     xid: Xid,
     miss_hook: Option<Box<dyn MissHook>>,
+    /// The output ports of the action list being applied, kept between
+    /// packets so a hop allocates nothing.
+    outs: Vec<PortNo>,
 }
 
 impl std::fmt::Debug for Switch {
@@ -143,6 +154,7 @@ impl Switch {
             buffer: Slab::new(),
             xid: Xid(1),
             miss_hook: None,
+            outs: Vec::new(),
         }
     }
 
@@ -251,17 +263,19 @@ impl Switch {
         }
     }
 
+    /// Resolves the output ports [`apply_all`] left in `self.outs`: a copy
+    /// of `packet` per physical port is pushed onto `forwards`, and a
+    /// `Controller` output makes the returned `packet_in`.
     fn resolve_outputs(
         &mut self,
-        outs: &[PortNo],
         in_port: u16,
         packet: &Packet,
         now: f64,
-    ) -> (Vec<(u16, Packet)>, Option<PacketIn>) {
-        let mut forwards = Vec::new();
+        forwards: &mut Vec<(u16, Packet)>,
+    ) -> Option<PacketIn> {
         let mut packet_in = None;
-        for port in outs {
-            match *port {
+        for i in 0..self.outs.len() {
+            match self.outs[i] {
                 PortNo::Physical(p) => {
                     if self.ports.contains(&p) {
                         forwards.push((p, *packet));
@@ -284,11 +298,34 @@ impl Switch {
                 PortNo::Table | PortNo::Normal | PortNo::Local | PortNo::None => {}
             }
         }
-        (forwards, packet_in)
+        packet_in
     }
 
     /// Processes one packet through the flow table.
+    ///
+    /// Collects the forwards into a fresh vector; the engine's own hop
+    /// pushes them onto a buffer it reuses instead.
     pub fn process(&mut self, in_port: u16, packet: Packet, now: f64) -> ProcessResult {
+        let mut forwards = Vec::new();
+        let hop = self.process_into(in_port, packet, now, &mut forwards);
+        ProcessResult {
+            forwards,
+            packet_in: hop.packet_in,
+            was_miss: hop.was_miss,
+            service: hop.service,
+        }
+    }
+
+    /// Processes one packet through the flow table, pushing the packets to
+    /// emit onto `forwards` as `(out_port, packet)` pairs. Once the switch's
+    /// own buffers are warm, a hit allocates nothing.
+    pub(crate) fn process_into(
+        &mut self,
+        in_port: u16,
+        packet: Packet,
+        now: f64,
+        forwards: &mut Vec<(u16, Packet)>,
+    ) -> Hop {
         let mut packet = packet;
         // Strict ingress tag validation: the reserved TOS band never occurs
         // on the wire legitimately (see [`RESERVED_TOS_MIN`]), so an
@@ -308,11 +345,11 @@ impl Switch {
                 let wildcard = !entry.of_match.is_exact();
                 let service = self.profile.hit_cost(packet.wire_len, wildcard) * batch;
                 let mut keys = keys;
-                let outs = apply_all(&entry.actions, &mut keys);
-                if outs.is_empty() {
+                self.outs.clear();
+                apply_all(&entry.actions, &mut keys, &mut self.outs);
+                if self.outs.is_empty() {
                     self.stats.action_drops += u64::from(packet.batch);
-                    return ProcessResult {
-                        forwards: Vec::new(),
+                    return Hop {
                         packet_in: None,
                         was_miss: false,
                         service,
@@ -322,9 +359,8 @@ impl Switch {
                 rewritten.apply_keys(&keys);
                 self.stats.forwarded_packets += u64::from(rewritten.batch);
                 self.stats.forwarded_bytes += rewritten.total_bytes();
-                let (forwards, packet_in) = self.resolve_outputs(&outs, in_port, &rewritten, now);
-                ProcessResult {
-                    forwards,
+                let packet_in = self.resolve_outputs(in_port, &rewritten, now, forwards);
+                Hop {
                     packet_in,
                     was_miss: false,
                     service,
@@ -337,8 +373,8 @@ impl Switch {
                         Some(MissOverride::Reply(reply)) => {
                             // The datapath answers itself at forwarding cost.
                             let service = self.profile.hit_cost(packet.wire_len, true) * batch;
-                            return ProcessResult {
-                                forwards: vec![(in_port, reply)],
+                            forwards.push((in_port, reply));
+                            return Hop {
                                 packet_in: None,
                                 was_miss: true,
                                 service,
@@ -347,8 +383,7 @@ impl Switch {
                         Some(MissOverride::Drop) => {
                             let service = self.profile.hit_cost(packet.wire_len, true) * batch;
                             self.stats.action_drops += u64::from(packet.batch);
-                            return ProcessResult {
-                                forwards: Vec::new(),
+                            return Hop {
                                 packet_in: None,
                                 was_miss: true,
                                 service,
@@ -359,8 +394,7 @@ impl Switch {
                 }
                 let service = self.profile.miss_total_cost(packet.wire_len) * batch;
                 let packet_in = self.make_packet_in(&packet, in_port, PacketInReason::NoMatch, now);
-                ProcessResult {
-                    forwards: Vec::new(),
+                Hop {
                     packet_in: Some(packet_in),
                     was_miss: true,
                     service,
@@ -411,13 +445,13 @@ impl Switch {
                 if let Some(buffer_id) = fm.buffer_id {
                     if let Some(buffered) = self.take_buffered(buffer_id) {
                         let mut keys = buffered.packet.flow_keys(buffered.in_port);
-                        let outs = apply_all(&fm.actions, &mut keys);
+                        self.outs.clear();
+                        apply_all(&fm.actions, &mut keys, &mut self.outs);
                         let mut pkt = buffered.packet;
                         pkt.apply_keys(&keys);
                         self.stats.forwarded_packets += u64::from(pkt.batch);
                         self.stats.forwarded_bytes += pkt.total_bytes();
-                        let (fw, _) = self.resolve_outputs(&outs, buffered.in_port, &pkt, now);
-                        forwards.extend(fw);
+                        self.resolve_outputs(buffered.in_port, &pkt, now, &mut forwards);
                     }
                 }
             }
@@ -433,15 +467,15 @@ impl Switch {
                     },
                 };
                 let mut keys = packet.flow_keys(in_port);
-                let outs = apply_all(&po.actions, &mut keys);
+                self.outs.clear();
+                apply_all(&po.actions, &mut keys, &mut self.outs);
                 let mut pkt = packet;
                 pkt.apply_keys(&keys);
-                if !outs.is_empty() {
+                if !self.outs.is_empty() {
                     self.stats.forwarded_packets += u64::from(pkt.batch);
                     self.stats.forwarded_bytes += pkt.total_bytes();
                 }
-                let (fw, _) = self.resolve_outputs(&outs, in_port, &pkt, now);
-                forwards.extend(fw);
+                self.resolve_outputs(in_port, &pkt, now, &mut forwards);
             }
             OfBody::BarrierRequest => {
                 replies.push(OfMessage::new(msg.xid, OfBody::BarrierReply));

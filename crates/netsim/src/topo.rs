@@ -3,8 +3,8 @@
 //! Both generators build the switch fabric, attach hosts, and pre-install a
 //! complete deterministic destination-prefix routing so every packet is
 //! forwarded in the datapath — no table misses, no controller dependence.
-//! That makes them suitable for scaling benchmarks (the parallel engine's
-//! events/sec curves) as well as for arena scenarios that want a realistic
+//! That makes them suitable for scaling benchmarks (the engine's events/sec
+//! on a wide fabric) as well as for arena scenarios that want a realistic
 //! multi-tier fabric under a defense.
 //!
 //! Addressing follows the classic fat-tree convention: host `h` on edge
@@ -18,8 +18,7 @@
 //! - **core**: `/16` per pod to that pod's port.
 //!
 //! The uplink choice (`pod % (k/2)`) is a deterministic hash, so a given
-//! source/destination pair always takes the same path — which keeps runs
-//! bit-identical across thread counts and partitionings.
+//! source/destination pair always takes the same path.
 
 use crate::engine::{Simulation, SwitchId};
 use crate::host::HostId;
@@ -310,7 +309,6 @@ pub fn leaf_spine(
 mod tests {
     use super::*;
     use crate::host::CbrSource;
-    use crate::Partitioner;
 
     fn cross_fabric_cbr(sim: &mut Simulation, from: HostId, to: HostId) {
         let (src_mac, src_ip) = {
@@ -335,15 +333,11 @@ mod tests {
         assert_eq!(ft.edges.len(), 4);
         assert_eq!(ft.hosts.len(), 16);
         assert_eq!(ft.aggs.iter().map(Vec::len).sum::<usize>(), 8);
-        // 20 switches -> 20 partitions under the default per-switch layout.
-        sim.run_until(0.0);
-        assert_eq!(sim.partition_count(), 20);
     }
 
     #[test]
     fn fat_tree_routes_end_to_end() {
         let mut sim = Simulation::new(2);
-        sim.set_threads(2);
         let ft = fat_tree(&mut sim, 4, SwitchProfile::software());
         // Corner to corner (pod 0 -> pod 3, crosses core), plus same-pod
         // cross-edge (via aggregation only).
@@ -357,33 +351,47 @@ mod tests {
         assert_eq!(sim.ctrl_stats.processed, 0);
     }
 
+    /// The fabric of `benches/engine.rs` and fgbench's `sim_repro`: k = 8,
+    /// one-millisecond links and control channels, 64 cross-fabric CBR
+    /// streams from host `i` to host `i + 64`.
     #[test]
-    fn fat_tree_deterministic_across_threads() {
-        let mut runs = Vec::new();
-        for threads in [1, 4] {
-            let mut sim = Simulation::new(9);
-            sim.set_threads(threads);
-            let ft = fat_tree(&mut sim, 4, SwitchProfile::software());
-            let far = *ft.hosts.last().unwrap();
-            cross_fabric_cbr(&mut sim, ft.hosts[0], far);
-            cross_fabric_cbr(&mut sim, far, ft.hosts[0]);
-            sim.run_until(1.0);
-            let deliveries: Vec<u64> = sim
-                .host(far)
-                .deliveries
-                .iter()
-                .map(|(_, t)| t.to_bits())
-                .collect();
-            runs.push((sim.events_processed(), deliveries));
+    fn fat_tree_k8_matches_the_parent_engine() {
+        let profile = SwitchProfile {
+            channel_latency: 1e-3,
+            ..SwitchProfile::software()
+        };
+        let mut sim = Simulation::new(7);
+        sim.set_link_latency(1e-3);
+        let ft = fat_tree(&mut sim, 8, profile);
+        let n = ft.hosts.len();
+        for &h in &ft.hosts {
+            sim.host_mut(h).set_deliveries_cap(0);
         }
-        assert_eq!(runs[0], runs[1]);
+        for i in 0..64 {
+            let (from, to) = (ft.hosts[i], ft.hosts[(i + n / 2) % n]);
+            let (src_mac, src_ip) = (sim.host(from).mac, sim.host(from).ip);
+            let (dst_mac, dst_ip) = (sim.host(to).mac, sim.host(to).ip);
+            sim.host_mut(from).add_source(Box::new(CbrSource::new(
+                src_mac, src_ip, dst_mac, dst_ip, 400.0, 0.0, 1.0, 200,
+            )));
+        }
+        sim.run_until(1.0);
+        let received: Vec<u64> = ft
+            .hosts
+            .iter()
+            .map(|&h| sim.host(h).received_packets)
+            .collect();
+        // Recorded on the per-switch parallel engine this one replaced: the
+        // first half of the hosts send, the second half each receive all
+        // but the two packets still in flight at the end.
+        let mut expected = vec![0; 64];
+        expected.resize(128, 398);
+        assert_eq!((sim.events_processed(), received), (306_579, expected));
     }
 
     #[test]
     fn leaf_spine_routes_end_to_end() {
         let mut sim = Simulation::new(3);
-        sim.set_threads(3);
-        sim.set_partitioner(Partitioner::Blocks(3));
         let ls = leaf_spine(&mut sim, 4, 2, 3, SwitchProfile::software());
         assert_eq!(ls.hosts.len(), 12);
         let far = *ls.hosts.last().unwrap();

@@ -42,7 +42,9 @@ pub mod registry;
 pub mod trace;
 
 pub use recorder::{Recorder, Series};
-pub use registry::{Counter, Gauge, Histogram, Metric, MetricKind, Registry, HIST_BUCKETS};
+pub use registry::{
+    Counter, Gauge, Histogram, LocalHistogram, Metric, MetricKind, Registry, HIST_BUCKETS,
+};
 pub use trace::{TraceBuf, TraceEvent, TracePhase};
 
 /// A shared observability hub.

@@ -154,9 +154,10 @@ impl fmt::Display for Action {
     }
 }
 
-/// Applies an action list to `keys` and collects every output port, in order.
+/// Applies an action list to `keys` and appends every output port, in
+/// order, to `outputs`, which the caller owns and may reuse across calls.
 ///
-/// Returns an empty vector for a drop (no output action).
+/// A drop (no output action) appends nothing.
 ///
 /// # Examples
 ///
@@ -166,21 +167,17 @@ impl fmt::Display for Action {
 /// use ofproto::types::PortNo;
 ///
 /// let mut keys = FlowKeys::default();
-/// let outs = apply_all(
+/// let mut outs = Vec::new();
+/// apply_all(
 ///     &[Action::SetNwTos(4), Action::Output(PortNo::Physical(2))],
 ///     &mut keys,
+///     &mut outs,
 /// );
 /// assert_eq!(outs, vec![PortNo::Physical(2)]);
 /// assert_eq!(keys.nw_tos, 4);
 /// ```
-pub fn apply_all(actions: &[Action], keys: &mut FlowKeys) -> Vec<PortNo> {
-    let mut outputs = Vec::new();
-    for action in actions {
-        if let Some(port) = action.apply(keys) {
-            outputs.push(port);
-        }
-    }
-    outputs
+pub fn apply_all(actions: &[Action], keys: &mut FlowKeys, outputs: &mut Vec<PortNo>) {
+    outputs.extend(actions.iter().filter_map(|action| action.apply(keys)));
 }
 
 /// Returns the output ports of an action list without mutating any keys.
@@ -201,7 +198,9 @@ mod tests {
     #[test]
     fn empty_action_list_is_drop() {
         let mut keys = FlowKeys::default();
-        assert!(apply_all(&[], &mut keys).is_empty());
+        let mut outs = Vec::new();
+        apply_all(&[], &mut keys, &mut outs);
+        assert!(outs.is_empty());
     }
 
     #[test]
@@ -211,8 +210,9 @@ mod tests {
             Action::SetNwDst(Ipv4Addr::new(192, 168, 0, 1)),
             Action::Output(PortNo::Physical(7)),
         ];
-        let outs = apply_all(&actions, &mut keys);
-        assert_eq!(outs, vec![PortNo::Physical(7)]);
+        let mut outs = vec![PortNo::Flood];
+        apply_all(&actions, &mut keys, &mut outs);
+        assert_eq!(outs, vec![PortNo::Flood, PortNo::Physical(7)], "appended");
         assert_eq!(keys.nw_dst, Ipv4Addr::new(192, 168, 0, 1));
     }
 
@@ -224,7 +224,7 @@ mod tests {
             ..FlowKeys::default()
         };
         let actions = [Action::SetNwTos(5), Action::Output(PortNo::Physical(99))];
-        apply_all(&actions, &mut keys);
+        apply_all(&actions, &mut keys, &mut Vec::new());
         assert_eq!(keys.nw_tos, 5);
     }
 

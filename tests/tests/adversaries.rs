@@ -4,14 +4,14 @@
 //! h1→h2 flow keeps ≥ 0.8× its clean bandwidth — or be a **documented
 //! gap** with the failure mode named in [`verdict`].
 //!
-//! CI sweeps `FG_FAULT_SEED` ∈ {42, 1337, 20260806} and
-//! `FG_SIM_THREADS` ∈ {1, 4}; the verdicts must hold under all of them,
-//! and the rendered report must be byte-identical across thread counts.
+//! CI sweeps `FG_FAULT_SEED` ∈ {42, 1337, 20260806}; the verdicts must
+//! hold under all of them, and at the default seed the rendered rows must
+//! match the checked-in `results/adversary.txt`.
 //! Set `FG_FAULT_LOG_DIR` to keep each run's matrix table for post-mortem
 //! (CI uploads it on failure alongside the resilience fault logs).
 
 use bench::adversary::{
-    gate_keys, render, render_table, run_matrix, AdversaryMatrixConfig, AdversaryResults,
+    gate_keys, render_table, run_matrix, AdversaryMatrixConfig, AdversaryResults,
     VICTIM_SYN_CAPACITY,
 };
 use bench::arena::check_gate;
@@ -200,26 +200,32 @@ fn every_cell_is_defended_or_a_documented_gap() {
     );
 }
 
-/// The rendered report is byte-identical whether the engine runs
-/// single-threaded or sharded over 4 workers — the adversary sources obey
-/// the PDES partition determinism contract.
+/// The smoke matrix renders, row for row, what the full matrix rendered
+/// into `results/adversary.txt`: the same simulations give the same bytes
+/// whichever subset of the matrix runs them, and the engine still gives
+/// the bytes that were checked in. Only meaningful at the table's seed.
 #[test]
-fn rendered_matrix_is_byte_identical_across_thread_counts() {
-    let base = AdversaryMatrixConfig {
-        seed: fault_seed(),
-        ..AdversaryMatrixConfig::smoke()
-    };
-    let serial = AdversaryMatrixConfig {
-        sim_threads: Some(1),
-        ..base.clone()
-    };
-    let sharded = AdversaryMatrixConfig {
-        sim_threads: Some(4),
-        ..base
-    };
-    let a = render(&serial, &run_matrix(&serial)).render();
-    let b = render(&sharded, &run_matrix(&sharded)).render();
-    assert_eq!(a, b, "thread count leaked into the adversary matrix");
+fn smoke_matrix_rows_match_the_checked_in_table() {
+    if fault_seed() != 42 {
+        return; // the table is a seed-42 artifact
+    }
+    let table_path =
+        std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../results/adversary.txt");
+    let table = std::fs::read_to_string(&table_path)
+        .unwrap_or_else(|e| panic!("missing {}: {e}", table_path.display()));
+    let checked_in: Vec<&str> = table.lines().filter(|l| !l.starts_with('#')).collect();
+    let rendered = render_table(&run_matrix(&AdversaryMatrixConfig::smoke()));
+    assert_eq!(
+        rendered.lines().count(),
+        1 + 2 * 6,
+        "header + 2 adversaries x 6 defenses"
+    );
+    for line in rendered.lines() {
+        assert!(
+            checked_in.contains(&line),
+            "not in results/adversary.txt: {line}"
+        );
+    }
 }
 
 /// Regression gate against the checked-in baseline: no cell's bandwidth-

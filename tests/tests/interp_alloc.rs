@@ -18,6 +18,10 @@
 //! The attacker's rate must not set what the detector holds either: once
 //! its window is warm, recording and scoring `packet_in`s at a steady rate
 //! allocates nothing, below the window's run cap and at it.
+//!
+//! Nor does a packet's hop through a warm simulated switch allocate: the
+//! action list's output ports and the hop's forwards land in buffers the
+//! switch and the engine keep.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -28,8 +32,11 @@ use controller::platform::App;
 use floodguard::analyzer::Analyzer;
 use floodguard::config::DetectionConfig;
 use floodguard::detector::Detector;
-use ofproto::flow_match::FlowKeys;
-use ofproto::types::MacAddr;
+use netsim::host::CbrSource;
+use netsim::{Simulation, SwitchId, SwitchProfile};
+use ofproto::actions::Action;
+use ofproto::flow_match::{FlowKeys, OfMatch};
+use ofproto::types::{MacAddr, PortNo};
 use policy::interp::{execute, ConcreteDecision};
 use policy::{Env, Program};
 
@@ -348,4 +355,57 @@ fn a_warm_detector_window_allocates_nothing() {
             "(allocations, bytes) at {measured}/s after {warm}/s, {per_stamp} per stamp"
         );
     }
+}
+
+#[test]
+fn a_warm_fabric_switch_hop_allocates_nothing() {
+    // Three switches in a line, each forwarding everything out of port 2:
+    // a host's CBR stream crosses all three and leaves the last one through
+    // a port wired to nothing. No controller, no receiving host: what runs
+    // is the data plane's own work.
+    let mut sim = Simulation::new(1);
+    let line: Vec<SwitchId> = (0..3)
+        .map(|_| sim.add_switch(SwitchProfile::software(), vec![1, 2]))
+        .collect();
+    sim.connect_switches(line[0], 2, line[1], 1);
+    sim.connect_switches(line[1], 2, line[2], 1);
+    for &sw in &line {
+        sim.switch_mut(sw)
+            .add_rule(
+                OfMatch::any(),
+                vec![Action::Output(PortNo::Physical(2))],
+                1,
+                0.0,
+            )
+            .expect("an empty table takes one rule");
+    }
+    let host = sim.add_host(line[0], 1, host_mac(1), host_ip(1));
+    sim.host_mut(host).add_source(Box::new(CbrSource::new(
+        host_mac(1),
+        host_ip(1),
+        host_mac(2),
+        host_ip(2),
+        10_000.0,
+        0.0,
+        1.0,
+        200,
+    )));
+    let hops = |sim: &Simulation| -> u64 {
+        line.iter()
+            .map(|&sw| sim.switch(sw).stats.forwarded_packets)
+            .sum()
+    };
+    // The telemetry round every 50 ms builds its report afresh: warm up,
+    // then measure between two rounds.
+    sim.run_until(0.11);
+    let (hops_before, before) = (hops(&sim), ALLOCATED.with(Cell::get));
+    sim.run_until(0.14);
+    let (hops_after, after) = (hops(&sim), ALLOCATED.with(Cell::get));
+    let measured = hops_after - hops_before;
+    assert!(measured >= 600, "{measured} hops in 30 ms at 10 kpps");
+    assert_eq!(
+        (after.0 - before.0, after.1 - before.1),
+        (0, 0),
+        "(allocations, bytes) of {measured} switch hops"
+    );
 }
