@@ -135,10 +135,6 @@ fn fat_tree_run(k: usize, flows: usize, duration: f64) -> (u64, f64) {
     sim.set_link_latency(1e-3);
     let ft = topo::fat_tree(&mut sim, k, fabric_profile());
     let n = ft.hosts.len();
-    for &h in &ft.hosts {
-        // Keep memory flat: counters only, no per-packet delivery log.
-        sim.host_mut(h).set_deliveries_cap(0);
-    }
     for i in 0..flows.min(n) {
         let from = ft.hosts[i];
         let to = ft.hosts[(i + n / 2) % n];
@@ -170,9 +166,6 @@ fn leaf_spine_run() -> (usize, u64, f64) {
     sim.set_link_latency(1e-3);
     let ls = topo::leaf_spine(&mut sim, 1000, 16, 100, fabric_profile());
     let n = ls.hosts.len();
-    for &h in &ls.hosts {
-        sim.host_mut(h).set_deliveries_cap(0);
-    }
     for i in 0..64 {
         let from = ls.hosts[i * (n / 64)];
         let to = ls.hosts[(i * (n / 64) + n / 2) % n];

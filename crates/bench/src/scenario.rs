@@ -24,8 +24,10 @@ use netsim::adversary::{
 };
 use netsim::engine::Simulation;
 use netsim::faults::Fault;
-use netsim::host::{BulkSender, MixedFlood, NewFlowProbe, SynFlood, TrafficSource, UdpFlood};
-use netsim::packet::{FlowTag, Payload, Transport};
+use netsim::host::{
+    Arrivals, BulkSender, MixedFlood, NewFlowProbe, SynFlood, TrafficSource, UdpFlood,
+};
+use netsim::packet::{FlowTag, Packet, Payload, Transport};
 use netsim::profile::SwitchProfile;
 use netsim::synstate::SynTracker;
 use ofproto::types::MacAddr;
@@ -505,53 +507,42 @@ pub fn run(scenario: &Scenario) -> Outcome {
         sim.schedule_fault(at, fault);
     }
 
+    // What is measured at h2, declared before the run: the goodput of the
+    // attack window's last 80 % and of the baseline before it, and the
+    // probes' arrivals.
+    let attack_window = (
+        scenario.attack_start.min(scenario.duration),
+        scenario.attack_stop.min(scenario.duration),
+    );
+    let bandwidth_window = (
+        attack_window.0 + 0.2 * (attack_window.1 - attack_window.0),
+        attack_window.1,
+    );
+    let baseline_window = (0.3, scenario.attack_start.min(scenario.duration));
+    let ids: Vec<u32> = probe_ids.iter().map(|&(id, _)| id).collect();
+    let recorder = Arrivals::new(move |p| ids.iter().any(|&id| is_probe_arrival(p, id)));
+    let probe_arrivals = recorder.log();
+    let receiver = sim.host_mut(h2);
+    receiver.meter.watch(bandwidth_window.0, bandwidth_window.1);
+    receiver.meter.watch(baseline_window.0, baseline_window.1);
+    receiver.add_source(Box::new(recorder));
+
     sim.run_until(scenario.duration);
     if let Some(d) = &mut defense {
         d.detach(&mut sim);
     }
 
     // Measurements.
-    let attack_window = (
-        scenario.attack_start.min(scenario.duration),
-        scenario.attack_stop.min(scenario.duration),
-    );
-    let bandwidth_bps = sim.host(h2).meter.bps_in(
-        attack_window.0 + 0.2 * (attack_window.1 - attack_window.0),
-        attack_window.1,
-    );
-    let baseline_bps = sim
-        .host(h2)
-        .meter
-        .bps_in(0.3, scenario.attack_start.min(scenario.duration));
+    let meter = &sim.host(h2).meter;
+    let bandwidth_bps = meter.bps_in(bandwidth_window.0, bandwidth_window.1);
+    let baseline_bps = meter.bps_in(baseline_window.0, baseline_window.1);
+    let arrivals = probe_arrivals.get();
     let probe_delays = probe_ids
         .iter()
         .map(|&(id, at)| {
-            // Match by tag when the packet came straight through the data
-            // plane, or by the probe's deterministic TCP port signature
-            // when it detoured through controller bytes (tags do not
-            // survive serialization).
-            let source_port = NewFlowProbe::source_port(id);
-            let delivered = sim
-                .host(h2)
-                .deliveries
+            let delivered = arrivals
                 .iter()
-                .find(|(p, _)| {
-                    p.tag == FlowTag::NewFlow { id }
-                        // Any handshake segment counts: under a proxying
-                        // defense the SYN is consumed at the switch and the
-                        // first packet h2 sees is the final ACK. For
-                        // non-proxy defenses the SYN still arrives first,
-                        // so the measured delay is unchanged.
-                        || matches!(
-                            p.payload,
-                            Payload::Ipv4 {
-                                transport: Transport::Tcp { src_port, dst_port, flags, .. },
-                                ..
-                            } if src_port == source_port
-                                && dst_port == 80
-                                && flags & (Transport::TCP_SYN | Transport::TCP_ACK) != 0
-                        )
-                })
+                .find(|(p, _)| is_probe_arrival(p, id))
                 .map(|(_, t)| *t - at);
             (id, delivered)
         })
@@ -578,6 +569,27 @@ pub fn run(scenario: &Scenario) -> Outcome {
         obs: hub,
         sim,
     }
+}
+
+/// Whether `p` arriving at h2 is probe `id`'s first packet: by tag when the
+/// packet came straight through the data plane, or by the probe's
+/// deterministic TCP port signature when it detoured through controller
+/// bytes (tags do not survive serialization).
+fn is_probe_arrival(p: &Packet, id: u32) -> bool {
+    p.tag == FlowTag::NewFlow { id }
+        // Any handshake segment counts: under a proxying defense the SYN is
+        // consumed at the switch and the first packet h2 sees is the final
+        // ACK. For non-proxy defenses the SYN still arrives first, so the
+        // measured delay is unchanged.
+        || matches!(
+            p.payload,
+            Payload::Ipv4 {
+                transport: Transport::Tcp { src_port, dst_port, flags, .. },
+                ..
+            } if src_port == NewFlowProbe::source_port(id)
+                && dst_port == 80
+                && flags & (Transport::TCP_SYN | Transport::TCP_ACK) != 0
+        )
 }
 
 /// Sweeps attack rates and reports `(pps, bandwidth_bps)` — the series of

@@ -20,7 +20,6 @@
 //! | OpenDaylight | `public PacketResult receiveDataPacket(RawPacket inPkt)` |
 //! | **here** | a [`policy::Program`] executed per `packet_in` by [`ControllerPlatform::handle_packet_in`] |
 
-use bytes::Bytes;
 use ofproto::flow_mod::FlowMod;
 use ofproto::messages::{OfBody, OfMessage, PacketIn, PacketOut};
 use ofproto::types::{BufferId, DatapathId, PortNo};
@@ -136,10 +135,10 @@ impl ControllerPlatform {
         let in_port = pi.in_port.physical().unwrap_or(0);
         let keys = packet.flow_keys(in_port);
         let mut buffer: Option<BufferId> = pi.buffer_id;
-        // Serialised on first use; every reply that ships the payload
-        // shares the one buffer.
-        let mut wire: Option<Bytes> = None;
-        let mut payload = || wire.get_or_insert_with(|| packet.to_bytes()).clone();
+        // A reply that ships the payload ships the frame the switch sent, byte
+        // for byte (a refcount, not a copy): re-serialising the parsed packet
+        // would zero its payload, checksums and IP id.
+        let payload = || pi.data.clone();
         for app in &mut self.apps {
             let result = match execute(&app.program, &keys, &mut app.env) {
                 Ok(r) => r,
@@ -188,7 +187,7 @@ impl ControllerPlatform {
                                 buffer_id: consumed_buffer,
                                 in_port: pi.in_port,
                                 actions: vec![ofproto::actions::Action::Output(PortNo::Flood)],
-                                data: consumed_buffer.is_none().then(&mut payload),
+                                data: consumed_buffer.is_none().then(payload),
                             }),
                         ),
                     );
@@ -204,7 +203,7 @@ impl ControllerPlatform {
                                 actions: vec![ofproto::actions::Action::Output(PortNo::Physical(
                                     port,
                                 ))],
-                                data: consumed_buffer.is_none().then(&mut payload),
+                                data: consumed_buffer.is_none().then(payload),
                             }),
                         ),
                     );
@@ -257,6 +256,7 @@ impl ControlPlane for ControllerPlatform {
 mod tests {
     use super::*;
     use crate::apps;
+    use bytes::Bytes;
     use ofproto::messages::PacketInReason;
     use ofproto::types::{MacAddr, Xid};
     use std::net::Ipv4Addr;
@@ -376,6 +376,44 @@ mod tests {
                 assert!(po.data.is_some(), "amplified handling must ship the data");
             }
             other => panic!("unexpected {other:?}"),
+        }
+    }
+
+    #[test]
+    fn a_shipped_payload_is_the_frame_the_switch_sent() {
+        // A real frame: an IP id, both checksums and a payload that are not
+        // zero. The model's own serialisation writes zeros in all four, so
+        // re-serialising the parsed packet would forward a different frame.
+        let mut frame = udp(0xa, 0xb).to_bytes().to_vec();
+        frame[18..20].copy_from_slice(&[0x12, 0x34]); // IP identification
+        frame[24..26].copy_from_slice(&[0xbe, 0xef]); // IP header checksum
+        frame[40..42].copy_from_slice(&[0xca, 0xfe]); // UDP checksum
+        for (i, byte) in frame[42..].iter_mut().enumerate() {
+            *byte = i as u8 | 1;
+        }
+        let pi = PacketIn {
+            buffer_id: None,
+            total_len: frame.len() as u16,
+            in_port: PortNo::Physical(1),
+            reason: PacketInReason::NoMatch,
+            data: Bytes::from(frame.clone()),
+        };
+        let mut platform = ControllerPlatform::new();
+        platform.register(apps::hub::program());
+        platform.register(apps::l2_learning::program());
+        let mut out = ControlOutput::new();
+        platform.handle_packet_in(DatapathId(1), Xid(1), &pi, &mut out);
+        let shipped: Vec<&Bytes> = out
+            .messages
+            .iter()
+            .filter_map(|(_, m)| match &m.body {
+                OfBody::PacketOut(po) => po.data.as_ref(),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(shipped.len(), 2, "both apps flood an unbuffered packet");
+        for data in shipped {
+            assert_eq!(&data[..], &frame[..], "forwarded byte for byte");
         }
     }
 

@@ -1022,9 +1022,10 @@ mod tests {
         let mut s = SlowDrain::new(cfg, mac(3), ip(3), mac(2), ip(2));
         let mut victim = Host::new(mac(2), ip(2));
         let mut r = rng();
+        let mut responses = Vec::new();
         for (t, pkts) in drain(&mut s, &mut r) {
             for p in pkts {
-                victim.receive(&p, t);
+                victim.receive_into(&p, t, &mut responses);
             }
         }
         // Every connection is half-open at the victim and none completed;

@@ -277,6 +277,7 @@ struct DataPlane {
     outbox: Vec<OutboxEntry>,
     drops: [u64; DROP_NAMES.len()],
     events_delta: u64,
+    /// A host's emissions, or its answers to a delivery, being sent.
     emit_scratch: Vec<Packet>,
     /// The forwards of the switch hop being processed.
     forwards: Vec<(u16, Packet)>,
@@ -435,10 +436,12 @@ impl DataPlane {
                 }
             },
             PEv::DeliverToHost { host, pkt } => {
-                let responses = self.hosts[host].receive(&pkt, now);
-                for response in responses {
+                let mut responses = std::mem::take(&mut self.emit_scratch);
+                self.hosts[host].receive_into(&pkt, now, &mut responses);
+                for response in responses.drain(..) {
                     self.host_send(host, response, now);
                 }
+                self.emit_scratch = responses;
             }
             PEv::DeliverToDevice { dev, pkt } => {
                 // Same consecutive-coalescing argument as DeliverToSwitch.
@@ -1458,7 +1461,7 @@ impl std::fmt::Debug for Simulation {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::host::{BulkSender, NewFlowProbe, UdpFlood};
+    use crate::host::{Arrivals, BulkSender, NewFlowProbe, UdpFlood};
     use crate::packet::FlowTag;
     use ofproto::actions::Action;
     use ofproto::flow_match::OfMatch;
@@ -1587,6 +1590,7 @@ mod tests {
             1500,
             0.0,
         )));
+        sim.host_mut(h2).meter.watch(0.5, 2.0);
         sim.run_until(2.0);
         let bps = sim.host(h2).meter.bps_in(0.5, 2.0);
         assert!(bps > 1e8, "achieved {bps} bps");
@@ -1597,11 +1601,13 @@ mod tests {
         let (mut sim, _sw, h1, h2) = two_host_sim(Box::new(HubControl));
         let probe = NewFlowProbe::new(mac(0xa), ip(1), mac(0xb), ip(2), 1, 0.1);
         sim.host_mut(h1).add_source(Box::new(probe));
+        let recorder = Arrivals::all();
+        let arrivals = recorder.log();
+        sim.host_mut(h2).add_source(Box::new(recorder));
         sim.run_until(2.0);
         // The SYN was flooded by the hub and reached h2.
-        assert!(sim
-            .host(h2)
-            .deliveries
+        assert!(arrivals
+            .get()
             .iter()
             .any(|(p, _)| matches!(p.tag, FlowTag::NewFlow { id: 1 })));
         assert!(sim.ctrl_stats.processed >= 1);
@@ -1618,12 +1624,13 @@ mod tests {
             1,
             0.5,
         )));
+        let recorder = Arrivals::new(|p| matches!(p.tag, FlowTag::NewFlow { id: 1 }));
+        let arrivals = recorder.log();
+        sim.host_mut(h2).add_source(Box::new(recorder));
         sim.run_until(2.0);
-        let delivery = sim
-            .host(h2)
-            .deliveries
-            .iter()
-            .find(|(p, _)| matches!(p.tag, FlowTag::NewFlow { id: 1 }))
+        let delivery = arrivals
+            .get()
+            .first()
             .map(|(_, t)| *t)
             .expect("probe delivered");
         let delay = delivery - 0.5;
@@ -1674,6 +1681,7 @@ mod tests {
                 3.0,
                 64,
             )));
+            sim.host_mut(h2).meter.watch(1.0, 3.0);
             sim.run_until(3.0);
             sim.host(h2).meter.bps_in(1.0, 3.0)
         };
@@ -2057,13 +2065,14 @@ mod tests {
     /// engine path at once.
     mod chain {
         use super::*;
-        use crate::host::CbrSource;
+        use crate::host::{ArrivalLog, CbrSource};
 
         /// A three-switch chain: hosts on both edge switches, cross-switch
         /// CBR streams in both directions, a spoofed flood, and a lossy
         /// inter-switch link — so a run exercises forwarding, misses,
-        /// controller traffic, switch-to-switch hops and RNG draws.
-        fn chain_sim(seed: u64) -> (Simulation, Vec<HostId>) {
+        /// controller traffic, switch-to-switch hops and RNG draws. Every
+        /// host logs every delivery.
+        fn chain_sim(seed: u64) -> (Simulation, Vec<(HostId, ArrivalLog)>) {
             let mut sim = Simulation::new(seed);
             let profile = SwitchProfile::software();
             let s0 = sim.add_switch(profile, vec![1, 2, 3]);
@@ -2106,7 +2115,13 @@ mod tests {
                     probability: 0.2,
                 },
             );
-            (sim, vec![h0, h1, h2, h3])
+            let hosts = [h0, h1, h2, h3].map(|h| {
+                let recorder = Arrivals::all();
+                let log = recorder.log();
+                sim.host_mut(h).add_source(Box::new(recorder));
+                (h, log)
+            });
+            (sim, hosts.to_vec())
         }
 
         /// `(events, controller messages processed, dropped, digest)`; the
@@ -2114,13 +2129,12 @@ mod tests {
         /// patterns), the recorder counters and the fault log's length.
         type Fingerprint = (u64, u64, u64, u64);
 
-        fn fingerprint(sim: &Simulation, hosts: &[HostId]) -> Fingerprint {
+        fn fingerprint(sim: &Simulation, hosts: &[(HostId, ArrivalLog)]) -> Fingerprint {
             let fold = |h: u64, x: u64| rand::splitmix64(h ^ x);
             let mut digest = 0;
-            for &h in hosts {
-                let host = sim.host(h);
-                digest = fold(digest, host.received_packets);
-                for (_, t) in &host.deliveries {
+            for (h, log) in hosts {
+                digest = fold(digest, sim.host(*h).received_packets);
+                for (_, t) in log.get() {
                     digest = fold(digest, t.to_bits());
                 }
             }
@@ -2166,11 +2180,11 @@ mod tests {
             let (mut sim, hosts) = chain_sim(3);
             sim.run_until(1.0);
             assert!(
-                sim.host(hosts[2]).received_packets > 0,
+                sim.host(hosts[2].0).received_packets > 0,
                 "h0 -> h2 crosses two switch-to-switch links"
             );
             assert!(
-                sim.host(hosts[0]).received_packets > 0,
+                sim.host(hosts[0].0).received_packets > 0,
                 "and the reverse direction"
             );
             assert!(

@@ -2,6 +2,7 @@
 //! flood, new-flow latency probes and pings.
 
 use std::net::Ipv4Addr;
+use std::sync::{Arc, Mutex};
 
 use ofproto::types::MacAddr;
 use rand::rngs::StdRng;
@@ -38,17 +39,19 @@ pub trait TrafficSource: Send {
 }
 
 /// A simulated end host.
+///
+/// A host keeps answers, not packets: counters, the meter's declared
+/// windows and bounded handshake state. Its memory does not grow with the
+/// packets delivered to it; a caller that wants arrivals attaches an
+/// [`Arrivals`] recorder, which keeps only what its filter lets through.
 pub struct Host {
     /// The host's MAC address.
     pub mac: MacAddr,
     /// The host's IPv4 address.
     pub ip: Ipv4Addr,
-    /// Received-bytes meter (bandwidth measurements read this).
+    /// Received-bytes meter: declare a window on it with
+    /// [`BandwidthMeter::watch`] before the run to read its bandwidth after.
     pub meter: BandwidthMeter,
-    /// Delivered packets with their arrival times — latency probes and
-    /// workload assertions read this. Payload bytes are not retained, so
-    /// entries are small.
-    pub deliveries: Vec<(Packet, f64)>,
     /// Packets received in total (batch-expanded).
     pub received_packets: u64,
     /// TCP handshake state: half-open vs established accounting. Gives
@@ -61,11 +64,6 @@ pub struct Host {
     /// completing ACK is a fresh PacketIn that installs learned rules, which
     /// some measurements (rule-placement latency) must avoid.
     pub complete_handshakes: bool,
-    /// Maximum retained `deliveries` entries (`usize::MAX` = unbounded).
-    /// Counters and the meter keep counting past the cap; only the
-    /// per-packet log stops growing. Topology-scale runs with 10^5+ hosts
-    /// set this to 0 so memory stays proportional to live events.
-    deliveries_cap: usize,
     sources: Vec<Box<dyn TrafficSource>>,
 }
 
@@ -86,21 +84,19 @@ impl Host {
             mac,
             ip,
             meter: BandwidthMeter::new(),
-            deliveries: Vec::new(),
             received_packets: 0,
             syn: SynTracker::default(),
             complete_handshakes: true,
-            deliveries_cap: usize::MAX,
             sources: Vec::new(),
         }
     }
 
-    /// Caps the retained `deliveries` log (see `deliveries_cap`). Pass 0 to
-    /// disable per-packet delivery logging entirely.
-    pub fn set_deliveries_cap(&mut self, cap: usize) {
-        self.deliveries_cap = cap;
-        self.deliveries.truncate(cap);
-    }
+    /// Does nothing: a host keeps no per-packet log to cap.
+    ///
+    /// Kept only because fgbench's `sim_repro`
+    /// (`benchmark/src/workloads/sim.rs`) calls it; it goes when the
+    /// benchmark stops calling it.
+    pub fn set_deliveries_cap(&mut self, _cap: usize) {}
 
     /// Records a packet this host is emitting onto the wire (handshake
     /// accounting; the engine calls this on every source emission).
@@ -139,16 +135,13 @@ impl Host {
 
     /// Handles a packet delivered to this host.
     ///
-    /// Records metrics and returns any immediate responses (bulk acks,
+    /// Records metrics and appends any immediate responses (bulk acks,
     /// new-flow handshake replies, ping replies and closed-loop source
-    /// reactions).
-    pub fn receive(&mut self, pkt: &Packet, now: f64) -> Vec<Packet> {
+    /// reactions) to `responses`. The engine passes a recycled scratch
+    /// buffer, so a warm host's answer allocates nothing.
+    pub fn receive_into(&mut self, pkt: &Packet, now: f64, responses: &mut Vec<Packet>) {
         self.received_packets += u64::from(pkt.batch);
         self.meter.record(now, pkt.total_bytes());
-        if self.deliveries.len() < self.deliveries_cap {
-            self.deliveries.push((*pkt, now));
-        }
-        let mut responses = Vec::new();
         // Auto-responders that make closed-loop workloads work.
         if let FlowTag::Bulk { flow, seq } = pkt.tag {
             let mut ack = Packet::udp(
@@ -225,7 +218,69 @@ impl Host {
         for source in &mut self.sources {
             responses.extend(source.on_receive(pkt, now));
         }
-        responses
+    }
+}
+
+/// Shared view of what an [`Arrivals`] recorder logged: `(packet, arrival
+/// time)` pairs in arrival order.
+///
+/// The recorder is boxed inside its host once attached; take a log before
+/// attaching it so the arrivals stay readable after the run.
+#[derive(Debug, Clone, Default)]
+pub struct ArrivalLog(Arc<Mutex<Vec<(Packet, f64)>>>);
+
+impl ArrivalLog {
+    /// The arrivals logged so far, in arrival order.
+    pub fn get(&self) -> Vec<(Packet, f64)> {
+        self.0.lock().unwrap_or_else(|e| e.into_inner()).clone()
+    }
+}
+
+/// A receive-only recorder: logs each packet delivered to its host that
+/// passes its filter, with the arrival time.
+///
+/// Attach it with [`Host::add_source`]. It never emits: its `peek_next` is
+/// `None`, so it schedules no event and draws no random number, and a run
+/// with it attached is the run without it. Its memory is what its filter
+/// lets through, not what reaches the host.
+pub struct Arrivals {
+    filter: Box<dyn Fn(&Packet) -> bool + Send>,
+    log: ArrivalLog,
+}
+
+impl Arrivals {
+    /// A recorder of the deliveries `filter` accepts.
+    pub fn new(filter: impl Fn(&Packet) -> bool + Send + 'static) -> Arrivals {
+        Arrivals {
+            filter: Box::new(filter),
+            log: ArrivalLog::default(),
+        }
+    }
+
+    /// A recorder of every delivery (tests that fingerprint a whole run).
+    pub fn all() -> Arrivals {
+        Arrivals::new(|_| true)
+    }
+
+    /// A handle to this recorder's log (take it before attaching).
+    pub fn log(&self) -> ArrivalLog {
+        self.log.clone()
+    }
+}
+
+impl TrafficSource for Arrivals {
+    fn peek_next(&self, _now: f64) -> Option<f64> {
+        None
+    }
+
+    fn emit_into(&mut self, _time: f64, _rng: &mut StdRng, _out: &mut Vec<Packet>) {}
+
+    fn on_receive(&mut self, pkt: &Packet, now: f64) -> Vec<Packet> {
+        if (self.filter)(pkt) {
+            let mut log = self.log.0.lock().unwrap_or_else(|e| e.into_inner());
+            log.push((*pkt, now));
+        }
+        Vec::new()
     }
 }
 
@@ -887,15 +942,44 @@ mod tests {
         )
         .with_batch(10)
         .with_tag(FlowTag::Bulk { flow: 1, seq: 3 });
-        let responses = h.receive(&data, 2.0);
-        assert_eq!(responses.len(), 1);
+        // Responses are appended after whatever the buffer already holds.
+        let mut responses = vec![data];
+        h.receive_into(&data, 2.0, &mut responses);
+        assert_eq!(responses.len(), 2);
         assert!(matches!(
-            responses[0].tag,
+            responses[1].tag,
             FlowTag::BulkAck { flow: 1, seq: 3 }
         ));
         assert_eq!(h.meter.total_bytes(), 15000);
         assert_eq!(h.received_packets, 10);
-        assert_eq!(h.deliveries.len(), 1);
+    }
+
+    #[test]
+    fn arrivals_log_what_the_filter_accepts_and_emit_nothing() {
+        let mut h = Host::new(mac(2), Ipv4Addr::new(10, 0, 0, 2));
+        let recorder = Arrivals::new(|p| p.tag == FlowTag::NewFlow { id: 5 });
+        let log = recorder.log();
+        assert_eq!(recorder.peek_next(0.0), None, "schedules no event");
+        h.add_source(Box::new(recorder));
+        let data = Packet::udp(
+            mac(1),
+            mac(2),
+            Ipv4Addr::new(10, 0, 0, 1),
+            Ipv4Addr::new(10, 0, 0, 2),
+            5001,
+            5001,
+            1500,
+        )
+        .with_tag(FlowTag::Bulk { flow: 1, seq: 0 });
+        let probe = data.with_tag(FlowTag::NewFlow { id: 5 });
+        let mut responses = Vec::new();
+        h.receive_into(&data, 1.0, &mut responses);
+        h.receive_into(&probe, 1.5, &mut responses);
+        h.receive_into(&data, 2.0, &mut responses);
+        let logged = log.get();
+        assert_eq!(logged.len(), 1);
+        assert_eq!((logged[0].0.tag, logged[0].1), (probe.tag, 1.5));
+        assert_eq!(responses.len(), 2, "the host still acks both bulk packets");
     }
 
     #[test]
@@ -912,7 +996,8 @@ mod tests {
             64,
         )
         .with_tag(FlowTag::NewFlow { id: 5 });
-        let responses = h.receive(&syn, 1.0);
+        let mut responses = Vec::new();
+        h.receive_into(&syn, 1.0, &mut responses);
         assert_eq!(responses.len(), 1);
         assert!(matches!(responses[0].tag, FlowTag::NewFlowReply { id: 5 }));
         // Reply swaps the port pair.

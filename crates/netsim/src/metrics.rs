@@ -73,9 +73,15 @@ impl TimeSeries {
 }
 
 /// Accumulates byte deliveries and reports achieved bandwidth.
+///
+/// The meter keeps sums, not a log: its total, and the bytes of each window
+/// declared with [`BandwidthMeter::watch`] before the deliveries it should
+/// count. Its memory is one entry per declared window, however many packets
+/// arrive.
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct BandwidthMeter {
-    deliveries: Vec<(f64, u64)>,
+    /// `(from, to, bytes)` of each declared window `[from, to)`.
+    windows: Vec<(f64, f64, u64)>,
     total_bytes: u64,
 }
 
@@ -85,10 +91,24 @@ impl BandwidthMeter {
         BandwidthMeter::default()
     }
 
+    /// Declares the window `[from, to)` whose bandwidth [`Self::bps_in`]
+    /// will be asked for. Only deliveries recorded after the declaration
+    /// count, so declare it before the run. Declaring a window twice keeps
+    /// one.
+    pub fn watch(&mut self, from: f64, to: f64) {
+        if !self.windows.iter().any(|w| w.0 == from && w.1 == to) {
+            self.windows.push((from, to, 0));
+        }
+    }
+
     /// Records `bytes` delivered at time `t`.
     pub fn record(&mut self, t: f64, bytes: u64) {
         self.total_bytes += bytes;
-        self.deliveries.push((t, bytes));
+        for (from, to, sum) in &mut self.windows {
+            if t >= *from && t < *to {
+                *sum += bytes;
+            }
+        }
     }
 
     /// Total bytes delivered.
@@ -97,16 +117,21 @@ impl BandwidthMeter {
     }
 
     /// Achieved bandwidth in bits per second over the window `[from, to)`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `[from, to)` is a non-empty window that was not declared
+    /// with [`Self::watch`]: the meter kept no deliveries to answer from.
     pub fn bps_in(&self, from: f64, to: f64) -> f64 {
         if to <= from {
             return 0.0;
         }
-        let bytes: u64 = self
-            .deliveries
-            .iter()
-            .filter(|(t, _)| *t >= from && *t < to)
-            .map(|(_, b)| *b)
-            .sum();
+        let Some(&(_, _, bytes)) = self.windows.iter().find(|w| w.0 == from && w.1 == to) else {
+            panic!(
+                "BandwidthMeter::bps_in({from}, {to}): window not declared; \
+                 call watch({from}, {to}) before the run"
+            );
+        };
         bytes as f64 * 8.0 / (to - from)
     }
 }
@@ -259,15 +284,77 @@ mod tests {
     #[test]
     fn bandwidth_meter_bps() {
         let mut m = BandwidthMeter::new();
+        m.watch(0.0, 1.0);
+        m.watch(5.0, 6.0);
+        m.watch(0.0, 1.0);
         // 1 MB over one second = 8 Mbps.
         for i in 0..10 {
             m.record(0.1 * f64::from(i), 100_000);
         }
+        m.record(1.0, 7);
         let bps = m.bps_in(0.0, 1.0);
         assert!((bps - 8e6).abs() < 1.0, "bps={bps}");
-        assert_eq!(m.total_bytes(), 1_000_000);
+        assert_eq!(m.total_bytes(), 1_000_007);
         assert_eq!(m.bps_in(5.0, 6.0), 0.0);
         assert_eq!(m.bps_in(1.0, 1.0), 0.0);
+        assert_eq!(m.windows.len(), 2, "a window declared twice is kept once");
+    }
+
+    #[test]
+    #[should_panic(expected = "window not declared")]
+    fn bandwidth_meter_refuses_an_undeclared_window() {
+        let mut m = BandwidthMeter::new();
+        m.watch(0.0, 1.0);
+        m.record(0.5, 100);
+        let _ = m.bps_in(0.0, 2.0);
+    }
+
+    /// `BandwidthMeter::bps_in` as it was over a log of every delivery: the
+    /// reference the declared windows are held to, bit for bit.
+    fn bps_from_log(log: &[(f64, u64)], from: f64, to: f64) -> f64 {
+        if to <= from {
+            return 0.0;
+        }
+        let bytes: u64 = log
+            .iter()
+            .filter(|(t, _)| *t >= from && *t < to)
+            .map(|(_, b)| *b)
+            .sum();
+        bytes as f64 * 8.0 / (to - from)
+    }
+
+    proptest::proptest! {
+        /// Deliveries in any order, on and around the window edges: each
+        /// declared window reads the bits a full delivery log would give.
+        #[test]
+        fn declared_windows_match_the_log_bit_for_bit(
+            windows in proptest::collection::vec((0.0f64..4.0, 0.0f64..4.0), 1..4),
+            deliveries in proptest::collection::vec(
+                (
+                    proptest::prop_oneof![0.0f64..4.5, proptest::strategy::Just(1.0)],
+                    0u64..100_000,
+                ),
+                0..300,
+            ),
+        ) {
+            let mut meter = BandwidthMeter::new();
+            for &(from, to) in &windows {
+                meter.watch(from, to);
+            }
+            for &(t, bytes) in &deliveries {
+                meter.record(t, bytes);
+            }
+            for &(from, to) in &windows {
+                proptest::prop_assert_eq!(
+                    meter.bps_in(from, to).to_bits(),
+                    bps_from_log(&deliveries, from, to).to_bits()
+                );
+            }
+            proptest::prop_assert_eq!(
+                meter.total_bytes(),
+                deliveries.iter().map(|&(_, b)| b).sum::<u64>()
+            );
+        }
     }
 
     #[test]

@@ -364,9 +364,6 @@ mod tests {
         sim.set_link_latency(1e-3);
         let ft = fat_tree(&mut sim, 8, profile);
         let n = ft.hosts.len();
-        for &h in &ft.hosts {
-            sim.host_mut(h).set_deliveries_cap(0);
-        }
         for i in 0..64 {
             let (from, to) = (ft.hosts[i], ft.hosts[(i + n / 2) % n]);
             let (src_mac, src_ip) = (sim.host(from).mac, sim.host(from).ip);

@@ -127,6 +127,9 @@ fn both_switches_protected_by_one_floodguard() {
     net.sim
         .host_mut(net.h3)
         .add_source(Box::new(UdpFlood::new(mac(0xcc), 400.0, 1.0, 4.0, 64)));
+    for h in [net.h2b, net.h1b] {
+        net.sim.host_mut(h).meter.watch(1.6, 4.0);
+    }
     net.sim.run_until(4.0);
     // The attacked switch's benign pair keeps its bandwidth...
     let attacked = net.sim.host(net.h2b).meter.bps_in(1.6, 4.0);

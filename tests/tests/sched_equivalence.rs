@@ -136,7 +136,7 @@ fn attack_burst_replay_matches() {
 /// equal to a single event queue, across partition layouts and worker
 /// counts, before the parallel engine was deleted.
 mod golden {
-    use netsim::host::{CbrSource, HostId, UdpFlood};
+    use netsim::host::{ArrivalLog, Arrivals, CbrSource, HostId, UdpFlood};
     use netsim::{ControlOutput, ControlPlane, Simulation, SwitchProfile};
     use ofproto::actions::Action;
     use ofproto::messages::{FeaturesReply, OfBody, OfMessage, PacketIn, PacketOut};
@@ -217,7 +217,8 @@ mod golden {
         }
     }
 
-    fn build(spec: &TopoSpec) -> (Simulation, Vec<HostId>) {
+    /// The simulation of `spec`, each of its hosts logging every delivery.
+    fn build(spec: &TopoSpec) -> (Simulation, Vec<(HostId, ArrivalLog)>) {
         let n = spec.parents.len() + 1;
         let mut sim = Simulation::new(spec.seed);
         sim.set_link_latency(f64::from(spec.latency_us) * 1e-6);
@@ -269,7 +270,16 @@ mod golden {
         sim.host_mut(last).add_source(Box::new(CbrSource::new(
             last_mac, last_ip, first_mac, first_ip, spec.rate, 0.0, 0.3, 300,
         )));
-        (sim, hosts)
+        let logged = hosts
+            .into_iter()
+            .map(|h| {
+                let recorder = Arrivals::all();
+                let log = recorder.log();
+                sim.host_mut(h).add_source(Box::new(recorder));
+                (h, log)
+            })
+            .collect();
+        (sim, logged)
     }
 
     /// `(events, controller messages processed, dropped, digest of every
@@ -281,10 +291,9 @@ mod golden {
         sim.run_until(0.3);
         let fold = |h: u64, x: u64| rand::splitmix64(h ^ x);
         let mut digest = 0;
-        for &h in &hosts {
-            let host = sim.host(h);
-            digest = fold(digest, host.received_packets);
-            for (_, t) in &host.deliveries {
+        for (h, log) in &hosts {
+            digest = fold(digest, sim.host(*h).received_packets);
+            for (_, t) in log.get() {
                 digest = fold(digest, t.to_bits());
             }
         }

@@ -77,6 +77,7 @@ fn two_switch_topology_forwards_end_to_end() {
         1500,
         0.0,
     )));
+    sim.host_mut(h2).meter.watch(0.3, 1.0);
     sim.run_until(1.0);
     let bps = sim.host(h2).meter.bps_in(0.3, 1.0);
     assert!(bps > 5e8, "cross-switch goodput {bps:e}");
