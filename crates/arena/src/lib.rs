@@ -93,6 +93,10 @@ pub struct DefenseStats {
     pub state_bytes: u64,
     /// High-water mark of defense state over the run.
     pub state_bytes_peak: u64,
+    /// What the applications had learned at the end of the run, as
+    /// (entries in their maps, entries in quarantine), where the defense
+    /// reports it (FloodGuard); `None` elsewhere.
+    pub learned_state: Option<(u64, u64)>,
 }
 
 impl DefenseStats {
@@ -202,11 +206,11 @@ impl Defense for FloodGuardDefense {
     }
 
     fn stats(&self) -> DefenseStats {
-        let fg = self
-            .monitor
-            .as_ref()
-            .map(|m| m.lock().stats)
-            .unwrap_or_default();
+        let (fg, learned_state) = self.monitor.as_ref().map_or_else(Default::default, |m| {
+            let m = m.lock();
+            let learned = (m.learned_entries as u64, m.quarantined_entries as u64);
+            (m.stats, Some(learned))
+        });
         let cache = self
             .cache
             .as_ref()
@@ -229,6 +233,7 @@ impl Defense for FloodGuardDefense {
             drops_by_class,
             state_bytes: (cache.queued * CACHE_ENTRY_BYTES) as u64,
             state_bytes_peak: (cache.queued_peak * CACHE_ENTRY_BYTES) as u64,
+            learned_state,
         }
     }
 
@@ -295,6 +300,7 @@ impl Defense for AvantGuardDefense {
             drops_by_class: s.drops_by_class,
             state_bytes: s.state_bytes,
             state_bytes_peak: s.state_bytes_peak,
+            learned_state: None,
         }
     }
 }
@@ -343,6 +349,7 @@ impl Defense for LineSwitchDefense {
             drops_by_class: s.drops_by_class,
             state_bytes: s.state_bytes,
             state_bytes_peak: s.state_bytes_peak,
+            learned_state: None,
         }
     }
 }
@@ -391,6 +398,7 @@ impl Defense for SynCookiesDefense {
             drops_by_class: s.drops_by_class,
             state_bytes: s.state_bytes,
             state_bytes_peak: s.state_bytes_peak,
+            learned_state: None,
         }
     }
 }

@@ -403,7 +403,7 @@ pub fn render_table(results: &ArenaResults) -> String {
     let mut out = String::new();
     let _ = writeln!(
         out,
-        "{:<11} {:<6} {:>5} {:<9} {:>14} {:>9} {:>10} {:>6} {:>9} {:>11}",
+        "{:<11} {:<6} {:>5} {:<9} {:>14} {:>9} {:>10} {:>6} {:>9} {:>11} {:>11}",
         "defense",
         "mix",
         "pps",
@@ -413,15 +413,23 @@ pub fn render_table(results: &ArenaResults) -> String {
         "probe_ms",
         "rules",
         "cpu_ms",
-        "state_peak"
+        "state_peak",
+        "state_after"
     );
     for c in &results.cells {
         let probe = c
             .probe_delay_s
             .map_or("lost".to_owned(), |d| format!("{:.2}", d * 1e3));
+        // Learned + quarantined application entries at the end of the run.
+        let after = c
+            .defense_stats
+            .learned_state
+            .map_or("-".to_owned(), |(learned, held)| {
+                format!("{learned}+{held}")
+            });
         let _ = writeln!(
             out,
-            "{:<11} {:<6} {:>5.0} {:<9} {:>14} {:>9.3} {:>10} {:>6} {:>9.2} {:>11}",
+            "{:<11} {:<6} {:>5.0} {:<9} {:>14} {:>9.3} {:>10} {:>6} {:>9.2} {:>11} {:>11}",
             c.defense,
             c.mix,
             c.pps,
@@ -432,6 +440,7 @@ pub fn render_table(results: &ArenaResults) -> String {
             c.defense_stats.rules_installed,
             c.ctrl_cpu_s * 1e3,
             c.defense_stats.state_bytes_peak,
+            after,
         );
     }
     out

@@ -58,7 +58,8 @@ fn main() {
     let wall_s = total.elapsed().as_secs_f64();
 
     println!("# Defense arena — bandwidth retained, benign-flow setup latency,");
-    println!("# rules installed, controller CPU and defense-state cost per cell.");
+    println!("# rules installed, controller CPU, defense-state cost and the");
+    println!("# applications' learned+quarantined entries after the run per cell.");
     print!("{}", render_table(&results));
     println!(
         "# {} clean runs + {} cells in {wall_s:.1}s",

@@ -47,30 +47,35 @@ pub fn program() -> Program {
                 initial: Value::Ip(DEFAULT_VIP),
                 state_sensitive: false,
                 description: "public service address".into(),
+                lifetime: None,
             },
             GlobalSpec {
                 name: "replica_upper".into(),
                 initial: Value::Ip(DEFAULT_REPLICA_A),
                 state_sensitive: true,
                 description: "private replica serving sources with the high bit set".into(),
+                lifetime: None,
             },
             GlobalSpec {
                 name: "replica_lower".into(),
                 initial: Value::Ip(DEFAULT_REPLICA_B),
                 state_sensitive: true,
                 description: "private replica serving the remaining sources".into(),
+                lifetime: None,
             },
             GlobalSpec {
                 name: "port_upper".into(),
                 initial: Value::Int(1),
                 state_sensitive: true,
                 description: "switch port of the upper-half replica".into(),
+                lifetime: None,
             },
             GlobalSpec {
                 name: "port_lower".into(),
                 initial: Value::Int(2),
                 state_sensitive: true,
                 description: "switch port of the lower-half replica".into(),
+                lifetime: None,
             },
         ],
         vec![if_then(

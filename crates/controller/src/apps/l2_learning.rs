@@ -9,7 +9,7 @@ use ofproto::types::MacAddr;
 use policy::builder::*;
 use policy::program::GlobalSpec;
 use policy::stmt::{ActionTemplate, MatchTemplate, RuleTemplate};
-use policy::{Env, Program, Value};
+use policy::{Env, Lifetime, Program, Value};
 
 /// Idle timeout POX's l2_learning uses for installed rules.
 pub const IDLE_TIMEOUT: u16 = 10;
@@ -23,6 +23,7 @@ pub fn program() -> Program {
             initial: Value::Map(Default::default()),
             state_sensitive: true,
             description: "MAC address to switch port mapping learned from traffic".into(),
+            lifetime: Some(Lifetime::LEARNED),
         }],
         vec![
             learn("macToPort", field(Field::DlSrc), field(Field::InPort)),

@@ -7,7 +7,7 @@ use ofproto::types::ethertype;
 use policy::builder::*;
 use policy::program::GlobalSpec;
 use policy::stmt::{ActionTemplate, MatchTemplate, RuleTemplate};
-use policy::{Env, Program, Value};
+use policy::{Env, Lifetime, Program, Value};
 
 /// Idle timeout for installed routes.
 pub const IDLE_TIMEOUT: u16 = 10;
@@ -21,6 +21,7 @@ pub fn program() -> Program {
             initial: Value::Map(Default::default()),
             state_sensitive: true,
             description: "IPv4 address to switch port mapping learned from traffic".into(),
+            lifetime: Some(Lifetime::LEARNED),
         }],
         vec![if_else(
             eq(field(Field::DlType), constant(u64::from(ethertype::IPV4))),

@@ -17,6 +17,7 @@ pub fn program() -> Program {
             initial: Value::Set(Default::default()),
             state_sensitive: true,
             description: "MAC addresses barred from the network by the administrator".into(),
+            lifetime: None,
         }],
         vec![if_else(
             set_contains(global("blockedMacs"), field(Field::DlSrc)),

@@ -43,6 +43,24 @@ mod tests {
     use super::*;
 
     #[test]
+    fn every_learned_map_declares_a_lifetime_and_no_seeded_one_does() {
+        let mut programs = evaluation_apps();
+        programs.extend([route::program(), arp_hub::program(), hub::program()]);
+        for program in &programs {
+            let learned = program.learned_maps();
+            for g in &program.globals {
+                assert_eq!(
+                    g.lifetime.is_some(),
+                    learned.contains(&g.name.as_str()),
+                    "{}: {}",
+                    program.name,
+                    g.name
+                );
+            }
+        }
+    }
+
+    #[test]
     fn evaluation_apps_match_paper_set() {
         let names: Vec<String> = evaluation_apps().into_iter().map(|p| p.name).collect();
         assert_eq!(

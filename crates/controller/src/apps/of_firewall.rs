@@ -33,6 +33,7 @@ pub fn program() -> Program {
             description:
                 "blocked (nw_src, nw_dst, nw_proto, tp_dst) tuples managed by the administrator"
                     .into(),
+            lifetime: None,
         }],
         vec![if_else(
             eq(field(Field::DlType), constant(u64::from(ethertype::IPV4))),

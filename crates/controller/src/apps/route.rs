@@ -25,6 +25,7 @@ pub fn program() -> Program {
             initial: Value::Map(Default::default()),
             state_sensitive: true,
             description: "destination /24 network to egress port, derived from topology".into(),
+            lifetime: None,
         }],
         vec![if_then(
             eq(field(Field::DlType), constant(u64::from(ethertype::IPV4))),

@@ -23,10 +23,10 @@
 use ofproto::flow_mod::FlowMod;
 use ofproto::messages::{OfBody, OfMessage, PacketIn, PacketOut};
 use ofproto::types::{BufferId, DatapathId, PortNo};
-use policy::interp::{execute, ConcreteDecision};
+use policy::interp::{execute_at, ConcreteDecision, Provenance};
 use policy::{Env, Program};
 
-use netsim::iface::{ControlOutput, ControlPlane};
+use netsim::iface::{ControlOutput, ControlPlane, Telemetry};
 use netsim::packet::Packet;
 
 /// Default CPU cost per interpreted AST node, seconds.
@@ -73,6 +73,9 @@ pub struct ControllerPlatform {
     apps: Vec<App>,
     node_cost: f64,
     packet_ins: u64,
+    /// The latest time a message or a tick brought: what a `packet_in`
+    /// handed over without one is stamped with.
+    now: f64,
 }
 
 impl ControllerPlatform {
@@ -82,6 +85,7 @@ impl ControllerPlatform {
             apps: Vec::new(),
             node_cost: DEFAULT_NODE_COST,
             packet_ins: 0,
+            now: 0.0,
         }
     }
 
@@ -116,7 +120,33 @@ impl ControllerPlatform {
         self.packet_ins
     }
 
-    /// Handles one `packet_in`, running every registered app.
+    /// Entries the apps' learned maps hold (quarantine overlays not
+    /// counted).
+    pub fn learned_entries(&self) -> usize {
+        self.apps.iter().map(|a| a.env.learned_len()).sum()
+    }
+
+    /// Entries the apps hold in quarantine.
+    pub fn quarantined_entries(&self) -> usize {
+        self.apps.iter().map(|a| a.env.quarantined_len()).sum()
+    }
+
+    /// Learned and quarantined entries forgotten so far by expiry or
+    /// eviction, over all apps.
+    pub fn aged_out(&self) -> u64 {
+        self.apps.iter().map(|a| a.env.aged_out()).sum()
+    }
+
+    /// Forgets every learned entry due at `now`, in every app; how many
+    /// went. A removal from a map is a write the analyzer sees, like a
+    /// learn.
+    pub fn expire(&mut self, now: f64) -> usize {
+        self.now = self.now.max(now);
+        self.apps.iter_mut().map(|a| a.env.expire(now)).sum()
+    }
+
+    /// Handles one `packet_in` from a switch, running every registered app
+    /// at the latest time the platform was given.
     ///
     /// Responses follow POX conventions: the first rule-installing app gets
     /// the buffered packet released through its new rule; packet-out
@@ -128,6 +158,25 @@ impl ControllerPlatform {
         pi: &PacketIn,
         out: &mut ControlOutput,
     ) {
+        let now = self.now;
+        self.handle_packet_in_at(dpid, xid, pi, now, Provenance::Switch, out);
+    }
+
+    /// Handles one `packet_in` that arrived at `now` by way of
+    /// `provenance`. One the data plane cache re-raised
+    /// ([`Provenance::Cache`]) teaches the apps in quarantine: they read
+    /// what it taught, rule conversion does not (see
+    /// [`policy::Env::quarantine`]).
+    pub fn handle_packet_in_at(
+        &mut self,
+        dpid: DatapathId,
+        xid: ofproto::types::Xid,
+        pi: &PacketIn,
+        now: f64,
+        provenance: Provenance,
+        out: &mut ControlOutput,
+    ) {
+        self.now = self.now.max(now);
         self.packet_ins += 1;
         let Some(packet) = Packet::parse(&pi.data) else {
             return;
@@ -140,7 +189,7 @@ impl ControllerPlatform {
         // would zero its payload, checksums and IP id.
         let payload = || pi.data.clone();
         for app in &mut self.apps {
-            let result = match execute(&app.program, &keys, &mut app.env) {
+            let result = match execute_at(&app.program, &keys, &mut app.env, now, provenance) {
                 Ok(r) => r,
                 // A handler error is an application bug; move on to the
                 // next app, like a platform catching an exception from one
@@ -245,10 +294,14 @@ impl ControlPlane for ControllerPlatform {
     ) {
     }
 
-    fn on_message(&mut self, dpid: DatapathId, msg: OfMessage, _now: f64, out: &mut ControlOutput) {
+    fn on_message(&mut self, dpid: DatapathId, msg: OfMessage, now: f64, out: &mut ControlOutput) {
         if let OfBody::PacketIn(pi) = &msg.body {
-            self.handle_packet_in(dpid, msg.xid, pi, out);
+            self.handle_packet_in_at(dpid, msg.xid, pi, now, Provenance::Switch, out);
         }
+    }
+
+    fn on_telemetry(&mut self, _telemetry: &Telemetry, now: f64, _out: &mut ControlOutput) {
+        self.expire(now);
     }
 }
 

@@ -57,7 +57,8 @@ use controller::platform::ControllerPlatform;
 use ofproto::actions::Action;
 use ofproto::flow_match::OfMatch;
 use ofproto::messages::{OfBody, OfMessage, StatsReply, StatsRequest};
-use ofproto::types::{DatapathId, PortNo};
+use ofproto::types::{DatapathId, PortNo, Xid};
+use policy::Provenance;
 
 use netsim::iface::{ControlOutput, ControlPlane, DeviceId, Telemetry};
 
@@ -105,6 +106,38 @@ pub struct FloodGuardStats {
     pub cache_failovers: u64,
     /// Times the defense degraded because no healthy cache remained.
     pub degraded: u64,
+    /// Switches a Finish teardown stopped waiting for: they disconnected,
+    /// or left their barrier unanswered for [`TEARDOWN_WAIT_S`], before
+    /// confirming the redirect rules' removal.
+    pub teardown_unanswered: u64,
+}
+
+/// How long a Finish teardown waits for a switch to answer its barrier
+/// before closing the cache's intake without it.
+pub const TEARDOWN_WAIT_S: f64 = 1.0;
+
+/// The high half of a teardown barrier's xid; the low half numbers the
+/// episode, so an answer to an earlier teardown is told apart.
+const TEARDOWN_XID: u32 = 0x4647_0000;
+
+/// An orderly exit from Defense: the redirect rules' strict deletes went
+/// out, each followed by a barrier on its switch, and the cache's intake
+/// stays open until every such switch has answered — a switch redirects to
+/// the cache until it has applied the delete, and a packet it redirected
+/// before must still be taken in and re-raised, not refused. The intake
+/// then closes one telemetry tick after the last answer, so that what the
+/// switch put on the wire to the cache before answering has arrived.
+#[derive(Debug, Clone)]
+struct Teardown {
+    /// Switches whose barrier reply is outstanding.
+    waiting: Vec<DatapathId>,
+    /// The barriers' xid.
+    xid: Xid,
+    /// When the deletes went out.
+    since: f64,
+    /// Every switch has answered (or is no longer waited for), as of a
+    /// telemetry tick before this one.
+    answered: bool,
 }
 
 /// Per-switch rule-repair bookkeeping (bounded retry with backoff).
@@ -130,6 +163,10 @@ pub struct Monitor {
     pub transitions: Vec<Transition>,
     /// Lifetime counters.
     pub stats: FloodGuardStats,
+    /// Entries the applications' learned maps hold.
+    pub learned_entries: usize,
+    /// Entries the applications hold in quarantine.
+    pub quarantined_entries: usize,
 }
 
 /// Shared handle to [`Monitor`].
@@ -159,7 +196,11 @@ struct FgObs {
     conv_cache_misses: obs::Counter,
     rules_converted: obs::Gauge,
     rules_compressed: obs::Gauge,
+    learned_entries: obs::Gauge,
+    quarantined_entries: obs::Gauge,
+    learned_aged_out: obs::Counter,
     last_reraised: u64,
+    last_aged_out: u64,
     last_at: f64,
     traced_transitions: usize,
 }
@@ -182,6 +223,8 @@ pub struct FloodGuard {
     table_counts: Vec<(DatapathId, usize)>,
     /// Datapath each cache device serves, in device-attachment order.
     device_dpids: Vec<DatapathId>,
+    /// The teardown in progress in Finish, until the intake closes.
+    teardown: Option<Teardown>,
     admin: AdminHandle,
     monitor: MonitorHandle,
     obs: Option<FgObs>,
@@ -226,6 +269,7 @@ impl FloodGuard {
             repairs: Vec::new(),
             table_counts: Vec::new(),
             device_dpids: Vec::new(),
+            teardown: None,
             admin: AdminHandle::new(&config.detection),
             monitor: Arc::new(Mutex::new(Monitor::default())),
             obs: None,
@@ -236,7 +280,9 @@ impl FloodGuard {
     /// Registers FloodGuard's metrics against `hub` and publishes them on
     /// every telemetry tick from then on: the detector score, the observed
     /// `packet_in` rate, per-protocol cache queue depths, drop accounting,
-    /// the migration re-raise rate and rule install/repair counters. FSM
+    /// the migration re-raise rate, rule install/repair counters, and the
+    /// applications' learned and quarantined entries with the count of
+    /// those forgotten by expiry or eviction. FSM
     /// transitions additionally emit instant trace events.
     pub fn attach_obs(&mut self, hub: &obs::ObsHandle) {
         let reg = &hub.registry;
@@ -264,7 +310,11 @@ impl FloodGuard {
             conv_cache_misses: reg.counter("floodguard.conversion_cache_misses"),
             rules_converted: reg.gauge("floodguard.rules_converted"),
             rules_compressed: reg.gauge("floodguard.rules_compressed"),
+            learned_entries: reg.gauge("floodguard.learned_entries"),
+            quarantined_entries: reg.gauge("floodguard.quarantined_entries"),
+            learned_aged_out: reg.counter("floodguard.learned_aged_out"),
             last_reraised: 0,
+            last_aged_out: 0,
             last_at: 0.0,
             traced_transitions: 0,
             hub: hub.clone(),
@@ -305,6 +355,13 @@ impl FloodGuard {
         o.reraised_total.set(self.stats.reraised as f64);
         o.rules_installed.set(self.stats.proactive_installed as f64);
         o.rules_repaired.set(self.stats.rules_repaired as f64);
+        o.learned_entries
+            .set(self.platform.learned_entries() as f64);
+        o.quarantined_entries
+            .set(self.platform.quarantined_entries() as f64);
+        let aged_out = self.platform.aged_out();
+        o.learned_aged_out.add(aged_out - o.last_aged_out);
+        o.last_aged_out = aged_out;
         // New FSM transitions become instant trace events.
         let log = self.sm.log();
         for t in &log[o.traced_transitions.min(log.len())..] {
@@ -459,6 +516,9 @@ impl FloodGuard {
 
     fn enter_init(&mut self, now: f64, out: &mut ControlOutput) {
         self.stats.attacks_detected += 1;
+        // A teardown still waiting is moot: the redirects come back and the
+        // intake stays open.
+        self.teardown = None;
         self.analyzer.reset_installed();
         self.table_counts.clear();
         // Migrate: per-port wildcard rules on every protected switch.
@@ -528,15 +588,51 @@ impl FloodGuard {
         }
     }
 
-    fn enter_finish(&mut self, out: &mut ControlOutput) {
+    /// Removes the redirect rules and starts the [`Teardown`] that closes
+    /// the cache's intake once every switch has confirmed the removal.
+    fn enter_finish(&mut self, now: f64, out: &mut ControlOutput) {
         self.stats.attacks_ended += 1;
-        for (dpid, fm) in self.agent.remove_migration() {
-            out.send(
-                dpid,
-                OfMessage::new(ofproto::types::Xid(0), OfBody::FlowMod(fm)),
-            );
+        let xid = Xid(TEARDOWN_XID | (self.stats.attacks_ended as u32 & 0xffff));
+        let mut waiting = Vec::new();
+        for (dpid, fm) in self.agent.delete_migration() {
+            out.send(dpid, OfMessage::new(Xid(0), OfBody::FlowMod(fm)));
+            if !waiting.contains(&dpid) {
+                waiting.push(dpid);
+            }
         }
+        for &dpid in &waiting {
+            out.send(dpid, OfMessage::new(xid, OfBody::BarrierRequest));
+        }
+        self.teardown = Some(Teardown {
+            waiting,
+            xid,
+            since: now,
+            answered: false,
+        });
         out.charge(MODULE_NAME, 2e-4);
+    }
+
+    /// Advances the teardown by one telemetry tick; closes the cache's
+    /// intake, and ends the teardown, once every switch has answered as of
+    /// the tick before. A switch silent for [`TEARDOWN_WAIT_S`] is no
+    /// longer waited for.
+    fn step_teardown(&mut self, now: f64) {
+        let Some(t) = self.teardown.as_mut() else {
+            return;
+        };
+        if !t.waiting.is_empty() && now - t.since >= TEARDOWN_WAIT_S {
+            self.stats.teardown_unanswered += t.waiting.len() as u64;
+            t.waiting.clear();
+        }
+        if !t.waiting.is_empty() {
+            return;
+        }
+        if t.answered {
+            self.agent.close_intake();
+            self.teardown = None;
+        } else {
+            t.answered = true;
+        }
     }
 
     fn enter_idle(&mut self, out: &mut ControlOutput) {
@@ -763,6 +859,12 @@ impl ControlPlane for FloodGuard {
     }
 
     fn on_switch_disconnect(&mut self, dpid: DatapathId, now: f64, _out: &mut ControlOutput) {
+        // A switch gone mid-teardown cannot answer: stop waiting for it.
+        if let Some(t) = self.teardown.as_mut() {
+            let before = t.waiting.len();
+            t.waiting.retain(|d| *d != dpid);
+            self.stats.teardown_unanswered += (before - t.waiting.len()) as u64;
+        }
         // Nothing can be sent while the switch is gone; owe it a repair so
         // the defense re-converges the moment it reconnects (belt-and-braces
         // with the reconnect path, and it covers liveness-timeout declares
@@ -782,6 +884,12 @@ impl ControlPlane for FloodGuard {
                 out.charge(MODULE_NAME, 5e-6);
                 if self.admin_drops(pi) {
                     return;
+                }
+            }
+            // A switch confirming the redirect rules' removal.
+            OfBody::BarrierReply => {
+                if let Some(t) = self.teardown.as_mut().filter(|t| t.xid == msg.xid) {
+                    t.waiting.retain(|d| *d != dpid);
                 }
             }
             // The answer to `audit_tables`' question.
@@ -806,7 +914,9 @@ impl ControlPlane for FloodGuard {
         out: &mut ControlOutput,
     ) {
         // Cache-generated packet_in: re-raise with the original datapath so
-        // applications cannot tell it detoured through the cache.
+        // applications cannot tell it detoured through the cache — except in
+        // what it may teach them: its source may be spoofed, so what it
+        // teaches stays in quarantine, out of the proactive rules.
         if let OfBody::PacketIn(pi) = &msg.body {
             self.stats.reraised += 1;
             out.charge(MODULE_NAME, 2e-5);
@@ -821,11 +931,11 @@ impl ControlPlane for FloodGuard {
                 .copied()
                 .or_else(|| self.switch_ports.first().map(|(d, _)| *d));
             if let Some(dpid) = dpid {
-                self.platform.handle_packet_in(dpid, msg.xid, pi, out);
+                self.platform
+                    .handle_packet_in_at(dpid, msg.xid, pi, now, Provenance::Cache, out);
             }
             self.rewrite_floods(out);
         }
-        let _ = now;
     }
 
     fn on_telemetry(&mut self, telemetry: &Telemetry, now: f64, out: &mut ControlOutput) {
@@ -855,6 +965,9 @@ impl ControlPlane for FloodGuard {
         self.audit_tables(telemetry, now, out);
         self.check_cache_failover(out);
         self.process_repairs(now, out);
+        // Learned entries due go before the FSM step, so a Defense update
+        // this tick already deletes their rules.
+        self.platform.expire(now);
         match self.sm.state() {
             State::Idle => {
                 // While degraded there is no cache to migrate to — starting a
@@ -902,11 +1015,15 @@ impl ControlPlane for FloodGuard {
                 // Attack over? The cache sees the flood now.
                 let arrival = self.agent.cache_arrival_rate(now);
                 if self.detector.is_over(arrival, now) && self.sm.transition(State::Finish, now) {
-                    self.enter_finish(out);
+                    self.enter_finish(now, out);
                 }
             }
             State::Finish => {
-                if self.agent.cache_backlog() == 0 && self.sm.transition(State::Idle, now) {
+                self.step_teardown(now);
+                if self.teardown.is_none()
+                    && self.agent.cache_backlog() == 0
+                    && self.sm.transition(State::Idle, now)
+                {
                     self.enter_idle(out);
                     self.detector.reset_end_tracking();
                 } else if !self.agent.is_degraded()
@@ -929,6 +1046,8 @@ impl ControlPlane for FloodGuard {
             monitor.transitions.extend_from_slice(self.sm.log());
         }
         monitor.stats = self.stats;
+        monitor.learned_entries = self.platform.learned_entries();
+        monitor.quarantined_entries = self.platform.quarantined_entries();
     }
 }
 
@@ -993,6 +1112,32 @@ mod tests {
                 now,
                 &mut out,
             );
+        }
+    }
+
+    /// Re-raises `n` packets through the cache, from spoofed sources
+    /// `first`, `first + 1`, … on port 3.
+    fn reraise(fg: &mut FloodGuard, now: f64, first: u64, n: u64) {
+        for i in 0..n {
+            let pkt = netsim::packet::Packet::udp(
+                MacAddr::from_u64(first + i),
+                MacAddr::from_u64(0xa),
+                Ipv4Addr::from(first as u32 + i as u32),
+                Ipv4Addr::new(10, 0, 0, 1),
+                1,
+                2,
+                64,
+            );
+            let data = pkt.to_bytes();
+            let pi = PacketIn {
+                buffer_id: None,
+                total_len: data.len() as u16,
+                in_port: PortNo::Physical(3),
+                reason: PacketInReason::NoMatch,
+                data,
+            };
+            let msg = OfMessage::new(Xid(i as u32), OfBody::PacketIn(pi));
+            fg.on_device_message(DeviceId(0), msg, now, &mut ControlOutput::new());
         }
     }
 
@@ -1061,10 +1206,18 @@ mod tests {
         let mut out = ControlOutput::new();
         fg.on_telemetry(&telemetry(), 2.0, &mut out);
         assert_eq!(fg.state(), State::Finish);
-        assert!(!fg.cache_handle().lock().control.intake_enabled);
-        // Cache empty → Idle; proactive rules removed.
+        // The redirects are deleted, each switch is asked for a barrier,
+        // and the intake stays open until the switch confirms.
+        assert!(fg.cache_handle().lock().control.intake_enabled);
+        assert_eq!(answer_barriers(&mut fg, &out, 2.05), 1);
         let mut out = ControlOutput::new();
         fg.on_telemetry(&telemetry(), 2.1, &mut out);
+        assert_eq!(fg.state(), State::Finish);
+        assert!(fg.cache_handle().lock().control.intake_enabled);
+        // A tick after the answer the intake closes; cache empty → Idle.
+        let mut out = ControlOutput::new();
+        fg.on_telemetry(&telemetry(), 2.2, &mut out);
+        assert!(!fg.cache_handle().lock().control.intake_enabled);
         assert_eq!(fg.state(), State::Idle);
         // Proactive rules stay installed (idle timeouts age them out); the
         // default config does not tear them down.
@@ -1106,6 +1259,68 @@ mod tests {
     }
 
     #[test]
+    fn reentering_init_from_finish_over_a_backlog_keeps_the_quarantine_out() {
+        let mut fg = fg_with_l2();
+        flood_packet_in(&mut fg, 1.0, 60);
+        fg.on_telemetry(&telemetry(), 1.05, &mut ControlOutput::new());
+        fg.on_telemetry(&telemetry(), 1.1, &mut ControlOutput::new());
+        assert_eq!(fg.state(), State::Defense);
+        // The cache feeds the apps forty spoofed sources: quarantined.
+        fg.cache_handle().lock().stats.received = 1000;
+        reraise(&mut fg, 1.12, 50_000, 40);
+        assert_eq!(fg.platform().quarantined_entries(), 40);
+        // Quiet cache: ticks until the attack is declared over.
+        let mut finish = ControlOutput::new();
+        let mut now = 1.5;
+        while fg.state() == State::Defense && now < 3.0 {
+            finish = ControlOutput::new();
+            fg.on_telemetry(&telemetry(), now, &mut finish);
+            now += 0.5;
+        }
+        assert_eq!(fg.state(), State::Finish);
+        // A backlog still queued, the barrier not yet answered, and the
+        // flood comes back: Init again, straight from Finish.
+        fg.cache_handle().lock().stats.queued = 5;
+        flood_packet_in(&mut fg, now, 60);
+        fg.on_telemetry(&telemetry(), now + 0.05, &mut ControlOutput::new());
+        let now = now + 0.05;
+        assert_eq!(fg.state(), State::Init);
+        assert_eq!(fg.stats.attacks_detected, 2);
+        assert!(fg.cache_handle().lock().control.intake_enabled);
+        // The first teardown's answer comes late: it closes nothing.
+        assert_eq!(answer_barriers(&mut fg, &finish, now + 0.02), 1);
+        fg.cache_handle().lock().stats.received = 2000;
+        fg.on_telemetry(&telemetry(), now + 0.05, &mut ControlOutput::new());
+        assert_eq!(fg.state(), State::Defense);
+        fg.cache_handle().lock().stats.received = 3000;
+        fg.on_telemetry(&telemetry(), now + 0.1, &mut ControlOutput::new());
+        assert!(fg.cache_handle().lock().control.intake_enabled);
+        // The quarantined sources are still held, and in no rule.
+        assert_eq!(fg.platform().quarantined_entries(), 40);
+        let spoofed = |mac: MacAddr| (50_000..50_040).contains(&mac.to_u64());
+        assert!(!fg.analyzer().installed().is_empty());
+        assert!(fg
+            .analyzer()
+            .installed()
+            .iter()
+            .all(|r| !spoofed(r.of_match.keys.dl_dst)));
+    }
+
+    #[test]
+    fn learned_and_quarantined_entries_reach_metrics() {
+        let mut fg = fg_with_l2();
+        let hub = obs::Obs::new();
+        fg.attach_obs(&hub);
+        flood_packet_in(&mut fg, 1.0, 60);
+        reraise(&mut fg, 1.01, 50_000, 5);
+        fg.on_telemetry(&telemetry(), 1.05, &mut ControlOutput::new());
+        let text = obs::prom::encode(&hub.registry);
+        assert!(text.contains("floodguard_learned_entries 60"), "{text}");
+        assert!(text.contains("floodguard_quarantined_entries 5"), "{text}");
+        assert!(text.contains("floodguard_learned_aged_out 0"), "{text}");
+    }
+
+    #[test]
     fn second_episode_reinstalls_every_rule() {
         // Rules age out of the switch between episodes, so Init forgets
         // what is installed: whatever the analyzer still holds from the
@@ -1133,9 +1348,12 @@ mod tests {
         let mut out = ControlOutput::new();
         fg.on_telemetry(&telemetry(), 1.15, &mut out);
         assert_eq!(adds(&out), 1);
-        // Quiet cache: Finish, then Idle.
-        for now in [1.5, 2.0, 2.1] {
-            fg.on_telemetry(&telemetry(), now, &mut ControlOutput::new());
+        // Quiet cache: Finish, then Idle once the switch confirmed the
+        // teardown.
+        for now in [1.5, 2.0, 2.1, 2.2] {
+            let mut out = ControlOutput::new();
+            fg.on_telemetry(&telemetry(), now, &mut out);
+            answer_barriers(&mut fg, &out, now);
         }
         assert_eq!(fg.state(), State::Idle);
         // The same sources flood again: nothing new is learned.
@@ -1170,8 +1388,28 @@ mod tests {
             .iter()
             .filter(|(_, m)| matches!(m.body, OfBody::FlowMod(_)));
         let (asks, mods) = (asks.count(), mods.count());
-        assert_eq!(asks + mods, out.messages.len(), "nothing else is sent");
+        let barriers = answer_barriers(fg, &out, now);
+        assert_eq!(
+            asks + mods + barriers,
+            out.messages.len(),
+            "nothing else is sent"
+        );
         (asks, mods)
+    }
+
+    /// Answers the barriers in `out` as the switches would; how many.
+    fn answer_barriers(fg: &mut FloodGuard, out: &ControlOutput, now: f64) -> usize {
+        let barriers: Vec<_> = out
+            .messages
+            .iter()
+            .filter(|(_, m)| m.body == OfBody::BarrierRequest)
+            .map(|(dpid, m)| (*dpid, m.xid))
+            .collect();
+        for &(dpid, xid) in &barriers {
+            let reply = OfMessage::new(xid, OfBody::BarrierReply);
+            fg.on_message(dpid, reply, now, &mut ControlOutput::new());
+        }
+        barriers.len()
     }
 
     /// The switch's answer to an aggregate-stats request.
@@ -1215,9 +1453,13 @@ mod tests {
         assert_eq!(tick(&mut fg, &unobserved(), 1.6), (1, 0));
         assert_eq!(tick(&mut fg, &unobserved(), 2.1), (1, 3));
         assert_eq!(fg.state(), State::Finish);
+        // The switch answered the teardown's barrier; the intake closes a
+        // tick later.
         assert_eq!(tick(&mut fg, &unobserved(), 2.2), (0, 0));
-        assert_eq!(fg.state(), State::Idle);
+        assert_eq!(fg.state(), State::Finish);
         assert_eq!(tick(&mut fg, &unobserved(), 2.3), (0, 0));
+        assert_eq!(fg.state(), State::Idle);
+        assert_eq!(tick(&mut fg, &unobserved(), 2.4), (0, 0));
         assert_eq!(fg.stats.rules_repaired, 0);
     }
 
@@ -1348,8 +1590,16 @@ mod tests {
         // the original datapath.
         assert!(matches!(out.messages[0].1.body, OfBody::PacketOut(_)));
         assert_eq!(out.messages[0].0, DatapathId(1));
+        // It learned it in quarantine: the app reads it, conversion does
+        // not.
         let app = fg.platform().app("l2_learning").unwrap();
-        assert_eq!(app.env.get("macToPort").unwrap().container_len(), 1);
+        assert_eq!(app.env.get("macToPort").unwrap().container_len(), 0);
+        assert_eq!(
+            app.env
+                .quarantined("macToPort", &policy::Value::Mac(MacAddr::from_u64(0xa))),
+            Some(&policy::Value::Int(1))
+        );
+        assert_eq!(fg.platform().quarantined_entries(), 1);
     }
 
     #[test]

@@ -275,10 +275,21 @@ impl MigrationAgent {
     }
 
     /// Builds the strict deletes removing every installed migration rule
-    /// and closes the cache intake (entering the Finish state).
+    /// and closes the cache intake at once: for a defense that gives up on
+    /// its caches, not for an orderly teardown (see
+    /// [`MigrationAgent::delete_migration`]).
     pub fn remove_migration(&mut self) -> Vec<(DatapathId, FlowMod)> {
-        let mods = self
-            .installed
+        let mods = self.delete_migration();
+        self.close_intake();
+        mods
+    }
+
+    /// Builds the strict deletes removing every installed migration rule,
+    /// leaving the cache intake open: a switch redirects to the cache until
+    /// it has applied the delete, so the intake should close only once the
+    /// switch says it has ([`MigrationAgent::close_intake`]).
+    pub fn delete_migration(&mut self) -> Vec<(DatapathId, FlowMod)> {
+        self.installed
             .drain(..)
             .map(|(dpid, of_match)| {
                 (
@@ -286,11 +297,14 @@ impl MigrationAgent {
                     FlowMod::delete_strict(of_match, self.config.migration_priority),
                 )
             })
-            .collect();
+            .collect()
+    }
+
+    /// Closes every cache's intake.
+    pub fn close_intake(&mut self) {
         for slot in &self.slots {
             slot.handle.lock().control.intake_enabled = false;
         }
-        mods
     }
 
     /// Fail-open degrade: remove the migration rules entirely so table

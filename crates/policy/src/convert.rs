@@ -6,7 +6,9 @@ use ofproto::flow_mod::FlowMod;
 use ofproto::types::PortNo;
 
 use crate::env::Env;
-use crate::expr::{EvalError, Field};
+use std::borrow::Cow;
+
+use crate::expr::{EvalError, Expr, Field};
 use crate::stmt::{ActionTemplate, MatchTemplate, RuleTemplate};
 use crate::value::Value;
 use ofproto::flow_match::FlowKeys;
@@ -100,15 +102,29 @@ pub fn instantiate_action(
     env: &Env,
     nodes: &mut u64,
 ) -> Result<Action, EvalError> {
+    instantiate_action_in(action, keys, env, Expr::eval_ref, nodes)
+}
+
+/// An evaluator: [`Expr::eval_ref`] or [`Expr::eval_app`].
+pub(crate) type Eval =
+    for<'a> fn(&'a Expr, &FlowKeys, &'a Env, &mut u64) -> Result<Cow<'a, Value>, EvalError>;
+
+fn instantiate_action_in(
+    action: &ActionTemplate,
+    keys: &FlowKeys,
+    env: &Env,
+    eval: Eval,
+    nodes: &mut u64,
+) -> Result<Action, EvalError> {
     Ok(match action {
         ActionTemplate::Output(e) => {
-            let port = e.eval_ref(keys, env, nodes)?.as_int()? as u16;
+            let port = eval(e, keys, env, nodes)?.as_int()? as u16;
             Action::Output(PortNo::Physical(port))
         }
         ActionTemplate::Flood => Action::Output(PortNo::Flood),
-        ActionTemplate::SetNwDst(e) => Action::SetNwDst(e.eval_ref(keys, env, nodes)?.as_ip()?),
-        ActionTemplate::SetNwSrc(e) => Action::SetNwSrc(e.eval_ref(keys, env, nodes)?.as_ip()?),
-        ActionTemplate::SetDlDst(e) => Action::SetDlDst(e.eval_ref(keys, env, nodes)?.as_mac()?),
+        ActionTemplate::SetNwDst(e) => Action::SetNwDst(eval(e, keys, env, nodes)?.as_ip()?),
+        ActionTemplate::SetNwSrc(e) => Action::SetNwSrc(eval(e, keys, env, nodes)?.as_ip()?),
+        ActionTemplate::SetDlDst(e) => Action::SetDlDst(eval(e, keys, env, nodes)?.as_mac()?),
     })
 }
 
@@ -125,22 +141,33 @@ pub fn instantiate_rule(
     env: &Env,
     nodes: &mut u64,
 ) -> Result<ProactiveRule, EvalError> {
+    instantiate_rule_in(rule, keys, env, Expr::eval_ref, nodes)
+}
+
+/// [`instantiate_rule`] with the expressions read by `eval`.
+pub(crate) fn instantiate_rule_in(
+    rule: &RuleTemplate,
+    keys: &FlowKeys,
+    env: &Env,
+    eval: Eval,
+    nodes: &mut u64,
+) -> Result<ProactiveRule, EvalError> {
     let mut of_match = OfMatch::any();
     for m in &rule.match_on {
         of_match = match m {
             MatchTemplate::Exact(field, e) => {
-                let v = e.eval_ref(keys, env, nodes)?;
+                let v = eval(e, keys, env, nodes)?;
                 constrain_exact(of_match, *field, &v)?
             }
             MatchTemplate::Prefix(field, e, prefix_len) => {
-                let v = e.eval_ref(keys, env, nodes)?;
+                let v = eval(e, keys, env, nodes)?;
                 constrain_prefix(of_match, *field, &v, *prefix_len)?
             }
         };
     }
     let mut actions = Vec::with_capacity(rule.actions.len());
     for a in &rule.actions {
-        actions.push(instantiate_action(a, keys, env, nodes)?);
+        actions.push(instantiate_action_in(a, keys, env, eval, nodes)?);
     }
     Ok(ProactiveRule {
         of_match,

@@ -5,6 +5,8 @@ use std::collections::{BTreeMap, VecDeque};
 
 use serde::{Deserialize, Serialize};
 
+use crate::aging::Ledger;
+pub use crate::aging::Lifetime;
 use crate::value::Value;
 
 /// Writes an [`Env`] remembers. A constant, not a setting: a consumer that
@@ -64,6 +66,16 @@ impl Journal {
     }
 }
 
+/// One learned map's lifetime: the stamps of its entries, and its
+/// quarantine overlay.
+#[derive(Debug, Clone)]
+struct Aging {
+    global: String,
+    lifetime: Lifetime,
+    main: Ledger<()>,
+    overlay: Ledger<Value>,
+}
+
 /// A versioned map of global variables.
 ///
 /// Every mutation bumps the version; FloodGuard's application tracker polls
@@ -71,14 +83,39 @@ impl Journal {
 /// (paper §IV-D "Handling Dynamics"), and asks [`Env::changes_since`] which
 /// entries moved so that it regenerates only those.
 ///
-/// Equality compares globals and version; the journal is bookkeeping about
-/// how the environment got there.
+/// A map declared with a [`Lifetime`] ([`Env::declare_lifetime`]) forgets
+/// entries nobody learns again, holds a bounded number of them, and has a
+/// quarantine overlay: entries learned from packets nobody vouches for
+/// ([`Env::quarantine`]) live there, where the application's handler reads
+/// them ([`Env::quarantined`]) but [`Env::get`] — what rule conversion
+/// reads — does not, and writing one changes neither the version nor the
+/// journal.
+///
+/// Equality compares globals and version; the journal, the stamps and the
+/// overlay are bookkeeping about how the environment got there.
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct Env {
     globals: BTreeMap<String, Value>,
     version: u64,
     #[serde(skip)]
     journal: Journal,
+    #[serde(skip)]
+    aging: Vec<Aging>,
+    /// The latest time a learn or a sweep was stamped with; learns that
+    /// carry no time are stamped with it.
+    #[serde(skip)]
+    clock: f64,
+    /// Entries across every overlay: zero keeps the overlay read to one
+    /// branch.
+    #[serde(skip)]
+    quarantined: usize,
+    /// Entries forgotten by expiry or eviction, main maps and overlays.
+    #[serde(skip)]
+    aged_out: u64,
+    /// No entry is due before this time (a lower bound: a refresh only
+    /// makes an entry due later), so a sweep before it reads one number.
+    #[serde(skip)]
+    next_due: f64,
 }
 
 impl PartialEq for Env {
@@ -93,12 +130,14 @@ impl Env {
         Env::default()
     }
 
-    /// Reads a global.
+    /// Reads a global. A learned map reads without its quarantine overlay.
     pub fn get(&self, name: &str) -> Option<&Value> {
         self.globals.get(name)
     }
 
-    /// Writes a global, bumping the version.
+    /// Writes a global, bumping the version. A map declared with a lifetime
+    /// starts its entries' lifetimes over, at the environment's clock, and
+    /// keeps at most its capacity of them (the first in key order).
     pub fn set(&mut self, name: &str, value: Value) {
         // Overwrite in place: the name is allocated on first insert only.
         match self.globals.get_mut(name) {
@@ -109,14 +148,116 @@ impl Env {
         }
         self.version += 1;
         self.journal.record(name, None);
+        if let Some(a) = self.aging.iter().position(|a| a.global == name) {
+            self.restamp(a);
+        }
+    }
+
+    /// Gives the map global `name` a lifetime: its current entries are
+    /// stamped at the environment's clock, and from now on it is bounded
+    /// and has a quarantine overlay. Declaring again replaces the lifetime
+    /// and starts every entry's over.
+    pub fn declare_lifetime(&mut self, name: &str, lifetime: Lifetime) {
+        let a = match self.aging.iter().position(|a| a.global == name) {
+            Some(a) => {
+                self.aging[a].lifetime = lifetime;
+                a
+            }
+            None => {
+                self.aging.push(Aging {
+                    global: name.to_owned(),
+                    lifetime,
+                    main: Ledger::default(),
+                    overlay: Ledger::default(),
+                });
+                self.aging.len() - 1
+            }
+        };
+        self.restamp(a);
+    }
+
+    /// The lifetime declared for `name`, if any.
+    pub fn lifetime(&self, name: &str) -> Option<Lifetime> {
+        self.aging
+            .iter()
+            .find(|a| a.global == name)
+            .map(|a| a.lifetime)
+    }
+
+    /// Rebuilds the stamps of aging entry `a` from its map.
+    fn restamp(&mut self, a: usize) {
+        let Aging {
+            global,
+            lifetime,
+            main,
+            overlay,
+        } = &mut self.aging[a];
+        main.clear();
+        // Every entry is stamped anew: the next sweep looks.
+        self.next_due = f64::NEG_INFINITY;
+        let Some(Value::Map(map)) = self.globals.get_mut(global.as_str()) else {
+            return;
+        };
+        let capacity = lifetime.capacity as usize;
+        while map.len() > capacity {
+            map.pop_last();
+            self.aged_out += 1;
+        }
+        for key in map.keys() {
+            main.insert(key.clone(), (), self.clock);
+            if overlay.remove(key) {
+                self.quarantined -= 1;
+            }
+        }
+    }
+
+    /// Advances the clock learns are stamped with (it never goes back).
+    pub fn advance(&mut self, now: f64) {
+        if now > self.clock {
+            self.clock = now;
+        }
+    }
+
+    /// The latest time the environment was advanced to.
+    pub fn clock(&self) -> f64 {
+        self.clock
     }
 
     /// Inserts `key -> value` into the map global `name`, creating the map
     /// if needed. Bumps the version only when the map actually changes.
+    ///
+    /// In a map with a lifetime, re-learning a known key only restamps it
+    /// (no allocation, no journal entry); a key held in quarantine moves
+    /// into the map; and a new key at capacity first evicts the least
+    /// recently seen entry (a write of its own).
     pub fn learn(&mut self, name: &str, key: Value, value: Value) {
+        let aging = self.aging.iter_mut().find(|a| a.global == name);
         match self.globals.get_mut(name) {
             Some(Value::Map(map)) => {
-                if map.get(&key) != Some(&value) {
+                let (known, unchanged) = match map.get(&key) {
+                    Some(old) => (true, *old == value),
+                    None => (false, false),
+                };
+                if let Some(aging) = aging {
+                    if known {
+                        aging.main.refresh(&key, None, self.clock);
+                    } else {
+                        if aging.overlay.remove(&key) {
+                            self.quarantined -= 1;
+                        }
+                        if aging.main.len() >= aging.lifetime.capacity as usize {
+                            if let Some((evicted, ())) = aging.main.evict() {
+                                map.remove(&evicted);
+                                self.version += 1;
+                                self.journal.record(name, Some(evicted));
+                                self.aged_out += 1;
+                            }
+                        }
+                        aging.main.insert(key.clone(), (), self.clock);
+                        self.next_due = self.next_due.min(aging.lifetime.first_due(self.clock));
+                    }
+                }
+                if !unchanged {
                     map.insert(key.clone(), value);
                     self.version += 1;
                     self.journal.record(name, Some(key));
@@ -128,8 +269,121 @@ impl Env {
                 self.globals.insert(name.to_owned(), Value::Map(map));
                 self.version += 1;
                 self.journal.record(name, None);
+                if let Some(a) = self.aging.iter().position(|a| a.global == name) {
+                    self.restamp(a);
+                }
             }
         }
+    }
+
+    /// Learns `key -> value` into the quarantine overlay of the map global
+    /// `name`, for a packet nobody vouches for (FloodGuard: one the data
+    /// plane cache re-raised). The handler reads the entry back through
+    /// [`Env::quarantined`]; [`Env::get`], the version and the journal do
+    /// not see it, so no rule is converted from it. A key the map holds
+    /// already is left alone: a spoofed claim can neither change nor keep
+    /// alive what was learned from trusted traffic. At the overlay's bound
+    /// its own least recently seen entry is evicted. A map written here
+    /// first, and not declared, gets [`Lifetime::LEARNED`].
+    pub fn quarantine(&mut self, name: &str, key: Value, value: Value) {
+        match self.globals.get(name) {
+            Some(Value::Map(map)) if map.contains_key(&key) => return,
+            Some(Value::Map(_)) => {}
+            Some(_) => return,
+            None => {
+                self.globals
+                    .insert(name.to_owned(), Value::Map(BTreeMap::new()));
+                self.version += 1;
+                self.journal.record(name, None);
+            }
+        }
+        let a = match self.aging.iter().position(|a| a.global == name) {
+            Some(a) => a,
+            None => {
+                self.declare_lifetime(name, Lifetime::LEARNED);
+                self.aging.len() - 1
+            }
+        };
+        let aging = &mut self.aging[a];
+        let overlay = &mut aging.overlay;
+        if overlay.refresh(&key, Some(value.clone()), self.clock) {
+            return;
+        }
+        let bound = aging.lifetime.quarantine as usize;
+        if bound == 0 {
+            return;
+        }
+        // Sized once for its bound: what an overlay holds does not grow with
+        // the number of sources that came and went.
+        overlay.reserve_bound(bound);
+        if overlay.len() >= bound && overlay.evict().is_some() {
+            self.quarantined -= 1;
+            self.aged_out += 1;
+        }
+        overlay.insert(key, value, self.clock);
+        self.quarantined += 1;
+        self.next_due = self.next_due.min(aging.lifetime.first_due(self.clock));
+    }
+
+    /// The quarantined value of `key` in the map global `name`, if any.
+    pub fn quarantined(&self, name: &str, key: &Value) -> Option<&Value> {
+        if self.quarantined == 0 {
+            return None;
+        }
+        self.aging
+            .iter()
+            .find(|a| a.global == name)
+            .and_then(|a| a.overlay.get(key))
+    }
+
+    /// Forgets every entry due at `now` (the clock advances to it): main
+    /// map entries as writes of their own, so readers of the journal see
+    /// the key go, and overlay entries silently. Returns how many went. A
+    /// sweep before the earliest time an entry can be due compares one
+    /// number and allocates nothing.
+    pub fn expire(&mut self, now: f64) -> usize {
+        self.advance(now);
+        if now < self.next_due {
+            return 0;
+        }
+        let mut gone = 0;
+        let mut next_due = f64::INFINITY;
+        for aging in &mut self.aging {
+            while aging.overlay.pop_due(&aging.lifetime, now).is_some() {
+                self.quarantined -= 1;
+                gone += 1;
+            }
+            if let Some(Value::Map(map)) = self.globals.get_mut(aging.global.as_str()) {
+                while let Some((key, ())) = aging.main.pop_due(&aging.lifetime, now) {
+                    map.remove(&key);
+                    self.version += 1;
+                    self.journal.record(&aging.global, Some(key));
+                    gone += 1;
+                }
+            }
+            next_due = next_due
+                .min(aging.main.next_due(&aging.lifetime))
+                .min(aging.overlay.next_due(&aging.lifetime));
+        }
+        self.next_due = next_due;
+        self.aged_out += gone as u64;
+        gone
+    }
+
+    /// Entries held by the maps declared with a lifetime (overlays not
+    /// counted).
+    pub fn learned_len(&self) -> usize {
+        self.aging.iter().map(|a| a.main.len()).sum()
+    }
+
+    /// Entries held in quarantine overlays.
+    pub fn quarantined_len(&self) -> usize {
+        self.quarantined
+    }
+
+    /// Entries forgotten so far by expiry or eviction.
+    pub fn aged_out(&self) -> u64 {
+        self.aged_out
     }
 
     /// The writes made since the environment was at `version`, oldest
@@ -272,6 +526,141 @@ mod tests {
         fresh.version = env.version;
         assert_eq!(fresh, env);
         assert!(fresh.changes_since(v - 1).is_none());
+    }
+
+    const SHORT: Lifetime = Lifetime {
+        idle_timeout: 10,
+        hard_timeout: 0,
+        capacity: 3,
+        quarantine: 2,
+    };
+
+    /// An environment with the map `m` declared with `lifetime`.
+    fn aging_env(lifetime: Lifetime) -> Env {
+        let mut env = Env::new();
+        env.set("m", Value::Map(BTreeMap::new()));
+        env.declare_lifetime("m", lifetime);
+        env
+    }
+
+    fn keys(env: &Env) -> Vec<u64> {
+        let map = env.get("m").unwrap().as_map().unwrap();
+        map.keys().map(|k| k.as_int().unwrap()).collect()
+    }
+
+    #[test]
+    fn quarantine_is_read_back_but_invisible_to_readers_of_the_map() {
+        let mut env = aging_env(SHORT);
+        let v = env.version();
+        env.quarantine("m", Value::Int(7), Value::Int(3));
+        assert_eq!(env.version(), v, "no version bump");
+        assert_eq!(env.changes_since(v).unwrap().count(), 0, "no journal entry");
+        assert!(keys(&env).is_empty(), "get sees the map only");
+        assert_eq!(env.quarantined("m", &Value::Int(7)), Some(&Value::Int(3)));
+        assert_eq!(env.quarantined("m", &Value::Int(8)), None);
+        assert_eq!(env.quarantined_len(), 1);
+        // A learned key is left alone by a quarantined claim on it.
+        env.learn("m", Value::Int(1), Value::Int(1));
+        let v = env.version();
+        env.quarantine("m", Value::Int(1), Value::Int(3));
+        assert_eq!(env.version(), v);
+        assert_eq!(
+            env.get("m").unwrap().as_map().unwrap()[&Value::Int(1)],
+            Value::Int(1)
+        );
+        assert_eq!(env.quarantined("m", &Value::Int(1)), None);
+    }
+
+    #[test]
+    fn a_trusted_learn_promotes_a_quarantined_key() {
+        let mut env = aging_env(SHORT);
+        env.quarantine("m", Value::Int(7), Value::Int(3));
+        let v = env.version();
+        env.learn("m", Value::Int(7), Value::Int(3));
+        assert_eq!(keys(&env), vec![7]);
+        assert_eq!(env.quarantined_len(), 0);
+        assert_eq!(
+            env.changes_since(v).unwrap().collect::<Vec<_>>(),
+            vec![Change::Key {
+                global: "m",
+                key: &Value::Int(7)
+            }]
+        );
+    }
+
+    #[test]
+    fn relearning_refreshes_without_a_journal_entry() {
+        let mut env = aging_env(SHORT);
+        env.learn("m", Value::Int(1), Value::Int(1));
+        let v = env.version();
+        env.advance(5.0);
+        env.learn("m", Value::Int(1), Value::Int(1));
+        assert_eq!(env.version(), v);
+        // Idle from 5 s, not from 0 s.
+        assert_eq!(env.expire(14.0), 0);
+        assert_eq!(env.expire(15.0), 1);
+        assert_eq!(
+            env.changes_since(v).unwrap().collect::<Vec<_>>(),
+            vec![Change::Key {
+                global: "m",
+                key: &Value::Int(1)
+            }],
+            "an expiry is a write of its own"
+        );
+        assert!(keys(&env).is_empty());
+        assert_eq!(env.aged_out(), 1);
+    }
+
+    #[test]
+    fn hard_timeout_ends_an_entry_however_often_it_is_seen() {
+        let mut env = aging_env(Lifetime {
+            hard_timeout: 12,
+            ..SHORT
+        });
+        env.learn("m", Value::Int(1), Value::Int(1));
+        for t in [4.0, 8.0, 11.0] {
+            env.advance(t);
+            env.learn("m", Value::Int(1), Value::Int(1));
+            assert_eq!(env.expire(t), 0);
+        }
+        assert_eq!(env.expire(12.0), 1);
+    }
+
+    #[test]
+    fn capacity_evicts_the_least_recently_seen() {
+        let mut env = aging_env(SHORT);
+        for k in 1..=3 {
+            env.advance(k as f64);
+            env.learn("m", Value::Int(k), Value::Int(k));
+        }
+        env.advance(4.0);
+        env.learn("m", Value::Int(1), Value::Int(1)); // 2 is now the oldest seen
+        env.learn("m", Value::Int(4), Value::Int(4));
+        assert_eq!(keys(&env), vec![1, 3, 4]);
+        assert_eq!(env.learned_len(), 3);
+        assert_eq!(env.aged_out(), 1);
+    }
+
+    #[test]
+    fn the_overlay_has_its_own_bound_and_never_evicts_the_map() {
+        let mut env = aging_env(SHORT);
+        env.learn("m", Value::Int(1), Value::Int(1));
+        for k in 10..20 {
+            env.quarantine("m", Value::Int(k), Value::Int(2));
+        }
+        assert_eq!(env.quarantined_len(), 2);
+        assert_eq!(env.quarantined("m", &Value::Int(19)), Some(&Value::Int(2)));
+        assert_eq!(env.quarantined("m", &Value::Int(17)), None);
+        assert_eq!(keys(&env), vec![1]);
+        // Overlay entries age out too, silently.
+        let v = env.version();
+        assert_eq!(env.expire(10.0), 3);
+        assert_eq!(env.quarantined_len(), 0);
+        assert_eq!(
+            env.changes_since(v).unwrap().count(),
+            1,
+            "the map's entry only"
+        );
     }
 
     #[test]

@@ -180,6 +180,15 @@ pub fn mask_ip(ip: Ipv4Addr, prefix_len: u32) -> Ipv4Addr {
     Ipv4Addr::from(u32::from(ip) & mask)
 }
 
+/// The quarantined value of `key` in the map `map` reads, when `map` is a
+/// global.
+fn quarantined<'a>(map: &Expr, env: &'a Env, key: &Value) -> Option<&'a Value> {
+    match map {
+        Expr::Global(name) => env.quarantined(name, key),
+        _ => None,
+    }
+}
+
 impl Expr {
     /// Evaluates against concrete packet keys and an environment, copying
     /// the result out of [`Expr::eval_ref`].
@@ -209,6 +218,34 @@ impl Expr {
         env: &'a Env,
         nodes: &mut u64,
     ) -> Result<Cow<'a, Value>, EvalError> {
+        self.eval_in(keys, env, false, nodes)
+    }
+
+    /// Evaluates as the application's handler reads its state: like
+    /// [`Expr::eval_ref`], except that a lookup in a learned map that
+    /// misses the map falls back to its quarantine overlay
+    /// ([`Env::quarantined`]). The map wins where both hold a key, so a
+    /// quarantined entry never overrides a learned one.
+    ///
+    /// # Errors
+    ///
+    /// [`EvalError`] on unknown globals or type mismatches.
+    pub(crate) fn eval_app<'a>(
+        &'a self,
+        keys: &FlowKeys,
+        env: &'a Env,
+        nodes: &mut u64,
+    ) -> Result<Cow<'a, Value>, EvalError> {
+        self.eval_in(keys, env, true, nodes)
+    }
+
+    fn eval_in<'a>(
+        &'a self,
+        keys: &FlowKeys,
+        env: &'a Env,
+        overlay: bool,
+        nodes: &mut u64,
+    ) -> Result<Cow<'a, Value>, EvalError> {
         *nodes += 1;
         let owned = match self {
             Expr::Const(v) => return Ok(Cow::Borrowed(v)),
@@ -219,60 +256,65 @@ impl Expr {
                     .map(Cow::Borrowed)
                     .ok_or_else(|| EvalError::UnknownGlobal(name.clone()))
             }
-            Expr::Eq(a, b) => {
-                Value::Bool(a.eval_ref(keys, env, nodes)? == b.eval_ref(keys, env, nodes)?)
-            }
+            Expr::Eq(a, b) => Value::Bool(
+                a.eval_in(keys, env, overlay, nodes)? == b.eval_in(keys, env, overlay, nodes)?,
+            ),
             Expr::And(a, b) => {
                 // Short-circuit like handler code does.
                 Value::Bool(
-                    a.eval_ref(keys, env, nodes)?.as_bool()?
-                        && b.eval_ref(keys, env, nodes)?.as_bool()?,
+                    a.eval_in(keys, env, overlay, nodes)?.as_bool()?
+                        && b.eval_in(keys, env, overlay, nodes)?.as_bool()?,
                 )
             }
             Expr::Or(a, b) => Value::Bool(
-                a.eval_ref(keys, env, nodes)?.as_bool()?
-                    || b.eval_ref(keys, env, nodes)?.as_bool()?,
+                a.eval_in(keys, env, overlay, nodes)?.as_bool()?
+                    || b.eval_in(keys, env, overlay, nodes)?.as_bool()?,
             ),
-            Expr::Not(e) => Value::Bool(!e.eval_ref(keys, env, nodes)?.as_bool()?),
-            Expr::MapContains { map, key } => {
-                let map = map.eval_ref(keys, env, nodes)?;
-                let key = key.eval_ref(keys, env, nodes)?;
-                Value::Bool(map.as_map()?.contains_key(&*key))
+            Expr::Not(e) => Value::Bool(!e.eval_in(keys, env, overlay, nodes)?.as_bool()?),
+            Expr::MapContains { map: map_expr, key } => {
+                let map = map_expr.eval_in(keys, env, overlay, nodes)?;
+                let key = key.eval_in(keys, env, overlay, nodes)?;
+                Value::Bool(
+                    map.as_map()?.contains_key(&*key)
+                        || overlay && quarantined(map_expr, env, &key).is_some(),
+                )
             }
-            Expr::MapGet { map, key } => {
-                let map = map.eval_ref(keys, env, nodes)?;
-                let key = key.eval_ref(keys, env, nodes)?;
+            Expr::MapGet { map: map_expr, key } => {
+                let map = map_expr.eval_in(keys, env, overlay, nodes)?;
+                let key = key.eval_in(keys, env, overlay, nodes)?;
                 return Ok(match map {
-                    Cow::Borrowed(map) => map
-                        .as_map()?
-                        .get(&*key)
-                        .map_or(Cow::Owned(Value::None), Cow::Borrowed),
+                    Cow::Borrowed(map) => match map.as_map()?.get(&*key) {
+                        Some(value) => Cow::Borrowed(value),
+                        None if overlay => quarantined(map_expr, env, &key)
+                            .map_or(Cow::Owned(Value::None), Cow::Borrowed),
+                        None => Cow::Owned(Value::None),
+                    },
                     Cow::Owned(map) => {
                         Cow::Owned(map.as_map()?.get(&*key).cloned().unwrap_or(Value::None))
                     }
                 });
             }
             Expr::SetContains { set, item } => {
-                let set = set.eval_ref(keys, env, nodes)?;
-                let item = item.eval_ref(keys, env, nodes)?;
+                let set = set.eval_in(keys, env, overlay, nodes)?;
+                let item = item.eval_in(keys, env, overlay, nodes)?;
                 Value::Bool(set.as_set()?.contains(&*item))
             }
             Expr::HighBit(e) => {
-                let ip = e.eval_ref(keys, env, nodes)?.as_ip()?;
+                let ip = e.eval_in(keys, env, overlay, nodes)?.as_ip()?;
                 Value::Bool(u32::from(ip) & 0x8000_0000 != 0)
             }
             Expr::IsBroadcast(e) => {
-                let mac = e.eval_ref(keys, env, nodes)?.as_mac()?;
+                let mac = e.eval_in(keys, env, overlay, nodes)?.as_mac()?;
                 Value::Bool(mac.is_broadcast())
             }
             Expr::Prefix(e, prefix_len) => {
-                let ip = e.eval_ref(keys, env, nodes)?.as_ip()?;
+                let ip = e.eval_in(keys, env, overlay, nodes)?.as_ip()?;
                 Value::Ip(mask_ip(ip, *prefix_len))
             }
             Expr::Tuple(items) => {
                 let mut out = Vec::with_capacity(items.len());
                 for item in items {
-                    out.push(item.eval_ref(keys, env, nodes)?.into_owned());
+                    out.push(item.eval_in(keys, env, overlay, nodes)?.into_owned());
                 }
                 Value::Tuple(out)
             }

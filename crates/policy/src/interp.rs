@@ -4,9 +4,9 @@
 
 use ofproto::flow_match::FlowKeys;
 
-use crate::convert::{instantiate_rule, ProactiveRule};
+use crate::convert::{instantiate_rule_in, ProactiveRule};
 use crate::env::Env;
-use crate::expr::EvalError;
+use crate::expr::{EvalError, Expr};
 use crate::program::Program;
 use crate::stmt::{Decision, Stmt};
 
@@ -35,18 +35,52 @@ pub struct ExecResult {
     pub nodes: u64,
 }
 
+/// Where the packet a handler runs on came from, which decides where its
+/// learns go.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Provenance {
+    /// Straight from a switch: learns write the application's maps.
+    Switch,
+    /// Re-raised by FloodGuard's data plane cache during an attack, so
+    /// possibly spoofed: learns go to the maps' quarantine overlays
+    /// ([`Env::quarantine`]), which the handler reads and rule conversion
+    /// does not.
+    Cache,
+}
+
 /// Executes `program` on a packet with header `keys`, mutating `env`.
 ///
 /// Execution is sequential and stops at the first [`Stmt::Emit`], mirroring
-/// handler functions that return after acting.
+/// handler functions that return after acting. Learns are stamped with the
+/// environment's clock and go to its maps ([`Provenance::Switch`]).
 ///
 /// # Errors
 ///
 /// Propagates [`EvalError`] from expression evaluation (unknown globals,
 /// type mismatches). A correct application never errors.
 pub fn execute(program: &Program, keys: &FlowKeys, env: &mut Env) -> Result<ExecResult, EvalError> {
+    let now = env.clock();
+    execute_at(program, keys, env, now, Provenance::Switch)
+}
+
+/// [`execute`] for a packet that arrived at `now` by way of `provenance`:
+/// the environment's clock advances to `now` and learns are stamped with
+/// it. Map lookups read a learned map's quarantine overlay where the map
+/// has no entry ([`Env::quarantined`]), whatever the provenance.
+///
+/// # Errors
+///
+/// As [`execute`].
+pub fn execute_at(
+    program: &Program,
+    keys: &FlowKeys,
+    env: &mut Env,
+    now: f64,
+    provenance: Provenance,
+) -> Result<ExecResult, EvalError> {
+    env.advance(now);
     let mut nodes = 0u64;
-    let decision = exec_block(&program.body, keys, env, &mut nodes)?;
+    let decision = exec_block(&program.body, keys, env, provenance, &mut nodes)?;
     Ok(ExecResult {
         decision: decision.unwrap_or(ConcreteDecision::NoOp),
         nodes,
@@ -57,38 +91,43 @@ fn exec_block(
     stmts: &[Stmt],
     keys: &FlowKeys,
     env: &mut Env,
+    provenance: Provenance,
     nodes: &mut u64,
 ) -> Result<Option<ConcreteDecision>, EvalError> {
     for stmt in stmts {
         *nodes += 1;
         match stmt {
             Stmt::If { cond, then, els } => {
-                let taken = cond.eval_ref(keys, env, nodes)?.as_bool()?;
+                let taken = cond.eval_app(keys, env, nodes)?.as_bool()?;
                 let branch = if taken { then } else { els };
-                if let Some(decision) = exec_block(branch, keys, env, nodes)? {
+                if let Some(decision) = exec_block(branch, keys, env, provenance, nodes)? {
                     return Ok(Some(decision));
                 }
             }
             Stmt::Learn { map, key, value } => {
-                let key = key.eval_ref(keys, env, nodes)?.into_owned();
-                let value = value.eval_ref(keys, env, nodes)?.into_owned();
-                env.learn(map, key, value);
+                let key = key.eval_app(keys, env, nodes)?.into_owned();
+                let value = value.eval_app(keys, env, nodes)?.into_owned();
+                match provenance {
+                    Provenance::Switch => env.learn(map, key, value),
+                    Provenance::Cache => env.quarantine(map, key, value),
+                }
             }
             Stmt::SetGlobal { name, value } => {
-                let value = value.eval_ref(keys, env, nodes)?.into_owned();
+                let value = value.eval_app(keys, env, nodes)?.into_owned();
                 env.set(name, value);
             }
             Stmt::Emit(decision) => {
-                let concrete = match decision {
-                    Decision::InstallRule(rule) => {
-                        ConcreteDecision::Install(instantiate_rule(rule, keys, env, nodes)?)
-                    }
-                    Decision::PacketOutPort(e) => ConcreteDecision::PacketOutPort(
-                        e.eval_ref(keys, env, nodes)?.as_int()? as u16,
-                    ),
-                    Decision::PacketOutFlood => ConcreteDecision::PacketOutFlood,
-                    Decision::Drop => ConcreteDecision::Drop,
-                };
+                let concrete =
+                    match decision {
+                        Decision::InstallRule(rule) => ConcreteDecision::Install(
+                            instantiate_rule_in(rule, keys, env, Expr::eval_app, nodes)?,
+                        ),
+                        Decision::PacketOutPort(e) => ConcreteDecision::PacketOutPort(
+                            e.eval_app(keys, env, nodes)?.as_int()? as u16,
+                        ),
+                        Decision::PacketOutFlood => ConcreteDecision::PacketOutFlood,
+                        Decision::Drop => ConcreteDecision::Drop,
+                    };
                 return Ok(Some(concrete));
             }
         }
@@ -114,6 +153,7 @@ mod tests {
                 initial: Value::Map(Default::default()),
                 state_sensitive: true,
                 description: "MAC-port mapping table".into(),
+                lifetime: None,
             }],
             vec![
                 Stmt::Learn {
@@ -178,6 +218,41 @@ mod tests {
     }
 
     #[test]
+    fn a_cache_packet_teaches_in_quarantine_and_the_handler_reads_it() {
+        let mut p = mini_l2();
+        p.globals[0].lifetime = Some(crate::env::Lifetime::LEARNED);
+        let mut env = p.initial_env();
+        // 0xa learned from the switch on port 1; 0xc only through the cache.
+        execute_at(&p, &keys(0xa, 0xb, 1), &mut env, 1.0, Provenance::Switch).unwrap();
+        execute_at(&p, &keys(0xc, 0xb, 3), &mut env, 2.0, Provenance::Cache).unwrap();
+        let map = env.get("macToPort").unwrap().as_map().unwrap();
+        assert_eq!(map.len(), 1, "conversion sees the trusted entry only");
+        // The handler reads the quarantined entry: traffic to 0xc installs.
+        let r = execute_at(&p, &keys(0xb, 0xc, 2), &mut env, 3.0, Provenance::Switch).unwrap();
+        let ConcreteDecision::Install(rule) = r.decision else {
+            panic!("expected install, got {:?}", r.decision);
+        };
+        assert_eq!(
+            rule.actions,
+            vec![ofproto::actions::Action::Output(
+                ofproto::types::PortNo::Physical(3)
+            )]
+        );
+        // A cache packet claiming 0xa from port 3 moves nothing.
+        execute_at(&p, &keys(0xa, 0xb, 3), &mut env, 4.0, Provenance::Cache).unwrap();
+        let r = execute_at(&p, &keys(0xb, 0xa, 2), &mut env, 5.0, Provenance::Switch).unwrap();
+        let ConcreteDecision::Install(rule) = r.decision else {
+            panic!("expected install, got {:?}", r.decision);
+        };
+        assert_eq!(
+            rule.actions,
+            vec![ofproto::actions::Action::Output(
+                ofproto::types::PortNo::Physical(1)
+            )]
+        );
+    }
+
+    #[test]
     fn broadcast_floods_without_install() {
         let p = mini_l2();
         let mut env = p.initial_env();
@@ -230,6 +305,7 @@ mod tests {
                 initial: Value::Int(0),
                 state_sensitive: true,
                 description: "configuration scalar".into(),
+                lifetime: None,
             }],
             vec![
                 Stmt::SetGlobal {

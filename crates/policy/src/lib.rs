@@ -32,6 +32,7 @@
 
 #![warn(missing_docs)]
 
+mod aging;
 pub mod builder;
 pub mod convert;
 pub mod env;
@@ -42,9 +43,9 @@ pub mod stmt;
 pub mod value;
 
 pub use convert::ProactiveRule;
-pub use env::{Change, Env};
+pub use env::{Change, Env, Lifetime};
 pub use expr::{EvalError, Expr, Field};
-pub use interp::{execute, ConcreteDecision, ExecResult};
+pub use interp::{execute, execute_at, ConcreteDecision, ExecResult, Provenance};
 pub use program::{GlobalSpec, Program};
 pub use stmt::{ActionTemplate, Decision, MatchTemplate, RuleTemplate, Stmt};
 pub use value::Value;

@@ -4,7 +4,7 @@
 
 use serde::{Deserialize, Serialize};
 
-use crate::env::Env;
+use crate::env::{Env, Lifetime};
 use crate::stmt::Stmt;
 use crate::value::Value;
 
@@ -21,6 +21,10 @@ pub struct GlobalSpec {
     pub state_sensitive: bool,
     /// Human description (Table III content).
     pub description: String,
+    /// How long learned entries live and how many the map holds: declared
+    /// by every map the handler writes with [`Stmt::Learn`], none for a
+    /// table only the administrator seeds.
+    pub lifetime: Option<Lifetime>,
 }
 
 /// A `packet_in` handler program.
@@ -49,6 +53,9 @@ impl Program {
         let mut env = Env::new();
         for g in &self.globals {
             env.set(&g.name, g.initial.clone());
+            if let Some(lifetime) = g.lifetime {
+                env.declare_lifetime(&g.name, lifetime);
+            }
         }
         env
     }
@@ -60,6 +67,26 @@ impl Program {
             .filter(|g| g.state_sensitive)
             .map(|g| g.name.as_str())
             .collect()
+    }
+
+    /// Names of the maps the handler writes with [`Stmt::Learn`], in order
+    /// of first appearance.
+    pub fn learned_maps(&self) -> Vec<&str> {
+        fn walk<'a>(stmts: &'a [Stmt], out: &mut Vec<&'a str>) {
+            for stmt in stmts {
+                match stmt {
+                    Stmt::Learn { map, .. } if !out.contains(&map.as_str()) => out.push(map),
+                    Stmt::If { then, els, .. } => {
+                        walk(then, out);
+                        walk(els, out);
+                    }
+                    _ => {}
+                }
+            }
+        }
+        let mut out = Vec::new();
+        walk(&self.body, &mut out);
+        out
     }
 
     /// Static complexity: total AST nodes in the handler body.
@@ -82,12 +109,14 @@ mod tests {
                     initial: Value::Map(Default::default()),
                     state_sensitive: true,
                     description: "MAC to port mapping table".into(),
+                    lifetime: None,
                 },
                 GlobalSpec {
                     name: "mode".into(),
                     initial: Value::Int(0),
                     state_sensitive: false,
                     description: "static config".into(),
+                    lifetime: None,
                 },
             ],
             vec![Stmt::Emit(Decision::PacketOutFlood)],

@@ -131,6 +131,13 @@ impl Value {
     }
 }
 
+/// [`Value::None`], the value of a failed lookup.
+impl Default for Value {
+    fn default() -> Value {
+        Value::None
+    }
+}
+
 impl From<bool> for Value {
     fn from(b: bool) -> Value {
         Value::Bool(b)

@@ -999,6 +999,7 @@ mod tests {
                 initial: Value::Map(Default::default()),
                 state_sensitive: true,
                 description: "MAC-port mapping".into(),
+                lifetime: None,
             }],
             vec![
                 learn("macToPort", field(Field::DlSrc), field(Field::InPort)),

@@ -19,6 +19,13 @@
 //! its window is warm, recording and scoring `packet_in`s at a steady rate
 //! allocates nothing, below the window's run cap and at it.
 //!
+//! What the applications learn has a lifetime, and keeping it costs
+//! nothing per packet: re-learning a known source allocates nothing and
+//! writes no journal entry, an expiry sweep with nothing due allocates
+//! nothing, and a map's quarantine overlay, once at its bound, holds the
+//! same heap whether ten or a hundred times its bound in spoofed sources
+//! went through it.
+//!
 //! Nor does a packet's hop through a warm simulated switch allocate: the
 //! action list's output ports and the hop's forwards land in buffers the
 //! switch and the engine keep. A simulated host's answer lands in the
@@ -40,8 +47,8 @@ use netsim::{Simulation, SwitchId, SwitchProfile};
 use ofproto::actions::Action;
 use ofproto::flow_match::{FlowKeys, OfMatch};
 use ofproto::types::{MacAddr, PortNo};
-use policy::interp::{execute, ConcreteDecision};
-use policy::{Env, Program};
+use policy::interp::{execute, execute_at, ConcreteDecision, Provenance};
+use policy::{Env, Lifetime, Program, Value};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -500,5 +507,101 @@ fn a_hosts_heap_does_not_grow_with_its_deliveries() {
     assert_eq!(
         held[0], held[1],
         "live heap bytes after 10 k and after 100 k deliveries"
+    );
+}
+
+/// `l2_learning`'s environment with `hosts` hosts learned at time 0.
+fn learned_l2(hosts: usize) -> (Program, Env) {
+    let program = apps::l2_learning::program();
+    let mut env = program.initial_env();
+    for i in 0..hosts {
+        apps::l2_learning::learn_host(&mut env, host_mac(i), (i % 8 + 1) as u16);
+    }
+    (program, env)
+}
+
+#[test]
+fn refreshing_a_known_entry_allocates_nothing_and_journals_nothing() {
+    let (program, mut env) = learned_l2(1000);
+    // A broadcast from a known host: the handler's learn is a refresh and
+    // its flood decision allocates nothing of its own.
+    let keys = FlowKeys {
+        in_port: 1,
+        dl_src: host_mac(0),
+        dl_dst: MacAddr::BROADCAST,
+        ..FlowKeys::default()
+    };
+    execute_at(&program, &keys, &mut env, 1.0, Provenance::Switch).expect("warm-up");
+    let version = env.version();
+    let before = ALLOCATED.with(Cell::get);
+    for i in 0..1000 {
+        env.advance(2.0 + f64::from(i) * 0.1);
+        apps::l2_learning::learn_host(&mut env, host_mac(i as usize), (i % 8 + 1) as u16);
+    }
+    execute_at(&program, &keys, &mut env, 102.0, Provenance::Switch).expect("a refresh");
+    let after = ALLOCATED.with(Cell::get);
+    assert_eq!(
+        (after.0 - before.0, after.1 - before.1),
+        (0, 0),
+        "(allocations, bytes) of 1001 refreshes"
+    );
+    assert_eq!(env.version(), version, "a refresh is not a change");
+    assert_eq!(env.changes_since(version).map(Iterator::count), Some(0));
+    // The refreshes counted: nothing learned at 0 s idles out at 301 s.
+    assert_eq!(env.expire(301.0), 0);
+    assert_eq!(env.learned_len(), 1000);
+}
+
+#[test]
+fn an_expiry_sweep_with_nothing_due_allocates_nothing() {
+    let (_, mut env) = learned_l2(1000);
+    let quarantine = env.lifetime("macToPort").expect("declared").quarantine as u64;
+    for i in 0..quarantine {
+        env.quarantine(
+            "macToPort",
+            Value::Mac(host_mac(5000 + i as usize)),
+            Value::Int(3),
+        );
+    }
+    let before = ALLOCATED.with(Cell::get);
+    let mut gone = 0;
+    for tick in 0..1000 {
+        gone += env.expire(f64::from(tick) * 0.02);
+    }
+    let after = ALLOCATED.with(Cell::get);
+    assert_eq!(gone, 0);
+    assert_eq!(
+        (after.0 - before.0, after.1 - before.1),
+        (0, 0),
+        "(allocations, bytes) of 1000 sweeps with nothing due"
+    );
+}
+
+#[test]
+fn a_full_overlay_holds_the_same_heap_at_ten_and_a_hundred_times_its_bound() {
+    let (_, mut env) = learned_l2(16);
+    let Lifetime { quarantine, .. } = env.lifetime("macToPort").expect("declared");
+    let bound = quarantine as usize;
+    let start = LIVE.with(Cell::get);
+    let mut held = Vec::with_capacity(2);
+    let mut taught = 0usize;
+    for upto in [10 * bound, 100 * bound] {
+        while taught < upto {
+            // Distinct spoofed sources, each claiming port 3, the way the
+            // cache re-raises a flood.
+            let source = Value::Mac(MacAddr::from_u64(0x0200_0000_0000 + taught as u64));
+            env.quarantine("macToPort", source, Value::Int(3));
+            taught += 1;
+        }
+        assert_eq!(env.quarantined_len(), bound, "at its bound");
+        held.push(LIVE.with(Cell::get) - start);
+    }
+    assert_eq!(env.learned_len(), 16, "the map kept its own entries");
+    assert_eq!(
+        held[0],
+        held[1],
+        "live heap bytes after {} and after {} spoofed sources",
+        10 * bound,
+        100 * bound
     );
 }

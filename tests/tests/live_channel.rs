@@ -908,8 +908,9 @@ fn a_defense_episode_sends_each_rule_once_and_asks_only_while_migrating() {
         log.ticks.load(Ordering::SeqCst) >= 3
     }));
 
-    // The flood, until the defense has run a few update rounds with the
-    // cache feeding it; then calm, until the episode is over. About a
+    // The flood, until the cache has fed the applications for a while (what
+    // it teaches them stays in quarantine, so it brings no update round of
+    // its own); then calm, until the episode is over. About a
     // thousand packets a second: the cache drops from the front of a full
     // queue, and a packet must last the 25 ms processing delay in a queue
     // of 64 to come back as a packet_in at all.
@@ -920,7 +921,7 @@ fn a_defense_episode_sends_each_rule_once_and_asks_only_while_migrating() {
             seq += 1;
         }
         let snap = monitor.lock();
-        snap.state == Some(State::Defense) && snap.stats.updates >= 3 && snap.stats.reraised >= 1
+        snap.state == Some(State::Defense) && snap.stats.updates >= 1 && snap.stats.reraised >= 50
     });
     assert!(defended, "no defense: {:?}", monitor.lock().stats);
     assert!(

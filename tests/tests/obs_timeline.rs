@@ -35,11 +35,15 @@ fn digest(rendered: &str) -> (usize, u64) {
 #[test]
 fn timeline_matches_the_parent_engine() {
     // Recorded on the per-switch parallel engine this one replaced, which
-    // rendered the same bytes at every worker-thread count.
+    // rendered the same bytes at every worker-thread count. The timeline
+    // was recorded again when FloodGuard began quarantining what the
+    // cache re-raises: it gained the learned/quarantined/aged-out series,
+    // and its rule and conversion-cost series carry no spoofed sources.
+    // The trace did not move.
     let (timeline, trace) = capture("end_to_end_defense", &defended());
     assert_eq!(
         (digest(&timeline), digest(&trace)),
-        ((435189, 5859166344747072294), (36116, 12264189397029473725)),
+        ((471743, 6237401941304916637), (36116, 12264189397029473725)),
         "(length, digest) of the timeline and of the chrome trace"
     );
 }

@@ -17,14 +17,17 @@ fn scenario(placement: RulePlacement) -> Scenario {
     s.attack_stop = 4.0;
     s.duration = 4.0;
     s.bulk = false;
-    // Two probes: the first teaches l2_learning where h2 lives (and thus
-    // creates the proactive rule); the second exercises the placement. The
+    // Two probes: the first, before the attack, teaches l2_learning where
+    // h2 lives (and thus creates the proactive rule: a host first seen
+    // through the cache during the attack is learned in quarantine, which
+    // no proactive rule is converted from); the second, under attack,
+    // exercises the placement. The
     // probes stay one-shot (SYN + SYN-ACK, no completing ACK): the final
     // ACK would be a PacketIn after h2 is known, installing a learned
     // dl_dst=h2 rule the second probe would match in the switch — and the
     // placement only matters for a genuine table miss.
     s.probe_handshake = false;
-    s.probes = vec![1.5, 2.5];
+    s.probes = vec![0.2, 2.5];
     s
 }
 

@@ -84,12 +84,14 @@ fn program_for(cond: &Expr) -> Program {
                 initial: Value::Set(Default::default()),
                 state_sensitive: true,
                 description: "test set".into(),
+                lifetime: None,
             },
             GlobalSpec {
                 name: "ports".into(),
                 initial: Value::Map(Default::default()),
                 state_sensitive: true,
                 description: "test map".into(),
+                lifetime: None,
             },
         ],
         vec![if_else(
