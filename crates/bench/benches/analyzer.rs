@@ -1,6 +1,6 @@
 //! Analyzer-pipeline benchmark at production scale: incremental
-//! re-analysis, parallel conversion and TCAM-budgeted rule compression,
-//! with a JSON report and a regression gate.
+//! re-analysis and TCAM-budgeted rule compression, with a JSON report and
+//! a regression gate.
 //!
 //! Custom harness (`harness = false`), not the criterion shim, because
 //! this bench also writes `results/BENCH_analyzer.json` and compares
@@ -21,20 +21,14 @@
 //! `hardware` switch profile's 4096-entry TCAM budget; reports the
 //! before/after counts and the ratio, and requires the set to fit.
 //!
-//! **Thread determinism** — the same cold convert at 1, 2 and 8 worker
-//! threads must return identical rule vectors. The parallel speedup is
-//! taken at the largest of those counts the machine has cores for, written
-//! with that count and the cores beside it, and gated against a baseline
-//! taken at the same count; with one core there is no speedup to report.
-//!
 //! **Defense tick** — what one rule-update round of a defended flood costs
 //! (`detect_changes` + `Analyzer::update` after 7 new spoofed sources, the
 //! paper's five apps) on 300 and on 3000 learned sources. The attacker
 //! decides how much the applications have learned, so the two must cost
 //! the same: the 3000/300 ratio is a hard bar at 1.5. Beside it, the same
 //! round on 300 learned sources through `FloodGuard::on_telemetry` as a
-//! live endpoint drives it, worker count left at its default: what a tick
-//! costs on top of its update shows as the difference.
+//! live endpoint drives it: what a tick costs on top of its update shows as
+//! the difference.
 //!
 //! **Regression gate** — compares against `FG_ANALYZER_BASELINE` (default
 //! `results/BENCH_analyzer_baseline.json`) and exits non-zero when a
@@ -47,11 +41,12 @@
 
 use std::time::Instant;
 
-use bench::report::{extract_number, read_report, write_report, Json};
+use bench::report::{extract_number, read_report, write_report};
 use bench::synthetic;
 use floodguard::analyzer::Analyzer;
 use floodguard::{FloodGuard, FloodGuardConfig};
 use netsim::iface::{ControlOutput, ControlPlane, SwitchTelemetry, Telemetry};
+use obs::Json;
 use ofproto::messages::{FeaturesReply, OfBody, OfMessage, PacketIn, PacketInReason};
 use ofproto::types::{DatapathId, MacAddr, PortNo, Xid};
 use symexec::CompressionConfig;
@@ -340,48 +335,6 @@ fn main() {
         cold_s / incr_convert_s
     );
 
-    // --- Thread-count determinism + parallel conversion speedup. ----------
-    let cores = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
-    let thread_counts: &[usize] = if smoke { &[1, 2] } else { &[1, 2, 8] };
-    let mut par_rows: Vec<(usize, f64)> = Vec::new();
-    let mut reference: Option<Vec<policy::ProactiveRule>> = None;
-    println!("# parallel conversion — {fleet} apps, cold ({cores} cores available)");
-    for &threads in thread_counts {
-        analyzer.set_threads(threads);
-        let mut out = Vec::new();
-        // The best of `reps`, not the median: the ratio of two of these is
-        // the number, and on a shared machine whatever the neighbours do
-        // only ever adds to a run, to the two-thread ones twice over.
-        let t_s = sorted_secs(reps, || {
-            analyzer.clear_conversion_cache();
-            out = analyzer.convert(&apps);
-        })[0];
-        match &reference {
-            Some(expected) => assert_eq!(
-                &out, expected,
-                "thread count {threads} changed the converted rules — determinism is broken"
-            ),
-            None => reference = Some(out),
-        }
-        if threads > cores {
-            // Run for the comparison above; its time says nothing.
-            println!("threads={threads}: rules identical (not timed: {cores} cores)");
-            continue;
-        }
-        println!(
-            "threads={threads}: {:>9.3} ms (speedup {:.2}x)",
-            t_s * 1e3,
-            par_rows.first().map_or(1.0, |&(_, t1)| t1 / t_s)
-        );
-        par_rows.push((threads, t_s));
-    }
-    analyzer.set_threads(0);
-    // (threads, speedup over one thread) at the most threads timed.
-    let par_speedup = match par_rows[..] {
-        [(_, t1), .., (threads, t_s)] => Some((threads, t1 / t_s)),
-        _ => None,
-    };
-
     // --- Defense tick: cost against learned state. ------------------------
     let tick_rounds = if smoke { 5 } else { 50 };
     let (mut small, mut large) = (Defended::after(300), Defended::after(3000));
@@ -445,7 +398,7 @@ fn main() {
             "scenario",
             format!(
                 "{fleet} synthetic apps (9:1 route:l2): incremental re-analysis, \
-                 compression @ TCAM {TCAM_BUDGET}, parallel conversion"
+                 compression @ TCAM {TCAM_BUDGET}"
             )
             .as_str(),
         )
@@ -463,19 +416,10 @@ fn main() {
         .set("rules_evicted", cstats.rules_evicted)
         .set("fits_budget", cstats.fits_budget)
         .set("tcam_budget", TCAM_BUDGET)
-        .set("par_cores_available", cores)
         .set("defense_tick_us_n300", tick_300)
         .set("defense_tick_us_n3000", tick_3000)
         .set("defense_tick_ratio", tick_ratio)
         .set("defense_tick_us", tick_floodguard);
-    if let Some((threads, speedup)) = par_speedup {
-        report = report
-            .set("par_speedup", speedup)
-            .set("par_speedup_threads", threads);
-    }
-    for &(threads, t_s) in &par_rows {
-        report = report.set(format!("par_ms_t{threads}").as_str(), t_s * 1e3);
-    }
     for &(n, ms, rules) in &scaling_rows {
         report = report
             .set(format!("cold_ms_n{n}").as_str(), ms)
@@ -502,22 +446,10 @@ fn main() {
             return;
         }
     };
-    let mut gates = vec![
+    let gates = [
         ("cache_hit_rate", hit_rate),
         ("compression_ratio", cstats.ratio()),
     ];
-    // The thread-scaling ratio is comparable to the baseline's only when
-    // both were taken at the same worker count, on cores enough to run it.
-    let baseline_threads = extract_number(&baseline, "par_speedup_threads");
-    match par_speedup {
-        Some((threads, speedup)) if baseline_threads == Some(threads as f64) => {
-            gates.push(("par_speedup", speedup));
-        }
-        _ => println!(
-            "# gate par_speedup: skipped (measured {par_speedup:?} on {cores} cores, \
-             baseline at {baseline_threads:?} threads)"
-        ),
-    }
     for (label, measured) in gates {
         let Some(expected) = extract_number(&baseline, label) else {
             eprintln!(

@@ -42,7 +42,7 @@ use std::hint::black_box;
 use std::net::Ipv4Addr;
 use std::time::Instant;
 
-use bench::report::{extract_number, read_report, write_report, Json};
+use bench::report::{extract_number, read_report, write_report};
 use bench::{run, Defense, Scenario};
 use floodguard::FloodGuardConfig;
 use netsim::host::CbrSource;
@@ -50,6 +50,7 @@ use netsim::packet::Packet;
 use netsim::sched::{HeapQueue, Scheduler, WheelQueue};
 use netsim::topo;
 use netsim::{Simulation, SwitchProfile};
+use obs::Json;
 use ofproto::types::MacAddr;
 
 /// Tolerated drop before the gate fails (25%).

@@ -25,9 +25,10 @@ use std::hint::black_box;
 use std::net::Ipv4Addr;
 use std::time::Instant;
 
-use bench::report::{write_report, Json};
+use bench::report::write_report;
 use netsim::packet::Packet;
 use netsim::sched::{HeapQueue, Scheduler, WheelQueue};
+use obs::Json;
 use ofproto::types::MacAddr;
 
 /// Engine-shaped queue element (see the `engine` bench: sifting a `u32`

@@ -18,8 +18,8 @@ use netsim::adversary::AdversaryStats;
 use netsim::{HostId, SwitchId};
 
 use crate::par::par_map;
-use crate::report::Json;
 use crate::scenario::{run, AdversaryProfile, Defense, Scenario};
+use obs::Json;
 
 /// Victim half-open capacity used in every cell: small enough that a
 /// 400-connection SlowDrain must hit the eviction path, large enough that

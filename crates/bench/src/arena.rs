@@ -14,8 +14,9 @@
 //! bytes.
 
 use crate::par::par_map;
-use crate::report::{extract_number, Json};
+use crate::report::extract_number;
 use crate::scenario::{run, AttackProtocol, Defense, Scenario};
+use obs::Json;
 
 /// Tolerated relative drop in a cell's bandwidth-retained before the
 /// regression gate fails (25%, matching the engine bench gate).

@@ -13,9 +13,10 @@
 use std::time::Instant;
 
 use bench::par::{par_map, thread_count};
-use bench::report::{write_report, Json};
+use bench::report::write_report;
 use bench::{human_bps, run, Defense, Scenario};
 use floodguard::FloodGuardConfig;
+use obs::Json;
 
 struct Cell {
     bps: f64,

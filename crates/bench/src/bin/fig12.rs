@@ -9,10 +9,11 @@
 
 use std::time::Instant;
 
-use bench::report::{write_report, Json};
+use bench::report::write_report;
 use bench::{run, Defense, Scenario};
 use controller::apps;
 use floodguard::{CacheConfig, FloodGuardConfig};
+use obs::Json;
 
 fn main() {
     let mut scenario = Scenario::hardware().with_defense(Defense::FloodGuard(FloodGuardConfig {

@@ -14,10 +14,11 @@
 use std::net::Ipv4Addr;
 use std::time::Instant;
 
-use bench::report::{write_report, Json};
+use bench::report::write_report;
 use controller::apps;
 use controller::platform::App;
 use floodguard::analyzer::Analyzer;
+use obs::Json;
 use ofproto::types::MacAddr;
 
 /// Builds one evaluation app with realistically sized state.

@@ -4,8 +4,9 @@
 
 use std::time::Instant;
 
-use bench::report::{write_report, Json};
+use bench::report::write_report;
 use controller::apps;
+use obs::Json;
 
 fn main() {
     if bench::timeline::requested() {

@@ -19,9 +19,10 @@
 use std::time::Instant;
 
 use bench::par::{par_map, thread_count};
-use bench::report::{write_report, Json};
+use bench::report::write_report;
 use bench::{run, Defense, Scenario};
 use floodguard::FloodGuardConfig;
+use obs::Json;
 
 const RUNS: u64 = 8;
 

@@ -2,169 +2,12 @@
 //!
 //! Every bench bin writes a `results/BENCH_<name>.json` next to its plot
 //! data so sweeps can be diffed across commits and consumed by CI without
-//! scraping stdout. The workspace has no `serde_json` (offline build), so
-//! this is a small hand-rolled JSON writer: objects keep insertion order,
-//! floats print with `{}` (shortest round-trip form), non-finite floats
-//! become `null`.
+//! scraping stdout. Reports are built as [`obs::Json`] values and written
+//! with its indented rendering.
 
-use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
 
-/// A JSON value.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Json {
-    /// `null`.
-    Null,
-    /// `true` / `false`.
-    Bool(bool),
-    /// Any finite number (integers pass through `as f64` losslessly up to
-    /// 2^53, far beyond any counter in these benches).
-    Num(f64),
-    /// A string.
-    Str(String),
-    /// An array.
-    Arr(Vec<Json>),
-    /// An object, in insertion order.
-    Obj(Vec<(String, Json)>),
-}
-
-impl From<f64> for Json {
-    fn from(v: f64) -> Json {
-        Json::Num(v)
-    }
-}
-
-impl From<u64> for Json {
-    fn from(v: u64) -> Json {
-        Json::Num(v as f64)
-    }
-}
-
-impl From<usize> for Json {
-    fn from(v: usize) -> Json {
-        Json::Num(v as f64)
-    }
-}
-
-impl From<bool> for Json {
-    fn from(v: bool) -> Json {
-        Json::Bool(v)
-    }
-}
-
-impl From<&str> for Json {
-    fn from(v: &str) -> Json {
-        Json::Str(v.to_owned())
-    }
-}
-
-impl From<String> for Json {
-    fn from(v: String) -> Json {
-        Json::Str(v)
-    }
-}
-
-impl<T: Into<Json>> From<Vec<T>> for Json {
-    fn from(v: Vec<T>) -> Json {
-        Json::Arr(v.into_iter().map(Into::into).collect())
-    }
-}
-
-impl Json {
-    /// An empty object.
-    pub fn obj() -> Json {
-        Json::Obj(Vec::new())
-    }
-
-    /// Inserts (or appends) a key; builder-style, keeps insertion order.
-    pub fn set(mut self, key: &str, value: impl Into<Json>) -> Json {
-        if let Json::Obj(fields) = &mut self {
-            fields.push((key.to_owned(), value.into()));
-        }
-        self
-    }
-
-    /// Serializes with two-space indentation.
-    pub fn render(&self) -> String {
-        let mut out = String::new();
-        self.write(&mut out, 0);
-        out
-    }
-
-    fn write(&self, out: &mut String, indent: usize) {
-        match self {
-            Json::Null => out.push_str("null"),
-            Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-            Json::Num(n) => {
-                if n.is_finite() {
-                    let _ = write!(out, "{n}");
-                } else {
-                    out.push_str("null");
-                }
-            }
-            Json::Str(s) => write_escaped(out, s),
-            Json::Arr(items) => {
-                if items.is_empty() {
-                    out.push_str("[]");
-                    return;
-                }
-                out.push('[');
-                for (i, item) in items.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    newline(out, indent + 1);
-                    item.write(out, indent + 1);
-                }
-                newline(out, indent);
-                out.push(']');
-            }
-            Json::Obj(fields) => {
-                if fields.is_empty() {
-                    out.push_str("{}");
-                    return;
-                }
-                out.push('{');
-                for (i, (key, value)) in fields.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    newline(out, indent + 1);
-                    write_escaped(out, key);
-                    out.push_str(": ");
-                    value.write(out, indent + 1);
-                }
-                newline(out, indent);
-                out.push('}');
-            }
-        }
-    }
-}
-
-fn newline(out: &mut String, indent: usize) {
-    out.push('\n');
-    for _ in 0..indent {
-        out.push_str("  ");
-    }
-}
-
-fn write_escaped(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-}
+use obs::Json;
 
 /// Directory reports land in: `FG_RESULTS_DIR` if set, else `results/` at
 /// the workspace root. Anchored via `CARGO_MANIFEST_DIR` rather than the
@@ -230,36 +73,6 @@ pub fn extract_number(body: &str, key: &str) -> Option<f64> {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn renders_nested_object() {
-        let j = Json::obj()
-            .set("bench", "fig10")
-            .set("seed", 42u64)
-            .set("rates", vec![0.0, 50.0])
-            .set(
-                "nested",
-                Json::obj().set("ok", true).set("missing", Json::Null),
-            );
-        let s = j.render();
-        assert!(s.contains("\"bench\": \"fig10\""));
-        assert!(s.contains("\"seed\": 42"));
-        assert!(s.contains("\"missing\": null"));
-        // Insertion order preserved.
-        assert!(s.find("bench").unwrap() < s.find("seed").unwrap());
-    }
-
-    #[test]
-    fn escapes_strings_and_nulls_non_finite() {
-        let j = Json::obj()
-            .set("s", "a\"b\\c\nd")
-            .set("nan", f64::NAN)
-            .set("inf", f64::INFINITY);
-        let s = j.render();
-        assert!(s.contains(r#""a\"b\\c\nd""#));
-        assert!(s.contains("\"nan\": null"));
-        assert!(s.contains("\"inf\": null"));
-    }
 
     #[test]
     fn extract_number_finds_flat_fields() {

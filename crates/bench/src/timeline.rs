@@ -15,8 +15,9 @@
 //! fixed seed the timeline body is **byte-identical** across runs — CI
 //! diffs the artifact like any other regression file.
 
-use crate::report::{write_artifact, Json};
+use crate::report::write_artifact;
 use crate::scenario::{run, Scenario};
+use obs::Json;
 
 /// Default snapshot period in simulated seconds (200 samples over the
 /// standard 4 s scenario).

@@ -9,20 +9,17 @@
 //! converts the table keys written since and nothing else, where it can
 //! prove that this is all a full conversion would change; everything else
 //! (a replaced global, a forgotten journal, a path that reads the table
-//! some other way) converts the application in full — on worker threads
-//! ([`symexec::par`]) with a deterministic app-order merge when two or more
-//! applications need it at once, which is a cold start or a handler edit.
-//! Either way the rules, their order and the statistics are those of a cold
-//! conversion of the same state, at any thread count.
+//! some other way) converts the application in full. Either way the rules,
+//! their order and the statistics are those of a cold conversion of the
+//! same state. Conversions run on the caller's thread, in app order: the
+//! analyzer starts no thread and reads no environment variable.
 //!
 //! [`Analyzer::update`] turns the same bookkeeping into the flow-mods for
 //! the switch without building the whole rule set: what one round costs is
 //! set by what changed since the last, not by how much the applications
 //! have learned — which, under a spoofing flood, the attacker decides. Nor
-//! has it a fixed part worth the name: a round with at most one full
-//! conversion to run asks for no worker count, so it reads no environment
-//! variable, no `/proc` or cgroup file, and starts no thread; a round in
-//! which nothing changed does not allocate (`tests/tests/interp_alloc.rs`).
+//! has it a fixed part worth the name: a round in which nothing changed
+//! does not allocate (`tests/tests/interp_alloc.rs`).
 
 use std::collections::{HashMap, HashSet};
 use std::sync::{Arc, OnceLock};
@@ -107,7 +104,6 @@ pub struct Analyzer {
     pending_changes: u64,
     last_update_at: f64,
     cache_stats: CacheStats,
-    threads: usize,
     compression: Option<CompressionConfig>,
     truncation_warned: Vec<bool>,
     /// Cumulative conversion statistics from the last convert (summed over
@@ -167,7 +163,6 @@ impl Analyzer {
             pending_changes: 0,
             last_update_at: f64::NEG_INFINITY,
             cache_stats: CacheStats::default(),
-            threads: 0,
             compression: None,
             truncation_warned: vec![false; apps.len()],
             last_stats: ConversionStats::default(),
@@ -181,13 +176,6 @@ impl Analyzer {
     /// The per-application path conditions.
     pub fn path_conditions(&self) -> &[Arc<PathConditions>] {
         &self.path_conditions
-    }
-
-    /// Pins the worker count for parallel conversion (0 = automatic:
-    /// `FG_BENCH_THREADS` or the machine's available parallelism, whichever
-    /// [`symexec::par::thread_count`] found when the process first asked).
-    pub fn set_threads(&mut self, threads: usize) {
-        self.threads = threads;
     }
 
     /// Enables (`Some`) or disables (`None`) rule compression on the
@@ -302,35 +290,23 @@ impl Analyzer {
         self.cache_stats.hits += self.cache_stats.last_hits;
         self.cache_stats.misses += self.cache_stats.last_misses;
 
+        // In app order, which is the order `settle` merges in.
         let mut moved: Vec<(usize, Moved)> = Vec::with_capacity(stale.len());
-        let mut whole = Vec::new();
         for i in stale {
             let delta = self.states[i]
                 .as_mut()
                 .and_then(|state| state.apply(&self.path_conditions[i], &apps[i].env));
-            match delta {
-                Some(delta) => moved.push((i, Moved::Keys(delta))),
-                None => whole.push(i),
-            }
+            moved.push(match delta {
+                Some(delta) => {
+                    self.key_refreshes += 1;
+                    (i, Moved::Keys(delta))
+                }
+                None => {
+                    let state = KeyedConversion::convert(&self.path_conditions[i], &apps[i].env);
+                    (i, Moved::Whole(self.states[i].replace(state)))
+                }
+            });
         }
-        self.key_refreshes += moved.len() as u64;
-        // Full conversions run in parallel; each job reads only its own
-        // app's path conditions and env, so worker count changes wall-clock
-        // time only, never the outcome. A steady defense round has none to
-        // run, or one, and asks for no workers.
-        let path_conditions = &self.path_conditions;
-        let threads = match (whole.len(), self.threads) {
-            (0 | 1, _) => 1,
-            (jobs, 0) => symexec::par::thread_count(jobs),
-            (_, pinned) => pinned,
-        };
-        let converted = symexec::par::par_map_with(threads, &whole, |&i| {
-            KeyedConversion::convert(&path_conditions[i], &apps[i].env)
-        });
-        for (&i, state) in whole.iter().zip(converted) {
-            moved.push((i, Moved::Whole(self.states[i].replace(state))));
-        }
-        moved.sort_by_key(|(i, _)| *i);
 
         let update = match (&mut self.installed, follow) {
             (Installed::Tracked { count, flat }, Some(cookie)) if !moved.is_empty() => {
@@ -397,8 +373,7 @@ impl Analyzer {
     ///
     /// Incremental: an app whose env version matches its cached conversion
     /// is served from cache; a stale one has its written keys or all of
-    /// itself re-solved, the latter on worker threads. The returned vector
-    /// is in registration order and byte-identical at any thread count.
+    /// itself re-solved. The returned vector is in registration order.
     /// With compression enabled the merged set is compressed before being
     /// returned. Handler bodies are assumed fixed since
     /// [`Analyzer::offline`] (or the last [`Analyzer::refresh_handlers`]);
@@ -753,22 +728,6 @@ mod tests {
         assert_eq!(analyzer.cache_stats().last_misses, 1);
         assert_eq!(cold, third);
         assert!(analyzer.cache_stats().hit_rate() > 0.0);
-    }
-
-    #[test]
-    fn convert_is_identical_across_thread_counts() {
-        let mut apps_vec: Vec<App> = (0..6).map(|_| l2_app()).collect();
-        for (i, app) in apps_vec.iter_mut().enumerate() {
-            apps::l2_learning::learn_host(&mut app.env, MacAddr::from_u64(0x10 + i as u64), 1);
-        }
-        let mut baseline = Analyzer::offline(&apps_vec);
-        baseline.set_threads(1);
-        let expected = baseline.convert(&apps_vec);
-        for threads in [2, 8] {
-            let mut analyzer = Analyzer::offline(&apps_vec);
-            analyzer.set_threads(threads);
-            assert_eq!(analyzer.convert(&apps_vec), expected, "threads={threads}");
-        }
     }
 
     #[test]

@@ -1,11 +1,10 @@
 //! FloodGuard configuration.
 
-use serde::{Deserialize, Serialize};
 use symexec::CompressionConfig;
 
 /// How often the proactive rules are refreshed when application state
 /// changes (the paper's §IV-D performance/accuracy tradeoff).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum UpdateStrategy {
     /// Regenerate after every observed change (highest accuracy).
     EveryChange,
@@ -17,7 +16,7 @@ pub enum UpdateStrategy {
 
 /// Attack-detection parameters (paper §IV-C1: the detector combines the
 /// real-time `packet_in` rate with infrastructure utilization).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DetectionConfig {
     /// Sliding window for rate estimation, seconds.
     pub window: f64,
@@ -82,7 +81,7 @@ impl Default for DetectionConfig {
 }
 
 /// Data plane cache parameters (paper §IV-C2).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CacheConfig {
     /// Capacity of each of the four protocol queues, packets.
     pub queue_capacity: usize,
@@ -122,7 +121,7 @@ impl Default for CacheConfig {
 
 /// Where proactive flow rules are installed (the §IV-E deployment
 /// tradeoff).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RulePlacement {
     /// Into the switch's flow table (the default; needs TCAM headroom).
     Switch,
@@ -135,7 +134,7 @@ pub enum RulePlacement {
 
 /// What FloodGuard does when every registered data plane cache (including
 /// standbys) is dead while migration is active.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CacheFailPolicy {
     /// Remove the migration rules: table misses reach the controller again
     /// and traffic keeps forwarding, at the cost of re-exposing the control
@@ -148,7 +147,7 @@ pub enum CacheFailPolicy {
 }
 
 /// Failure-recovery parameters: rule repair and cache failover.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RecoveryConfig {
     /// Degradation policy when no healthy cache remains.
     pub cache_fail_policy: CacheFailPolicy,
@@ -170,7 +169,7 @@ impl Default for RecoveryConfig {
 }
 
 /// Top-level FloodGuard configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FloodGuardConfig {
     /// Detection parameters.
     pub detection: DetectionConfig,

@@ -3,10 +3,8 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 /// The four states of FloodGuard's lifecycle.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum State {
     /// No attack: only the monitoring component is active.
     Idle,
@@ -32,7 +30,7 @@ impl fmt::Display for State {
 }
 
 /// A recorded transition.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Transition {
     /// State left.
     pub from: State,
@@ -46,7 +44,7 @@ pub struct Transition {
 ///
 /// Transitions are restricted to the cycle of the paper's Fig. 3; illegal
 /// jumps are rejected.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct StateMachine {
     current: State,
     log: Vec<Transition>,

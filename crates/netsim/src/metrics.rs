@@ -2,10 +2,8 @@
 
 use std::collections::BTreeMap;
 
-use serde::{Deserialize, Serialize};
-
 /// One `(time, value)` sample.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Sample {
     /// Simulation time in seconds.
     pub t: f64,
@@ -14,7 +12,7 @@ pub struct Sample {
 }
 
 /// A named append-only time series.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct TimeSeries {
     samples: Vec<Sample>,
 }
@@ -78,7 +76,7 @@ impl TimeSeries {
 /// declared with [`BandwidthMeter::watch`] before the deliveries it should
 /// count. Its memory is one entry per declared window, however many packets
 /// arrive.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct BandwidthMeter {
     /// `(from, to, bytes)` of each declared window `[from, to)`.
     windows: Vec<(f64, f64, u64)>,
@@ -147,7 +145,7 @@ impl BandwidthMeter {
 /// time up to the latest bucket touched (a tracker never added to holds
 /// none) — less than a map entry per busy bucket, more only for a tracker
 /// touched rarely over a long run.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct UtilizationTracker {
     bucket_width: f64,
     buckets: Vec<f64>,
@@ -224,7 +222,7 @@ impl UtilizationTracker {
 }
 
 /// Central metrics store for one simulation run.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct Recorder {
     /// Named scalar counters.
     pub counters: BTreeMap<String, u64>,

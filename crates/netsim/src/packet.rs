@@ -12,10 +12,9 @@ use std::net::Ipv4Addr;
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use ofproto::flow_match::FlowKeys;
 use ofproto::types::{ethertype, ipproto, MacAddr, OFP_VLAN_NONE};
-use serde::{Deserialize, Serialize};
 
 /// Transport-layer header inside an IPv4 packet.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Transport {
     /// TCP segment.
     Tcp {
@@ -73,7 +72,7 @@ impl Transport {
 }
 
 /// The network-layer content of a packet.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Payload {
     /// An IPv4 packet.
     Ipv4 {
@@ -110,7 +109,7 @@ pub enum Payload {
 ///
 /// Tags never appear on the wire; they let metrics attribute deliveries to
 /// the originating workload.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FlowTag {
     /// Untagged.
     None,
@@ -143,7 +142,7 @@ pub enum FlowTag {
 }
 
 /// A simulated data-plane packet.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Packet {
     /// Ethernet source.
     pub src_mac: MacAddr,

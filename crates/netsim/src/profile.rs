@@ -6,8 +6,6 @@
 //! (per-packet and per-byte costs), the packet buffer that `packet_in`
 //! buffering consumes, and the data-to-control channel.
 
-use serde::{Deserialize, Serialize};
-
 /// Resource model of one OpenFlow switch.
 ///
 /// The datapath is a single server: each packet occupies it for
@@ -18,7 +16,7 @@ use serde::{Deserialize, Serialize};
 /// paper's Fig. 11), or `miss_cost` extra on a table miss (buffering the
 /// packet and constructing a `packet_in` is far more expensive than
 /// forwarding).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SwitchProfile {
     /// Fixed CPU seconds consumed per forwarded packet.
     pub per_packet_cost: f64,
@@ -126,7 +124,7 @@ impl Default for SwitchProfile {
 }
 
 /// Resource model of the controller machine.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ControllerProfile {
     /// Fixed platform cost per OpenFlow message, seconds (event dispatch,
     /// connection handling), before application handlers run.

@@ -17,6 +17,8 @@
 //! Producers (engine, switch model, FloodGuard, ofchannel) register metrics
 //! at attach time and update handles thereafter; consumers (`bench::report`
 //! timeline export, tests) read the recorder and trace buffer after the run.
+//! [`Json`] is the workspace's one JSON writer: trace exports, bench
+//! reports and the ops API's responses all render through it.
 //!
 //! ```
 //! use obs::Obs;
@@ -36,11 +38,13 @@ use std::sync::Arc;
 
 use parking_lot::Mutex;
 
+pub mod json;
 pub mod prom;
 pub mod recorder;
 pub mod registry;
 pub mod trace;
 
+pub use json::Json;
 pub use recorder::{Recorder, Series};
 pub use registry::{
     Counter, Gauge, Histogram, LocalHistogram, Metric, MetricKind, Registry, HIST_BUCKETS,

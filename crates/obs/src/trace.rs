@@ -6,6 +6,8 @@
 //! further events are counted in `dropped` instead of growing the buffer,
 //! so tracing can stay enabled on long runs without unbounded memory.
 
+use crate::Json;
+
 /// Phase of a trace event.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TracePhase {
@@ -101,30 +103,27 @@ impl TraceBuf {
     /// timeline). The output is deterministic for a fixed event sequence:
     /// microsecond values are rounded to integers before formatting.
     pub fn chrome_json(&self) -> String {
-        let mut out = String::from("[");
-        for (i, ev) in self.events.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let ph = match ev.phase {
-                TracePhase::Complete => "X",
-                TracePhase::Instant => "i",
-            };
-            let ts_us = (ev.ts * 1e6).round() as i64;
-            out.push_str(&format!(
-                "{{\"name\":\"{}\",\"cat\":\"{}\",\"ph\":\"{}\",\"pid\":0,\"tid\":0,\"ts\":{}",
-                ev.name, ev.cat, ph, ts_us
-            ));
+        let us = |s: f64| (s * 1e6).round() as i64;
+        let events = self.events.iter().map(|ev| {
+            let event = Json::obj()
+                .set("name", ev.name)
+                .set("cat", ev.cat)
+                .set(
+                    "ph",
+                    match ev.phase {
+                        TracePhase::Complete => "X",
+                        TracePhase::Instant => "i",
+                    },
+                )
+                .set("pid", 0u64)
+                .set("tid", 0u64)
+                .set("ts", us(ev.ts));
             match ev.phase {
-                TracePhase::Complete => {
-                    let dur_us = (ev.dur * 1e6).round() as i64;
-                    out.push_str(&format!(",\"dur\":{}}}", dur_us));
-                }
-                TracePhase::Instant => out.push_str(",\"s\":\"g\"}"),
+                TracePhase::Complete => event.set("dur", us(ev.dur)),
+                TracePhase::Instant => event.set("s", "g"),
             }
-        }
-        out.push(']');
-        out
+        });
+        Json::Arr(events.collect()).compact()
     }
 }
 

@@ -3,15 +3,13 @@
 use std::fmt;
 use std::net::Ipv4Addr;
 
-use serde::{Deserialize, Serialize};
-
 use crate::flow_match::FlowKeys;
 use crate::types::{MacAddr, PortNo};
 
 /// An OpenFlow 1.0 action (`OFPAT_*`).
 ///
 /// An empty action list means "drop".
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Action {
     /// Forward the packet out of `port`.
     Output(PortNo),

@@ -4,8 +4,6 @@
 use std::fmt;
 use std::net::Ipv4Addr;
 
-use serde::{Deserialize, Serialize};
-
 use crate::types::MacAddr;
 
 /// OpenFlow 1.0 wildcard bits (`OFPFW_*`).
@@ -14,7 +12,7 @@ use crate::types::MacAddr;
 /// IPv4 source/destination use 6-bit wildcard widths: a value of `n` wildcards
 /// the low `n` bits of the address (so `0` is an exact match and `>= 32` is
 /// fully wildcarded).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Wildcards(pub u32);
 
 impl Wildcards {
@@ -130,7 +128,7 @@ impl Default for Wildcards {
 /// This is the fully-specified counterpart of [`OfMatch`]; every field has a
 /// definite value. Non-IP packets carry zeros in the network/transport fields,
 /// mirroring OpenFlow 1.0 semantics.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct FlowKeys {
     /// Ingress physical port.
     pub in_port: u16,
@@ -203,7 +201,7 @@ fn prefix_eq(a: Ipv4Addr, b: Ipv4Addr, wildcard_bits: u32) -> bool {
 /// keys.dl_dst = MacAddr::from_u64(0x0b);
 /// assert!(!m.matches(&keys));
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct OfMatch {
     /// Which fields are ignored.
     pub wildcards: Wildcards,

@@ -2,14 +2,12 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use crate::actions::Action;
 use crate::flow_match::OfMatch;
 use crate::types::{BufferId, PortNo};
 
 /// The five `OFPFC_*` flow-mod commands.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum FlowModCommand {
     /// Insert a new flow rule.
     Add,
@@ -49,7 +47,7 @@ impl FlowModCommand {
 }
 
 /// Flow-mod flags (`OFPFF_*`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub struct FlowModFlags {
     /// Request a `flow_removed` message when the rule expires or is deleted.
     pub send_flow_removed: bool,
@@ -79,7 +77,7 @@ pub const DEFAULT_PRIORITY: u16 = 0x8000;
 /// assert_eq!(fm.command, FlowModCommand::Add);
 /// assert_eq!(fm.priority, 100);
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FlowMod {
     /// What to do.
     pub command: FlowModCommand,

@@ -21,8 +21,6 @@ use std::collections::{HashMap, HashSet};
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use serde::{Deserialize, Serialize};
-
 use crate::actions::Action;
 use crate::flow_match::{FlowKeys, OfMatch};
 use crate::flow_mod::{FlowMod, FlowModCommand};
@@ -30,7 +28,7 @@ use crate::messages::{AggregateStats, FlowRemovedReason, FlowStats};
 use crate::types::PortNo;
 
 /// One installed flow rule together with its runtime state.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FlowEntry {
     /// Which packets this rule applies to.
     pub of_match: OfMatch,

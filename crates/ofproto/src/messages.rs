@@ -1,7 +1,6 @@
 //! OpenFlow 1.0 protocol messages exchanged between switch and controller.
 
 use bytes::Bytes;
-use serde::{Deserialize, Serialize};
 
 use crate::actions::Action;
 use crate::flow_match::OfMatch;
@@ -9,7 +8,7 @@ use crate::flow_mod::FlowMod;
 use crate::types::{BufferId, DatapathId, MacAddr, PortNo, Xid};
 
 /// Why a packet was sent to the controller (`OFPR_*`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum PacketInReason {
     /// No flow-table entry matched the packet.
     NoMatch,
@@ -48,7 +47,7 @@ pub const DEFAULT_MISS_SEND_LEN: usize = 128;
 /// full, `buffer_id` is `None` and `data` carries the **entire** packet —
 /// this is the amplification vector the saturation attack exploits (paper
 /// §II-B).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PacketIn {
     /// Switch buffer holding the full packet, if any.
     pub buffer_id: Option<BufferId>,
@@ -70,7 +69,7 @@ impl PacketIn {
 }
 
 /// A `packet_out` message: the controller injects or releases a packet.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PacketOut {
     /// Buffered packet to release, if any.
     pub buffer_id: Option<BufferId>,
@@ -83,7 +82,7 @@ pub struct PacketOut {
 }
 
 /// Why a flow rule was removed (`OFPRR_*`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum FlowRemovedReason {
     /// Idle timeout elapsed without traffic.
     IdleTimeout,
@@ -94,7 +93,7 @@ pub enum FlowRemovedReason {
 }
 
 /// A `flow_removed` notification.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FlowRemoved {
     /// Match of the removed rule.
     pub of_match: OfMatch,
@@ -113,7 +112,7 @@ pub struct FlowRemoved {
 }
 
 /// What changed about a port (`OFPPR_*`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum PortStatusReason {
     /// Port added.
     Add,
@@ -124,7 +123,7 @@ pub enum PortStatusReason {
 }
 
 /// A `port_status` notification.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PortStatus {
     /// What happened.
     pub reason: PortStatusReason,
@@ -137,7 +136,7 @@ pub struct PortStatus {
 }
 
 /// A `features_reply`: the switch describes itself after the handshake.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FeaturesReply {
     /// The switch's datapath id.
     pub datapath_id: DatapathId,
@@ -150,7 +149,7 @@ pub struct FeaturesReply {
 }
 
 /// Per-flow statistics, as returned by a flow-stats request.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FlowStats {
     /// The rule's match.
     pub of_match: OfMatch,
@@ -169,7 +168,7 @@ pub struct FlowStats {
 }
 
 /// Aggregate statistics across all rules.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct AggregateStats {
     /// Total packets matched.
     pub packet_count: u64,
@@ -181,7 +180,7 @@ pub struct AggregateStats {
 
 /// An OpenFlow error (`OFPT_ERROR`): type/code plus the offending message's
 /// leading bytes.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ErrorMsg {
     /// High-level error class (`OFPET_*`), e.g. 3 = flow-mod failed.
     pub err_type: u16,
@@ -201,7 +200,7 @@ impl ErrorMsg {
 }
 
 /// A statistics request body.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum StatsRequest {
     /// Per-flow statistics for rules matching the given match (subset).
     Flow(OfMatch),
@@ -210,7 +209,7 @@ pub enum StatsRequest {
 }
 
 /// A statistics reply body.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum StatsReply {
     /// Per-flow statistics.
     Flow(Vec<FlowStats>),
@@ -219,7 +218,7 @@ pub enum StatsReply {
 }
 
 /// Any OpenFlow message body.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum OfBody {
     /// Version negotiation.
     Hello,
@@ -277,7 +276,7 @@ impl OfBody {
 }
 
 /// A complete OpenFlow message: transaction id plus body.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct OfMessage {
     /// Transaction id pairing requests with replies.
     pub xid: Xid,

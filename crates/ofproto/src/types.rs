@@ -7,8 +7,6 @@
 use std::fmt;
 use std::str::FromStr;
 
-use serde::{Deserialize, Serialize};
-
 /// A 48-bit IEEE 802 MAC address.
 ///
 /// # Examples
@@ -21,7 +19,7 @@ use serde::{Deserialize, Serialize};
 /// assert!(!mac.is_broadcast());
 /// assert!(MacAddr::BROADCAST.is_broadcast());
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct MacAddr(pub [u8; 6]);
 
 impl MacAddr {
@@ -121,9 +119,7 @@ impl FromStr for MacAddr {
 }
 
 /// A 64-bit OpenFlow datapath identifier naming one switch.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct DatapathId(pub u64);
 
 impl DatapathId {
@@ -143,7 +139,7 @@ impl fmt::Display for DatapathId {
 ///
 /// Values below `0xff00` are physical ports; the remainder are the reserved
 /// virtual ports defined by the specification.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum PortNo {
     /// A physical switch port (1-based; 0 is invalid but representable).
     Physical(u16),
@@ -235,7 +231,7 @@ impl From<u16> for PortNo {
 }
 
 /// A switch packet-buffer identifier carried in `packet_in`/`packet_out`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct BufferId(pub u32);
 
 impl BufferId {
@@ -264,9 +260,7 @@ impl fmt::Display for BufferId {
 }
 
 /// An OpenFlow transaction id pairing requests with replies.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct Xid(pub u32);
 
 impl Xid {

@@ -25,7 +25,6 @@
 
 pub mod client;
 pub mod http;
-pub mod json;
 pub mod server;
 
 pub use client::Response;

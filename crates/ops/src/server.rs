@@ -9,10 +9,10 @@ use std::time::Duration;
 
 use floodguard::admin::{AdminHandle, AdminSnapshot, ThresholdUpdate};
 use floodguard::{FloodGuardStats, MonitorHandle, State};
+use obs::Json;
 use ofchannel::{ControllerView, CountersSnapshot};
 
 use crate::http::{read_request, write_response, Request};
-use crate::json;
 
 /// What the server exposes; every field is optional so the surface works
 /// for a bare controller (no FloodGuard) or a metrics-only deployment.
@@ -156,26 +156,26 @@ fn route(req: &Request, state: &OpsState) -> (u16, &'static str, String) {
             None => not_found("no metrics hub attached"),
         },
         ("GET", "/api/status") => match &state.view {
-            Some(view) => (200, JSON, status_json(view)),
+            Some(view) => (200, JSON, status_json(view).compact()),
             None => not_found("no controller view attached"),
         },
         ("GET", "/api/flows") => match &state.view {
-            Some(view) => (200, JSON, flows_json(view)),
+            Some(view) => (200, JSON, flows_json(view).compact()),
             None => not_found("no controller view attached"),
         },
         ("GET", "/api/fsm") => match &state.monitor {
-            Some(monitor) => (200, JSON, fsm_json(monitor)),
+            Some(monitor) => (200, JSON, fsm_json(monitor).compact()),
             None => not_found("no floodguard monitor attached"),
         },
         ("GET", "/api/admin") => match &state.admin {
-            Some(admin) => (200, JSON, admin_json(&admin.snapshot())),
+            Some(admin) => (200, JSON, admin_json(&admin.snapshot()).compact()),
             None => not_found("no admin handle attached"),
         },
         ("POST", "/api/admin/block") => with_admin(state, |admin| block(req, admin, true)),
         ("POST", "/api/admin/unblock") => with_admin(state, |admin| block(req, admin, false)),
         ("GET", "/api/admin/thresholds") => with_admin(state, |admin| {
             let snap = admin.snapshot();
-            (200, JSON, thresholds_json(&snap))
+            (200, JSON, thresholds_json(&snap).compact())
         }),
         ("PUT", "/api/admin/thresholds") => with_admin(state, |admin| set_thresholds(req, admin)),
         (_, "/metrics" | "/api/status" | "/api/flows" | "/api/fsm" | "/api/admin") => {
@@ -199,26 +199,22 @@ fn with_admin(
 }
 
 fn not_found(reason: &str) -> (u16, &'static str, String) {
-    (
-        404,
-        "application/json",
-        json::object([("error", json::string(reason))]),
-    )
+    error(404, reason)
 }
 
 fn bad_request(reason: &str) -> (u16, &'static str, String) {
-    (
-        400,
-        "application/json",
-        json::object([("error", json::string(reason))]),
-    )
+    error(400, reason)
 }
 
 fn method_not_allowed() -> (u16, &'static str, String) {
+    error(405, "method not allowed")
+}
+
+fn error(status: u16, reason: &str) -> (u16, &'static str, String) {
     (
-        405,
+        status,
         "application/json",
-        json::object([("error", json::string("method not allowed"))]),
+        Json::obj().set("error", reason).compact(),
     )
 }
 
@@ -253,10 +249,10 @@ fn block(req: &Request, admin: &AdminHandle, add: bool) -> (u16, &'static str, S
     (
         200,
         "application/json",
-        json::object([
-            ("changed", changed.to_string()),
-            ("admin", admin_json(&admin.snapshot())),
-        ]),
+        Json::obj()
+            .set("changed", changed)
+            .set("admin", admin_json(&admin.snapshot()))
+            .compact(),
     )
 }
 
@@ -284,80 +280,56 @@ fn set_thresholds(req: &Request, admin: &AdminHandle) -> (u16, &'static str, Str
     (
         200,
         "application/json",
-        json::object([
-            (
-                "staged_score_threshold",
-                update
-                    .score_threshold
-                    .map_or_else(|| "null".to_owned(), json::number),
-            ),
-            (
-                "staged_rate_capacity_pps",
-                update
-                    .rate_capacity_pps
-                    .map_or_else(|| "null".to_owned(), json::number),
-            ),
-        ]),
+        Json::obj()
+            .set("staged_score_threshold", update.score_threshold)
+            .set("staged_rate_capacity_pps", update.rate_capacity_pps)
+            .compact(),
     )
 }
 
-fn counters_json(c: &CountersSnapshot) -> String {
-    json::object([
-        ("frames_in", c.frames_in.to_string()),
-        ("frames_out", c.frames_out.to_string()),
-        ("bytes_in", c.bytes_in.to_string()),
-        ("bytes_out", c.bytes_out.to_string()),
-        ("decode_errors", c.decode_errors.to_string()),
-        ("reconnects", c.reconnects.to_string()),
-        ("connect_failures", c.connect_failures.to_string()),
-        ("sends_blocked", c.sends_blocked.to_string()),
-        ("send_queue_hwm", c.send_queue_hwm.to_string()),
-        ("keepalive_timeouts", c.keepalive_timeouts.to_string()),
-        ("resyncs", c.resyncs.to_string()),
-        ("frames_replayed", c.frames_replayed.to_string()),
-        ("budget_exhausted", c.budget_exhausted.to_string()),
-    ])
+fn counters_json(c: &CountersSnapshot) -> Json {
+    Json::obj()
+        .set("frames_in", c.frames_in)
+        .set("frames_out", c.frames_out)
+        .set("bytes_in", c.bytes_in)
+        .set("bytes_out", c.bytes_out)
+        .set("decode_errors", c.decode_errors)
+        .set("reconnects", c.reconnects)
+        .set("connect_failures", c.connect_failures)
+        .set("sends_blocked", c.sends_blocked)
+        .set("send_queue_hwm", c.send_queue_hwm)
+        .set("keepalive_timeouts", c.keepalive_timeouts)
+        .set("resyncs", c.resyncs)
+        .set("frames_replayed", c.frames_replayed)
+        .set("budget_exhausted", c.budget_exhausted)
 }
 
-fn status_json(view: &ControllerView) -> String {
+fn status_json(view: &ControllerView) -> Json {
     let status = view.status();
-    json::object([
-        (
-            "connected_switches",
-            json::array(status.connected_switches.iter().map(|d| d.0.to_string())),
-        ),
-        (
-            "connected_devices",
-            json::array(status.connected_devices.iter().map(|d| d.0.to_string())),
-        ),
-        ("counters", counters_json(&view.counters())),
-    ])
+    let switches: Vec<u64> = status.connected_switches.iter().map(|d| d.0).collect();
+    let devices: Vec<usize> = status.connected_devices.iter().map(|d| d.0).collect();
+    Json::obj()
+        .set("connected_switches", switches)
+        .set("connected_devices", devices)
+        .set("counters", counters_json(&view.counters()))
 }
 
-fn flows_json(view: &ControllerView) -> String {
+fn flows_json(view: &ControllerView) -> Json {
     let tables = view.flow_tables();
     let mut dpids: Vec<u64> = tables.keys().copied().collect();
     dpids.sort_unstable();
-    let mut fields = Vec::new();
-    let mut bodies = Vec::new();
+    let mut flows = Json::obj();
     for dpid in dpids {
-        let rules = &tables[&dpid];
-        bodies.push((
-            dpid.to_string(),
-            json::array(rules.iter().map(|r| {
-                json::object([
-                    ("match", json::string(&format!("{:?}", r.of_match))),
-                    ("priority", r.priority.to_string()),
-                    ("cookie", r.cookie.to_string()),
-                    ("n_actions", r.n_actions.to_string()),
-                ])
-            })),
-        ));
+        let rules = tables[&dpid].iter().map(|r| {
+            Json::obj()
+                .set("match", format!("{:?}", r.of_match))
+                .set("priority", r.priority)
+                .set("cookie", r.cookie)
+                .set("n_actions", r.n_actions)
+        });
+        flows = flows.set(&dpid.to_string(), Json::Arr(rules.collect()));
     }
-    for (key, body) in &bodies {
-        fields.push((key.as_str(), body.clone()));
-    }
-    json::object(fields)
+    flows
 }
 
 fn state_name(state: State) -> &'static str {
@@ -369,71 +341,45 @@ fn state_name(state: State) -> &'static str {
     }
 }
 
-fn stats_json(stats: &FloodGuardStats) -> String {
-    json::object([
-        ("attacks_detected", stats.attacks_detected.to_string()),
-        ("attacks_ended", stats.attacks_ended.to_string()),
-        ("proactive_installed", stats.proactive_installed.to_string()),
-        ("proactive_removed", stats.proactive_removed.to_string()),
-        ("updates", stats.updates.to_string()),
-        ("reraised", stats.reraised.to_string()),
-        ("rules_repaired", stats.rules_repaired.to_string()),
-        ("cache_failovers", stats.cache_failovers.to_string()),
-        ("degraded", stats.degraded.to_string()),
-    ])
+fn stats_json(stats: &FloodGuardStats) -> Json {
+    Json::obj()
+        .set("attacks_detected", stats.attacks_detected)
+        .set("attacks_ended", stats.attacks_ended)
+        .set("proactive_installed", stats.proactive_installed)
+        .set("proactive_removed", stats.proactive_removed)
+        .set("updates", stats.updates)
+        .set("reraised", stats.reraised)
+        .set("rules_repaired", stats.rules_repaired)
+        .set("cache_failovers", stats.cache_failovers)
+        .set("degraded", stats.degraded)
 }
 
-fn fsm_json(monitor: &MonitorHandle) -> String {
+fn fsm_json(monitor: &MonitorHandle) -> Json {
     let snap = monitor.lock().clone();
-    json::object([
-        (
-            "state",
-            snap.state
-                .map_or_else(|| "null".to_owned(), |s| json::string(state_name(s))),
-        ),
-        ("stats", stats_json(&snap.stats)),
-        (
-            "transitions",
-            json::array(snap.transitions.iter().map(|t| {
-                json::object([
-                    ("from", json::string(state_name(t.from))),
-                    ("to", json::string(state_name(t.to))),
-                    ("at", json::number(t.at)),
-                ])
-            })),
-        ),
-    ])
+    let transitions = snap.transitions.iter().map(|t| {
+        Json::obj()
+            .set("from", state_name(t.from))
+            .set("to", state_name(t.to))
+            .set("at", t.at)
+    });
+    Json::obj()
+        .set("state", snap.state.map(state_name))
+        .set("stats", stats_json(&snap.stats))
+        .set("transitions", Json::Arr(transitions.collect()))
 }
 
-fn admin_json(snap: &AdminSnapshot) -> String {
-    json::object([
-        (
-            "blocked_ips",
-            json::array(
-                snap.blocked_ips
-                    .iter()
-                    .map(|ip| json::string(&ip.to_string())),
-            ),
-        ),
-        (
-            "blocked_ports",
-            json::array(snap.blocked_ports.iter().map(|p| p.to_string())),
-        ),
-        ("dropped_by_ip", snap.dropped_by_ip.to_string()),
-        ("dropped_by_port", snap.dropped_by_port.to_string()),
-        ("thresholds", thresholds_json(snap)),
-    ])
+fn admin_json(snap: &AdminSnapshot) -> Json {
+    let ips = snap.blocked_ips.iter().map(|ip| Json::from(ip.to_string()));
+    Json::obj()
+        .set("blocked_ips", Json::Arr(ips.collect()))
+        .set("blocked_ports", snap.blocked_ports.clone())
+        .set("dropped_by_ip", snap.dropped_by_ip)
+        .set("dropped_by_port", snap.dropped_by_port)
+        .set("thresholds", thresholds_json(snap))
 }
 
-fn thresholds_json(snap: &AdminSnapshot) -> String {
-    json::object([
-        (
-            "score_threshold",
-            json::number(snap.thresholds.score_threshold),
-        ),
-        (
-            "rate_capacity_pps",
-            json::number(snap.thresholds.rate_capacity_pps),
-        ),
-    ])
+fn thresholds_json(snap: &AdminSnapshot) -> Json {
+    Json::obj()
+        .set("score_threshold", snap.thresholds.score_threshold)
+        .set("rate_capacity_pps", snap.thresholds.rate_capacity_pps)
 }

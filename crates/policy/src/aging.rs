@@ -10,14 +10,12 @@
 
 use std::collections::HashMap;
 
-use serde::{Deserialize, Serialize};
-
 use crate::value::Value;
 
 /// How long an entry of a learned map lives and how many entries the map
 /// holds. Declared per map in [`crate::program::GlobalSpec`]; timeouts are
 /// whole seconds, like OpenFlow's.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Lifetime {
     /// Seconds an entry lives without being learned again.
     pub idle_timeout: u32,

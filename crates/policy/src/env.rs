@@ -3,8 +3,6 @@
 
 use std::collections::{BTreeMap, VecDeque};
 
-use serde::{Deserialize, Serialize};
-
 use crate::aging::Ledger;
 pub use crate::aging::Lifetime;
 use crate::value::Value;
@@ -93,28 +91,22 @@ struct Aging {
 ///
 /// Equality compares globals and version; the journal, the stamps and the
 /// overlay are bookkeeping about how the environment got there.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct Env {
     globals: BTreeMap<String, Value>,
     version: u64,
-    #[serde(skip)]
     journal: Journal,
-    #[serde(skip)]
     aging: Vec<Aging>,
     /// The latest time a learn or a sweep was stamped with; learns that
     /// carry no time are stamped with it.
-    #[serde(skip)]
     clock: f64,
     /// Entries across every overlay: zero keeps the overlay read to one
     /// branch.
-    #[serde(skip)]
     quarantined: usize,
     /// Entries forgotten by expiry or eviction, main maps and overlays.
-    #[serde(skip)]
     aged_out: u64,
     /// No entry is due before this time (a lower bound: a refresh only
     /// makes an entry due later), so a sweep before it reads one number.
-    #[serde(skip)]
     next_due: f64,
 }
 

@@ -6,13 +6,12 @@ use std::fmt;
 use std::net::Ipv4Addr;
 
 use ofproto::flow_match::FlowKeys;
-use serde::{Deserialize, Serialize};
 
 use crate::env::Env;
 use crate::value::Value;
 
 /// A packet header field readable by a handler.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Field {
     /// Ingress port.
     InPort,
@@ -92,7 +91,7 @@ impl fmt::Display for Field {
 }
 
 /// An expression over packet fields, global variables and constants.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum Expr {
     /// A constant value.
     Const(Value),

@@ -2,14 +2,12 @@
 //! globals, which of them are state-sensitive, and descriptions (the paper's
 //! Table III).
 
-use serde::{Deserialize, Serialize};
-
 use crate::env::{Env, Lifetime};
 use crate::stmt::Stmt;
 use crate::value::Value;
 
 /// Declaration of one global variable.
-#[derive(Debug, Clone, PartialEq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Hash)]
 pub struct GlobalSpec {
     /// Variable name.
     pub name: String,
@@ -28,7 +26,7 @@ pub struct GlobalSpec {
 }
 
 /// A `packet_in` handler program.
-#[derive(Debug, Clone, PartialEq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Hash)]
 pub struct Program {
     /// Application name (e.g. `l2_learning`).
     pub name: String,

@@ -2,12 +2,10 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use crate::expr::{Expr, Field};
 
 /// A match constraint in a rule template.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum MatchTemplate {
     /// `field` must equal the (possibly symbolic) expression's value.
     Exact(Field, Expr),
@@ -18,7 +16,7 @@ pub enum MatchTemplate {
 
 /// An action in a rule template; expressions are evaluated when the rule is
 /// instantiated.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum ActionTemplate {
     /// Output to the port number the expression evaluates to.
     Output(Expr),
@@ -34,7 +32,7 @@ pub enum ActionTemplate {
 
 /// Template of a flow rule a handler installs — the "Modify State Message"
 /// paths Algorithm 2 converts into proactive flow rules.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct RuleTemplate {
     /// Match constraints.
     pub match_on: Vec<MatchTemplate>,
@@ -92,7 +90,7 @@ impl RuleTemplate {
 }
 
 /// The terminal decision of one handler path.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum Decision {
     /// Install a flow rule (and forward the triggering packet through it).
     ///
@@ -115,7 +113,7 @@ impl Decision {
 }
 
 /// A statement in a handler body.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum Stmt {
     /// Two-way branch.
     If {

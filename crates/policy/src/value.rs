@@ -5,7 +5,6 @@ use std::fmt;
 use std::net::Ipv4Addr;
 
 use ofproto::types::MacAddr;
-use serde::{Deserialize, Serialize};
 
 /// A value in the policy IR.
 ///
@@ -13,7 +12,7 @@ use serde::{Deserialize, Serialize};
 /// "state sensitive variables" of controller applications (MAC tables,
 /// routing tables, blocked-address sets) are [`Value::Map`]s and
 /// [`Value::Set`]s held in an environment.
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Value {
     /// Absence of a value (failed map lookup).
     None,

@@ -32,10 +32,9 @@ use std::net::Ipv4Addr;
 
 use ofproto::flow_match::{FlowKeys, OfMatch, Wildcards};
 use policy::ProactiveRule;
-use serde::{Deserialize, Serialize};
 
 /// Which passes run and under what budget.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CompressionConfig {
     /// Remove rules that can never win (subset of an earlier winner).
     pub eliminate_shadows: bool,

@@ -52,7 +52,6 @@ pub mod compress;
 pub mod engine;
 pub mod keyed;
 pub mod memo;
-pub mod par;
 pub mod path;
 pub mod solve;
 

@@ -22,11 +22,12 @@ use std::time::Duration;
 use controller::apps;
 use controller::platform::ControllerPlatform;
 use floodguard::{DetectionConfig, FloodGuard, FloodGuardConfig};
+use obs::Json;
 use ofchannel::obs::ChannelObs;
 use ofchannel::{
     run_swarm, ChannelConfig, ControllerConfig, ControllerEndpoint, SwarmConfig, SwarmReport,
 };
-use ops::{json, OpsServer, OpsState};
+use ops::{OpsServer, OpsState};
 
 struct Args {
     switches: usize,
@@ -111,24 +112,24 @@ fn channel_config() -> ChannelConfig {
 }
 
 fn report_json(args: &Args, report: &SwarmReport, probes: &ProbeResults) -> String {
-    let ms = |d: Duration| json::number(d.as_secs_f64() * 1e3);
-    json::object([
-        ("switches", args.switches.to_string()),
-        ("pps_per_switch", json::number(args.pps)),
-        ("connected", report.connected.to_string()),
-        ("handshake_failures", report.handshake_failures.to_string()),
-        ("connect_p50_ms", ms(report.latency_quantile(0.50))),
-        ("connect_p95_ms", ms(report.latency_quantile(0.95))),
-        ("connect_p99_ms", ms(report.latency_quantile(0.99))),
-        ("connect_max_ms", ms(report.latency_quantile(1.0))),
-        ("window_s", json::number(report.window.as_secs_f64())),
-        ("packet_ins_sent", report.packet_ins_sent.to_string()),
-        ("packet_ins_shed", report.packet_ins_shed.to_string()),
-        ("throughput_pps", json::number(report.throughput_pps())),
-        ("frames_from_controller", report.frames_in.to_string()),
-        ("metrics_probe_ok", probes.metrics_ok.to_string()),
-        ("status_probe_ok", probes.status_ok.to_string()),
-    ])
+    let ms = |d: Duration| d.as_secs_f64() * 1e3;
+    Json::obj()
+        .set("switches", args.switches)
+        .set("pps_per_switch", args.pps)
+        .set("connected", report.connected)
+        .set("handshake_failures", report.handshake_failures)
+        .set("connect_p50_ms", ms(report.latency_quantile(0.50)))
+        .set("connect_p95_ms", ms(report.latency_quantile(0.95)))
+        .set("connect_p99_ms", ms(report.latency_quantile(0.99)))
+        .set("connect_max_ms", ms(report.latency_quantile(1.0)))
+        .set("window_s", report.window.as_secs_f64())
+        .set("packet_ins_sent", report.packet_ins_sent)
+        .set("packet_ins_shed", report.packet_ins_shed)
+        .set("throughput_pps", report.throughput_pps())
+        .set("frames_from_controller", report.frames_in)
+        .set("metrics_probe_ok", probes.metrics_ok)
+        .set("status_probe_ok", probes.status_ok)
+        .compact()
 }
 
 #[derive(Default)]

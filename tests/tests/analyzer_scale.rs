@@ -1,7 +1,7 @@
 //! Production-scale analyzer pipeline equivalence suite.
 //!
-//! Locks the three invariants the incremental/parallel/compressed pipeline
-//! must preserve over the plain seed pipeline:
+//! Locks the three invariants the incremental/compressed pipeline must
+//! preserve over the plain seed pipeline:
 //!
 //! 1. **Incrementality is invisible** — any interleaving of per-app env
 //!    mutations and `Analyzer::convert` calls ends in exactly the rule set
@@ -11,9 +11,7 @@
 //!    and probe packets, the winning rule's actions are identical before
 //!    and after `symexec::compress` (with no TCAM budget; eviction is the
 //!    one pass that is *allowed* to change semantics, tested separately).
-//! 3. **Thread count is invisible** — the converted rule vector is
-//!    byte-identical at 1, 2, 3 and 8 worker threads.
-//! 4. **Key-wise refreshes are invisible** — `Analyzer::update`, which
+//! 3. **Key-wise refreshes are invisible** — `Analyzer::update`, which
 //!    converts only the table keys written since the last round where it
 //!    can prove that enough, emits flow-mod for flow-mod what
 //!    `dispatch(convert(..))` of an analyzer with no memory emits.
@@ -135,26 +133,7 @@ proptest! {
     }
 }
 
-// --- 3. Thread-count determinism ------------------------------------------
-
-#[test]
-fn thread_count_does_not_change_converted_rules() {
-    let apps = synthetic::population(24);
-    let mut analyzer = Analyzer::offline(&apps);
-    analyzer.set_threads(1);
-    let reference = analyzer.convert(&apps);
-    for threads in [2, 3, 8] {
-        analyzer.set_threads(threads);
-        analyzer.clear_conversion_cache();
-        assert_eq!(
-            analyzer.convert(&apps),
-            reference,
-            "thread count {threads} changed the converted rules"
-        );
-    }
-}
-
-// --- 4. TCAM budget eviction is bounded and counted -----------------------
+// --- 3. TCAM budget eviction is bounded and counted -----------------------
 
 #[test]
 fn tcam_budget_bounds_output_and_counts_evictions() {
@@ -190,7 +169,7 @@ fn tcam_budget_bounds_output_and_counts_evictions() {
     assert!(roomy.len() > budget);
 }
 
-// --- 5. Key-wise update == cold dispatch(convert(..)) ---------------------
+// --- 4. Key-wise update == cold dispatch(convert(..)) ---------------------
 
 /// A handler around one path: `cond` installs `template`, anything else
 /// floods.

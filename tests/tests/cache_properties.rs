@@ -154,7 +154,7 @@ fn round_robin_alternates_under_contention() {
 #[test]
 fn config_debug_exposes_all_knobs() {
     // Configurations are plain data: every tuning knob is visible in the
-    // Debug form (serde impls are compile-checked in the floodguard crate).
+    // Debug form.
     let config = FloodGuardConfig::default();
     let shown = format!("{config:?}");
     for knob in [

@@ -11,9 +11,7 @@
 //! benchmark applications, `execute` on 16-entry and on 1024-entry state
 //! performs the same number of allocations of the same total size, and so
 //! does `Analyzer::update` after seven new sources on 300 and on 3000
-//! learned ones; and a round with one key to convert, or none, performs no
-//! allocation the machine probe behind the analyzer's default worker count
-//! would add.
+//! learned ones; and a round in which nothing changed allocates nothing.
 //!
 //! The attacker's rate must not set what the detector holds either: once
 //! its window is warm, recording and scoring `packet_in`s at a steady rate
@@ -253,53 +251,26 @@ fn update_round_allocations_do_not_depend_on_state_size() {
     );
 }
 
-/// (allocations, bytes) of a round in which `l2_learning` learned one
-/// source, and of the round after it in which nothing changed, with the
-/// analyzer's worker count set to `threads`.
-fn steady_round_costs(threads: usize) -> ((u64, u64), (u64, u64)) {
+#[test]
+fn a_steady_round_asks_the_machine_nothing() {
+    // A round in which nothing changed allocates nothing at all: it reads
+    // no environment variable, no `/proc` or cgroup file, and starts no
+    // thread. The round before it, with one key to convert, runs first.
     const COOKIE: u64 = 1;
     let mut apps = flooded_apps(300);
     let mut analyzer = Analyzer::offline(&apps);
-    analyzer.set_threads(threads);
     analyzer.update(&apps, COOKIE, 0.0);
-    let l2 = 0;
-    // As in `update_round_cost`: a first round splits the B-tree leaf, the
-    // measured one finds room next to it.
-    apps::l2_learning::learn_host(&mut apps[l2].env, host_mac(4 * 44 + 1), 1);
-    assert_eq!(analyzer.update(&apps, COOKIE, 0.02).to_add.len(), 1);
-    apps::l2_learning::learn_host(&mut apps[l2].env, host_mac(4 * 44 + 2), 1);
-    let before = ALLOCATED.with(Cell::get);
-    let one_key = analyzer.update(&apps, COOKIE, 0.04);
-    let between = ALLOCATED.with(Cell::get);
-    let none = analyzer.update(&apps, COOKIE, 0.06);
-    let after = ALLOCATED.with(Cell::get);
+    apps::l2_learning::learn_host(&mut apps[0].env, host_mac(4 * 44 + 1), 1);
+    let one_key = analyzer.update(&apps, COOKIE, 0.02);
     assert_eq!((one_key.to_add.len(), one_key.to_remove.len()), (1, 0));
+    let before = ALLOCATED.with(Cell::get);
+    let none = analyzer.update(&apps, COOKIE, 0.04);
+    let after = ALLOCATED.with(Cell::get);
     assert!(none.is_empty());
-    (
-        (between.0 - before.0, between.1 - before.1),
-        (after.0 - between.0, after.1 - between.1),
-    )
-}
-
-#[test]
-fn a_steady_round_asks_the_machine_nothing() {
-    // Left at its default of 0 ("as many workers as the machine has") the
-    // analyzer used to ask the machine on every round, wanted or not:
-    // `available_parallelism` reads the affinity mask and the cgroup files
-    // into fresh buffers, fifty times a second under attack. A round with
-    // one key to convert, or none, has nothing to fan out; it must cost
-    // what it costs an analyzer pinned to one thread, which never asks, and
-    // a round in which nothing changed allocates nothing at all.
-    let (one_key, idle) = steady_round_costs(0);
     assert_eq!(
-        idle,
+        (after.0 - before.0, after.1 - before.1),
         (0, 0),
         "(allocations, bytes) of a round with no change"
-    );
-    assert_eq!(
-        one_key,
-        steady_round_costs(1).0,
-        "(allocations, bytes) of a one-key round, default workers vs one"
     );
 }
 
@@ -313,8 +284,6 @@ fn cold_conversion_is_linear_in_state_size() {
     let cold = |sources: usize| {
         let apps = flooded_apps(sources);
         let mut analyzer = Analyzer::offline(&apps);
-        // On this thread, whose allocations are the ones counted.
-        analyzer.set_threads(1);
         let mut best = (std::time::Duration::MAX, 0);
         for _ in 0..5 {
             analyzer.clear_conversion_cache();

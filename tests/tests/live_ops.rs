@@ -2,8 +2,9 @@
 //! async controller endpoint (`ofchannel`).
 //!
 //! These are the deployment-shaped checks: a blocking legacy switch
-//! completing its handshake against the async listener, the Prometheus and
-//! status endpoints answering while a connection swarm is live, and the
+//! completing its handshake against the async listener, the status
+//! endpoint naming a switch by its exact 64-bit datapath id, the Prometheus
+//! and status endpoints answering while a connection swarm is live, and the
 //! REST admin API steering a running FloodGuard deployment — blocklists
 //! dropping a flooder's packet_ins before they reach the controller apps,
 //! and threshold updates applied by the live telemetry tick.
@@ -116,6 +117,47 @@ fn blocking_switch_interops_with_async_listener() {
             controller.counters().frames_in >= 1
         }),
         "packet_in from the blocking switch never arrived"
+    );
+    drop(stream);
+}
+
+/// `/api/status` names a switch by its exact 64-bit datapath id: one above
+/// 2^53, which a detour through `f64` would round to its even neighbour.
+#[test]
+fn status_reports_a_dpid_above_2_pow_53_exactly() {
+    const DPID: u64 = (1 << 53) + 1;
+    let controller = ControllerEndpoint::listen(
+        Box::new(floodguard_controller(quiet_detection())),
+        "127.0.0.1:0".parse().unwrap(),
+        ControllerConfig::default(),
+    )
+    .unwrap();
+    let server =
+        OpsServer::spawn(OpsState::new().with_view(controller.view()), "127.0.0.1:0").unwrap();
+
+    let mut stream = TcpStream::connect(controller.local_addr().unwrap()).unwrap();
+    let features = FeaturesReply {
+        datapath_id: DatapathId(DPID),
+        n_buffers: 64,
+        n_tables: 1,
+        ports: vec![PortNo::Physical(1)],
+    };
+    handshake::accept(&mut stream, &features, &ChannelConfig::default()).unwrap();
+    assert!(
+        wait_for(Duration::from_secs(10), || {
+            controller.status().connected_switches == vec![DatapathId(DPID)]
+        }),
+        "async listener never registered the switch"
+    );
+
+    let status = ops::client::get(server.local_addr(), "/api/status").unwrap();
+    assert_eq!(status.status, 200);
+    assert!(
+        status
+            .body
+            .contains("\"connected_switches\":[9007199254740993]"),
+        "status body: {}",
+        status.body
     );
     drop(stream);
 }
