@@ -471,14 +471,6 @@ impl Analyzer {
     pub fn reset_installed(&mut self) {
         self.installed = Installed::Detached(Vec::new());
     }
-
-    /// Strict deletes removing every installed proactive rule.
-    pub fn teardown(&mut self) -> Vec<FlowMod> {
-        self.take_installed()
-            .iter()
-            .map(|r| FlowMod::delete_strict(r.of_match, r.priority))
-            .collect()
-    }
 }
 
 /// Brings `count` in line with the conversions that `moved` and returns
@@ -687,22 +679,6 @@ mod tests {
         analyzer.last_update_at = 0.0;
         assert!(!analyzer.should_update(true, UpdateStrategy::Interval(1.0), 0.5));
         assert!(analyzer.should_update(true, UpdateStrategy::Interval(1.0), 1.5));
-    }
-
-    #[test]
-    fn teardown_removes_all() {
-        let mut app = l2_app();
-        apps::l2_learning::learn_host(&mut app.env, MacAddr::from_u64(0xa), 1);
-        let mut analyzer = Analyzer::offline(std::slice::from_ref(&app));
-        let rules = analyzer.convert(std::slice::from_ref(&app));
-        analyzer.dispatch(rules, 1, 0.0);
-        let mods = analyzer.teardown();
-        assert_eq!(mods.len(), 1);
-        assert!(analyzer.installed().is_empty());
-        assert_eq!(
-            mods[0].command,
-            ofproto::flow_mod::FlowModCommand::DeleteStrict
-        );
     }
 
     #[test]

@@ -185,8 +185,6 @@ pub struct FloodGuardConfig {
     /// Cookie marking every rule FloodGuard installs (so cleanup removes
     /// exactly its own rules).
     pub cookie: u64,
-    /// Remove proactive rules when returning to Idle.
-    pub remove_proactive_on_idle: bool,
     /// Target controller utilization the adaptive rate limiter steers
     /// toward.
     pub target_controller_utilization: f64,
@@ -210,11 +208,6 @@ impl Default for FloodGuardConfig {
             rule_placement: RulePlacement::Switch,
             migration_priority: 0,
             cookie: 0x000F_100D_64AD,
-            // Proactive rules replace the applications' reactive rules in
-            // place (same match and priority); deleting them on Idle would
-            // tear down live forwarding state, so let idle timeouts age
-            // them out instead.
-            remove_proactive_on_idle: false,
             target_controller_utilization: 0.5,
             recovery: RecoveryConfig::default(),
             compression: None,

@@ -635,20 +635,6 @@ impl FloodGuard {
         }
     }
 
-    fn enter_idle(&mut self, out: &mut ControlOutput) {
-        if self.config.remove_proactive_on_idle {
-            let mods = self.analyzer.teardown();
-            for (dpid, _) in &self.switch_ports {
-                for fm in &mods {
-                    out.send(
-                        *dpid,
-                        OfMessage::new(ofproto::types::Xid(0), OfBody::FlowMod(fm.clone())),
-                    );
-                }
-            }
-        }
-    }
-
     /// Flags switch `dpid` for a rule-repair round. `fresh_evidence` (a
     /// reconnect) resets the attempt budget; a telemetry audit failure only
     /// re-arms an idle entry, so a switch that keeps reporting a short table
@@ -1024,7 +1010,6 @@ impl ControlPlane for FloodGuard {
                     && self.agent.cache_backlog() == 0
                     && self.sm.transition(State::Idle, now)
                 {
-                    self.enter_idle(out);
                     self.detector.reset_end_tracking();
                 } else if !self.agent.is_degraded()
                     && self.detector.is_attack(now)

@@ -85,13 +85,6 @@ impl ChannelConfig {
         self.reconnect_max = max;
         self
     }
-
-    /// Sets how many recent flow-mods are kept for post-reconnect replay
-    /// (0 disables resync).
-    pub fn with_resync_replay_cap(mut self, cap: usize) -> ChannelConfig {
-        self.resync_replay_cap = cap;
-        self
-    }
 }
 
 /// Doubles `current` toward [`ChannelConfig::reconnect_max`].

@@ -19,14 +19,14 @@
 
 use std::future::{poll_fn, Future};
 use std::io;
-use std::net::Shutdown;
+use std::net::{Shutdown, SocketAddr};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::task::{Poll, Waker};
 use std::time::{Duration, Instant};
 
 use bytes::{Bytes, BytesMut};
-use ofproto::messages::{OfBody, OfMessage};
+use ofproto::messages::{FeaturesReply, OfBody, OfMessage};
 use ofproto::types::Xid;
 use ofproto::wire;
 use parking_lot::Mutex;
@@ -34,6 +34,7 @@ use tokio::sync::mpsc;
 
 use crate::config::ChannelConfig;
 use crate::counters::ChannelCounters;
+use crate::handshake::{self, HandshakeError};
 
 /// Error from [`FrameSender::send`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -452,7 +453,8 @@ impl<E> Shared<E> {
     /// Runs one handshaken stream to completion under a fresh key, telling
     /// the owner — in this order — that it is connected, each message its
     /// reader yields (`Some`), and exactly once that it is closed (`None`).
-    /// Returns `false` when the owner is gone.
+    /// A stream that cannot be opened is a counted connect failure, reported
+    /// as closed only. Returns `false` when the owner is gone.
     pub(crate) async fn serve(
         &self,
         stream: tokio::net::TcpStream,
@@ -460,12 +462,12 @@ impl<E> Shared<E> {
         connected: impl FnOnce(u64, Conn) -> E,
         inbound: impl Fn(u64, Option<OfMessage>) -> E,
     ) -> bool {
+        let key = self.keys.fetch_add(1, Ordering::Relaxed);
         let Ok((conn, mut reader)) = open(stream, residue, &self.cfg, &self.budget, &self.counters)
         else {
             self.counters.record_connect_failure();
-            return true;
+            return self.events.send(inbound(key, None)).await.is_ok();
         };
-        let key = self.keys.fetch_add(1, Ordering::Relaxed);
         if self.events.send(connected(key, conn)).await.is_err() {
             return false;
         }
@@ -479,9 +481,9 @@ impl<E> Shared<E> {
     }
 }
 
-/// Accepts on `listener` for as long as its endpoint's runtime lives. Every
-/// dial is handed to a task of its own (`serve`), so a peer that connects
-/// and then says nothing holds up nobody else.
+/// Accepts on the controller's `listener` for as long as its runtime lives.
+/// Every dial is handed to a task of its own (`serve`), so a peer that
+/// connects and then says nothing holds up nobody else.
 pub(crate) async fn accept_each<F>(
     listener: std::net::TcpListener,
     serve: impl Fn(tokio::net::TcpStream) -> F,
@@ -500,6 +502,23 @@ pub(crate) async fn accept_each<F>(
         let _ = stream.set_nodelay(true);
         tokio::spawn(serve(stream));
     }
+}
+
+/// The switch side of every session: dials the controller at `addr` within
+/// [`ChannelConfig::connect_timeout`] and answers its handshake as
+/// `features`. Returns the stream and the handshake's over-read residue.
+pub(crate) async fn dial(
+    addr: SocketAddr,
+    features: &FeaturesReply,
+    cfg: &ChannelConfig,
+) -> Result<(tokio::net::TcpStream, BytesMut), HandshakeError> {
+    let connect = tokio::net::TcpStream::connect(addr);
+    let mut stream = tokio::time::timeout(cfg.connect_timeout, connect)
+        .await
+        .map_err(|_| HandshakeError::Timeout)??;
+    stream.set_nodelay(true)?;
+    let residue = handshake::accept_async(&mut stream, features, cfg).await?;
+    Ok((stream, residue))
 }
 
 #[cfg(test)]
@@ -544,8 +563,6 @@ mod tests {
     use std::io::{Read, Write};
     use std::sync::Barrier;
 
-    use crate::handshake;
-    use ofproto::messages::FeaturesReply;
     use ofproto::types::DatapathId;
 
     const BODY: usize = 16 * 1024;
@@ -851,10 +868,7 @@ mod tests {
             ports: Vec::new(),
         };
         let switch_side = tokio::spawn(async move {
-            let mut stream = tokio::net::TcpStream::connect(addr).await.expect("dial");
-            let residue = handshake::accept_async(&mut stream, &features, &cfg)
-                .await
-                .expect("acceptor");
+            let (stream, residue) = dial(addr, &features, &cfg).await.expect("dial");
             end(stream, residue, &cfg)
         });
         let (mut stream, _) = listener.accept().await.expect("accept");

@@ -35,22 +35,22 @@
 //! (counted as `budget_exhausted`) instead of growing memory without
 //! bound.
 //!
-//! Endpoints either dial a fixed target list ([`ControllerEndpoint::spawn`],
-//! with capped exponential backoff redial) or accept inbound switches on a
-//! listener ([`ControllerEndpoint::listen`], the many-switch shape). Both
-//! keep echo keepalive with a liveness timeout, and replay flow-mods from a
-//! bounded per-identity ring after a reconnect. Because live mode has no
-//! simulation engine to synthesize telemetry, the endpoint periodically
-//! assembles a [`Telemetry`] snapshot from what the controller can
-//! legitimately observe and feeds it to the control plane — this is what
-//! arms FloodGuard's detector in live deployments. What it cannot observe
-//! it does not make up: utilizations read zero, and a switch's flow count
-//! is `None` ("unobserved"), never 0, which would say "wiped". Nor does the
-//! endpoint poll for it: a frame the control plane did not ask for is a
-//! frame every switch has to answer, idle ones included. A control plane
-//! that wants the count asks the switches it cares about through its own
-//! output, as FloodGuard does while it is migrating, and reads the
-//! `StatsReply` in `on_message` like any other message.
+//! The endpoint only listens ([`ControllerEndpoint::listen`]): switches and
+//! caches dial it, as they dial a POX or ONOS controller, and redial it
+//! themselves when a session ends. It keeps echo keepalive with a liveness
+//! timeout, and replays flow-mods from a bounded per-identity ring after a
+//! reconnect. Because live mode has no simulation engine to synthesize
+//! telemetry, the endpoint periodically assembles a [`Telemetry`] snapshot
+//! from what the controller can legitimately observe and feeds it to the
+//! control plane — this is what arms FloodGuard's detector in live
+//! deployments. What it cannot observe it does not make up: utilizations
+//! read zero, and a switch's flow count is `None` ("unobserved"), never 0,
+//! which would say "wiped". Nor does the endpoint poll for it: a frame the
+//! control plane did not ask for is a frame every switch has to answer, idle
+//! ones included. A control plane that wants the count asks the switches it
+//! cares about through its own output, as FloodGuard does while it is
+//! migrating, and reads the `StatsReply` in `on_message` like any other
+//! message.
 
 use std::collections::hash_map::RandomState;
 use std::collections::{HashMap, HashSet, VecDeque};
@@ -62,7 +62,6 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use bytes::BytesMut;
 use netsim::iface::{ControlOutput, ControlPlane, DeviceId, SwitchTelemetry, Telemetry};
 use ofproto::flow_match::OfMatch;
 use ofproto::flow_mod::{FlowMod, FlowModCommand};
@@ -71,7 +70,7 @@ use ofproto::types::DatapathId;
 use parking_lot::Mutex;
 use tokio::sync::mpsc;
 
-use crate::config::{next_backoff, ChannelConfig};
+use crate::config::ChannelConfig;
 use crate::conn::{self, Conn};
 use crate::counters::{ChannelCounters, CountersSnapshot};
 use crate::{handshake, parse_device_dpid};
@@ -294,7 +293,7 @@ pub struct ControllerEndpoint {
     status: Arc<Mutex<ControllerStatus>>,
     tables: Tables,
     shutdown: Arc<AtomicBool>,
-    local_addr: Option<SocketAddr>,
+    local_addr: SocketAddr,
     handle: Option<JoinHandle<Box<dyn ControlPlane>>>,
 }
 
@@ -307,48 +306,26 @@ impl std::fmt::Debug for ControllerEndpoint {
 }
 
 impl ControllerEndpoint {
-    /// Starts dialing `targets` and serving `control` over the resulting
-    /// connections. Targets may be switch or device listeners in any
-    /// order; roles are learned from the handshake. Unreachable or dead
-    /// targets are redialed with capped exponential backoff.
-    pub fn spawn(
-        control: Box<dyn ControlPlane>,
-        targets: Vec<SocketAddr>,
-        config: ControllerConfig,
-    ) -> ControllerEndpoint {
-        ControllerEndpoint::start(control, Peers::Dial(targets), config)
-            .expect("spawn controller endpoint thread")
-    }
-
-    /// Binds `addr` and serves `control` over every inbound connection —
-    /// the many-switch deployment shape. The bound address is available
-    /// immediately via [`ControllerEndpoint::local_addr`].
+    /// Binds `addr` and serves `control` over every inbound connection.
+    /// Switches and caches dial in, in any order; roles are learned from the
+    /// handshake. The bound address is available immediately via
+    /// [`ControllerEndpoint::local_addr`].
     ///
     /// # Errors
     ///
-    /// Fails when the listener cannot bind.
+    /// Fails when the listener cannot bind or the endpoint's thread cannot
+    /// start.
     pub fn listen(
         control: Box<dyn ControlPlane>,
         addr: SocketAddr,
         config: ControllerConfig,
     ) -> io::Result<ControllerEndpoint> {
         let listener = std::net::TcpListener::bind(addr)?;
-        ControllerEndpoint::start(control, Peers::Listen(listener), config)
-    }
-
-    fn start(
-        control: Box<dyn ControlPlane>,
-        peers: Peers,
-        config: ControllerConfig,
-    ) -> io::Result<ControllerEndpoint> {
+        let local_addr = listener.local_addr()?;
         let counters = Arc::new(ChannelCounters::new());
         let status = Arc::new(Mutex::new(ControllerStatus::default()));
         let tables = Arc::new(Mutex::new(HashMap::new()));
         let shutdown = Arc::new(AtomicBool::new(false));
-        let local_addr = match &peers {
-            Peers::Dial(_) => None,
-            Peers::Listen(listener) => Some(listener.local_addr()?),
-        };
         let handle = {
             let counters = Arc::clone(&counters);
             let status = Arc::clone(&status);
@@ -356,7 +333,11 @@ impl ControllerEndpoint {
             let shutdown = Arc::clone(&shutdown);
             std::thread::Builder::new()
                 .name("ofchannel-controller".to_owned())
-                .spawn(move || run(control, peers, config, counters, status, tables, shutdown))?
+                .spawn(move || {
+                    run(
+                        control, listener, config, counters, status, tables, shutdown,
+                    )
+                })?
         };
         Ok(ControllerEndpoint {
             counters,
@@ -368,20 +349,15 @@ impl ControllerEndpoint {
         })
     }
 
-    /// The listener's bound address ([`ControllerEndpoint::listen`] mode
-    /// only).
+    /// The listener's bound address: where switches and caches dial.
+    /// Always `Some`.
     pub fn local_addr(&self) -> Option<SocketAddr> {
-        self.local_addr
+        Some(self.local_addr)
     }
 
     /// Current transport counters.
     pub fn counters(&self) -> CountersSnapshot {
         self.counters.snapshot()
-    }
-
-    /// The shared counters themselves, for observers that outlive calls.
-    pub fn counters_handle(&self) -> Arc<ChannelCounters> {
-        Arc::clone(&self.counters)
     }
 
     /// Current connection table.
@@ -416,11 +392,6 @@ impl Drop for ControllerEndpoint {
             let _ = handle.join();
         }
     }
-}
-
-enum Peers {
-    Dial(Vec<SocketAddr>),
-    Listen(std::net::TcpListener),
 }
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -499,7 +470,7 @@ type Shared = conn::Shared<Event>;
 
 fn run(
     control: Box<dyn ControlPlane>,
-    peers: Peers,
+    listener: std::net::TcpListener,
     config: ControllerConfig,
     counters: Arc<ChannelCounters>,
     status: Arc<Mutex<ControllerStatus>>,
@@ -518,22 +489,11 @@ fn run(
         config.global_send_budget,
         events_tx,
     );
-    match peers {
-        Peers::Dial(targets) => {
-            for addr in targets {
-                rt.spawn(dial_loop(addr, Arc::clone(&shared)));
-            }
-        }
-        Peers::Listen(listener) => {
-            let shared = Arc::clone(&shared);
-            rt.spawn(conn::accept_each(listener, move |stream| {
-                accepted(stream, Arc::clone(&shared))
-            }));
-        }
-    }
-    // The control loop holds the only receiver; connection tasks run on
-    // the workers while it blocks here.
-    drop(shared);
+    // Every inbound dial is a task of its own on the workers; the control
+    // loop holds the only receiver and blocks here.
+    rt.spawn(conn::accept_each(listener, move |stream| {
+        accepted(stream, Arc::clone(&shared))
+    }));
     let control = rt.block_on(control_loop(
         control, events_rx, config, counters, status, tables, shutdown,
     ));
@@ -541,63 +501,14 @@ fn run(
     control
 }
 
-async fn dial_loop(addr: SocketAddr, shared: Arc<Shared>) {
-    let mut backoff = shared.cfg.reconnect_base;
-    loop {
-        match dial_once(addr, &shared.cfg).await {
-            Ok((stream, features, residue)) => {
-                backoff = shared.cfg.reconnect_base;
-                if !serve_connection(stream, features, residue, &shared).await {
-                    return; // endpoint is gone
-                }
-                // The connection died; pause one base interval before
-                // redialing so a crash-looping peer is not hammered.
-                tokio::time::sleep(shared.cfg.reconnect_base).await;
-            }
-            Err(()) => {
-                shared.counters.record_connect_failure();
-                tokio::time::sleep(backoff).await;
-                backoff = next_backoff(&shared.cfg, backoff);
-            }
-        }
-    }
-}
-
-async fn dial_once(
-    addr: SocketAddr,
-    cfg: &ChannelConfig,
-) -> Result<(tokio::net::TcpStream, FeaturesReply, BytesMut), ()> {
-    let connect = tokio::net::TcpStream::connect(addr);
-    let mut stream = match tokio::time::timeout(cfg.connect_timeout, connect).await {
-        Ok(Ok(stream)) => stream,
-        Ok(Err(_)) | Err(_) => return Err(()),
-    };
-    let _ = stream.set_nodelay(true);
-    let (features, residue) = handshake::initiate_async(&mut stream, cfg)
-        .await
-        .map_err(|_| ())?;
-    Ok((stream, features, residue))
-}
-
-/// One inbound dial: handshake under its deadline, then the connection.
+/// One inbound dial: handshake under its deadline, then the connection,
+/// reported to the control loop. A dial that does not complete the handshake
+/// is a counted connect failure.
 async fn accepted(mut stream: tokio::net::TcpStream, shared: Arc<Shared>) {
-    match handshake::initiate_async(&mut stream, &shared.cfg).await {
-        Ok((features, residue)) => {
-            serve_connection(stream, features, residue, &shared).await;
-        }
-        Err(_) => shared.counters.record_connect_failure(),
-    }
-}
-
-/// Runs one handshaken connection to completion, reporting to the control
-/// loop. Returns `false` when the control loop is gone (callers should stop
-/// redialing).
-async fn serve_connection(
-    stream: tokio::net::TcpStream,
-    features: FeaturesReply,
-    residue: BytesMut,
-    shared: &Shared,
-) -> bool {
+    let Ok((features, residue)) = handshake::initiate_async(&mut stream, &shared.cfg).await else {
+        shared.counters.record_connect_failure();
+        return;
+    };
     let identity = match parse_device_dpid(features.datapath_id) {
         Some(device) => Identity::Device(device),
         None => Identity::Switch(features.datapath_id),
@@ -612,7 +523,7 @@ async fn serve_connection(
         Some(msg) => Event::Inbound { key, msg },
         None => Event::Closed { key },
     };
-    shared.serve(stream, residue, connected, inbound).await
+    shared.serve(stream, residue, connected, inbound).await;
 }
 
 #[allow(clippy::too_many_lines)]

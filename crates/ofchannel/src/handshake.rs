@@ -137,6 +137,9 @@ impl<'a> Handshake<'a> {
                     self.queue(&OfMessage::new(msg.xid, OfBody::EchoReply(data)));
                 }
                 (OfBody::FeaturesReply(theirs), None) => {
+                    if !self.saw_hello {
+                        return Err(HandshakeError::Unexpected("features_reply before hello"));
+                    }
                     return Ok(Some((Some(theirs), std::mem::take(&mut self.inbound))));
                 }
                 (OfBody::FeaturesRequest, Some(mine)) => {
@@ -580,9 +583,15 @@ mod tests {
     fn out_of_place_and_malformed_input_is_refused() {
         let mine = features();
         let feed = |machine: &mut Handshake<'_>, bytes: &[u8]| machine.feed(bytes);
-        match feed(&mut Handshake::acceptor(&mine), &frames(&[request()])) {
-            Err(HandshakeError::Unexpected("features_request before hello")) => {}
-            other => panic!("expected the ordering error, got {other:?}"),
+        let before_hello = [
+            (Handshake::acceptor(&mine), request(), "features_request"),
+            (Handshake::initiator(), reply(), "features_reply"),
+        ];
+        for (mut machine, msg, what) in before_hello {
+            match feed(&mut machine, &frames(&[msg])) {
+                Err(HandshakeError::Unexpected(e)) if e == format!("{what} before hello") => {}
+                other => panic!("expected {what} before hello, got {other:?}"),
+            }
         }
         for (mut machine, bytes) in [
             (Handshake::acceptor(&mine), frames(&[hello(), reply()])),

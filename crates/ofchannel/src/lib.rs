@@ -16,17 +16,20 @@
 //!   session and identifies the peer: one I/O-free state machine, driven
 //!   over `std::net` for plain-socket peers and over the runtime for the
 //!   endpoints.
-//! * [`switch_endpoint::SwitchEndpoint`] — a [`netsim::switch::Switch`]
-//!   (plus attached data-plane devices) served from a listening socket,
-//!   the way Open vSwitch serves a bridge in `ptcp` mode. One task owns the
-//!   switch; accepting and handshaking happen in tasks of their own, so a
-//!   peer that dials and says nothing holds nothing up.
 //! * [`controller_endpoint::ControllerEndpoint`] — a
 //!   [`netsim::iface::ControlPlane`] (the controller platform, optionally
-//!   wrapped by FloodGuard) dialing switches and caches or accepting them
-//!   on a listener, with echo keepalive, liveness timeouts, and
-//!   capped-exponential-backoff reconnect.
-//! * [`swarm`] — a fleet of simulated switches as tasks, for load.
+//!   wrapped by FloodGuard) served on a listening socket, with echo
+//!   keepalive, liveness timeouts and flow-mod replay after a reconnect.
+//!   Every session starts there: the controller only listens, and each
+//!   inbound dial is handshaken in a task of its own, so a peer that dials
+//!   and says nothing holds nothing up.
+//! * [`switch_endpoint::SwitchEndpoint`] — a [`netsim::switch::Switch`]
+//!   (plus attached data-plane devices) that dials the controller, the way
+//!   a Mininet switch dials a remote controller, and redials it with capped
+//!   exponential backoff. One task owns the switch; dialing and
+//!   handshaking happen in tasks of their own.
+//! * [`swarm`] — a fleet of simulated switches as tasks, for load; each
+//!   dials once, through the same routine.
 //! * [`counters::ChannelCounters`] — frames/bytes in/out, decode errors,
 //!   reconnects, backpressure rejections and queue high-water marks, so
 //!   channel saturation is measurable from outside.

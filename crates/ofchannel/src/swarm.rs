@@ -1,7 +1,8 @@
 //! A many-switch load harness for the async controller endpoint.
 //!
 //! Simulates a fleet of OpenFlow switches as lightweight async tasks on
-//! one shared runtime: each task dials the controller, completes the
+//! one shared runtime: each task dials the controller once, through the
+//! same routine a [`crate::SwitchEndpoint`] redials with, completes the
 //! HELLO/FEATURES handshake as datapath `base + i`, then generates
 //! table-miss `packet_in` traffic at a configured per-switch rate through
 //! the crate's one connection type (the `conn` module), whose reader drains
@@ -25,7 +26,6 @@ use parking_lot::Mutex;
 use crate::config::ChannelConfig;
 use crate::conn::{self, SendBudget, SendError};
 use crate::counters::ChannelCounters;
-use crate::handshake;
 
 /// Swarm shape and pacing.
 #[derive(Debug, Clone, Copy)]
@@ -200,7 +200,8 @@ async fn drive(shared: Arc<SwarmShared>) -> std::io::Result<SwarmReport> {
     })
 }
 
-/// One simulated switch: dial, handshake, then a frame-draining reader task
+/// One simulated switch: one dial (connect and handshake, each under its
+/// [`ChannelConfig`] deadline), then a frame-draining reader task
 /// beside a paced `packet_in` generator.
 async fn switch_task(addr: SocketAddr, index: usize, shared: Arc<SwarmShared>) {
     let cfg = shared.cfg;
@@ -209,11 +210,7 @@ async fn switch_task(addr: SocketAddr, index: usize, shared: Arc<SwarmShared>) {
     let started = Instant::now();
     let features = swarm_features(cfg.dpid_base + index as u64);
     let handshaken = async {
-        let mut stream = tokio::net::TcpStream::connect(addr).await.ok()?;
-        stream.set_nodelay(true).ok()?;
-        let residue = handshake::accept_async(&mut stream, &features, &cfg.channel)
-            .await
-            .ok()?;
+        let (stream, residue) = conn::dial(addr, &features, &cfg.channel).await.ok()?;
         let latency = started.elapsed();
         let ends = conn::open(
             stream,

@@ -1,13 +1,14 @@
 //! A netsim switch served live over TCP.
 //!
 //! The endpoint owns a [`netsim::switch::Switch`] plus its attached
-//! data-plane devices (FloodGuard's cache) and exposes them the way Open
-//! vSwitch exposes a bridge in `ptcp` mode: it listens, a controller
-//! connects, and the OpenFlow session runs over the socket. Each device
-//! gets its own listener — mirroring the paper's deployment where the data
-//! plane cache keeps a separate controller connection — and identifies
-//! itself during the handshake with a [`crate::DEVICE_DPID_FLAG`]-tagged
-//! datapath id.
+//! data-plane devices (FloodGuard's cache) and connects them the way a
+//! Mininet switch connects to a remote controller: it dials the controller's
+//! listener, answers the handshake, and the OpenFlow session runs over the
+//! socket. Each device dials a session of its own — mirroring the paper's
+//! deployment where the data plane cache keeps a separate controller
+//! connection — and identifies itself during the handshake with a
+//! [`crate::DEVICE_DPID_FLAG`]-tagged datapath id. A session that ends is
+//! redialed with capped exponential backoff.
 //!
 //! Packets enter the data plane via [`SwitchEndpoint::inject`]; misses
 //! become real `packet_in` frames on the wire, and `flow_mod`/`packet_out`
@@ -19,13 +20,15 @@
 //! One task on the endpoint's own small runtime owns the switch, the
 //! devices and the fault state, and waits on one queue: commands from the
 //! handle, reports from the connection tasks, the earliest timed duty.
-//! Listeners, handshakes, reads and writes are tasks of their own on the
+//! Dials, handshakes, reads and writes are tasks of their own on the
 //! crate's one connection type, so nothing a peer does — or fails to do —
-//! on a socket can hold the datapath, the device ticks or keepalive up.
+//! on a socket can hold the datapath, the device ticks or keepalive up. The
+//! owner starts a session's dial only while the session has none and its
+//! switch or device is up and reachable; a crashed or partitioned switch
+//! simply does not dial.
 
 use std::collections::{HashMap, HashSet};
-use std::net::{SocketAddr, TcpListener};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::net::SocketAddr;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -39,42 +42,27 @@ use ofproto::types::Xid;
 use parking_lot::Mutex;
 use tokio::sync::mpsc;
 
-use crate::config::ChannelConfig;
+use crate::config::{next_backoff, ChannelConfig};
 use crate::conn::{self, Conn};
 use crate::counters::{ChannelCounters, CountersSnapshot};
-use crate::{device_features, handshake};
+use crate::device_features;
 
 /// What the serving task waits on: commands from the handle and reports
-/// from the connection tasks. Reports for one `key` are ordered:
-/// `Connected`, then `Inbound`s, then exactly one `Closed`. `slot` 0 is the
-/// switch's own session, `1 + i` that of device `i`.
+/// from the connection tasks. `slot` 0 is the switch's own session, `1 + i`
+/// that of device `i`. A session has one dial task at a time, and it serves
+/// one connection, so a slot's reports are ordered: `Connected`, then
+/// `Inbound`s, then exactly one `Closed`, before the next dial starts.
 enum Event {
-    Inject {
-        in_port: u16,
-        packet: Packet,
-    },
+    Inject { in_port: u16, packet: Packet },
     Fault(Fault),
     Shutdown,
-    Connected {
-        slot: usize,
-        key: u64,
-        conn: Conn,
-    },
-    Inbound {
-        slot: usize,
-        key: u64,
-        msg: OfMessage,
-    },
-    Closed {
-        slot: usize,
-        key: u64,
-    },
+    Connected { slot: usize, conn: Conn },
+    Inbound { slot: usize, msg: OfMessage },
+    Closed { slot: usize },
 }
 
 /// Handle to a switch being served over TCP.
 pub struct SwitchEndpoint {
-    switch_addr: SocketAddr,
-    device_addrs: Vec<SocketAddr>,
     events: mpsc::Sender<Event>,
     counters: Arc<ChannelCounters>,
     telemetry: Arc<Mutex<SwitchTelemetry>>,
@@ -87,25 +75,25 @@ pub struct SwitchEndpoint {
 impl std::fmt::Debug for SwitchEndpoint {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("SwitchEndpoint")
-            .field("switch_addr", &self.switch_addr)
-            .field("device_addrs", &self.device_addrs)
-            .finish()
+            .field("counters", &self.counters())
+            .finish_non_exhaustive()
     }
 }
 
 impl SwitchEndpoint {
-    /// Starts serving `switch` on an ephemeral loopback port.
+    /// Starts serving `switch`, dialing the controller listening on
+    /// `controller` for its session.
     ///
-    /// `devices` attach data-plane devices by `(switch port, logic)`;
-    /// each gets its own listener whose address appears in
-    /// [`SwitchEndpoint::device_addrs`] at the same index.
+    /// `devices` attach data-plane devices by `(switch port, logic)`; each
+    /// dials a session of its own to the same controller.
     ///
     /// # Errors
     ///
-    /// Fails when a listener cannot be bound or the runtime cannot start.
+    /// Fails when the runtime cannot start.
     pub fn spawn(
         switch: Switch,
         devices: Vec<(u16, Box<dyn DataPlaneDevice>)>,
+        controller: SocketAddr,
         config: ChannelConfig,
     ) -> std::io::Result<SwitchEndpoint> {
         let rt = tokio::runtime::Runtime::new()?;
@@ -114,44 +102,28 @@ impl SwitchEndpoint {
         // One switch has no fleet to budget: only a connection's own queue
         // bound refuses frames here.
         let shared = conn::Shared::new(config, Arc::clone(&counters), usize::MAX, events.clone());
-        // Every listener gets an accept task of its own; the session state
-        // the serving task keeps for it shares the task's `refusing` flag.
-        let listen = |slot: usize, features: FeaturesReply| {
-            let listener = TcpListener::bind("127.0.0.1:0")?;
-            let addr = listener.local_addr()?;
-            let session = Session::default();
-            let refusing = Arc::clone(&session.refusing);
-            let (features, shared) = (Arc::new(features), Arc::clone(&shared));
-            rt.spawn(conn::accept_each(listener, move |stream| {
-                let (features, refusing) = (Arc::clone(&features), Arc::clone(&refusing));
-                accepted(stream, slot, features, refusing, Arc::clone(&shared))
-            }));
-            Ok::<_, std::io::Error>((addr, session))
-        };
-        let (switch_addr, session) = listen(0, switch.features())?;
-        let mut device_slots = Vec::new();
-        let mut device_addrs = Vec::new();
-        for (index, (port, logic)) in devices.into_iter().enumerate() {
-            let (addr, session) = listen(1 + index, device_features(index))?;
-            device_addrs.push(addr);
-            device_slots.push(DeviceSlot {
+        let device_slots = devices
+            .into_iter()
+            .map(|(port, logic)| DeviceSlot {
                 port,
                 logic,
-                session,
+                session: Session::default(),
                 last_tick: Instant::now(),
                 down: false,
                 restart_at: None,
-            });
-        }
+            })
+            .collect();
 
         let telemetry = Arc::new(Mutex::new(switch.telemetry(0.0)));
         let flow_rules = Arc::new(Mutex::new(Vec::new()));
         let serving = Serving {
             switch,
-            session,
+            session: Session::default(),
             devices: device_slots,
             faults: FaultState::new(),
             config,
+            controller,
+            shared,
             counters: Arc::clone(&counters),
             telemetry: Arc::clone(&telemetry),
             flow_rules: Arc::clone(&flow_rules),
@@ -165,8 +137,6 @@ impl SwitchEndpoint {
         let task = rt.spawn(serve(serving, events_rx));
 
         Ok(SwitchEndpoint {
-            switch_addr,
-            device_addrs,
             events,
             counters,
             telemetry,
@@ -174,16 +144,6 @@ impl SwitchEndpoint {
             task: Some(task),
             rt,
         })
-    }
-
-    /// Where the controller should connect for the switch session.
-    pub fn switch_addr(&self) -> SocketAddr {
-        self.switch_addr
-    }
-
-    /// Where the controller should connect for each device session.
-    pub fn device_addrs(&self) -> &[SocketAddr] {
-        &self.device_addrs
     }
 
     /// Queues a command for the serving task. When the task is so far
@@ -205,14 +165,15 @@ impl SwitchEndpoint {
     /// this live endpoint:
     ///
     /// * [`Fault::SwitchCrash`] wipes the switch state and kills the
-    ///   controller socket; until `restart_after` seconds have passed every
-    ///   dial is closed before a `HELLO` is sent (the switch-id field is
+    ///   controller socket; the switch does not dial again until
+    ///   `restart_after` seconds have passed (the switch-id field is
     ///   ignored — this endpoint *is* the switch).
     /// * [`Fault::ControlPartition`] / [`Fault::ControlHeal`] sever and
-    ///   restore the controller socket without touching switch state; dials
-    ///   in between are turned away the same way.
+    ///   restore the controller socket without touching switch state; the
+    ///   switch does not dial in between.
     /// * [`Fault::DeviceCrash`] wipes the indexed attached device, kills
-    ///   its controller socket and stops feeding it until restart.
+    ///   its controller socket and stops feeding it (and dialing for it)
+    ///   until restart.
     /// * [`Fault::LinkDown`] / [`Fault::LinkUp`] / [`Fault::LinkLoss`] drop
     ///   (or probabilistically lose) data-plane packets on the given port,
     ///   in both directions.
@@ -254,60 +215,66 @@ impl Drop for SwitchEndpoint {
             self.submit(Event::Shutdown);
             let _ = self.rt.block_on(task);
         }
-        // Dropping the runtime joins its threads and drops every accept and
+        // Dropping the runtime joins its threads and drops every dial and
         // connection task, which closes their sockets.
     }
 }
 
-/// One dial on listener `slot`: handshake under its deadline, then the
-/// connection, reporting to the serving task.
-async fn accepted(
-    mut stream: tokio::net::TcpStream,
+/// Session `slot`'s dial, after `pause`: dials the controller until a
+/// handshake completes, backing off from [`ChannelConfig::reconnect_base`]
+/// to [`ChannelConfig::reconnect_max`] after each counted failure, then
+/// serves that one connection, reporting to the serving task. The task ends
+/// with the connection, whose `Closed` report tells the owner so.
+async fn redial(
     slot: usize,
-    features: Arc<FeaturesReply>,
-    refusing: Arc<AtomicBool>,
+    pause: Duration,
+    controller: SocketAddr,
+    features: FeaturesReply,
     shared: Arc<conn::Shared<Event>>,
 ) {
-    // A crashed or partitioned endpoint completes no handshake: the dial is
-    // closed before a HELLO is sent.
-    if refusing.load(Ordering::SeqCst) {
-        return;
-    }
-    match handshake::accept_async(&mut stream, &features, &shared.cfg).await {
-        Ok(residue) => {
-            let connected = |key, conn| Event::Connected { slot, key, conn };
-            let inbound = |key, msg| match msg {
-                Some(msg) => Event::Inbound { slot, key, msg },
-                None => Event::Closed { slot, key },
-            };
-            shared.serve(stream, residue, connected, inbound).await;
+    tokio::time::sleep(pause).await;
+    let mut backoff = shared.cfg.reconnect_base;
+    let (stream, residue) = loop {
+        match conn::dial(controller, &features, &shared.cfg).await {
+            Ok(dialed) => break dialed,
+            Err(_) => {
+                shared.counters.record_connect_failure();
+                tokio::time::sleep(backoff).await;
+                backoff = next_backoff(&shared.cfg, backoff);
+            }
         }
-        Err(_) => shared.counters.record_connect_failure(),
-    }
+    };
+    let connected = |_, conn| Event::Connected { slot, conn };
+    let inbound = |_, msg| match msg {
+        Some(msg) => Event::Inbound { slot, msg },
+        None => Event::Closed { slot },
+    };
+    shared.serve(stream, residue, connected, inbound).await;
 }
 
-/// The serving task's side of one listener: the connection that currently
-/// carries the session, if any.
+/// The serving task's side of one session: the connection that currently
+/// carries it, if any.
 #[derive(Default)]
 struct Session {
-    /// The live connection and its key; reports carrying another key are
-    /// from a connection this one has superseded.
-    conn: Option<(u64, Conn)>,
+    /// The live connection; reports while there is none are from one
+    /// already severed or closed on arrival.
+    conn: Option<Conn>,
     connected_before: bool,
-    /// Read by the listener's accept task: dials are turned away while set.
-    refusing: Arc<AtomicBool>,
+    /// Whether the session's [`redial`] task is alive: from its start until
+    /// its connection's `Closed` report. One at a time.
+    dialing: bool,
 }
 
 impl Session {
     /// Sends on the connection if one is up; a refused frame is dropped.
     fn send(&self, msg: &OfMessage) {
-        if let Some((_, conn)) = &self.conn {
+        if let Some(conn) = &self.conn {
             let _ = conn.send(msg);
         }
     }
 
     fn sever(&mut self) {
-        if let Some((_, conn)) = self.conn.take() {
+        if let Some(conn) = self.conn.take() {
             conn.close();
         }
     }
@@ -319,7 +286,7 @@ struct DeviceSlot {
     session: Session,
     last_tick: Instant,
     /// Crashed and not yet restarted: packets to it are dropped, ticks
-    /// skipped, dials refused.
+    /// skipped, no dial started.
     down: bool,
     /// When the crashed device restarts; `None` while down means never.
     restart_at: Option<Instant>,
@@ -397,6 +364,9 @@ struct Serving {
     devices: Vec<DeviceSlot>,
     faults: FaultState,
     config: ChannelConfig,
+    /// Where every session dials.
+    controller: SocketAddr,
+    shared: Arc<conn::Shared<Event>>,
     counters: Arc<ChannelCounters>,
     telemetry: Arc<Mutex<SwitchTelemetry>>,
     flow_rules: Arc<Mutex<Vec<(OfMatch, u16, u64)>>>,
@@ -410,9 +380,12 @@ struct Serving {
 
 /// The serving task: waits for an event or the earliest timed duty, handles
 /// a batch of events, pumps the datapath, runs what is due. It never waits
-/// on a socket — accepting, handshaking, reading and writing all happen in
+/// on a socket — dialing, handshaking, reading and writing all happen in
 /// other tasks — so no peer can hold it up.
 async fn serve(mut s: Serving, mut events: mpsc::Receiver<Event>) -> Switch {
+    for slot in 0..=s.devices.len() {
+        s.dial(slot, Duration::ZERO);
+    }
     let mut datapath_pending = false;
     loop {
         // With packets still queued in the datapath the wait is zero: the
@@ -465,11 +438,28 @@ impl Serving {
         }
     }
 
-    /// The switch's listener turns dials away while the switch is down or
-    /// the control channel is partitioned.
-    fn regate(&mut self) {
-        let refuse = self.faults.switch_down || self.faults.partitioned;
-        self.session.refusing.store(refuse, Ordering::SeqCst);
+    /// Whether session `slot` must stay off the controller: its switch is
+    /// down or partitioned from it, or its device is down.
+    fn held(&self, slot: usize) -> bool {
+        match slot.checked_sub(1) {
+            None => self.faults.switch_down || self.faults.partitioned,
+            Some(index) => self.devices[index].down,
+        }
+    }
+
+    /// Starts session `slot`'s dial after `pause`, unless the session is
+    /// held or its dial task is still alive.
+    fn dial(&mut self, slot: usize, pause: Duration) {
+        if self.held(slot) || self.session_mut(slot).dialing {
+            return;
+        }
+        let features = match slot.checked_sub(1) {
+            None => self.switch.features(),
+            Some(index) => device_features(index),
+        };
+        self.session_mut(slot).dialing = true;
+        let shared = Arc::clone(&self.shared);
+        tokio::spawn(redial(slot, pause, self.controller, features, shared));
     }
 
     /// Due restarts from earlier crash faults.
@@ -478,14 +468,15 @@ impl Serving {
         if self.faults.switch_down && due(self.faults.switch_restart_at) {
             self.faults.switch_down = false;
             self.faults.switch_restart_at = None;
-            self.regate();
+            self.dial(0, Duration::ZERO);
         }
-        for dev in &mut self.devices {
+        for index in 0..self.devices.len() {
+            let dev = &mut self.devices[index];
             if dev.down && due(dev.restart_at) {
                 dev.down = false;
                 dev.restart_at = None;
                 dev.logic.on_restart(now);
-                dev.session.refusing.store(false, Ordering::SeqCst);
+                self.dial(1 + index, Duration::ZERO);
             }
         }
     }
@@ -500,21 +491,20 @@ impl Serving {
                 }
             }
             Event::Fault(fault) => self.apply_fault(fault),
-            Event::Connected { slot, key, conn } => {
-                let session = self.session_mut(slot);
-                if session.refusing.load(Ordering::SeqCst) {
+            Event::Connected { slot, conn } => {
+                if self.held(slot) {
                     // Its handshake was under way when the fault struck.
                     conn.close();
                     return true;
                 }
-                session.sever();
-                session.conn = Some((key, conn));
+                let session = self.session_mut(slot);
+                session.conn = Some(conn);
                 if std::mem::replace(&mut session.connected_before, true) {
                     self.counters.record_reconnect();
                 }
             }
-            Event::Inbound { slot, key, msg } => {
-                if self.session_mut(slot).conn.as_ref().map(|c| c.0) != Some(key) {
+            Event::Inbound { slot, msg } => {
+                if self.session_mut(slot).conn.is_none() {
                     return true;
                 }
                 match slot.checked_sub(1) {
@@ -533,11 +523,14 @@ impl Serving {
                     }
                 }
             }
-            Event::Closed { slot, key } => {
+            Event::Closed { slot } => {
+                // The dial task ends with its connection. Pause one base
+                // interval before the next, so that a controller that keeps
+                // closing sessions is not hammered.
                 let session = self.session_mut(slot);
-                if session.conn.as_ref().map(|c| c.0) == Some(key) {
-                    session.conn = None;
-                }
+                session.conn = None;
+                session.dialing = false;
+                self.dial(slot, self.config.reconnect_base);
             }
         }
         true
@@ -596,7 +589,7 @@ impl Serving {
         let sessions = std::iter::once(&mut self.session)
             .chain(self.devices.iter_mut().map(|d| &mut d.session));
         for session in sessions {
-            if let Some((_, conn)) = &mut session.conn {
+            if let Some(conn) = &mut session.conn {
                 conn.keepalive(&self.config, &mut self.xid, &self.counters);
             }
         }
@@ -662,18 +655,16 @@ impl Serving {
             }
             Fault::ControlPartition { .. } => {
                 self.faults.partitioned = true;
-                self.regate();
                 self.session.sever();
             }
             Fault::ControlHeal { .. } => {
                 self.faults.partitioned = false;
-                self.regate();
+                self.dial(0, Duration::ZERO);
             }
             Fault::SwitchCrash { restart_after, .. } => {
                 self.switch.crash();
                 self.faults.switch_down = true;
                 self.faults.switch_restart_at = restart_at(restart_after);
-                self.regate();
                 self.session.sever();
             }
             Fault::DeviceCrash { dev, restart_after } => {
@@ -681,7 +672,6 @@ impl Serving {
                     slot.logic.on_crash();
                     slot.down = true;
                     slot.restart_at = restart_at(restart_after);
-                    slot.session.refusing.store(true, Ordering::SeqCst);
                     slot.session.sever();
                 }
             }
@@ -689,5 +679,78 @@ impl Serving {
             // nothing to stall.
             Fault::ControllerStall { .. } => {}
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::handshake;
+    use netsim::SwitchProfile;
+    use ofproto::types::DatapathId;
+
+    /// The next dial a nonblocking `listener` receives, at most ten
+    /// seconds away.
+    fn next_dial(listener: &std::net::TcpListener) -> std::net::TcpStream {
+        let deadline = Instant::now() + Duration::from_secs(10);
+        loop {
+            if let Ok((stream, _)) = listener.accept() {
+                stream.set_nonblocking(false).expect("blocking");
+                return stream;
+            }
+            assert!(Instant::now() < deadline, "the switch stopped dialing");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+    }
+
+    /// A controller that drops the session is redialed one base interval
+    /// later; dials it then turns away before the handshake are counted
+    /// connect failures, each followed by a backoff that doubles up to the
+    /// cap; the session that completes at last is counted as one reconnect.
+    #[test]
+    fn a_dropped_session_is_redialed_with_doubling_backoff_up_to_the_cap() {
+        const REFUSED: usize = 5;
+        let base = Duration::from_millis(40);
+        let cap = 4 * base;
+        let cfg = ChannelConfig::default().with_backoff(base, cap);
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind");
+        listener.set_nonblocking(true).expect("nonblocking");
+        let switch = Switch::new(DatapathId(3), SwitchProfile::software(), vec![1]);
+        let controller = listener.local_addr().expect("addr");
+        let endpoint = SwitchEndpoint::spawn(switch, Vec::new(), controller, cfg).expect("spawn");
+
+        let mut first = next_dial(&listener);
+        let (features, _) = handshake::initiate(&mut first, &cfg).expect("first session");
+        assert_eq!(features.datapath_id, DatapathId(3));
+        let mut dialed = vec![Instant::now()];
+        drop(first);
+        for _ in 0..REFUSED {
+            drop(next_dial(&listener));
+            dialed.push(Instant::now());
+        }
+        let mut last = next_dial(&listener);
+        dialed.push(Instant::now());
+        handshake::initiate(&mut last, &cfg).expect("the session after the backoff");
+
+        // After the drop, the pause; after each refusal, the backoff.
+        let expected = [base, base, 2 * base, cap, cap, cap];
+        let gaps: Vec<Duration> = dialed.windows(2).map(|w| w[1] - w[0]).collect();
+        for (gap, want) in gaps.iter().zip(expected) {
+            assert!(
+                *gap >= want.mul_f64(0.9) && *gap < want + cap / 2,
+                "redial gaps {gaps:?}, expected about {expected:?}"
+            );
+        }
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while endpoint.counters().reconnects == 0 {
+            assert!(Instant::now() < deadline, "the reconnect was not counted");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        let snap = endpoint.counters();
+        assert_eq!(
+            (snap.reconnects, snap.connect_failures),
+            (1, REFUSED as u64)
+        );
+        drop(endpoint);
     }
 }

@@ -4,21 +4,25 @@
 //! this binary wires the same components over real loopback connections
 //! using the `ofchannel` transport:
 //!
-//! * a [`netsim::switch::Switch`] served from a listening socket (the way
-//!   Open vSwitch exposes a bridge in `ptcp` mode), with FloodGuard's data
-//!   plane cache attached on port 99 behind its own listener;
-//! * a [`floodguard::FloodGuard`]-wrapped l2-learning controller dialing
-//!   both listeners, with echo keepalive and backoff reconnect.
+//! * a [`floodguard::FloodGuard`]-wrapped l2-learning controller listening
+//!   on a socket, with echo keepalive, the way POX or ONOS listen for
+//!   Mininet's switches;
+//! * a [`netsim::switch::Switch`] that dials it, with FloodGuard's data
+//!   plane cache attached on port 99 dialing a session of its own; both
+//!   redial with backoff when a session ends.
 //!
 //! The run has three acts: benign traffic teaching the controller, a
 //! table-miss flood that trips the detector and migrates the flood into
 //! the cache, and a cooldown showing the transport counters — frames,
-//! backpressure rejections, queue high-water — after the storm.
+//! backpressure rejections, queue high-water — after the storm. It exits
+//! non-zero when the sessions do not come up within 10 s or nothing was
+//! re-raised from the cache.
 //!
 //! Run with: `cargo run -p floodguard-examples --release --bin live_channel`
 
 use std::net::Ipv4Addr;
-use std::time::Duration;
+use std::process::ExitCode;
+use std::time::{Duration, Instant};
 
 use controller::apps;
 use controller::platform::ControllerPlatform;
@@ -43,7 +47,7 @@ fn flow(seq: u64) -> Packet {
     )
 }
 
-fn main() {
+fn main() -> ExitCode {
     println!("FloodGuard over live TCP (loopback, ephemeral ports)\n");
 
     // Live mode has no engine feeding switch-internal telemetry, so the
@@ -71,6 +75,18 @@ fn main() {
     let cache_handle = floodguard.cache_handle();
     let cache = floodguard.build_cache();
 
+    let controller = ControllerEndpoint::listen(
+        Box::new(floodguard),
+        "127.0.0.1:0".parse().expect("loopback address"),
+        ControllerConfig {
+            telemetry_interval: Duration::from_millis(20),
+            ..ControllerConfig::default()
+        },
+    )
+    .expect("bind the controller listener");
+    let controller_addr = controller.local_addr().expect("a listening endpoint");
+    println!("controller listening on  {controller_addr}\n");
+
     let switch = Switch::new(
         DatapathId(1),
         SwitchProfile::software(),
@@ -79,27 +95,24 @@ fn main() {
     let endpoint = SwitchEndpoint::spawn(
         switch,
         vec![(CACHE_PORT, Box::new(cache))],
+        controller_addr,
         ChannelConfig::default(),
     )
-    .expect("bind switch listeners");
-    println!("switch listening on  {}", endpoint.switch_addr());
-    println!("cache  listening on  {}\n", endpoint.device_addrs()[0]);
+    .expect("start the switch endpoint");
 
-    let mut targets = vec![endpoint.switch_addr()];
-    targets.extend_from_slice(endpoint.device_addrs());
-    let controller = ControllerEndpoint::spawn(
-        Box::new(floodguard),
-        targets,
-        ControllerConfig {
-            telemetry_interval: Duration::from_millis(20),
-            ..ControllerConfig::default()
-        },
-    );
-
+    let deadline = Instant::now() + Duration::from_secs(10);
     while {
         let s = controller.status();
         s.connected_switches.len() != 1 || s.connected_devices.len() != 1
     } {
+        if Instant::now() >= deadline {
+            eprintln!(
+                "sessions not up within 10 s: {:?}, switch side {:?}",
+                controller.status(),
+                endpoint.counters()
+            );
+            return ExitCode::FAILURE;
+        }
         std::thread::sleep(Duration::from_millis(10));
     }
     println!("act 1: sessions up — HELLO/FEATURES handshakes complete");
@@ -213,4 +226,9 @@ fn main() {
         switch.stats.packet_ins,
         switch.table.len()
     );
+    if snap.stats.reraised == 0 {
+        eprintln!("nothing was re-raised from the cache");
+        return ExitCode::FAILURE;
+    }
+    ExitCode::SUCCESS
 }

@@ -50,19 +50,26 @@ fn idle_connection_pair_does_not_busy_poll() {
     };
 
     let channel = ChannelConfig::default();
-    let switch = Switch::new(DatapathId(1), SwitchProfile::software(), vec![1, 2]);
-    let endpoint = SwitchEndpoint::spawn(switch, Vec::new(), channel).unwrap();
-
     let mut platform = ControllerPlatform::new();
     platform.register(apps::l2_learning::program());
-    let controller = ControllerEndpoint::spawn(
+    let controller = ControllerEndpoint::listen(
         Box::new(platform),
-        vec![endpoint.switch_addr()],
+        "127.0.0.1:0".parse().unwrap(),
         ControllerConfig {
             channel,
             ..ControllerConfig::default()
         },
-    );
+    )
+    .unwrap();
+
+    let switch = Switch::new(DatapathId(1), SwitchProfile::software(), vec![1, 2]);
+    let endpoint = SwitchEndpoint::spawn(
+        switch,
+        Vec::new(),
+        controller.local_addr().unwrap(),
+        channel,
+    )
+    .unwrap();
 
     assert!(
         wait_for(Duration::from_secs(10), || {

@@ -527,6 +527,17 @@ fn twenty_live_episodes_on_one_system_stay_bounded_and_lose_nothing() {
     let cache_stats = fg.cache_handle();
     let cache = fg.build_cache();
     let watched = Watched::new(fg);
+    let controller_config = ControllerConfig {
+        channel: ChannelConfig::default().with_send_queue_cap(4096),
+        telemetry_interval: Duration::from_millis(20),
+        ..ControllerConfig::default()
+    };
+    let controller = ControllerEndpoint::listen(
+        Box::new(watched.clone()),
+        "127.0.0.1:0".parse().unwrap(),
+        controller_config,
+    )
+    .unwrap();
     let switch = Switch::new(
         DatapathId(1),
         SwitchProfile::software(),
@@ -535,18 +546,10 @@ fn twenty_live_episodes_on_one_system_stay_bounded_and_lose_nothing() {
     let endpoint = SwitchEndpoint::spawn(
         switch,
         vec![(CACHE_PORT, Box::new(cache))],
+        controller.local_addr().unwrap(),
         ChannelConfig::default(),
     )
     .unwrap();
-    let mut targets = vec![endpoint.switch_addr()];
-    targets.extend_from_slice(endpoint.device_addrs());
-    let controller_config = ControllerConfig {
-        channel: ChannelConfig::default().with_send_queue_cap(4096),
-        telemetry_interval: Duration::from_millis(20),
-        ..ControllerConfig::default()
-    };
-    let controller =
-        ControllerEndpoint::spawn(Box::new(watched.clone()), targets, controller_config);
     assert!(
         wait_for(Duration::from_secs(10), || {
             let status = controller.status();

@@ -1,8 +1,9 @@
 //! Integration tests for the live OpenFlow transport (`ofchannel`).
 //!
-//! Everything here runs over real loopback TCP with ephemeral ports: the
+//! Everything here runs over real loopback TCP with ephemeral ports, the
+//! controller listening and every switch and cache dialing it: the
 //! handshake, packet_in → flow_mod roundtrips through the l2-learning
-//! controller, survival of a mid-stream disconnect via backoff reconnect,
+//! controller, survival of a mid-stream disconnect via a redial,
 //! bounded-send-queue backpressure under flood, and the full FloodGuard
 //! defense loop (migration → cache → re-raised packet_in).
 //!
@@ -12,7 +13,7 @@
 
 use std::collections::HashSet;
 use std::io::{Read, Write};
-use std::net::{Ipv4Addr, TcpListener, TcpStream};
+use std::net::{Ipv4Addr, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
@@ -43,6 +44,18 @@ fn wait_for(deadline: Duration, mut probe: impl FnMut() -> bool) -> bool {
     false
 }
 
+/// A controller endpoint serving `control` on an ephemeral loopback port.
+fn listen(control: Box<dyn ControlPlane>, config: ControllerConfig) -> ControllerEndpoint {
+    ControllerEndpoint::listen(control, "127.0.0.1:0".parse().unwrap(), config).unwrap()
+}
+
+/// Where switches and caches dial `controller`.
+fn addr(controller: &ControllerEndpoint) -> SocketAddr {
+    controller
+        .local_addr()
+        .expect("a listening endpoint has an address")
+}
+
 fn udp_flow(seq: u64, wire_len: usize) -> Packet {
     Packet::udp(
         MacAddr::from_u64(0x10_0000 + seq),
@@ -59,16 +72,18 @@ fn udp_flow(seq: u64, wire_len: usize) -> Packet {
 /// app learns two hosts and installs a flow on the live switch.
 #[test]
 fn l2_learning_installs_flows_over_tcp() {
-    let switch = Switch::new(DatapathId(1), SwitchProfile::software(), vec![1, 2]);
-    let endpoint = SwitchEndpoint::spawn(switch, Vec::new(), ChannelConfig::default()).unwrap();
-
     let mut platform = ControllerPlatform::new();
     platform.register(apps::l2_learning::program());
-    let controller = ControllerEndpoint::spawn(
-        Box::new(platform),
-        vec![endpoint.switch_addr()],
-        ControllerConfig::default(),
-    );
+    let controller = listen(Box::new(platform), ControllerConfig::default());
+
+    let switch = Switch::new(DatapathId(1), SwitchProfile::software(), vec![1, 2]);
+    let endpoint = SwitchEndpoint::spawn(
+        switch,
+        Vec::new(),
+        addr(&controller),
+        ChannelConfig::default(),
+    )
+    .unwrap();
 
     assert!(
         wait_for(Duration::from_secs(10), || {
@@ -123,12 +138,13 @@ fn l2_learning_installs_flows_over_tcp() {
     drop(controller);
 }
 
-/// A controller facing a switch that dies mid-stream redials with backoff
-/// and completes a second handshake; the reconnect counter records it.
+/// A controller whose switch dies mid-stream keeps serving: the switch
+/// dials again, completes a second handshake, and the reconnect counter
+/// records it.
 #[test]
 fn controller_survives_mid_stream_disconnect() {
-    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-    let addr = listener.local_addr().unwrap();
+    let controller = listen(Box::new(NullControlPlane), ControllerConfig::default());
+    let addr = addr(&controller);
     let features = FeaturesReply {
         datapath_id: DatapathId(7),
         n_buffers: 64,
@@ -137,26 +153,19 @@ fn controller_survives_mid_stream_disconnect() {
     };
 
     // A hand-rolled switch: completes one handshake, drops the session,
-    // then accepts and holds a second one.
-    let server = std::thread::spawn(move || {
+    // then dials and holds a second one.
+    let switch = std::thread::spawn(move || {
         let cfg = ChannelConfig::default();
-        let (mut first, _) = listener.accept().unwrap();
+        let mut first = TcpStream::connect(addr).unwrap();
         handshake::accept(&mut first, &features, &cfg).unwrap();
         drop(first); // mid-stream disconnect
 
-        let (mut second, _) = listener.accept().unwrap();
+        let mut second = TcpStream::connect(addr).unwrap();
         handshake::accept(&mut second, &features, &cfg).unwrap();
         // Hold the session open until the controller shuts down.
         let mut sink = [0u8; 512];
-        use std::io::Read;
         while matches!(second.read(&mut sink), Ok(n) if n > 0) {}
     });
-
-    let controller = ControllerEndpoint::spawn(
-        Box::new(NullControlPlane),
-        vec![addr],
-        ControllerConfig::default(),
-    );
 
     assert!(
         wait_for(Duration::from_secs(10), || {
@@ -167,7 +176,7 @@ fn controller_survives_mid_stream_disconnect() {
     );
 
     drop(controller);
-    server.join().unwrap();
+    switch.join().unwrap();
 }
 
 /// A flood against a controller that stops reading fills the bounded send
@@ -176,13 +185,14 @@ fn controller_survives_mid_stream_disconnect() {
 #[test]
 fn flood_fills_bounded_send_queue() {
     const QUEUE_CAP: usize = 8;
-    let switch = Switch::new(DatapathId(1), SwitchProfile::software(), vec![1, 2]);
-    let cfg = ChannelConfig::default().with_send_queue_cap(QUEUE_CAP);
-    let endpoint = SwitchEndpoint::spawn(switch, Vec::new(), cfg).unwrap();
-
     // A fake controller that handshakes and then never reads again: the
     // kernel buffers fill, the writer blocks, the queue overflows.
-    let mut stream = TcpStream::connect(endpoint.switch_addr()).unwrap();
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let switch = Switch::new(DatapathId(1), SwitchProfile::software(), vec![1, 2]);
+    let cfg = ChannelConfig::default().with_send_queue_cap(QUEUE_CAP);
+    let endpoint =
+        SwitchEndpoint::spawn(switch, Vec::new(), listener.local_addr().unwrap(), cfg).unwrap();
+    let (mut stream, _) = listener.accept().unwrap();
     let (features, _residue) = handshake::initiate(&mut stream, &ChannelConfig::default()).unwrap();
     assert_eq!(features.datapath_id, DatapathId(1));
 
@@ -437,13 +447,20 @@ fn a_drain_is_stamped_with_the_time_it_starts() {
 }
 
 /// Garbage bytes after a clean handshake are counted as a decode error and
-/// kill only that session; the endpoint accepts a fresh connection after.
+/// kill only that session; the endpoint dials a fresh connection after.
 #[test]
 fn garbage_after_handshake_counts_decode_error() {
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
     let switch = Switch::new(DatapathId(1), SwitchProfile::software(), vec![1]);
-    let endpoint = SwitchEndpoint::spawn(switch, Vec::new(), ChannelConfig::default()).unwrap();
+    let endpoint = SwitchEndpoint::spawn(
+        switch,
+        Vec::new(),
+        listener.local_addr().unwrap(),
+        ChannelConfig::default(),
+    )
+    .unwrap();
 
-    let mut stream = TcpStream::connect(endpoint.switch_addr()).unwrap();
+    let (mut stream, _) = listener.accept().unwrap();
     let _ = handshake::initiate(&mut stream, &ChannelConfig::default()).unwrap();
     stream.write_all(&[0xde; 64]).unwrap();
 
@@ -454,8 +471,8 @@ fn garbage_after_handshake_counts_decode_error() {
         "garbage bytes were not counted as a decode error"
     );
 
-    // The listener is still serving: a well-behaved controller gets in.
-    let mut second = TcpStream::connect(endpoint.switch_addr()).unwrap();
+    // The switch dials again: a well-behaved controller gets it back.
+    let (mut second, _) = listener.accept().unwrap();
     let (features, _) = handshake::initiate(&mut second, &ChannelConfig::default()).unwrap();
     assert_eq!(features.datapath_id, DatapathId(1));
 }
@@ -492,6 +509,12 @@ fn floodguard_defense_loop_over_live_tcp() {
     let monitor = floodguard.monitor_handle();
     let cache = floodguard.build_cache();
 
+    let controller_config = ControllerConfig {
+        telemetry_interval: Duration::from_millis(20),
+        ..ControllerConfig::default()
+    };
+    let controller = listen(Box::new(floodguard), controller_config);
+
     let switch = Switch::new(
         DatapathId(1),
         SwitchProfile::software(),
@@ -500,17 +523,10 @@ fn floodguard_defense_loop_over_live_tcp() {
     let endpoint = SwitchEndpoint::spawn(
         switch,
         vec![(CACHE_PORT, Box::new(cache))],
+        addr(&controller),
         ChannelConfig::default(),
     )
     .unwrap();
-
-    let controller_config = ControllerConfig {
-        telemetry_interval: Duration::from_millis(20),
-        ..ControllerConfig::default()
-    };
-    let mut targets = vec![endpoint.switch_addr()];
-    targets.extend_from_slice(endpoint.device_addrs());
-    let controller = ControllerEndpoint::spawn(Box::new(floodguard), targets, controller_config);
 
     assert!(
         wait_for(Duration::from_secs(10), || {
@@ -668,9 +684,9 @@ impl<C: ControlPlane> ControlPlane for Tap<C> {
 /// Fault injection over real sockets: mid-defense, the live switch crashes
 /// (flow table wiped, TCP session cut) and restarts. The controller's
 /// post-reconnect replay plus FloodGuard's rule repair must reinstall the
-/// same defense rule set, and the transport must count the resync. While
-/// the switch is down it completes no handshake: the controller's redials
-/// fail and back off, and nothing from the switch reaches the control plane.
+/// same defense rule set, and the transport must count the one reconnect
+/// and its resync. While the switch is down it does not dial: no session,
+/// no dial and nothing from the switch reaches the controller.
 #[test]
 fn switch_crash_mid_defense_resyncs_rules() {
     const CACHE_PORT: u16 = 99;
@@ -696,6 +712,18 @@ fn switch_crash_mid_defense_resyncs_rules() {
     let monitor = floodguard.monitor_handle();
     let cache = floodguard.build_cache();
 
+    let controller_config = ControllerConfig {
+        telemetry_interval: Duration::from_millis(20),
+        ..ControllerConfig::default()
+    };
+    let log = Arc::new(TapLog::default());
+    let from_switch = &log.from_switch;
+    let tap = Tap {
+        inner: floodguard,
+        log: Arc::clone(&log),
+    };
+    let controller = listen(Box::new(tap), controller_config);
+
     let switch = Switch::new(
         DatapathId(1),
         SwitchProfile::software(),
@@ -704,23 +732,10 @@ fn switch_crash_mid_defense_resyncs_rules() {
     let endpoint = SwitchEndpoint::spawn(
         switch,
         vec![(CACHE_PORT, Box::new(cache))],
+        addr(&controller),
         ChannelConfig::default(),
     )
     .unwrap();
-
-    let controller_config = ControllerConfig {
-        telemetry_interval: Duration::from_millis(20),
-        ..ControllerConfig::default()
-    };
-    let mut targets = vec![endpoint.switch_addr()];
-    targets.extend_from_slice(endpoint.device_addrs());
-    let log = Arc::new(TapLog::default());
-    let from_switch = &log.from_switch;
-    let tap = Tap {
-        inner: floodguard,
-        log: Arc::clone(&log),
-    };
-    let controller = ControllerEndpoint::spawn(Box::new(tap), targets, controller_config);
 
     assert!(
         wait_for(Duration::from_secs(10), || {
@@ -756,16 +771,15 @@ fn switch_crash_mid_defense_resyncs_rules() {
         .collect();
     assert!(!before.is_empty());
 
-    let reconnects_before = controller.counters().reconnects;
-    let failures_before = controller.counters().connect_failures;
+    let before_crash = controller.counters();
     endpoint.inject_fault(Fault::SwitchCrash {
         sw: SwitchId(0),
         restart_after: 0.2,
     });
 
     // The outage, for as long as the switch is certainly still down (the
-    // cache's session stays up throughout): the flood goes on, the redials
-    // are refused, and the control plane hears nothing from the switch.
+    // cache's session stays up throughout): the flood goes on, the switch
+    // does not dial, and the control plane hears nothing from it.
     let certainly_down = Instant::now() + Duration::from_millis(120);
     assert!(wait_for(Duration::from_secs(10), || {
         controller.status().connected_switches.is_empty()
@@ -773,25 +787,21 @@ fn switch_crash_mid_defense_resyncs_rules() {
     let heard = from_switch.load(Ordering::SeqCst);
     loop {
         flood(&mut seq);
-        let mut dial = TcpStream::connect(endpoint.switch_addr()).unwrap();
-        let answer = handshake::initiate(&mut dial, &ChannelConfig::default());
         let seen = (
             from_switch.load(Ordering::SeqCst),
             controller.status().connected_switches.len(),
+            controller.counters().connect_failures,
         );
         if Instant::now() >= certainly_down {
             break; // what was just sampled may be from after the restart
         }
-        match answer {
-            Err(handshake::HandshakeError::Eof | handshake::HandshakeError::Io(_)) => {}
-            other => panic!("a crashed switch answered a dial: {other:?}"),
-        }
-        assert_eq!(seen, (heard, 0), "a session with a switch that is down");
+        assert_eq!(
+            seen,
+            (heard, 0, before_crash.connect_failures),
+            "a session, a frame or a dial from a switch that is down"
+        );
+        std::thread::sleep(Duration::from_millis(5));
     }
-    assert!(
-        controller.counters().connect_failures > failures_before,
-        "the controller's redials were not refused"
-    );
 
     // Keep the flood alive across the outage: the reconnect plus the
     // repair path must land every pre-crash defense rule again.
@@ -804,16 +814,17 @@ fn switch_crash_mid_defense_resyncs_rules() {
                 .filter(|&(_, _, c)| c == cookie)
                 .map(|(m, p, _)| (m, p))
                 .collect();
-            controller.counters().reconnects > reconnects_before && before.is_subset(&after)
+            controller.counters().reconnects > before_crash.reconnects && before.is_subset(&after)
         }),
         "defense rules were not reinstalled after the crash: before {:?}, after {:?}",
         before,
         endpoint.flow_rules()
     );
-    assert!(
-        controller.counters().resyncs >= 1,
-        "reconnect did not replay the flow-mod ring: {:?}",
-        controller.counters()
+    let after_crash = controller.counters();
+    assert_eq!(
+        (after_crash.reconnects, after_crash.resyncs),
+        (before_crash.reconnects + 1, before_crash.resyncs + 1),
+        "not one reconnect with its flow-mod replay: {after_crash:?}"
     );
 
     drop(controller);
@@ -870,6 +881,18 @@ fn a_defense_episode_sends_each_rule_once_and_asks_only_while_migrating() {
     let mut floodguard = live_floodguard(CACHE_PORT);
     let monitor = floodguard.monitor_handle();
     let cache = floodguard.build_cache();
+    // Room for the first rule burst: a shed flow_mod is a missing rule.
+    let controller_config = ControllerConfig {
+        channel: ChannelConfig::default().with_send_queue_cap(4096),
+        telemetry_interval: Duration::from_millis(20),
+        ..ControllerConfig::default()
+    };
+    let log = Arc::new(TapLog::default());
+    let tap = Tap {
+        inner: floodguard,
+        log: Arc::clone(&log),
+    };
+    let controller = listen(Box::new(tap), controller_config);
     let switch = Switch::new(
         DatapathId(1),
         SwitchProfile::software(),
@@ -878,24 +901,10 @@ fn a_defense_episode_sends_each_rule_once_and_asks_only_while_migrating() {
     let endpoint = SwitchEndpoint::spawn(
         switch,
         vec![(CACHE_PORT, Box::new(cache))],
+        addr(&controller),
         ChannelConfig::default(),
     )
     .unwrap();
-
-    // Room for the first rule burst: a shed flow_mod is a missing rule.
-    let controller_config = ControllerConfig {
-        channel: ChannelConfig::default().with_send_queue_cap(4096),
-        telemetry_interval: Duration::from_millis(20),
-        ..ControllerConfig::default()
-    };
-    let mut targets = vec![endpoint.switch_addr()];
-    targets.extend_from_slice(endpoint.device_addrs());
-    let log = Arc::new(TapLog::default());
-    let tap = Tap {
-        inner: floodguard,
-        log: Arc::clone(&log),
-    };
-    let controller = ControllerEndpoint::spawn(Box::new(tap), targets, controller_config);
     assert!(
         wait_for(Duration::from_secs(10), || {
             let status = controller.status();
@@ -1187,14 +1196,13 @@ fn a_table_emptied_behind_the_controllers_back_is_repaired_in_one_round() {
     drop(controller);
 }
 
-/// A peer that connects to a live switch's OpenFlow ports and says nothing
-/// costs the switch one parked handshake task per dial and nothing else:
-/// the established sessions stay up, keepalive is answered, packet_ins and
-/// flow_mods keep flowing, and the silent dials end as counted connect
-/// failures when their deadline passes. (The serving loop used to run the
-/// handshake inline, so one silent dial parked datapath, device ticks and
-/// echo replies for `handshake_timeout` and the controller declared the
-/// healthy switch dead.)
+/// A peer that dials the controller's listener and says nothing costs the
+/// controller one parked handshake task per dial and nothing else: the
+/// sessions of a connected switch and its cache stay up, keepalive is
+/// answered, packet_ins and flow_mods keep flowing, and the silent dials end
+/// as counted connect failures when their deadline passes. (An endpoint that
+/// ran the handshake inline would park its sessions for `handshake_timeout`
+/// on one silent dial, long enough for a healthy switch to be declared dead.)
 #[test]
 fn half_open_dial_does_not_take_a_healthy_switch_offline() {
     const CACHE_PORT: u16 = 99;
@@ -1220,23 +1228,25 @@ fn half_open_dial_does_not_take_a_healthy_switch_offline() {
     };
     let mut floodguard = FloodGuard::new(platform, fg_config, CACHE_PORT);
     let cache = floodguard.build_cache();
-    let switch = Switch::new(
-        DatapathId(1),
-        SwitchProfile::software(),
-        vec![1, 2, CACHE_PORT],
-    );
-    let endpoint =
-        SwitchEndpoint::spawn(switch, vec![(CACHE_PORT, Box::new(cache))], channel).unwrap();
-    let mut targets = vec![endpoint.switch_addr()];
-    targets.extend_from_slice(endpoint.device_addrs());
-    let controller = ControllerEndpoint::spawn(
+    let controller = listen(
         Box::new(floodguard),
-        targets,
         ControllerConfig {
             channel,
             ..ControllerConfig::default()
         },
     );
+    let switch = Switch::new(
+        DatapathId(1),
+        SwitchProfile::software(),
+        vec![1, 2, CACHE_PORT],
+    );
+    let endpoint = SwitchEndpoint::spawn(
+        switch,
+        vec![(CACHE_PORT, Box::new(cache))],
+        addr(&controller),
+        channel,
+    )
+    .unwrap();
     let both_up = || {
         let status = controller.status();
         status.connected_switches.len() == 1 && status.connected_devices.len() == 1
@@ -1247,9 +1257,11 @@ fn half_open_dial_does_not_take_a_healthy_switch_offline() {
     );
 
     let opened = Instant::now();
-    let _silent_switch = TcpStream::connect(endpoint.switch_addr()).unwrap();
-    let _silent_device = TcpStream::connect(endpoint.device_addrs()[0]).unwrap();
-    // Long enough for an endpoint that polls its listeners to have picked
+    let _silent = [
+        TcpStream::connect(addr(&controller)).unwrap(),
+        TcpStream::connect(addr(&controller)).unwrap(),
+    ];
+    // Long enough for an endpoint that polls its listener to have picked
     // the dials up.
     std::thread::sleep(Duration::from_millis(50));
 
@@ -1267,7 +1279,7 @@ fn half_open_dial_does_not_take_a_healthy_switch_offline() {
         "no flow installed within 1 s of the silent dials"
     );
     assert_eq!(
-        endpoint.counters().connect_failures,
+        controller.counters().connect_failures,
         0,
         "the round trip had to wait for a silent dial to time out ({:?} in)",
         opened.elapsed()
@@ -1288,10 +1300,10 @@ fn half_open_dial_does_not_take_a_healthy_switch_offline() {
 
     assert!(
         wait_for(Duration::from_secs(10), || {
-            endpoint.counters().connect_failures == 2
+            controller.counters().connect_failures == 2
         }),
         "the silent dials never timed out: {:?}",
-        endpoint.counters()
+        controller.counters()
     );
     assert!(opened.elapsed() >= channel.handshake_timeout);
     assert!(both_up());
@@ -1302,24 +1314,23 @@ fn half_open_dial_does_not_take_a_healthy_switch_offline() {
     drop(endpoint);
 }
 
-/// A partitioned switch completes no handshake: every dial is closed
-/// before a HELLO is sent, so the controller sees connect failures and backs
-/// off — never a session with a switch it cannot talk to, not one frame
-/// from it — and re-handshakes once the partition heals.
+/// A partitioned switch completes no handshake: it does not dial while the
+/// partition lasts, so the controller sees no session with a switch it
+/// cannot talk to, not one frame and not one dial from it — and the switch
+/// re-handshakes, once, when the partition heals.
 #[test]
 fn partitioned_switch_completes_no_handshake() {
-    let switch = Switch::new(DatapathId(1), SwitchProfile::software(), vec![1, 2]);
-    let endpoint = SwitchEndpoint::spawn(switch, Vec::new(), ChannelConfig::default()).unwrap();
     let channel =
         ChannelConfig::default().with_backoff(Duration::from_millis(5), Duration::from_millis(20));
-    let controller = ControllerEndpoint::spawn(
+    let controller = listen(
         Box::new(NullControlPlane),
-        vec![endpoint.switch_addr()],
         ControllerConfig {
             channel,
             ..ControllerConfig::default()
         },
     );
+    let switch = Switch::new(DatapathId(1), SwitchProfile::software(), vec![1, 2]);
+    let endpoint = SwitchEndpoint::spawn(switch, Vec::new(), addr(&controller), channel).unwrap();
     let connected = || controller.status().connected_switches.len();
     assert!(wait_for(Duration::from_secs(10), || connected() == 1));
 
@@ -1331,12 +1342,6 @@ fn partitioned_switch_completes_no_handshake() {
     let before = controller.counters();
     let cut = Instant::now();
     while cut.elapsed() < Duration::from_millis(60) {
-        // A dial of our own is turned away without a byte, and at once.
-        let mut dial = TcpStream::connect(endpoint.switch_addr()).unwrap();
-        match handshake::initiate(&mut dial, &ChannelConfig::default()) {
-            Err(handshake::HandshakeError::Eof | handshake::HandshakeError::Io(_)) => {}
-            other => panic!("a partitioned switch answered a dial: {other:?}"),
-        }
         // Misses raise packet_ins, which have nowhere to go.
         endpoint.inject(1, udp_flow(1, 100));
         assert_eq!(connected(), 0, "a session across the partition");
@@ -1345,9 +1350,9 @@ fn partitioned_switch_completes_no_handshake() {
     let during = controller.counters();
     assert_eq!(during.frames_in, before.frames_in);
     assert_eq!(during.reconnects, 0);
-    assert!(
-        during.connect_failures > before.connect_failures,
-        "the controller's redials were not refused"
+    assert_eq!(
+        during.connect_failures, before.connect_failures,
+        "a partitioned switch dialed"
     );
 
     endpoint.inject_fault(Fault::ControlHeal { sw: SwitchId(0) });

@@ -35,28 +35,33 @@ impl DataPlaneDevice for Sink {
     fn on_packet(&mut self, _pkt: Packet, _now: f64, _out: &mut DeviceOutput) {}
 }
 
-/// A switch with `devices` attached devices and a controller holding a
-/// session with each of the first `sessions` listeners (switch first).
-fn connected_pair(devices: u16, sessions: usize) -> (SwitchEndpoint, ControllerEndpoint) {
-    let ports: Vec<u16> = (1..=2 + devices).collect();
-    let switch = Switch::new(DatapathId(1), SwitchProfile::software(), ports);
-    let attached = (0..devices)
-        .map(|i| (3 + i, Box::new(Sink) as Box<dyn DataPlaneDevice>))
-        .collect();
-    let endpoint = SwitchEndpoint::spawn(switch, attached, ChannelConfig::default()).unwrap();
-    let mut targets = vec![endpoint.switch_addr()];
-    targets.extend_from_slice(endpoint.device_addrs());
-    targets.truncate(sessions);
-    let controller = ControllerEndpoint::spawn(
+/// A controller and a switch with `devices` attached devices, once the
+/// switch and every device hold a session with it.
+fn connected_pair(devices: u16) -> (SwitchEndpoint, ControllerEndpoint) {
+    let controller = ControllerEndpoint::listen(
         Box::new(NullControlPlane),
-        targets,
+        "127.0.0.1:0".parse().unwrap(),
         // The control loop looks at its stop flag once per wait, and never
         // waits past a telemetry tick: a short one keeps the rounds short.
         ControllerConfig {
             telemetry_interval: Duration::from_millis(2),
             ..ControllerConfig::default()
         },
-    );
+    )
+    .unwrap();
+    let ports: Vec<u16> = (1..=2 + devices).collect();
+    let switch = Switch::new(DatapathId(1), SwitchProfile::software(), ports);
+    let attached = (0..devices)
+        .map(|i| (3 + i, Box::new(Sink) as Box<dyn DataPlaneDevice>))
+        .collect();
+    let endpoint = SwitchEndpoint::spawn(
+        switch,
+        attached,
+        controller.local_addr().unwrap(),
+        ChannelConfig::default(),
+    )
+    .unwrap();
+    let sessions = 1 + usize::from(devices);
     let deadline = Instant::now() + Duration::from_secs(10);
     loop {
         let status = controller.status();
@@ -77,20 +82,20 @@ fn churn_leaves_threads_and_descriptors_flat_and_connections_cost_no_thread() {
     }
 
     // One round first: lazily created process state is not a leak.
-    drop(connected_pair(1, 2));
+    drop(connected_pair(1));
     let before = threads_and_fds();
     for _ in 0..100 {
-        let (endpoint, controller) = connected_pair(1, 2);
+        let (endpoint, controller) = connected_pair(1);
         drop(controller);
         drop(endpoint);
     }
     assert_eq!(threads_and_fds(), before, "(threads, fds) after 100 rounds");
 
     // Four sessions run on as many threads as one does.
-    let one = connected_pair(3, 1);
+    let one = connected_pair(0);
     let threads_with_one = threads_and_fds().0;
     drop(one);
-    let four = connected_pair(3, 4);
+    let four = connected_pair(3);
     assert_eq!(threads_and_fds().0, threads_with_one);
     drop(four);
     assert_eq!(threads_and_fds(), before);

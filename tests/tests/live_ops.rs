@@ -247,13 +247,20 @@ fn rest_admin_steers_live_floodguard() {
     let admin = fg.admin_handle();
     let monitor = fg.monitor_handle();
 
-    let switch = Switch::new(DatapathId(1), SwitchProfile::software(), vec![1, 2]);
-    let endpoint = SwitchEndpoint::spawn(switch, Vec::new(), ChannelConfig::default()).unwrap();
-    let controller = ControllerEndpoint::spawn(
+    let controller = ControllerEndpoint::listen(
         Box::new(fg),
-        vec![endpoint.switch_addr()],
+        "127.0.0.1:0".parse().unwrap(),
         ControllerConfig::default(),
-    );
+    )
+    .unwrap();
+    let switch = Switch::new(DatapathId(1), SwitchProfile::software(), vec![1, 2]);
+    let endpoint = SwitchEndpoint::spawn(
+        switch,
+        Vec::new(),
+        controller.local_addr().unwrap(),
+        ChannelConfig::default(),
+    )
+    .unwrap();
     let server = OpsServer::spawn(
         OpsState::new()
             .with_view(controller.view())
