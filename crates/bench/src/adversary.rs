@@ -1,5 +1,5 @@
 //! The adversary arena: every adaptive attacker ([`AdversaryProfile`])
-//! racing every [`arena::Defense`] backend on the shared Fig. 9 topology.
+//! racing every [`Defense`] on the shared Fig. 9 topology.
 //!
 //! Companion to [`crate::arena`], which sweeps open-loop floods by rate;
 //! this matrix instead fixes each attacker at its default tuning and asks
@@ -97,7 +97,7 @@ pub struct AdversaryCell {
     /// Forged reserved-band TOS tags stripped at switch ingress.
     pub spoofed_tags_stripped: u64,
     /// Normalized defense counters (zeros for the undefended row).
-    pub defense_stats: arena::DefenseStats,
+    pub defense_stats: crate::arena::DefenseStats,
     /// FloodGuard FSM transitions over the run (0 for other defenses); a
     /// pulsed flood that flaps the defense shows up as extra cycles here.
     pub fg_transitions: usize,

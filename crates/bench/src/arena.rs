@@ -1,5 +1,5 @@
-//! The defense arena: one scenario matrix racing every [`arena::Defense`]
-//! backend across attack mixes, rates and switch profiles.
+//! The defense arena: one scenario matrix racing every [`Defense`] across
+//! attack mixes, rates and switch profiles.
 //!
 //! The `defense_arena` bin drives this module; it lives in the library so
 //! the determinism regression test can run a reduced matrix twice and
@@ -26,6 +26,53 @@ pub const GATE_TOLERANCE: f64 = 0.25;
 /// collapsed cell (e.g. the undefended row at 800 PPS) is all noise in
 /// relative terms.
 pub const GATE_MIN_RETAINED: f64 = 0.1;
+
+/// Estimated bytes per packet queued in FloodGuard's data plane cache
+/// (packet headers + metadata + queue overhead) — the cache holds whole
+/// packets, which is why its state cost dwarfs the proxies' 4-tuples.
+pub const CACHE_ENTRY_BYTES: usize = 128;
+
+/// Normalized per-defense counters — every cell means the same thing in
+/// every arena row, so columns compare directly across defenses.
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
+pub struct DefenseStats {
+    /// Attack episodes the defense detected (0 for always-on datapath
+    /// defenses, which have no detector).
+    pub attacks_detected: u64,
+    /// Flow rules the defense itself installed (FloodGuard's proactive
+    /// rules, naive drop's drop-all rule; proxies install none).
+    pub rules_installed: u64,
+    /// Rules the defense removed again.
+    pub rules_removed: u64,
+    /// Flows/packets migrated from the defense to the controller
+    /// (FloodGuard: packets absorbed by the cache; proxies: validated
+    /// flows handed up).
+    pub migrations: u64,
+    /// TCP handshakes the defense validated (0 where no proxying happens).
+    pub handshakes_validated: u64,
+    /// Misses the defense forwarded toward the controller (FloodGuard:
+    /// rate-limited `packet_in`s the cache emitted; proxies: non-TCP
+    /// passthrough — their unprotected surface).
+    pub passed_through: u64,
+    /// Packets the defense dropped, per protocol class
+    /// (TCP/UDP/ICMP/other — FloodGuard's cache lane layout).
+    pub drops_by_class: [u64; 4],
+    /// Bytes of defense state held at the end of the run.
+    pub state_bytes: u64,
+    /// High-water mark of defense state over the run.
+    pub state_bytes_peak: u64,
+    /// What the applications had learned at the end of the run, as
+    /// (entries in their maps, entries in quarantine), where the defense
+    /// reports it (FloodGuard); `None` elsewhere.
+    pub learned_state: Option<(u64, u64)>,
+}
+
+impl DefenseStats {
+    /// Total drops across all protocol classes.
+    pub fn drops_total(&self) -> u64 {
+        self.drops_by_class.iter().sum()
+    }
+}
 
 /// Switch resource model under test.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -159,7 +206,7 @@ pub struct ArenaCell {
     /// Controller messages dropped at the full input queue.
     pub ctrl_dropped: u64,
     /// Normalized defense counters (zeros for the undefended row).
-    pub defense_stats: arena::DefenseStats,
+    pub defense_stats: DefenseStats,
 }
 
 impl ArenaCell {

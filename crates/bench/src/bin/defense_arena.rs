@@ -1,4 +1,4 @@
-//! Runs the **defense arena**: every `arena::Defense` backend (FloodGuard,
+//! Runs the **defense arena**: every `bench::Defense` contender (FloodGuard,
 //! AvantGuard, LineSwitch, SynCookies, naive drop, plus the undefended
 //! reference) across attack mixes (UDP / SYN / mixed), attack rates and
 //! switch profiles, on the shared Fig. 9 topology with identical seeds and

@@ -7,22 +7,20 @@
 
 use std::net::Ipv4Addr;
 
-use arena::{
-    AttachCtx, AvantGuardDefense, FloodGuardDefense, LineSwitchDefense, NaiveDropDefense,
-    SynCookiesDefense,
-};
-use baselines::lineswitch::LineSwitchConfig;
-use baselines::syncookies::SynCookiesConfig;
+use baselines::avantguard::{SynProxy, SynProxyHandle};
+use baselines::lineswitch::{LineSwitch, LineSwitchConfig, LineSwitchHandle};
+use baselines::naive_drop::{NaiveDrop, NaiveDropHandle};
+use baselines::syncookies::{SynCookies, SynCookiesConfig, SynCookiesHandle};
 use controller::apps;
 use controller::platform::ControllerPlatform;
 use floodguard::cache::CacheHandle;
 use floodguard::state::Transition;
-use floodguard::FloodGuardConfig;
+use floodguard::{DetectionConfig, FloodGuard, FloodGuardConfig, MonitorHandle};
 use netsim::adversary::{
     Adversary as _, AdversaryStats, BotnetFlood, BotnetFloodConfig, ProbeAndEvade,
     ProbeAndEvadeConfig, PulsedFlood, PulsedFloodConfig, SlowDrain, SlowDrainConfig, StatsHandle,
 };
-use netsim::engine::Simulation;
+use netsim::engine::{Simulation, SwitchId};
 use netsim::faults::Fault;
 use netsim::host::{
     Arrivals, BulkSender, MixedFlood, NewFlowProbe, SynFlood, TrafficSource, UdpFlood,
@@ -30,8 +28,10 @@ use netsim::host::{
 use netsim::packet::{FlowTag, Packet, Payload, Transport};
 use netsim::profile::SwitchProfile;
 use netsim::synstate::SynTracker;
-use ofproto::types::MacAddr;
+use ofproto::types::{DatapathId, MacAddr};
 use policy::Program;
+
+use crate::arena::{DefenseStats, CACHE_ENTRY_BYTES};
 
 /// MAC of benign sender h1 (port 1).
 pub const H1_MAC: MacAddr = MacAddr([0, 0, 0, 0, 0, 0x0a]);
@@ -50,9 +50,9 @@ pub const CACHE_PORT: u16 = 99;
 /// Switch port the standby cache hangs off (when enabled).
 pub const STANDBY_PORT: u16 = 98;
 
-/// Which defense protects the network. Every non-`None` variant resolves
-/// to an [`arena::Defense`] backend via [`Defense::build`], so scenarios
-/// wire all contenders through the same seam.
+/// Which defense protects the network — the one declaration of each
+/// contender. [`run`] attaches a variant with one `match` and turns what it
+/// attached into [`DefenseStats`] with a second.
 #[derive(Debug, Clone)]
 pub enum Defense {
     /// Bare reactive controller (the paper's "existing OpenFlow network").
@@ -70,26 +70,214 @@ pub enum Defense {
 }
 
 impl Defense {
-    /// The arena backend for this defense; `None` for the undefended
-    /// baseline.
-    pub fn build(&self) -> Option<Box<dyn arena::Defense>> {
+    /// Stable lowercase identifier used in table rows and JSON keys.
+    pub fn name(&self) -> &'static str {
         match self {
-            Defense::None => None,
-            Defense::FloodGuard(config) => Some(Box::new(FloodGuardDefense::new(*config))),
-            Defense::NaiveDrop => Some(Box::new(NaiveDropDefense::new())),
-            Defense::AvantGuard => Some(Box::new(AvantGuardDefense::default())),
-            Defense::LineSwitch(config) => Some(Box::new(LineSwitchDefense::new(*config))),
-            Defense::SynCookies(config) => Some(Box::new(SynCookiesDefense::new(*config))),
+            Defense::None => "none",
+            Defense::FloodGuard(_) => "floodguard",
+            Defense::NaiveDrop => "naive_drop",
+            Defense::AvantGuard => "avantguard",
+            Defense::LineSwitch(_) => "lineswitch",
+            Defense::SynCookies(_) => "syncookies",
         }
     }
+}
 
-    /// Stable lowercase identifier (the arena backend's name; "none" for
-    /// the undefended baseline).
-    pub fn name(&self) -> &'static str {
-        match self.build() {
-            None => "none",
-            Some(d) => d.name(),
+/// The handles an attached defense leaves for the run to read once the
+/// simulation has consumed the defense itself.
+enum Attached {
+    None,
+    FloodGuard {
+        monitor: MonitorHandle,
+        cache: CacheHandle,
+    },
+    NaiveDrop(NaiveDropHandle),
+    AvantGuard(SynProxyHandle),
+    LineSwitch(LineSwitchHandle),
+    SynCookies(SynCookiesHandle),
+}
+
+/// Inserts the scenario's defense between switch `sw`'s table-miss path and
+/// `platform`, and installs the control plane.
+fn attach(
+    scenario: &Scenario,
+    platform: ControllerPlatform,
+    sim: &mut Simulation,
+    sw: SwitchId,
+    hub: Option<&obs::ObsHandle>,
+) -> Attached {
+    let profile = scenario.profile;
+    match &scenario.defense {
+        Defense::None => {
+            sim.set_control_plane(Box::new(platform));
+            Attached::None
         }
+        // Construct, obs, cache device, optional standby, control plane: the
+        // order numbers the devices, which the checked-in results encode.
+        Defense::FloodGuard(config) => {
+            let mut fg = FloodGuard::new(platform, *config, CACHE_PORT);
+            if let Some(hub) = hub {
+                fg.attach_obs(hub);
+            }
+            let cache = fg.build_cache();
+            let attached = Attached::FloodGuard {
+                monitor: fg.monitor_handle(),
+                cache: fg.cache_handle(),
+            };
+            sim.attach_device(
+                sw,
+                CACHE_PORT,
+                Box::new(cache),
+                profile.channel_bandwidth,
+                profile.channel_latency,
+                1e-3,
+            );
+            if scenario.standby_cache {
+                let standby = fg.build_standby_cache(DatapathId(1), STANDBY_PORT);
+                sim.attach_device(
+                    sw,
+                    STANDBY_PORT,
+                    Box::new(standby),
+                    profile.channel_bandwidth,
+                    profile.channel_latency,
+                    1e-3,
+                );
+            }
+            sim.set_control_plane(Box::new(fg));
+            attached
+        }
+        Defense::NaiveDrop => {
+            let nd = NaiveDrop::new(platform, DetectionConfig::default());
+            let handle = nd.stats_handle();
+            sim.set_control_plane(Box::new(nd));
+            Attached::NaiveDrop(handle)
+        }
+        Defense::AvantGuard => {
+            // 100 000 pending handshakes, each given up after 5 s.
+            let mut proxy = SynProxy::new(100_000, 5.0);
+            if let Some(hub) = hub {
+                proxy.attach_obs(hub);
+            }
+            let handle = proxy.stats_handle();
+            sim.switch_mut(sw).set_miss_hook(Box::new(proxy));
+            sim.set_control_plane(Box::new(platform));
+            Attached::AvantGuard(handle)
+        }
+        Defense::LineSwitch(config) => {
+            let mut ls = LineSwitch::new(*config);
+            if let Some(hub) = hub {
+                ls.attach_obs(hub);
+            }
+            let handle = ls.stats_handle();
+            sim.switch_mut(sw).set_miss_hook(Box::new(ls));
+            sim.set_control_plane(Box::new(platform));
+            Attached::LineSwitch(handle)
+        }
+        Defense::SynCookies(config) => {
+            let mut sc = SynCookies::new(*config);
+            if let Some(hub) = hub {
+                sc.attach_obs(hub);
+            }
+            let handle = sc.stats_handle();
+            sim.switch_mut(sw).set_miss_hook(Box::new(sc));
+            sim.set_control_plane(Box::new(platform));
+            Attached::SynCookies(handle)
+        }
+    }
+}
+
+impl Attached {
+    /// The defense's counters, normalized so every arena column means the
+    /// same thing in every row; `None` for the undefended baseline.
+    fn stats(&self) -> Option<DefenseStats> {
+        Some(match self {
+            Attached::None => return None,
+            Attached::FloodGuard { monitor, cache } => {
+                let (fg, learned) = {
+                    let m = monitor.lock();
+                    let learned = (m.learned_entries as u64, m.quarantined_entries as u64);
+                    (m.stats, learned)
+                };
+                let cache = cache.lock().stats;
+                let mut drops_by_class = [0u64; 4];
+                for (class, drops) in drops_by_class.iter_mut().enumerate() {
+                    *drops = cache.dropped_front[class] + cache.dropped_arrival[class];
+                }
+                // The cache's fifth lane (priority) holds proactive-rule
+                // matches of any protocol; fold its drops into "other".
+                drops_by_class[3] += cache.dropped_front[4] + cache.dropped_arrival[4];
+                DefenseStats {
+                    attacks_detected: fg.attacks_detected,
+                    rules_installed: fg.proactive_installed,
+                    rules_removed: fg.proactive_removed,
+                    migrations: cache.received,
+                    handshakes_validated: 0,
+                    passed_through: cache.emitted,
+                    drops_by_class,
+                    state_bytes: (cache.queued * CACHE_ENTRY_BYTES) as u64,
+                    state_bytes_peak: (cache.queued_peak * CACHE_ENTRY_BYTES) as u64,
+                    learned_state: Some(learned),
+                }
+            }
+            Attached::NaiveDrop(handle) => {
+                let s = *handle.lock();
+                DefenseStats {
+                    attacks_detected: s.attacks_detected,
+                    rules_installed: s.drop_rules_installed,
+                    rules_removed: s.drop_rules_removed,
+                    // The drop-all rule kills misses in the datapath: nothing
+                    // is migrated, validated or even counted per class — the
+                    // defense is deliberately blind, which is the point of
+                    // the row.
+                    ..DefenseStats::default()
+                }
+            }
+            Attached::AvantGuard(handle) => {
+                let s = *handle.lock();
+                DefenseStats {
+                    attacks_detected: 0,
+                    rules_installed: s.rules_installed,
+                    rules_removed: 0,
+                    migrations: s.migrations,
+                    handshakes_validated: s.handshakes_validated,
+                    passed_through: s.passed_through,
+                    drops_by_class: s.drops_by_class,
+                    state_bytes: s.state_bytes,
+                    state_bytes_peak: s.state_bytes_peak,
+                    learned_state: None,
+                }
+            }
+            Attached::LineSwitch(handle) => {
+                let s = *handle.lock();
+                DefenseStats {
+                    attacks_detected: 0,
+                    rules_installed: 0,
+                    rules_removed: 0,
+                    migrations: s.handshakes_validated,
+                    handshakes_validated: s.handshakes_validated,
+                    passed_through: s.passed_through,
+                    drops_by_class: s.drops_by_class,
+                    state_bytes: s.state_bytes,
+                    state_bytes_peak: s.state_bytes_peak,
+                    learned_state: None,
+                }
+            }
+            Attached::SynCookies(handle) => {
+                let s = *handle.lock();
+                DefenseStats {
+                    attacks_detected: 0,
+                    rules_installed: 0,
+                    rules_removed: 0,
+                    migrations: s.cookies_validated,
+                    handshakes_validated: s.cookies_validated,
+                    passed_through: s.passed_through,
+                    drops_by_class: s.drops_by_class,
+                    state_bytes: s.state_bytes,
+                    state_bytes_peak: s.state_bytes_peak,
+                    learned_state: None,
+                }
+            }
+        })
     }
 }
 
@@ -344,7 +532,7 @@ impl Scenario {
 /// The measurements a scenario run produces.
 #[derive(Debug)]
 pub struct Outcome {
-    /// The simulation (inspect hosts, switch, recorder).
+    /// The simulation (inspect hosts, switch, drop counters).
     pub sim: Simulation,
     /// Goodput of the bulk flow at h2 over the attack window, bits/s.
     pub bandwidth_bps: f64,
@@ -362,9 +550,8 @@ pub struct Outcome {
     /// FloodGuard's cache handle (probe residency log, live stats), when
     /// the defense was FloodGuard.
     pub cache: Option<CacheHandle>,
-    /// Normalized per-defense counters ([`arena::DefenseStats`]), when a
-    /// defense was attached.
-    pub defense_stats: Option<arena::DefenseStats>,
+    /// Normalized per-defense counters, when a defense was attached.
+    pub defense_stats: Option<DefenseStats>,
     /// Final counters of the adaptive attacker, when one was attached.
     pub adversary_stats: Option<AdversaryStats>,
     /// The obs hub, when the scenario attached one ([`Scenario::obs`]).
@@ -408,24 +595,7 @@ pub fn run(scenario: &Scenario) -> Outcome {
     for program in &scenario.apps {
         platform.register(program.clone());
     }
-    let mut defense = scenario.defense.build();
-    match &mut defense {
-        None => sim.set_control_plane(Box::new(platform)),
-        Some(d) => {
-            let mut ctx = AttachCtx {
-                sim: &mut sim,
-                sw,
-                profile: scenario.profile,
-                cache_port: CACHE_PORT,
-                standby_port: STANDBY_PORT,
-                standby_cache: scenario.standby_cache,
-                obs: hub.as_ref(),
-            };
-            d.attach(platform, &mut ctx);
-        }
-    }
-    let fg_handle = defense.as_ref().and_then(|d| d.cache());
-    let fg_monitor = defense.as_ref().and_then(|d| d.monitor());
+    let attached = attach(scenario, platform, &mut sim, sw, hub.as_ref());
 
     // Workloads.
     if scenario.bulk {
@@ -528,9 +698,6 @@ pub fn run(scenario: &Scenario) -> Outcome {
     receiver.add_source(Box::new(recorder));
 
     sim.run_until(scenario.duration);
-    if let Some(d) = &mut defense {
-        d.detach(&mut sim);
-    }
 
     // Measurements.
     let meter = &sim.host(h2).meter;
@@ -548,13 +715,18 @@ pub fn run(scenario: &Scenario) -> Outcome {
         })
         .collect();
     let controller = sim.ctrl_stats;
-    let (fg_transitions, fg_stats) = fg_monitor
-        .map(|m| {
-            let monitor = m.lock();
-            (monitor.transitions.clone(), monitor.stats)
-        })
-        .unwrap_or_default();
-    let defense_stats = defense.as_ref().map(|d| d.stats());
+    let (fg_transitions, fg_stats, cache) = match &attached {
+        Attached::FloodGuard { monitor, cache } => {
+            let monitor = monitor.lock();
+            (
+                monitor.transitions.clone(),
+                monitor.stats,
+                Some(cache.clone()),
+            )
+        }
+        _ => Default::default(),
+    };
+    let defense_stats = attached.stats();
     let adversary_stats = adversary_handle.map(|h| h.get());
     Outcome {
         bandwidth_bps,
@@ -563,7 +735,7 @@ pub fn run(scenario: &Scenario) -> Outcome {
         fg_transitions,
         fg_stats,
         controller,
-        cache: fg_handle,
+        cache,
         defense_stats,
         adversary_stats,
         obs: hub,

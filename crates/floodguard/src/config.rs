@@ -179,9 +179,6 @@ pub struct FloodGuardConfig {
     pub update_strategy: UpdateStrategy,
     /// Where proactive rules live (switch TCAM vs the cache).
     pub rule_placement: RulePlacement,
-    /// Priority of the migration wildcard rules (lowest, so every real rule
-    /// wins).
-    pub migration_priority: u16,
     /// Cookie marking every rule FloodGuard installs (so cleanup removes
     /// exactly its own rules).
     pub cookie: u64,
@@ -206,7 +203,6 @@ impl Default for FloodGuardConfig {
             cache: CacheConfig::default(),
             update_strategy: UpdateStrategy::EveryChange,
             rule_placement: RulePlacement::Switch,
-            migration_priority: 0,
             cookie: 0x000F_100D_64AD,
             target_controller_utilization: 0.5,
             recovery: RecoveryConfig::default(),
@@ -225,7 +221,6 @@ mod tests {
         assert!(c.detection.score_threshold > 0.0 && c.detection.score_threshold <= 1.0);
         assert!(c.cache.min_rate_pps <= c.cache.base_rate_pps);
         assert!(c.cache.base_rate_pps <= c.cache.max_rate_pps);
-        assert_eq!(c.migration_priority, 0, "migration rules must lose to all");
         let weights = c.detection.rate_weight
             + c.detection.buffer_weight
             + c.detection.datapath_weight

@@ -56,6 +56,7 @@ pub mod state;
 use controller::platform::ControllerPlatform;
 use ofproto::actions::Action;
 use ofproto::flow_match::OfMatch;
+use ofproto::flow_mod::FlowMod;
 use ofproto::messages::{OfBody, OfMessage, StatsReply, StatsRequest};
 use ofproto::types::{DatapathId, PortNo, Xid};
 use policy::Provenance;
@@ -131,6 +132,8 @@ const TEARDOWN_XID: u32 = 0x4647_0000;
 struct Teardown {
     /// Switches whose barrier reply is outstanding.
     waiting: Vec<DatapathId>,
+    /// The strict deletes that went out, kept for a switch given up on.
+    deletes: Vec<(DatapathId, FlowMod)>,
     /// The barriers' xid.
     xid: Xid,
     /// When the deletes went out.
@@ -225,6 +228,12 @@ pub struct FloodGuard {
     device_dpids: Vec<DatapathId>,
     /// The teardown in progress in Finish, until the intake closes.
     teardown: Option<Teardown>,
+    /// The redirect rules' strict deletes owed to each switch a teardown
+    /// gave up on (it disconnected or stayed silent): they may never have
+    /// reached it, and the redirects have no timeout. Sent when the switch
+    /// next connects while nothing is migrating; Init cancels them all,
+    /// since its install supersedes them. One entry per switch at most.
+    owed_deletes: Vec<(DatapathId, Vec<FlowMod>)>,
     admin: AdminHandle,
     monitor: MonitorHandle,
     obs: Option<FgObs>,
@@ -270,6 +279,7 @@ impl FloodGuard {
             table_counts: Vec::new(),
             device_dpids: Vec::new(),
             teardown: None,
+            owed_deletes: Vec::new(),
             admin: AdminHandle::new(&config.detection),
             monitor: Arc::new(Mutex::new(Monitor::default())),
             obs: None,
@@ -516,9 +526,10 @@ impl FloodGuard {
 
     fn enter_init(&mut self, now: f64, out: &mut ControlOutput) {
         self.stats.attacks_detected += 1;
-        // A teardown still waiting is moot: the redirects come back and the
-        // intake stays open.
+        // A teardown still waiting is moot, and so are the deletes owed by
+        // an earlier one: the redirects come back and the intake stays open.
         self.teardown = None;
+        self.owed_deletes.clear();
         self.analyzer.reset_installed();
         self.table_counts.clear();
         // Migrate: per-port wildcard rules on every protected switch.
@@ -594,10 +605,11 @@ impl FloodGuard {
         self.stats.attacks_ended += 1;
         let xid = Xid(TEARDOWN_XID | (self.stats.attacks_ended as u32 & 0xffff));
         let mut waiting = Vec::new();
-        for (dpid, fm) in self.agent.delete_migration() {
-            out.send(dpid, OfMessage::new(Xid(0), OfBody::FlowMod(fm)));
-            if !waiting.contains(&dpid) {
-                waiting.push(dpid);
+        let deletes = self.agent.delete_migration();
+        for (dpid, fm) in &deletes {
+            out.send(*dpid, OfMessage::new(Xid(0), OfBody::FlowMod(fm.clone())));
+            if !waiting.contains(dpid) {
+                waiting.push(*dpid);
             }
         }
         for &dpid in &waiting {
@@ -605,6 +617,7 @@ impl FloodGuard {
         }
         self.teardown = Some(Teardown {
             waiting,
+            deletes,
             xid,
             since: now,
             answered: false,
@@ -614,16 +627,20 @@ impl FloodGuard {
 
     /// Advances the teardown by one telemetry tick; closes the cache's
     /// intake, and ends the teardown, once every switch has answered as of
-    /// the tick before. A switch silent for [`TEARDOWN_WAIT_S`] is no
-    /// longer waited for.
+    /// the tick before. A switch silent for [`TEARDOWN_WAIT_S`] is given
+    /// up on.
     fn step_teardown(&mut self, now: f64) {
+        let Some(t) = self.teardown.as_ref() else {
+            return;
+        };
+        if now - t.since >= TEARDOWN_WAIT_S {
+            for dpid in t.waiting.clone() {
+                self.give_up_on(dpid);
+            }
+        }
         let Some(t) = self.teardown.as_mut() else {
             return;
         };
-        if !t.waiting.is_empty() && now - t.since >= TEARDOWN_WAIT_S {
-            self.stats.teardown_unanswered += t.waiting.len() as u64;
-            t.waiting.clear();
-        }
         if !t.waiting.is_empty() {
             return;
         }
@@ -633,6 +650,28 @@ impl FloodGuard {
         } else {
             t.answered = true;
         }
+    }
+
+    /// Stops waiting for `dpid`'s answer to the teardown: the switch counts
+    /// as unanswered and is owed the strict deletes, which may never have
+    /// reached it.
+    fn give_up_on(&mut self, dpid: DatapathId) {
+        let Some(t) = self.teardown.as_mut() else {
+            return;
+        };
+        let Some(i) = t.waiting.iter().position(|d| *d == dpid) else {
+            return;
+        };
+        t.waiting.remove(i);
+        self.stats.teardown_unanswered += 1;
+        let deletes = t
+            .deletes
+            .iter()
+            .filter(|(d, _)| *d == dpid)
+            .map(|(_, fm)| fm.clone())
+            .collect();
+        self.owed_deletes.retain(|(d, _)| *d != dpid);
+        self.owed_deletes.push((dpid, deletes));
     }
 
     /// Flags switch `dpid` for a rule-repair round. `fresh_evidence` (a
@@ -841,16 +880,27 @@ impl ControlPlane for FloodGuard {
             }
             None => self.switch_ports.push((dpid, ports)),
         }
+        // Deletes and a barrier sent while the switch was away were lost:
+        // send them again if the teardown still waits for it, or send the
+        // deletes it is owed if the teardown gave up on it.
+        if let Some(t) = self.teardown.as_ref().filter(|t| t.waiting.contains(&dpid)) {
+            for (_, fm) in t.deletes.iter().filter(|(d, _)| *d == dpid) {
+                out.send(dpid, OfMessage::new(Xid(0), OfBody::FlowMod(fm.clone())));
+            }
+            out.send(dpid, OfMessage::new(t.xid, OfBody::BarrierRequest));
+        } else if !self.agent.is_migrating() {
+            if let Some(i) = self.owed_deletes.iter().position(|(d, _)| *d == dpid) {
+                for fm in self.owed_deletes.remove(i).1 {
+                    out.send(dpid, OfMessage::new(Xid(0), OfBody::FlowMod(fm)));
+                }
+            }
+        }
         self.platform.on_switch_connect(dpid, features, now, out);
     }
 
     fn on_switch_disconnect(&mut self, dpid: DatapathId, now: f64, _out: &mut ControlOutput) {
         // A switch gone mid-teardown cannot answer: stop waiting for it.
-        if let Some(t) = self.teardown.as_mut() {
-            let before = t.waiting.len();
-            t.waiting.retain(|d| *d != dpid);
-            self.stats.teardown_unanswered += (before - t.waiting.len()) as u64;
-        }
+        self.give_up_on(dpid);
         // Nothing can be sent while the switch is gone; owe it a repair so
         // the defense re-converges the moment it reconnects (belt-and-braces
         // with the reconnect path, and it covers liveness-timeout declares
@@ -1041,6 +1091,7 @@ mod tests {
     use super::*;
     use controller::apps;
     use netsim::iface::SwitchTelemetry;
+    use ofproto::flow_mod::FlowModCommand;
     use ofproto::messages::{FeaturesReply, PacketIn, PacketInReason};
     use ofproto::types::{MacAddr, PortNo, Xid};
     use std::net::Ipv4Addr;
@@ -1446,6 +1497,50 @@ mod tests {
         assert_eq!(fg.state(), State::Idle);
         assert_eq!(tick(&mut fg, &unobserved(), 2.4), (0, 0));
         assert_eq!(fg.stats.rules_repaired, 0);
+    }
+
+    /// (strict deletes, barrier requests) in `out`.
+    fn teardown_sent(out: &ControlOutput) -> (usize, usize) {
+        let mut sent = (0, 0);
+        for (_, m) in &out.messages {
+            match &m.body {
+                OfBody::FlowMod(fm) if fm.command == FlowModCommand::DeleteStrict => sent.0 += 1,
+                OfBody::BarrierRequest => sent.1 += 1,
+                _ => {}
+            }
+        }
+        sent
+    }
+
+    #[test]
+    fn a_switch_the_teardown_missed_gets_the_deletes_when_it_returns() {
+        let mut fg = fg_with_l2();
+        defend(&mut fg, &telemetry());
+        // Quiet cache: the attack ends; nobody answers the barrier.
+        let mut out = ControlOutput::new();
+        let mut now = 1.1;
+        while fg.state() == State::Defense && now < 5.0 {
+            now += 0.05;
+            out = ControlOutput::new();
+            fg.on_telemetry(&telemetry(), now, &mut out);
+        }
+        assert_eq!(fg.state(), State::Finish);
+        assert_eq!(teardown_sent(&out), (3, 1));
+        // Back while the teardown still waits: the deletes and the barrier
+        // again.
+        let mut out = ControlOutput::new();
+        fg.on_switch_connect(DatapathId(1), features(), now, &mut out);
+        assert_eq!(teardown_sent(&out), (3, 1));
+        // Gone mid-teardown: given up on, and owed the deletes until it
+        // returns, once.
+        fg.on_switch_disconnect(DatapathId(1), now, &mut ControlOutput::new());
+        assert_eq!(fg.stats.teardown_unanswered, 1);
+        let mut out = ControlOutput::new();
+        fg.on_switch_connect(DatapathId(1), features(), now, &mut out);
+        assert_eq!(teardown_sent(&out), (3, 0));
+        let mut out = ControlOutput::new();
+        fg.on_switch_connect(DatapathId(1), features(), now, &mut out);
+        assert_eq!(teardown_sent(&out), (0, 0));
     }
 
     #[test]

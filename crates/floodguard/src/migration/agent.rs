@@ -21,6 +21,10 @@ use crate::cache::CacheHandle;
 use crate::config::FloodGuardConfig;
 use crate::migration::tag;
 
+/// Priority of the migration wildcard rules: the lowest, so every real rule
+/// wins.
+const MIGRATION_PRIORITY: u16 = 0;
+
 /// One cache under the agent's management.
 #[derive(Debug)]
 struct CacheSlot {
@@ -253,7 +257,7 @@ impl MigrationAgent {
                         Action::Output(PortNo::Physical(self.cache_port)),
                     ],
                 )
-                .with_priority(self.config.migration_priority)
+                .with_priority(MIGRATION_PRIORITY)
                 .with_cookie(self.config.cookie),
             );
         }
@@ -291,12 +295,7 @@ impl MigrationAgent {
     pub fn delete_migration(&mut self) -> Vec<(DatapathId, FlowMod)> {
         self.installed
             .drain(..)
-            .map(|(dpid, of_match)| {
-                (
-                    dpid,
-                    FlowMod::delete_strict(of_match, self.config.migration_priority),
-                )
-            })
+            .map(|(dpid, of_match)| (dpid, FlowMod::delete_strict(of_match, MIGRATION_PRIORITY)))
             .collect()
     }
 
@@ -330,7 +329,7 @@ impl MigrationAgent {
                 (
                     dpid,
                     FlowMod::add(of_match, Vec::new())
-                        .with_priority(self.config.migration_priority)
+                        .with_priority(MIGRATION_PRIORITY)
                         .with_cookie(self.config.cookie),
                 )
             })

@@ -51,7 +51,7 @@ use crate::host::{Host, HostId};
 use crate::iface::{
     ControlOutput, ControlPlane, DataPlaneDevice, DeviceId, DeviceOutput, Telemetry,
 };
-use crate::metrics::{Recorder, UtilizationTracker};
+use crate::metrics::UtilizationTracker;
 use crate::packet::Packet;
 use crate::profile::{ControllerProfile, SwitchProfile};
 use crate::sched::EventQueue;
@@ -126,24 +126,62 @@ struct OutboxEntry {
     msg: OutMsg,
 }
 
-// Data-plane drop counters, merged into the recorder at each window's end.
-// Index order is the merge order.
-const DROP_NAMES: [&str; 7] = [
-    "link_down_drops",
-    "link_loss_drops",
-    "switch_down_drops",
-    "unconnected_drops",
-    "switch_ingress_drops",
-    "device_down_drops",
-    "control_partition_drops",
-];
-const D_LINK_DOWN: usize = 0;
-const D_LINK_LOSS: usize = 1;
-const D_SWITCH_DOWN: usize = 2;
-const D_UNCONNECTED: usize = 3;
-const D_SWITCH_INGRESS: usize = 4;
-const D_DEVICE_DOWN: usize = 5;
-const D_CONTROL_PARTITION: usize = 6;
+/// Why the simulator lost a packet or a control message outside a
+/// switch's own pipeline; [`Simulation::drops`] reads the cumulative count
+/// of each.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum DropCause {
+    /// A control message to or from a switch that is partitioned from the
+    /// controller or down.
+    ControlPartition,
+    /// A packet onto a link that is down.
+    LinkDown,
+    /// A packet lost by a lossy link's draw.
+    LinkLoss,
+    /// A packet reaching a crashed switch.
+    SwitchDown,
+    /// Packets a switch's ingress did not accept.
+    SwitchIngress,
+    /// A packet reaching a device that is down.
+    DeviceDown,
+    /// A packet out a port with nothing attached.
+    Unconnected,
+    /// A message arriving at the controller's full input queue (the same
+    /// count as [`ControllerStats::dropped`]).
+    ControllerQueue,
+}
+
+/// Causes the data plane counts itself, indexed by discriminant: every one
+/// but the controller queue, which is declared last for that reason.
+const DATA_PLANE_CAUSES: usize = 7;
+
+impl DropCause {
+    /// Every cause, in the alphabetical order of [`DropCause::name`].
+    pub const ALL: [DropCause; 8] = [
+        DropCause::ControlPartition,
+        DropCause::ControllerQueue,
+        DropCause::DeviceDown,
+        DropCause::LinkDown,
+        DropCause::LinkLoss,
+        DropCause::SwitchDown,
+        DropCause::SwitchIngress,
+        DropCause::Unconnected,
+    ];
+
+    /// The counter's name: the obs gauge `netsim.<name>` mirrors it.
+    pub fn name(self) -> &'static str {
+        match self {
+            DropCause::ControlPartition => "control_partition_drops",
+            DropCause::ControllerQueue => "controller_queue_drops",
+            DropCause::DeviceDown => "device_down_drops",
+            DropCause::LinkDown => "link_down_drops",
+            DropCause::LinkLoss => "link_loss_drops",
+            DropCause::SwitchDown => "switch_down_drops",
+            DropCause::SwitchIngress => "switch_ingress_drops",
+            DropCause::Unconnected => "unconnected_drops",
+        }
+    }
+}
 
 /// Deterministic per-entity RNG seed: splitmix64 over the simulation seed,
 /// the entity kind and its id. Each host and switch draws from its own
@@ -161,18 +199,18 @@ const KIND_HOST: u64 = 1;
 fn link_passes(
     link_down: &HashSet<(usize, u16)>,
     link_loss: &HashMap<(usize, u16), f64>,
-    drops: &mut [u64; DROP_NAMES.len()],
+    drops: &mut [u64; DATA_PLANE_CAUSES],
     rng: &mut StdRng,
     key: (usize, u16),
     batch: u32,
 ) -> bool {
     if link_down.contains(&key) {
-        drops[D_LINK_DOWN] += u64::from(batch);
+        drops[DropCause::LinkDown as usize] += u64::from(batch);
         return false;
     }
     if let Some(&p) = link_loss.get(&key) {
         if rng.gen_bool(p) {
-            drops[D_LINK_LOSS] += u64::from(batch);
+            drops[DropCause::LinkLoss as usize] += u64::from(batch);
             return false;
         }
     }
@@ -275,7 +313,8 @@ struct DataPlane {
     link_down: HashSet<(usize, u16)>,
     link_loss: HashMap<(usize, u16), f64>,
     outbox: Vec<OutboxEntry>,
-    drops: [u64; DROP_NAMES.len()],
+    /// Cumulative drops by [`DropCause`], but for the controller queue.
+    drops: [u64; DATA_PLANE_CAUSES],
     events_delta: u64,
     /// A host's emissions, or its answers to a delivery, being sent.
     emit_scratch: Vec<Packet>,
@@ -304,7 +343,7 @@ impl DataPlane {
             link_down: HashSet::new(),
             link_loss: HashMap::new(),
             outbox: Vec::new(),
-            drops: [0; DROP_NAMES.len()],
+            drops: [0; DATA_PLANE_CAUSES],
             events_delta: 0,
             emit_scratch: Vec::new(),
             forwards: Vec::new(),
@@ -377,7 +416,7 @@ impl DataPlane {
                 }
                 if self.sw_meta[sw].down {
                     for (_, pkt) in batch.drain(..) {
-                        self.drops[D_SWITCH_DOWN] += u64::from(pkt.batch);
+                        self.drops[DropCause::SwitchDown as usize] += u64::from(pkt.batch);
                     }
                 } else {
                     {
@@ -402,7 +441,8 @@ impl DataPlane {
                         self.maybe_schedule_switch(sw, now);
                     }
                     if offered > accepted {
-                        self.drops[D_SWITCH_INGRESS] += (offered - accepted) as u64;
+                        self.drops[DropCause::SwitchIngress as usize] +=
+                            (offered - accepted) as u64;
                     }
                 }
                 self.switch_batch = batch;
@@ -460,7 +500,7 @@ impl DataPlane {
                 }
                 if self.devices[dev].down {
                     for pkt in batch.drain(..) {
-                        self.drops[D_DEVICE_DOWN] += u64::from(pkt.batch);
+                        self.drops[DropCause::DeviceDown as usize] += u64::from(pkt.batch);
                     }
                 } else {
                     let mut out = std::mem::take(&mut self.device_scratch);
@@ -551,7 +591,7 @@ impl DataPlane {
                 });
             }
             Endpoint::Unconnected => {
-                self.drops[D_UNCONNECTED] += u64::from(pkt.batch);
+                self.drops[DropCause::Unconnected as usize] += u64::from(pkt.batch);
             }
         }
     }
@@ -562,7 +602,7 @@ impl DataPlane {
         let profile = self.switches[sw].profile;
         let meta = &mut self.sw_meta[sw];
         if meta.partitioned || meta.down {
-            self.drops[D_CONTROL_PARTITION] += 1;
+            self.drops[DropCause::ControlPartition as usize] += 1;
             return;
         }
         let tx = ofproto::wire::wire_len(&msg) as f64 / profile.channel_bandwidth;
@@ -642,8 +682,6 @@ pub struct Simulation {
     cpu_bucket: f64,
     started: bool,
     fault_log: Vec<FaultLogEntry>,
-    /// Metrics store.
-    pub recorder: Recorder,
     ctrl_scratch: ControlOutput,
     events_processed: u64,
     obs: Option<EngineObs>,
@@ -671,7 +709,6 @@ impl Simulation {
             cpu_bucket: 0.05,
             started: false,
             fault_log: Vec::new(),
-            recorder: Recorder::new(),
             ctrl_scratch: ControlOutput::new(),
             events_processed: 0,
             obs: None,
@@ -748,6 +785,7 @@ impl Simulation {
     /// Samples every engine/switch gauge and takes a recorder snapshot.
     fn obs_snapshot(&mut self, now: f64) {
         self.flush_obs();
+        let drops = DropCause::ALL.map(|cause| self.drops(cause));
         let Some(o) = self.obs.as_mut() else { return };
         o.queue_depth
             .set((self.gqueue.len() + self.dp.queue.len()) as f64);
@@ -786,14 +824,15 @@ impl Simulation {
             o.last_misses[gid] = s.stats.misses;
         }
         o.pool_occupancy.set(pool as f64);
-        // Mirror the legacy recorder counters (fault drops etc.) so the
-        // timeline unifies all three pre-existing telemetry surfaces.
-        // BTreeMap iteration keeps the mirror order deterministic.
-        for (name, &v) in &self.recorder.counters {
-            o.hub
-                .registry
-                .gauge(&format!("netsim.{name}"))
-                .set(v as f64);
+        // Mirror the drop counters, each from its first drop on, in name
+        // order.
+        for (cause, v) in DropCause::ALL.into_iter().zip(drops) {
+            if v > 0 {
+                o.hub
+                    .registry
+                    .gauge(&format!("netsim.{}", cause.name()))
+                    .set(v as f64);
+            }
         }
         o.hub.snapshot(now);
     }
@@ -1005,6 +1044,14 @@ impl Simulation {
         &self.fault_log
     }
 
+    /// Packets and messages lost to `cause` so far.
+    pub fn drops(&self, cause: DropCause) -> u64 {
+        match cause {
+            DropCause::ControllerQueue => self.ctrl_stats.dropped,
+            dp => self.dp.drops[dp as usize],
+        }
+    }
+
     /// Delivers a downstream control message into the data plane's queue.
     /// `arrive ≥ ready_at + tx + channel latency` is always ahead of the
     /// data plane's clock, so this never time-travels.
@@ -1012,7 +1059,7 @@ impl Simulation {
         let profile = self.dp.switches[sw].profile;
         let meta = &mut self.dp.sw_meta[sw];
         if meta.partitioned || meta.down {
-            self.recorder.count("control_partition_drops", 1);
+            self.dp.drops[DropCause::ControlPartition as usize] += 1;
             return;
         }
         let tx = ofproto::wire::wire_len(&msg) as f64 / profile.channel_bandwidth;
@@ -1031,7 +1078,7 @@ impl Simulation {
         let profile = self.dp.switches[sw].profile;
         let meta = &mut self.dp.sw_meta[sw];
         if meta.partitioned || meta.down {
-            self.recorder.count("control_partition_drops", 1);
+            self.dp.drops[DropCause::ControlPartition as usize] += 1;
             return;
         }
         let tx = ofproto::wire::wire_len(&msg) as f64 / profile.channel_bandwidth;
@@ -1185,19 +1232,13 @@ impl Simulation {
         self.flush_obs();
     }
 
-    /// The window's end: fold the data plane's counters in and apply its
+    /// The window's end: fold the data plane's event count in and apply its
     /// staged sends in canonical `(time, source entity, sequence)` order.
     fn end_window(&mut self) {
         let dp = &mut self.dp;
         self.events_processed += dp.events_delta;
         dp.events_delta = 0;
         self.clock = self.clock.max(dp.queue.now());
-        for (k, name) in DROP_NAMES.iter().enumerate() {
-            if dp.drops[k] > 0 {
-                self.recorder.count(name, dp.drops[k]);
-                dp.drops[k] = 0;
-            }
-        }
         dp.outbox.sort_unstable_by(|a, b| {
             a.at.total_cmp(&b.at)
                 .then(a.src.cmp(&b.src))
@@ -1221,7 +1262,6 @@ impl Simulation {
             GEv::CtrlArrive { src, msg } => {
                 if self.ctrl_queue.len() >= self.ctrl_profile.queue_limit {
                     self.ctrl_stats.dropped += 1;
-                    self.recorder.count("controller_queue_drops", 1);
                 } else {
                     self.ctrl_queue.push_back((src, msg));
                     if let Some(o) = &self.obs {
@@ -1308,17 +1348,10 @@ impl Simulation {
                         .utilization_at((now - self.maintenance_interval * 0.5).max(0.0))
                         .min(1.0);
                     telemetry.switches.push(s.telemetry(datapath_utilization));
-                    self.recorder.sample(
-                        &format!("switch{sw}_buffer"),
-                        now,
-                        s.buffer_utilization(),
-                    );
                 }
                 for (sw, msg) in upstream {
                     self.coord_send_up(sw, msg, now);
                 }
-                self.recorder
-                    .sample("controller_queue", now, self.ctrl_queue.len() as f64);
                 self.with_control_output(now, now, |control, out| {
                     control.on_telemetry(&telemetry, now, out)
                 });
@@ -1877,7 +1910,7 @@ mod tests {
             let received = sim.host(h2).received_packets;
             assert!(received > 0, "traffic before/after the outage");
             assert!(received < 100, "outage dropped packets: {received}");
-            assert!(sim.recorder.counter("link_down_drops") > 0);
+            assert!(sim.drops(DropCause::LinkDown) > 0);
             assert_eq!(sim.fault_log().len(), 2);
             assert_eq!(sim.fault_log()[0].at, 0.3);
         }
@@ -1897,7 +1930,7 @@ mod tests {
                 sim.run_until(1.5);
                 (
                     sim.host(h2).received_packets,
-                    sim.recorder.counter("link_loss_drops"),
+                    sim.drops(DropCause::LinkLoss),
                 )
             };
             let (recv_a, lost_a) = run();
@@ -1972,7 +2005,7 @@ mod tests {
             );
             assert_eq!(connects.load(Ordering::SeqCst), 2, "initial + post-restart");
             assert_eq!(disconnects.load(Ordering::SeqCst), 1);
-            assert!(sim.recorder.counter("switch_down_drops") > 0);
+            assert!(sim.drops(DropCause::SwitchDown) > 0);
         }
 
         #[test]
@@ -1995,7 +2028,7 @@ mod tests {
             assert_eq!(connects.load(Ordering::SeqCst), 2);
             assert_eq!(disconnects.load(Ordering::SeqCst), 1);
             assert!(
-                sim.recorder.counter("control_partition_drops") > 0,
+                sim.drops(DropCause::ControlPartition) > 0,
                 "packet_ins were dropped while partitioned"
             );
         }
@@ -2057,7 +2090,7 @@ mod tests {
                 "outage window: {delivered}"
             );
             assert_eq!(restarts.load(Ordering::SeqCst), 1);
-            assert!(sim.recorder.counter("device_down_drops") > 0);
+            assert!(sim.drops(DropCause::DeviceDown) > 0);
         }
     }
 
@@ -2126,7 +2159,7 @@ mod tests {
 
         /// `(events, controller messages processed, dropped, digest)`; the
         /// digest folds every host's receive count and delivery times (bit
-        /// patterns), the recorder counters and the fault log's length.
+        /// patterns), the nonzero drop counters and the fault log's length.
         type Fingerprint = (u64, u64, u64, u64);
 
         fn fingerprint(sim: &Simulation, hosts: &[(HostId, ArrivalLog)]) -> Fingerprint {
@@ -2138,9 +2171,13 @@ mod tests {
                     digest = fold(digest, t.to_bits());
                 }
             }
-            for (name, &v) in &sim.recorder.counters {
-                digest = name.bytes().fold(digest, |h, b| fold(h, u64::from(b)));
-                digest = fold(digest, v);
+            for cause in DropCause::ALL {
+                let v = sim.drops(cause);
+                if v > 0 {
+                    let name = cause.name();
+                    digest = name.bytes().fold(digest, |h, b| fold(h, u64::from(b)));
+                    digest = fold(digest, v);
+                }
             }
             digest = fold(digest, sim.fault_log().len() as u64);
             (
@@ -2188,12 +2225,7 @@ mod tests {
                 "and the reverse direction"
             );
             assert!(
-                sim.recorder
-                    .counters
-                    .get("link_loss_drops")
-                    .copied()
-                    .unwrap_or(0)
-                    > 0,
+                sim.drops(DropCause::LinkLoss) > 0,
                 "the lossy inter-switch link sampled drops"
             );
         }
@@ -2210,12 +2242,7 @@ mod tests {
             );
             sim.run_until(1.0);
             assert!(
-                sim.recorder
-                    .counters
-                    .get("switch_down_drops")
-                    .copied()
-                    .unwrap_or(0)
-                    > 0,
+                sim.drops(DropCause::SwitchDown) > 0,
                 "a mid-chain crash drops in-flight packets"
             );
             assert_eq!(sim.fault_log().len(), 2, "loss fault + crash fault");

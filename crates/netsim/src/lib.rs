@@ -67,11 +67,11 @@ pub use adversary::{
     Adversary, AdversaryStats, BotnetFlood, BotnetFloodConfig, ProbeAndEvade, ProbeAndEvadeConfig,
     PulsedFlood, PulsedFloodConfig, SlowDrain, SlowDrainConfig,
 };
-pub use engine::{Endpoint, Simulation, SwitchId};
+pub use engine::{DropCause, Endpoint, Simulation, SwitchId};
 pub use faults::{Fault, FaultLogEntry, FaultScript};
 pub use host::{Host, HostId, TrafficSource};
 pub use iface::{ControlOutput, ControlPlane, DataPlaneDevice, DeviceId, DeviceOutput, Telemetry};
-pub use metrics::{BandwidthMeter, Recorder, TimeSeries};
+pub use metrics::BandwidthMeter;
 pub use packet::{FlowTag, Packet, Payload, Transport};
 pub use profile::{ControllerProfile, SwitchProfile};
 pub use switch::{MissHook, MissOverride, Switch, SwitchStats};

@@ -1,6 +1,5 @@
-//! Measurement infrastructure: time series, counters and windowed rates.
-
-use std::collections::BTreeMap;
+//! Measurement infrastructure: bandwidth meters and CPU-utilization
+//! buckets.
 
 /// One `(time, value)` sample.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -9,65 +8,6 @@ pub struct Sample {
     pub t: f64,
     /// Observed value.
     pub v: f64,
-}
-
-/// A named append-only time series.
-#[derive(Debug, Clone, Default)]
-pub struct TimeSeries {
-    samples: Vec<Sample>,
-}
-
-impl TimeSeries {
-    /// Creates an empty series.
-    pub fn new() -> TimeSeries {
-        TimeSeries::default()
-    }
-
-    /// Appends a sample.
-    pub fn push(&mut self, t: f64, v: f64) {
-        self.samples.push(Sample { t, v });
-    }
-
-    /// All samples, in insertion order.
-    pub fn samples(&self) -> &[Sample] {
-        &self.samples
-    }
-
-    /// Number of samples.
-    pub fn len(&self) -> usize {
-        self.samples.len()
-    }
-
-    /// Whether the series is empty.
-    pub fn is_empty(&self) -> bool {
-        self.samples.is_empty()
-    }
-
-    /// Mean of values in the half-open window `[from, to)`.
-    pub fn mean_in(&self, from: f64, to: f64) -> Option<f64> {
-        let mut sum = 0.0;
-        let mut n = 0usize;
-        for s in &self.samples {
-            if s.t >= from && s.t < to {
-                sum += s.v;
-                n += 1;
-            }
-        }
-        if n == 0 {
-            None
-        } else {
-            Some(sum / n as f64)
-        }
-    }
-
-    /// Maximum value in `[from, to)`.
-    pub fn max_in(&self, from: f64, to: f64) -> Option<f64> {
-        self.samples
-            .iter()
-            .filter(|s| s.t >= from && s.t < to)
-            .map(|s| s.v)
-            .fold(None, |acc, v| Some(acc.map_or(v, |a: f64| a.max(v))))
-    }
 }
 
 /// Accumulates byte deliveries and reports achieved bandwidth.
@@ -221,63 +161,10 @@ impl UtilizationTracker {
     }
 }
 
-/// Central metrics store for one simulation run.
-#[derive(Debug, Clone, Default)]
-pub struct Recorder {
-    /// Named scalar counters.
-    pub counters: BTreeMap<String, u64>,
-    /// Named time series.
-    pub series: BTreeMap<String, TimeSeries>,
-}
-
-impl Recorder {
-    /// Creates an empty recorder.
-    pub fn new() -> Recorder {
-        Recorder::default()
-    }
-
-    /// Increments counter `name` by `by`.
-    pub fn count(&mut self, name: &str, by: u64) {
-        // The key is copied only the first time it is counted.
-        match self.counters.get_mut(name) {
-            Some(n) => *n += by,
-            None => {
-                self.counters.insert(name.to_owned(), by);
-            }
-        }
-    }
-
-    /// Reads counter `name` (zero when absent).
-    pub fn counter(&self, name: &str) -> u64 {
-        self.counters.get(name).copied().unwrap_or(0)
-    }
-
-    /// Appends a sample to series `name`.
-    pub fn sample(&mut self, name: &str, t: f64, v: f64) {
-        self.series.entry(name.to_owned()).or_default().push(t, v);
-    }
-
-    /// Looks up series `name`.
-    pub fn get_series(&self, name: &str) -> Option<&TimeSeries> {
-        self.series.get(name)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn time_series_window_stats() {
-        let mut ts = TimeSeries::new();
-        for i in 0..10 {
-            ts.push(f64::from(i), f64::from(i * 10));
-        }
-        assert_eq!(ts.mean_in(0.0, 5.0), Some(20.0));
-        assert_eq!(ts.max_in(0.0, 10.0), Some(90.0));
-        assert_eq!(ts.mean_in(100.0, 200.0), None);
-        assert_eq!(ts.len(), 10);
-    }
+    use std::collections::BTreeMap;
 
     #[test]
     fn bandwidth_meter_bps() {
@@ -449,18 +336,5 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn recorder_counters_and_series() {
-        let mut r = Recorder::new();
-        r.count("drops", 3);
-        r.count("drops", 2);
-        assert_eq!(r.counter("drops"), 5);
-        assert_eq!(r.counter("missing"), 0);
-        r.sample("bw", 0.0, 1.0);
-        r.sample("bw", 1.0, 2.0);
-        assert_eq!(r.get_series("bw").unwrap().len(), 2);
-        assert!(r.get_series("nope").is_none());
     }
 }

@@ -16,8 +16,6 @@ pub struct ChannelConfig {
     /// (frames the writer has already taken for its next `write_all` no
     /// longer count).
     pub send_queue_cap: usize,
-    /// Bytes asked of the socket per `read` call.
-    pub read_chunk: usize,
     /// How often an idle connection probes its peer with `echo_request`.
     pub echo_interval: Duration,
     /// Silence on the receive side longer than this declares the peer dead.
@@ -30,10 +28,6 @@ pub struct ChannelConfig {
     pub reconnect_base: Duration,
     /// Ceiling for the exponential backoff between retries.
     pub reconnect_max: Duration,
-    /// How often attached data-plane devices are ticked (drives the cache's
-    /// rate-limited `packet_in` re-raising), matching the engine's
-    /// fixed-interval device ticks.
-    pub device_tick_interval: Duration,
     /// How many recent flow-mod frames the controller endpoint keeps per
     /// connection for replay after a reconnect (state resync). Flow-mods are
     /// idempotent — an `Add` with an identical match and priority replaces
@@ -45,14 +39,12 @@ impl Default for ChannelConfig {
     fn default() -> ChannelConfig {
         ChannelConfig {
             send_queue_cap: 256,
-            read_chunk: 16 * 1024,
             echo_interval: Duration::from_millis(500),
             liveness_timeout: Duration::from_secs(3),
             handshake_timeout: Duration::from_secs(5),
             connect_timeout: Duration::from_secs(2),
             reconnect_base: Duration::from_millis(25),
             reconnect_max: Duration::from_secs(1),
-            device_tick_interval: Duration::from_millis(5),
             resync_replay_cap: 128,
         }
     }

@@ -36,6 +36,9 @@ use crate::config::ChannelConfig;
 use crate::counters::ChannelCounters;
 use crate::handshake::{self, HandshakeError};
 
+/// Bytes asked of the socket per `read` call.
+const READ_CHUNK: usize = 16 * 1024;
+
 /// Error from [`FrameSender::send`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum SendError {
@@ -407,7 +410,7 @@ pub(crate) fn open(
     let reader = FrameReader {
         read_half,
         buf: residue,
-        chunk: vec![0u8; cfg.read_chunk.max(wire::OFP_HEADER_LEN)],
+        chunk: vec![0u8; READ_CHUNK],
         decoded: Vec::new().into_iter(),
         link: Arc::clone(&link),
         echo: sender.clone(),

@@ -357,6 +357,11 @@ const EVENT_CHANNEL_CAP: usize = 4096;
 /// rides on it.
 const EXPIRE_INTERVAL: Duration = Duration::from_millis(10);
 
+/// How often attached data-plane devices are ticked (drives the cache's
+/// rate-limited `packet_in` re-raising), matching the engine's
+/// fixed-interval device ticks.
+const DEVICE_TICK_INTERVAL: Duration = Duration::from_millis(5);
+
 /// The single owner of the switch, its devices and the fault state.
 struct Serving {
     switch: Switch,
@@ -424,8 +429,7 @@ impl Serving {
         let mut wait = EXPIRE_INTERVAL.saturating_sub(self.last_expire.elapsed());
         for dev in &self.devices {
             if !dev.down {
-                let tick = self.config.device_tick_interval;
-                wait = wait.min(tick.saturating_sub(dev.last_tick.elapsed()));
+                wait = wait.min(DEVICE_TICK_INTERVAL.saturating_sub(dev.last_tick.elapsed()));
             }
         }
         wait
@@ -566,7 +570,7 @@ impl Serving {
             if dev.down {
                 continue;
             }
-            let due_fixed = dev.last_tick.elapsed() >= self.config.device_tick_interval;
+            let due_fixed = dev.last_tick.elapsed() >= DEVICE_TICK_INTERVAL;
             let due_requested = dev.logic.next_tick(now).is_some_and(|t| t <= now);
             if due_fixed || due_requested {
                 dev.last_tick = Instant::now();

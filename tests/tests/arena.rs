@@ -1,7 +1,7 @@
-//! Defense-arena acceptance: every backend behind the [`arena::Defense`]
-//! seam defends the baseline SYN flood, the protocol-dependence gap is the
-//! documented one, the TCP-handshake signal is real, and the arena table
-//! renders byte-identically across same-seed runs.
+//! Defense-arena acceptance: every [`bench::Defense`] contender defends
+//! the baseline SYN flood, the protocol-dependence gap is the documented
+//! one, the TCP-handshake signal is real, and the arena table renders
+//! byte-identically across same-seed runs.
 
 use bench::arena::{render, run_matrix, ArenaConfig, Profile};
 use bench::{run, AttackProtocol, Defense, Scenario};
@@ -41,7 +41,7 @@ fn every_defense_holds_bandwidth_under_syn_flood() {
 /// The documented gap: the SYN-specific rivals are protocol-dependent.
 /// Under the same-rate UDP flood they collapse with the undefended
 /// baseline while FloodGuard holds — the paper's §II-D argument, now a
-/// regression test over the arena seam.
+/// regression test over the arena.
 #[test]
 fn syn_only_defenses_collapse_under_udp_flood() {
     let clean = run(&Scenario::software()).bandwidth_bps;

@@ -163,7 +163,6 @@ fn config_debug_exposes_all_knobs() {
         "processing_delay",
         "rule_placement",
         "update_strategy",
-        "migration_priority",
     ] {
         assert!(shown.contains(knob), "missing {knob} in {shown}");
     }

@@ -5,7 +5,7 @@
 use bench::{run, AttackProtocol, Defense, Fault, Outcome, Scenario};
 use floodguard::{CacheConfig, CacheFailPolicy, DetectionConfig, FloodGuardConfig, RecoveryConfig};
 use netsim::engine::SwitchId;
-use netsim::DeviceId;
+use netsim::{DeviceId, DropCause};
 
 fn fg() -> Defense {
     Defense::FloodGuard(FloodGuardConfig::default())
@@ -269,6 +269,49 @@ fn fault_partition_during_migration_repairs_on_heal() {
 }
 
 #[test]
+fn fault_partition_across_teardown_leaves_no_redirect() {
+    // The control channel partitions mid-defense and heals only after the
+    // Finish teardown has stopped waiting for the switch, so the redirect
+    // rules' strict deletes never reached it. The reconnect must deliver
+    // them: no redirect may outlive the episode, and new flows toward an
+    // unknown destination must be flooded to h2 again, not sent to a cache
+    // whose intake is closed.
+    let mut scenario = Scenario::software()
+        .with_defense(fg())
+        .with_attack(500.0)
+        .with_fault(1.2, Fault::ControlPartition { sw: SwitchId(0) })
+        .with_fault(4.0, Fault::ControlHeal { sw: SwitchId(0) });
+    scenario.attack_start = 0.3;
+    scenario.attack_stop = 1.6;
+    scenario.duration = 7.0;
+    scenario.unknown_probes = vec![5.5, 6.0];
+    scenario.seed = fault_seed();
+    let outcome = run(&scenario);
+    dump_fault_log("partition-teardown", &outcome);
+    let cookie = FloodGuardConfig::default().cookie;
+    let redirects: Vec<String> = outcome
+        .sim
+        .switch(SwitchId(0))
+        .table
+        .iter()
+        .filter(|e| e.cookie == cookie && e.priority == 0)
+        .map(|e| format!("{e:?}"))
+        .collect();
+    assert!(
+        redirects.is_empty(),
+        "redirects left after the heal: {redirects:#?} ({:?})",
+        outcome.fg_stats
+    );
+    for (id, delay) in &outcome.probe_delays {
+        assert!(
+            delay.is_some(),
+            "post-heal probe {id} never reached h2 ({:?})",
+            outcome.fg_stats
+        );
+    }
+}
+
+#[test]
 fn fault_runs_are_deterministic() {
     // The whole point of seeded fault injection: the same script under the
     // same seed reproduces the run bit-for-bit, down to probabilistic link
@@ -292,8 +335,8 @@ fn fault_runs_are_deterministic() {
     assert_eq!(first.fg_transitions.len(), second.fg_transitions.len());
     assert_eq!(first.sim.fault_log().len(), second.sim.fault_log().len());
     assert_eq!(
-        first.sim.recorder.counter("link_loss_drops"),
-        second.sim.recorder.counter("link_loss_drops")
+        first.sim.drops(DropCause::LinkLoss),
+        second.sim.drops(DropCause::LinkLoss)
     );
 }
 
