@@ -145,6 +145,17 @@ impl ControllerPlatform {
         self.apps.iter_mut().map(|a| a.env.expire(now)).sum()
     }
 
+    /// Moves what every app's learned maps first learned at or after
+    /// `cutoff` into their quarantine overlays ([`policy::Env::demote_since`]);
+    /// how many entries moved. The handlers still read them, rule
+    /// conversion does not, and a trusted learn promotes one back.
+    pub fn demote_since(&mut self, cutoff: f64) -> usize {
+        self.apps
+            .iter_mut()
+            .map(|a| a.env.demote_since(cutoff))
+            .sum()
+    }
+
     /// Handles one `packet_in` from a switch, running every registered app
     /// at the latest time the platform was given.
     ///

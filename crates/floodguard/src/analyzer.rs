@@ -667,6 +667,35 @@ mod tests {
     }
 
     #[test]
+    fn more_demotions_than_the_journal_holds_update_like_a_cold_round() {
+        let learn = apps::l2_learning::learn_host;
+        let mut app = l2_app();
+        learn(&mut app.env, MacAddr::from_u64(0xa), 1);
+        app.env.advance(1.0);
+        for i in 0..300 {
+            learn(&mut app.env, MacAddr::from_u64(0x1000 + i), 2);
+        }
+        let apps = std::slice::from_ref(&app);
+        let mut analyzer = Analyzer::offline(apps);
+        assert_eq!(analyzer.update(apps, 1, 1.0).to_add.len(), 301);
+        let before = analyzer.installed().to_vec();
+        let v = app.env.version();
+        assert_eq!(app.env.demote_since(1.0), 300);
+        assert!(app.env.changes_since(v).is_none(), "the journal forgot");
+        let apps = std::slice::from_ref(&app);
+        let update = analyzer.update(apps, 1, 2.0);
+        assert_eq!(analyzer.key_refreshes, 0, "converted in full");
+        // What a cold analyzer that had installed the same rules sends.
+        let mut cold = Analyzer::offline(apps);
+        cold.dispatch(before, 1, 1.0);
+        let rules = cold.convert(apps);
+        assert_eq!(update, cold.dispatch(rules, 1, 2.0));
+        assert_eq!((update.to_add.len(), update.to_remove.len()), (0, 300));
+        assert_eq!(analyzer.installed(), cold.installed());
+        assert_eq!(analyzer.installed().len(), 1);
+    }
+
+    #[test]
     fn update_strategies() {
         let app = l2_app();
         let mut analyzer = Analyzer::offline(std::slice::from_ref(&app));

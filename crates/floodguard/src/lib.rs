@@ -111,6 +111,9 @@ pub struct FloodGuardStats {
     /// or left their barrier unanswered for [`TEARDOWN_WAIT_S`], before
     /// confirming the redirect rules' removal.
     pub teardown_unanswered: u64,
+    /// Learned entries moved into quarantine at Init because they were
+    /// first learned within one detector window of the detection.
+    pub demoted_at_init: u64,
 }
 
 /// How long a Finish teardown waits for a switch to answer its barrier
@@ -202,6 +205,7 @@ struct FgObs {
     learned_entries: obs::Gauge,
     quarantined_entries: obs::Gauge,
     learned_aged_out: obs::Counter,
+    demoted_at_init: obs::Gauge,
     last_reraised: u64,
     last_aged_out: u64,
     last_at: f64,
@@ -292,8 +296,8 @@ impl FloodGuard {
     /// `packet_in` rate, per-protocol cache queue depths, drop accounting,
     /// the migration re-raise rate, rule install/repair counters, and the
     /// applications' learned and quarantined entries with the count of
-    /// those forgotten by expiry or eviction. FSM
-    /// transitions additionally emit instant trace events.
+    /// those forgotten by expiry or eviction and of those demoted at Init.
+    /// FSM transitions additionally emit instant trace events.
     pub fn attach_obs(&mut self, hub: &obs::ObsHandle) {
         let reg = &hub.registry;
         self.obs = Some(FgObs {
@@ -323,6 +327,7 @@ impl FloodGuard {
             learned_entries: reg.gauge("floodguard.learned_entries"),
             quarantined_entries: reg.gauge("floodguard.quarantined_entries"),
             learned_aged_out: reg.counter("floodguard.learned_aged_out"),
+            demoted_at_init: reg.gauge("floodguard.demoted_at_init"),
             last_reraised: 0,
             last_aged_out: 0,
             last_at: 0.0,
@@ -372,6 +377,7 @@ impl FloodGuard {
         let aged_out = self.platform.aged_out();
         o.learned_aged_out.add(aged_out - o.last_aged_out);
         o.last_aged_out = aged_out;
+        o.demoted_at_init.set(self.stats.demoted_at_init as f64);
         // New FSM transitions become instant trace events.
         let log = self.sm.log();
         for t in &log[o.traced_transitions.min(log.len())..] {
@@ -1016,6 +1022,13 @@ impl ControlPlane for FloodGuard {
                 }
             }
             State::Init => {
+                // What the apps first learned within one detector window of
+                // the detection — the flood's onset, and its packet_ins
+                // that came in since — is vouched for by nobody: it goes to
+                // quarantine before the first conversion (DESIGN §25).
+                let init_at = self.sm.log().last().map_or(now, |t| t.at);
+                let cutoff = init_at - self.detector.config().window;
+                self.stats.demoted_at_init += self.platform.demote_since(cutoff) as u64;
                 // Proactive rules become ready one telemetry period after
                 // migration starts (conversion latency).
                 self.run_update(now, out);
@@ -1177,6 +1190,34 @@ mod tests {
         }
     }
 
+    /// The first of the benign hosts [`seed_hosts`] learns.
+    const BENIGN: u64 = 0x10_0000;
+
+    /// Learns `n` benign hosts on port 1 at t = 0, long before any flood's
+    /// onset window.
+    fn seed_hosts(fg: &mut FloodGuard, n: u64) {
+        let env = &mut fg.platform_mut().app_mut("l2_learning").unwrap().env;
+        for i in 0..n {
+            apps::l2_learning::learn_host(env, MacAddr::from_u64(BENIGN + i), 1);
+        }
+    }
+
+    /// The `n` sources [`flood_packet_in`] sent from are quarantined and in
+    /// no installed rule.
+    fn assert_flood_quarantined(fg: &FloodGuard, n: u64) {
+        let env = &fg.platform().app("l2_learning").unwrap().env;
+        for i in 0..n {
+            let mac = policy::Value::Mac(MacAddr::from_u64(1000 + i));
+            assert!(env.quarantined("macToPort", &mac).is_some(), "{i}");
+        }
+        let flooded = |mac: MacAddr| (1000..1000 + n).contains(&mac.to_u64());
+        assert!(fg
+            .analyzer()
+            .installed()
+            .iter()
+            .all(|r| !flooded(r.of_match.keys.dl_dst)));
+    }
+
     fn telemetry() -> Telemetry {
         Telemetry {
             switches: vec![SwitchTelemetry {
@@ -1229,9 +1270,13 @@ mod tests {
         let mut out = ControlOutput::new();
         fg.on_telemetry(&telemetry(), 1.1, &mut out);
         assert_eq!(fg.state(), State::Defense);
-        // 61 rules: the seeded host plus 60 spoofed sources l2_learning
-        // learned from the flood before migration engaged (POX would too).
-        assert_eq!(fg.analyzer().installed().len(), 61);
+        // One rule, the seeded host's: the 60 spoofed sources l2_learning
+        // learned from the flood before migration engaged (POX would too)
+        // were learned within a detector window of the detection, and went
+        // to quarantine before the conversion.
+        assert_eq!(fg.analyzer().installed().len(), 1);
+        assert_eq!(fg.stats.demoted_at_init, 60);
+        assert_flood_quarantined(&fg, 60);
         assert!(out
             .messages
             .iter()
@@ -1257,13 +1302,14 @@ mod tests {
         assert_eq!(fg.state(), State::Idle);
         // Proactive rules stay installed (idle timeouts age them out); the
         // default config does not tear them down.
-        assert_eq!(fg.analyzer().installed().len(), 61);
+        assert_eq!(fg.analyzer().installed().len(), 1);
         assert_eq!(fg.transitions().len(), 4);
     }
 
     #[test]
     fn defense_updates_rules_on_state_change() {
         let mut fg = fg_with_l2();
+        seed_hosts(&mut fg, 60);
         flood_packet_in(&mut fg, 1.0, 60);
         let mut out = ControlOutput::new();
         fg.on_telemetry(&telemetry(), 1.05, &mut out);
@@ -1273,8 +1319,9 @@ mod tests {
         let learned_from_flood = fg.analyzer().installed().len();
         assert_eq!(
             learned_from_flood, 60,
-            "spoofed sources learned pre-migration"
+            "the seeded hosts; the spoofed sources learned pre-migration are quarantined"
         );
+        assert_flood_quarantined(&fg, 60);
         // Keep the cache looking busy so the attack is not declared over.
         fg.cache_handle().lock().stats.received = 1000;
         // A benign host is learned mid-defense (via the cache path).
@@ -1297,14 +1344,17 @@ mod tests {
     #[test]
     fn reentering_init_from_finish_over_a_backlog_keeps_the_quarantine_out() {
         let mut fg = fg_with_l2();
+        seed_hosts(&mut fg, 4);
         flood_packet_in(&mut fg, 1.0, 60);
         fg.on_telemetry(&telemetry(), 1.05, &mut ControlOutput::new());
         fg.on_telemetry(&telemetry(), 1.1, &mut ControlOutput::new());
         assert_eq!(fg.state(), State::Defense);
-        // The cache feeds the apps forty spoofed sources: quarantined.
+        // The onset's sixty, demoted at Init, and forty spoofed sources the
+        // cache feeds the apps: quarantined.
+        assert_eq!(fg.platform().quarantined_entries(), 60);
         fg.cache_handle().lock().stats.received = 1000;
         reraise(&mut fg, 1.12, 50_000, 40);
-        assert_eq!(fg.platform().quarantined_entries(), 40);
+        assert_eq!(fg.platform().quarantined_entries(), 100);
         // Quiet cache: ticks until the attack is declared over.
         let mut finish = ControlOutput::new();
         let mut now = 1.5;
@@ -1331,10 +1381,14 @@ mod tests {
         fg.cache_handle().lock().stats.received = 3000;
         fg.on_telemetry(&telemetry(), now + 0.1, &mut ControlOutput::new());
         assert!(fg.cache_handle().lock().control.intake_enabled);
-        // The quarantined sources are still held, and in no rule.
-        assert_eq!(fg.platform().quarantined_entries(), 40);
+        // The quarantined sources are still held, and in no rule: the
+        // cache's forty, and the onset's sixty, which the second flood's
+        // packet_ins promoted and its Init demoted again.
+        assert_eq!(fg.platform().quarantined_entries(), 100);
+        assert_eq!(fg.stats.demoted_at_init, 120);
+        assert_flood_quarantined(&fg, 60);
         let spoofed = |mac: MacAddr| (50_000..50_040).contains(&mac.to_u64());
-        assert!(!fg.analyzer().installed().is_empty());
+        assert_eq!(fg.analyzer().installed().len(), 4, "the seeded hosts");
         assert!(fg
             .analyzer()
             .installed()
@@ -1354,6 +1408,14 @@ mod tests {
         assert!(text.contains("floodguard_learned_entries 60"), "{text}");
         assert!(text.contains("floodguard_quarantined_entries 5"), "{text}");
         assert!(text.contains("floodguard_learned_aged_out 0"), "{text}");
+        assert!(text.contains("floodguard_demoted_at_init 0"), "{text}");
+        // The Init update demotes the onset's sixty.
+        fg.on_telemetry(&telemetry(), 1.1, &mut ControlOutput::new());
+        let text = obs::prom::encode(&hub.registry);
+        assert!(text.contains("floodguard_learned_entries 0"), "{text}");
+        assert!(text.contains("floodguard_quarantined_entries 65"), "{text}");
+        assert!(text.contains("floodguard_demoted_at_init 60"), "{text}");
+        assert_eq!(fg.monitor_handle().lock().stats.demoted_at_init, 60);
     }
 
     #[test]
@@ -1368,12 +1430,14 @@ mod tests {
                 .count()
         };
         let mut fg = fg_with_l2();
+        seed_hosts(&mut fg, 60);
         flood_packet_in(&mut fg, 1.0, 60);
         fg.on_telemetry(&telemetry(), 1.05, &mut ControlOutput::new());
         let mut out = ControlOutput::new();
         fg.on_telemetry(&telemetry(), 1.1, &mut out);
         assert_eq!(fg.state(), State::Defense);
         assert_eq!(adds(&out), 60);
+        assert_flood_quarantined(&fg, 60);
         // A host learned mid-defense costs one flow-mod, not 61.
         fg.cache_handle().lock().stats.received = 1000;
         apps::l2_learning::learn_host(
@@ -1392,7 +1456,8 @@ mod tests {
             answer_barriers(&mut fg, &out, now);
         }
         assert_eq!(fg.state(), State::Idle);
-        // The same sources flood again: nothing new is learned.
+        // The same sources flood again: their packet_ins promote them from
+        // quarantine, and the second Init demotes them again.
         flood_packet_in(&mut fg, 5.0, 60);
         fg.on_telemetry(&telemetry(), 5.05, &mut ControlOutput::new());
         assert_eq!(fg.state(), State::Init);
@@ -1401,6 +1466,8 @@ mod tests {
         assert_eq!(fg.state(), State::Defense);
         assert_eq!(adds(&out), 61);
         assert_eq!(fg.analyzer().installed().len(), 61);
+        assert_eq!(fg.stats.demoted_at_init, 120);
+        assert_flood_quarantined(&fg, 60);
     }
 
     /// What a live controller endpoint assembles: it cannot see the table.
@@ -1460,14 +1527,17 @@ mod tests {
         assert!(out.messages.is_empty());
     }
 
-    /// Sixty spoofed sources, then the two ticks that reach Defense.
+    /// Sixty benign hosts seeded at t = 0, sixty spoofed sources, then the
+    /// two ticks that reach Defense.
     fn defend(fg: &mut FloodGuard, telemetry: &Telemetry) {
+        seed_hosts(fg, 60);
         flood_packet_in(fg, 1.0, 60);
         assert_eq!(tick(fg, telemetry, 1.05), (0, 3), "Init: migration rules");
         assert_eq!(fg.state(), State::Init);
         let (_, mods) = tick(fg, telemetry, 1.1);
-        assert_eq!(mods, 60, "Defense: proactive rules");
+        assert_eq!(mods, 60, "Defense: the seeded hosts' proactive rules");
         assert_eq!(fg.state(), State::Defense);
+        assert_flood_quarantined(fg, 60);
         // Keep the cache looking busy so the attack is not declared over.
         fg.cache_handle().lock().stats.received = 1000;
     }
@@ -1475,12 +1545,14 @@ mod tests {
     #[test]
     fn an_unobserved_table_is_asked_about_and_not_repaired() {
         let mut fg = fg_with_l2();
+        seed_hosts(&mut fg, 60);
         assert_eq!(tick(&mut fg, &unobserved(), 0.1), (0, 0), "Idle");
         flood_packet_in(&mut fg, 1.0, 60);
         // Migration starts in this tick, after the audit: nothing to ask.
         assert_eq!(tick(&mut fg, &unobserved(), 1.05), (0, 3));
         // Init and Defense: one request per tick, no answer, no repair.
         assert_eq!(tick(&mut fg, &unobserved(), 1.1), (1, 60));
+        assert_flood_quarantined(&fg, 60);
         fg.cache_handle().lock().stats.received = 1000;
         assert_eq!(tick(&mut fg, &unobserved(), 1.15), (1, 0));
         assert_eq!(fg.state(), State::Defense);

@@ -6,7 +6,9 @@
 //! head) and by first learn (the oldest is the head). Re-learning a known
 //! key moves its slot to the tail of the first list and allocates nothing;
 //! an expiry sweep reads the two heads and stops at the first entry not
-//! due, so a sweep with nothing due costs two comparisons.
+//! due, so a sweep with nothing due costs two comparisons. Taking the
+//! entries first learned since some time walks the second list back from
+//! its tail and stops at the first older one, so it costs what it takes.
 
 use std::collections::HashMap;
 
@@ -226,6 +228,29 @@ impl<V> Ledger<V> {
         None
     }
 
+    /// Forgets every entry first learned at or after `cutoff`, handing
+    /// each to `take` oldest first. The walk starts at the tail of the
+    /// first-learn list and stops at the first entry born before
+    /// `cutoff`, so it costs what it takes: when it was last seen does
+    /// not matter.
+    pub(crate) fn take_born_since(&mut self, cutoff: f64, mut take: impl FnMut(Value, V))
+    where
+        V: Default,
+    {
+        let mut first = NIL;
+        let mut i = self.ends[BORN].1;
+        while i != NIL && self.slots[i as usize].born >= cutoff {
+            first = i;
+            i = self.slots[i as usize].links[BORN].prev;
+        }
+        while first != NIL {
+            let next = self.slots[first as usize].links[BORN].next;
+            let (key, value) = self.take(first);
+            take(key, value);
+            first = next;
+        }
+    }
+
     /// When the next entry is due under `lifetime`: the least recently
     /// seen idles out first, the oldest reaches the hard timeout first.
     pub(crate) fn next_due(&self, lifetime: &Lifetime) -> f64 {
@@ -346,6 +371,38 @@ mod tests {
         assert_eq!(l.pop_due(&SHORT, 25.0).map(|(k, _)| k), Some(Value::Int(1)));
         assert!(l.is_empty());
         assert_eq!(l.pop_due(&SHORT, 99.0), None);
+    }
+
+    #[test]
+    fn taking_the_newest_stops_at_the_first_entry_born_before_the_cutoff() {
+        let mut l: Ledger<()> = Ledger::default();
+        for k in 1..=5 {
+            l.insert(Value::Int(k), (), k as f64);
+        }
+        let mut taken = Vec::new();
+        l.take_born_since(3.5, |k, ()| taken.push(k.as_int().unwrap()));
+        assert_eq!(taken, vec![4, 5], "oldest first");
+        assert_eq!(keys(&l, BORN), vec![1, 2, 3]);
+        assert_eq!(keys(&l, SEEN), vec![1, 2, 3]);
+        // Born exactly at the cutoff counts as since; nothing after it is
+        // read once an older entry is met.
+        l.take_born_since(3.0, |k, ()| taken.push(k.as_int().unwrap()));
+        assert_eq!(taken, vec![4, 5, 3]);
+        l.take_born_since(9.0, |_, ()| panic!("nothing is that new"));
+        assert_eq!(l.len(), 2);
+    }
+
+    #[test]
+    fn an_old_entry_seen_again_inside_the_window_is_not_taken() {
+        let mut l: Ledger<()> = Ledger::default();
+        l.insert(Value::Int(1), (), 0.0);
+        l.insert(Value::Int(2), (), 8.0);
+        // Entry 1 is re-learned after the cutoff: born, not seen, decides.
+        l.refresh(&Value::Int(1), None, 9.0);
+        let mut taken = Vec::new();
+        l.take_born_since(5.0, |k, ()| taken.push(k.as_int().unwrap()));
+        assert_eq!(taken, vec![2]);
+        assert_eq!(keys(&l, SEEN), vec![1]);
     }
 
     #[test]

@@ -16,7 +16,8 @@ const JOURNAL_CAP: usize = 256;
 /// the [`Env`] has to look at again.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Change<'a> {
-    /// [`Env::learn`] inserted or overwrote `key` in the map `global`.
+    /// [`Env::learn`] inserted or overwrote `key` in the map `global`, or
+    /// an eviction, an expiry or a demotion removed it.
     Key {
         /// The map written.
         global: &'a str,
@@ -87,7 +88,8 @@ struct Aging {
 /// ([`Env::quarantine`]) live there, where the application's handler reads
 /// them ([`Env::quarantined`]) but [`Env::get`] — what rule conversion
 /// reads — does not, and writing one changes neither the version nor the
-/// journal.
+/// journal. Entries learned since a point in time can be moved there after
+/// the fact ([`Env::demote_since`]).
 ///
 /// Equality compares globals and version; the journal, the stamps and the
 /// overlay are bookkeeping about how the environment got there.
@@ -315,6 +317,66 @@ impl Env {
         overlay.insert(key, value, self.clock);
         self.quarantined += 1;
         self.next_due = self.next_due.min(aging.lifetime.first_due(self.clock));
+    }
+
+    /// Moves every entry first learned at or after `cutoff`, in every map
+    /// with a lifetime, into that map's quarantine overlay, oldest first:
+    /// learns nobody can vouch for after the fact (FloodGuard: what the
+    /// flood's onset taught before it was detected). Each leaves the map
+    /// as a write of its own, so readers of the journal see the key go; the
+    /// handler still reads its value from the overlay, and a trusted learn
+    /// promotes it back. At the overlay's bound the overlay evicts its own
+    /// least recently seen entry. Returns how many left the maps. Costs
+    /// what it moves: each map's walk stops at its first older entry.
+    pub fn demote_since(&mut self, cutoff: f64) -> usize {
+        let Env {
+            globals,
+            version,
+            journal,
+            aging,
+            clock,
+            quarantined,
+            aged_out,
+            next_due,
+        } = self;
+        let mut demoted = 0;
+        for Aging {
+            global,
+            lifetime,
+            main,
+            overlay,
+        } in aging
+        {
+            let Some(Value::Map(map)) = globals.get_mut(global.as_str()) else {
+                continue;
+            };
+            let bound = lifetime.quarantine as usize;
+            main.take_born_since(cutoff, |key, ()| {
+                let Some(value) = map.remove(&key) else {
+                    return;
+                };
+                *version += 1;
+                journal.record(global, Some(key.clone()));
+                demoted += 1;
+                if bound == 0 {
+                    *aged_out += 1;
+                    return;
+                }
+                overlay.reserve_bound(bound);
+                if overlay.len() >= bound && overlay.evict().is_some() {
+                    *quarantined -= 1;
+                    *aged_out += 1;
+                }
+                debug_assert!(
+                    overlay.get(&key).is_none(),
+                    "a key is in the map or the overlay"
+                );
+                overlay.insert(key, value, *clock);
+                *quarantined += 1;
+                *next_due = next_due.min(lifetime.first_due(*clock));
+            });
+        }
+        demoted
     }
 
     /// The quarantined value of `key` in the map global `name`, if any.
@@ -653,6 +715,75 @@ mod tests {
             1,
             "the map's entry only"
         );
+    }
+
+    #[test]
+    fn demotion_moves_what_was_born_since_the_cutoff_into_the_overlay() {
+        let mut env = aging_env(SHORT);
+        env.learn("m", Value::Int(1), Value::Int(1));
+        env.advance(5.0);
+        env.learn("m", Value::Int(2), Value::Int(2));
+        env.learn("m", Value::Int(1), Value::Int(9)); // re-learned, born at 0
+        let v = env.version();
+        assert_eq!(env.demote_since(4.0), 1);
+        assert_eq!(keys(&env), vec![1]);
+        assert_eq!(env.learned_len(), 1);
+        assert_eq!(env.quarantined("m", &Value::Int(2)), Some(&Value::Int(2)));
+        assert_eq!(env.quarantined_len(), 1);
+        assert_eq!(
+            env.changes_since(v).unwrap().collect::<Vec<_>>(),
+            vec![Change::Key {
+                global: "m",
+                key: &Value::Int(2)
+            }],
+            "a demotion is a write of its own"
+        );
+        assert_eq!(env.aged_out(), 0);
+        // A trusted learn promotes it back.
+        env.learn("m", Value::Int(2), Value::Int(2));
+        assert_eq!(keys(&env), vec![1, 2]);
+        assert_eq!(env.quarantined_len(), 0);
+    }
+
+    #[test]
+    fn demotion_past_the_overlay_bound_evicts_only_overlay_entries() {
+        let mut env = aging_env(Lifetime {
+            capacity: 16,
+            ..SHORT
+        });
+        env.learn("m", Value::Int(1), Value::Int(1));
+        env.advance(1.0);
+        env.quarantine("m", Value::Int(100), Value::Int(3));
+        for k in 10..14 {
+            env.learn("m", Value::Int(k), Value::Int(k));
+        }
+        // Four demoted into an overlay of two that held one already: the
+        // quarantined source and the two oldest demoted entries go.
+        assert_eq!(env.demote_since(1.0), 4);
+        assert_eq!(keys(&env), vec![1]);
+        assert_eq!(env.quarantined_len(), 2);
+        assert_eq!(env.quarantined("m", &Value::Int(100)), None);
+        assert_eq!(env.quarantined("m", &Value::Int(12)), Some(&Value::Int(12)));
+        assert_eq!(env.quarantined("m", &Value::Int(13)), Some(&Value::Int(13)));
+        assert_eq!(env.aged_out(), 3);
+    }
+
+    #[test]
+    fn more_demotions_than_the_journal_holds_send_readers_back_to_the_globals() {
+        let mut env = aging_env(Lifetime {
+            capacity: 1024,
+            quarantine: 1024,
+            ..SHORT
+        });
+        env.advance(1.0);
+        for k in 0..JOURNAL_CAP as u64 + 1 {
+            env.learn("m", Value::Int(k), Value::Int(k));
+        }
+        let v = env.version();
+        assert_eq!(env.demote_since(1.0), JOURNAL_CAP + 1);
+        assert_eq!(env.version(), v + JOURNAL_CAP as u64 + 1);
+        assert!(env.changes_since(v).is_none());
+        assert!(env.changes_since(v + 1).is_some());
     }
 
     #[test]

@@ -25,6 +25,7 @@ use netsim::iface::{ControlOutput, ControlPlane, DeviceId, Telemetry};
 use netsim::packet::Packet;
 use netsim::{Simulation, SwitchProfile};
 use ofproto::actions::Action;
+use ofproto::flow_match::FlowKeys;
 use ofproto::messages::{FeaturesReply, OfBody, OfMessage, PacketIn, PacketInReason};
 use ofproto::types::{DatapathId, MacAddr, PortNo, Xid};
 use policy::{Lifetime, Program, Value};
@@ -90,8 +91,26 @@ fn rule_ports(fg: &FloodGuard, pick: impl Fn(&ofproto::flow_match::FlowKeys) -> 
     ports
 }
 
-#[test]
-fn a_spoofed_claim_through_the_cache_cannot_move_a_known_host() {
+/// The physical output ports of the flow-mods and packet-outs in `out`.
+fn outputs(out: &ControlOutput) -> HashSet<u16> {
+    out.messages
+        .iter()
+        .filter_map(|(_, m)| match &m.body {
+            OfBody::FlowMod(fm) => Some(fm.actions.clone()),
+            OfBody::PacketOut(po) => Some(po.actions.clone()),
+            _ => None,
+        })
+        .flatten()
+        .filter_map(|a| match a {
+            Action::Output(PortNo::Physical(p)) => Some(p),
+            _ => None,
+        })
+        .collect()
+}
+
+/// FloodGuard over l2_learning and l3_learning, connected to one switch
+/// with hosts on ports 1–3 and the cache behind [`CACHE_PORT`].
+fn floodguard_on_one_switch() -> FloodGuard {
     let mut platform = ControllerPlatform::new();
     platform.register(apps::l2_learning::program());
     platform.register(apps::l3_learning::program());
@@ -103,22 +122,45 @@ fn a_spoofed_claim_through_the_cache_cannot_move_a_known_host() {
         n_tables: 1,
         ports: [1, 2, 3, CACHE_PORT].map(PortNo::Physical).to_vec(),
     };
+    fg.on_switch_connect(DatapathId(1), features, 0.0, &mut ControlOutput::new());
+    fg
+}
+
+/// Spoofed sources `0x5000 + i` for each `i` in `sources`, from port 3 at
+/// `now`, toward a host nobody knows.
+fn flood(fg: &mut FloodGuard, now: f64, sources: std::ops::Range<u64>) {
+    for i in sources {
+        let spoofed = udp(
+            0x5000 + i,
+            Ipv4Addr::from(0x0b00_0000 + i as u32),
+            0x20_0000,
+            Ipv4Addr::new(10, 99, 0, 1),
+        );
+        let out = &mut ControlOutput::new();
+        fg.on_message(DatapathId(1), packet_in(&spoofed, 3), now, out);
+    }
+}
+
+/// Answers the teardown barriers in `out` as the switch would.
+fn answer_barriers(fg: &mut FloodGuard, out: &ControlOutput, now: f64) {
+    for (dpid, m) in &out.messages {
+        if m.body == OfBody::BarrierRequest {
+            let reply = OfMessage::new(m.xid, OfBody::BarrierReply);
+            fg.on_message(*dpid, reply, now, &mut ControlOutput::new());
+        }
+    }
+}
+
+#[test]
+fn a_spoofed_claim_through_the_cache_cannot_move_a_known_host() {
+    let mut fg = floodguard_on_one_switch();
     let out = &mut ControlOutput::new();
-    fg.on_switch_connect(DatapathId(1), features, 0.0, out);
     // The victim talks from port 1 before any attack: learned, trusted.
     let other_ip = Ipv4Addr::new(10, 0, 0, 2);
     let hello = udp(VICTIM_MAC, VICTIM_IP, 0xb, other_ip);
     fg.on_message(DatapathId(1), packet_in(&hello, 1), 0.5, out);
     // A flood from port 3 starts an episode.
-    for i in 0..60u64 {
-        let spoofed = udp(
-            0x5000 + i,
-            Ipv4Addr::from(0x0b00_0000 + i as u32),
-            0xb,
-            other_ip,
-        );
-        fg.on_message(DatapathId(1), packet_in(&spoofed, 3), 1.0, out);
-    }
+    flood(&mut fg, 1.0, 0..60);
     fg.on_telemetry(&telemetry(), 1.05, out);
     fg.on_telemetry(&telemetry(), 1.1, out);
     assert_eq!(fg.state(), State::Defense);
@@ -142,21 +184,119 @@ fn a_spoofed_claim_through_the_cache_cannot_move_a_known_host() {
     let reply = udp(0xb, other_ip, VICTIM_MAC, VICTIM_IP);
     let mut answer = ControlOutput::new();
     fg.on_device_message(DeviceId(0), packet_in(&reply, 2), 1.16, &mut answer);
-    let outputs: HashSet<u16> = answer
-        .messages
-        .iter()
-        .filter_map(|(_, m)| match &m.body {
-            OfBody::FlowMod(fm) => Some(fm.actions.clone()),
-            OfBody::PacketOut(po) => Some(po.actions.clone()),
-            _ => None,
-        })
-        .flatten()
-        .filter_map(|a| match a {
-            Action::Output(PortNo::Physical(p)) => Some(p),
-            _ => None,
-        })
-        .collect();
-    assert_eq!(outputs, HashSet::from([1]), "reactive decision moved");
+    assert_eq!(
+        outputs(&answer),
+        HashSet::from([1]),
+        "reactive decision moved"
+    );
+}
+
+/// What the flood's onset taught before detection is demoted at Init
+/// (ROADMAP item 16). Host A, learned a second before the flood, keeps its
+/// proactive rules. Host B, first learned inside the onset window, is
+/// demoted with the flood's sources: in no rule, still served through the
+/// cache, and promoted back by its first packet_in from the switch once
+/// the episode is over.
+#[test]
+fn what_the_onset_taught_is_demoted_at_init_and_trusted_traffic_promotes_it() {
+    let mut fg = floodguard_on_one_switch();
+    let (a, a_ip) = (0x0a, Ipv4Addr::new(10, 0, 0, 1));
+    let (b, b_ip) = (0x0b, Ipv4Addr::new(10, 0, 0, 2));
+    let (to_a, to_b) = (udp(b, b_ip, a, a_ip), udp(a, a_ip, b, b_ip));
+    let out = &mut ControlOutput::new();
+    fg.on_message(DatapathId(1), packet_in(&to_b, 1), 0.0, out);
+    // The flood from port 3 at 1 s, and B's first packet in the middle of
+    // it, inside the detector's window (0.25 s) before the detection at
+    // 1.05 s.
+    flood(&mut fg, 1.0, 0..30);
+    fg.on_message(DatapathId(1), packet_in(&to_a, 2), 1.0, out);
+    flood(&mut fg, 1.0, 30..60);
+    fg.on_telemetry(&telemetry(), 1.05, out);
+    assert_eq!(fg.state(), State::Init);
+    assert_eq!(
+        fg.stats.demoted_at_init, 0,
+        "nothing moves before the update"
+    );
+    fg.on_telemetry(&telemetry(), 1.1, out);
+    assert_eq!(fg.state(), State::Defense);
+
+    let mac = MacAddr::from_u64;
+    let l2 = |k: &FlowKeys, m: u64| k.dl_dst == mac(m);
+    let l3 = |k: &FlowKeys, ip: Ipv4Addr| k.nw_dst == ip;
+    assert_eq!(rule_ports(&fg, |k| l2(k, a)), vec![1]);
+    assert_eq!(rule_ports(&fg, |k| l3(k, a_ip)), vec![1]);
+    assert_eq!(fg.analyzer().installed().len(), 2, "A's rules only");
+    // B and the sixty spoofed sources, in both apps.
+    assert_eq!(fg.stats.demoted_at_init, 2 * 61);
+    let quarantined = |fg: &FloodGuard, app: &str, map: &str, key: Value| {
+        let env = &fg.platform().app(app).unwrap().env;
+        env.quarantined(map, &key).cloned()
+    };
+    let b_in_l2 = |fg: &FloodGuard| quarantined(fg, "l2_learning", "macToPort", Value::Mac(mac(b)));
+    let b_in_l3 = |fg: &FloodGuard| quarantined(fg, "l3_learning", "ipToPort", Value::Ip(b_ip));
+    assert_eq!(b_in_l2(&fg), Some(Value::Int(2)));
+    assert_eq!(b_in_l3(&fg), Some(Value::Int(2)));
+    for i in 0..60 {
+        let source = Value::Mac(mac(0x5000 + i));
+        assert!(quarantined(&fg, "l2_learning", "macToPort", source).is_some());
+    }
+
+    // Defended, A's new flow to B misses every rule and detours through
+    // the cache: the handler reads B's port from quarantine.
+    fg.cache_handle().lock().stats.received = 1000;
+    let mut answer = ControlOutput::new();
+    fg.on_device_message(DeviceId(0), packet_in(&to_b, 1), 1.12, &mut answer);
+    assert_eq!(
+        outputs(&answer),
+        HashSet::from([2]),
+        "B is served through the cache"
+    );
+
+    // A cache re-raise claiming B's MAC and IP from the attacker's port
+    // overwrites B's quarantined value, as it would any quarantined
+    // entry's; it reaches no rule.
+    let claim = udp(b, b_ip, 0xff, Ipv4Addr::new(10, 99, 0, 1));
+    fg.on_device_message(DeviceId(0), packet_in(&claim, 3), 1.13, out);
+    assert_eq!(b_in_l2(&fg), Some(Value::Int(3)));
+    assert_eq!(b_in_l3(&fg), Some(Value::Int(3)));
+    fg.cache_handle().lock().stats.received = 2000;
+    fg.on_telemetry(&telemetry(), 1.15, out);
+    assert_eq!(fg.state(), State::Defense);
+    assert_eq!(rule_ports(&fg, |k| l2(k, b) || l3(k, b_ip)), vec![]);
+    assert_eq!(fg.analyzer().installed().len(), 2);
+
+    // Quiet cache: the episode ends.
+    let mut now = 1.2;
+    while fg.state() != State::Idle && now < 5.0 {
+        let mut tick = ControlOutput::new();
+        fg.on_telemetry(&telemetry(), now, &mut tick);
+        answer_barriers(&mut fg, &tick, now);
+        now += 0.1;
+    }
+    assert_eq!(fg.state(), State::Idle);
+
+    // B's first packet_in from the switch promotes it, with its own port.
+    fg.on_message(DatapathId(1), packet_in(&to_a, 2), now, out);
+    assert_eq!(b_in_l2(&fg), None);
+    assert_eq!(b_in_l3(&fg), None);
+    let l2_env = &fg.platform().app("l2_learning").unwrap().env;
+    let l2_map = l2_env.get("macToPort").unwrap().as_map().unwrap();
+    assert_eq!(l2_map.get(&Value::Mac(mac(b))), Some(&Value::Int(2)));
+    let l3_env = &fg.platform().app("l3_learning").unwrap().env;
+    let l3_map = l3_env.get("ipToPort").unwrap().as_map().unwrap();
+    assert_eq!(l3_map.get(&Value::Ip(b_ip)), Some(&Value::Int(2)));
+
+    // A second flood a second later: B is older than its onset window now,
+    // and gets its rules.
+    let next = now + 1.0;
+    flood(&mut fg, next, 0..60);
+    fg.on_telemetry(&telemetry(), next + 0.05, out);
+    fg.on_telemetry(&telemetry(), next + 0.1, out);
+    assert_eq!(fg.state(), State::Defense);
+    assert_eq!(rule_ports(&fg, |k| l2(k, b)), vec![2]);
+    assert_eq!(rule_ports(&fg, |k| l3(k, b_ip)), vec![2]);
+    assert_eq!(rule_ports(&fg, |k| l2(k, a)), vec![1]);
+    assert_eq!(fg.analyzer().installed().len(), 4, "A's and B's rules");
 }
 
 /// A flood on h3 from 1 s to 2 s, FloodGuard defending, no bulk traffic.
@@ -643,4 +783,141 @@ fn twenty_live_episodes_on_one_system_stay_bounded_and_lose_nothing() {
     let wall = started.elapsed();
     println!("{EPISODES} live episodes in {:.1} s", wall.as_secs_f64());
     assert!(wall < Duration::from_secs(15), "{wall:?}");
+}
+
+/// One fgbench-shaped episode on the default 256-frame send queues: a calm
+/// lead-in longer than the detector's window, then a spoofed flood of
+/// about 5 k packets a second until Defense has run for 200 ms, with
+/// detection tripping at 1000 packet_in/s. Nothing is shed on the way to
+/// the switch, and every proactive rule FloodGuard emits is in its table
+/// (ROADMAP item 1 (i)): the onset's sources, demoted at Init, are not a
+/// burst of rules any more.
+#[test]
+fn a_live_episode_on_the_default_send_queue_sheds_nothing() {
+    use floodguard::DetectionConfig;
+    use netsim::switch::Switch;
+    use ofchannel::{ChannelConfig, ControllerConfig, ControllerEndpoint, SwitchEndpoint};
+
+    let detection = DetectionConfig {
+        rate_capacity_pps: 2000.0,
+        score_threshold: 0.5,
+        rate_weight: 1.0,
+        buffer_weight: 0.0,
+        datapath_weight: 0.0,
+        controller_weight: 0.0,
+        ..DetectionConfig::default()
+    };
+    let config = FloodGuardConfig {
+        detection,
+        // A backlog the cache drains in half a second.
+        cache: floodguard::CacheConfig {
+            queue_capacity: 64,
+            ..floodguard::CacheConfig::default()
+        },
+        ..FloodGuardConfig::default()
+    };
+    let mut platform = ControllerPlatform::new();
+    platform.register(apps::l2_learning::program());
+    platform.register(apps::l3_learning::program());
+    let benign = (MacAddr::from_u64(VICTIM_MAC), VICTIM_IP);
+    let env = &mut platform.app_mut("l2_learning").unwrap().env;
+    apps::l2_learning::learn_host(env, benign.0, 1);
+    let env = &mut platform.app_mut("l3_learning").unwrap().env;
+    apps::l3_learning::learn_host(env, benign.1, 1);
+    let mut fg = FloodGuard::new(platform, config, CACHE_PORT);
+    let monitor = fg.monitor_handle();
+    let cache = fg.build_cache();
+    let controller_config = ControllerConfig {
+        channel: ChannelConfig::default(),
+        telemetry_interval: Duration::from_millis(20),
+        ..ControllerConfig::default()
+    };
+    let listening = Instant::now();
+    let controller = ControllerEndpoint::listen(
+        Box::new(fg),
+        "127.0.0.1:0".parse().unwrap(),
+        controller_config,
+    )
+    .unwrap();
+    let switch = Switch::new(
+        DatapathId(1),
+        SwitchProfile::software(),
+        vec![1, 2, 3, CACHE_PORT],
+    );
+    let endpoint = SwitchEndpoint::spawn(
+        switch,
+        vec![(CACHE_PORT, Box::new(cache))],
+        controller.local_addr().unwrap(),
+        ChannelConfig::default(),
+    )
+    .unwrap();
+    assert!(
+        wait_for(Duration::from_secs(10), || {
+            let status = controller.status();
+            status.connected_switches.len() == 1 && status.connected_devices.len() == 1
+        }),
+        "switch and cache sessions never both came up"
+    );
+    assert!(wait_for(Duration::from_secs(10), || {
+        listening.elapsed() > Duration::from_millis(400)
+    }));
+
+    let mut spoofed = 0u64;
+    let mut defended_since = None;
+    let defended = wait_for(Duration::from_secs(10), || {
+        for _ in 0..25 {
+            let ip = Ipv4Addr::from(0x0b00_0000 + spoofed as u32);
+            let victim = Ipv4Addr::new(10, 99, 0, 1);
+            endpoint.inject(3, udp(0x02_0000_0000 + spoofed, ip, 0x20_0000, victim));
+            spoofed += 1;
+        }
+        if monitor.lock().state == Some(State::Defense) {
+            let since = *defended_since.get_or_insert_with(Instant::now);
+            return since.elapsed() > Duration::from_millis(200);
+        }
+        false
+    });
+    assert!(defended, "no defense: {:?}", monitor.lock().stats);
+    assert!(
+        wait_for(Duration::from_secs(10), || {
+            monitor.lock().state == Some(State::Idle)
+        }),
+        "the episode never ended: {:?}",
+        monitor.lock().transitions
+    );
+
+    let stats = monitor.lock().stats;
+    assert_eq!(stats.attacks_detected, 1);
+    assert!(stats.demoted_at_init > 0, "the onset taught nothing");
+    let transport = controller.counters();
+    assert_eq!(
+        (transport.sends_blocked, transport.budget_exhausted),
+        (0, 0),
+        "frames shed (send queue high-water mark {})",
+        transport.send_queue_hwm
+    );
+    // Emitted is received: the switch decoded every frame the controller
+    // wrote, and its table holds every proactive rule (the redirects are
+    // gone since Finish; the rules' idle timeouts are 10 s).
+    let cookie = FloodGuardConfig::default().cookie;
+    let emitted = (stats.proactive_installed - stats.proactive_removed) as usize;
+    assert!(emitted > 0, "no proactive rule");
+    assert!(
+        wait_for(Duration::from_secs(10), || {
+            let (ours, theirs) = (controller.counters(), endpoint.counters());
+            let held = endpoint.flow_rules();
+            let received = held.iter().filter(|(_, _, c)| *c == cookie).count();
+            ours.frames_out == theirs.frames_in && received == emitted
+        }),
+        "emitted {emitted}, received {:?}; frames {:?} / {:?}",
+        endpoint.flow_rules(),
+        controller.counters(),
+        endpoint.counters()
+    );
+    println!(
+        "{spoofed} spoofed packets, {} demoted at Init, {emitted} proactive rules, send queue high-water mark {}",
+        stats.demoted_at_init, transport.send_queue_hwm
+    );
+    drop(controller);
+    drop(endpoint);
 }

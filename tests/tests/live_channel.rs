@@ -858,6 +858,44 @@ fn live_floodguard(cache_port: u16) -> FloodGuard {
     FloodGuard::new(platform, config, cache_port)
 }
 
+/// Hosts `live_floodguard`'s l2_learning knows from before any attack:
+/// `(mac, port)`, learned at t = 0, longer than a detector window before
+/// the floods the tests start. What the flood's onset teaches is demoted
+/// at Init, so these are the rules the first update sends.
+const BENIGN: [(u64, u16); 4] = [
+    (0xb0_0001, 1),
+    (0xb0_0002, 2),
+    (0xb0_0003, 1),
+    (0xb0_0004, 2),
+];
+
+fn seed_benign(floodguard: &mut FloodGuard) {
+    let env = &mut floodguard
+        .platform_mut()
+        .app_mut("l2_learning")
+        .unwrap()
+        .env;
+    for (mac, port) in BENIGN {
+        apps::l2_learning::learn_host(env, MacAddr::from_u64(mac), port);
+    }
+}
+
+/// The `(match, priority)` of the benign hosts' rules.
+fn benign_rules() -> HashSet<(OfMatch, u16)> {
+    let mut env = apps::l2_learning::program().initial_env();
+    for (mac, port) in BENIGN {
+        apps::l2_learning::learn_host(&mut env, MacAddr::from_u64(mac), port);
+    }
+    let program = apps::l2_learning::program();
+    let conditions = symexec::generate_path_conditions(&program);
+    let converted = symexec::convert_to_rules(&conditions, &env);
+    converted
+        .rules
+        .iter()
+        .map(|r| (r.of_match, r.priority))
+        .collect()
+}
+
 /// The `(match, priority)` of every proactive rule among `mods`: the
 /// cookie-stamped Adds that are not redirects to the cache.
 fn proactive_adds(mods: &[FlowMod], cache_port: u16) -> Vec<(OfMatch, u16)> {
@@ -879,6 +917,7 @@ fn a_defense_episode_sends_each_rule_once_and_asks_only_while_migrating() {
     const CACHE_PORT: u16 = 99;
 
     let mut floodguard = live_floodguard(CACHE_PORT);
+    seed_benign(&mut floodguard);
     let monitor = floodguard.monitor_handle();
     let cache = floodguard.build_cache();
     // Room for the first rule burst: a shed flow_mod is a missing rule.
@@ -912,9 +951,10 @@ fn a_defense_episode_sends_each_rule_once_and_asks_only_while_migrating() {
         }),
         "switch and cache sessions never both came up"
     );
-    // A few calm ticks first.
+    // Calm ticks first, longer than a detector window: the benign hosts
+    // were learned before the flood's onset.
     assert!(wait_for(Duration::from_secs(10), || {
-        log.ticks.load(Ordering::SeqCst) >= 3
+        log.ticks.load(Ordering::SeqCst) >= 15
     }));
 
     // The flood, until the cache has fed the applications for a while (what
@@ -979,6 +1019,27 @@ fn a_defense_episode_sends_each_rule_once_and_asks_only_while_migrating() {
         found.unwrap_or_else(|| panic!("never entered {to}")).at
     };
     let (init, finish) = (entered(State::Init), entered(State::Finish));
+    // The Init update sends the benign hosts' rules and nothing the flood
+    // taught: that went to quarantine.
+    let defense = entered(State::Defense);
+    let first_update: Vec<FlowMod> = log
+        .sent
+        .lock()
+        .unwrap()
+        .iter()
+        .filter(|(at, _)| *at == defense)
+        .filter_map(|(_, msg)| match &msg.body {
+            OfBody::FlowMod(fm) => Some(fm.clone()),
+            _ => None,
+        })
+        .collect();
+    let first_update = proactive_adds(&first_update, CACHE_PORT);
+    assert_eq!(
+        first_update.iter().copied().collect::<HashSet<_>>(),
+        benign_rules()
+    );
+    assert!(snap.stats.demoted_at_init > 0, "the onset taught nothing");
+    assert!(snap.quarantined_entries > 0);
     let asked = log.asked_at();
     assert!(!asked.is_empty(), "the table was never asked about");
     assert!(
@@ -1094,7 +1155,8 @@ impl SwitchPeer {
 fn a_table_emptied_behind_the_controllers_back_is_repaired_in_one_round() {
     const CACHE_PORT: u16 = 99;
 
-    let floodguard = live_floodguard(CACHE_PORT);
+    let mut floodguard = live_floodguard(CACHE_PORT);
+    seed_benign(&mut floodguard);
     let monitor = floodguard.monitor_handle();
     // No cache device in this test: packets the switch forwards to the
     // cache port are counted into the shared handle by hand, which is all
@@ -1117,6 +1179,12 @@ fn a_table_emptied_behind_the_controllers_back_is_repaired_in_one_round() {
         vec![1, 2, CACHE_PORT],
     );
     let mut peer = SwitchPeer::connect(controller.local_addr().unwrap(), switch);
+    // Calm, longer than a detector window: the benign hosts were learned
+    // before the flood's onset.
+    assert!(wait_for(Duration::from_secs(10), || {
+        peer.serve();
+        peer.start.elapsed() > Duration::from_millis(300)
+    }));
 
     // Flood, serving the connection in between, until `done`.
     let mut seq = 0u64;
@@ -1159,7 +1227,18 @@ fn a_table_emptied_behind_the_controllers_back_is_repaired_in_one_round() {
         "an intact table was repaired"
     );
     let before = peer.rules();
-    let sent_before = proactive_adds(&peer.flow_mods, CACHE_PORT).len();
+    let sent = proactive_adds(&peer.flow_mods, CACHE_PORT);
+    let sent_before = sent.len();
+    // The first update sent the benign hosts' rules and nothing the flood
+    // taught: that went to quarantine.
+    let benign = benign_rules();
+    let first_update: HashSet<(OfMatch, u16)> = sent[..benign.len()].iter().copied().collect();
+    assert_eq!(first_update, benign);
+    assert!(
+        monitor.lock().stats.demoted_at_init > 0,
+        "the onset taught nothing"
+    );
+    assert!(monitor.lock().quarantined_entries > 0);
     assert_eq!(
         before.len(),
         2 + sent_before,

@@ -39,11 +39,18 @@ fn timeline_matches_the_parent_engine() {
     // was recorded again when FloodGuard began quarantining what the
     // cache re-raises: it gained the learned/quarantined/aged-out series,
     // and its rule and conversion-cost series carry no spoofed sources.
-    // The trace did not move.
+    // It was recorded once more when Init began demoting what the flood's
+    // onset taught before detection: it gained the demoted-at-Init series,
+    // the onset's sources moved from the learned series to the
+    // quarantined one and out of the rule series, and the engine's event
+    // series count the flow-mods no longer sent. The trace did not move.
     let (timeline, trace) = capture("end_to_end_defense", &defended());
     assert_eq!(
         (digest(&timeline), digest(&trace)),
-        ((471743, 6237401941304916637), (36116, 12264189397029473725)),
+        (
+            (484168, 17721549854719739867),
+            (36116, 12264189397029473725)
+        ),
         "(length, digest) of the timeline and of the chrome trace"
     );
 }
