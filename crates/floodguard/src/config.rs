@@ -146,24 +146,18 @@ pub enum CacheFailPolicy {
     FailSafe,
 }
 
-/// Failure-recovery parameters: rule repair and cache failover.
-#[derive(Debug, Clone, Copy, PartialEq)]
+/// Failure-recovery parameters: cache failover. (A switch's table needs
+/// none: FloodGuard reconciles it with what it wants on every answer.)
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RecoveryConfig {
     /// Degradation policy when no healthy cache remains.
     pub cache_fail_policy: CacheFailPolicy,
-    /// Maximum rule-repair rounds per switch before giving up (until fresh
-    /// evidence — a reconnect — resets the budget).
-    pub repair_max_attempts: u32,
-    /// Base backoff between repair rounds, seconds (doubled each attempt).
-    pub repair_backoff: f64,
 }
 
 impl Default for RecoveryConfig {
     fn default() -> Self {
         RecoveryConfig {
             cache_fail_policy: CacheFailPolicy::FailOpen,
-            repair_max_attempts: 5,
-            repair_backoff: 0.05,
         }
     }
 }
@@ -185,7 +179,7 @@ pub struct FloodGuardConfig {
     /// Target controller utilization the adaptive rate limiter steers
     /// toward.
     pub target_controller_utilization: f64,
-    /// Failure recovery: rule repair and cache failover.
+    /// Failure recovery: cache failover.
     pub recovery: RecoveryConfig,
     /// Optional proactive-rule compression (shadow elimination, prefix
     /// merging, priority flattening, TCAM budget) applied to every

@@ -51,14 +51,14 @@ pub mod cache;
 pub mod config;
 pub mod detector;
 pub mod migration;
+mod reconcile;
 pub mod state;
 
 use controller::platform::ControllerPlatform;
 use ofproto::actions::Action;
-use ofproto::flow_match::OfMatch;
 use ofproto::flow_mod::FlowMod;
-use ofproto::messages::{OfBody, OfMessage, StatsReply, StatsRequest};
-use ofproto::types::{DatapathId, PortNo, Xid};
+use ofproto::messages::{OfBody, OfMessage, StatsReply};
+use ofproto::types::{DatapathId, PortNo};
 use policy::Provenance;
 
 use netsim::iface::{ControlOutput, ControlPlane, DeviceId, Telemetry};
@@ -72,6 +72,7 @@ use crate::analyzer::Analyzer;
 use crate::cache::{new_handle, CacheHandle, DataPlaneCache};
 use crate::detector::Detector;
 use crate::migration::{CacheFailover, MigrationAgent};
+use crate::reconcile::Reconciler;
 use crate::state::Transition;
 
 pub use crate::admin::{AdminSnapshot, ThresholdUpdate, Thresholds};
@@ -84,6 +85,12 @@ pub use symexec::{CompressionConfig, CompressionStats};
 
 /// Module name under which FloodGuard's own CPU time is accounted.
 pub const MODULE_NAME: &str = "floodguard";
+
+/// How long a read of a switch's table may go unanswered before the table
+/// counts as unknown and the switch is asked again; also how long Finish
+/// waits for a switch's answer to show no redirect before closing the
+/// cache's intake without it.
+pub const ANSWER_WAIT_S: f64 = 1.0;
 
 /// Aggregate counters describing a FloodGuard run.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
@@ -100,62 +107,20 @@ pub struct FloodGuardStats {
     pub updates: u64,
     /// `packet_in`s re-raised from the data plane cache.
     pub reraised: u64,
-    /// Flow-mods re-sent by rule repair (after a flow-table wipe or a
-    /// control-channel reconnect).
+    /// Flow-mods sent by repair rounds: what a switch's answer showed
+    /// missing from, or extra to, the table FloodGuard wants it to hold
+    /// (after a flow-table wipe, a reconnect, or a lost flow_mod).
     pub rules_repaired: u64,
     /// Cache failovers (standby promotions and recoveries from degraded).
     pub cache_failovers: u64,
     /// Times the defense degraded because no healthy cache remained.
     pub degraded: u64,
     /// Switches a Finish teardown stopped waiting for: they disconnected,
-    /// or left their barrier unanswered for [`TEARDOWN_WAIT_S`], before
-    /// confirming the redirect rules' removal.
+    /// or had not shown the redirect rules gone within [`ANSWER_WAIT_S`].
     pub teardown_unanswered: u64,
     /// Learned entries moved into quarantine at Init because they were
     /// first learned within one detector window of the detection.
     pub demoted_at_init: u64,
-}
-
-/// How long a Finish teardown waits for a switch to answer its barrier
-/// before closing the cache's intake without it.
-pub const TEARDOWN_WAIT_S: f64 = 1.0;
-
-/// The high half of a teardown barrier's xid; the low half numbers the
-/// episode, so an answer to an earlier teardown is told apart.
-const TEARDOWN_XID: u32 = 0x4647_0000;
-
-/// An orderly exit from Defense: the redirect rules' strict deletes went
-/// out, each followed by a barrier on its switch, and the cache's intake
-/// stays open until every such switch has answered — a switch redirects to
-/// the cache until it has applied the delete, and a packet it redirected
-/// before must still be taken in and re-raised, not refused. The intake
-/// then closes one telemetry tick after the last answer, so that what the
-/// switch put on the wire to the cache before answering has arrived.
-#[derive(Debug, Clone)]
-struct Teardown {
-    /// Switches whose barrier reply is outstanding.
-    waiting: Vec<DatapathId>,
-    /// The strict deletes that went out, kept for a switch given up on.
-    deletes: Vec<(DatapathId, FlowMod)>,
-    /// The barriers' xid.
-    xid: Xid,
-    /// When the deletes went out.
-    since: f64,
-    /// Every switch has answered (or is no longer waited for), as of a
-    /// telemetry tick before this one.
-    answered: bool,
-}
-
-/// Per-switch rule-repair bookkeeping (bounded retry with backoff).
-#[derive(Debug, Clone, Copy, Default)]
-struct RepairEntry {
-    /// A repair round is owed (table wipe detected, or reconnect while
-    /// migrating).
-    pending: bool,
-    /// Rounds already spent on the current incident.
-    attempts: u32,
-    /// Earliest time the next round may fire.
-    next_at: f64,
 }
 
 /// A live snapshot of FloodGuard's externally observable state, shared
@@ -221,23 +186,16 @@ pub struct FloodGuard {
     analyzer: Analyzer,
     agent: MigrationAgent,
     cache_handle: CacheHandle,
-    switch_ports: Vec<(DatapathId, Vec<u16>)>,
-    repairs: Vec<(DatapathId, RepairEntry)>,
-    /// What each switch last answered this episode's aggregate-stats
-    /// requests with: the flow count the audit goes by where telemetry
-    /// carries none. Forgotten at Init and whenever the switch's connection
-    /// comes or goes — a count from before is not about this table.
-    table_counts: Vec<(DatapathId, usize)>,
+    /// Every switch seen: its ports, its wanted redirects, what it last
+    /// reported, and its reads.
+    tables: Reconciler,
     /// Datapath each cache device serves, in device-attachment order.
     device_dpids: Vec<DatapathId>,
-    /// The teardown in progress in Finish, until the intake closes.
-    teardown: Option<Teardown>,
-    /// The redirect rules' strict deletes owed to each switch a teardown
-    /// gave up on (it disconnected or stayed silent): they may never have
-    /// reached it, and the redirects have no timeout. Sent when the switch
-    /// next connects while nothing is migrating; Init cancels them all,
-    /// since its install supersedes them. One entry per switch at most.
-    owed_deletes: Vec<(DatapathId, Vec<FlowMod>)>,
+    /// When Finish's round went out, until the cache's intake closes.
+    finish_at: Option<f64>,
+    /// Every switch showed no redirect, or was given up on, as of a
+    /// telemetry tick before this one.
+    teardown_clear: bool,
     admin: AdminHandle,
     monitor: MonitorHandle,
     obs: Option<FgObs>,
@@ -278,12 +236,10 @@ impl FloodGuard {
             analyzer,
             agent,
             cache_handle,
-            switch_ports: Vec::new(),
-            repairs: Vec::new(),
-            table_counts: Vec::new(),
+            tables: Reconciler::default(),
             device_dpids: Vec::new(),
-            teardown: None,
-            owed_deletes: Vec::new(),
+            finish_at: None,
+            teardown_clear: false,
             admin: AdminHandle::new(&config.detection),
             monitor: Arc::new(Mutex::new(Monitor::default())),
             obs: None,
@@ -453,11 +409,6 @@ impl FloodGuard {
         self.cache_handle.clone()
     }
 
-    /// The migration agent (cache registry, failover and degrade state).
-    pub fn agent(&self) -> &MigrationAgent {
-        &self.agent
-    }
-
     /// The current lifecycle state.
     pub fn state(&self) -> State {
         self.sm.state()
@@ -496,15 +447,16 @@ impl FloodGuard {
             let OfBody::PacketOut(po) = &mut msg.body else {
                 continue;
             };
-            let Some((_, ports)) = self.switch_ports.iter().find(|(d, _)| d == dpid) else {
+            let Some(i) = self.tables.index(*dpid) else {
                 continue;
             };
+            let ports = &self.tables.switches[i].ports;
             let in_port = po.in_port.physical();
             let mut actions = Vec::with_capacity(po.actions.len());
             for action in &po.actions {
                 match action {
                     Action::Output(PortNo::Flood | PortNo::All) => {
-                        for &p in ports {
+                        for &p in ports.iter() {
                             if p != cache_port && Some(p) != in_port {
                                 actions.push(Action::Output(PortNo::Physical(p)));
                             }
@@ -532,24 +484,14 @@ impl FloodGuard {
 
     fn enter_init(&mut self, now: f64, out: &mut ControlOutput) {
         self.stats.attacks_detected += 1;
-        // A teardown still waiting is moot, and so are the deletes owed by
-        // an earlier one: the redirects come back and the intake stays open.
-        self.teardown = None;
-        self.owed_deletes.clear();
+        // A teardown still waiting is moot: the redirects come back and the
+        // intake stays open.
+        self.finish_at = None;
         self.analyzer.reset_installed();
-        self.table_counts.clear();
         // Migrate: per-port wildcard rules on every protected switch.
-        for (dpid, ports) in &self.switch_ports {
-            for fm in self.agent.install_migration(*dpid, ports) {
-                out.send(
-                    *dpid,
-                    OfMessage::new(ofproto::types::Xid(0), OfBody::FlowMod(fm)),
-                );
-            }
-        }
+        self.set_redirects(now, out, MigrationAgent::install_migration);
         out.charge(MODULE_NAME, 2e-4);
         self.detector.reset_end_tracking();
-        let _ = now;
     }
 
     fn run_update(&mut self, now: f64, out: &mut ControlOutput) {
@@ -579,16 +521,15 @@ impl FloodGuard {
         }
         out.charge(MODULE_NAME, cost);
         match self.config.rule_placement {
-            RulePlacement::Switch => {
-                for (dpid, _) in &self.switch_ports {
-                    for fm in update.to_remove.iter().chain(update.to_add.iter()) {
-                        out.send(
-                            *dpid,
-                            OfMessage::new(ofproto::types::Xid(0), OfBody::FlowMod(fm.clone())),
-                        );
+            RulePlacement::Switch if !update.is_empty() => {
+                for i in 0..self.tables.switches.len() {
+                    if self.tables.switches[i].connected {
+                        let mods = update.to_remove.iter().chain(&update.to_add);
+                        self.tables.round(i, mods.cloned(), now, out);
                     }
                 }
             }
+            RulePlacement::Switch => {}
             RulePlacement::Cache => {
                 // §IV-E TCAM-limited option: rules live in the cache; it
                 // gives matching packets priority instead of the switch
@@ -605,246 +546,202 @@ impl FloodGuard {
         }
     }
 
-    /// Removes the redirect rules and starts the [`Teardown`] that closes
-    /// the cache's intake once every switch has confirmed the removal.
+    /// Removes the redirect rules; the cache's intake stays open until every
+    /// switch has shown them gone ([`FloodGuard::step_intake`]).
     fn enter_finish(&mut self, now: f64, out: &mut ControlOutput) {
         self.stats.attacks_ended += 1;
-        let xid = Xid(TEARDOWN_XID | (self.stats.attacks_ended as u32 & 0xffff));
-        let mut waiting = Vec::new();
-        let deletes = self.agent.delete_migration();
-        for (dpid, fm) in &deletes {
-            out.send(*dpid, OfMessage::new(Xid(0), OfBody::FlowMod(fm.clone())));
-            if !waiting.contains(dpid) {
-                waiting.push(*dpid);
-            }
+        self.agent.end_migration();
+        self.set_redirects(now, out, |agent, _, ports| agent.redirects(ports));
+        for sw in &mut self.tables.switches {
+            sw.given_up = false;
         }
-        for &dpid in &waiting {
-            out.send(dpid, OfMessage::new(xid, OfBody::BarrierRequest));
-        }
-        self.teardown = Some(Teardown {
-            waiting,
-            deletes,
-            xid,
-            since: now,
-            answered: false,
-        });
+        self.finish_at = Some(now);
+        self.teardown_clear = false;
         out.charge(MODULE_NAME, 2e-4);
     }
 
-    /// Advances the teardown by one telemetry tick; closes the cache's
-    /// intake, and ends the teardown, once every switch has answered as of
-    /// the tick before. A switch silent for [`TEARDOWN_WAIT_S`] is given
-    /// up on.
-    fn step_teardown(&mut self, now: f64) {
-        let Some(t) = self.teardown.as_ref() else {
+    /// Advances Finish's teardown by one telemetry tick. A switch redirects
+    /// to the cache until it has applied the deletes, and a packet it
+    /// redirected before must still be taken in and re-raised, not refused:
+    /// so the intake closes one tick after every switch's latest answer
+    /// shows no redirect, so that what a switch put on the wire to the cache
+    /// before answering has arrived. A switch that is gone, or has not
+    /// shown that within [`ANSWER_WAIT_S`], is given up on; its table is
+    /// read back, and its redirects deleted, when it answers again.
+    fn step_intake(&mut self, now: f64) {
+        let Some(since) = self.finish_at else {
             return;
         };
-        if now - t.since >= TEARDOWN_WAIT_S {
-            for dpid in t.waiting.clone() {
-                self.give_up_on(dpid);
+        let overdue = now - since >= ANSWER_WAIT_S;
+        let mut clear = true;
+        for sw in &mut self.tables.switches {
+            if sw.given_up || (sw.connected && sw.clear_of_redirects()) {
+                continue;
+            }
+            if sw.connected && !overdue {
+                clear = false;
+            } else {
+                sw.given_up = true;
+                self.stats.teardown_unanswered += 1;
             }
         }
-        let Some(t) = self.teardown.as_mut() else {
-            return;
-        };
-        if !t.waiting.is_empty() {
+        if !clear {
             return;
         }
-        if t.answered {
+        if self.teardown_clear {
             self.agent.close_intake();
-            self.teardown = None;
+            self.finish_at = None;
         } else {
-            t.answered = true;
+            self.teardown_clear = true;
         }
     }
 
-    /// Stops waiting for `dpid`'s answer to the teardown: the switch counts
-    /// as unanswered and is owed the strict deletes, which may never have
-    /// reached it.
-    fn give_up_on(&mut self, dpid: DatapathId) {
-        let Some(t) = self.teardown.as_mut() else {
-            return;
-        };
-        let Some(i) = t.waiting.iter().position(|d| *d == dpid) else {
-            return;
-        };
-        t.waiting.remove(i);
-        self.stats.teardown_unanswered += 1;
-        let deletes = t
-            .deletes
-            .iter()
-            .filter(|(d, _)| *d == dpid)
-            .map(|(_, fm)| fm.clone())
-            .collect();
-        self.owed_deletes.retain(|(d, _)| *d != dpid);
-        self.owed_deletes.push((dpid, deletes));
-    }
-
-    /// Flags switch `dpid` for a rule-repair round. `fresh_evidence` (a
-    /// reconnect) resets the attempt budget; a telemetry audit failure only
-    /// re-arms an idle entry, so a switch that keeps reporting a short table
-    /// cannot burn unbounded repair rounds.
-    fn mark_repair(&mut self, dpid: DatapathId, now: f64, fresh_evidence: bool) {
-        let entry = match self.repairs.iter_mut().find(|(d, _)| *d == dpid) {
-            Some((_, e)) => e,
-            None => {
-                self.repairs.push((dpid, RepairEntry::default()));
-                &mut self.repairs.last_mut().expect("just pushed").1
-            }
-        };
-        if fresh_evidence {
-            entry.attempts = 0;
-            entry.next_at = now;
-        }
-        if !entry.pending {
-            entry.pending = true;
-            entry.next_at = entry.next_at.max(now);
-        }
-    }
-
-    /// Runs due repair rounds: re-sends the migration redirect rules and —
-    /// under [`RulePlacement::Switch`] — the installed proactive rules.
-    /// Re-sending is idempotent (an OpenFlow `Add` with an identical match
-    /// and priority replaces in place), so a spurious repair is harmless.
-    fn process_repairs(&mut self, now: f64, out: &mut ControlOutput) {
-        if !self.agent.is_migrating() || self.agent.is_degraded() {
-            return;
-        }
-        let recovery = self.config.recovery;
-        let due: Vec<DatapathId> = self
-            .repairs
-            .iter()
-            .filter(|(_, e)| e.pending && now >= e.next_at)
-            .map(|(d, _)| *d)
-            .collect();
-        for dpid in due {
-            let Some(ports) = self
-                .switch_ports
+    /// Sets every switch's wanted redirects to what `next` builds from its
+    /// ports, and sends each connected switch the change as one round:
+    /// strict deletes for the redirects it should no longer hold, then
+    /// adds for the new or changed ones.
+    fn set_redirects(
+        &mut self,
+        now: f64,
+        out: &mut ControlOutput,
+        mut next: impl FnMut(&mut MigrationAgent, DatapathId, &[u16]) -> Vec<FlowMod>,
+    ) {
+        for i in 0..self.tables.switches.len() {
+            let sw = &self.tables.switches[i];
+            let new = next(&mut self.agent, sw.dpid, &sw.ports);
+            let sw = &mut self.tables.switches[i];
+            let old = std::mem::replace(&mut sw.redirects, new);
+            let gone = old
                 .iter()
-                .find(|(d, _)| *d == dpid)
-                .map(|(_, p)| p.as_slice())
-            else {
+                .filter(|o| !sw.redirects.iter().any(|n| n.of_match == o.of_match))
+                .map(|o| FlowMod::delete_strict(o.of_match, o.priority));
+            let mut mods: Vec<FlowMod> = gone.collect();
+            mods.extend(sw.redirects.iter().filter(|n| !old.contains(n)).cloned());
+            if sw.connected && !mods.is_empty() {
+                self.tables.round(i, mods, now, out);
+            }
+        }
+    }
+
+    /// Switch `i`'s wanted table: its redirects, then the proactive rules
+    /// while they are wanted ([`FloodGuard::proactive_wanted`]).
+    fn want(&self, i: usize) -> Vec<FlowMod> {
+        let mut want = self.tables.switches[i].redirects.clone();
+        if self.proactive_wanted() {
+            let proactive = self.analyzer.installed().iter();
+            want.extend(proactive.map(|r| r.to_flow_mod().with_cookie(self.config.cookie)));
+        }
+        want
+    }
+
+    /// Whether the proactive rules are part of what the switches should
+    /// hold: they are placed on the switches, and the defense is on. At
+    /// Idle they are forgotten, not deleted: they age out of the switch,
+    /// and the next Init re-adds them.
+    fn proactive_wanted(&self) -> bool {
+        self.config.rule_placement == RulePlacement::Switch && self.sm.state() != State::Idle
+    }
+
+    /// The round that takes switch `i` from its latest answer to what it
+    /// should hold; empty while its table is unknown.
+    fn delta(&self, i: usize) -> Vec<FlowMod> {
+        let Some(have) = &self.tables.switches[i].have else {
+            return Vec::new();
+        };
+        let proactive = self.proactive_wanted();
+        reconcile::delta(&self.want(i), have, |r| {
+            proactive || MigrationAgent::is_redirect(&r.of_match, r.priority)
+        })
+    }
+
+    /// Notes whether switch `i`'s latest answer differs from what it
+    /// should hold: the next tick with no read outstanding repairs it.
+    fn judge(&mut self, i: usize) {
+        self.tables.switches[i].differs = !self.delta(i).is_empty();
+    }
+
+    /// The reconciler's part of a telemetry tick before the FSM's: for each
+    /// connected switch whose latest answer differed from what it should
+    /// hold, a repair round, unless a read is still outstanding. It goes
+    /// out before the FSM's own rounds, so that a round every tick (a flood
+    /// teaching the apps something new each tick) cannot starve it. A round
+    /// costs the difference; only a read costs the table.
+    fn repair(&mut self, telemetry: &Telemetry, now: f64, out: &mut ControlOutput) {
+        for t in &telemetry.switches {
+            let (Some(count), Some(i)) = (t.flow_count, self.tables.index(t.dpid)) else {
                 continue;
             };
-            let entry = &mut self
-                .repairs
-                .iter_mut()
-                .find(|(d, _)| *d == dpid)
-                .expect("entry exists")
-                .1;
-            if entry.attempts >= recovery.repair_max_attempts {
-                // Budget exhausted: stand down until fresh evidence
-                // (a reconnect) resets it.
-                entry.pending = false;
+            // Redirects have no timeout: a table holding fewer rules than
+            // the redirects it last reported has lost some.
+            let sw = &mut self.tables.switches[i];
+            if count < sw.redirects_held {
+                sw.forget();
+            }
+        }
+        for i in 0..self.tables.switches.len() {
+            let sw = &mut self.tables.switches[i];
+            if sw.answer_overdue(now) {
+                sw.forget();
+            }
+            if !sw.connected || sw.asking() || !sw.differs {
                 continue;
             }
-            entry.attempts += 1;
-            entry.next_at = now + recovery.repair_backoff * f64::from(1u32 << (entry.attempts - 1));
-            let mut mods = self.agent.reinstall_migration(dpid, ports);
-            if self.config.rule_placement == RulePlacement::Switch {
-                mods.extend(
-                    self.analyzer
-                        .installed()
-                        .iter()
-                        .map(|r| r.to_flow_mod().with_cookie(self.config.cookie)),
-                );
+            let mods = self.delta(i);
+            if mods.is_empty() {
+                self.tables.switches[i].differs = false;
+                continue;
             }
             self.stats.rules_repaired += mods.len() as u64;
-            for fm in mods {
-                out.send(
-                    dpid,
-                    OfMessage::new(ofproto::types::Xid(0), OfBody::FlowMod(fm)),
-                );
-            }
+            self.tables.round(i, mods, now, out);
             out.charge(MODULE_NAME, 5e-5);
         }
     }
 
-    /// Audits each switch's flow count against the migration rules the
-    /// agent believes are installed: a count below that baseline means the
-    /// table was wiped (crash-restart) behind our back.
-    ///
-    /// Telemetry that could see the table carries the count. Where it could
-    /// not (a live controller endpoint), the count is the switch's last
-    /// answer to the aggregate-stats request sent here, one per protected
-    /// switch per tick while rules are placed on it; until one arrives
-    /// nothing is known, and nothing is repaired.
-    fn audit_tables(&mut self, telemetry: &Telemetry, now: f64, out: &mut ControlOutput) {
-        if !self.agent.is_migrating() || self.agent.is_degraded() {
-            return;
-        }
-        for sw in &telemetry.switches {
-            let expected = self.agent.installed_for(sw.dpid);
-            if expected == 0 {
-                continue;
-            }
-            let flow_count = match sw.flow_count {
-                Some(count) => count,
-                None => {
-                    if self.config.rule_placement == RulePlacement::Switch {
-                        let ask = OfBody::StatsRequest(StatsRequest::Aggregate(OfMatch::any()));
-                        out.send(sw.dpid, OfMessage::new(ofproto::types::Xid(0), ask));
-                    }
-                    match self.table_counts.iter().find(|(d, _)| *d == sw.dpid) {
-                        Some((_, answered)) => *answered,
-                        None => continue,
-                    }
+    /// The reconciler's part of a telemetry tick after the FSM's, whose
+    /// rounds each end with a read: one read for each connected switch
+    /// with none outstanding whose table is unknown, or which should hold
+    /// redirects while telemetry carries no count of its table.
+    fn read_back(&mut self, telemetry: &Telemetry, now: f64, out: &mut ControlOutput) {
+        if self.agent.is_migrating() {
+            for t in telemetry.switches.iter().filter(|t| t.flow_count.is_none()) {
+                let Some(i) = self.tables.index(t.dpid) else {
+                    continue;
+                };
+                let sw = &self.tables.switches[i];
+                if sw.connected && !sw.asking() && !sw.redirects.is_empty() {
+                    self.tables.ask(i, now, out);
                 }
-            };
-            if flow_count < expected {
-                self.mark_repair(sw.dpid, now, false);
-            } else if let Some((_, e)) = self.repairs.iter_mut().find(|(d, _)| *d == sw.dpid) {
-                // Audit passes: the incident is over, restore the budget.
-                e.pending = false;
-                e.attempts = 0;
+            }
+        }
+        for i in 0..self.tables.switches.len() {
+            let sw = &self.tables.switches[i];
+            if sw.connected && !sw.asking() && sw.have.is_none() {
+                self.tables.ask(i, now, out);
             }
         }
     }
 
-    /// Polls cache health and reacts: promotes standbys (re-pointing the
-    /// migration rules), or degrades per [`CacheFailPolicy`] when nothing
-    /// healthy remains.
-    fn check_cache_failover(&mut self, out: &mut ControlOutput) {
+    /// Polls cache health and reacts: re-points the migration rules at a
+    /// promoted standby, or changes them per [`CacheFailPolicy`] when
+    /// nothing healthy remains.
+    fn check_cache_failover(&mut self, now: f64, out: &mut ControlOutput) {
         if !self.agent.is_migrating() && !self.agent.is_degraded() {
             return;
         }
         match self.agent.check_cache_health() {
-            CacheFailover::Ok => {}
+            CacheFailover::Ok => return,
             CacheFailover::Promoted { port: _ } => {
                 self.stats.cache_failovers += 1;
-                if self.agent.is_migrating() {
-                    // Re-point every switch's redirect rules at the promoted
-                    // cache (overwrites fail-safe drops in place too).
-                    for (dpid, ports) in &self.switch_ports {
-                        for fm in self.agent.reinstall_migration(*dpid, ports) {
-                            out.send(
-                                *dpid,
-                                OfMessage::new(ofproto::types::Xid(0), OfBody::FlowMod(fm)),
-                            );
-                        }
-                    }
-                    out.charge(MODULE_NAME, 2e-4);
+                if !self.agent.is_migrating() {
+                    return;
                 }
             }
-            CacheFailover::Degraded => {
-                self.stats.degraded += 1;
-                // Pending repairs would reinstall redirects to a dead cache.
-                for (_, e) in &mut self.repairs {
-                    e.pending = false;
-                }
-                let mods = match self.config.recovery.cache_fail_policy {
-                    CacheFailPolicy::FailOpen => self.agent.degrade_fail_open(),
-                    CacheFailPolicy::FailSafe => self.agent.degrade_fail_safe(),
-                };
-                for (dpid, fm) in mods {
-                    out.send(
-                        dpid,
-                        OfMessage::new(ofproto::types::Xid(0), OfBody::FlowMod(fm)),
-                    );
-                }
-                out.charge(MODULE_NAME, 2e-4);
-            }
+            CacheFailover::Degraded => self.stats.degraded += 1,
         }
+        // Redirects at the promoted cache (overwriting fail-safe drops in
+        // place), drops, or nothing.
+        self.set_redirects(now, out, |agent, _, ports| agent.redirects(ports));
+        out.charge(MODULE_NAME, 2e-4);
     }
 
     /// Whether the admin blocklists order this `packet_in` dropped. Runs
@@ -873,48 +770,24 @@ impl ControlPlane for FloodGuard {
         out: &mut ControlOutput,
     ) {
         let ports: Vec<u16> = features.ports.iter().filter_map(|p| p.physical()).collect();
-        self.table_counts.retain(|(d, _)| *d != dpid);
-        match self.switch_ports.iter_mut().find(|(d, _)| *d == dpid) {
+        let i = self.tables.connect(dpid, ports);
+        let sw = &self.tables.switches[i];
+        self.tables.switches[i].redirects = self.agent.redirects(&sw.ports);
+        if self.tables.switches[i].have.is_none() {
             // A reconnect (crash-restart or healed partition): the switch may
-            // have lost its table, so owe it a repair round with a fresh
-            // attempt budget.
-            Some((_, p)) => {
-                *p = ports;
-                if self.agent.is_migrating() {
-                    self.mark_repair(dpid, now, true);
-                }
-            }
-            None => self.switch_ports.push((dpid, ports)),
-        }
-        // Deletes and a barrier sent while the switch was away were lost:
-        // send them again if the teardown still waits for it, or send the
-        // deletes it is owed if the teardown gave up on it.
-        if let Some(t) = self.teardown.as_ref().filter(|t| t.waiting.contains(&dpid)) {
-            for (_, fm) in t.deletes.iter().filter(|(d, _)| *d == dpid) {
-                out.send(dpid, OfMessage::new(Xid(0), OfBody::FlowMod(fm.clone())));
-            }
-            out.send(dpid, OfMessage::new(t.xid, OfBody::BarrierRequest));
-        } else if !self.agent.is_migrating() {
-            if let Some(i) = self.owed_deletes.iter().position(|(d, _)| *d == dpid) {
-                for fm in self.owed_deletes.remove(i).1 {
-                    out.send(dpid, OfMessage::new(Xid(0), OfBody::FlowMod(fm)));
-                }
-            }
+            // have lost its table, or kept what FloodGuard no longer wants.
+            // Its answer decides the round.
+            self.tables.ask(i, now, out);
+        } else {
+            // A first connect: an empty table, and nothing sent unless the
+            // switch should hold something, which the next tick installs.
+            self.judge(i);
         }
         self.platform.on_switch_connect(dpid, features, now, out);
     }
 
-    fn on_switch_disconnect(&mut self, dpid: DatapathId, now: f64, _out: &mut ControlOutput) {
-        // A switch gone mid-teardown cannot answer: stop waiting for it.
-        self.give_up_on(dpid);
-        // Nothing can be sent while the switch is gone; owe it a repair so
-        // the defense re-converges the moment it reconnects (belt-and-braces
-        // with the reconnect path, and it covers liveness-timeout declares
-        // where no re-handshake follows immediately).
-        if self.agent.is_migrating() {
-            self.mark_repair(dpid, now, false);
-        }
-        self.table_counts.retain(|(d, _)| *d != dpid);
+    fn on_switch_disconnect(&mut self, dpid: DatapathId, _now: f64, _out: &mut ControlOutput) {
+        self.tables.disconnect(dpid);
     }
 
     fn on_message(&mut self, dpid: DatapathId, msg: OfMessage, now: f64, out: &mut ControlOutput) {
@@ -928,18 +801,15 @@ impl ControlPlane for FloodGuard {
                     return;
                 }
             }
-            // A switch confirming the redirect rules' removal.
-            OfBody::BarrierReply => {
-                if let Some(t) = self.teardown.as_mut().filter(|t| t.xid == msg.xid) {
-                    t.waiting.retain(|d| *d != dpid);
-                }
-            }
-            // The answer to `audit_tables`' question.
-            OfBody::StatsReply(StatsReply::Aggregate(table)) => {
-                let count = table.flow_count as usize;
-                match self.table_counts.iter_mut().find(|(d, _)| *d == dpid) {
-                    Some((_, seen)) => *seen = count,
-                    None => self.table_counts.push((dpid, count)),
+            // A switch's answer to a read, whole or in parts.
+            OfBody::StatsReply(StatsReply::Flow(entries) | StatsReply::FlowMore(entries)) => {
+                let last = matches!(msg.body, OfBody::StatsReply(StatsReply::Flow(_)));
+                let cookie = self.config.cookie;
+                if let Some(i) = self
+                    .tables
+                    .take_answer(dpid, msg.xid, entries, last, cookie)
+                {
+                    self.judge(i);
                 }
             }
             _ => {}
@@ -971,7 +841,7 @@ impl ControlPlane for FloodGuard {
                 .device_dpids
                 .get(_device.0)
                 .copied()
-                .or_else(|| self.switch_ports.first().map(|(d, _)| *d));
+                .or_else(|| self.tables.switches.first().map(|sw| sw.dpid));
             if let Some(dpid) = dpid {
                 self.platform
                     .handle_packet_in_at(dpid, msg.xid, pi, now, Provenance::Cache, out);
@@ -1002,11 +872,10 @@ impl ControlPlane for FloodGuard {
         // attack-end test consults the held score, so it must be refreshed
         // from cache arrivals during Defense whether or not obs is attached.
         self.detector.score(now);
-        // Failure recovery runs before the FSM step: health and table audits
-        // may change what the lifecycle logic below is allowed to do.
-        self.audit_tables(telemetry, now, out);
-        self.check_cache_failover(out);
-        self.process_repairs(now, out);
+        // Failure recovery runs before the FSM step: cache failover may
+        // change what the lifecycle logic below is allowed to do.
+        self.check_cache_failover(now, out);
+        self.repair(telemetry, now, out);
         // Learned entries due go before the FSM step, so a Defense update
         // this tick already deletes their rules.
         self.platform.expire(now);
@@ -1068,8 +937,8 @@ impl ControlPlane for FloodGuard {
                 }
             }
             State::Finish => {
-                self.step_teardown(now);
-                if self.teardown.is_none()
+                self.step_intake(now);
+                if self.finish_at.is_none()
                     && self.agent.cache_backlog() == 0
                     && self.sm.transition(State::Idle, now)
                 {
@@ -1083,6 +952,7 @@ impl ControlPlane for FloodGuard {
                 }
             }
         }
+        self.read_back(telemetry, now, out);
         out.charge(MODULE_NAME, 1e-5);
         self.publish_obs(now);
         let mut monitor = self.monitor.lock();
@@ -1104,8 +974,8 @@ mod tests {
     use super::*;
     use controller::apps;
     use netsim::iface::SwitchTelemetry;
-    use ofproto::flow_mod::FlowModCommand;
-    use ofproto::messages::{FeaturesReply, PacketIn, PacketInReason};
+    use ofproto::flow_match::OfMatch;
+    use ofproto::messages::{FeaturesReply, PacketIn, PacketInReason, StatsRequest};
     use ofproto::types::{MacAddr, PortNo, Xid};
     use std::net::Ipv4Addr;
 
@@ -1247,6 +1117,7 @@ mod tests {
     #[test]
     fn attack_walks_the_state_machine() {
         let mut fg = fg_with_l2();
+        let mut peer = Peer::new();
         // Learn a host so proactive rules exist.
         apps::l2_learning::learn_host(
             &mut fg.platform_mut().app_mut("l2_learning").unwrap().env,
@@ -1256,6 +1127,7 @@ mod tests {
         flood_packet_in(&mut fg, 1.0, 60);
         let mut out = ControlOutput::new();
         fg.on_telemetry(&telemetry(), 1.05, &mut out);
+        peer.serve(&mut fg, &out, 1.05);
         assert_eq!(fg.state(), State::Init);
         assert_eq!(fg.stats.attacks_detected, 1);
         // Migration rules for ports 1,2,3 (not the cache port).
@@ -1269,6 +1141,7 @@ mod tests {
         // Next telemetry: proactive rules installed, Defense reached.
         let mut out = ControlOutput::new();
         fg.on_telemetry(&telemetry(), 1.1, &mut out);
+        peer.serve(&mut fg, &out, 1.1);
         assert_eq!(fg.state(), State::Defense);
         // One rule, the seeded host's: the 60 spoofed sources l2_learning
         // learned from the flood before migration engaged (POX would too)
@@ -1281,23 +1154,22 @@ mod tests {
             .messages
             .iter()
             .any(|(_, m)| matches!(&m.body, OfBody::FlowMod(fm) if fm.command == ofproto::flow_mod::FlowModCommand::Add)));
+        assert_eq!(peer.ours(), 4, "three redirects and the host's rule");
         // Quiet cache → attack over after hysteresis.
-        let mut out = ControlOutput::new();
-        fg.on_telemetry(&telemetry(), 1.5, &mut out);
+        assert_eq!(tick(&mut fg, &mut peer, &telemetry(), 1.5), (0, 0));
         let mut out = ControlOutput::new();
         fg.on_telemetry(&telemetry(), 2.0, &mut out);
         assert_eq!(fg.state(), State::Finish);
-        // The redirects are deleted, each switch is asked for a barrier,
-        // and the intake stays open until the switch confirms.
+        // The redirects are deleted and the switch's table is read back;
+        // the intake stays open until the answer shows them gone.
         assert!(fg.cache_handle().lock().control.intake_enabled);
-        assert_eq!(answer_barriers(&mut fg, &out, 2.05), 1);
-        let mut out = ControlOutput::new();
-        fg.on_telemetry(&telemetry(), 2.1, &mut out);
+        assert_eq!(peer.serve(&mut fg, &out, 2.05), 1);
+        assert_eq!(peer.ours(), 1, "the host's rule is left to age out");
+        assert_eq!(tick(&mut fg, &mut peer, &telemetry(), 2.1), (0, 0));
         assert_eq!(fg.state(), State::Finish);
         assert!(fg.cache_handle().lock().control.intake_enabled);
         // A tick after the answer the intake closes; cache empty → Idle.
-        let mut out = ControlOutput::new();
-        fg.on_telemetry(&telemetry(), 2.2, &mut out);
+        assert_eq!(tick(&mut fg, &mut peer, &telemetry(), 2.2), (0, 0));
         assert!(!fg.cache_handle().lock().control.intake_enabled);
         assert_eq!(fg.state(), State::Idle);
         // Proactive rules stay installed (idle timeouts age them out); the
@@ -1364,7 +1236,7 @@ mod tests {
             now += 0.5;
         }
         assert_eq!(fg.state(), State::Finish);
-        // A backlog still queued, the barrier not yet answered, and the
+        // A backlog still queued, the teardown read not yet answered, and the
         // flood comes back: Init again, straight from Finish.
         fg.cache_handle().lock().stats.queued = 5;
         flood_packet_in(&mut fg, now, 60);
@@ -1373,8 +1245,9 @@ mod tests {
         assert_eq!(fg.state(), State::Init);
         assert_eq!(fg.stats.attacks_detected, 2);
         assert!(fg.cache_handle().lock().control.intake_enabled);
-        // The first teardown's answer comes late: it closes nothing.
-        assert_eq!(answer_barriers(&mut fg, &finish, now + 0.02), 1);
+        // The first teardown's answer comes late, and answers a read that
+        // is no longer the latest: it closes nothing.
+        assert_eq!(Peer::new().serve(&mut fg, &finish, now + 0.02), 1);
         fg.cache_handle().lock().stats.received = 2000;
         fg.on_telemetry(&telemetry(), now + 0.05, &mut ControlOutput::new());
         assert_eq!(fg.state(), State::Defense);
@@ -1430,11 +1303,13 @@ mod tests {
                 .count()
         };
         let mut fg = fg_with_l2();
+        let mut peer = Peer::new();
         seed_hosts(&mut fg, 60);
         flood_packet_in(&mut fg, 1.0, 60);
-        fg.on_telemetry(&telemetry(), 1.05, &mut ControlOutput::new());
+        tick(&mut fg, &mut peer, &telemetry(), 1.05);
         let mut out = ControlOutput::new();
         fg.on_telemetry(&telemetry(), 1.1, &mut out);
+        peer.serve(&mut fg, &out, 1.1);
         assert_eq!(fg.state(), State::Defense);
         assert_eq!(adds(&out), 60);
         assert_flood_quarantined(&fg, 60);
@@ -1447,15 +1322,15 @@ mod tests {
         );
         let mut out = ControlOutput::new();
         fg.on_telemetry(&telemetry(), 1.15, &mut out);
+        peer.serve(&mut fg, &out, 1.15);
         assert_eq!(adds(&out), 1);
-        // Quiet cache: Finish, then Idle once the switch confirmed the
-        // teardown.
+        // Quiet cache: Finish, then Idle once the switch showed the
+        // redirects gone.
         for now in [1.5, 2.0, 2.1, 2.2] {
-            let mut out = ControlOutput::new();
-            fg.on_telemetry(&telemetry(), now, &mut out);
-            answer_barriers(&mut fg, &out, now);
+            tick(&mut fg, &mut peer, &telemetry(), now);
         }
         assert_eq!(fg.state(), State::Idle);
+        assert_eq!(fg.stats.rules_repaired, 0);
         // The same sources flood again: their packet_ins promote them from
         // quarantine, and the second Init demotes them again.
         flood_packet_in(&mut fg, 5.0, 60);
@@ -1477,67 +1352,115 @@ mod tests {
         telemetry
     }
 
-    /// One telemetry tick; what it sent, as (aggregate-stats requests,
-    /// flow-mods).
-    fn tick(fg: &mut FloodGuard, telemetry: &Telemetry, now: f64) -> (usize, usize) {
+    /// Switch 1 as FloodGuard's messages leave it: the simulator's switch,
+    /// with a fault that drops every flow_mod while it is `lossy`.
+    struct Peer {
+        switch: netsim::switch::Switch,
+        lossy: bool,
+    }
+
+    impl Peer {
+        fn new() -> Peer {
+            let profile = netsim::SwitchProfile::software();
+            let switch = netsim::switch::Switch::new(DatapathId(1), profile, vec![1, 2, 3, 99]);
+            let lossy = false;
+            Peer { switch, lossy }
+        }
+
+        /// Applies what `out` sends switch 1 and hands `fg` the switch's
+        /// answers; how many reads it answered.
+        fn serve(&mut self, fg: &mut FloodGuard, out: &ControlOutput, now: f64) -> usize {
+            let mut reads = 0;
+            for (dpid, msg) in &out.messages {
+                let lost = self.lossy && matches!(msg.body, OfBody::FlowMod(_));
+                if *dpid != DatapathId(1) || lost {
+                    continue;
+                }
+                reads += usize::from(matches!(msg.body, OfBody::StatsRequest(_)));
+                let (_, replies) = self.switch.handle_message(msg.clone(), now);
+                for reply in replies {
+                    fg.on_message(*dpid, reply, now, &mut ControlOutput::new());
+                }
+            }
+            reads
+        }
+
+        /// The rules the switch holds under FloodGuard's cookie.
+        fn ours(&self) -> usize {
+            let cookie = FloodGuardConfig::default().cookie;
+            self.switch
+                .table
+                .iter()
+                .filter(|e| e.cookie == cookie)
+                .count()
+        }
+
+        /// The redirects the switch holds.
+        fn redirects(&self) -> usize {
+            let redirect = |e: &&ofproto::flow_table::FlowEntry| {
+                MigrationAgent::is_redirect(&e.of_match, e.priority)
+            };
+            self.switch.table.iter().filter(redirect).count()
+        }
+
+        /// Loses the first `n` of FloodGuard's rules, redirects first.
+        fn lose(&mut self, n: usize) {
+            let table = &mut self.switch.table;
+            let mut ours: Vec<_> = table.iter().map(|e| (e.of_match, e.priority)).collect();
+            ours.sort_by_key(|&(_, priority)| priority);
+            for (of_match, priority) in ours.into_iter().take(n) {
+                table
+                    .apply(&FlowMod::delete_strict(of_match, priority), 0.0)
+                    .unwrap();
+            }
+        }
+    }
+
+    /// One telemetry tick, served by `peer`; what it sent switch 1, as
+    /// (flow-stats reads, flow-mods). Every round's barrier comes with its
+    /// read, and nothing else is sent.
+    fn tick(
+        fg: &mut FloodGuard,
+        peer: &mut Peer,
+        telemetry: &Telemetry,
+        now: f64,
+    ) -> (usize, usize) {
         let mut out = ControlOutput::new();
         fg.on_telemetry(telemetry, now, &mut out);
-        let asks = out.messages.iter().filter(|(dpid, m)| {
-            let any = StatsRequest::Aggregate(OfMatch::any());
-            *dpid == DatapathId(1) && m.body == OfBody::StatsRequest(any)
-        });
-        let mods = out
-            .messages
-            .iter()
-            .filter(|(_, m)| matches!(m.body, OfBody::FlowMod(_)));
-        let (asks, mods) = (asks.count(), mods.count());
-        let barriers = answer_barriers(fg, &out, now);
+        let count =
+            |f: &dyn Fn(&OfBody) -> bool| out.messages.iter().filter(|(_, m)| f(&m.body)).count();
+        let reads = count(
+            &|b| matches!(b, OfBody::StatsRequest(StatsRequest::Flow(m)) if *m == OfMatch::any()),
+        );
+        let mods = count(&|b| matches!(b, OfBody::FlowMod(_)));
+        let barriers = count(&|b| *b == OfBody::BarrierRequest);
+        assert!(barriers <= reads, "a barrier without its read");
         assert_eq!(
-            asks + mods + barriers,
+            reads + mods + barriers,
             out.messages.len(),
             "nothing else is sent"
         );
-        (asks, mods)
-    }
-
-    /// Answers the barriers in `out` as the switches would; how many.
-    fn answer_barriers(fg: &mut FloodGuard, out: &ControlOutput, now: f64) -> usize {
-        let barriers: Vec<_> = out
-            .messages
-            .iter()
-            .filter(|(_, m)| m.body == OfBody::BarrierRequest)
-            .map(|(dpid, m)| (*dpid, m.xid))
-            .collect();
-        for &(dpid, xid) in &barriers {
-            let reply = OfMessage::new(xid, OfBody::BarrierReply);
-            fg.on_message(dpid, reply, now, &mut ControlOutput::new());
-        }
-        barriers.len()
-    }
-
-    /// The switch's answer to an aggregate-stats request.
-    fn answer(fg: &mut FloodGuard, flow_count: u32, now: f64) {
-        let table = ofproto::messages::AggregateStats {
-            flow_count,
-            ..Default::default()
-        };
-        let reply = OfBody::StatsReply(StatsReply::Aggregate(table));
-        let mut out = ControlOutput::new();
-        fg.on_message(DatapathId(1), OfMessage::new(Xid(0), reply), now, &mut out);
-        assert!(out.messages.is_empty());
+        peer.serve(fg, &out, now);
+        (reads, mods)
     }
 
     /// Sixty benign hosts seeded at t = 0, sixty spoofed sources, then the
-    /// two ticks that reach Defense.
-    fn defend(fg: &mut FloodGuard, telemetry: &Telemetry) {
+    /// two ticks that reach Defense, served by `peer`.
+    fn defend(fg: &mut FloodGuard, peer: &mut Peer, telemetry: &Telemetry) {
         seed_hosts(fg, 60);
         flood_packet_in(fg, 1.0, 60);
-        assert_eq!(tick(fg, telemetry, 1.05), (0, 3), "Init: migration rules");
+        let init = tick(fg, peer, telemetry, 1.05);
+        assert_eq!(init, (1, 3), "Init: the migration rules, read back");
         assert_eq!(fg.state(), State::Init);
-        let (_, mods) = tick(fg, telemetry, 1.1);
-        assert_eq!(mods, 60, "Defense: the seeded hosts' proactive rules");
+        let defense = tick(fg, peer, telemetry, 1.1);
+        assert_eq!(
+            defense,
+            (1, 60),
+            "Defense: the seeded hosts' rules, read back"
+        );
         assert_eq!(fg.state(), State::Defense);
         assert_flood_quarantined(fg, 60);
+        assert_eq!(peer.ours(), 63);
         // Keep the cache looking busy so the attack is not declared over.
         fg.cache_handle().lock().stats.received = 1000;
     }
@@ -1545,87 +1468,87 @@ mod tests {
     #[test]
     fn an_unobserved_table_is_asked_about_and_not_repaired() {
         let mut fg = fg_with_l2();
+        let mut peer = Peer::new();
         seed_hosts(&mut fg, 60);
-        assert_eq!(tick(&mut fg, &unobserved(), 0.1), (0, 0), "Idle");
+        assert_eq!(tick(&mut fg, &mut peer, &unobserved(), 0.1), (0, 0), "Idle");
         flood_packet_in(&mut fg, 1.0, 60);
-        // Migration starts in this tick, after the audit: nothing to ask.
-        assert_eq!(tick(&mut fg, &unobserved(), 1.05), (0, 3));
-        // Init and Defense: one request per tick, no answer, no repair.
-        assert_eq!(tick(&mut fg, &unobserved(), 1.1), (1, 60));
+        // Init and Defense: each round read back, and no other read.
+        assert_eq!(tick(&mut fg, &mut peer, &unobserved(), 1.05), (1, 3));
+        assert_eq!(tick(&mut fg, &mut peer, &unobserved(), 1.1), (1, 60));
         assert_flood_quarantined(&fg, 60);
+        // A read a tick while the switch holds redirects; intact, nothing
+        // repaired.
         fg.cache_handle().lock().stats.received = 1000;
-        assert_eq!(tick(&mut fg, &unobserved(), 1.15), (1, 0));
+        assert_eq!(tick(&mut fg, &mut peer, &unobserved(), 1.15), (1, 0));
         assert_eq!(fg.state(), State::Defense);
-        // Quiet cache: the tick that ends the attack still asks (the audit
-        // runs first) and removes the migration rules; nothing after.
-        assert_eq!(tick(&mut fg, &unobserved(), 1.6), (1, 0));
-        assert_eq!(tick(&mut fg, &unobserved(), 2.1), (1, 3));
+        assert_eq!(tick(&mut fg, &mut peer, &unobserved(), 1.6), (1, 0));
+        // Quiet cache: the tick that ends the attack removes the migration
+        // rules and reads the table back once; nothing after.
+        assert_eq!(tick(&mut fg, &mut peer, &unobserved(), 2.1), (1, 3));
         assert_eq!(fg.state(), State::Finish);
-        // The switch answered the teardown's barrier; the intake closes a
-        // tick later.
-        assert_eq!(tick(&mut fg, &unobserved(), 2.2), (0, 0));
+        // The answer showed them gone; the intake closes a tick later.
+        assert_eq!(tick(&mut fg, &mut peer, &unobserved(), 2.2), (0, 0));
         assert_eq!(fg.state(), State::Finish);
-        assert_eq!(tick(&mut fg, &unobserved(), 2.3), (0, 0));
+        assert_eq!(tick(&mut fg, &mut peer, &unobserved(), 2.3), (0, 0));
         assert_eq!(fg.state(), State::Idle);
-        assert_eq!(tick(&mut fg, &unobserved(), 2.4), (0, 0));
+        assert_eq!(tick(&mut fg, &mut peer, &unobserved(), 2.4), (0, 0));
         assert_eq!(fg.stats.rules_repaired, 0);
-    }
-
-    /// (strict deletes, barrier requests) in `out`.
-    fn teardown_sent(out: &ControlOutput) -> (usize, usize) {
-        let mut sent = (0, 0);
-        for (_, m) in &out.messages {
-            match &m.body {
-                OfBody::FlowMod(fm) if fm.command == FlowModCommand::DeleteStrict => sent.0 += 1,
-                OfBody::BarrierRequest => sent.1 += 1,
-                _ => {}
-            }
-        }
-        sent
+        assert_eq!((peer.redirects(), peer.ours()), (0, 60));
     }
 
     #[test]
     fn a_switch_the_teardown_missed_gets_the_deletes_when_it_returns() {
         let mut fg = fg_with_l2();
-        defend(&mut fg, &telemetry());
-        // Quiet cache: the attack ends; nobody answers the barrier.
-        let mut out = ControlOutput::new();
+        let mut peer = Peer::new();
+        defend(&mut fg, &mut peer, &telemetry());
+        // Cut off mid-defense; the attack ends while it is away.
+        fg.on_switch_disconnect(DatapathId(1), 1.12, &mut ControlOutput::new());
         let mut now = 1.1;
-        while fg.state() == State::Defense && now < 5.0 {
+        while fg.state() != State::Idle && now < 5.0 {
             now += 0.05;
-            out = ControlOutput::new();
+            let mut out = ControlOutput::new();
             fg.on_telemetry(&telemetry(), now, &mut out);
+            assert!(out.messages.is_empty(), "sent to a switch that is gone");
         }
-        assert_eq!(fg.state(), State::Finish);
-        assert_eq!(teardown_sent(&out), (3, 1));
-        // Back while the teardown still waits: the deletes and the barrier
-        // again.
-        let mut out = ControlOutput::new();
-        fg.on_switch_connect(DatapathId(1), features(), now, &mut out);
-        assert_eq!(teardown_sent(&out), (3, 1));
-        // Gone mid-teardown: given up on, and owed the deletes until it
-        // returns, once.
-        fg.on_switch_disconnect(DatapathId(1), now, &mut ControlOutput::new());
+        assert_eq!(
+            fg.state(),
+            State::Idle,
+            "the intake waited for a switch that is gone"
+        );
         assert_eq!(fg.stats.teardown_unanswered, 1);
+        assert_eq!(peer.redirects(), 3, "the teardown never reached it");
+        // Back: its table is read back, and the stale redirects deleted,
+        // once. The proactive rules are left to age out.
         let mut out = ControlOutput::new();
         fg.on_switch_connect(DatapathId(1), features(), now, &mut out);
-        assert_eq!(teardown_sent(&out), (3, 0));
-        let mut out = ControlOutput::new();
-        fg.on_switch_connect(DatapathId(1), features(), now, &mut out);
-        assert_eq!(teardown_sent(&out), (0, 0));
+        assert_eq!(peer.serve(&mut fg, &out, now), 1);
+        assert_eq!(tick(&mut fg, &mut peer, &telemetry(), now + 0.05), (1, 3));
+        assert_eq!((peer.redirects(), peer.ours()), (0, 60));
+        assert_eq!(tick(&mut fg, &mut peer, &telemetry(), now + 0.1), (0, 0));
+        assert_eq!(fg.stats.rules_repaired, 3);
     }
 
     #[test]
     fn an_observed_table_is_not_asked_about() {
         // The simulator's telemetry carries the count.
         let mut fg = fg_with_l2();
-        defend(&mut fg, &telemetry());
-        assert_eq!(tick(&mut fg, &telemetry(), 1.15), (0, 0));
+        let mut peer = Peer::new();
+        defend(&mut fg, &mut peer, &telemetry());
+        assert_eq!(tick(&mut fg, &mut peer, &telemetry(), 1.15), (0, 0));
         assert_eq!(fg.stats.rules_repaired, 0);
+        // A count below the redirects last seen is certain loss: read back
+        // and repaired.
+        peer.lose(63);
+        let mut wiped = telemetry();
+        wiped.switches[0].flow_count = Some(0);
+        assert_eq!(tick(&mut fg, &mut peer, &wiped, 1.2), (1, 0));
+        assert_eq!(tick(&mut fg, &mut peer, &wiped, 1.25), (1, 63));
+        assert_eq!(peer.ours(), 63);
+        assert_eq!(tick(&mut fg, &mut peer, &telemetry(), 1.3), (0, 0));
     }
 
     #[test]
-    fn cache_placement_asks_nothing() {
+    fn cache_placement_reconciles_only_the_redirects() {
         let mut platform = ControllerPlatform::new();
         platform.register(apps::l2_learning::program());
         let config = FloodGuardConfig {
@@ -1633,79 +1556,108 @@ mod tests {
             ..FloodGuardConfig::default()
         };
         let mut fg = FloodGuard::new(platform, config, 99);
+        let mut peer = Peer::new();
         fg.on_switch_connect(DatapathId(1), features(), 0.0, &mut ControlOutput::new());
+        seed_hosts(&mut fg, 4);
         flood_packet_in(&mut fg, 1.0, 60);
-        assert_eq!(tick(&mut fg, &unobserved(), 1.05), (0, 3));
-        assert_eq!(tick(&mut fg, &unobserved(), 1.1), (0, 0));
+        assert_eq!(tick(&mut fg, &mut peer, &unobserved(), 1.05), (1, 3));
+        // The rules go to the cache; the switch is only read.
+        assert_eq!(tick(&mut fg, &mut peer, &unobserved(), 1.1), (1, 0));
         assert_eq!(fg.state(), State::Defense);
+        assert_eq!(fg.analyzer().installed().len(), 4);
         fg.cache_handle().lock().stats.received = 1000;
-        assert_eq!(tick(&mut fg, &unobserved(), 1.15), (0, 0));
+        assert_eq!(tick(&mut fg, &mut peer, &unobserved(), 1.15), (1, 0));
+        assert_eq!((peer.redirects(), peer.ours()), (3, 3));
+        assert_eq!(fg.stats.rules_repaired, 0);
     }
 
     #[test]
-    fn an_intact_table_restores_the_repair_budget() {
+    fn a_reconnect_is_read_back_and_repaired_in_one_round() {
         let mut fg = fg_with_l2();
-        defend(&mut fg, &unobserved());
-        // A disconnect mid-defense owes the switch a round, sent at the
-        // next tick: migration rules and the installed proactive ones.
+        let mut peer = Peer::new();
+        defend(&mut fg, &mut peer, &unobserved());
+        // The switch restarts empty and comes back: asked at once, and
+        // nothing else sent until it answers.
         fg.on_switch_disconnect(DatapathId(1), 1.12, &mut ControlOutput::new());
-        assert_eq!(tick(&mut fg, &unobserved(), 1.15), (1, 63));
+        let mut peer = Peer::new();
+        let mut out = ControlOutput::new();
+        fg.on_switch_connect(DatapathId(1), features(), 1.12, &mut out);
+        assert_eq!(out.messages.len(), 1);
+        assert_eq!(peer.serve(&mut fg, &out, 1.12), 1);
+        // One round: the migration rules and the installed proactive ones.
+        assert_eq!(tick(&mut fg, &mut peer, &unobserved(), 1.15), (1, 63));
         assert_eq!(fg.stats.rules_repaired, 63);
-        let entry = fg.repairs[0].1;
-        assert!(entry.pending && entry.attempts == 1);
-        // The table holds them all: the incident is over.
-        answer(&mut fg, 63, 1.16);
-        assert_eq!(tick(&mut fg, &unobserved(), 1.3), (1, 0));
-        let entry = fg.repairs[0].1;
-        assert!(!entry.pending && entry.attempts == 0);
+        assert_eq!(peer.ours(), 63);
+        // The answer shows the table whole: nothing more.
+        assert_eq!(tick(&mut fg, &mut peer, &unobserved(), 1.2), (1, 0));
         assert_eq!(fg.stats.rules_repaired, 63);
     }
 
     #[test]
-    fn a_short_table_is_repaired_with_backoff_up_to_the_budget() {
+    fn a_short_table_gets_one_read_and_one_delta_round_per_answer() {
         let mut fg = fg_with_l2();
-        defend(&mut fg, &unobserved());
-        // Wiped behind our back, connection kept: fewer flows than the
-        // three migration rules.
-        answer(&mut fg, 2, 1.12);
-        assert_eq!(tick(&mut fg, &unobserved(), 1.15), (1, 63), "one round");
-        // Still short a tick later: the backoff (0.05 s) holds the second.
-        answer(&mut fg, 2, 1.16);
-        assert_eq!(tick(&mut fg, &unobserved(), 1.17), (1, 0));
-        assert_eq!(tick(&mut fg, &unobserved(), 1.21), (1, 63), "second round");
-        // A switch that never recovers gets `repair_max_attempts` rounds.
-        let mut now = 1.21;
-        for _ in 0..40 {
-            now += 0.1;
+        let mut peer = Peer::new();
+        defend(&mut fg, &mut peer, &unobserved());
+        // One redirect and ten proactive rules lost, connection kept; the
+        // switch goes on losing every flow_mod.
+        peer.lose(11);
+        peer.lossy = true;
+        assert_eq!(
+            tick(&mut fg, &mut peer, &unobserved(), 1.15),
+            (1, 0),
+            "read"
+        );
+        // Each answer brings one round of the difference, read back: never
+        // the whole table, and never more than one read a tick.
+        let mut now = 1.15;
+        for round in 1..=5 {
+            now += 0.05;
             fg.cache_handle().lock().stats.received += 1000;
-            tick(&mut fg, &unobserved(), now);
+            assert_eq!(tick(&mut fg, &mut peer, &unobserved(), now), (1, 11));
+            assert_eq!(fg.stats.rules_repaired, round * 11);
         }
         assert_eq!(fg.state(), State::Defense);
-        let rounds = u64::from(fg.config.recovery.repair_max_attempts);
-        assert_eq!(fg.stats.rules_repaired, rounds * 63);
-        // The table converges: budget restored, nothing more sent.
-        answer(&mut fg, 63, now);
-        assert_eq!(tick(&mut fg, &unobserved(), now + 0.1), (1, 0));
-        assert_eq!(fg.repairs[0].1.attempts, 0);
+        // The switch takes them: whole, and nothing more sent.
+        peer.lossy = false;
+        fg.cache_handle().lock().stats.received += 1000;
+        assert_eq!(tick(&mut fg, &mut peer, &unobserved(), now + 0.05), (1, 11));
+        assert_eq!(peer.ours(), 63);
+        fg.cache_handle().lock().stats.received += 1000;
+        assert_eq!(tick(&mut fg, &mut peer, &unobserved(), now + 0.1), (1, 0));
+        assert_eq!(fg.stats.rules_repaired, 66);
     }
 
     #[test]
     fn an_answer_from_before_init_says_nothing_about_this_episode() {
         let mut fg = fg_with_l2();
-        // An empty table, reported while nothing was installed.
-        answer(&mut fg, 0, 0.5);
-        defend(&mut fg, &unobserved());
-        assert_eq!(tick(&mut fg, &unobserved(), 1.15), (1, 0));
+        let mut peer = Peer::new();
+        // An empty table, reported while no read was asked.
+        let empty = |xid| OfMessage::new(xid, OfBody::StatsReply(StatsReply::Flow(Vec::new())));
+        fg.on_message(
+            DatapathId(1),
+            empty(Xid(0x4647_0000)),
+            0.5,
+            &mut ControlOutput::new(),
+        );
+        defend(&mut fg, &mut peer, &unobserved());
+        assert_eq!(tick(&mut fg, &mut peer, &unobserved(), 1.15), (1, 0));
         assert_eq!(fg.stats.rules_repaired, 0);
-        // So does one from before the connection came back.
-        answer(&mut fg, 0, 1.16);
-        fg.on_switch_connect(DatapathId(1), features(), 1.17, &mut ControlOutput::new());
-        // The reconnect itself owes one round; the old count adds none.
-        assert_eq!(tick(&mut fg, &unobserved(), 1.2), (1, 63));
-        assert_eq!(tick(&mut fg, &unobserved(), 1.22), (1, 0));
-        answer(&mut fg, 63, 1.23);
-        assert_eq!(tick(&mut fg, &unobserved(), 1.4), (1, 0));
-        assert_eq!(fg.stats.rules_repaired, 63);
+        // Nor does one to a read from before the connection came back.
+        let mut stale = ControlOutput::new();
+        fg.on_telemetry(&unobserved(), 1.2, &mut stale);
+        let (_, read) = &stale.messages[0];
+        fg.on_switch_disconnect(DatapathId(1), 1.21, &mut ControlOutput::new());
+        let mut out = ControlOutput::new();
+        fg.on_switch_connect(DatapathId(1), features(), 1.22, &mut out);
+        fg.on_message(
+            DatapathId(1),
+            empty(read.xid),
+            1.23,
+            &mut ControlOutput::new(),
+        );
+        assert_eq!(peer.serve(&mut fg, &out, 1.23), 1);
+        assert_eq!(tick(&mut fg, &mut peer, &unobserved(), 1.25), (1, 0));
+        assert_eq!(fg.stats.rules_repaired, 0);
     }
 
     #[test]

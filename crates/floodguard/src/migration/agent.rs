@@ -18,7 +18,7 @@ use ofproto::flow_mod::FlowMod;
 use ofproto::types::{DatapathId, PortNo};
 
 use crate::cache::CacheHandle;
-use crate::config::FloodGuardConfig;
+use crate::config::{CacheFailPolicy, FloodGuardConfig};
 use crate::migration::tag;
 
 /// Priority of the migration wildcard rules: the lowest, so every real rule
@@ -62,7 +62,7 @@ pub struct MigrationAgent {
     config: FloodGuardConfig,
     slots: Vec<CacheSlot>,
     cache_port: u16,
-    installed: Vec<(DatapathId, OfMatch)>,
+    migrating: bool,
     degraded: bool,
     last_received: u64,
     last_rate_at: f64,
@@ -83,7 +83,7 @@ impl MigrationAgent {
                 standby: false,
             }],
             cache_port,
-            installed: Vec::new(),
+            migrating: false,
             degraded: false,
             last_received: 0,
             last_rate_at: 0.0,
@@ -179,8 +179,13 @@ impl MigrationAgent {
     /// * all actives dead, healthy standby → the dead actives are demoted,
     ///   the standby promoted, and the caller re-points migration at the
     ///   returned port;
-    /// * nothing healthy → [`CacheFailover::Degraded`], once, and the caller
-    ///   applies the configured fail policy;
+    /// * nothing healthy → [`CacheFailover::Degraded`], once: every intake
+    ///   closes, and the redirect sets change per the configured
+    ///   [`CacheFailPolicy`]. Fail-open ends migration, so table misses
+    ///   reach the controller again (traffic forwards; the control plane
+    ///   is re-exposed to the flood). Fail-safe turns the redirects into
+    ///   drops, so both planes stay protected while new flows blackhole
+    ///   until a cache comes back;
     /// * while degraded, any cache coming back healthy (a restarted cache or
     ///   a late-registered standby) is promoted, ending degradation.
     pub fn check_cache_health(&mut self) -> CacheFailover {
@@ -226,77 +231,66 @@ impl MigrationAgent {
             CacheFailover::Ok
         } else {
             self.degraded = true;
+            self.close_intake();
+            if self.config.recovery.cache_fail_policy == CacheFailPolicy::FailOpen {
+                self.migrating = false;
+            }
             self.reset_rate_baseline();
             CacheFailover::Degraded
         }
     }
 
-    /// Builds and records the migration rules for switch `dpid`: one
-    /// wildcard rule per ingress port (except the cache port), lowest
-    /// priority, tagging INPORT into TOS and redirecting to the cache
-    /// (paper Fig. 6: `inport=1, actions: set-tos-bits=1, output: cache`).
+    /// Starts migration and returns switch `dpid`'s redirect set (see
+    /// [`MigrationAgent::redirects`]); opens every active cache's intake.
+    pub fn install_migration(&mut self, dpid: DatapathId, ports: &[u16]) -> Vec<FlowMod> {
+        let _ = dpid;
+        self.migrating = true;
+        for slot in self.active_slots() {
+            slot.handle.lock().control.intake_enabled = true;
+        }
+        self.redirects(ports)
+    }
+
+    /// The redirect set a switch with `ports` should hold now: one wildcard
+    /// rule per ingress port (except the cache port), lowest priority,
+    /// tagging INPORT into TOS and redirecting to the cache (paper Fig. 6:
+    /// `inport=1, actions: set-tos-bits=1, output: cache`). Fail-safe
+    /// degraded, the same rules drop instead; not migrating, or fail-open
+    /// degraded, there are none.
     ///
     /// Ports that cannot be tagged (0 or above
     /// [`tag::MAX_TAGGABLE_PORT`]) are skipped.
-    pub fn install_migration(&mut self, dpid: DatapathId, ports: &[u16]) -> Vec<FlowMod> {
-        let mut mods = Vec::new();
-        for &port in ports {
-            if port == self.cache_port {
-                continue;
-            }
-            let Ok(tos) = tag::encode(port) else {
-                continue;
+    pub fn redirects(&self, ports: &[u16]) -> Vec<FlowMod> {
+        let to_cache = Action::Output(PortNo::Physical(self.cache_port));
+        let wanted = ports
+            .iter()
+            .filter(|&&p| self.migrating && p != self.cache_port);
+        let tagged = wanted.filter_map(|&port| Some((port, tag::encode(port).ok()?)));
+        let redirect = |(port, tos)| {
+            // Fail-safe degraded: the same rule, dropping.
+            let actions = match self.degraded {
+                true => Vec::new(),
+                false => vec![Action::SetNwTos(tos), to_cache],
             };
-            let of_match = OfMatch::any().with_in_port(port);
-            self.installed.push((dpid, of_match));
-            mods.push(
-                FlowMod::add(
-                    of_match,
-                    vec![
-                        Action::SetNwTos(tos),
-                        Action::Output(PortNo::Physical(self.cache_port)),
-                    ],
-                )
+            FlowMod::add(OfMatch::any().with_in_port(port), actions)
                 .with_priority(MIGRATION_PRIORITY)
-                .with_cookie(self.config.cookie),
-            );
-        }
-        // Migration begins: open every active cache's intake.
-        for slot in self.slots.iter().filter(|s| !s.standby) {
-            slot.handle.lock().control.intake_enabled = true;
-        }
-        mods
+                .with_cookie(self.config.cookie)
+        };
+        tagged.map(redirect).collect()
     }
 
-    /// Rebuilds the migration redirect rules for `dpid` from scratch —
-    /// rule repair after a flow-table wipe, or re-pointing at a promoted
-    /// cache. The `installed` audit entries for `dpid` are replaced, not
-    /// duplicated; re-sending is safe because an OpenFlow `Add` with an
-    /// identical match and priority replaces the entry in place.
-    pub fn reinstall_migration(&mut self, dpid: DatapathId, ports: &[u16]) -> Vec<FlowMod> {
-        self.installed.retain(|(d, _)| *d != dpid);
-        self.install_migration(dpid, ports)
+    /// Whether a rule of this match and priority is a redirect.
+    pub fn is_redirect(of_match: &OfMatch, priority: u16) -> bool {
+        priority == MIGRATION_PRIORITY
+            && *of_match == OfMatch::any().with_in_port(of_match.keys.in_port)
     }
 
-    /// Builds the strict deletes removing every installed migration rule
-    /// and closes the cache intake at once: for a defense that gives up on
-    /// its caches, not for an orderly teardown (see
-    /// [`MigrationAgent::delete_migration`]).
-    pub fn remove_migration(&mut self) -> Vec<(DatapathId, FlowMod)> {
-        let mods = self.delete_migration();
-        self.close_intake();
-        mods
-    }
-
-    /// Builds the strict deletes removing every installed migration rule,
-    /// leaving the cache intake open: a switch redirects to the cache until
-    /// it has applied the delete, so the intake should close only once the
-    /// switch says it has ([`MigrationAgent::close_intake`]).
-    pub fn delete_migration(&mut self) -> Vec<(DatapathId, FlowMod)> {
-        self.installed
-            .drain(..)
-            .map(|(dpid, of_match)| (dpid, FlowMod::delete_strict(of_match, MIGRATION_PRIORITY)))
-            .collect()
+    /// Ends migration: no switch should hold a redirect any more. The
+    /// cache's intake stays open, since a switch redirects to the cache
+    /// until it has applied the deletes; [`MigrationAgent::close_intake`]
+    /// closes it once the switches say so.
+    pub fn end_migration(&mut self) {
+        self.migrating = false;
     }
 
     /// Closes every cache's intake.
@@ -306,46 +300,10 @@ impl MigrationAgent {
         }
     }
 
-    /// Fail-open degrade: remove the migration rules entirely so table
-    /// misses reach the controller again (traffic forwards; the control
-    /// plane is re-exposed to the flood). Same shape as
-    /// [`MigrationAgent::remove_migration`].
-    pub fn degrade_fail_open(&mut self) -> Vec<(DatapathId, FlowMod)> {
-        self.remove_migration()
-    }
-
-    /// Fail-safe degrade: overwrite every migration rule in place with a
-    /// drop (empty action list, same match/priority/cookie). The data and
-    /// control planes stay protected; new flows blackhole until a cache
-    /// comes back. The `installed` audit is kept so a later
-    /// [`MigrationAgent::remove_migration`] still deletes these rules.
-    pub fn degrade_fail_safe(&mut self) -> Vec<(DatapathId, FlowMod)> {
-        for slot in &self.slots {
-            slot.handle.lock().control.intake_enabled = false;
-        }
-        self.installed
-            .iter()
-            .map(|&(dpid, of_match)| {
-                (
-                    dpid,
-                    FlowMod::add(of_match, Vec::new())
-                        .with_priority(MIGRATION_PRIORITY)
-                        .with_cookie(self.config.cookie),
-                )
-            })
-            .collect()
-    }
-
-    /// Whether migration rules are currently installed.
+    /// Whether the switches should hold redirect (or fail-safe drop)
+    /// rules.
     pub fn is_migrating(&self) -> bool {
-        !self.installed.is_empty()
-    }
-
-    /// Number of migration rules recorded as installed on `dpid` — the
-    /// audit baseline a telemetry `flow_count` is compared against to detect
-    /// a wiped table.
-    pub fn installed_for(&self, dpid: DatapathId) -> usize {
-        self.installed.iter().filter(|(d, _)| *d == dpid).count()
+        self.migrating
     }
 
     /// Observed packet arrival rate at the cache since the last call
@@ -430,17 +388,29 @@ mod tests {
     }
 
     #[test]
-    fn removal_is_strict_per_installed_rule() {
+    fn ending_migration_leaves_the_intake_open() {
         let mut a = agent();
         a.install_migration(DatapathId(1), &[1, 2]);
-        let removals = a.remove_migration();
-        assert_eq!(removals.len(), 2);
-        for (dpid, fm) in &removals {
-            assert_eq!(*dpid, DatapathId(1));
-            assert_eq!(fm.command, ofproto::flow_mod::FlowModCommand::DeleteStrict);
-        }
+        a.end_migration();
         assert!(!a.is_migrating());
+        assert!(a.redirects(&[1, 2]).is_empty());
+        assert!(a.cache_handle(0).lock().control.intake_enabled);
+        a.close_intake();
         assert!(!a.cache_handle(0).lock().control.intake_enabled);
+    }
+
+    #[test]
+    fn a_redirect_is_told_from_other_rules() {
+        let mut a = agent();
+        for fm in a.install_migration(DatapathId(1), &[1, 2]) {
+            assert!(MigrationAgent::is_redirect(&fm.of_match, fm.priority));
+        }
+        let other = OfMatch::any().with_in_port(1).with_nw_proto(17);
+        assert!(!MigrationAgent::is_redirect(&other, 0));
+        assert!(!MigrationAgent::is_redirect(
+            &OfMatch::any().with_in_port(1),
+            1
+        ));
     }
 
     #[test]
@@ -526,8 +496,8 @@ mod multi_cache_tests {
         let config = FloodGuardConfig::default();
         assert!((h1.lock().control.rate_pps - config.cache.min_rate_pps).abs() < 1e-9);
         assert!((h2.lock().control.rate_pps - config.cache.min_rate_pps).abs() < 1e-9);
-        // Removal closes every intake.
-        agent.remove_migration();
+        // Closing closes every intake.
+        agent.close_intake();
         assert!(!h1.lock().control.intake_enabled);
         assert!(!h2.lock().control.intake_enabled);
     }
@@ -577,7 +547,7 @@ mod multi_cache_tests {
         assert!(!active.lock().control.intake_enabled);
         assert!(!agent.is_degraded());
         // Repointed rules now redirect to port 98.
-        let mods = agent.reinstall_migration(DatapathId(1), &[1, 2]);
+        let mods = agent.redirects(&[1, 2]);
         assert!(mods
             .iter()
             .all(|fm| fm.actions.contains(&Action::Output(PortNo::Physical(98)))));
@@ -585,7 +555,8 @@ mod multi_cache_tests {
 
     #[test]
     fn no_healthy_cache_degrades_once_then_recovers() {
-        let config = FloodGuardConfig::default();
+        let mut config = FloodGuardConfig::default();
+        config.recovery.cache_fail_policy = CacheFailPolicy::FailSafe;
         let h = new_handle(&config.cache);
         let mut agent = MigrationAgent::new(config, h.clone(), 99);
         agent.install_migration(DatapathId(1), &[1]);
@@ -604,46 +575,38 @@ mod multi_cache_tests {
             CacheFailover::Promoted { port: 99 }
         );
         assert!(!agent.is_degraded());
-        assert!(h.lock().control.intake_enabled, "migration still active");
+        assert!(h.lock().control.intake_enabled, "fail-safe kept migrating");
     }
 
     #[test]
     fn degrade_fail_safe_turns_rules_into_drops() {
-        let config = FloodGuardConfig::default();
+        let mut config = FloodGuardConfig::default();
+        config.recovery.cache_fail_policy = CacheFailPolicy::FailSafe;
         let h = new_handle(&config.cache);
         let mut agent = MigrationAgent::new(config, h.clone(), 99);
         agent.install_migration(DatapathId(1), &[1, 2]);
-        let drops = agent.degrade_fail_safe();
+        h.lock().healthy = false;
+        assert_eq!(agent.check_cache_health(), CacheFailover::Degraded);
+        let drops = agent.redirects(&[1, 2]);
         assert_eq!(drops.len(), 2);
-        for (dpid, fm) in &drops {
-            assert_eq!(*dpid, DatapathId(1));
+        for fm in &drops {
             assert!(fm.actions.is_empty(), "empty actions = drop");
             assert_eq!(fm.priority, 0);
         }
         assert!(!h.lock().control.intake_enabled);
-        assert!(agent.is_migrating(), "audit kept for later cleanup");
-        // A later remove_migration still deletes the (now drop) rules.
-        assert_eq!(agent.remove_migration().len(), 2);
+        assert!(agent.is_migrating(), "the drops stay wanted");
     }
 
     #[test]
-    fn reinstall_replaces_audit_entries() {
+    fn degrading_fail_open_ends_migration() {
         let config = FloodGuardConfig::default();
         let h = new_handle(&config.cache);
-        let mut agent = MigrationAgent::new(config, h, 99);
+        let mut agent = MigrationAgent::new(config, h.clone(), 99);
         agent.install_migration(DatapathId(1), &[1, 2]);
-        agent.install_migration(DatapathId(2), &[1]);
-        assert_eq!(agent.installed_for(DatapathId(1)), 2);
-        agent.reinstall_migration(DatapathId(1), &[1, 2]);
-        assert_eq!(
-            agent.installed_for(DatapathId(1)),
-            2,
-            "replaced, not doubled"
-        );
-        assert_eq!(
-            agent.installed_for(DatapathId(2)),
-            1,
-            "other switches untouched"
-        );
+        h.lock().healthy = false;
+        assert_eq!(agent.check_cache_health(), CacheFailover::Degraded);
+        assert!(!agent.is_migrating());
+        assert!(agent.redirects(&[1, 2]).is_empty());
+        assert!(!h.lock().control.intake_enabled);
     }
 }

@@ -146,6 +146,8 @@ pub enum DropCause {
     DeviceDown,
     /// A packet out a port with nothing attached.
     Unconnected,
+    /// A flow_mod to a switch lost by its [`Fault::FlowModLoss`] draw.
+    FlowModLoss,
     /// A message arriving at the controller's full input queue (the same
     /// count as [`ControllerStats::dropped`]).
     ControllerQueue,
@@ -153,14 +155,15 @@ pub enum DropCause {
 
 /// Causes the data plane counts itself, indexed by discriminant: every one
 /// but the controller queue, which is declared last for that reason.
-const DATA_PLANE_CAUSES: usize = 7;
+const DATA_PLANE_CAUSES: usize = 8;
 
 impl DropCause {
     /// Every cause, in the alphabetical order of [`DropCause::name`].
-    pub const ALL: [DropCause; 8] = [
+    pub const ALL: [DropCause; 9] = [
         DropCause::ControlPartition,
         DropCause::ControllerQueue,
         DropCause::DeviceDown,
+        DropCause::FlowModLoss,
         DropCause::LinkDown,
         DropCause::LinkLoss,
         DropCause::SwitchDown,
@@ -174,6 +177,7 @@ impl DropCause {
             DropCause::ControlPartition => "control_partition_drops",
             DropCause::ControllerQueue => "controller_queue_drops",
             DropCause::DeviceDown => "device_down_drops",
+            DropCause::FlowModLoss => "flow_mod_loss_drops",
             DropCause::LinkDown => "link_down_drops",
             DropCause::LinkLoss => "link_loss_drops",
             DropCause::SwitchDown => "switch_down_drops",
@@ -277,6 +281,8 @@ struct SwMeta {
     scheduled: bool,
     down: bool,
     partitioned: bool,
+    /// The [`Fault::FlowModLoss`] probability; 0 when not faulted.
+    flow_mod_loss: f64,
     chan: ChannelState,
     cpu: UtilizationTracker,
     out_seq: u64,
@@ -889,6 +895,7 @@ impl Simulation {
             scheduled: false,
             down: false,
             partitioned: false,
+            flow_mod_loss: 0.0,
             chan: ChannelState::default(),
             cpu: UtilizationTracker::new(self.maintenance_interval),
             out_seq: 0,
@@ -1060,6 +1067,13 @@ impl Simulation {
         let meta = &mut self.dp.sw_meta[sw];
         if meta.partitioned || meta.down {
             self.dp.drops[DropCause::ControlPartition as usize] += 1;
+            return;
+        }
+        if meta.flow_mod_loss > 0.0
+            && matches!(msg.body, OfBody::FlowMod(_))
+            && meta.rng.gen_bool(meta.flow_mod_loss)
+        {
+            self.dp.drops[DropCause::FlowModLoss as usize] += 1;
             return;
         }
         let tx = ofproto::wire::wire_len(&msg) as f64 / profile.channel_bandwidth;
@@ -1423,6 +1437,9 @@ impl Simulation {
                 } else {
                     self.dp.link_loss.insert((sw.0, port), p);
                 }
+            }
+            Fault::FlowModLoss { sw, probability } if sw.0 < switches => {
+                self.dp.sw_meta[sw.0].flow_mod_loss = probability.clamp(0.0, 1.0);
             }
             Fault::ControlPartition { sw } if sw.0 < switches => {
                 let meta = &mut self.dp.sw_meta[sw.0];

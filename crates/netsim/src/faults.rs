@@ -44,6 +44,16 @@ pub enum Fault {
         /// Per-packet drop probability in `[0, 1]`.
         probability: f64,
     },
+    /// Lose each flow_mod the controller sends to `sw` independently with
+    /// the given probability (sampled from the switch's seeded RNG): a
+    /// send queue that sheds, or a lossy control channel, as the switch
+    /// sees it. Other messages pass. A probability of `0.0` clears it.
+    FlowModLoss {
+        /// Switch whose flow_mods are lost.
+        sw: SwitchId,
+        /// Per-flow_mod drop probability in `[0, 1]`.
+        probability: f64,
+    },
     /// Partition the control channel of `sw`: all OpenFlow traffic between
     /// the switch and the controller is dropped, and the controller is told
     /// the switch disconnected. Healed by [`Fault::ControlHeal`].

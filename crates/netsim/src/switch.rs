@@ -483,16 +483,12 @@ impl Switch {
             OfBody::EchoRequest(data) => {
                 replies.push(OfMessage::new(msg.xid, OfBody::EchoReply(data)));
             }
-            OfBody::StatsRequest(req) => {
-                let body = match req {
-                    StatsRequest::Flow(m) => {
-                        OfBody::StatsReply(StatsReply::Flow(self.table.flow_stats(&m, now)))
-                    }
-                    StatsRequest::Aggregate(m) => {
-                        OfBody::StatsReply(StatsReply::Aggregate(self.table.aggregate_stats(&m)))
-                    }
-                };
-                replies.push(OfMessage::new(msg.xid, body));
+            OfBody::StatsRequest(StatsRequest::Flow(m)) => {
+                let stats = self.table.flow_stats(&m, now);
+                replies.push(OfMessage::new(
+                    msg.xid,
+                    OfBody::StatsReply(StatsReply::Flow(stats)),
+                ));
             }
             OfBody::FeaturesRequest => {
                 replies.push(OfMessage::new(
@@ -895,14 +891,14 @@ mod tests {
         let (_, replies) = sw.handle_message(
             OfMessage::new(
                 Xid(5),
-                OfBody::StatsRequest(StatsRequest::Aggregate(OfMatch::any())),
+                OfBody::StatsRequest(StatsRequest::Flow(OfMatch::any())),
             ),
             1.0,
         );
         match &replies[0].body {
-            OfBody::StatsReply(StatsReply::Aggregate(agg)) => {
-                assert_eq!(agg.flow_count, 1);
-                assert_eq!(agg.packet_count, 1);
+            OfBody::StatsReply(StatsReply::Flow(rules)) => {
+                assert_eq!(rules.len(), 1);
+                assert_eq!(rules[0].packet_count, 1);
             }
             other => panic!("unexpected reply {other:?}"),
         }

@@ -28,11 +28,6 @@ pub struct ChannelConfig {
     pub reconnect_base: Duration,
     /// Ceiling for the exponential backoff between retries.
     pub reconnect_max: Duration,
-    /// How many recent flow-mod frames the controller endpoint keeps per
-    /// connection for replay after a reconnect (state resync). Flow-mods are
-    /// idempotent — an `Add` with an identical match and priority replaces
-    /// in place — so replaying the tail converges the switch's table.
-    pub resync_replay_cap: usize,
 }
 
 impl Default for ChannelConfig {
@@ -45,7 +40,6 @@ impl Default for ChannelConfig {
             connect_timeout: Duration::from_secs(2),
             reconnect_base: Duration::from_millis(25),
             reconnect_max: Duration::from_secs(1),
-            resync_replay_cap: 128,
         }
     }
 }

@@ -38,8 +38,9 @@
 //! The endpoint only listens ([`ControllerEndpoint::listen`]): switches and
 //! caches dial it, as they dial a POX or ONOS controller, and redial it
 //! themselves when a session ends. It keeps echo keepalive with a liveness
-//! timeout, and replays flow-mods from a bounded per-identity ring after a
-//! reconnect. Because live mode has no simulation engine to synthesize
+//! timeout. It replays nothing after a reconnect: the control plane hears
+//! of the connect and decides what the switch should hold, as FloodGuard
+//! does by reading the switch's table back. Because live mode has no simulation engine to synthesize
 //! telemetry, the endpoint periodically assembles a [`Telemetry`] snapshot
 //! from what the controller can legitimately observe and feeds it to the
 //! control plane — this is what arms FloodGuard's detector in live
@@ -47,13 +48,13 @@
 //! read zero, and a switch's flow count is `None` ("unobserved"), never 0,
 //! which would say "wiped". Nor does the endpoint poll for it: a frame the
 //! control plane did not ask for is a frame every switch has to answer, idle
-//! ones included. A control plane that wants the count asks the switches it
+//! ones included. A control plane that wants the table asks the switches it
 //! cares about through its own output, as FloodGuard does while it is
 //! migrating, and reads the `StatsReply` in `on_message` like any other
 //! message.
 
 use std::collections::hash_map::RandomState;
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::{HashMap, HashSet};
 use std::hash::{BuildHasher, Hasher};
 use std::io;
 use std::net::SocketAddr;
@@ -540,9 +541,8 @@ async fn control_loop(
     let epoch = Instant::now();
     let mut conns = ConnTable::default();
     // Identities that completed a handshake at least once; a later
-    // handshake by the same identity is a reconnect needing resync.
+    // handshake by the same identity is a counted reconnect.
     let mut ever: HashSet<Identity> = HashSet::new();
-    let mut replay: HashMap<Identity, VecDeque<OfMessage>> = HashMap::new();
     let mut xid: u32 = 1;
     let mut last_telemetry = Instant::now();
     let mut last_tick = 0.0f64;
@@ -576,7 +576,6 @@ async fn control_loop(
                 &mut control,
                 &mut conns,
                 &mut ever,
-                &mut replay,
                 &counters,
                 now,
                 &mut out,
@@ -584,14 +583,7 @@ async fn control_loop(
             // Hand this event's replies to the writers before the next is
             // handled: they leave while the rest of the drain is worked on,
             // and no more than one event's messages are ever held here.
-            flush(
-                &conns,
-                &mut replay,
-                &ever,
-                &tables,
-                &mut out,
-                cfg.resync_replay_cap,
-            );
+            flush(&conns, &tables, &mut out);
             batch += 1;
             if batch >= EVENT_BUDGET {
                 break;
@@ -622,14 +614,7 @@ async fn control_loop(
                 controller_utilization: 0.0,
             };
             control.on_telemetry(&telemetry, now, &mut out);
-            flush(
-                &conns,
-                &mut replay,
-                &ever,
-                &tables,
-                &mut out,
-                cfg.resync_replay_cap,
-            );
+            flush(&conns, &tables, &mut out);
         }
 
         // Control-plane tick.
@@ -637,14 +622,7 @@ async fn control_loop(
             if now - last_tick >= interval {
                 last_tick = now;
                 control.on_tick(now, &mut out);
-                flush(
-                    &conns,
-                    &mut replay,
-                    &ever,
-                    &tables,
-                    &mut out,
-                    cfg.resync_replay_cap,
-                );
+                flush(&conns, &tables, &mut out);
             }
         }
 
@@ -704,7 +682,6 @@ fn handle_event(
     control: &mut Box<dyn ControlPlane>,
     conns: &mut ConnTable,
     ever: &mut HashSet<Identity>,
-    replay: &mut HashMap<Identity, VecDeque<OfMessage>>,
     counters: &ChannelCounters,
     now: f64,
     out: &mut ControlOutput,
@@ -716,27 +693,11 @@ fn handle_event(
             features,
             conn,
         } => {
-            let rejoining = ever.contains(&identity);
-            if rejoining {
+            if !ever.insert(identity) {
                 counters.record_reconnect();
             }
-            ever.insert(identity);
             if let Identity::Switch(dpid) = identity {
                 control.on_switch_connect(dpid, features, now, out);
-            }
-            // State resync: the peer may have restarted with an empty flow
-            // table, so replay the recorded flow-mods (idempotent —
-            // identical match+priority replaces in place) before any fresh
-            // traffic.
-            if rejoining {
-                if let Some(ring) = replay.get(&identity) {
-                    if !ring.is_empty() {
-                        counters.record_resync(ring.len());
-                        for frame in ring {
-                            let _ = conn.send(frame);
-                        }
-                    }
-                }
             }
             conns.insert(key, ConnState { identity, conn });
             true
@@ -769,35 +730,16 @@ fn handle_event(
 /// Messages to datapaths that are not connected, plus frames rejected by
 /// backpressure, are dropped — the control plane will observe the gap the
 /// same way it would observe loss on a congested channel. Flow-mod frames
-/// are additionally mirrored into the ops-facing flow tables (one index
-/// probe each, whatever the table holds) and then moved into the owning
-/// identity's bounded replay ring (for post-reconnect resync).
-fn flush(
-    conns: &ConnTable,
-    replay: &mut HashMap<Identity, VecDeque<OfMessage>>,
-    ever: &HashSet<Identity>,
-    tables: &Mutex<HashMap<u64, TableMirror>>,
-    out: &mut ControlOutput,
-    replay_cap: usize,
-) {
+/// routed to a connection are also mirrored into the ops-facing flow
+/// tables (one index probe each, whatever the table holds).
+fn flush(conns: &ConnTable, tables: &Mutex<HashMap<u64, TableMirror>>, out: &mut ControlOutput) {
     for (dpid, msg) in out.messages.drain(..) {
-        let identity = Identity::Switch(dpid);
-        let target = conns.for_identity(identity);
-        if target.is_none() && !ever.contains(&identity) {
-            continue; // never handshaken: nothing to record or send
-        }
-        if let Some(st) = target {
-            let _ = st.conn.send(&msg);
-        }
+        let Some(st) = conns.for_identity(Identity::Switch(dpid)) else {
+            continue;
+        };
+        let _ = st.conn.send(&msg);
         if let OfBody::FlowMod(fm) = &msg.body {
             tables.lock().entry(dpid.0).or_default().apply(fm);
-            if replay_cap > 0 {
-                let ring = replay.entry(identity).or_default();
-                if ring.len() >= replay_cap {
-                    ring.pop_front();
-                }
-                ring.push_back(msg);
-            }
         }
     }
     out.reset();
@@ -927,7 +869,6 @@ mod tests {
         let mut control: Box<dyn ControlPlane> = Box::new(Stub);
         let mut conns = ConnTable::default();
         let mut ever = HashSet::new();
-        let mut replay = HashMap::new();
         let mut out = ControlOutput::new();
         // What `control_loop` does with one event of a drain.
         let mut step = |event: Event| {
@@ -936,12 +877,11 @@ mod tests {
                 &mut control,
                 &mut conns,
                 &mut ever,
-                &mut replay,
                 &counters,
                 0.0,
                 &mut out,
             );
-            flush(&conns, &mut replay, &ever, &tables, &mut out, 16);
+            flush(&conns, &tables, &mut out);
             assert!(out.messages.is_empty(), "flush leaves the output empty");
         };
         let mut next_key = 0u64;
@@ -986,18 +926,14 @@ mod tests {
         );
         assert_eq!(
             a_again.drain_decoded(),
-            vec![rule(10), rule(11), barrier],
-            "the ring, with the rule decided while A was away, then the greeting"
+            vec![barrier],
+            "the greeting only: the rule decided while A was away went nowhere"
         );
-        let snap = counters.snapshot();
-        assert_eq!(
-            (snap.reconnects, snap.resyncs, snap.frames_replayed),
-            (1, 1, 2)
-        );
+        assert_eq!(counters.snapshot().reconnects, 1);
         assert_eq!(
             tables.lock().get(&1).map(|table| table.rules.len()),
             Some(1),
-            "same match and priority: one mirrored rule"
+            "only what reached A is mirrored"
         );
     }
 }

@@ -20,8 +20,6 @@ pub struct ChannelCounters {
     sends_blocked: AtomicU64,
     send_queue_hwm: AtomicU64,
     keepalive_timeouts: AtomicU64,
-    resyncs: AtomicU64,
-    frames_replayed: AtomicU64,
     budget_exhausted: AtomicU64,
 }
 
@@ -48,10 +46,6 @@ pub struct CountersSnapshot {
     pub send_queue_hwm: u64,
     /// Connections declared dead by receive-side silence.
     pub keepalive_timeouts: u64,
-    /// Post-reconnect state resyncs performed (flow-mod replay rounds).
-    pub resyncs: u64,
-    /// Flow-mod frames re-sent during resyncs.
-    pub frames_replayed: u64,
     /// Sends rejected because the endpoint-wide send budget was spent.
     pub budget_exhausted: u64,
 }
@@ -97,12 +91,6 @@ impl ChannelCounters {
         self.keepalive_timeouts.fetch_add(1, Ordering::Relaxed);
     }
 
-    pub(crate) fn record_resync(&self, frames: usize) {
-        self.resyncs.fetch_add(1, Ordering::Relaxed);
-        self.frames_replayed
-            .fetch_add(frames as u64, Ordering::Relaxed);
-    }
-
     pub(crate) fn record_budget_exhausted(&self) {
         self.budget_exhausted.fetch_add(1, Ordering::Relaxed);
     }
@@ -120,8 +108,6 @@ impl ChannelCounters {
             sends_blocked: self.sends_blocked.load(Ordering::Relaxed),
             send_queue_hwm: self.send_queue_hwm.load(Ordering::Relaxed),
             keepalive_timeouts: self.keepalive_timeouts.load(Ordering::Relaxed),
-            resyncs: self.resyncs.load(Ordering::Relaxed),
-            frames_replayed: self.frames_replayed.load(Ordering::Relaxed),
             budget_exhausted: self.budget_exhausted.load(Ordering::Relaxed),
         }
     }

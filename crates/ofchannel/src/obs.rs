@@ -24,8 +24,6 @@ pub struct ChannelObs {
     sends_blocked: obs::Gauge,
     send_queue_hwm: obs::Gauge,
     keepalive_timeouts: obs::Gauge,
-    resyncs: obs::Gauge,
-    frames_replayed: obs::Gauge,
     budget_exhausted: obs::Gauge,
 }
 
@@ -46,8 +44,6 @@ impl ChannelObs {
             sends_blocked: g("sends_blocked"),
             send_queue_hwm: g("send_queue_hwm"),
             keepalive_timeouts: g("keepalive_timeouts"),
-            resyncs: g("resyncs"),
-            frames_replayed: g("frames_replayed"),
             budget_exhausted: g("budget_exhausted"),
         }
     }
@@ -64,8 +60,6 @@ impl ChannelObs {
         self.sends_blocked.set(snap.sends_blocked as f64);
         self.send_queue_hwm.set(snap.send_queue_hwm as f64);
         self.keepalive_timeouts.set(snap.keepalive_timeouts as f64);
-        self.resyncs.set(snap.resyncs as f64);
-        self.frames_replayed.set(snap.frames_replayed as f64);
         self.budget_exhausted.set(snap.budget_exhausted as f64);
     }
 }
@@ -96,6 +90,6 @@ mod tests {
         );
         assert_eq!(hub.registry.gauge("ofchannel.switch.reconnects").get(), 1.0);
         // One gauge per snapshot field was registered.
-        assert_eq!(hub.registry.len(), 13);
+        assert_eq!(hub.registry.len(), 11);
     }
 }

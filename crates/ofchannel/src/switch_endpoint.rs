@@ -177,6 +177,8 @@ impl SwitchEndpoint {
     /// * [`Fault::LinkDown`] / [`Fault::LinkUp`] / [`Fault::LinkLoss`] drop
     ///   (or probabilistically lose) data-plane packets on the given port,
     ///   in both directions.
+    /// * [`Fault::FlowModLoss`] loses that fraction of the flow_mods the
+    ///   controller sends before the switch applies them.
     /// * [`Fault::ControllerStall`] is controller-side and ignored here.
     pub fn inject_fault(&self, fault: Fault) {
         self.submit(Event::Fault(fault));
@@ -307,6 +309,8 @@ impl DeviceSlot {
 struct FaultState {
     links_down: HashSet<u16>,
     link_loss: HashMap<u16, f64>,
+    /// The [`Fault::FlowModLoss`] probability; 0 when not faulted.
+    flow_mod_loss: f64,
     partitioned: bool,
     switch_down: bool,
     switch_restart_at: Option<Instant>,
@@ -331,6 +335,11 @@ impl FaultState {
         let Some(&p) = self.link_loss.get(&port) else {
             return false;
         };
+        self.draw(p)
+    }
+
+    /// A draw that comes up with probability `p`.
+    fn draw(&mut self, p: f64) -> bool {
         self.rng ^= self.rng << 13;
         self.rng ^= self.rng >> 7;
         self.rng ^= self.rng << 17;
@@ -513,6 +522,13 @@ impl Serving {
                 }
                 match slot.checked_sub(1) {
                     None => {
+                        let loss = self.faults.flow_mod_loss;
+                        if matches!(msg.body, OfBody::FlowMod(_))
+                            && loss > 0.0
+                            && self.faults.draw(loss)
+                        {
+                            return true;
+                        }
                         let (forwards, replies) = self.switch.handle_message(msg, now);
                         self.route_forwards(forwards, now);
                         for reply in replies {
@@ -656,6 +672,9 @@ impl Serving {
                 } else {
                     self.faults.link_loss.insert(port, probability.min(1.0));
                 }
+            }
+            Fault::FlowModLoss { probability, .. } => {
+                self.faults.flow_mod_loss = probability.clamp(0.0, 1.0);
             }
             Fault::ControlPartition { .. } => {
                 self.faults.partitioned = true;

@@ -24,7 +24,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use crate::actions::Action;
 use crate::flow_match::{FlowKeys, OfMatch};
 use crate::flow_mod::{FlowMod, FlowModCommand};
-use crate::messages::{AggregateStats, FlowRemovedReason, FlowStats};
+use crate::messages::{FlowRemovedReason, FlowStats};
 use crate::types::PortNo;
 
 /// One installed flow rule together with its runtime state.
@@ -568,17 +568,6 @@ impl FlowTable {
             .collect()
     }
 
-    /// Aggregate statistics for rules whose match is a subset of `of_match`.
-    pub fn aggregate_stats(&self, of_match: &OfMatch) -> AggregateStats {
-        let mut agg = AggregateStats::default();
-        for e in self.iter().filter(|e| e.of_match.is_subset_of(of_match)) {
-            agg.packet_count += e.packet_count;
-            agg.byte_count += e.byte_count;
-            agg.flow_count += 1;
-        }
-        agg
-    }
-
     /// Removes every rule (lookup/miss counters are preserved).
     pub fn clear(&mut self) {
         self.slots.clear();
@@ -601,7 +590,7 @@ pub mod linear {
 
     use super::{FlowEntry, FlowMod, FlowModCommand, RemovedFlow, TableError};
     use crate::flow_match::{FlowKeys, OfMatch};
-    use crate::messages::{AggregateStats, FlowRemovedReason, FlowStats};
+    use crate::messages::{FlowRemovedReason, FlowStats};
 
     /// The seed implementation: one `Vec` kept in matching order, scanned
     /// linearly on every operation.
@@ -785,22 +774,6 @@ pub mod linear {
                 .filter(|e| e.of_match.is_subset_of(of_match))
                 .map(|e| e.stats(now))
                 .collect()
-        }
-
-        /// Aggregate statistics for rules whose match is a subset of
-        /// `of_match`.
-        pub fn aggregate_stats(&self, of_match: &OfMatch) -> AggregateStats {
-            let mut agg = AggregateStats::default();
-            for e in self
-                .entries
-                .iter()
-                .filter(|e| e.of_match.is_subset_of(of_match))
-            {
-                agg.packet_count += e.packet_count;
-                agg.byte_count += e.byte_count;
-                agg.flow_count += 1;
-            }
-            agg
         }
 
         /// Removes every rule.
@@ -1058,10 +1031,6 @@ mod tests {
         let stats = t.flow_stats(&OfMatch::any().with_in_port(1), 2.0);
         assert_eq!(stats.len(), 1);
         assert_eq!(stats[0].packet_count, 1);
-        let agg = t.aggregate_stats(&OfMatch::any());
-        assert_eq!(agg.flow_count, 2);
-        assert_eq!(agg.packet_count, 1);
-        assert_eq!(agg.byte_count, 100);
     }
 
     #[test]
@@ -1408,10 +1377,6 @@ mod proptests {
             prop_assert_eq!(
                 indexed.flow_stats(&OfMatch::any(), end),
                 reference.flow_stats(&OfMatch::any(), end)
-            );
-            prop_assert_eq!(
-                indexed.aggregate_stats(&OfMatch::any()),
-                reference.aggregate_stats(&OfMatch::any())
             );
         }
     }

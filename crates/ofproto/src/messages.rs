@@ -167,17 +167,6 @@ pub struct FlowStats {
     pub actions: Vec<Action>,
 }
 
-/// Aggregate statistics across all rules.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct AggregateStats {
-    /// Total packets matched.
-    pub packet_count: u64,
-    /// Total bytes matched.
-    pub byte_count: u64,
-    /// Number of installed flows.
-    pub flow_count: u32,
-}
-
 /// An OpenFlow error (`OFPT_ERROR`): type/code plus the offending message's
 /// leading bytes.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -204,17 +193,18 @@ impl ErrorMsg {
 pub enum StatsRequest {
     /// Per-flow statistics for rules matching the given match (subset).
     Flow(OfMatch),
-    /// Aggregate statistics for rules matching the given match (subset).
-    Aggregate(OfMatch),
 }
 
 /// A statistics reply body.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum StatsReply {
-    /// Per-flow statistics.
+    /// Per-flow statistics: a whole reply, or the last part of one. The
+    /// encoder splits a reply too long for one frame into
+    /// [`StatsReply::FlowMore`] parts and this last one, under one xid.
     Flow(Vec<FlowStats>),
-    /// Aggregate statistics.
-    Aggregate(AggregateStats),
+    /// Per-flow statistics with `OFPSF_REPLY_MORE` set: a part of a reply
+    /// whose further parts follow under the same xid.
+    FlowMore(Vec<FlowStats>),
 }
 
 /// Any OpenFlow message body.

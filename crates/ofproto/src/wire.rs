@@ -15,9 +15,8 @@ use crate::actions::Action;
 use crate::flow_match::{FlowKeys, OfMatch, Wildcards};
 use crate::flow_mod::{FlowMod, FlowModCommand, FlowModFlags};
 use crate::messages::{
-    AggregateStats, ErrorMsg, FeaturesReply, FlowRemoved, FlowRemovedReason, FlowStats, OfBody,
-    OfMessage, PacketIn, PacketInReason, PacketOut, PortStatus, PortStatusReason, StatsReply,
-    StatsRequest,
+    ErrorMsg, FeaturesReply, FlowRemoved, FlowRemovedReason, FlowStats, OfBody, OfMessage,
+    PacketIn, PacketInReason, PacketOut, PortStatus, PortStatusReason, StatsReply, StatsRequest,
 };
 use crate::types::{BufferId, DatapathId, MacAddr, PortNo, Xid};
 
@@ -32,6 +31,15 @@ pub const OFP_MATCH_LEN: usize = 40;
 
 /// Size of an `ofp_phy_port` structure.
 const OFP_PHY_PORT_LEN: usize = 48;
+
+/// `OFPSF_REPLY_MORE`: further parts of this stats reply follow.
+const OFPSF_REPLY_MORE: u16 = 1;
+
+/// Size of an `ofp_flow_stats` entry without its actions.
+const FLOW_STATS_FIXED_LEN: usize = 48 + OFP_MATCH_LEN;
+
+/// The largest frame the header's 16-bit length can describe.
+const MAX_FRAME_LEN: usize = u16::MAX as usize;
 
 /// Error produced when decoding malformed bytes.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -265,6 +273,9 @@ fn get_actions(buf: &mut impl Buf, mut len: usize) -> Result<Vec<Action>, Decode
 ///
 /// Used by the simulator to account channel bandwidth cheaply.
 pub fn wire_len(msg: &OfMessage) -> usize {
+    if let OfBody::StatsReply(StatsReply::Flow(stats) | StatsReply::FlowMore(stats)) = &msg.body {
+        return flow_stats_frames(stats).iter().map(|(_, len)| len).sum();
+    }
     OFP_HEADER_LEN
         + match &msg.body {
             OfBody::Hello
@@ -281,17 +292,75 @@ pub fn wire_len(msg: &OfMessage) -> usize {
             OfBody::FlowMod(fm) => OFP_MATCH_LEN + 24 + actions_wire_len(&fm.actions),
             OfBody::FlowRemoved(_) => 80,
             OfBody::PortStatus(_) => 8 + OFP_PHY_PORT_LEN,
-            OfBody::StatsRequest(StatsRequest::Flow(_) | StatsRequest::Aggregate(_)) => {
-                4 + OFP_MATCH_LEN + 4
-            }
-            OfBody::StatsReply(StatsReply::Flow(stats)) => {
-                4 + stats
-                    .iter()
-                    .map(|s| 48 + OFP_MATCH_LEN + actions_wire_len(&s.actions))
-                    .sum::<usize>()
-            }
-            OfBody::StatsReply(StatsReply::Aggregate(_)) => 4 + 24,
+            OfBody::StatsRequest(StatsRequest::Flow(_)) => 4 + OFP_MATCH_LEN + 4,
+            OfBody::StatsReply(_) => unreachable!("measured above"),
         }
+}
+
+fn flow_stats_len(stats: &FlowStats) -> usize {
+    FLOW_STATS_FIXED_LEN + actions_wire_len(&stats.actions)
+}
+
+/// Splits a flow-stats reply's entries into frames the 16-bit length field
+/// can describe: each frame's entries and its length, in order, and at
+/// least one frame. Every frame but the last goes out with
+/// `OFPSF_REPLY_MORE` set.
+fn flow_stats_frames(stats: &[FlowStats]) -> Vec<(&[FlowStats], usize)> {
+    const EMPTY: usize = OFP_HEADER_LEN + 4;
+    let mut frames = Vec::new();
+    let (mut start, mut len) = (0, EMPTY);
+    for (i, entry) in stats.iter().enumerate() {
+        let entry_len = flow_stats_len(entry);
+        if i > start && len + entry_len > MAX_FRAME_LEN {
+            frames.push((&stats[start..i], len));
+            (start, len) = (i, EMPTY);
+        }
+        len += entry_len;
+    }
+    frames.push((&stats[start..], len));
+    frames
+}
+
+/// Writes a flow-stats reply as one frame per [`flow_stats_frames`] part;
+/// `more` sets `OFPSF_REPLY_MORE` on the last part too.
+fn put_flow_stats(xid: Xid, stats: &[FlowStats], more: bool, buf: &mut impl BufMut) -> usize {
+    let frames = flow_stats_frames(stats);
+    let last = frames.len() - 1;
+    let mut written = 0;
+    for (i, (entries, len)) in frames.into_iter().enumerate() {
+        buf.put_u8(OFP_VERSION);
+        buf.put_u8(17); // OFPT_STATS_REPLY
+        buf.put_u16(len as u16);
+        buf.put_u32(xid.0);
+        buf.put_u16(1);
+        buf.put_u16(if more || i < last {
+            OFPSF_REPLY_MORE
+        } else {
+            0
+        });
+        for s in entries {
+            let entry_len = flow_stats_len(s);
+            debug_assert!(entry_len <= MAX_FRAME_LEN - OFP_HEADER_LEN - 4);
+            buf.put_u16(entry_len as u16);
+            buf.put_u8(0); // table_id
+            buf.put_u8(0); // pad
+            put_match(buf, &s.of_match);
+            buf.put_u32(s.duration_sec);
+            buf.put_u32(0); // duration_nsec
+            buf.put_u16(s.priority);
+            buf.put_u16(0); // idle_timeout
+            buf.put_u16(0); // hard_timeout
+            buf.put_slice(&[0u8; 6]); // pad
+            buf.put_u64(s.cookie);
+            buf.put_u64(s.packet_count);
+            buf.put_u64(s.byte_count);
+            for action in &s.actions {
+                put_action(buf, action);
+            }
+        }
+        written += len;
+    }
+    written
 }
 
 /// Encodes a message to its binary representation.
@@ -319,8 +388,20 @@ pub fn encode(msg: &OfMessage) -> Bytes {
 ///
 /// The one encoder: [`encode`] is this on a fresh buffer. A sender that
 /// queues frames back to back encodes each straight into its queue.
+///
+/// A flow-stats reply longer than one frame can be goes out as several,
+/// all under the message's xid, every one but the last with
+/// `OFPSF_REPLY_MORE` set: the decoder returns them as
+/// [`StatsReply::FlowMore`] parts and a last [`StatsReply::Flow`]. No
+/// other message is that long.
 pub fn encode_into(msg: &OfMessage, buf: &mut impl BufMut) -> usize {
+    if let OfBody::StatsReply(reply) = &msg.body {
+        let (StatsReply::Flow(stats) | StatsReply::FlowMore(stats)) = reply;
+        let more = matches!(reply, StatsReply::FlowMore(_));
+        return put_flow_stats(msg.xid, stats, more, buf);
+    }
     let total = wire_len(msg);
+    debug_assert!(total <= MAX_FRAME_LEN, "a {total}-byte frame");
     buf.put_u8(OFP_VERSION);
     buf.put_u8(msg.body.type_code());
     buf.put_u16(total as u16);
@@ -417,51 +498,15 @@ pub fn encode_into(msg: &OfMessage, buf: &mut impl BufMut) -> usize {
             buf.put_u32(if ps.link_up { 0 } else { 1 });
             buf.put_slice(&[0u8; OFP_PHY_PORT_LEN - 2 - 6 - 8]);
         }
-        OfBody::StatsRequest(req) => {
-            let (code, of_match) = match req {
-                StatsRequest::Flow(m) => (1u16, m),
-                StatsRequest::Aggregate(m) => (2u16, m),
-            };
-            buf.put_u16(code);
+        OfBody::StatsRequest(StatsRequest::Flow(of_match)) => {
+            buf.put_u16(1); // OFPST_FLOW
             buf.put_u16(0); // flags
             put_match(buf, of_match);
             buf.put_u8(0xff); // table_id: all
             buf.put_u8(0); // pad
             buf.put_u16(PortNo::None.to_u16());
         }
-        OfBody::StatsReply(reply) => match reply {
-            StatsReply::Flow(stats) => {
-                buf.put_u16(1);
-                buf.put_u16(0);
-                for s in stats {
-                    let entry_len = 48 + OFP_MATCH_LEN + actions_wire_len(&s.actions);
-                    buf.put_u16(entry_len as u16);
-                    buf.put_u8(0); // table_id
-                    buf.put_u8(0); // pad
-                    put_match(buf, &s.of_match);
-                    buf.put_u32(s.duration_sec);
-                    buf.put_u32(0); // duration_nsec
-                    buf.put_u16(s.priority);
-                    buf.put_u16(0); // idle_timeout
-                    buf.put_u16(0); // hard_timeout
-                    buf.put_slice(&[0u8; 6]); // pad
-                    buf.put_u64(s.cookie);
-                    buf.put_u64(s.packet_count);
-                    buf.put_u64(s.byte_count);
-                    for action in &s.actions {
-                        put_action(buf, action);
-                    }
-                }
-            }
-            StatsReply::Aggregate(agg) => {
-                buf.put_u16(2);
-                buf.put_u16(0);
-                buf.put_u64(agg.packet_count);
-                buf.put_u64(agg.byte_count);
-                buf.put_u32(agg.flow_count);
-                buf.put_u32(0); // pad
-            }
-        },
+        OfBody::StatsReply(_) => unreachable!("encoded above"),
     }
     total
 }
@@ -713,14 +758,13 @@ pub fn decode(data: &[u8]) -> Result<OfMessage, DecodeError> {
             buf.advance(4);
             match code {
                 1 => OfBody::StatsRequest(StatsRequest::Flow(of_match)),
-                2 => OfBody::StatsRequest(StatsRequest::Aggregate(of_match)),
                 other => return Err(DecodeError::UnknownStatsType(other)),
             }
         }
         17 => {
             ensure(&buf, 4)?;
             let code = buf.get_u16();
-            buf.advance(2);
+            let more = buf.get_u16() & OFPSF_REPLY_MORE != 0;
             match code {
                 1 => {
                     let mut stats = Vec::new();
@@ -728,7 +772,7 @@ pub fn decode(data: &[u8]) -> Result<OfMessage, DecodeError> {
                         ensure(&buf, 4)?;
                         let entry_len = buf.get_u16() as usize;
                         buf.advance(2);
-                        if entry_len < 4 {
+                        if entry_len < FLOW_STATS_FIXED_LEN {
                             return Err(DecodeError::BadLength);
                         }
                         let of_match = get_match(&mut buf)?;
@@ -740,7 +784,7 @@ pub fn decode(data: &[u8]) -> Result<OfMessage, DecodeError> {
                         let cookie = buf.get_u64();
                         let packet_count = buf.get_u64();
                         let byte_count = buf.get_u64();
-                        let actions_len = entry_len - 48 - OFP_MATCH_LEN;
+                        let actions_len = entry_len - FLOW_STATS_FIXED_LEN;
                         let actions = get_actions(&mut buf, actions_len)?;
                         stats.push(FlowStats {
                             of_match,
@@ -752,19 +796,11 @@ pub fn decode(data: &[u8]) -> Result<OfMessage, DecodeError> {
                             actions,
                         });
                     }
-                    OfBody::StatsReply(StatsReply::Flow(stats))
-                }
-                2 => {
-                    ensure(&buf, 24)?;
-                    let packet_count = buf.get_u64();
-                    let byte_count = buf.get_u64();
-                    let flow_count = buf.get_u32();
-                    buf.advance(4);
-                    OfBody::StatsReply(StatsReply::Aggregate(AggregateStats {
-                        packet_count,
-                        byte_count,
-                        flow_count,
-                    }))
+                    OfBody::StatsReply(if more {
+                        StatsReply::FlowMore(stats)
+                    } else {
+                        StatsReply::Flow(stats)
+                    })
                 }
                 other => return Err(DecodeError::UnknownStatsType(other)),
             }
@@ -965,15 +1001,7 @@ mod tests {
         ));
         roundtrip(OfMessage::new(
             Xid(18),
-            OfBody::StatsRequest(StatsRequest::Aggregate(OfMatch::any().with_in_port(1))),
-        ));
-        roundtrip(OfMessage::new(
-            Xid(19),
-            OfBody::StatsReply(StatsReply::Aggregate(AggregateStats {
-                packet_count: 10,
-                byte_count: 1000,
-                flow_count: 3,
-            })),
+            OfBody::StatsRequest(StatsRequest::Flow(OfMatch::any().with_in_port(1))),
         ));
         roundtrip(OfMessage::new(
             Xid(20),

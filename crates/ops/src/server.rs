@@ -299,8 +299,6 @@ fn counters_json(c: &CountersSnapshot) -> Json {
         .set("sends_blocked", c.sends_blocked)
         .set("send_queue_hwm", c.send_queue_hwm)
         .set("keepalive_timeouts", c.keepalive_timeouts)
-        .set("resyncs", c.resyncs)
-        .set("frames_replayed", c.frames_replayed)
         .set("budget_exhausted", c.budget_exhausted)
 }
 

@@ -28,8 +28,10 @@ async fn rw_op<T>(
 
 /// An async TCP listener.
 pub struct TcpListener {
-    inner: std::net::TcpListener,
+    // Declared first, so dropped first: the reactor deregisters the fd
+    // while it is still open (see `Source`'s drop).
     source: Source,
+    inner: std::net::TcpListener,
 }
 
 impl TcpListener {
@@ -59,8 +61,10 @@ impl TcpListener {
 
 /// An async TCP stream.
 pub struct TcpStream {
-    inner: std::net::TcpStream,
+    // Declared first, so dropped first: the reactor deregisters the fd
+    // while it is still open (see `Source`'s drop).
     source: Source,
+    inner: std::net::TcpStream,
 }
 
 impl TcpStream {
@@ -170,8 +174,9 @@ impl TcpStream {
 
 /// The owned read half of a split [`TcpStream`].
 pub struct OwnedReadHalf {
-    inner: std::net::TcpStream,
+    // Dropped before `inner`, as in [`TcpStream`].
     source: Source,
+    inner: std::net::TcpStream,
 }
 
 impl OwnedReadHalf {
@@ -184,8 +189,9 @@ impl OwnedReadHalf {
 
 /// The owned write half of a split [`TcpStream`].
 pub struct OwnedWriteHalf {
-    inner: std::net::TcpStream,
+    // Dropped before `inner`, as in [`TcpStream`].
     source: Source,
+    inner: std::net::TcpStream,
 }
 
 impl OwnedWriteHalf {

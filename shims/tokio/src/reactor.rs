@@ -240,8 +240,18 @@ impl Source {
 }
 
 impl Drop for Source {
+    /// Deregisters the fd, which must still be open: an owner drops its
+    /// `Source` before the socket. Once the fd is closed its number may
+    /// already belong to another socket, whose registration the delete
+    /// would remove instead (its next wait then fails with `ENOENT`, or
+    /// never wakes).
     fn drop(&mut self) {
-        sys::epoll_del(self.reactor.epfd.as_raw_fd(), self.shared.fd);
+        let deleted = sys::epoll_del(self.reactor.epfd.as_raw_fd(), self.shared.fd);
+        debug_assert!(
+            deleted.is_ok(),
+            "deregistering fd {}: {deleted:?}",
+            self.shared.fd
+        );
         self.reactor
             .state
             .lock()

@@ -81,10 +81,8 @@ pub(crate) fn epoll_mod(epfd: RawFd, fd: RawFd, events: u32, token: u64) -> io::
     ctl(epfd, EPOLL_CTL_MOD, fd, events, token)
 }
 
-pub(crate) fn epoll_del(epfd: RawFd, fd: RawFd) {
-    // Removal failures are benign: the fd may already be closed, which
-    // drops the registration kernel-side.
-    let _ = ctl(epfd, EPOLL_CTL_DEL, fd, 0, 0);
+pub(crate) fn epoll_del(epfd: RawFd, fd: RawFd) -> io::Result<()> {
+    ctl(epfd, EPOLL_CTL_DEL, fd, 0, 0)
 }
 
 /// Waits for events; returns the number of slots filled.

@@ -300,3 +300,47 @@ fn runtime_drop_tears_down_parked_tasks() {
         Err(mpsc::error::TryRecvError::Disconnected)
     ));
 }
+
+/// Whether any epoll instance of this process watches the socket behind
+/// `fd` (`/proc/self/fdinfo` lists each watched fd with its inode, in hex).
+fn watched_by_some_epoll(fd: i32) -> bool {
+    let link = std::fs::read_link(format!("/proc/self/fd/{fd}")).unwrap();
+    let link = link.to_str().unwrap();
+    let inode: u64 = link["socket:[".len()..link.len() - 1].parse().unwrap();
+    let needle = format!(" ino:{inode:x} ");
+    std::fs::read_dir("/proc/self/fdinfo")
+        .unwrap()
+        .any(|entry| {
+            let info = std::fs::read_to_string(entry.unwrap().path()).unwrap_or_default();
+            info.lines()
+                .any(|line| line.starts_with("tfd:") && line.contains(&needle))
+        })
+}
+
+/// Dropping a stream deregisters its fd while the fd is still open. Once
+/// the fd is closed, the delete names a number that is no longer this
+/// socket's: it fails, and the registration stays for as long as anything
+/// else holds the socket (here a clone), or it removes the registration of
+/// whichever socket has taken the number meanwhile, whose next wait then
+/// fails with `ENOENT` or never wakes.
+#[test]
+fn a_dropped_stream_is_deregistered_before_its_fd_closes() {
+    use std::os::fd::AsRawFd;
+    let rt = rt();
+    let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+    let dialed = std::net::TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+    let (accepted, _) = listener.accept().unwrap();
+    rt.block_on(async move {
+        for std_stream in [dialed, accepted] {
+            let stream = tokio::net::TcpStream::from_std(std_stream).unwrap();
+            // A second fd on the same socket keeps it alive past the drop.
+            let clone = stream.try_clone_std().unwrap();
+            assert!(watched_by_some_epoll(clone.as_raw_fd()), "registered");
+            drop(stream);
+            assert!(
+                !watched_by_some_epoll(clone.as_raw_fd()),
+                "the reactor still watches a dropped stream's socket"
+            );
+        }
+    });
+}

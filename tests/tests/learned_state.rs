@@ -141,16 +141,6 @@ fn flood(fg: &mut FloodGuard, now: f64, sources: std::ops::Range<u64>) {
     }
 }
 
-/// Answers the teardown barriers in `out` as the switch would.
-fn answer_barriers(fg: &mut FloodGuard, out: &ControlOutput, now: f64) {
-    for (dpid, m) in &out.messages {
-        if m.body == OfBody::BarrierRequest {
-            let reply = OfMessage::new(m.xid, OfBody::BarrierReply);
-            fg.on_message(*dpid, reply, now, &mut ControlOutput::new());
-        }
-    }
-}
-
 #[test]
 fn a_spoofed_claim_through_the_cache_cannot_move_a_known_host() {
     let mut fg = floodguard_on_one_switch();
@@ -268,9 +258,7 @@ fn what_the_onset_taught_is_demoted_at_init_and_trusted_traffic_promotes_it() {
     // Quiet cache: the episode ends.
     let mut now = 1.2;
     while fg.state() != State::Idle && now < 5.0 {
-        let mut tick = ControlOutput::new();
-        fg.on_telemetry(&telemetry(), now, &mut tick);
-        answer_barriers(&mut fg, &tick, now);
+        fg.on_telemetry(&telemetry(), now, &mut ControlOutput::new());
         now += 0.1;
     }
     assert_eq!(fg.state(), State::Idle);

@@ -11,7 +11,7 @@
 //! deadlines instead of sleeping fixed amounts, so they pass on slow CI
 //! machines without being tuned to them.
 
-use std::collections::HashSet;
+use std::collections::{HashMap, HashSet};
 use std::io::{Read, Write};
 use std::net::{Ipv4Addr, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
@@ -682,11 +682,11 @@ impl<C: ControlPlane> ControlPlane for Tap<C> {
 }
 
 /// Fault injection over real sockets: mid-defense, the live switch crashes
-/// (flow table wiped, TCP session cut) and restarts. The controller's
-/// post-reconnect replay plus FloodGuard's rule repair must reinstall the
-/// same defense rule set, and the transport must count the one reconnect
-/// and its resync. While the switch is down it does not dial: no session,
-/// no dial and nothing from the switch reaches the controller.
+/// (flow table wiped, TCP session cut) and restarts. FloodGuard reads the
+/// returning switch's table back and repairs it with the same defense rule
+/// set, and the transport counts the one reconnect. While the switch is
+/// down it does not dial: no session, no dial and nothing from the switch
+/// reaches the controller.
 #[test]
 fn switch_crash_mid_defense_resyncs_rules() {
     const CACHE_PORT: u16 = 99;
@@ -803,8 +803,8 @@ fn switch_crash_mid_defense_resyncs_rules() {
         std::thread::sleep(Duration::from_millis(5));
     }
 
-    // Keep the flood alive across the outage: the reconnect plus the
-    // repair path must land every pre-crash defense rule again.
+    // Keep the flood alive across the outage: the read-back after the
+    // reconnect must land every pre-crash defense rule again.
     assert!(
         wait_for(Duration::from_secs(30), || {
             flood(&mut seq);
@@ -822,9 +822,13 @@ fn switch_crash_mid_defense_resyncs_rules() {
     );
     let after_crash = controller.counters();
     assert_eq!(
-        (after_crash.reconnects, after_crash.resyncs),
-        (before_crash.reconnects + 1, before_crash.resyncs + 1),
-        "not one reconnect with its flow-mod replay: {after_crash:?}"
+        after_crash.reconnects,
+        before_crash.reconnects + 1,
+        "not one reconnect: {after_crash:?}"
+    );
+    assert!(
+        monitor.lock().stats.rules_repaired > 0,
+        "nothing was repaired"
     );
 
     drop(controller);
@@ -909,9 +913,9 @@ fn proactive_adds(mods: &[FlowMod], cache_port: u16) -> Vec<(OfMatch, u16)> {
 
 /// One Fig. 9 episode over real sockets, watched from between FloodGuard
 /// and the endpoint: every proactive rule is sent once and lands, nothing
-/// is repaired, and the table is asked about only while migration rules
-/// are on it. (The endpoint used to report a flow count of zero, which the
-/// audit read as a wiped table: every rule was sent four times over.)
+/// is repaired, and the table is read only while migration rules are
+/// wanted on it. (The endpoint used to report a flow count of zero, which
+/// the audit read as a wiped table: every rule was sent four times over.)
 #[test]
 fn a_defense_episode_sends_each_rule_once_and_asks_only_while_migrating() {
     const CACHE_PORT: u16 = 99;
@@ -1012,8 +1016,9 @@ fn a_defense_episode_sends_each_rule_once_and_asks_only_while_migrating() {
         endpoint.counters()
     );
 
-    // Asked from the tick after Init to the tick that enters Finish, once a
-    // tick, and at no other time.
+    // Read from the tick that enters Init (its round ends with a read) to the
+    // tick that enters Finish (likewise), at most once a tick, and at no
+    // other time.
     let entered = |to: State| {
         let found = snap.transitions.iter().find(|t| t.to == to);
         found.unwrap_or_else(|| panic!("never entered {to}")).at
@@ -1043,7 +1048,7 @@ fn a_defense_episode_sends_each_rule_once_and_asks_only_while_migrating() {
     let asked = log.asked_at();
     assert!(!asked.is_empty(), "the table was never asked about");
     assert!(
-        asked.iter().all(|&at| init < at && at <= finish),
+        asked.iter().all(|&at| init <= at && at <= finish),
         "asked outside Init..Finish ({init}..{finish}): {asked:?}"
     );
     assert!(
@@ -1055,57 +1060,125 @@ fn a_defense_episode_sends_each_rule_once_and_asks_only_while_migrating() {
     drop(endpoint);
 }
 
-/// A switch the test owns, on a connection it dialed to a listening
-/// controller: a blocking handshake, then frames in and out by hand — the
-/// shape fgbench's generator has. Nothing stands between the test and the
-/// table.
+/// A switch the test owns, on a connection it dialed to a controller
+/// serving FloodGuard: a blocking handshake, then frames in and out by hand
+/// — the shape fgbench's generator has. Nothing stands between the test and
+/// the table. There is no cache device: what the switch forwards to the
+/// cache port is counted into FloodGuard's cache handle by hand, which is
+/// all the attack-end test reads.
 struct SwitchPeer {
     stream: TcpStream,
     unread: bytes::BytesMut,
     switch: Switch,
     start: Instant,
     xid: u32,
-    /// Every flow-mod the controller sent, in order.
+    cache: floodguard::cache::CacheHandle,
+    /// Flood packets offered so far.
+    flooded: u64,
+    /// Every flow-mod the controller sent, in order, lost or not.
     flow_mods: Vec<FlowMod>,
-    /// The flow count of every aggregate-stats reply given, in order.
-    answered: Vec<u32>,
+    /// How many rules under FloodGuard's cookie every flow-stats reply
+    /// given listed, and how many of them were redirects, in order.
+    answered: Vec<(usize, usize)>,
+    /// The fraction of flow-mods lost before the switch applies them: the
+    /// live twin of `netsim::Fault::FlowModLoss`.
+    flow_mod_loss: f64,
+    /// Flow-mods lost so far.
+    lost: usize,
+    /// xorshift64 state of the loss draws: a fixed seed.
+    rng: u64,
 }
 
+/// The cache port of the switch a [`SwitchPeer`] plays.
+const PEER_CACHE_PORT: u16 = 99;
+
 impl SwitchPeer {
-    fn connect(controller: std::net::SocketAddr, switch: Switch) -> SwitchPeer {
-        let mut stream = TcpStream::connect(controller).unwrap();
+    /// FloodGuard (with the benign hosts seeded) behind a controller that
+    /// ticks every 20 ms, and a switch dialed to it, once a calm longer
+    /// than a detector window has passed: the benign hosts were learned
+    /// before any flood's onset.
+    fn behind_floodguard() -> (ControllerEndpoint, SwitchPeer, floodguard::MonitorHandle) {
+        let mut floodguard = live_floodguard(PEER_CACHE_PORT);
+        seed_benign(&mut floodguard);
+        let monitor = floodguard.monitor_handle();
+        let cache = floodguard.cache_handle();
+        let controller_config = ControllerConfig {
+            channel: ChannelConfig::default().with_send_queue_cap(4096),
+            telemetry_interval: Duration::from_millis(20),
+            ..ControllerConfig::default()
+        };
+        let controller = listen(Box::new(floodguard), controller_config);
+        let ports = vec![1, 2, PEER_CACHE_PORT];
+        let switch = Switch::new(DatapathId(1), SwitchProfile::software(), ports);
+        let mut stream = TcpStream::connect(addr(&controller)).unwrap();
         let config = ChannelConfig::default();
         let unread = handshake::accept(&mut stream, &switch.features(), &config).unwrap();
         stream
             .set_read_timeout(Some(Duration::from_millis(2)))
             .unwrap();
-        SwitchPeer {
+        let mut peer = SwitchPeer {
             stream,
             unread,
             switch,
             start: Instant::now(),
             xid: 0,
+            cache,
+            flooded: 0,
             flow_mods: Vec::new(),
             answered: Vec::new(),
-        }
+            flow_mod_loss: 0.0,
+            lost: 0,
+            rng: 0x9E37_79B9_7F4A_7C15,
+        };
+        assert!(wait_for(Duration::from_secs(10), || {
+            peer.serve();
+            peer.start.elapsed() > Duration::from_millis(300)
+        }));
+        (controller, peer, monitor)
     }
 
-    /// Puts `packet` through the datapath: a miss goes up as a packet_in.
-    /// Returns how many packets left on `port`.
-    fn offer(&mut self, packet: Packet, port: u16) -> usize {
+    /// Whether the next flow-mod is lost.
+    fn loses(&mut self) -> bool {
+        if self.flow_mod_loss <= 0.0 {
+            return false;
+        }
+        self.rng ^= self.rng << 13;
+        self.rng ^= self.rng >> 7;
+        self.rng ^= self.rng << 17;
+        ((self.rng >> 11) as f64 / (1u64 << 53) as f64) < self.flow_mod_loss
+    }
+
+    /// Puts twenty flood packets through the datapath on port 1 (a miss
+    /// goes up as a packet_in, a redirect to the cache is counted), then
+    /// serves the connection.
+    fn flood(&mut self) {
         let now = self.start.elapsed().as_secs_f64();
-        self.switch.enqueue(1, packet);
-        let mut left_on_port = 0;
+        for _ in 0..20 {
+            self.switch.enqueue(1, udp_flow(self.flooded, 200));
+            self.flooded += 1;
+        }
         while let Some((in_port, packet)) = self.switch.start_next() {
             let result = self.switch.process(in_port, packet, now);
-            left_on_port += result.forwards.iter().filter(|(p, _)| *p == port).count();
+            let to_cache = result
+                .forwards
+                .iter()
+                .filter(|(p, _)| *p == PEER_CACHE_PORT);
+            self.cache.lock().stats.received += to_cache.count() as u64;
             if let Some(pi) = result.packet_in {
                 self.xid += 1;
                 let msg = OfMessage::new(Xid(self.xid), OfBody::PacketIn(pi));
                 self.stream.write_all(&ofproto::wire::encode(&msg)).unwrap();
             }
         }
-        left_on_port
+        self.serve();
+    }
+
+    /// Floods until `done` holds, or thirty seconds pass.
+    fn flood_until(&mut self, done: impl Fn(&SwitchPeer) -> bool) -> bool {
+        wait_for(Duration::from_secs(30), || {
+            self.flood();
+            done(self)
+        })
     }
 
     /// Applies what the controller has sent (waiting 2 ms for more when
@@ -1123,14 +1196,21 @@ impl SwitchPeer {
             Err(e) => panic!("switch connection: {e}"),
         }
         let now = self.start.elapsed().as_secs_f64();
+        let cookie = FloodGuardConfig::default().cookie;
         for msg in ofproto::wire::decode_frames(&mut self.unread).unwrap() {
             if let OfBody::FlowMod(fm) = &msg.body {
                 self.flow_mods.push(fm.clone());
+                if self.loses() {
+                    self.lost += 1;
+                    continue;
+                }
             }
             let (_, replies) = self.switch.handle_message(msg, now);
             for reply in replies {
-                if let OfBody::StatsReply(StatsReply::Aggregate(table)) = &reply.body {
-                    self.answered.push(table.flow_count);
+                if let OfBody::StatsReply(StatsReply::Flow(rules)) = &reply.body {
+                    let ours = rules.iter().filter(|r| r.cookie == cookie);
+                    let redirects = ours.clone().filter(|r| redirect(&r.of_match, r.priority));
+                    self.answered.push((ours.count(), redirects.count()));
                 }
                 self.stream
                     .write_all(&ofproto::wire::encode(&reply))
@@ -1144,61 +1224,54 @@ impl SwitchPeer {
         let entries = self.switch.table.iter();
         entries.map(|e| (e.of_match, e.priority)).collect()
     }
+
+    /// The rules under FloodGuard's cookie the table holds, with their
+    /// actions.
+    fn ours(&self) -> HashMap<(OfMatch, u16), Vec<Action>> {
+        let cookie = FloodGuardConfig::default().cookie;
+        let entries = self.switch.table.iter().filter(|e| e.cookie == cookie);
+        entries
+            .map(|e| ((e.of_match, e.priority), e.actions.clone()))
+            .collect()
+    }
+
+    /// What FloodGuard wants the table to hold: every flow-mod under its
+    /// cookie it sent, lost or not, applied in order.
+    fn wanted(&self) -> HashMap<(OfMatch, u16), Vec<Action>> {
+        let cookie = FloodGuardConfig::default().cookie;
+        let mut table = HashMap::new();
+        for fm in &self.flow_mods {
+            match fm.command {
+                FlowModCommand::Add if fm.cookie == cookie => {
+                    table.insert((fm.of_match, fm.priority), fm.actions.clone());
+                }
+                FlowModCommand::DeleteStrict => {
+                    table.remove(&(fm.of_match, fm.priority));
+                }
+                _ => {}
+            }
+        }
+        table
+    }
+
+    /// The redirects the table holds.
+    fn redirects(&self) -> usize {
+        self.ours().keys().filter(|(m, p)| redirect(m, *p)).count()
+    }
 }
 
-/// The audit, the other way: mid-Defense the switch loses its table with
-/// the connection kept (no crash, no reconnect, nothing for the replay ring
-/// to notice). Its next answer to the per-tick stats request says so, one
+/// Whether a rule of FloodGuard's is one of its redirects.
+fn redirect(of_match: &OfMatch, priority: u16) -> bool {
+    floodguard::migration::MigrationAgent::is_redirect(of_match, priority)
+}
+
+/// Mid-Defense the switch loses its table with the connection kept (no
+/// crash, no reconnect). Its next answer to the per-tick read says so, one
 /// repair round re-sends the migration rules and the installed proactive
-/// ones, the table converges, and the answer after that ends the incident.
+/// ones, the table converges, and the answers after that send nothing.
 #[test]
 fn a_table_emptied_behind_the_controllers_back_is_repaired_in_one_round() {
-    const CACHE_PORT: u16 = 99;
-
-    let mut floodguard = live_floodguard(CACHE_PORT);
-    seed_benign(&mut floodguard);
-    let monitor = floodguard.monitor_handle();
-    // No cache device in this test: packets the switch forwards to the
-    // cache port are counted into the shared handle by hand, which is all
-    // the attack-end test reads.
-    let cache = floodguard.cache_handle();
-    let controller_config = ControllerConfig {
-        channel: ChannelConfig::default().with_send_queue_cap(4096),
-        telemetry_interval: Duration::from_millis(20),
-        ..ControllerConfig::default()
-    };
-    let controller = ControllerEndpoint::listen(
-        Box::new(floodguard),
-        "127.0.0.1:0".parse().unwrap(),
-        controller_config,
-    )
-    .unwrap();
-    let switch = Switch::new(
-        DatapathId(1),
-        SwitchProfile::software(),
-        vec![1, 2, CACHE_PORT],
-    );
-    let mut peer = SwitchPeer::connect(controller.local_addr().unwrap(), switch);
-    // Calm, longer than a detector window: the benign hosts were learned
-    // before the flood's onset.
-    assert!(wait_for(Duration::from_secs(10), || {
-        peer.serve();
-        peer.start.elapsed() > Duration::from_millis(300)
-    }));
-
-    // Flood, serving the connection in between, until `done`.
-    let mut seq = 0u64;
-    let mut flood_until = |peer: &mut SwitchPeer, done: &dyn Fn(&SwitchPeer) -> bool| {
-        wait_for(Duration::from_secs(30), || {
-            for _ in 0..20 {
-                let to_cache = peer.offer(udp_flow(seq, 200), CACHE_PORT);
-                cache.lock().stats.received += to_cache as u64;
-                seq += 1;
-            }
-            peer.serve();
-            done(peer)
-        })
-    };
+    let (controller, mut peer, monitor) = SwitchPeer::behind_floodguard();
     let defending = || {
         let snap = monitor.lock();
         snap.state == Some(State::Defense) && snap.stats.updates >= 1
@@ -1207,15 +1280,15 @@ fn a_table_emptied_behind_the_controllers_back_is_repaired_in_one_round() {
     // Defense, the rules on the switch, and at least one answer given: the
     // table is intact and has been seen to be.
     assert!(
-        flood_until(&mut peer, &|peer| {
+        peer.flood_until(|peer| {
             let stats = monitor.lock().stats;
-            let sent = proactive_adds(&peer.flow_mods, CACHE_PORT);
+            let sent = proactive_adds(&peer.flow_mods, PEER_CACHE_PORT);
             defending()
                 && sent.len() as u64 == stats.proactive_installed
                 && peer
                     .answered
                     .last()
-                    .is_some_and(|&count| count as usize >= 2 + sent.len())
+                    .is_some_and(|&(count, _)| count >= 2 + sent.len())
         }),
         "no defense: {:?}, answered {:?}",
         monitor.lock().stats,
@@ -1227,7 +1300,7 @@ fn a_table_emptied_behind_the_controllers_back_is_repaired_in_one_round() {
         "an intact table was repaired"
     );
     let before = peer.rules();
-    let sent = proactive_adds(&peer.flow_mods, CACHE_PORT);
+    let sent = proactive_adds(&peer.flow_mods, PEER_CACHE_PORT);
     let sent_before = sent.len();
     // The first update sent the benign hosts' rules and nothing the flood
     // taught: that went to quarantine.
@@ -1250,14 +1323,17 @@ fn a_table_emptied_behind_the_controllers_back_is_repaired_in_one_round() {
     peer.switch.table.clear();
     let asked = peer.answered.len();
     assert!(
-        flood_until(&mut peer, &|peer| {
+        peer.flood_until(|peer| {
             monitor.lock().stats.rules_repaired > 0 && before.is_subset(&peer.rules())
         }),
         "the table did not converge: repaired {}, answered {:?}",
         monitor.lock().stats.rules_repaired,
         &peer.answered[asked..]
     );
-    assert_eq!(peer.answered[asked], 0, "the first answer after the wipe");
+    assert_eq!(
+        peer.answered[asked].1, 0,
+        "the first answer after the wipe shows the redirects gone"
+    );
     let stats = monitor.lock().stats;
     let repaired = stats.rules_repaired;
     let installed = stats.proactive_installed - stats.proactive_removed;
@@ -1268,9 +1344,56 @@ fn a_table_emptied_behind_the_controllers_back_is_repaired_in_one_round() {
 
     // Ten more answers, all of a whole table: no second round.
     let asked = peer.answered.len();
-    assert!(flood_until(&mut peer, &|peer| peer.answered.len() >= asked + 10));
+    assert!(peer.flood_until(|peer| peer.answered.len() >= asked + 10));
     assert_eq!(monitor.lock().stats.rules_repaired, repaired);
     assert!(defending(), "still defending");
+
+    drop(controller);
+}
+
+/// The live twin of `resilience.rs::fault_flow_mod_loss_converges`: the
+/// switch loses half the flow-mods sent to it through Init and the first
+/// second of Defense. Once the loss lifts, its rules under FloodGuard's
+/// cookie are what FloodGuard wants within two reads (two telemetry ticks),
+/// and no redirect outlives the episode: a lost flow-mod shows up as a
+/// difference in the next read, which a count of the table cannot show.
+#[test]
+fn lost_flow_mods_are_repaired_once_the_loss_lifts() {
+    let (controller, mut peer, monitor) = SwitchPeer::behind_floodguard();
+    peer.flow_mod_loss = 0.5;
+    assert!(
+        peer.flood_until(|_| monitor.lock().state == Some(State::Defense)),
+        "no defense: {:?}",
+        monitor.lock().stats
+    );
+    let lift_at = Instant::now() + Duration::from_secs(1);
+    while Instant::now() < lift_at {
+        peer.flood();
+    }
+    assert!(peer.lost > 0, "nothing was lost");
+    assert_eq!(monitor.lock().state, Some(State::Defense));
+
+    peer.flow_mod_loss = 0.0;
+    let asked = peer.answered.len();
+    assert!(peer.flood_until(|peer| peer.answered.len() >= asked + 2));
+    assert_eq!(
+        peer.ours(),
+        peer.wanted(),
+        "two reads after the loss lifted"
+    );
+    assert!(peer.redirects() > 0);
+
+    // Calm: the episode ends, and its redirects with it.
+    assert!(
+        wait_for(Duration::from_secs(30), || {
+            peer.serve();
+            monitor.lock().state == Some(State::Idle)
+        }),
+        "the episode never ended: {:?}",
+        monitor.lock().transitions
+    );
+    assert_eq!(peer.redirects(), 0, "a redirect outlived the episode");
+    assert_eq!(monitor.lock().stats.teardown_unanswered, 0);
 
     drop(controller);
 }

@@ -44,12 +44,16 @@ fn timeline_matches_the_parent_engine() {
     // the onset's sources moved from the learned series to the
     // quarantined one and out of the rule series, and the engine's event
     // series count the flow-mods no longer sent. The trace did not move.
+    // Both were recorded again when every round of flow-mods began to end
+    // with a barrier and a flow-stats read: the engine's event and channel
+    // series count those frames and the answers, and the answers' arrival
+    // moves the timing of what follows them by microseconds.
     let (timeline, trace) = capture("end_to_end_defense", &defended());
     assert_eq!(
         (digest(&timeline), digest(&trace)),
         (
-            (484168, 17721549854719739867),
-            (36116, 12264189397029473725)
+            (484170, 11961130906054384726),
+            (36448, 10561595297095637153)
         ),
         "(length, digest) of the timeline and of the chrome trace"
     );

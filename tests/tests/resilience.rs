@@ -2,10 +2,26 @@
 //! repeated attack waves, slow-ramp attacks, cache overflow, and very long
 //! runs.
 
+use std::collections::HashMap;
+use std::net::Ipv4Addr;
+use std::sync::{Arc, Mutex};
+
 use bench::{run, AttackProtocol, Defense, Fault, Outcome, Scenario};
-use floodguard::{CacheConfig, CacheFailPolicy, DetectionConfig, FloodGuardConfig, RecoveryConfig};
+use controller::apps;
+use controller::platform::ControllerPlatform;
+use floodguard::{
+    CacheConfig, CacheFailPolicy, DetectionConfig, FloodGuard, FloodGuardConfig, RecoveryConfig,
+    State,
+};
 use netsim::engine::SwitchId;
-use netsim::{DeviceId, DropCause};
+use netsim::host::{CbrSource, UdpFlood};
+use netsim::iface::{ControlOutput, ControlPlane, DeviceId as Device, Telemetry};
+use netsim::{DeviceId, DropCause, Simulation, SwitchProfile};
+use ofproto::actions::Action;
+use ofproto::flow_match::OfMatch;
+use ofproto::flow_mod::FlowModCommand;
+use ofproto::messages::{FeaturesReply, OfBody, OfMessage};
+use ofproto::types::{DatapathId, MacAddr};
 
 fn fg() -> Defense {
     Defense::FloodGuard(FloodGuardConfig::default())
@@ -145,7 +161,6 @@ fn fault_cache_crash_no_standby_fail_open() {
     let config = FloodGuardConfig {
         recovery: RecoveryConfig {
             cache_fail_policy: CacheFailPolicy::FailOpen,
-            ..RecoveryConfig::default()
         },
         ..FloodGuardConfig::default()
     };
@@ -193,7 +208,6 @@ fn fault_cache_crash_no_standby_fail_safe() {
     let config = FloodGuardConfig {
         recovery: RecoveryConfig {
             cache_fail_policy: CacheFailPolicy::FailSafe,
-            ..RecoveryConfig::default()
         },
         ..FloodGuardConfig::default()
     };
@@ -238,9 +252,9 @@ fn fault_cache_crash_no_standby_fail_safe() {
 #[test]
 fn fault_partition_during_migration_repairs_on_heal() {
     // The control channel partitions mid-defense and heals 0.8 s later.
-    // The flow table survives (only control traffic is severed), the
-    // re-handshake on heal triggers a repair pass, and the victim's
-    // bandwidth stays protected throughout.
+    // The flow table survives (only control traffic is severed): the
+    // re-handshake on heal reads it back, finds it whole, and re-sends
+    // nothing; the victim's bandwidth stays protected throughout.
     let mut clean = Scenario::software();
     clean.seed = fault_seed();
     let clean_bw = run(&clean).bandwidth_bps;
@@ -256,9 +270,9 @@ fn fault_partition_during_migration_repairs_on_heal() {
     scenario.seed = fault_seed();
     let outcome = run(&scenario);
     dump_fault_log("partition-heal", &outcome);
-    assert!(
-        outcome.fg_stats.rules_repaired >= 1,
-        "heal must trigger a repair pass: {:?}",
+    assert_eq!(
+        outcome.fg_stats.rules_repaired, 0,
+        "an intact table read back on heal was repaired: {:?}",
         outcome.fg_stats
     );
     assert!(
@@ -494,4 +508,153 @@ fn zero_rate_attack_never_triggers() {
     let shared = cache.lock();
     assert_eq!(shared.stats.received, 0);
     assert_eq!(shared.stats.rejected, 0, "nothing was ever migrated");
+}
+
+/// A switch's rules under FloodGuard's cookie, with their actions.
+type Rules = HashMap<(OfMatch, u16), Vec<Action>>;
+
+/// Passes every call through to FloodGuard and keeps what it wants the
+/// switch to hold: every flow-mod under its cookie it sent, lost on the way
+/// or not, applied in order. (It sends them only from telemetry ticks.)
+struct Wants {
+    fg: FloodGuard,
+    wanted: Arc<Mutex<Rules>>,
+}
+
+impl ControlPlane for Wants {
+    fn on_switch_connect(
+        &mut self,
+        dpid: DatapathId,
+        f: FeaturesReply,
+        now: f64,
+        out: &mut ControlOutput,
+    ) {
+        self.fg.on_switch_connect(dpid, f, now, out);
+    }
+
+    fn on_message(&mut self, dpid: DatapathId, msg: OfMessage, now: f64, out: &mut ControlOutput) {
+        self.fg.on_message(dpid, msg, now, out);
+    }
+
+    fn on_device_message(
+        &mut self,
+        dev: Device,
+        msg: OfMessage,
+        now: f64,
+        out: &mut ControlOutput,
+    ) {
+        self.fg.on_device_message(dev, msg, now, out);
+    }
+
+    fn on_switch_disconnect(&mut self, dpid: DatapathId, now: f64, out: &mut ControlOutput) {
+        self.fg.on_switch_disconnect(dpid, now, out);
+    }
+
+    fn on_telemetry(&mut self, telemetry: &Telemetry, now: f64, out: &mut ControlOutput) {
+        let from = out.messages.len();
+        self.fg.on_telemetry(telemetry, now, out);
+        let cookie = FloodGuardConfig::default().cookie;
+        let mut wanted = self.wanted.lock().unwrap();
+        for (_, msg) in &out.messages[from..] {
+            match &msg.body {
+                OfBody::FlowMod(fm) if fm.command == FlowModCommand::Add && fm.cookie == cookie => {
+                    wanted.insert((fm.of_match, fm.priority), fm.actions.clone());
+                }
+                OfBody::FlowMod(fm) if fm.command == FlowModCommand::DeleteStrict => {
+                    wanted.remove(&(fm.of_match, fm.priority));
+                }
+                _ => {}
+            }
+        }
+    }
+}
+
+#[test]
+fn fault_flow_mod_loss_converges() {
+    // The switch loses half the flow-mods sent to it from just before Init
+    // to a second into Defense: redirects, proactive rules and repairs
+    // alike. Once the loss lifts, the rules it holds under FloodGuard's
+    // cookie are what FloodGuard wants within two telemetry ticks, and no
+    // redirect outlives the episode: a lost flow-mod shows up as a
+    // difference in the next read, which a count of the table cannot show.
+    const TICK: f64 = 0.05;
+    let mut sim = Simulation::new(fault_seed());
+    let profile = SwitchProfile::software();
+    let sw = sim.add_switch(profile, vec![1, 2, 3, 99]);
+    let host = |i: u8| {
+        (
+            MacAddr::from_u64(0xa0 + u64::from(i)),
+            Ipv4Addr::new(10, 0, 0, i),
+        )
+    };
+    let hosts = [1, 2, 3].map(|i| {
+        (
+            sim.add_host(sw, u16::from(i), host(i).0, host(i).1),
+            host(i),
+        )
+    });
+    let mut platform = ControllerPlatform::new();
+    platform.register(apps::l2_learning::program());
+    let mut fg = FloodGuard::new(platform, FloodGuardConfig::default(), 99);
+    let (bandwidth, latency) = (profile.channel_bandwidth, profile.channel_latency);
+    sim.attach_device(sw, 99, Box::new(fg.build_cache()), bandwidth, latency, 1e-3);
+    let monitor = fg.monitor_handle();
+    let wanted = Arc::new(Mutex::new(Rules::new()));
+    let wanted_by = Arc::clone(&wanted);
+    sim.set_control_plane(Box::new(Wants {
+        fg,
+        wanted: wanted_by,
+    }));
+    // Two benign hosts talk from the start (proactive rules to install);
+    // the third floods from 0.5 s to 2.5 s.
+    for (from, to) in [(0, 1), (1, 0)] {
+        let ((src_mac, src_ip), (dst_mac, dst_ip)) = (hosts[from].1, hosts[to].1);
+        let cbr = CbrSource::new(src_mac, src_ip, dst_mac, dst_ip, 50.0, 0.0, 4.0, 200);
+        sim.host_mut(hosts[from].0).add_source(Box::new(cbr));
+    }
+    let flood = UdpFlood::new(hosts[2].1 .0, 500.0, 0.5, 2.5, 64);
+    sim.host_mut(hosts[2].0).add_source(Box::new(flood));
+    let loss = |probability| Fault::FlowModLoss { sw, probability };
+    sim.schedule_fault(0.45, loss(0.5));
+
+    let state = || monitor.lock().state;
+    let mut now = 0.45;
+    while state() != Some(State::Defense) && now < 2.0 {
+        now += 0.01;
+        sim.run_until(now);
+    }
+    assert_eq!(state(), Some(State::Defense), "no defense");
+    let lift = now + 1.0;
+    sim.schedule_fault(lift, loss(0.0));
+    sim.run_until(lift);
+    assert_eq!(state(), Some(State::Defense));
+    assert!(sim.drops(DropCause::FlowModLoss) > 0, "nothing was lost");
+
+    // Two ticks, and the time a round takes to cross the channel.
+    sim.run_until(lift + 2.0 * TICK + 0.005);
+    let cookie = FloodGuardConfig::default().cookie;
+    let ours = sim.switch(sw).table.iter().filter(|e| e.cookie == cookie);
+    let ours: Rules = ours
+        .map(|e| ((e.of_match, e.priority), e.actions.clone()))
+        .collect();
+    assert_eq!(
+        ours,
+        *wanted.lock().unwrap(),
+        "two ticks after the loss lifted"
+    );
+    let redirect = |e: &&ofproto::flow_table::FlowEntry| e.cookie == cookie && e.priority == 0;
+    assert!(sim.switch(sw).table.iter().any(|e| redirect(&e)));
+
+    // The flood ends: the episode ends once the cache's backlog has
+    // drained, and its redirects with it.
+    sim.run_until(12.0);
+    assert_eq!(
+        state(),
+        Some(State::Idle),
+        "{:?}",
+        monitor.lock().transitions
+    );
+    let left: Vec<_> = sim.switch(sw).table.iter().filter(redirect).collect();
+    assert!(left.is_empty(), "redirects outlived the episode: {left:#?}");
+    assert_eq!(monitor.lock().stats.teardown_unanswered, 0);
 }

@@ -27,9 +27,8 @@ use ofproto::actions::Action;
 use ofproto::flow_match::{FlowKeys, OfMatch, Wildcards};
 use ofproto::flow_mod::{FlowMod, FlowModCommand, FlowModFlags};
 use ofproto::messages::{
-    AggregateStats, ErrorMsg, FeaturesReply, FlowRemoved, FlowRemovedReason, FlowStats, OfBody,
-    OfMessage, PacketIn, PacketInReason, PacketOut, PortStatus, PortStatusReason, StatsReply,
-    StatsRequest,
+    ErrorMsg, FeaturesReply, FlowRemoved, FlowRemovedReason, FlowStats, OfBody, OfMessage,
+    PacketIn, PacketInReason, PacketOut, PortStatus, PortStatusReason, StatsReply, StatsRequest,
 };
 use ofproto::types::{BufferId, DatapathId, MacAddr, PortNo, Xid};
 use ofproto::wire::{self, DecodeError};
@@ -337,23 +336,13 @@ fn flow_stats() -> impl Strategy<Value = FlowStats> {
 }
 
 fn stats_request() -> impl Strategy<Value = StatsRequest> {
-    prop_oneof![
-        of_match().prop_map(StatsRequest::Flow),
-        of_match().prop_map(StatsRequest::Aggregate),
-    ]
+    of_match().prop_map(StatsRequest::Flow)
 }
 
 fn stats_reply() -> impl Strategy<Value = StatsReply> {
-    let aggregate = (any::<u64>(), any::<u64>(), any::<u32>()).prop_map(
-        |(packet_count, byte_count, flow_count)| AggregateStats {
-            packet_count,
-            byte_count,
-            flow_count,
-        },
-    );
     prop_oneof![
         proptest::collection::vec(flow_stats(), 0..4).prop_map(StatsReply::Flow),
-        aggregate.prop_map(StatsReply::Aggregate),
+        proptest::collection::vec(flow_stats(), 0..4).prop_map(StatsReply::FlowMore),
     ]
 }
 
@@ -529,5 +518,54 @@ proptest! {
         let cut = (cut as usize) % encoded.len();
         // Any strict prefix must fail cleanly, never panic.
         let _ = wire::decode(&encoded[..cut]);
+    }
+}
+
+/// A flow-stats reply longer than the 16-bit length field can describe
+/// (700 rules here is ~67 kB) goes out as several frames under one xid, all
+/// but the last flagged `OFPSF_REPLY_MORE`; read back as a stream, the parts
+/// put together are the table. In one frame the length would wrap, and the
+/// stream would lose its framing.
+#[test]
+fn a_flow_table_longer_than_a_frame_goes_out_in_parts() {
+    for n in [700u32, 2000] {
+        let rules: Vec<FlowStats> = (0..n)
+            .map(|i| FlowStats {
+                of_match: OfMatch::any().with_dl_dst(MacAddr::from_u64(u64::from(i))),
+                priority: 1 + (i % 7) as u16,
+                cookie: u64::from(i),
+                packet_count: u64::from(i) * 3,
+                byte_count: u64::from(i) * 300,
+                duration_sec: i,
+                actions: vec![Action::Output(PortNo::Physical(2))],
+            })
+            .collect();
+        let msg = OfMessage::new(Xid(7), OfBody::StatsReply(StatsReply::Flow(rules.clone())));
+        let bytes = wire::encode(&msg);
+        assert_eq!(bytes.len(), wire::wire_len(&msg));
+        assert!(
+            bytes.len() > usize::from(u16::MAX),
+            "{n} rules fit one frame"
+        );
+        let mut stream = BytesMut::new();
+        stream.extend_from_slice(&bytes);
+        let parts = wire::decode_frames(&mut stream).unwrap();
+        assert!(stream.is_empty() && parts.len() >= 2, "{n}: one frame");
+        let mut collected = Vec::new();
+        for (i, part) in parts.iter().enumerate() {
+            let last = i + 1 == parts.len();
+            match &part.body {
+                OfBody::StatsReply(StatsReply::FlowMore(entries))
+                    if !last && part.xid == msg.xid =>
+                {
+                    collected.extend_from_slice(entries)
+                }
+                OfBody::StatsReply(StatsReply::Flow(entries)) if last && part.xid == msg.xid => {
+                    collected.extend_from_slice(entries)
+                }
+                other => panic!("{n}: part {i} of {}: {other:?}", parts.len()),
+            }
+        }
+        assert_eq!(collected, rules, "{n}");
     }
 }
