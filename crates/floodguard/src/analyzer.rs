@@ -25,6 +25,7 @@ use std::collections::{HashMap, HashSet};
 use std::sync::{Arc, OnceLock};
 
 use controller::platform::App;
+use ofproto::flow_match::OfMatch;
 use ofproto::flow_mod::FlowMod;
 use policy::ProactiveRule;
 use symexec::compress::{compress, CompressionConfig, CompressionStats};
@@ -101,6 +102,9 @@ pub struct Analyzer {
     states: Vec<Option<KeyedConversion>>,
     last_versions: Vec<Option<u64>>,
     installed: Installed,
+    /// Where each `(match, priority)` of [`Analyzer::installed`] first
+    /// occurs, once asked for; emptied with every change of `installed`.
+    by_key: OnceLock<HashMap<(OfMatch, u16), Option<usize>>>,
     pending_changes: u64,
     last_update_at: f64,
     cache_stats: CacheStats,
@@ -160,6 +164,7 @@ impl Analyzer {
             states: apps.iter().map(|_| None).collect(),
             last_versions: vec![None; apps.len()],
             installed: Installed::Detached(Vec::new()),
+            by_key: OnceLock::new(),
             pending_changes: 0,
             last_update_at: f64::NEG_INFINITY,
             cache_stats: CacheStats::default(),
@@ -312,6 +317,7 @@ impl Analyzer {
             (Installed::Tracked { count, flat }, Some(cookie)) if !moved.is_empty() => {
                 // A flattened copy of the conversions is no longer one.
                 flat.take();
+                self.by_key.take();
                 settle(count, &self.states, moved, cookie)
             }
             _ => RuleUpdate::default(),
@@ -356,6 +362,7 @@ impl Analyzer {
 
     /// Takes the installed set, leaving none.
     fn take_installed(&mut self) -> Vec<ProactiveRule> {
+        self.by_key.take();
         match std::mem::replace(&mut self.installed, Installed::Detached(Vec::new())) {
             Installed::Tracked { flat, .. } => flat.into_inner().unwrap_or_else(|| self.flatten()),
             Installed::Detached(rules) => rules,
@@ -466,9 +473,32 @@ impl Analyzer {
         }
     }
 
+    /// The index of [`Analyzer::installed`] by `(match, priority)`: where
+    /// each key's first rule sits, or `None` when the rules of that key
+    /// disagree on their actions. Built once per installed set, when first
+    /// asked for.
+    pub(crate) fn installed_by_key(&self) -> &HashMap<(OfMatch, u16), Option<usize>> {
+        self.by_key.get_or_init(|| {
+            let rules = self.installed();
+            let mut index = HashMap::with_capacity(rules.len());
+            for (at, rule) in rules.iter().enumerate() {
+                index
+                    .entry((rule.of_match, rule.priority))
+                    .and_modify(|first: &mut Option<usize>| {
+                        if first.is_some_and(|f| rules[f].actions != rule.actions) {
+                            *first = None;
+                        }
+                    })
+                    .or_insert(Some(at));
+            }
+            index
+        })
+    }
+
     /// Forgets the installed set (rules may have aged out of the switch
     /// since the last defense round); the next dispatch re-adds everything.
     pub fn reset_installed(&mut self) {
+        self.by_key.take();
         self.installed = Installed::Detached(Vec::new());
     }
 }

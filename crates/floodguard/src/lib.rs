@@ -657,7 +657,62 @@ impl FloodGuard {
     /// Notes whether switch `i`'s latest answer differs from what it
     /// should hold: the next tick with no read outstanding repairs it.
     fn judge(&mut self, i: usize) {
-        self.tables.switches[i].differs = !self.delta(i).is_empty();
+        self.tables.switches[i].differs = self.differs(i);
+    }
+
+    /// Whether [`FloodGuard::delta`] would send switch `i` anything, without
+    /// building its wanted table: one walk of the answer, each rule looked
+    /// up among the redirects and in the analyzer's index of its rules. A
+    /// table holds one rule per `(match, priority)`, so the answer is the
+    /// wanted table when each of its rules in scope is wanted, with the
+    /// actions every wanted rule of its key has, and it holds as many rules
+    /// as the wanted table has keys.
+    fn differs(&self, i: usize) -> bool {
+        let sw = &self.tables.switches[i];
+        let Some(have) = &sw.have else {
+            return false;
+        };
+        // The proactive rules and their index, while they are wanted.
+        let proactive = self
+            .proactive_wanted()
+            .then(|| (self.analyzer.installed(), self.analyzer.installed_by_key()));
+        let key = |fm: &FlowMod| (fm.of_match, fm.priority);
+        let mut matched = 0usize;
+        for r in have {
+            if proactive.is_none() && !MigrationAgent::is_redirect(&r.of_match, r.priority) {
+                continue;
+            }
+            let k = (r.of_match, r.priority);
+            let mut wanted = false;
+            for fm in sw.redirects.iter().filter(|fm| key(fm) == k) {
+                if fm.actions != r.actions {
+                    return true;
+                }
+                wanted = true;
+            }
+            if let Some((rules, index)) = proactive {
+                match index.get(&k) {
+                    Some(Some(at)) if rules[*at].actions == r.actions => wanted = true,
+                    Some(_) => return true,
+                    None => {}
+                }
+            }
+            if !wanted {
+                return true;
+            }
+            matched += 1;
+        }
+        let index = proactive.map(|(_, index)| index);
+        let redirect_keys = sw
+            .redirects
+            .iter()
+            .enumerate()
+            .filter(|(j, fm)| {
+                !index.is_some_and(|index| index.contains_key(&key(fm)))
+                    && !sw.redirects[..*j].iter().any(|e| key(e) == key(fm))
+            })
+            .count();
+        matched != redirect_keys + index.map_or(0, |index| index.len())
     }
 
     /// The reconciler's part of a telemetry tick before the FSM's: for each
@@ -1591,6 +1646,66 @@ mod tests {
         // The answer shows the table whole: nothing more.
         assert_eq!(tick(&mut fg, &mut peer, &unobserved(), 1.2), (1, 0));
         assert_eq!(fg.stats.rules_repaired, 63);
+    }
+
+    /// Whether an answer differs, decided in one walk of it, is what the
+    /// delta round built from the whole wanted table says: for equal
+    /// tables, a missing rule, an extra rule and changed actions, each of a
+    /// proactive rule and of a redirect.
+    #[test]
+    fn differs_agrees_with_the_delta_round() {
+        use ofproto::actions::Action;
+        use ofproto::messages::FlowStats;
+        let mut fg = fg_with_l2();
+        let mut peer = Peer::new();
+        defend(&mut fg, &mut peer, &unobserved());
+        let held = fg.tables.switches[0].have.clone().expect("answered");
+        assert_eq!(held.len(), 63);
+        let redirect = held
+            .iter()
+            .position(|r| MigrationAgent::is_redirect(&r.of_match, r.priority))
+            .expect("a redirect");
+        let rule = held
+            .iter()
+            .position(|r| !MigrationAgent::is_redirect(&r.of_match, r.priority))
+            .expect("a proactive rule");
+        let without = |at: usize| {
+            let mut have = held.clone();
+            have.remove(at);
+            have
+        };
+        let changed = |at: usize| {
+            let mut have = held.clone();
+            have[at].actions.push(Action::Output(PortNo::Flood));
+            have
+        };
+        let with_extra = |priority: u16| {
+            let mut have = held.clone();
+            have.push(FlowStats {
+                of_match: OfMatch::any().with_in_port(42),
+                priority,
+                ..held[rule].clone()
+            });
+            have
+        };
+        let cases = [
+            ("equal tables", held.clone(), false),
+            ("a missing proactive rule", without(rule), true),
+            ("a missing redirect", without(redirect), true),
+            ("an extra rule", with_extra(held[rule].priority), true),
+            (
+                "an extra redirect",
+                with_extra(held[redirect].priority),
+                true,
+            ),
+            ("changed actions", changed(rule), true),
+            ("a redirect's changed actions", changed(redirect), true),
+        ];
+        for (case, have, differs) in cases {
+            fg.tables.switches[0].have = Some(have);
+            assert_eq!(fg.differs(0), !fg.delta(0).is_empty(), "{case}");
+            assert_eq!(fg.differs(0), differs, "{case}");
+        }
     }
 
     #[test]

@@ -572,7 +572,9 @@ mod tests {
     const FRAME: usize = wire::OFP_HEADER_LEN + BODY;
 
     /// One accepted connection with [`write_loop`]'s inputs laid out, the
-    /// writer not yet started: frames sent now pile up in the queue.
+    /// writer not yet started: frames sent now pile up in the queue. The
+    /// writer runs on a thread of its own ([`drive`]), so the test's thread
+    /// can play the peer with blocking reads.
     struct Rig {
         rt: tokio::runtime::Runtime,
         peer: std::net::TcpStream,
@@ -592,11 +594,7 @@ mod tests {
 
     /// `cap` frames of queue, `permits` of endpoint-wide budget.
     fn rig(cap: usize, permits: usize) -> Rig {
-        let rt = tokio::runtime::Builder::new_multi_thread()
-            .worker_threads(1)
-            .enable_all()
-            .build()
-            .expect("runtime");
+        let rt = runtime();
         let (peer, server) = socket_pair();
         let (read_half, write_half) = rt
             .block_on(async { tokio::net::TcpStream::from_std(server)?.into_split() })
@@ -614,6 +612,18 @@ mod tests {
             read_half,
             write_half,
         }
+    }
+
+    /// Runs `future` on `rt` on a thread of its own, and hands the runtime
+    /// back with the output.
+    fn drive<T: Send + 'static>(
+        rt: tokio::runtime::Runtime,
+        future: impl Future<Output = T> + Send + 'static,
+    ) -> std::thread::JoinHandle<(tokio::runtime::Runtime, T)> {
+        std::thread::spawn(move || {
+            let out = rt.block_on(future);
+            (rt, out)
+        })
     }
 
     fn frame(i: usize) -> OfMessage {
@@ -657,7 +667,7 @@ mod tests {
             sender.send(&frame(i)).expect("queue holds every frame");
         }
         assert_eq!(permits(&queue), 0);
-        let writer = rt.spawn(write_loop(Arc::clone(&queue), write_half));
+        let writer = drive(rt, write_loop(Arc::clone(&queue), write_half));
 
         // The peer resumes reading.
         for (i, msg) in read_frames(&mut peer, FRAMES).iter().enumerate() {
@@ -666,7 +676,7 @@ mod tests {
 
         // With every sender gone the writer runs out of frames and ends.
         drop(sender);
-        rt.block_on(writer).expect("writer panicked");
+        writer.join().expect("writer panicked");
         let snap = queue.counters.snapshot();
         assert_eq!(snap.frames_out, FRAMES as u64);
         assert_eq!(snap.bytes_out, (FRAMES * FRAME) as u64);
@@ -692,7 +702,7 @@ mod tests {
                 .expect("queue holds the first frames");
             accepted += 1;
         }
-        let writer = rt.spawn(write_loop(Arc::clone(&queue), write_half));
+        let writer = drive(rt, write_loop(Arc::clone(&queue), write_half));
         // One frame read proves the writer is under way; then the peer
         // vanishes with the rest unread.
         let mut first = vec![0u8; FRAME];
@@ -710,7 +720,7 @@ mod tests {
             }
             assert!(Instant::now() < deadline, "writer never noticed the reset");
         }
-        rt.block_on(writer).expect("writer panicked");
+        let (rt, ()) = writer.join().expect("writer panicked");
 
         // Written, failed and stranded frames all gave their permits back,
         // while a sender is still alive.
@@ -763,7 +773,7 @@ mod tests {
         // Frames the writer has taken no longer count: with the peer not
         // reading yet, a second capful is accepted as soon as the first is
         // in the writer's hands.
-        let writer = rt.spawn(write_loop(Arc::clone(&queue), write_half));
+        let writer = drive(rt, write_loop(Arc::clone(&queue), write_half));
         let deadline = Instant::now() + Duration::from_secs(30);
         let mut sent = CAP;
         while sent < 2 * CAP {
@@ -778,7 +788,7 @@ mod tests {
             assert_eq!(*msg, frame(i));
         }
         drop(sender);
-        rt.block_on(writer).expect("writer panicked");
+        writer.join().expect("writer panicked");
         assert_eq!(queue.counters.snapshot().frames_out, 2 * CAP as u64);
         assert_eq!(permits(&queue), 4 * CAP);
     }
@@ -794,7 +804,7 @@ mod tests {
             read_half: _read_half,
             write_half,
         } = rig(2 * EACH + 1, 2 * EACH + 1);
-        let writer = rt.spawn(write_loop(Arc::clone(&queue), write_half));
+        let writer = drive(rt, write_loop(Arc::clone(&queue), write_half));
 
         // Nothing else is queued and nothing follows: the writer must not
         // be waiting for company.
@@ -803,8 +813,9 @@ mod tests {
         sender.send(&frame(7)).expect("lone frame");
         assert_eq!(read_frames(&mut peer, 1), vec![frame(7)]);
 
-        // The reader task's echo replies and the control loop's messages:
-        // two threads, one queue, released together.
+        // The reader task's echo replies and the control loop's messages
+        // from two threads, neither of them the writer's: one queue,
+        // released together.
         let start = Barrier::new(2);
         let echo = sender.clone();
         let tagged = |tag: u32, i: usize| {
@@ -834,15 +845,14 @@ mod tests {
             }
         }
         drop((sender, echo));
-        rt.block_on(writer).expect("writer panicked");
+        writer.join().expect("writer panicked");
         assert_eq!(permits(&queue), 2 * EACH + 1);
     }
 
     // Whole connections: both ends opened the way the endpoints open them.
 
     fn runtime() -> tokio::runtime::Runtime {
-        tokio::runtime::Builder::new_multi_thread()
-            .worker_threads(2)
+        tokio::runtime::Builder::new_current_thread()
             .enable_all()
             .build()
             .expect("runtime")

@@ -1,5 +1,5 @@
-//! A control plane driven over live TCP connections, multiplexed on a
-//! small async runtime.
+//! A control plane driven over live TCP connections, multiplexed on one
+//! thread.
 //!
 //! Owns a [`netsim::iface::ControlPlane`] (the bare POX-style platform or
 //! FloodGuard wrapping it) and serves it over many concurrent switch and
@@ -10,22 +10,25 @@
 //!
 //! # Architecture
 //!
-//! One std thread owns the control plane and a tokio runtime. Every
-//! connection is the crate's one framed connection (the `conn` module, the
-//! same one the switch side runs on): a reader decoding frames off its
-//! socket, a writer task draining a **bounded** per-connection frame
-//! queue, and an entry in the control loop's connection table. The reader
-//! answers echo keepalive on its own and the connection's task forwards
-//! everything else to the control loop over one shared event channel, so
-//! the control plane (which is `!Sync` by design) stays single-threaded
-//! while thousands of sockets make progress in parallel.
+//! One std thread, `ofchannel-controller`, owns the control plane and a
+//! one-thread tokio runtime, and runs everything on it: the control loop,
+//! the accept task, every connection's tasks, the timers and `epoll`.
+//! Every connection is the crate's one framed connection (the `conn`
+//! module, the same one the switch side runs on): a reader decoding frames
+//! off its socket, a writer task draining a **bounded** per-connection
+//! frame queue, and an entry in the control loop's connection table. The
+//! reader answers echo keepalive on its own and the connection's task
+//! forwards everything else to the control loop over one shared event
+//! channel. Thousands of sockets share the thread: each is polled when
+//! `epoll` reports it ready, and none costs anything while it is idle.
 //!
-//! Replies are pipelined: the control loop routes an event's messages to
-//! their connections as soon as the event is handled, each encoded straight
-//! into its connection's outbound byte queue, and the writer task swaps
-//! that queue out whole for one `write_all` — so the peer works on one
-//! reply while the next event is handled, and no frame is allocated, copied
-//! or locked on its own between handler and socket.
+//! Replies leave once per drain: the control loop routes an event's
+//! messages to their connections as soon as the event is handled, each
+//! encoded straight into its connection's outbound byte queue, and the
+//! writer tasks run when the drain yields the thread — each swaps its queue
+//! out whole for one `write_all`, so a drain's replies to one peer cost one
+//! write. `EVENT_BUDGET` bounds how long a drain holds them. No frame is
+//! allocated, copied or locked on its own between handler and socket.
 //!
 //! Backpressure is two-layered: each connection's send queue is bounded by
 //! [`ChannelConfig::send_queue_cap`], and all queues together draw from a
@@ -83,7 +86,8 @@ pub struct ControllerConfig {
     pub channel: ChannelConfig,
     /// How often synthesized telemetry is fed to the control plane.
     pub telemetry_interval: Duration,
-    /// Async runtime worker threads (minimum 1).
+    /// Ignored: the endpoint runs on one thread whatever this says. Kept so
+    /// that configurations which set it still build.
     pub worker_threads: usize,
     /// Endpoint-wide cap on frames queued across all connections.
     pub global_send_budget: usize,
@@ -94,7 +98,7 @@ impl Default for ControllerConfig {
         ControllerConfig {
             channel: ChannelConfig::default(),
             telemetry_interval: Duration::from_millis(100),
-            worker_threads: 2,
+            worker_threads: 1,
             global_send_budget: 4096,
         }
     }
@@ -464,6 +468,8 @@ impl ConnTable {
     }
 }
 
+/// How many events one drain handles before the control loop yields the
+/// thread to the connections' tasks (writers, readers, the accept task).
 const EVENT_BUDGET: usize = 512;
 const EVENT_CHANNEL_CAP: usize = 4096;
 
@@ -478,8 +484,7 @@ fn run(
     tables: Tables,
     shutdown: Arc<AtomicBool>,
 ) -> Box<dyn ControlPlane> {
-    let rt = tokio::runtime::Builder::new_multi_thread()
-        .worker_threads(config.worker_threads.max(1))
+    let rt = tokio::runtime::Builder::new_current_thread()
         .enable_all()
         .build()
         .expect("build controller runtime");
@@ -490,8 +495,8 @@ fn run(
         config.global_send_budget,
         events_tx,
     );
-    // Every inbound dial is a task of its own on the workers; the control
-    // loop holds the only receiver and blocks here.
+    // Every inbound dial is a task of its own; the control loop holds the
+    // only receiver, and this thread runs them all.
     rt.spawn(conn::accept_each(listener, move |stream| {
         accepted(stream, Arc::clone(&shared))
     }));
@@ -580,15 +585,20 @@ async fn control_loop(
                 now,
                 &mut out,
             );
-            // Hand this event's replies to the writers before the next is
-            // handled: they leave while the rest of the drain is worked on,
-            // and no more than one event's messages are ever held here.
+            // Hand this event's replies to their queues before the next is
+            // handled: no more than one event's messages are ever held
+            // here. They leave when the drain yields.
             flush(&conns, &tables, &mut out);
             batch += 1;
             if batch >= EVENT_BUDGET {
                 break;
             }
             next = events.try_recv().ok();
+        }
+        if batch >= EVENT_BUDGET {
+            // Events are still queued, so the wait below would not yield:
+            // let the writers send this drain's replies first.
+            tokio::task::yield_now().await;
         }
 
         // Synthesized telemetry: what a live controller can observe.

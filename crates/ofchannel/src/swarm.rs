@@ -1,7 +1,7 @@
 //! A many-switch load harness for the async controller endpoint.
 //!
 //! Simulates a fleet of OpenFlow switches as lightweight async tasks on
-//! one shared runtime: each task dials the controller once, through the
+//! one runtime, driven by the caller's thread: each task dials the controller once, through the
 //! same routine a [`crate::SwitchEndpoint`] redials with, completes the
 //! HELLO/FEATURES handshake as datapath `base + i`, then generates
 //! table-miss `packet_in` traffic at a configured per-switch rate through
@@ -46,8 +46,6 @@ pub struct SwarmConfig {
     pub dpid_base: u64,
     /// Per-connection transport settings (handshake timeout etc.).
     pub channel: ChannelConfig,
-    /// Runtime worker threads for the swarm side.
-    pub worker_threads: usize,
 }
 
 impl Default for SwarmConfig {
@@ -60,7 +58,6 @@ impl Default for SwarmConfig {
             connect_deadline: Duration::from_secs(60),
             dpid_base: 1000,
             channel: ChannelConfig::default(),
-            worker_threads: 2,
         }
     }
 }
@@ -125,16 +122,15 @@ struct SwarmShared {
     latencies: Mutex<Vec<Duration>>,
 }
 
-/// Runs one swarm against a listening controller at `addr`, blocking until
-/// the measured window completes.
+/// Runs one swarm against a listening controller at `addr` on the calling
+/// thread, blocking until the measured window completes.
 ///
 /// # Errors
 ///
 /// Fails when the runtime cannot start or when not a single switch managed
 /// to connect before the deadline.
 pub fn run_swarm(addr: SocketAddr, config: &SwarmConfig) -> std::io::Result<SwarmReport> {
-    let rt = tokio::runtime::Builder::new_multi_thread()
-        .worker_threads(config.worker_threads.max(1))
+    let rt = tokio::runtime::Builder::new_current_thread()
         .enable_all()
         .build()?;
     let shared = Arc::new(SwarmShared {

@@ -17,12 +17,14 @@
 //! in-process (the cable between a switch port and its cache is not
 //! modelled as a socket).
 //!
-//! One task on the endpoint's own small runtime owns the switch, the
+//! The endpoint runs on one std thread of its own, `ofchannel-switch`,
+//! which drives a one-thread runtime. One task there owns the switch, the
 //! devices and the fault state, and waits on one queue: commands from the
 //! handle, reports from the connection tasks, the earliest timed duty.
 //! Dials, handshakes, reads and writes are tasks of their own on the
-//! crate's one connection type, so nothing a peer does — or fails to do —
-//! on a socket can hold the datapath, the device ticks or keepalive up. The
+//! crate's one connection type, none of which ever blocks the thread, so
+//! nothing a peer does — or fails to do — on a socket can hold the
+//! datapath, the device ticks or keepalive up. The
 //! owner starts a session's dial only while the session has none and its
 //! switch or device is up and reachable; a crashed or partitioned switch
 //! simply does not dial.
@@ -40,7 +42,7 @@ use ofproto::flow_match::OfMatch;
 use ofproto::messages::{FeaturesReply, OfBody, OfMessage};
 use ofproto::types::Xid;
 use parking_lot::Mutex;
-use tokio::sync::mpsc;
+use tokio::sync::mpsc::{self, error::TryRecvError};
 
 use crate::config::{next_backoff, ChannelConfig};
 use crate::conn::{self, Conn};
@@ -67,9 +69,9 @@ pub struct SwitchEndpoint {
     counters: Arc<ChannelCounters>,
     telemetry: Arc<Mutex<SwitchTelemetry>>,
     flow_rules: Arc<Mutex<Vec<(OfMatch, u16, u64)>>>,
-    /// The serving task; `None` once it has been stopped.
-    task: Option<tokio::task::JoinHandle<Switch>>,
-    rt: tokio::runtime::Runtime,
+    /// The thread driving the serving task; `None` once it has been
+    /// stopped.
+    thread: Option<std::thread::JoinHandle<Switch>>,
 }
 
 impl std::fmt::Debug for SwitchEndpoint {
@@ -89,7 +91,7 @@ impl SwitchEndpoint {
     ///
     /// # Errors
     ///
-    /// Fails when the runtime cannot start.
+    /// Fails when the runtime or its thread cannot start.
     pub fn spawn(
         switch: Switch,
         devices: Vec<(u16, Box<dyn DataPlaneDevice>)>,
@@ -134,15 +136,22 @@ impl SwitchEndpoint {
             datapath_util: 0.0,
             xid: 1,
         };
-        let task = rt.spawn(serve(serving, events_rx));
+        let thread = std::thread::Builder::new()
+            .name("ofchannel-switch".to_owned())
+            .spawn(move || {
+                let switch = rt.block_on(serve(serving, events_rx));
+                // Dropping the runtime drops every dial and connection task,
+                // which closes their sockets.
+                drop(rt);
+                switch
+            })?;
 
         Ok(SwitchEndpoint {
             events,
             counters,
             telemetry,
             flow_rules,
-            task: Some(task),
-            rt,
+            thread: Some(thread),
         })
     }
 
@@ -151,7 +160,7 @@ impl SwitchEndpoint {
     /// is never dropped.
     fn submit(&self, event: Event) {
         if let Err(mpsc::error::TrySendError::Full(event)) = self.events.try_send(event) {
-            let _ = self.rt.block_on(self.events.send(event));
+            let _ = self.events.blocking_send(event);
         }
     }
 
@@ -203,22 +212,18 @@ impl SwitchEndpoint {
 
     /// Stops serving and returns the switch for inspection.
     pub fn shutdown(mut self) -> Switch {
-        let task = self.task.take().expect("endpoint already shut down");
+        let thread = self.thread.take().expect("endpoint already shut down");
         self.submit(Event::Shutdown);
-        self.rt
-            .block_on(task)
-            .expect("switch endpoint task panicked")
+        thread.join().expect("switch endpoint thread panicked")
     }
 }
 
 impl Drop for SwitchEndpoint {
     fn drop(&mut self) {
-        if let Some(task) = self.task.take() {
+        if let Some(thread) = self.thread.take() {
             self.submit(Event::Shutdown);
-            let _ = self.rt.block_on(task);
+            let _ = thread.join();
         }
-        // Dropping the runtime joins its threads and drops every dial and
-        // connection task, which closes their sockets.
     }
 }
 
@@ -400,19 +405,25 @@ async fn serve(mut s: Serving, mut events: mpsc::Receiver<Event>) -> Switch {
     for slot in 0..=s.devices.len() {
         s.dial(slot, Duration::ZERO);
     }
-    let mut datapath_pending = false;
+    let mut busy = false;
     loop {
-        // With packets still queued in the datapath the wait is zero: the
-        // event queue is only looked at.
-        let wait = if datapath_pending {
-            Duration::ZERO
+        // With packets still queued in the datapath, or events left over
+        // from a full batch, there is no waiting: the task yields the thread
+        // to the connections' tasks, which send what it produced, and then
+        // only looks at the queue.
+        let mut next = if busy {
+            tokio::task::yield_now().await;
+            match events.try_recv() {
+                Ok(event) => Some(event),
+                Err(TryRecvError::Empty) => None,
+                Err(TryRecvError::Disconnected) => return s.switch,
+            }
         } else {
-            s.next_wait()
-        };
-        let mut next = match tokio::time::timeout(wait, events.recv()).await {
-            Ok(Some(event)) => Some(event),
-            Ok(None) => return s.switch,
-            Err(_) => None,
+            match tokio::time::timeout(s.next_wait(), events.recv()).await {
+                Ok(Some(event)) => Some(event),
+                Ok(None) => return s.switch,
+                Err(_) => None,
+            }
         };
         let now = s.start.elapsed().as_secs_f64();
         s.restart_what_is_due(now);
@@ -427,7 +438,7 @@ async fn serve(mut s: Serving, mut events: mpsc::Receiver<Event>) -> Switch {
             }
             next = events.try_recv().ok();
         }
-        datapath_pending = s.pump_datapath(now);
+        busy = s.pump_datapath(now) || batch >= EVENT_BUDGET;
         s.run_timed_duties(now);
     }
 }

@@ -9,7 +9,7 @@ use crate::runtime::Handle;
 use crate::sys;
 
 fn register(fd: i32) -> io::Result<Source> {
-    Source::new(Handle::current().reactor.clone(), fd)
+    Source::new(Handle::current().core.reactor.clone(), fd)
 }
 
 async fn rw_op<T>(
@@ -69,7 +69,7 @@ pub struct TcpStream {
 
 impl TcpStream {
     /// Connects to the first resolvable address without blocking the
-    /// worker thread (IPv4 fast path; IPv6 falls back to a blocking
+    /// runtime's thread (IPv4 fast path; IPv6 falls back to a blocking
     /// connect before registration).
     pub async fn connect<A: std::net::ToSocketAddrs>(addr: A) -> io::Result<TcpStream> {
         let addr = addr

@@ -1,9 +1,12 @@
-//! The epoll reactor: one thread multiplexing I/O readiness and timers.
+//! The epoll reactor: I/O readiness and timers, turned by the runtime's
+//! own thread.
 //!
 //! Every runtime owns one reactor. I/O sources register their fd once and
 //! re-arm an `EPOLLONESHOT` interest each time a task awaits readiness, so
-//! idle connections cost nothing; an `eventfd` lets other threads interrupt
-//! `epoll_wait` when an earlier timer is inserted or shutdown is requested.
+//! idle connections cost nothing. The runtime's thread waits in
+//! `epoll_wait` only when nothing can run; while it waits, `parked` is set,
+//! and a wake or an earlier timer from another thread writes the `eventfd`
+//! to end the wait. From the runtime's own thread neither writes anything.
 
 use std::collections::{BTreeMap, HashMap};
 use std::io;
@@ -24,11 +27,13 @@ pub(crate) const READABLE: u32 = sys::EPOLLIN | sys::EPOLLRDHUP;
 /// Interest in writability.
 pub(crate) const WRITABLE: u32 = sys::EPOLLOUT;
 
-pub(crate) struct ReactorShared {
+pub(crate) struct Reactor {
     epfd: OwnedFd,
     wake: OwnedFd,
+    /// Set while the runtime's thread is about to wait, or waits, in
+    /// `epoll_wait`: only then does a wake have to write `wake`.
+    parked: AtomicBool,
     state: Mutex<ReactorState>,
-    shutdown: AtomicBool,
 }
 
 struct ReactorState {
@@ -50,32 +55,57 @@ struct SourceState {
     waker: Option<Waker>,
 }
 
-impl ReactorShared {
-    pub(crate) fn new() -> io::Result<Arc<ReactorShared>> {
+/// Reusable buffers for [`Reactor::turn`].
+pub(crate) struct Scratch {
+    events: Vec<sys::EpollEvent>,
+    due: Vec<Waker>,
+}
+
+impl Default for Scratch {
+    fn default() -> Scratch {
+        Scratch {
+            events: vec![sys::EpollEvent { events: 0, data: 0 }; 256],
+            due: Vec::new(),
+        }
+    }
+}
+
+impl Reactor {
+    pub(crate) fn new() -> io::Result<Reactor> {
         let epfd = sys::epoll_create()?;
         let wake = sys::eventfd_create()?;
         sys::epoll_add(epfd.as_raw_fd(), wake.as_raw_fd(), sys::EPOLLIN, WAKE_TOKEN)?;
-        Ok(Arc::new(ReactorShared {
+        Ok(Reactor {
             epfd,
             wake,
+            parked: AtomicBool::new(false),
             state: Mutex::new(ReactorState {
                 sources: HashMap::new(),
                 next_token: 0,
                 timers: BTreeMap::new(),
                 next_timer: 0,
             }),
-            shutdown: AtomicBool::new(false),
-        }))
+        })
     }
 
-    /// Interrupts a blocked `epoll_wait`.
-    pub(crate) fn interrupt(&self) {
-        sys::eventfd_signal(self.wake.as_raw_fd());
+    /// Ends the runtime thread's `epoll_wait`, if it waits. Callers make
+    /// their work visible (a queued task, a timer) before they call this.
+    pub(crate) fn unpark(&self) {
+        if self.parked.load(Ordering::SeqCst) {
+            sys::eventfd_signal(self.wake.as_raw_fd());
+        }
     }
 
-    pub(crate) fn request_shutdown(&self) {
-        self.shutdown.store(true, Ordering::SeqCst);
-        self.interrupt();
+    /// Announces that the runtime's thread is about to wait. The caller
+    /// looks for runnable work after this and before [`Reactor::turn`]:
+    /// whatever is queued after the look sees the flag and unparks it.
+    pub(crate) fn park_begin(&self) {
+        self.parked.store(true, Ordering::SeqCst);
+    }
+
+    /// Withdraws [`Reactor::park_begin`] without waiting.
+    pub(crate) fn park_cancel(&self) {
+        self.parked.store(false, Ordering::SeqCst);
     }
 
     /// Inserts a timer; returns its id for later update/removal.
@@ -87,7 +117,7 @@ impl ReactorShared {
         let is_front = st.timers.keys().next().map(|k| k.1) == Some(id);
         drop(st);
         if is_front {
-            self.interrupt();
+            self.unpark();
         }
         id
     }
@@ -104,77 +134,75 @@ impl ReactorShared {
         self.state.lock().unwrap().timers.remove(&(deadline, id));
     }
 
-    /// The reactor thread body.
-    pub(crate) fn run(self: &Arc<ReactorShared>) {
-        let mut events = [sys::EpollEvent { events: 0, data: 0 }; 256];
-        let mut due: Vec<Waker> = Vec::new();
-        loop {
-            if self.shutdown.load(Ordering::SeqCst) {
-                break;
+    /// Polls for I/O and fires due timers. With `block`, waits until an fd
+    /// is ready, the first timer is due or [`Reactor::unpark`] is called;
+    /// `park_begin` must have been called. Without, only looks.
+    pub(crate) fn turn(&self, block: bool, scratch: &mut Scratch) {
+        let timeout_ms = if block {
+            let st = self.state.lock().unwrap();
+            match st.timers.keys().next() {
+                // Rounded up so timers never fire early.
+                Some(&(deadline, _)) => deadline
+                    .saturating_duration_since(Instant::now())
+                    .as_nanos()
+                    .div_ceil(1_000_000)
+                    .min(i32::MAX as u128) as i32,
+                None => -1,
             }
-            let timeout_ms = {
-                let st = self.state.lock().unwrap();
-                match st.timers.keys().next() {
-                    Some(&(deadline, _)) => {
-                        let now = Instant::now();
-                        if deadline <= now {
-                            0
-                        } else {
-                            // Round up so timers never fire early; cap so a
-                            // missed interrupt cannot stall shutdown long.
-                            let ms = deadline
-                                .saturating_duration_since(now)
-                                .as_millis()
-                                .saturating_add(1);
-                            ms.min(1000) as i32
-                        }
-                    }
-                    None => 1000,
-                }
-            };
-            let n = match sys::epoll_pwait(self.epfd.as_raw_fd(), &mut events, timeout_ms) {
-                Ok(n) => n,
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-                Err(_) => break,
-            };
-            // Fire due timers.
-            let now = Instant::now();
-            {
-                let mut st = self.state.lock().unwrap();
+        } else {
+            0
+        };
+        let n = sys::epoll_pwait(self.epfd.as_raw_fd(), &mut scratch.events, timeout_ms);
+        self.parked.store(false, Ordering::SeqCst);
+        let n = match n {
+            Ok(n) => n,
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => 0,
+            Err(e) => panic!("epoll_wait failed: {e}"),
+        };
+        // Fire due timers.
+        let now = Instant::now();
+        {
+            let mut st = self.state.lock().unwrap();
+            if st.timers.keys().next().is_some_and(|&(at, _)| at <= now) {
                 let live = st.timers.split_off(&(now, u64::MAX));
                 let expired = std::mem::replace(&mut st.timers, live);
-                due.extend(expired.into_values());
+                scratch.due.extend(expired.into_values());
             }
-            for waker in due.drain(..) {
-                waker.wake();
+        }
+        for waker in scratch.due.drain(..) {
+            waker.wake();
+        }
+        // Dispatch I/O readiness.
+        for ev in &scratch.events[..n] {
+            let token = ev.data;
+            if token == WAKE_TOKEN {
+                sys::eventfd_drain(self.wake.as_raw_fd());
+                continue;
             }
-            // Dispatch I/O readiness.
-            for ev in &events[..n] {
-                let token = ev.data;
-                if token == WAKE_TOKEN {
-                    sys::eventfd_drain(self.wake.as_raw_fd());
-                    continue;
-                }
-                let source = self.state.lock().unwrap().sources.get(&token).cloned();
-                if let Some(source) = source {
-                    let mut st = source.st.lock().unwrap();
-                    st.ready = true;
-                    let waker = st.waker.take();
-                    drop(st);
-                    if let Some(waker) = waker {
-                        waker.wake();
-                    }
+            let source = self.state.lock().unwrap().sources.get(&token).cloned();
+            if let Some(source) = source {
+                let mut st = source.st.lock().unwrap();
+                st.ready = true;
+                let waker = st.waker.take();
+                drop(st);
+                if let Some(waker) = waker {
+                    waker.wake();
                 }
             }
         }
-        // Teardown: drop remaining timers and source wakers so parked tasks
-        // release their references.
+    }
+
+    /// Drops every timer and source waker, so that parked tasks release
+    /// their references when the runtime goes.
+    pub(crate) fn clear_wakers(&self) {
         let mut st = self.state.lock().unwrap();
-        st.timers.clear();
-        let sources: Vec<_> = st.sources.drain().map(|(_, s)| s).collect();
+        let timers = std::mem::take(&mut st.timers);
+        let sources: Vec<_> = st.sources.values().cloned().collect();
         drop(st);
+        drop(timers);
         for source in sources {
-            source.st.lock().unwrap().waker = None;
+            let waker = source.st.lock().unwrap().waker.take();
+            drop(waker);
         }
     }
 }
@@ -182,12 +210,12 @@ impl ReactorShared {
 /// One registered fd with a single pending waiter.
 pub(crate) struct Source {
     shared: Arc<SourceShared>,
-    reactor: Arc<ReactorShared>,
+    reactor: Arc<Reactor>,
 }
 
 impl Source {
     /// Registers `fd` with the reactor, initially disarmed.
-    pub(crate) fn new(reactor: Arc<ReactorShared>, fd: RawFd) -> io::Result<Source> {
+    pub(crate) fn new(reactor: Arc<Reactor>, fd: RawFd) -> io::Result<Source> {
         // The source must be in the map BEFORE epoll sees the fd: a level
         // already present on the socket (e.g. HUP on an unconnected one)
         // can be delivered the instant it is added, and an event that finds

@@ -1,8 +1,13 @@
-//! The executor: a shared injector queue drained by worker threads.
+//! The executor: one run queue, drained by the thread inside
+//! [`Runtime::block_on`].
 //!
 //! Tasks are `Arc`s implementing [`std::task::Wake`]; waking re-enqueues
 //! the task unless it is already queued (or running, in which case it is
-//! re-queued as soon as the in-flight poll returns `Pending`).
+//! re-queued as soon as the in-flight poll returns `Pending`). A wake may
+//! come from any thread: it pushes to the run queue, and writes the
+//! reactor's eventfd only while the runtime's thread waits in `epoll_wait`.
+//! Nothing runs unless a thread is inside `block_on`, and one thread at a
+//! time may be.
 
 use std::cell::RefCell;
 use std::collections::VecDeque;
@@ -10,22 +15,41 @@ use std::future::Future;
 use std::io;
 use std::pin::Pin;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Condvar, Mutex, Weak};
+use std::sync::{Arc, Mutex, Weak};
 use std::task::{Context, Poll, Wake, Waker};
 
-use crate::reactor::ReactorShared;
+use crate::reactor::{Reactor, Scratch};
 
 pub(crate) type BoxFuture = Pin<Box<dyn Future<Output = ()> + Send + 'static>>;
 
-pub(crate) struct ExecShared {
+/// How many polls may pass without a look at I/O and timers while there is
+/// always something to run.
+const IO_INTERVAL: u32 = 61;
+
+/// What a runtime's handles, tasks and I/O sources share.
+pub(crate) struct Core {
     queue: Mutex<VecDeque<Arc<Task>>>,
-    available: Condvar,
-    shutdown: AtomicBool,
     tasks: Mutex<Vec<Weak<Task>>>,
+    pub(crate) reactor: Arc<Reactor>,
+    /// Set while a thread is inside `block_on`.
+    driving: AtomicBool,
+}
+
+impl Core {
+    fn push(&self, task: Arc<Task>) {
+        self.queue.lock().unwrap().push_back(task);
+        self.reactor.unpark();
+    }
+
+    fn pop(&self) -> Option<Arc<Task>> {
+        self.queue.lock().unwrap().pop_front()
+    }
 }
 
 pub(crate) struct Task {
-    exec: Arc<ExecShared>,
+    /// Weak, so a waker that outlives the runtime holds none of its
+    /// descriptors open.
+    core: Weak<Core>,
     st: Mutex<TaskState>,
 }
 
@@ -55,7 +79,9 @@ impl Task {
             }
             st.queued = true;
         }
-        self.exec.push(self.clone());
+        if let Some(core) = self.core.upgrade() {
+            core.push(self.clone());
+        }
     }
 
     fn run(self: &Arc<Task>) {
@@ -94,7 +120,9 @@ impl Task {
         // `future` (when Ready) drops here, outside the state lock, so any
         // wakers it releases can re-enter `schedule` safely.
         if requeue {
-            self.exec.push(self.clone());
+            if let Some(core) = self.core.upgrade() {
+                core.push(self.clone());
+            }
         }
     }
 }
@@ -109,10 +137,22 @@ impl Wake for Task {
     }
 }
 
-impl ExecShared {
-    fn push(&self, task: Arc<Task>) {
-        self.queue.lock().unwrap().push_back(task);
-        self.available.notify_one();
+/// The waker of the future `block_on` drives.
+struct MainWaker {
+    woken: AtomicBool,
+    core: Weak<Core>,
+}
+
+impl Wake for MainWaker {
+    fn wake(self: Arc<Self>) {
+        self.wake_by_ref();
+    }
+
+    fn wake_by_ref(self: &Arc<Self>) {
+        self.woken.store(true, Ordering::SeqCst);
+        if let Some(core) = self.core.upgrade() {
+            core.reactor.unpark();
+        }
     }
 }
 
@@ -136,11 +176,19 @@ impl Drop for EnterGuard {
     }
 }
 
+/// Marks the runtime driven for as long as it lives.
+struct Driving<'a>(&'a Core);
+
+impl Drop for Driving<'_> {
+    fn drop(&mut self) {
+        self.0.driving.store(false, Ordering::SeqCst);
+    }
+}
+
 /// A cloneable reference to a runtime's executor and reactor.
 #[derive(Clone)]
 pub struct Handle {
-    pub(crate) exec: Arc<ExecShared>,
-    pub(crate) reactor: Arc<ReactorShared>,
+    pub(crate) core: Arc<Core>,
 }
 
 impl Handle {
@@ -160,7 +208,8 @@ impl Handle {
         CURRENT.with(|c| c.borrow().clone())
     }
 
-    /// Spawns a future onto the runtime.
+    /// Spawns a future onto the runtime. It runs while a thread is inside
+    /// [`Handle::block_on`].
     pub fn spawn<F>(&self, future: F) -> crate::task::JoinHandle<F::Output>
     where
         F: Future + Send + 'static,
@@ -168,7 +217,7 @@ impl Handle {
     {
         let (wrapped, join) = crate::task::wrap(future);
         let task = Arc::new(Task {
-            exec: self.exec.clone(),
+            core: Arc::downgrade(&self.core),
             st: Mutex::new(TaskState {
                 future: Some(wrapped),
                 queued: false,
@@ -177,7 +226,7 @@ impl Handle {
             }),
         });
         {
-            let mut tasks = self.exec.tasks.lock().unwrap();
+            let mut tasks = self.core.tasks.lock().unwrap();
             tasks.push(Arc::downgrade(&task));
             if tasks.len() > 64 && tasks.len() % 64 == 0 {
                 tasks.retain(|w| w.strong_count() > 0);
@@ -187,71 +236,71 @@ impl Handle {
         join
     }
 
-    /// Runs a future to completion on the current thread, driving it with
-    /// a condvar parker while worker threads execute spawned tasks.
+    /// Runs `future` to completion on the current thread, and with it every
+    /// spawned task and the reactor: polls the future when it is woken,
+    /// runs the queued tasks, and waits in `epoll_wait` only when nothing
+    /// can run.
+    ///
+    /// # Panics
+    ///
+    /// Panics when another thread is inside `block_on` of the same runtime,
+    /// or this one is (a nested call).
     pub fn block_on<F: Future>(&self, future: F) -> F::Output {
+        let core = &*self.core;
+        assert!(
+            !core.driving.swap(true, Ordering::SeqCst),
+            "block_on: the runtime is already driven by a thread"
+        );
+        let _driving = Driving(core);
         let _enter = enter(self.clone());
-        let parker = Arc::new(Parker::default());
-        let waker = Waker::from(Arc::new(ParkWaker(parker.clone())));
+        let main = Arc::new(MainWaker {
+            woken: AtomicBool::new(true),
+            core: Arc::downgrade(&self.core),
+        });
+        let waker = Waker::from(main.clone());
         let mut cx = Context::from_waker(&waker);
         let mut future = std::pin::pin!(future);
+        let mut scratch = Scratch::default();
+        let mut since_io = 0u32;
         loop {
-            match future.as_mut().poll(&mut cx) {
-                Poll::Ready(value) => return value,
-                Poll::Pending => parker.park(),
+            if main.woken.swap(false, Ordering::SeqCst) {
+                if let Poll::Ready(value) = future.as_mut().poll(&mut cx) {
+                    return value;
+                }
+                since_io += 1;
+            }
+            // What is queued now; tasks it wakes run on the next turn, after
+            // the future has had its look.
+            let queued = core.queue.lock().unwrap().len();
+            for _ in 0..queued {
+                let Some(task) = core.pop() else { break };
+                task.run();
+                since_io += 1;
+            }
+            core.reactor.park_begin();
+            let idle = !main.woken.load(Ordering::SeqCst) && core.queue.lock().unwrap().is_empty();
+            if idle {
+                core.reactor.turn(true, &mut scratch);
+                since_io = 0;
+            } else {
+                core.reactor.park_cancel();
+                if since_io >= IO_INTERVAL {
+                    core.reactor.turn(false, &mut scratch);
+                    since_io = 0;
+                }
             }
         }
     }
 }
 
-#[derive(Default)]
-struct Parker {
-    flag: Mutex<bool>,
-    cv: Condvar,
-}
-
-impl Parker {
-    fn park(&self) {
-        let mut flagged = self.flag.lock().unwrap();
-        while !*flagged {
-            flagged = self.cv.wait(flagged).unwrap();
-        }
-        *flagged = false;
-    }
-
-    fn unpark(&self) {
-        *self.flag.lock().unwrap() = true;
-        self.cv.notify_one();
-    }
-}
-
-struct ParkWaker(Arc<Parker>);
-
-impl Wake for ParkWaker {
-    fn wake(self: Arc<Self>) {
-        self.0.unpark();
-    }
-
-    fn wake_by_ref(self: &Arc<Self>) {
-        self.0.unpark();
-    }
-}
-
 /// Configures a [`Runtime`].
-pub struct Builder {
-    worker_threads: usize,
-}
+pub struct Builder(());
 
 impl Builder {
-    /// A multi-threaded runtime builder (the only flavour provided).
-    pub fn new_multi_thread() -> Builder {
-        Builder { worker_threads: 2 }
-    }
-
-    /// Sets the number of worker threads (minimum 1).
-    pub fn worker_threads(&mut self, n: usize) -> &mut Builder {
-        self.worker_threads = n.max(1);
-        self
+    /// A runtime builder. The runtime runs on the thread that calls
+    /// [`Runtime::block_on`] (the only flavour provided).
+    pub fn new_current_thread() -> Builder {
+        Builder(())
     }
 
     /// Accepted for tokio compatibility; all drivers are always enabled.
@@ -259,76 +308,30 @@ impl Builder {
         self
     }
 
-    /// Builds the runtime: starts the reactor and worker threads.
+    /// Builds the runtime: an epoll instance and an eventfd, no thread.
     pub fn build(&mut self) -> io::Result<Runtime> {
-        let reactor = ReactorShared::new()?;
-        let exec = Arc::new(ExecShared {
+        let core = Arc::new(Core {
             queue: Mutex::new(VecDeque::new()),
-            available: Condvar::new(),
-            shutdown: AtomicBool::new(false),
             tasks: Mutex::new(Vec::new()),
+            reactor: Arc::new(Reactor::new()?),
+            driving: AtomicBool::new(false),
         });
-        let handle = Handle {
-            exec: exec.clone(),
-            reactor: reactor.clone(),
-        };
-        let reactor_thread = {
-            let reactor = reactor.clone();
-            std::thread::Builder::new()
-                .name("tokio-reactor".into())
-                .spawn(move || reactor.run())?
-        };
-        let mut workers = Vec::with_capacity(self.worker_threads);
-        for i in 0..self.worker_threads {
-            let exec = exec.clone();
-            let handle = handle.clone();
-            workers.push(
-                std::thread::Builder::new()
-                    .name(format!("tokio-worker-{i}"))
-                    .spawn(move || worker_loop(exec, handle))?,
-            );
-        }
         Ok(Runtime {
-            handle,
-            workers,
-            reactor_thread: Some(reactor_thread),
+            handle: Handle { core },
         })
     }
 }
 
-fn worker_loop(exec: Arc<ExecShared>, handle: Handle) {
-    let _enter = enter(handle);
-    loop {
-        let task = {
-            let mut queue = exec.queue.lock().unwrap();
-            loop {
-                if let Some(task) = queue.pop_front() {
-                    break Some(task);
-                }
-                if exec.shutdown.load(Ordering::SeqCst) {
-                    break None;
-                }
-                queue = exec.available.wait(queue).unwrap();
-            }
-        };
-        match task {
-            Some(task) => task.run(),
-            None => return,
-        }
-    }
-}
-
-/// A self-contained executor + reactor pair.
+/// A self-contained executor + reactor pair, driven by the thread inside
+/// [`Runtime::block_on`].
 pub struct Runtime {
     handle: Handle,
-    workers: Vec<std::thread::JoinHandle<()>>,
-    reactor_thread: Option<std::thread::JoinHandle<()>>,
 }
 
 impl Runtime {
-    /// A runtime with default settings (two workers).
+    /// A runtime with default settings.
     pub fn new() -> io::Result<Runtime> {
-        Builder::new_multi_thread().build()
+        Builder::new_current_thread().build()
     }
 
     /// This runtime's handle.
@@ -353,28 +356,17 @@ impl Runtime {
 
 impl Drop for Runtime {
     fn drop(&mut self) {
-        // 1. Stop the workers so no task is mid-poll during teardown.
-        self.handle.exec.shutdown.store(true, Ordering::SeqCst);
-        self.handle.exec.available.notify_all();
-        for worker in self.workers.drain(..) {
-            let _ = worker.join();
-        }
-        // 2. Drop every live task future (outside its state lock) so
-        //    sockets close and channel peers disconnect deterministically.
-        let registered: Vec<_> = std::mem::take(&mut *self.handle.exec.tasks.lock().unwrap());
+        let core = &self.handle.core;
+        // Drop every live task future (outside its state lock) so sockets
+        // close and channel peers disconnect deterministically.
+        let registered: Vec<_> = std::mem::take(&mut *core.tasks.lock().unwrap());
         for weak in registered {
             if let Some(task) = weak.upgrade() {
                 let future = task.st.lock().unwrap().future.take();
                 drop(future);
             }
         }
-        self.handle.exec.queue.lock().unwrap().clear();
-        // 3. Stop the reactor; its teardown drops remaining timer/source
-        //    wakers.
-        self.handle.reactor.request_shutdown();
-        if let Some(reactor) = self.reactor_thread.take() {
-            let _ = reactor.join();
-        }
-        self.handle.exec.queue.lock().unwrap().clear();
+        core.queue.lock().unwrap().clear();
+        core.reactor.clear_wakers();
     }
 }

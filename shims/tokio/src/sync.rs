@@ -1,7 +1,7 @@
 //! Async synchronization: bounded mpsc channels and a notifier.
 
 use std::collections::VecDeque;
-use std::future::poll_fn;
+use std::future::{poll_fn, Future};
 use std::sync::{Arc, Mutex};
 use std::task::{Poll, Waker};
 
@@ -130,6 +130,35 @@ pub mod mpsc {
                 Poll::Pending
             })
             .await
+        }
+    }
+
+    impl<T> Sender<T> {
+        /// Enqueues from a thread outside the runtime, blocking it until
+        /// there is room. The receiver's runtime wakes it.
+        pub fn blocking_send(&self, value: T) -> Result<(), SendError<T>> {
+            let waker = Waker::from(Arc::new(ThreadWaker(std::thread::current())));
+            let mut cx = std::task::Context::from_waker(&waker);
+            let mut send = std::pin::pin!(self.send(value));
+            loop {
+                match send.as_mut().poll(&mut cx) {
+                    Poll::Ready(result) => return result,
+                    Poll::Pending => std::thread::park(),
+                }
+            }
+        }
+    }
+
+    /// Unparks the thread blocked in [`Sender::blocking_send`].
+    struct ThreadWaker(std::thread::Thread);
+
+    impl std::task::Wake for ThreadWaker {
+        fn wake(self: Arc<Self>) {
+            self.0.unpark();
+        }
+
+        fn wake_by_ref(self: &Arc<Self>) {
+            self.0.unpark();
         }
     }
 

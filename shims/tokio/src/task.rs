@@ -70,8 +70,21 @@ impl<T> Future for JoinHandle<T> {
     }
 }
 
-/// Converts poll-time panics into values so a crashing task cannot take a
-/// worker thread down with it.
+/// Gives every other queued task a turn before the caller goes on.
+pub async fn yield_now() {
+    let mut yielded = false;
+    std::future::poll_fn(|cx| {
+        if std::mem::replace(&mut yielded, true) {
+            return Poll::Ready(());
+        }
+        cx.waker().wake_by_ref();
+        Poll::Pending
+    })
+    .await;
+}
+
+/// Converts poll-time panics into values so a crashing task cannot take the
+/// runtime's thread down with it.
 struct CatchPanic<F>(F);
 
 impl<F: Future> Future for CatchPanic<F> {

@@ -1,4 +1,4 @@
-//! Timers: `sleep` and `timeout` driven by the reactor's timer wheel.
+//! Timers: `sleep` and `timeout` driven by the reactor's timer map.
 
 use std::future::Future;
 use std::pin::Pin;
@@ -6,7 +6,7 @@ use std::sync::Arc;
 use std::task::{Context, Poll};
 use std::time::{Duration, Instant};
 
-use crate::reactor::ReactorShared;
+use crate::reactor::Reactor;
 use crate::runtime::Handle;
 
 /// Completes once `deadline` has passed.
@@ -14,7 +14,7 @@ pub struct Sleep {
     deadline: Instant,
     /// Captured lazily at first poll so `sleep(..)` can be constructed
     /// outside a runtime context (e.g. as a `block_on` argument).
-    reactor: Option<Arc<ReactorShared>>,
+    reactor: Option<Arc<Reactor>>,
     timer: Option<u64>,
 }
 
@@ -45,7 +45,7 @@ impl Future for Sleep {
         let reactor = match &self.reactor {
             Some(reactor) => reactor.clone(),
             None => {
-                let reactor = Handle::current().reactor.clone();
+                let reactor = Handle::current().core.reactor.clone();
                 self.reactor = Some(reactor.clone());
                 reactor
             }

@@ -10,10 +10,7 @@ use tokio::sync::{mpsc, Notify};
 use tokio::time::{sleep, timeout};
 
 fn rt() -> Runtime {
-    Builder::new_multi_thread()
-        .worker_threads(2)
-        .build()
-        .unwrap()
+    Builder::new_current_thread().enable_all().build().unwrap()
 }
 
 #[test]
@@ -37,7 +34,7 @@ fn panicking_task_reports_join_error_without_killing_workers() {
     rt.block_on(async {
         let bad = tokio::spawn(async { panic!("boom") });
         assert!(bad.await.is_err());
-        // Workers must still run subsequent tasks.
+        // The runtime must still run subsequent tasks.
         let good = tokio::spawn(async { 7 });
         assert_eq!(good.await.unwrap(), 7);
     });
@@ -143,6 +140,77 @@ fn notify_wakes_waiters() {
     });
 }
 
+/// A task waiting on a channel, with its nearest timer a second away, is
+/// woken by a send from another thread: the send writes the eventfd the
+/// runtime's thread waits on.
+#[test]
+fn a_send_from_another_thread_ends_a_wait_for_a_distant_timer() {
+    let rt = rt();
+    let (tx, mut rx) = mpsc::channel::<Instant>(1);
+    let sender = std::thread::spawn(move || {
+        // By then the runtime's thread waits in epoll_wait.
+        std::thread::sleep(Duration::from_millis(100));
+        tx.try_send(Instant::now()).unwrap();
+    });
+    let waiter = rt.spawn(async move {
+        let sent = timeout(Duration::from_secs(1), rx.recv())
+            .await
+            .expect("woken before the timer")
+            .expect("a message");
+        sent.elapsed()
+    });
+    let latency = rt.block_on(waiter).unwrap();
+    sender.join().unwrap();
+    assert!(
+        latency < Duration::from_millis(50),
+        "woken {latency:?} after the send"
+    );
+}
+
+/// A thread outside the runtime that finds the channel full waits until the
+/// receiver has taken a message, then delivers its own.
+#[test]
+fn blocking_send_waits_for_room() {
+    let rt = rt();
+    let (tx, mut rx) = mpsc::channel::<u32>(1);
+    tx.try_send(1).unwrap();
+    let sender = std::thread::spawn(move || {
+        tx.blocking_send(2).unwrap();
+        tx.blocking_send(3).unwrap();
+    });
+    let got = rt.block_on(async {
+        // Let the sender find the channel full first.
+        sleep(Duration::from_millis(30)).await;
+        let mut got = Vec::new();
+        while let Some(v) = rx.recv().await {
+            got.push(v);
+        }
+        got
+    });
+    sender.join().unwrap();
+    assert_eq!(got, vec![1, 2, 3]);
+}
+
+/// A yielding task lets the others queued behind it run before it goes on.
+#[test]
+fn yield_now_lets_queued_tasks_run() {
+    let rt = rt();
+    let order = rt.block_on(async {
+        let order = Arc::new(std::sync::Mutex::new(Vec::new()));
+        let other = {
+            let order = order.clone();
+            tokio::spawn(async move { order.lock().unwrap().push("other") })
+        };
+        order.lock().unwrap().push("before");
+        tokio::task::yield_now().await;
+        order.lock().unwrap().push("after");
+        other.await.unwrap();
+        let order = order.lock().unwrap().clone();
+        order
+    });
+    assert_eq!(order, vec!["before", "other", "after"]);
+}
+
 #[test]
 fn tcp_echo_round_trip() {
     let rt = rt();
@@ -227,10 +295,7 @@ fn connect_to_dead_port_errors() {
 
 #[test]
 fn many_concurrent_connections() {
-    let rt = Builder::new_multi_thread()
-        .worker_threads(2)
-        .build()
-        .unwrap();
+    let rt = rt();
     rt.block_on(async {
         let listener = tokio::net::TcpListener::bind("127.0.0.1:0").await.unwrap();
         let addr = listener.local_addr().unwrap();

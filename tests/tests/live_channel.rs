@@ -216,13 +216,13 @@ fn flood_fills_bounded_send_queue() {
     drop(endpoint);
 }
 
-/// Answers every request with a barrier reply of the same xid, and holds
-/// two of them: the primer (xid 1) until the test lets go, and xid 3 until
-/// the peer has read the reply to xid 2. Clones share their flags.
+/// Answers every request with a barrier reply of the same xid and records
+/// the `now` each request was handed over with; the handler of xid 3 waits,
+/// for up to two seconds, for the peer to have read the reply to xid 2.
+/// Clones share their state.
 #[derive(Clone, Default)]
 struct Lockstep {
-    in_primer: Arc<AtomicBool>,
-    release_primer: Arc<AtomicBool>,
+    stamps: Arc<Mutex<Vec<(u32, f64)>>>,
     /// Highest xid whose reply the peer has read off its socket.
     read_by_peer: Arc<AtomicU32>,
     /// Set when request 3 gave up waiting for reply 2 to be read.
@@ -239,32 +239,24 @@ impl ControlPlane for Lockstep {
     ) {
     }
 
-    fn on_message(&mut self, dpid: DatapathId, msg: OfMessage, _now: f64, out: &mut ControlOutput) {
-        match msg.xid.0 {
-            1 => {
-                self.in_primer.store(true, Ordering::SeqCst);
-                wait_for(Duration::from_secs(10), || {
-                    self.release_primer.load(Ordering::SeqCst)
-                });
-            }
-            3 => {
-                let read = wait_for(Duration::from_secs(2), || {
-                    self.read_by_peer.load(Ordering::SeqCst) >= 2
-                });
-                self.gave_up.store(!read, Ordering::SeqCst);
-            }
-            _ => {}
+    fn on_message(&mut self, dpid: DatapathId, msg: OfMessage, now: f64, out: &mut ControlOutput) {
+        if msg.xid.0 == 3 {
+            let read = wait_for(Duration::from_secs(2), || {
+                self.read_by_peer.load(Ordering::SeqCst) >= 2
+            });
+            self.gave_up.store(!read, Ordering::SeqCst);
         }
+        self.stamps.lock().unwrap().push((msg.xid.0, now));
         out.send(dpid, OfMessage::new(msg.xid, OfBody::BarrierReply));
     }
 }
 
-/// An event's replies reach the peer while the control loop is still
-/// working through the drain that event arrived in: the handler of request
-/// 3 sees the peer read the reply to request 2, although both requests were
-/// queued behind one primer and are handled in one drain.
+/// A drain's replies leave when it ends, before the next drain is handled:
+/// two requests written together are handled in one drain (both stamped
+/// with its start), and the handler of a third, written once both were
+/// handled, sees the peer read the reply to the second.
 #[test]
-fn replies_leave_before_the_drain_they_were_produced_in_ends() {
+fn replies_leave_when_the_drain_they_were_produced_in_ends() {
     let flags = Lockstep::default();
     let controller = ControllerEndpoint::listen(
         Box::new(flags.clone()),
@@ -284,23 +276,14 @@ fn replies_leave_before_the_drain_they_were_produced_in_ends() {
     let mut buf = handshake::accept(&mut stream, &features, &ChannelConfig::default()).unwrap();
     let request =
         |xid: u32| ofproto::wire::encode(&OfMessage::new(Xid(xid), OfBody::BarrierRequest));
-    let before = controller.counters().frames_in;
 
-    // The primer is being handled; requests 2 and 3 arrive behind it and
-    // are both waiting when its handler returns.
-    stream.write_all(&request(1)).unwrap();
-    assert!(wait_for(Duration::from_secs(10), || flags
-        .in_primer
-        .load(Ordering::SeqCst)));
-    let mut both = request(2).to_vec();
-    both.extend_from_slice(&request(3));
+    let mut both = request(1).to_vec();
+    both.extend_from_slice(&request(2));
     stream.write_all(&both).unwrap();
     assert!(wait_for(Duration::from_secs(10), || {
-        controller.counters().frames_in >= before + 3
+        flags.stamps.lock().unwrap().len() >= 2
     }));
-    // Counted is a few instructions short of queued.
-    std::thread::sleep(Duration::from_millis(50));
-    flags.release_primer.store(true, Ordering::SeqCst);
+    stream.write_all(&request(3)).unwrap();
 
     stream
         .set_read_timeout(Some(Duration::from_secs(10)))
@@ -328,7 +311,14 @@ fn replies_leave_before_the_drain_they_were_produced_in_ends() {
     assert_eq!(replies, vec![1, 2, 3]);
     assert!(
         !flags.gave_up.load(Ordering::SeqCst),
-        "reply 2 was held back until the drain that produced it had ended"
+        "reply 2 was held back past the drain that produced it"
+    );
+    let stamps = flags.stamps.lock().unwrap().clone();
+    let xids: Vec<u32> = stamps.iter().map(|s| s.0).collect();
+    assert_eq!(xids, vec![1, 2, 3]);
+    assert_eq!(
+        stamps[0].1, stamps[1].1,
+        "requests written together were handled in two drains"
     );
     drop(controller);
 }
@@ -379,9 +369,9 @@ impl ControlPlane for Stamps {
 /// A message is stamped with when the control loop picked it up, not with
 /// when the loop last went idle: two messages sent 30 ms apart over an
 /// otherwise quiet connection are stamped at least 25 ms apart. The first is
-/// queued while a tick holds the loop, so its stamp is the pick-up time
-/// whichever moment the loop reads the clock at; the second arrives while
-/// the loop waits.
+/// written while a tick holds the loop's thread, so its stamp is the pick-up
+/// time whichever moment the loop reads the clock at; the second arrives
+/// while the loop waits.
 #[test]
 fn a_drain_is_stamped_with_the_time_it_starts() {
     let flags = Stamps::default();
@@ -423,12 +413,9 @@ fn a_drain_is_stamped_with_the_time_it_starts() {
     assert!(wait_for(Duration::from_secs(10), || flags
         .holding
         .load(Ordering::SeqCst)));
-    let before = controller.counters().frames_in;
+    // Nothing reads the socket while the tick holds the only thread: the
+    // request waits there until the hold is released.
     stream.write_all(&request(1)).unwrap();
-    assert!(wait_for(Duration::from_secs(10), || {
-        controller.counters().frames_in > before
-    }));
-    // Counted is a few instructions short of queued.
     std::thread::sleep(Duration::from_millis(20));
     flags.hold.store(false, Ordering::SeqCst);
     assert!(stamped(1));

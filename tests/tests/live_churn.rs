@@ -1,12 +1,12 @@
-//! Endpoint churn must leave nothing behind, and connections must not cost
-//! threads.
+//! Endpoint churn must leave nothing behind, connections must not cost
+//! threads, and an endpoint is one thread.
 //!
 //! The live transport used to run a reader and a writer thread per
 //! connection, joined in `Drop`; an endpoint churning through reconnects
 //! that failed to join them accumulated threads blocked in `read` until fd
 //! or thread exhaustion. Connections are tasks on each endpoint's runtime
-//! now, so the count of OS threads is fixed per endpoint and dropping an
-//! endpoint must return every thread and every descriptor.
+//! now, each endpoint runs its runtime on one thread of its own, and
+//! dropping an endpoint must return that thread and every descriptor.
 //!
 //! The test lives in its own file so the counted process contains only this
 //! scenario's threads and descriptors.
@@ -84,6 +84,29 @@ fn churn_leaves_threads_and_descriptors_flat_and_connections_cost_no_thread() {
     // One round first: lazily created process state is not a leak.
     drop(connected_pair(1));
     let before = threads_and_fds();
+
+    // Each endpoint is one thread: its runtime, its connections and its
+    // timers all run there.
+    let controller = ControllerEndpoint::listen(
+        Box::new(NullControlPlane),
+        "127.0.0.1:0".parse().unwrap(),
+        ControllerConfig::default(),
+    )
+    .unwrap();
+    assert_eq!(threads_and_fds().0, before.0 + 1, "a controller endpoint");
+    let switch = Switch::new(DatapathId(1), SwitchProfile::software(), vec![1, 2]);
+    let endpoint = SwitchEndpoint::spawn(
+        switch,
+        Vec::new(),
+        controller.local_addr().unwrap(),
+        ChannelConfig::default(),
+    )
+    .unwrap();
+    assert_eq!(threads_and_fds().0, before.0 + 2, "and a switch endpoint");
+    drop(endpoint);
+    drop(controller);
+    assert_eq!(threads_and_fds(), before);
+
     for _ in 0..100 {
         let (endpoint, controller) = connected_pair(1);
         drop(controller);
