@@ -2,9 +2,9 @@
 //! re-analysis and TCAM-budgeted rule compression, with a JSON report and
 //! a regression gate.
 //!
-//! Custom harness (`harness = false`), not the criterion shim, because
-//! this bench also writes `results/BENCH_analyzer.json` and compares
-//! against a checked-in baseline.
+//! Custom harness (`harness = false`): this bench also writes
+//! `results/BENCH_analyzer.json` and compares against a checked-in
+//! baseline.
 //!
 //! **App-count scaling** — cold `Analyzer::convert` over synthetic
 //! populations ([`bench::synthetic`]) of 8, 100 and 1000 apps.
@@ -218,7 +218,9 @@ fn floodguard_tick_us(rounds: usize) -> f64 {
             let t0 = Instant::now();
             fg.on_telemetry(&telemetry, 1.1 + round as f64 * 0.02, &mut out);
             let elapsed = t0.elapsed().as_secs_f64() * 1e6;
-            assert_eq!(out.messages.len(), 1 + 2 * SOURCES_PER_TICK as usize);
+            // One round: two rules a source (l2 and l3), its barrier and
+            // its read.
+            assert_eq!(out.messages.len(), 2 * SOURCES_PER_TICK as usize + 2);
             elapsed
         })
         .collect();

@@ -1,9 +1,9 @@
 //! Simulation-core hot-path benchmark: scheduler microbench + full-sim
 //! events/sec, with a JSON report and a regression gate.
 //!
-//! Custom harness (`harness = false`), not the criterion shim, because
-//! this bench also writes `results/BENCH_engine.json` and compares
-//! against a checked-in baseline.
+//! Custom harness (`harness = false`): this bench also writes
+//! `results/BENCH_engine.json` and compares against a checked-in
+//! baseline.
 //!
 //! **Microbench** — the 10k-host attack shape, run against both
 //! [`HeapQueue`] and [`WheelQueue`] through the [`Scheduler`] trait: a

@@ -57,7 +57,7 @@ pub mod state;
 use controller::platform::ControllerPlatform;
 use ofproto::actions::Action;
 use ofproto::flow_mod::FlowMod;
-use ofproto::messages::{OfBody, OfMessage, StatsReply};
+use ofproto::messages::{ErrorMsg, OfBody, OfMessage, StatsReply};
 use ofproto::types::{DatapathId, PortNo};
 use policy::Provenance;
 
@@ -111,6 +111,11 @@ pub struct FloodGuardStats {
     /// missing from, or extra to, the table FloodGuard wants it to hold
     /// (after a flow-table wipe, a reconnect, or a lost flow_mod).
     pub rules_repaired: u64,
+    /// Adds a switch refused (`OFPET_FLOW_MOD_FAILED`, e.g. a full
+    /// table). A refused rule is not sent again until the switch shows
+    /// room: a rule of FloodGuard's removed, a delete sent, or a
+    /// reconnect.
+    pub rules_refused: u64,
     /// Cache failovers (standby promotions and recoveries from degraded).
     pub cache_failovers: u64,
     /// Times the defense degraded because no healthy cache remained.
@@ -162,6 +167,9 @@ struct FgObs {
     reraised_total: obs::Gauge,
     rules_installed: obs::Gauge,
     rules_repaired: obs::Gauge,
+    /// Registered at the first refusal, so that a run where no table fills
+    /// publishes the series it always did.
+    rules_refused: Option<obs::Gauge>,
     conversion_time_us: obs::Histogram,
     conv_cache_hits: obs::Counter,
     conv_cache_misses: obs::Counter,
@@ -253,7 +261,8 @@ impl FloodGuard {
     /// the migration re-raise rate, rule install/repair counters, and the
     /// applications' learned and quarantined entries with the count of
     /// those forgotten by expiry or eviction and of those demoted at Init.
-    /// FSM transitions additionally emit instant trace events.
+    /// Refused rules are published from the first refusal on. FSM
+    /// transitions additionally emit instant trace events.
     pub fn attach_obs(&mut self, hub: &obs::ObsHandle) {
         let reg = &hub.registry;
         self.obs = Some(FgObs {
@@ -275,6 +284,7 @@ impl FloodGuard {
             reraised_total: reg.gauge("floodguard.reraised"),
             rules_installed: reg.gauge("floodguard.rules_installed"),
             rules_repaired: reg.gauge("floodguard.rules_repaired"),
+            rules_refused: None,
             conversion_time_us: reg.histogram("floodguard.conversion_time_us"),
             conv_cache_hits: reg.counter("floodguard.conversion_cache_hits"),
             conv_cache_misses: reg.counter("floodguard.conversion_cache_misses"),
@@ -326,6 +336,13 @@ impl FloodGuard {
         o.reraised_total.set(self.stats.reraised as f64);
         o.rules_installed.set(self.stats.proactive_installed as f64);
         o.rules_repaired.set(self.stats.rules_repaired as f64);
+        if self.stats.rules_refused > 0 {
+            let reg = &o.hub.registry;
+            let refused = o
+                .rules_refused
+                .get_or_insert_with(|| reg.gauge("floodguard.rules_refused"));
+            refused.set(self.stats.rules_refused as f64);
+        }
         o.learned_entries
             .set(self.platform.learned_entries() as f64);
         o.quarantined_entries
@@ -624,12 +641,17 @@ impl FloodGuard {
     }
 
     /// Switch `i`'s wanted table: its redirects, then the proactive rules
-    /// while they are wanted ([`FloodGuard::proactive_wanted`]).
+    /// while they are wanted ([`FloodGuard::proactive_wanted`]), less what
+    /// the switch refused.
     fn want(&self, i: usize) -> Vec<FlowMod> {
-        let mut want = self.tables.switches[i].redirects.clone();
+        let sw = &self.tables.switches[i];
+        let mut want = sw.redirects.clone();
         if self.proactive_wanted() {
             let proactive = self.analyzer.installed().iter();
             want.extend(proactive.map(|r| r.to_flow_mod().with_cookie(self.config.cookie)));
+        }
+        if !sw.refused.is_empty() {
+            want.retain(|fm| !sw.refused.contains(&(fm.of_match, fm.priority)));
         }
         want
     }
@@ -666,7 +688,8 @@ impl FloodGuard {
     /// table holds one rule per `(match, priority)`, so the answer is the
     /// wanted table when each of its rules in scope is wanted, with the
     /// actions every wanted rule of its key has, and it holds as many rules
-    /// as the wanted table has keys.
+    /// as the wanted table has keys. No refused key is in the answer, so
+    /// each wanted one is a key the answer need not hold.
     fn differs(&self, i: usize) -> bool {
         let sw = &self.tables.switches[i];
         let Some(have) = &sw.have else {
@@ -712,12 +735,17 @@ impl FloodGuard {
                     && !sw.redirects[..*j].iter().any(|e| key(e) == key(fm))
             })
             .count();
-        matched != redirect_keys + index.map_or(0, |index| index.len())
+        let refused = sw.refused.iter().filter(|k| {
+            index.is_some_and(|index| index.contains_key(k))
+                || sw.redirects.iter().any(|fm| key(fm) == **k)
+        });
+        matched + refused.count() != redirect_keys + index.map_or(0, |index| index.len())
     }
 
     /// The reconciler's part of a telemetry tick before the FSM's: for each
-    /// connected switch whose latest answer differed from what it should
-    /// hold, a repair round, unless a read is still outstanding. It goes
+    /// connected switch whose table differs from what it should hold, as
+    /// its latest answer showed and its `FLOW_REMOVED`s since have kept
+    /// it, a repair round, unless a read is still outstanding. It goes
     /// out before the FSM's own rounds, so that a round every tick (a flood
     /// teaching the apps something new each tick) cannot starve it. A round
     /// costs the difference; only a read costs the table.
@@ -727,7 +755,9 @@ impl FloodGuard {
                 continue;
             };
             // Redirects have no timeout: a table holding fewer rules than
-            // the redirects it last reported has lost some.
+            // the redirects it last reported has lost some. (The count is
+            // taken out of band, so it can run ahead of a `FLOW_REMOVED`
+            // still on its way: only the redirects are certain.)
             let sw = &mut self.tables.switches[i];
             if count < sw.redirects_held {
                 sw.forget();
@@ -754,8 +784,12 @@ impl FloodGuard {
 
     /// The reconciler's part of a telemetry tick after the FSM's, whose
     /// rounds each end with a read: one read for each connected switch
-    /// with none outstanding whose table is unknown, or which should hold
-    /// redirects while telemetry carries no count of its table.
+    /// with none outstanding whose table is unknown. A switch that should
+    /// hold redirects while telemetry carries no count of its table is
+    /// counted (one fixed-size table-stats exchange) once every
+    /// [`ANSWER_WAIT_S`] it goes unread: the backstop for a loss it does
+    /// not report. It is not read on a clock; its `FLOW_REMOVED`s and its
+    /// errors say what changed.
     fn read_back(&mut self, telemetry: &Telemetry, now: f64, out: &mut ControlOutput) {
         if self.agent.is_migrating() {
             for t in telemetry.switches.iter().filter(|t| t.flow_count.is_none()) {
@@ -763,8 +797,13 @@ impl FloodGuard {
                     continue;
                 };
                 let sw = &self.tables.switches[i];
-                if sw.connected && !sw.asking() && !sw.redirects.is_empty() {
-                    self.tables.ask(i, now, out);
+                if sw.connected
+                    && !sw.asking()
+                    && sw.have.is_some()
+                    && !sw.redirects.is_empty()
+                    && sw.count_due(now)
+                {
+                    self.tables.count(i, now, out);
                 }
             }
         }
@@ -865,6 +904,24 @@ impl ControlPlane for FloodGuard {
                     .take_answer(dpid, msg.xid, entries, last, cookie)
                 {
                     self.judge(i);
+                }
+            }
+            // Its answer to a count.
+            OfBody::StatsReply(StatsReply::Table(tables)) => {
+                let active = tables.iter().map(|t| u64::from(t.active_count)).sum();
+                self.tables.take_count(dpid, msg.xid, active);
+            }
+            // One of FloodGuard's rules is gone from it.
+            OfBody::FlowRemoved(fr) if fr.cookie == self.config.cookie => {
+                if let Some(i) = self.tables.take_removed(dpid, (fr.of_match, fr.priority)) {
+                    self.judge(i);
+                }
+            }
+            // It refused a flow_mod.
+            OfBody::Error(e) if e.err_type == ErrorMsg::ET_FLOW_MOD_FAILED => {
+                let cookie = self.config.cookie;
+                if self.tables.take_refusal(dpid, msg.xid, &e.data, cookie) {
+                    self.stats.rules_refused += 1;
                 }
             }
             _ => {}
@@ -1032,6 +1089,7 @@ mod tests {
     use ofproto::flow_match::OfMatch;
     use ofproto::messages::{FeaturesReply, PacketIn, PacketInReason, StatsRequest};
     use ofproto::types::{MacAddr, PortNo, Xid};
+    use std::collections::HashSet;
     use std::net::Ipv4Addr;
 
     /// Switch 1: three host ports and the cache port.
@@ -1412,14 +1470,27 @@ mod tests {
     struct Peer {
         switch: netsim::switch::Switch,
         lossy: bool,
+        /// Table-stats counts answered so far.
+        counts: usize,
     }
 
     impl Peer {
         fn new() -> Peer {
-            let profile = netsim::SwitchProfile::software();
+            Peer::with_capacity(netsim::SwitchProfile::software().table_capacity)
+        }
+
+        /// A switch whose table holds at most `capacity` rules.
+        fn with_capacity(capacity: usize) -> Peer {
+            let profile = netsim::SwitchProfile {
+                table_capacity: capacity,
+                ..netsim::SwitchProfile::software()
+            };
             let switch = netsim::switch::Switch::new(DatapathId(1), profile, vec![1, 2, 3, 99]);
-            let lossy = false;
-            Peer { switch, lossy }
+            Peer {
+                switch,
+                lossy: false,
+                counts: 0,
+            }
         }
 
         /// Applies what `out` sends switch 1 and hands `fg` the switch's
@@ -1431,13 +1502,33 @@ mod tests {
                 if *dpid != DatapathId(1) || lost {
                     continue;
                 }
-                reads += usize::from(matches!(msg.body, OfBody::StatsRequest(_)));
+                let asked = |kind| matches!(&msg.body, OfBody::StatsRequest(r) if *r == kind);
+                reads += usize::from(asked(StatsRequest::Flow(OfMatch::any())));
+                self.counts += usize::from(asked(StatsRequest::Table));
                 let (_, replies) = self.switch.handle_message(msg.clone(), now);
                 for reply in replies {
                     fg.on_message(*dpid, reply, now, &mut ControlOutput::new());
                 }
             }
             reads
+        }
+
+        /// Deletes switch 1's rule of `of_match` and `priority` as another
+        /// controller would: the switch reports it to FloodGuard.
+        fn delete_behind_fg(&mut self, fg: &mut FloodGuard, of_match: OfMatch, priority: u16) {
+            let delete = FlowMod::delete_strict(of_match, priority);
+            let msg = OfMessage::new(Xid(7), OfBody::FlowMod(delete));
+            let (_, replies) = self.switch.handle_message(msg, 0.0);
+            assert!(matches!(
+                replies[..],
+                [OfMessage {
+                    body: OfBody::FlowRemoved(_),
+                    ..
+                }]
+            ));
+            for reply in replies {
+                fg.on_message(DatapathId(1), reply, 0.0, &mut ControlOutput::new());
+            }
         }
 
         /// The rules the switch holds under FloodGuard's cookie.
@@ -1473,7 +1564,8 @@ mod tests {
 
     /// One telemetry tick, served by `peer`; what it sent switch 1, as
     /// (flow-stats reads, flow-mods). Every round's barrier comes with its
-    /// read, and nothing else is sent.
+    /// read, and nothing else is sent but table-stats counts, which `peer`
+    /// counts.
     fn tick(
         fg: &mut FloodGuard,
         peer: &mut Peer,
@@ -1489,9 +1581,10 @@ mod tests {
         );
         let mods = count(&|b| matches!(b, OfBody::FlowMod(_)));
         let barriers = count(&|b| *b == OfBody::BarrierRequest);
+        let counts = count(&|b| *b == OfBody::StatsRequest(StatsRequest::Table));
         assert!(barriers <= reads, "a barrier without its read");
         assert_eq!(
-            reads + mods + barriers,
+            reads + mods + barriers + counts,
             out.messages.len(),
             "nothing else is sent"
         );
@@ -1531,12 +1624,12 @@ mod tests {
         assert_eq!(tick(&mut fg, &mut peer, &unobserved(), 1.05), (1, 3));
         assert_eq!(tick(&mut fg, &mut peer, &unobserved(), 1.1), (1, 60));
         assert_flood_quarantined(&fg, 60);
-        // A read a tick while the switch holds redirects; intact, nothing
-        // repaired.
+        // No read while nothing changed, though the switch holds redirects;
+        // intact, nothing repaired.
         fg.cache_handle().lock().stats.received = 1000;
-        assert_eq!(tick(&mut fg, &mut peer, &unobserved(), 1.15), (1, 0));
+        assert_eq!(tick(&mut fg, &mut peer, &unobserved(), 1.15), (0, 0));
         assert_eq!(fg.state(), State::Defense);
-        assert_eq!(tick(&mut fg, &mut peer, &unobserved(), 1.6), (1, 0));
+        assert_eq!(tick(&mut fg, &mut peer, &unobserved(), 1.6), (0, 0));
         // Quiet cache: the tick that ends the attack removes the migration
         // rules and reads the table back once; nothing after.
         assert_eq!(tick(&mut fg, &mut peer, &unobserved(), 2.1), (1, 3));
@@ -1616,12 +1709,12 @@ mod tests {
         seed_hosts(&mut fg, 4);
         flood_packet_in(&mut fg, 1.0, 60);
         assert_eq!(tick(&mut fg, &mut peer, &unobserved(), 1.05), (1, 3));
-        // The rules go to the cache; the switch is only read.
-        assert_eq!(tick(&mut fg, &mut peer, &unobserved(), 1.1), (1, 0));
+        // The rules go to the cache; the switch is sent nothing.
+        assert_eq!(tick(&mut fg, &mut peer, &unobserved(), 1.1), (0, 0));
         assert_eq!(fg.state(), State::Defense);
         assert_eq!(fg.analyzer().installed().len(), 4);
         fg.cache_handle().lock().stats.received = 1000;
-        assert_eq!(tick(&mut fg, &mut peer, &unobserved(), 1.15), (1, 0));
+        assert_eq!(tick(&mut fg, &mut peer, &unobserved(), 1.15), (0, 0));
         assert_eq!((peer.redirects(), peer.ours()), (3, 3));
         assert_eq!(fg.stats.rules_repaired, 0);
     }
@@ -1644,7 +1737,7 @@ mod tests {
         assert_eq!(fg.stats.rules_repaired, 63);
         assert_eq!(peer.ours(), 63);
         // The answer shows the table whole: nothing more.
-        assert_eq!(tick(&mut fg, &mut peer, &unobserved(), 1.2), (1, 0));
+        assert_eq!(tick(&mut fg, &mut peer, &unobserved(), 1.2), (0, 0));
         assert_eq!(fg.stats.rules_repaired, 63);
     }
 
@@ -1706,6 +1799,23 @@ mod tests {
             assert_eq!(fg.differs(0), !fg.delta(0).is_empty(), "{case}");
             assert_eq!(fg.differs(0), differs, "{case}");
         }
+        // A rule the switch refused is not wanted of it.
+        for at in [rule, redirect] {
+            let sw = &mut fg.tables.switches[0];
+            sw.refused = HashSet::from([(held[at].of_match, held[at].priority)]);
+            sw.have = Some(without(at));
+            assert!(!fg.differs(0) && fg.delta(0).is_empty(), "refused {at}");
+            fg.tables.switches[0].have = Some(without(rule.max(redirect)));
+            fg.tables.switches[0]
+                .have
+                .as_mut()
+                .unwrap()
+                .remove(rule.min(redirect));
+            assert!(
+                fg.differs(0) && !fg.delta(0).is_empty(),
+                "refused {at}, both missing"
+            );
+        }
     }
 
     #[test]
@@ -1713,18 +1823,24 @@ mod tests {
         let mut fg = fg_with_l2();
         let mut peer = Peer::new();
         defend(&mut fg, &mut peer, &unobserved());
-        // One redirect and ten proactive rules lost, connection kept; the
-        // switch goes on losing every flow_mod.
+        // One redirect and ten proactive rules lost, connection kept, and
+        // nothing said of it; the switch goes on losing every flow_mod.
         peer.lose(11);
         peer.lossy = true;
-        assert_eq!(
-            tick(&mut fg, &mut peer, &unobserved(), 1.15),
-            (1, 0),
-            "read"
-        );
+        // The next count, one wait after the Defense round's read, shows
+        // the table short: it is unknown, and read.
+        let mut now = 1.1;
+        while peer.counts == 0 {
+            now += 0.05;
+            fg.cache_handle().lock().stats.received += 1000;
+            assert_eq!(tick(&mut fg, &mut peer, &unobserved(), now), (0, 0));
+        }
+        assert!((ANSWER_WAIT_S..ANSWER_WAIT_S + 0.1).contains(&(now - 1.1)));
+        now += 0.05;
+        fg.cache_handle().lock().stats.received += 1000;
+        assert_eq!(tick(&mut fg, &mut peer, &unobserved(), now), (1, 0), "read");
         // Each answer brings one round of the difference, read back: never
         // the whole table, and never more than one read a tick.
-        let mut now = 1.15;
         for round in 1..=5 {
             now += 0.05;
             fg.cache_handle().lock().stats.received += 1000;
@@ -1738,8 +1854,9 @@ mod tests {
         assert_eq!(tick(&mut fg, &mut peer, &unobserved(), now + 0.05), (1, 11));
         assert_eq!(peer.ours(), 63);
         fg.cache_handle().lock().stats.received += 1000;
-        assert_eq!(tick(&mut fg, &mut peer, &unobserved(), now + 0.1), (1, 0));
+        assert_eq!(tick(&mut fg, &mut peer, &unobserved(), now + 0.1), (0, 0));
         assert_eq!(fg.stats.rules_repaired, 66);
+        assert_eq!(peer.counts, 1);
     }
 
     #[test]
@@ -1755,12 +1872,18 @@ mod tests {
             &mut ControlOutput::new(),
         );
         defend(&mut fg, &mut peer, &unobserved());
-        assert_eq!(tick(&mut fg, &mut peer, &unobserved(), 1.15), (1, 0));
+        assert_eq!(tick(&mut fg, &mut peer, &unobserved(), 1.15), (0, 0));
         assert_eq!(fg.stats.rules_repaired, 0);
-        // Nor does one to a read from before the connection came back.
+        // Nor does one to a read from before the connection came back: the
+        // read a reconnect sends, unanswered when the switch goes again.
+        fg.on_switch_disconnect(DatapathId(1), 1.2, &mut ControlOutput::new());
         let mut stale = ControlOutput::new();
-        fg.on_telemetry(&unobserved(), 1.2, &mut stale);
+        fg.on_switch_connect(DatapathId(1), features(), 1.2, &mut stale);
         let (_, read) = &stale.messages[0];
+        assert!(matches!(
+            read.body,
+            OfBody::StatsRequest(StatsRequest::Flow(_))
+        ));
         fg.on_switch_disconnect(DatapathId(1), 1.21, &mut ControlOutput::new());
         let mut out = ControlOutput::new();
         fg.on_switch_connect(DatapathId(1), features(), 1.22, &mut out);
@@ -1771,8 +1894,100 @@ mod tests {
             &mut ControlOutput::new(),
         );
         assert_eq!(peer.serve(&mut fg, &out, 1.23), 1);
-        assert_eq!(tick(&mut fg, &mut peer, &unobserved(), 1.25), (1, 0));
+        assert_eq!(tick(&mut fg, &mut peer, &unobserved(), 1.25), (0, 0));
         assert_eq!(fg.stats.rules_repaired, 0);
+    }
+
+    /// The frame count of a steady Defense on a switch whose telemetry
+    /// carries no count of its table (a live one): after the Init and
+    /// Defense rounds' reads, fifty ticks send no flow-stats read and no
+    /// flow_mod, and at most one table-stats count per [`ANSWER_WAIT_S`].
+    #[test]
+    fn a_steady_defense_is_counted_not_read() {
+        let mut fg = fg_with_l2();
+        let mut peer = Peer::new();
+        defend(&mut fg, &mut peer, &unobserved());
+        let (start, ticks, period) = (1.1, 50, 0.05);
+        for k in 1..=ticks {
+            fg.cache_handle().lock().stats.received += 1000;
+            let now = start + f64::from(k) * period;
+            assert_eq!(
+                tick(&mut fg, &mut peer, &unobserved(), now),
+                (0, 0),
+                "tick {k}"
+            );
+        }
+        assert_eq!(fg.state(), State::Defense);
+        let waits = (f64::from(ticks) * period / ANSWER_WAIT_S).floor() as usize;
+        assert!(
+            (1..=waits).contains(&peer.counts),
+            "{} counts in {waits} waits",
+            peer.counts
+        );
+        assert_eq!(fg.stats.rules_repaired, 0);
+        assert_eq!(peer.ours(), 63);
+    }
+
+    /// A redirect another controller deletes comes back as a
+    /// `FLOW_REMOVED`, and the next tick repairs it with one round and no
+    /// read before it.
+    #[test]
+    fn a_reported_removal_is_repaired_on_the_next_tick() {
+        let mut fg = fg_with_l2();
+        let mut peer = Peer::new();
+        defend(&mut fg, &mut peer, &unobserved());
+        fg.cache_handle().lock().stats.received += 1000;
+        assert_eq!(tick(&mut fg, &mut peer, &unobserved(), 1.15), (0, 0));
+        let redirect = fg.tables.switches[0].redirects[0].clone();
+        peer.delete_behind_fg(&mut fg, redirect.of_match, redirect.priority);
+        assert_eq!(peer.redirects(), 2);
+        fg.cache_handle().lock().stats.received += 1000;
+        assert_eq!(tick(&mut fg, &mut peer, &unobserved(), 1.2), (1, 1));
+        assert_eq!((peer.redirects(), peer.ours()), (3, 63));
+        assert_eq!(fg.stats.rules_repaired, 1);
+        fg.cache_handle().lock().stats.received += 1000;
+        assert_eq!(tick(&mut fg, &mut peer, &unobserved(), 1.25), (0, 0));
+        assert_eq!(peer.counts, 0);
+    }
+
+    /// A table too small for the wanted set refuses the adds it has no room
+    /// for, with `OFPET_FLOW_MOD_FAILED`. The refused adds are not sent
+    /// again on every tick, only once a rule of FloodGuard's is gone from
+    /// the switch and so has freed room.
+    #[test]
+    fn a_full_table_is_not_sent_the_refused_adds_every_tick() {
+        let mut fg = fg_with_l2();
+        let mut peer = Peer::with_capacity(20);
+        seed_hosts(&mut fg, 60);
+        flood_packet_in(&mut fg, 1.0, 60);
+        assert_eq!(tick(&mut fg, &mut peer, &telemetry(), 1.05), (1, 3));
+        assert_eq!(tick(&mut fg, &mut peer, &telemetry(), 1.1), (1, 60));
+        assert_eq!(fg.state(), State::Defense);
+        assert_eq!((peer.redirects(), peer.ours()), (3, 20));
+        assert_eq!(fg.stats.rules_refused, 43);
+        let mut now = 1.1;
+        for _ in 0..10 {
+            now += 0.05;
+            fg.cache_handle().lock().stats.received += 1000;
+            assert_eq!(tick(&mut fg, &mut peer, &unobserved(), now), (0, 0));
+            assert_eq!(fg.stats.rules_repaired, 0);
+        }
+        assert_eq!((peer.redirects(), peer.ours()), (3, 20));
+        // Room: one proactive rule removed. The next tick tries it and the
+        // refused ones again, once; all but one are refused again.
+        let rule = fg.analyzer().installed()[0].clone();
+        peer.delete_behind_fg(&mut fg, rule.of_match, rule.priority);
+        now += 0.05;
+        fg.cache_handle().lock().stats.received += 1000;
+        assert_eq!(tick(&mut fg, &mut peer, &unobserved(), now), (1, 44));
+        assert_eq!((fg.stats.rules_repaired, fg.stats.rules_refused), (44, 86));
+        assert_eq!((peer.redirects(), peer.ours()), (3, 20));
+        for _ in 0..10 {
+            now += 0.05;
+            fg.cache_handle().lock().stats.received += 1000;
+            assert_eq!(tick(&mut fg, &mut peer, &unobserved(), now), (0, 0));
+        }
+        assert_eq!(fg.stats.rules_repaired, 44);
     }
 
     #[test]

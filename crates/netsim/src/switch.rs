@@ -4,11 +4,12 @@
 use std::collections::VecDeque;
 
 use ofproto::actions::{apply_all, Action};
+use ofproto::flow_match::Wildcards;
 use ofproto::flow_mod::FlowMod;
 use ofproto::flow_table::{FlowTable, RemovedFlow, TableError};
 use ofproto::messages::{
     ErrorMsg, FlowRemoved, OfBody, OfMessage, PacketIn, PacketInReason, StatsReply, StatsRequest,
-    DEFAULT_MISS_SEND_LEN,
+    TableStats, DEFAULT_MISS_SEND_LEN,
 };
 use ofproto::types::{BufferId, DatapathId, PortNo, Xid};
 
@@ -490,6 +491,12 @@ impl Switch {
                     OfBody::StatsReply(StatsReply::Flow(stats)),
                 ));
             }
+            OfBody::StatsRequest(StatsRequest::Table) => {
+                replies.push(OfMessage::new(
+                    msg.xid,
+                    OfBody::StatsReply(StatsReply::Table(vec![self.table_stats()])),
+                ));
+            }
             OfBody::FeaturesRequest => {
                 replies.push(OfMessage::new(
                     msg.xid,
@@ -513,6 +520,21 @@ impl Switch {
             ingress_len: self.ingress_len(),
             misses: self.stats.misses,
             flow_count: Some(self.table.len()),
+        }
+    }
+
+    /// The one table's entry of a table-stats reply: how many rules it
+    /// holds and can hold. The switch keeps no per-table lookup counters,
+    /// so those read zero.
+    fn table_stats(&self) -> TableStats {
+        TableStats {
+            table_id: 0,
+            name: "classifier".to_owned(),
+            wildcards: Wildcards::ALL.0,
+            max_entries: self.profile.table_capacity.try_into().unwrap_or(u32::MAX),
+            active_count: self.table.len().try_into().unwrap_or(u32::MAX),
+            lookup_count: 0,
+            matched_count: 0,
         }
     }
 
@@ -902,6 +924,43 @@ mod tests {
             }
             other => panic!("unexpected reply {other:?}"),
         }
+    }
+
+    #[test]
+    fn table_stats_count_what_the_table_holds() {
+        let mut sw = test_switch();
+        let count = |sw: &mut Switch, now| {
+            let ask = OfMessage::new(Xid(6), OfBody::StatsRequest(StatsRequest::Table));
+            let (_, replies) = sw.handle_message(ask, now);
+            match &replies[..] {
+                [OfMessage {
+                    xid: Xid(6),
+                    body: OfBody::StatsReply(StatsReply::Table(tables)),
+                }] => {
+                    assert_eq!(tables.len(), 1);
+                    assert_eq!(tables[0].max_entries as usize, sw.profile.table_capacity);
+                    tables[0].active_count as usize
+                }
+                other => panic!("unexpected replies {other:?}"),
+            }
+        };
+        assert_eq!(count(&mut sw, 0.0), 0);
+        let rule = |port: u16| {
+            FlowMod::add(OfMatch::any().with_in_port(port), vec![]).with_idle_timeout(port)
+        };
+        for port in 1..=3 {
+            let add = OfMessage::new(Xid(0), OfBody::FlowMod(rule(port)));
+            sw.handle_message(add, 0.0);
+        }
+        assert_eq!(count(&mut sw, 0.0), 3);
+        assert_eq!(count(&mut sw, 0.0), sw.table.len());
+        let delete = FlowMod::delete_strict(OfMatch::any().with_in_port(3), rule(3).priority);
+        sw.handle_message(OfMessage::new(Xid(0), OfBody::FlowMod(delete)), 0.5);
+        assert_eq!(count(&mut sw, 0.5), 2);
+        // The port-1 rule idles out after a second.
+        sw.expire(1.5);
+        assert_eq!(sw.table.len(), 1);
+        assert_eq!(count(&mut sw, 1.5), 1);
     }
 
     #[test]

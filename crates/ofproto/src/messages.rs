@@ -167,6 +167,26 @@ pub struct FlowStats {
     pub actions: Vec<Action>,
 }
 
+/// One flow table's statistics, as returned by a table-stats request
+/// (`ofp_table_stats`): a fixed 64 bytes per table, whatever it holds.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct TableStats {
+    /// The table's id.
+    pub table_id: u8,
+    /// The table's name; at most 31 bytes go on the wire.
+    pub name: String,
+    /// The match fields the table can wildcard (`OFPFW_*`).
+    pub wildcards: u32,
+    /// The most rules the table can hold.
+    pub max_entries: u32,
+    /// The rules the table holds.
+    pub active_count: u32,
+    /// Packets looked up in the table.
+    pub lookup_count: u64,
+    /// Packets that hit a rule of the table.
+    pub matched_count: u64,
+}
+
 /// An OpenFlow error (`OFPT_ERROR`): type/code plus the offending message's
 /// leading bytes.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -193,6 +213,9 @@ impl ErrorMsg {
 pub enum StatsRequest {
     /// Per-flow statistics for rules matching the given match (subset).
     Flow(OfMatch),
+    /// Per-table statistics (`OFPST_TABLE`): a fixed-size answer, however
+    /// many rules the tables hold.
+    Table,
 }
 
 /// A statistics reply body.
@@ -205,6 +228,8 @@ pub enum StatsReply {
     /// Per-flow statistics with `OFPSF_REPLY_MORE` set: a part of a reply
     /// whose further parts follow under the same xid.
     FlowMore(Vec<FlowStats>),
+    /// Per-table statistics, one entry per table.
+    Table(Vec<TableStats>),
 }
 
 /// Any OpenFlow message body.

@@ -17,6 +17,7 @@ use crate::flow_mod::{FlowMod, FlowModCommand, FlowModFlags};
 use crate::messages::{
     ErrorMsg, FeaturesReply, FlowRemoved, FlowRemovedReason, FlowStats, OfBody, OfMessage,
     PacketIn, PacketInReason, PacketOut, PortStatus, PortStatusReason, StatsReply, StatsRequest,
+    TableStats,
 };
 use crate::types::{BufferId, DatapathId, MacAddr, PortNo, Xid};
 
@@ -34,6 +35,18 @@ const OFP_PHY_PORT_LEN: usize = 48;
 
 /// `OFPSF_REPLY_MORE`: further parts of this stats reply follow.
 const OFPSF_REPLY_MORE: u16 = 1;
+
+/// `OFPST_FLOW`: the stats type of a flow-stats request and reply.
+const OFPST_FLOW: u16 = 1;
+
+/// `OFPST_TABLE`: the stats type of a table-stats request and reply.
+const OFPST_TABLE: u16 = 3;
+
+/// Size of an `ofp_table_stats` entry.
+const TABLE_STATS_LEN: usize = 64;
+
+/// Size of the name field of an `ofp_table_stats` entry.
+const TABLE_NAME_LEN: usize = 32;
 
 /// Size of an `ofp_flow_stats` entry without its actions.
 const FLOW_STATS_FIXED_LEN: usize = 48 + OFP_MATCH_LEN;
@@ -293,6 +306,8 @@ pub fn wire_len(msg: &OfMessage) -> usize {
             OfBody::FlowRemoved(_) => 80,
             OfBody::PortStatus(_) => 8 + OFP_PHY_PORT_LEN,
             OfBody::StatsRequest(StatsRequest::Flow(_)) => 4 + OFP_MATCH_LEN + 4,
+            OfBody::StatsRequest(StatsRequest::Table) => 4,
+            OfBody::StatsReply(StatsReply::Table(tables)) => 4 + tables.len() * TABLE_STATS_LEN,
             OfBody::StatsReply(_) => unreachable!("measured above"),
         }
 }
@@ -332,7 +347,7 @@ fn put_flow_stats(xid: Xid, stats: &[FlowStats], more: bool, buf: &mut impl BufM
         buf.put_u8(17); // OFPT_STATS_REPLY
         buf.put_u16(len as u16);
         buf.put_u32(xid.0);
-        buf.put_u16(1);
+        buf.put_u16(OFPST_FLOW);
         buf.put_u16(if more || i < last {
             OFPSF_REPLY_MORE
         } else {
@@ -395,8 +410,9 @@ pub fn encode(msg: &OfMessage) -> Bytes {
 /// [`StatsReply::FlowMore`] parts and a last [`StatsReply::Flow`]. No
 /// other message is that long.
 pub fn encode_into(msg: &OfMessage, buf: &mut impl BufMut) -> usize {
-    if let OfBody::StatsReply(reply) = &msg.body {
-        let (StatsReply::Flow(stats) | StatsReply::FlowMore(stats)) = reply;
+    if let OfBody::StatsReply(reply @ (StatsReply::Flow(stats) | StatsReply::FlowMore(stats))) =
+        &msg.body
+    {
         let more = matches!(reply, StatsReply::FlowMore(_));
         return put_flow_stats(msg.xid, stats, more, buf);
     }
@@ -499,12 +515,34 @@ pub fn encode_into(msg: &OfMessage, buf: &mut impl BufMut) -> usize {
             buf.put_slice(&[0u8; OFP_PHY_PORT_LEN - 2 - 6 - 8]);
         }
         OfBody::StatsRequest(StatsRequest::Flow(of_match)) => {
-            buf.put_u16(1); // OFPST_FLOW
+            buf.put_u16(OFPST_FLOW);
             buf.put_u16(0); // flags
             put_match(buf, of_match);
             buf.put_u8(0xff); // table_id: all
             buf.put_u8(0); // pad
             buf.put_u16(PortNo::None.to_u16());
+        }
+        OfBody::StatsRequest(StatsRequest::Table) => {
+            buf.put_u16(OFPST_TABLE);
+            buf.put_u16(0); // flags
+        }
+        OfBody::StatsReply(StatsReply::Table(tables)) => {
+            buf.put_u16(OFPST_TABLE);
+            buf.put_u16(0); // flags
+            for t in tables {
+                // The name is NUL-terminated within its field.
+                let name = t.name.as_bytes();
+                let name = &name[..name.len().min(TABLE_NAME_LEN - 1)];
+                buf.put_u8(t.table_id);
+                buf.put_slice(&[0u8; 3]); // pad
+                buf.put_slice(name);
+                buf.put_slice(&[0u8; TABLE_NAME_LEN][name.len()..]);
+                buf.put_u32(t.wildcards);
+                buf.put_u32(t.max_entries);
+                buf.put_u32(t.active_count);
+                buf.put_u64(t.lookup_count);
+                buf.put_u64(t.matched_count);
+            }
         }
         OfBody::StatsReply(_) => unreachable!("encoded above"),
     }
@@ -753,11 +791,14 @@ pub fn decode(data: &[u8]) -> Result<OfMessage, DecodeError> {
             ensure(&buf, 4)?;
             let code = buf.get_u16();
             buf.advance(2);
-            let of_match = get_match(&mut buf)?;
-            ensure(&buf, 4)?;
-            buf.advance(4);
             match code {
-                1 => OfBody::StatsRequest(StatsRequest::Flow(of_match)),
+                OFPST_FLOW => {
+                    let of_match = get_match(&mut buf)?;
+                    ensure(&buf, 4)?;
+                    buf.advance(4);
+                    OfBody::StatsRequest(StatsRequest::Flow(of_match))
+                }
+                OFPST_TABLE => OfBody::StatsRequest(StatsRequest::Table),
                 other => return Err(DecodeError::UnknownStatsType(other)),
             }
         }
@@ -766,7 +807,7 @@ pub fn decode(data: &[u8]) -> Result<OfMessage, DecodeError> {
             let code = buf.get_u16();
             let more = buf.get_u16() & OFPSF_REPLY_MORE != 0;
             match code {
-                1 => {
+                OFPST_FLOW => {
                     let mut stats = Vec::new();
                     while buf.has_remaining() {
                         ensure(&buf, 4)?;
@@ -802,6 +843,30 @@ pub fn decode(data: &[u8]) -> Result<OfMessage, DecodeError> {
                         StatsReply::Flow(stats)
                     })
                 }
+                OFPST_TABLE => {
+                    if buf.remaining() % TABLE_STATS_LEN != 0 {
+                        return Err(DecodeError::BadLength);
+                    }
+                    let mut tables = Vec::with_capacity(buf.remaining() / TABLE_STATS_LEN);
+                    while buf.has_remaining() {
+                        let table_id = buf.get_u8();
+                        buf.advance(3);
+                        let field = &buf[..TABLE_NAME_LEN];
+                        let end = field.iter().position(|&b| b == 0).unwrap_or(TABLE_NAME_LEN);
+                        let name = String::from_utf8_lossy(&field[..end]).into_owned();
+                        buf.advance(TABLE_NAME_LEN);
+                        tables.push(TableStats {
+                            table_id,
+                            name,
+                            wildcards: buf.get_u32(),
+                            max_entries: buf.get_u32(),
+                            active_count: buf.get_u32(),
+                            lookup_count: buf.get_u64(),
+                            matched_count: buf.get_u64(),
+                        });
+                    }
+                    OfBody::StatsReply(StatsReply::Table(tables))
+                }
                 other => return Err(DecodeError::UnknownStatsType(other)),
             }
         }
@@ -810,6 +875,31 @@ pub fn decode(data: &[u8]) -> Result<OfMessage, DecodeError> {
         other => return Err(DecodeError::UnknownType(other)),
     };
     Ok(OfMessage { xid, body })
+}
+
+/// The rule a refused flow_mod named, read from the leading bytes of it
+/// that an `OFPT_ERROR` echoes: `(match, cookie, priority)`. The echo is
+/// at least 64 bytes, which covers a flow_mod's header, match, cookie,
+/// command, timeouts and priority.
+///
+/// # Errors
+///
+/// [`DecodeError::Truncated`] when the echo is shorter than that, and
+/// [`DecodeError::UnknownType`] when it is not of a flow_mod.
+pub fn echoed_flow_mod(data: &[u8]) -> Result<(OfMatch, u64, u16), DecodeError> {
+    let mut buf = data;
+    ensure(&buf, OFP_HEADER_LEN + OFP_MATCH_LEN + 16)?;
+    buf.advance(1);
+    let type_code = buf.get_u8();
+    if type_code != 14 {
+        // Not OFPT_FLOW_MOD.
+        return Err(DecodeError::UnknownType(type_code));
+    }
+    buf.advance(6);
+    let of_match = get_match(&mut buf)?;
+    let cookie = buf.get_u64();
+    buf.advance(6); // command, idle and hard timeouts
+    Ok((of_match, cookie, buf.get_u16()))
 }
 
 #[cfg(test)]
@@ -1004,6 +1094,10 @@ mod tests {
             OfBody::StatsRequest(StatsRequest::Flow(OfMatch::any().with_in_port(1))),
         ));
         roundtrip(OfMessage::new(
+            Xid(19),
+            OfBody::StatsRequest(StatsRequest::Table),
+        ));
+        roundtrip(OfMessage::new(
             Xid(20),
             OfBody::StatsReply(StatsReply::Flow(vec![
                 FlowStats {
@@ -1026,6 +1120,55 @@ mod tests {
                 },
             ])),
         ));
+    }
+
+    /// A table-stats reply is 64 bytes a table, and a name longer than its
+    /// field keeps its first 31 bytes.
+    #[test]
+    fn a_table_stats_entry_has_a_fixed_size() {
+        let table = TableStats {
+            table_id: 0,
+            name: "classifier".to_owned(),
+            wildcards: 0x003f_ffff,
+            max_entries: 4096,
+            active_count: 17,
+            lookup_count: 1 << 40,
+            matched_count: 12,
+        };
+        let reply = OfMessage::new(
+            Xid(22),
+            OfBody::StatsReply(StatsReply::Table(vec![table.clone()])),
+        );
+        assert_eq!(wire_len(&reply), OFP_HEADER_LEN + 4 + TABLE_STATS_LEN);
+        let long = TableStats {
+            name: "n".repeat(40),
+            ..table
+        };
+        let msg = OfMessage::new(Xid(23), OfBody::StatsReply(StatsReply::Table(vec![long])));
+        match decode(&encode(&msg)).unwrap().body {
+            OfBody::StatsReply(StatsReply::Table(tables)) => {
+                assert_eq!(tables[0].name, "n".repeat(31));
+            }
+            other => panic!("decoded {other:?}"),
+        }
+    }
+
+    #[test]
+    fn an_error_names_the_flow_mod_it_refuses() {
+        let of_match = OfMatch::any().with_in_port(3).with_nw_proto(6);
+        let fm = FlowMod::add(of_match, vec![Action::Output(PortNo::Physical(1))])
+            .with_priority(77)
+            .with_cookie(0xf100d);
+        let echo = encode(&OfMessage::new(Xid(9), OfBody::FlowMod(fm)));
+        assert_eq!(echoed_flow_mod(&echo[..64]), Ok((of_match, 0xf100d, 77)));
+        assert_eq!(echoed_flow_mod(&echo[..63]), Err(DecodeError::Truncated));
+        let barrier = encode(&OfMessage::new(Xid(9), OfBody::BarrierRequest)).to_vec();
+        let mut not_a_flow_mod = barrier;
+        not_a_flow_mod.resize(64, 0);
+        assert_eq!(
+            echoed_flow_mod(&not_a_flow_mod),
+            Err(DecodeError::UnknownType(18))
+        );
     }
 
     #[test]
@@ -1295,6 +1438,59 @@ mod proptests {
                 }),
             );
             prop_assert_eq!(decode(&encode(&msg)).unwrap(), msg);
+        }
+
+        #[test]
+        fn table_stats_roundtrip(
+            tables in proptest::collection::vec(
+                (
+                    any::<u8>(),
+                    proptest::collection::vec(0x61u8..0x7b, 0..32),
+                    any::<u32>(),
+                    any::<u32>(),
+                    any::<u32>(),
+                    any::<u64>(),
+                    any::<u64>(),
+                ),
+                0..4,
+            ),
+            xid in any::<u32>(),
+            cut in 1usize..TABLE_STATS_LEN,
+        ) {
+            let tables: Vec<TableStats> = tables
+                .into_iter()
+                .map(|(table_id, name, wildcards, max_entries, active_count, lookups, matched)| {
+                    let mut name = String::from_utf8(name).unwrap();
+                    name.truncate(TABLE_NAME_LEN - 1);
+                    TableStats {
+                        table_id,
+                        name,
+                        wildcards,
+                        max_entries,
+                        active_count,
+                        lookup_count: lookups,
+                        matched_count: matched,
+                    }
+                })
+                .collect();
+            let request = OfMessage::new(Xid(xid), OfBody::StatsRequest(StatsRequest::Table));
+            prop_assert_eq!(decode(&encode(&request)).unwrap(), request);
+            let reply = OfMessage::new(Xid(xid), OfBody::StatsReply(StatsReply::Table(tables)));
+            let bytes = encode(&reply);
+            prop_assert_eq!(bytes.len(), wire_len(&reply));
+            prop_assert_eq!(decode(&bytes).unwrap(), reply);
+            // A body that ends inside an entry, with the length field to
+            // match, is a bad length, not a shorter table: the last entry
+            // cut short, or a part of one more.
+            let mut short = bytes.to_vec();
+            if bytes.len() > OFP_HEADER_LEN + 4 {
+                short.truncate(bytes.len() - cut);
+            } else {
+                short.resize(bytes.len() + TABLE_STATS_LEN - cut, 0);
+            }
+            let len = short.len() as u16;
+            short[2..4].copy_from_slice(&len.to_be_bytes());
+            prop_assert_eq!(decode(&short), Err(DecodeError::BadLength));
         }
 
         #[test]

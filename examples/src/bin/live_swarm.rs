@@ -13,8 +13,9 @@
 //! `cargo run --release -p floodguard-examples --bin live_swarm -- --switches 1000`
 //!
 //! `--smoke` shrinks the fleet (256 switches) and enforces the CI gates:
-//! every handshake succeeds, the throughput floor holds, and `/metrics`
-//! plus `/api/status` answer while the swarm is live.
+//! every handshake succeeds, the controller holds a session for every
+//! switch at once, the throughput floor holds, and `/metrics` plus
+//! `/api/status` answer while the swarm is live.
 
 use std::net::SocketAddr;
 use std::time::Duration;
@@ -111,13 +112,19 @@ fn channel_config() -> ChannelConfig {
     }
 }
 
-fn report_json(args: &Args, report: &SwarmReport, probes: &ProbeResults) -> String {
+fn report_json(
+    args: &Args,
+    report: &SwarmReport,
+    controller_saw: usize,
+    probes: &ProbeResults,
+) -> String {
     let ms = |d: Duration| d.as_secs_f64() * 1e3;
     Json::obj()
         .set("switches", args.switches)
         .set("pps_per_switch", args.pps)
         .set("connected", report.connected)
         .set("handshake_failures", report.handshake_failures)
+        .set("controller_saw", controller_saw)
         .set("connect_p50_ms", ms(report.latency_quantile(0.50)))
         .set("connect_p95_ms", ms(report.latency_quantile(0.95)))
         .set("connect_p99_ms", ms(report.latency_quantile(0.99)))
@@ -191,8 +198,10 @@ fn main() {
     let ops_addr = ops_server.local_addr();
     println!("controller: {controller_addr}\nops:        http://{ops_addr}");
 
-    // A sidecar keeps the Prometheus gauges fresh and probes the ops
-    // surface mid-run, while the swarm saturates the main thread.
+    // A sidecar keeps the Prometheus gauges fresh, probes the ops surface
+    // mid-run and samples how many switches the controller holds, while
+    // the swarm saturates the main thread: once the swarm is done its
+    // sockets are closed, so the count must be taken while it runs.
     let stop = std::sync::Arc::new(std::sync::atomic::AtomicBool::new(false));
     let publisher = {
         let stop = std::sync::Arc::clone(&stop);
@@ -200,15 +209,18 @@ fn main() {
         std::thread::spawn(move || {
             let mut probes = ProbeResults::default();
             let mut probed = false;
+            let mut seen = 0;
             while !stop.load(std::sync::atomic::Ordering::SeqCst) {
                 chan_obs.publish(&view.counters());
-                if !probed && !view.status().connected_switches.is_empty() {
+                let connected = view.status().connected_switches.len();
+                seen = seen.max(connected);
+                if !probed && connected > 0 {
                     probes = probe_ops(ops_addr);
                     probed = true;
                 }
                 std::thread::sleep(Duration::from_millis(250));
             }
-            probes
+            (probes, seen)
         })
     };
 
@@ -224,15 +236,11 @@ fn main() {
     let report = run_swarm(controller_addr, &swarm).expect("swarm run");
 
     stop.store(true, std::sync::atomic::Ordering::SeqCst);
-    let probes = publisher.join().expect("publisher thread");
+    let (probes, controller_saw) = publisher.join().expect("publisher thread");
 
-    let controller_status = endpoint.status();
     println!(
         "\nconnected {}/{} (failures {}), controller sees {} switches",
-        report.connected,
-        args.switches,
-        report.handshake_failures,
-        controller_status.connected_switches.len()
+        report.connected, args.switches, report.handshake_failures, controller_saw
     );
     println!(
         "connect latency: p50 {:.1?}  p95 {:.1?}  p99 {:.1?}  max {:.1?}",
@@ -254,7 +262,7 @@ fn main() {
         if probes.status_ok { "ok" } else { "FAILED" }
     );
 
-    let json_report = report_json(&args, &report, &probes);
+    let json_report = report_json(&args, &report, controller_saw, &probes);
     if let Some(parent) = std::path::Path::new(&args.out).parent() {
         let _ = std::fs::create_dir_all(parent);
     }
@@ -273,6 +281,12 @@ fn main() {
             failed.push(format!(
                 "only {}/{} connected",
                 report.connected, args.switches
+            ));
+        }
+        if controller_saw != args.switches {
+            failed.push(format!(
+                "the controller saw {controller_saw}/{} switches",
+                args.switches
             ));
         }
         if report.throughput_pps() < THROUGHPUT_FLOOR_PPS {

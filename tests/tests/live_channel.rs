@@ -1064,9 +1064,13 @@ struct SwitchPeer {
     flooded: u64,
     /// Every flow-mod the controller sent, in order, lost or not.
     flow_mods: Vec<FlowMod>,
+    /// Every flow-mod and stats request the controller sent, in order.
+    requests: Vec<OfBody>,
     /// How many rules under FloodGuard's cookie every flow-stats reply
     /// given listed, and how many of them were redirects, in order.
     answered: Vec<(usize, usize)>,
+    /// Table-stats counts answered so far.
+    counted: usize,
     /// The fraction of flow-mods lost before the switch applies them: the
     /// live twin of `netsim::Fault::FlowModLoss`.
     flow_mod_loss: f64,
@@ -1112,7 +1116,9 @@ impl SwitchPeer {
             cache,
             flooded: 0,
             flow_mods: Vec::new(),
+            requests: Vec::new(),
             answered: Vec::new(),
+            counted: 0,
             flow_mod_loss: 0.0,
             lost: 0,
             rng: 0x9E37_79B9_7F4A_7C15,
@@ -1185,6 +1191,9 @@ impl SwitchPeer {
         let now = self.start.elapsed().as_secs_f64();
         let cookie = FloodGuardConfig::default().cookie;
         for msg in ofproto::wire::decode_frames(&mut self.unread).unwrap() {
+            if matches!(msg.body, OfBody::FlowMod(_) | OfBody::StatsRequest(_)) {
+                self.requests.push(msg.body.clone());
+            }
             if let OfBody::FlowMod(fm) = &msg.body {
                 self.flow_mods.push(fm.clone());
                 if self.loses() {
@@ -1194,10 +1203,14 @@ impl SwitchPeer {
             }
             let (_, replies) = self.switch.handle_message(msg, now);
             for reply in replies {
-                if let OfBody::StatsReply(StatsReply::Flow(rules)) = &reply.body {
-                    let ours = rules.iter().filter(|r| r.cookie == cookie);
-                    let redirects = ours.clone().filter(|r| redirect(&r.of_match, r.priority));
-                    self.answered.push((ours.count(), redirects.count()));
+                match &reply.body {
+                    OfBody::StatsReply(StatsReply::Flow(rules)) => {
+                        let ours = rules.iter().filter(|r| r.cookie == cookie);
+                        let redirects = ours.clone().filter(|r| redirect(&r.of_match, r.priority));
+                        self.answered.push((ours.count(), redirects.count()));
+                    }
+                    OfBody::StatsReply(StatsReply::Table(_)) => self.counted += 1,
+                    _ => {}
                 }
                 self.stream
                     .write_all(&ofproto::wire::encode(&reply))
@@ -1245,6 +1258,31 @@ impl SwitchPeer {
     fn redirects(&self) -> usize {
         self.ours().keys().filter(|(m, p)| redirect(m, *p)).count()
     }
+
+    /// Deletes the rule of `of_match` and `priority` as another controller
+    /// would, and reports the removal to the controller as the switch
+    /// does.
+    fn delete_as_another_controller(&mut self, of_match: OfMatch, priority: u16) {
+        let delete = FlowMod::delete_strict(of_match, priority);
+        let now = self.start.elapsed().as_secs_f64();
+        let msg = OfMessage::new(Xid(0), OfBody::FlowMod(delete));
+        let (_, replies) = self.switch.handle_message(msg, now);
+        assert!(
+            matches!(
+                replies[..],
+                [OfMessage {
+                    body: OfBody::FlowRemoved(_),
+                    ..
+                }]
+            ),
+            "no FLOW_REMOVED: {replies:?}"
+        );
+        for reply in replies {
+            self.stream
+                .write_all(&ofproto::wire::encode(&reply))
+                .unwrap();
+        }
+    }
 }
 
 /// Whether a rule of FloodGuard's is one of its redirects.
@@ -1253,9 +1291,11 @@ fn redirect(of_match: &OfMatch, priority: u16) -> bool {
 }
 
 /// Mid-Defense the switch loses its table with the connection kept (no
-/// crash, no reconnect). Its next answer to the per-tick read says so, one
-/// repair round re-sends the migration rules and the installed proactive
-/// ones, the table converges, and the answers after that send nothing.
+/// crash, no reconnect) and says nothing of it. The next table-stats count,
+/// at most a second after the table was last asked about, shows fewer
+/// rules than FloodGuard's, so the table is read; one repair round re-sends
+/// the migration rules and the installed proactive ones, the table
+/// converges, and the counts after that send nothing.
 #[test]
 fn a_table_emptied_behind_the_controllers_back_is_repaired_in_one_round() {
     let (controller, mut peer, monitor) = SwitchPeer::behind_floodguard();
@@ -1329,12 +1369,54 @@ fn a_table_emptied_behind_the_controllers_back_is_repaired_in_one_round() {
         "one round is the two redirects and the installed rules ({sent_before}..={installed}), not {repaired}"
     );
 
-    // Ten more answers, all of a whole table: no second round.
-    let asked = peer.answered.len();
-    assert!(peer.flood_until(|peer| peer.answered.len() >= asked + 10));
+    // Two more counts, both of a whole table: no second round.
+    let counted = peer.counted;
+    assert!(peer.flood_until(|peer| peer.counted >= counted + 2));
     assert_eq!(monitor.lock().stats.rules_repaired, repaired);
     assert!(defending(), "still defending");
 
+    drop(controller);
+}
+
+/// A redirect another controller deletes comes back to FloodGuard as the
+/// switch's `FLOW_REMOVED`, and the next tick repairs it: the first thing
+/// FloodGuard sends the switch after the report is the redirect's add, with
+/// no flow-stats read and no count before it.
+#[test]
+fn a_redirect_deleted_by_another_controller_is_repaired_from_its_flow_removed() {
+    let (controller, mut peer, monitor) = SwitchPeer::behind_floodguard();
+    assert!(
+        peer.flood_until(|peer| {
+            let snap = monitor.lock();
+            snap.state == Some(State::Defense) && snap.stats.updates >= 1 && peer.redirects() == 2
+        }),
+        "no defense: {:?}",
+        monitor.lock().stats
+    );
+    let repaired = monitor.lock().stats.rules_repaired;
+    let port2 = OfMatch::any().with_in_port(2);
+    let priority = peer
+        .ours()
+        .keys()
+        .find(|(m, p)| *m == port2 && redirect(m, *p))
+        .expect("port 2's redirect")
+        .1;
+    let before = peer.requests.len();
+    peer.delete_as_another_controller(port2, priority);
+    assert_eq!(peer.redirects(), 1);
+    // The flood comes in on port 1, so it still goes to the cache: it keeps
+    // the defense up and teaches nothing.
+    assert!(
+        peer.flood_until(|peer| peer.redirects() == 2),
+        "not repaired: {:?}",
+        &peer.requests[before..]
+    );
+    let first = &peer.requests[before];
+    assert!(
+        matches!(first, OfBody::FlowMod(fm) if fm.of_match == port2 && fm.command == FlowModCommand::Add),
+        "the first request after the report was {first:?}"
+    );
+    assert_eq!(monitor.lock().stats.rules_repaired, repaired + 1);
     drop(controller);
 }
 
@@ -1343,7 +1425,9 @@ fn a_table_emptied_behind_the_controllers_back_is_repaired_in_one_round() {
 /// second of Defense. Once the loss lifts, its rules under FloodGuard's
 /// cookie are what FloodGuard wants within two reads (two telemetry ticks),
 /// and no redirect outlives the episode: a lost flow-mod shows up as a
-/// difference in the next read, which a count of the table cannot show.
+/// difference in the read that ends its round, and each answer that
+/// differs brings a round of its own. Once an answer shows no difference,
+/// no round is left, and the next thing the switch is asked is a count.
 #[test]
 fn lost_flow_mods_are_repaired_once_the_loss_lifts() {
     let (controller, mut peer, monitor) = SwitchPeer::behind_floodguard();
@@ -1361,12 +1445,12 @@ fn lost_flow_mods_are_repaired_once_the_loss_lifts() {
     assert_eq!(monitor.lock().state, Some(State::Defense));
 
     peer.flow_mod_loss = 0.0;
-    let asked = peer.answered.len();
-    assert!(peer.flood_until(|peer| peer.answered.len() >= asked + 2));
+    let (asked, counted) = (peer.answered.len(), peer.counted);
+    assert!(peer.flood_until(|peer| { peer.answered.len() >= asked + 2 || peer.counted > counted }));
     assert_eq!(
         peer.ours(),
         peer.wanted(),
-        "two reads after the loss lifted"
+        "two reads, or a count, after the loss lifted"
     );
     assert!(peer.redirects() > 0);
 
