@@ -57,7 +57,7 @@ pub mod state;
 use controller::platform::ControllerPlatform;
 use ofproto::actions::Action;
 use ofproto::flow_mod::FlowMod;
-use ofproto::messages::{ErrorMsg, OfBody, OfMessage, StatsReply};
+use ofproto::messages::{ErrorMsg, FlowRemovedReason, OfBody, OfMessage, StatsReply};
 use ofproto::types::{DatapathId, PortNo};
 use policy::Provenance;
 
@@ -520,6 +520,14 @@ impl FloodGuard {
         if !update.is_empty() {
             self.stats.updates += 1;
         }
+        // A rule the analyzer changed is wanted again where it had expired.
+        for sw in &mut self.tables.switches {
+            if !sw.expired.is_empty() {
+                for fm in update.to_remove.iter().chain(&update.to_add) {
+                    sw.expired.remove(&(fm.of_match, fm.priority));
+                }
+            }
+        }
         let cost = self.conversion_cost();
         if let Some(o) = self.obs.as_ref() {
             // Modeled conversion cost (the deterministic Fig. 13 stand-in),
@@ -642,7 +650,7 @@ impl FloodGuard {
 
     /// Switch `i`'s wanted table: its redirects, then the proactive rules
     /// while they are wanted ([`FloodGuard::proactive_wanted`]), less what
-    /// the switch refused.
+    /// the switch refused or timed out.
     fn want(&self, i: usize) -> Vec<FlowMod> {
         let sw = &self.tables.switches[i];
         let mut want = sw.redirects.clone();
@@ -650,8 +658,11 @@ impl FloodGuard {
             let proactive = self.analyzer.installed().iter();
             want.extend(proactive.map(|r| r.to_flow_mod().with_cookie(self.config.cookie)));
         }
-        if !sw.refused.is_empty() {
-            want.retain(|fm| !sw.refused.contains(&(fm.of_match, fm.priority)));
+        if !sw.refused.is_empty() || !sw.expired.is_empty() {
+            want.retain(|fm| {
+                let key = (fm.of_match, fm.priority);
+                !sw.refused.contains(&key) && !sw.expired.contains(&key)
+            });
         }
         want
     }
@@ -688,8 +699,8 @@ impl FloodGuard {
     /// table holds one rule per `(match, priority)`, so the answer is the
     /// wanted table when each of its rules in scope is wanted, with the
     /// actions every wanted rule of its key has, and it holds as many rules
-    /// as the wanted table has keys. No refused key is in the answer, so
-    /// each wanted one is a key the answer need not hold.
+    /// as the wanted table has keys. No refused or expired key is in the
+    /// answer, so each wanted one is a key the answer need not hold.
     fn differs(&self, i: usize) -> bool {
         let sw = &self.tables.switches[i];
         let Some(have) = &sw.have else {
@@ -739,7 +750,13 @@ impl FloodGuard {
             index.is_some_and(|index| index.contains_key(k))
                 || sw.redirects.iter().any(|fm| key(fm) == **k)
         });
-        matched + refused.count() != redirect_keys + index.map_or(0, |index| index.len())
+        // Expired keys are proactive ones, and never refused as well: no
+        // add of one is sent.
+        let expired = sw.expired.iter().filter(|k| {
+            index.is_some_and(|index| index.contains_key(k)) && !sw.refused.contains(k)
+        });
+        matched + refused.count() + expired.count()
+            != redirect_keys + index.map_or(0, |index| index.len())
     }
 
     /// The reconciler's part of a telemetry tick before the FSM's: for each
@@ -913,7 +930,9 @@ impl ControlPlane for FloodGuard {
             }
             // One of FloodGuard's rules is gone from it.
             OfBody::FlowRemoved(fr) if fr.cookie == self.config.cookie => {
-                if let Some(i) = self.tables.take_removed(dpid, (fr.of_match, fr.priority)) {
+                let timed_out = fr.reason != FlowRemovedReason::Delete;
+                let key = (fr.of_match, fr.priority);
+                if let Some(i) = self.tables.take_removed(dpid, key, timed_out) {
                     self.judge(i);
                 }
             }
@@ -1611,6 +1630,29 @@ mod tests {
         assert_eq!(peer.ours(), 63);
         // Keep the cache looking busy so the attack is not declared over.
         fg.cache_handle().lock().stats.received = 1000;
+    }
+
+    /// The proactive rules carry the apps' idle timeouts: one that idles
+    /// out of the switch is gone because it was not used, and its
+    /// `FLOW_REMOVED` is not a loss to repair. The redirects have none, and
+    /// stay.
+    #[test]
+    fn idle_proactive_rules_age_out_of_the_switch_and_stay_out() {
+        let mut fg = fg_with_l2();
+        let mut peer = Peer::new();
+        defend(&mut fg, &mut peer, &telemetry());
+        let mut now = 1.1;
+        for _ in 0..500 {
+            now += 0.05;
+            fg.cache_handle().lock().stats.received += 1000;
+            tick(&mut fg, &mut peer, &telemetry(), now);
+            for msg in peer.switch.expire(now) {
+                fg.on_message(DatapathId(1), msg, now, &mut ControlOutput::new());
+            }
+            assert_eq!(fg.state(), State::Defense);
+        }
+        assert_eq!(fg.stats.rules_repaired, 0);
+        assert_eq!((peer.redirects(), peer.ours()), (3, 3));
     }
 
     #[test]

@@ -18,7 +18,9 @@
 //! Between rounds `have` moves only on what the switch volunteers. Every
 //! add carries `OFPFF_SEND_FLOW_REM`, so a rule of FloodGuard's that the
 //! switch drops (a timeout, another controller's delete) comes back as a
-//! `FLOW_REMOVED` that takes it out of `have`. An add the switch refuses
+//! `FLOW_REMOVED` that takes it out of `have`. A proactive rule that timed
+//! out was not used: it stays out of `want` until the analyzer's rules
+//! change for its key. An add the switch refuses
 //! (`OFPET_FLOW_MOD_FAILED`, a full table) is matched to the round's
 //! flow_mod by xid and by the match, cookie and priority the error echoes,
 //! and is left out of later rounds until there is evidence of room. A
@@ -72,6 +74,9 @@ pub(crate) struct SwitchTables {
     /// Adds the switch refused, kept out of rounds until there is evidence
     /// of room. None of them is in `have`.
     pub(crate) refused: HashSet<Key>,
+    /// Proactive rules the switch timed out, kept out of `want` until the
+    /// analyzer's rules change for their key. None of them is in `have`.
+    pub(crate) expired: HashSet<Key>,
     /// The latest answer differed from `want` as it stood then.
     pub(crate) differs: bool,
     /// Finish's teardown stopped waiting for this switch.
@@ -151,6 +156,7 @@ impl Reconciler {
                 asked_at: f64::NEG_INFINITY,
                 in_flight: Vec::new(),
                 refused: HashSet::new(),
+                expired: HashSet::new(),
                 differs: false,
                 given_up: false,
             });
@@ -252,11 +258,20 @@ impl Reconciler {
 
     /// Takes `dpid`'s report that a rule under FloodGuard's cookie is gone
     /// from its table: out of `have`, and, as room was freed, nothing stays
-    /// refused. Returns the switch's index.
-    pub(crate) fn take_removed(&mut self, dpid: DatapathId, key: Key) -> Option<usize> {
+    /// refused. A proactive rule that `timed_out` stays out of `want`.
+    /// Returns the switch's index.
+    pub(crate) fn take_removed(
+        &mut self,
+        dpid: DatapathId,
+        key: Key,
+        timed_out: bool,
+    ) -> Option<usize> {
         let i = self.index(dpid)?;
         let sw = &mut self.switches[i];
         sw.refused.clear();
+        if timed_out && !MigrationAgent::is_redirect(&key.0, key.1) {
+            sw.expired.insert(key);
+        }
         if let Some(have) = &mut sw.have {
             if let Some(at) = have.iter().position(|r| (r.of_match, r.priority) == key) {
                 let gone = have.remove(at);
@@ -318,9 +333,10 @@ impl Reconciler {
         // barrier's reply, and so before this answer.
         sw.in_flight.clear();
         let have = std::mem::take(&mut sw.parts);
-        if !sw.refused.is_empty() {
+        if !sw.refused.is_empty() || !sw.expired.is_empty() {
             let held: HashSet<Key> = have.iter().map(|r| (r.of_match, r.priority)).collect();
             sw.refused.retain(|key| !held.contains(key));
+            sw.expired.retain(|key| !held.contains(key));
         }
         let redirect = |r: &&FlowStats| MigrationAgent::is_redirect(&r.of_match, r.priority);
         sw.redirects_held = have.iter().filter(redirect).count();

@@ -17,10 +17,11 @@
 //! with [`SendError::Backpressure`] instead of buffering without limit.
 //! All queues of one endpoint additionally draw from one [`SendBudget`].
 
+use std::cell::{Cell, RefCell};
 use std::future::{poll_fn, Future};
 use std::io;
 use std::net::{Shutdown, SocketAddr};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::rc::Rc;
 use std::sync::Arc;
 use std::task::{Poll, Waker};
 use std::time::{Duration, Instant};
@@ -29,7 +30,6 @@ use bytes::{Bytes, BytesMut};
 use ofproto::messages::{FeaturesReply, OfBody, OfMessage};
 use ofproto::types::Xid;
 use ofproto::wire;
-use parking_lot::Mutex;
 use tokio::sync::mpsc;
 
 use crate::config::ChannelConfig;
@@ -51,29 +51,29 @@ pub(crate) enum SendError {
 
 /// The endpoint-wide pool of in-flight frame permits.
 pub(crate) struct SendBudget {
-    permits: AtomicUsize,
+    permits: Cell<usize>,
 }
 
 impl SendBudget {
-    pub(crate) fn new(permits: usize) -> Arc<SendBudget> {
-        Arc::new(SendBudget {
-            permits: AtomicUsize::new(permits.max(1)),
+    pub(crate) fn new(permits: usize) -> Rc<SendBudget> {
+        Rc::new(SendBudget {
+            permits: Cell::new(permits.max(1)),
         })
     }
 
     fn try_acquire(&self) -> bool {
-        self.permits
-            .fetch_update(Ordering::AcqRel, Ordering::Acquire, |p| p.checked_sub(1))
-            .is_ok()
+        let left = self.permits.get().checked_sub(1);
+        self.permits.set(left.unwrap_or(0));
+        left.is_some()
     }
 
     fn release(&self) {
-        self.permits.fetch_add(1, Ordering::AcqRel);
+        self.permits.set(self.permits.get() + 1);
     }
 }
 
 /// One connection's outbound queue: encoded frames back to back in `bytes`,
-/// the length of each in `lens`. Producers append under the lock; the writer
+/// the length of each in `lens`. Producers append to them; the writer
 /// swaps both vectors out for its own emptied pair, so a frame is written
 /// once when it is encoded and read once by the socket.
 #[derive(Default)]
@@ -93,8 +93,8 @@ pub(crate) struct SendQueue {
     /// Most frames that may be queued at once; frames the writer has taken
     /// no longer count.
     cap: usize,
-    out: Mutex<Outbound>,
-    budget: Arc<SendBudget>,
+    out: RefCell<Outbound>,
+    budget: Rc<SendBudget>,
     counters: Arc<ChannelCounters>,
 }
 
@@ -103,12 +103,12 @@ impl SendQueue {
     /// Nothing is allocated for frames until the first one is sent.
     pub(crate) fn new(
         cap: usize,
-        budget: Arc<SendBudget>,
+        budget: Rc<SendBudget>,
         counters: Arc<ChannelCounters>,
-    ) -> (FrameSender, Arc<SendQueue>) {
-        let queue = Arc::new(SendQueue {
+    ) -> (FrameSender, Rc<SendQueue>) {
+        let queue = Rc::new(SendQueue {
             cap: cap.max(1),
-            out: Mutex::new(Outbound {
+            out: RefCell::new(Outbound {
                 senders: 1,
                 ..Outbound::default()
             }),
@@ -117,7 +117,7 @@ impl SendQueue {
         });
         (
             FrameSender {
-                queue: Arc::clone(&queue),
+                queue: Rc::clone(&queue),
             },
             queue,
         )
@@ -128,7 +128,7 @@ impl SendQueue {
     /// gone and nothing is queued.
     async fn take(&self, bytes: &mut Vec<u8>, lens: &mut Vec<usize>) -> bool {
         poll_fn(|cx| {
-            let mut out = self.out.lock();
+            let mut out = self.out.borrow_mut();
             if !out.lens.is_empty() {
                 std::mem::swap(&mut out.bytes, bytes);
                 std::mem::swap(&mut out.lens, lens);
@@ -144,10 +144,9 @@ impl SendQueue {
     }
 
     /// Refuses further sends and gives back the permits of frames still
-    /// queued. Both under one lock, so no frame can slip in behind the drain
-    /// and strand its permit.
+    /// queued.
     fn close(&self) {
-        let mut out = self.out.lock();
+        let mut out = self.out.borrow_mut();
         out.closed = true;
         for _ in out.lens.drain(..) {
             self.budget.release();
@@ -161,7 +160,7 @@ impl SendQueue {
 /// one connection: its reader answers keepalive through one, its owner
 /// routes messages through another.
 pub(crate) struct FrameSender {
-    queue: Arc<SendQueue>,
+    queue: Rc<SendQueue>,
 }
 
 impl FrameSender {
@@ -172,7 +171,7 @@ impl FrameSender {
             return Err(SendError::Backpressure);
         }
         let queued = {
-            let mut guard = queue.out.lock();
+            let mut guard = queue.out.borrow_mut();
             let out = &mut *guard;
             if out.closed {
                 Err(SendError::Closed)
@@ -205,9 +204,9 @@ impl FrameSender {
 
 impl Clone for FrameSender {
     fn clone(&self) -> FrameSender {
-        self.queue.out.lock().senders += 1;
+        self.queue.out.borrow_mut().senders += 1;
         FrameSender {
-            queue: Arc::clone(&self.queue),
+            queue: Rc::clone(&self.queue),
         }
     }
 }
@@ -215,7 +214,7 @@ impl Clone for FrameSender {
 impl Drop for FrameSender {
     fn drop(&mut self) {
         let writer = {
-            let mut out = self.queue.out.lock();
+            let mut out = self.queue.out.borrow_mut();
             out.senders -= 1;
             if out.senders > 0 {
                 return;
@@ -234,7 +233,7 @@ impl Drop for FrameSender {
 /// [`ChannelConfig::send_queue_cap`] frames, and no longer counts against
 /// that bound. Every frame still gives back its own [`SendBudget`] permit
 /// after the write and, once written, is counted on its own, in queue order.
-async fn write_loop(queue: Arc<SendQueue>, mut write_half: tokio::net::OwnedWriteHalf) {
+async fn write_loop(queue: Rc<SendQueue>, mut write_half: tokio::net::OwnedWriteHalf) {
     // This pair and the queue's change places on every write; all four
     // vectors stay unallocated until the first frame, so an idle connection
     // costs nothing.
@@ -262,9 +261,8 @@ async fn write_loop(queue: Arc<SendQueue>, mut write_half: tokio::net::OwnedWrit
 /// session's owner.
 struct Link {
     socket: std::net::TcpStream,
-    opened: Instant,
-    /// Milliseconds after `opened` at which the last frame arrived.
-    last_rx_ms: AtomicU64,
+    /// When the last frame arrived; at first, when the connection opened.
+    last_rx: Cell<Instant>,
 }
 
 impl Link {
@@ -276,7 +274,7 @@ impl Link {
 /// An owner's handle on one open connection: sends, keepalive, teardown.
 pub(crate) struct Conn {
     sender: FrameSender,
-    link: Arc<Link>,
+    link: Rc<Link>,
     last_echo: Instant,
     timed_out: bool,
 }
@@ -314,8 +312,7 @@ impl Conn {
                 OfBody::EchoRequest(Bytes::new()),
             ));
         }
-        let last_rx = Duration::from_millis(self.link.last_rx_ms.load(Ordering::Relaxed));
-        let idle = self.link.opened.elapsed().saturating_sub(last_rx);
+        let idle = self.link.last_rx.get().elapsed();
         if !self.timed_out && idle >= cfg.liveness_timeout {
             self.timed_out = true;
             counters.record_keepalive_timeout();
@@ -331,7 +328,7 @@ pub(crate) struct FrameReader {
     buf: BytesMut,
     chunk: Vec<u8>,
     decoded: std::vec::IntoIter<OfMessage>,
-    link: Arc<Link>,
+    link: Rc<Link>,
     echo: FrameSender,
     counters: Arc<ChannelCounters>,
 }
@@ -357,8 +354,7 @@ impl FrameReader {
             }
             match wire::decode_frames(&mut self.buf) {
                 Ok(msgs) if !msgs.is_empty() => {
-                    let at = self.link.opened.elapsed().as_millis() as u64;
-                    self.link.last_rx_ms.store(at, Ordering::Relaxed);
+                    self.link.last_rx.set(Instant::now());
                     self.decoded = msgs.into_iter();
                     continue;
                 }
@@ -395,24 +391,23 @@ pub(crate) fn open(
     stream: tokio::net::TcpStream,
     residue: BytesMut,
     cfg: &ChannelConfig,
-    budget: &Arc<SendBudget>,
+    budget: &Rc<SendBudget>,
     counters: &Arc<ChannelCounters>,
 ) -> io::Result<(Conn, FrameReader)> {
-    let link = Arc::new(Link {
+    let link = Rc::new(Link {
         socket: stream.try_clone_std()?,
-        opened: Instant::now(),
-        last_rx_ms: AtomicU64::new(0),
+        last_rx: Cell::new(Instant::now()),
     });
     let (read_half, write_half) = stream.into_split()?;
     let (sender, queue) =
-        SendQueue::new(cfg.send_queue_cap, Arc::clone(budget), Arc::clone(counters));
+        SendQueue::new(cfg.send_queue_cap, Rc::clone(budget), Arc::clone(counters));
     tokio::spawn(write_loop(queue, write_half));
     let reader = FrameReader {
         read_half,
         buf: residue,
         chunk: vec![0u8; READ_CHUNK],
         decoded: Vec::new().into_iter(),
-        link: Arc::clone(&link),
+        link: Rc::clone(&link),
         echo: sender.clone(),
         counters: Arc::clone(counters),
     };
@@ -430,9 +425,9 @@ pub(crate) fn open(
 pub(crate) struct Shared<E> {
     pub(crate) cfg: ChannelConfig,
     pub(crate) counters: Arc<ChannelCounters>,
-    budget: Arc<SendBudget>,
+    budget: Rc<SendBudget>,
     events: mpsc::Sender<E>,
-    keys: AtomicU64,
+    keys: Cell<u64>,
 }
 
 impl<E> Shared<E> {
@@ -443,13 +438,13 @@ impl<E> Shared<E> {
         counters: Arc<ChannelCounters>,
         budget: usize,
         events: mpsc::Sender<E>,
-    ) -> Arc<Shared<E>> {
-        Arc::new(Shared {
+    ) -> Rc<Shared<E>> {
+        Rc::new(Shared {
             cfg,
             counters,
             budget: SendBudget::new(budget),
             events,
-            keys: AtomicU64::new(0),
+            keys: Cell::new(0),
         })
     }
 
@@ -465,7 +460,7 @@ impl<E> Shared<E> {
         connected: impl FnOnce(u64, Conn) -> E,
         inbound: impl Fn(u64, Option<OfMessage>) -> E,
     ) -> bool {
-        let key = self.keys.fetch_add(1, Ordering::Relaxed);
+        let key = self.keys.replace(self.keys.get() + 1);
         let Ok((conn, mut reader)) = open(stream, residue, &self.cfg, &self.budget, &self.counters)
         else {
             self.counters.record_connect_failure();
@@ -491,7 +486,7 @@ pub(crate) async fn accept_each<F>(
     listener: std::net::TcpListener,
     serve: impl Fn(tokio::net::TcpStream) -> F,
 ) where
-    F: Future<Output = ()> + Send + 'static,
+    F: Future<Output = ()> + 'static,
 {
     let Ok(listener) = tokio::net::TcpListener::from_std(listener) else {
         return;
@@ -530,16 +525,15 @@ impl Conn {
     /// it piles up in the returned queue.
     pub(crate) fn unserved(
         cap: usize,
-        budget: &Arc<SendBudget>,
+        budget: &Rc<SendBudget>,
         counters: &Arc<ChannelCounters>,
-    ) -> (Conn, Arc<SendQueue>) {
-        let (sender, queue) = SendQueue::new(cap, Arc::clone(budget), Arc::clone(counters));
+    ) -> (Conn, Rc<SendQueue>) {
+        let (sender, queue) = SendQueue::new(cap, Rc::clone(budget), Arc::clone(counters));
         let conn = Conn {
             sender,
-            link: Arc::new(Link {
+            link: Rc::new(Link {
                 socket: tests::socket_pair().0,
-                opened: Instant::now(),
-                last_rx_ms: AtomicU64::new(0),
+                last_rx: Cell::new(Instant::now()),
             }),
             last_echo: Instant::now(),
             timed_out: false,
@@ -552,7 +546,7 @@ impl Conn {
 impl SendQueue {
     /// Empties the queue and decodes what was in it.
     pub(crate) fn drain_decoded(&self) -> Vec<OfMessage> {
-        let mut out = self.out.lock();
+        let mut out = self.out.borrow_mut();
         out.lens.clear();
         let mut buf = BytesMut::new();
         buf.extend_from_slice(&std::mem::take(&mut out.bytes));
@@ -564,7 +558,6 @@ impl SendQueue {
 mod tests {
     use super::*;
     use std::io::{Read, Write};
-    use std::sync::Barrier;
 
     use ofproto::types::DatapathId;
 
@@ -573,13 +566,13 @@ mod tests {
 
     /// One accepted connection with [`write_loop`]'s inputs laid out, the
     /// writer not yet started: frames sent now pile up in the queue. The
-    /// writer runs on a thread of its own ([`drive`]), so the test's thread
-    /// can play the peer with blocking reads.
+    /// writer runs on the test's thread, inside `block_on`; the peer reads
+    /// with blocking calls on a helper thread ([`peer_reads`]).
     struct Rig {
         rt: tokio::runtime::Runtime,
         peer: std::net::TcpStream,
         sender: FrameSender,
-        queue: Arc<SendQueue>,
+        queue: Rc<SendQueue>,
         read_half: tokio::net::OwnedReadHalf,
         write_half: tokio::net::OwnedWriteHalf,
     }
@@ -614,16 +607,23 @@ mod tests {
         }
     }
 
-    /// Runs `future` on `rt` on a thread of its own, and hands the runtime
-    /// back with the output.
-    fn drive<T: Send + 'static>(
-        rt: tokio::runtime::Runtime,
-        future: impl Future<Output = T> + Send + 'static,
-    ) -> std::thread::JoinHandle<(tokio::runtime::Runtime, T)> {
-        std::thread::spawn(move || {
-            let out = rt.block_on(future);
-            (rt, out)
-        })
+    /// Reads `count` frames off `peer` on a thread of its own.
+    fn peer_reads(
+        mut peer: std::net::TcpStream,
+        count: usize,
+    ) -> std::thread::JoinHandle<Vec<OfMessage>> {
+        peer.set_read_timeout(Some(Duration::from_secs(30)))
+            .expect("timeout");
+        std::thread::spawn(move || read_frames(&mut peer, count))
+    }
+
+    /// Runs the runtime's tasks until `thread` has finished.
+    async fn until_finished<T>(thread: &std::thread::JoinHandle<T>) {
+        let deadline = Instant::now() + Duration::from_secs(30);
+        while !thread.is_finished() {
+            assert!(Instant::now() < deadline, "the peer never finished");
+            tokio::time::sleep(Duration::from_millis(1)).await;
+        }
     }
 
     fn frame(i: usize) -> OfMessage {
@@ -632,7 +632,7 @@ mod tests {
     }
 
     fn permits(queue: &SendQueue) -> usize {
-        queue.budget.permits.load(Ordering::Acquire)
+        queue.budget.permits.get()
     }
 
     /// Reads frames off `peer` until `count` have arrived.
@@ -657,7 +657,7 @@ mod tests {
         const FRAMES: usize = 1024;
         let Rig {
             rt,
-            mut peer,
+            peer,
             sender,
             queue,
             read_half: _read_half,
@@ -667,16 +667,14 @@ mod tests {
             sender.send(&frame(i)).expect("queue holds every frame");
         }
         assert_eq!(permits(&queue), 0);
-        let writer = drive(rt, write_loop(Arc::clone(&queue), write_half));
+        // With every sender gone the writer ends once it has written all.
+        drop(sender);
+        let reads = peer_reads(peer, FRAMES);
+        rt.block_on(write_loop(Rc::clone(&queue), write_half));
 
-        // The peer resumes reading.
-        for (i, msg) in read_frames(&mut peer, FRAMES).iter().enumerate() {
+        for (i, msg) in reads.join().expect("peer").iter().enumerate() {
             assert_eq!(*msg, frame(i), "frame {i} out of order or damaged");
         }
-
-        // With every sender gone the writer runs out of frames and ends.
-        drop(sender);
-        writer.join().expect("writer panicked");
         let snap = queue.counters.snapshot();
         assert_eq!(snap.frames_out, FRAMES as u64);
         assert_eq!(snap.bytes_out, (FRAMES * FRAME) as u64);
@@ -702,25 +700,29 @@ mod tests {
                 .expect("queue holds the first frames");
             accepted += 1;
         }
-        let writer = drive(rt, write_loop(Arc::clone(&queue), write_half));
+        let writer = rt.spawn(write_loop(Rc::clone(&queue), write_half));
         // One frame read proves the writer is under way; then the peer
         // vanishes with the rest unread.
-        let mut first = vec![0u8; FRAME];
-        peer.read_exact(&mut first).expect("first frame");
-        drop(peer);
+        let vanish = std::thread::spawn(move || {
+            let mut first = vec![0u8; FRAME];
+            peer.read_exact(&mut first).expect("first frame");
+        });
 
         // Keep frames coming until the writer has hit the dead socket and
         // closed its queue, however much the kernel buffered before that.
-        let deadline = Instant::now() + Duration::from_secs(30);
-        loop {
-            match sender.send(&frame(0)) {
-                Ok(()) => accepted += 1,
-                Err(SendError::Backpressure) => std::thread::yield_now(),
-                Err(SendError::Closed) => break,
+        rt.block_on(async {
+            let deadline = Instant::now() + Duration::from_secs(30);
+            loop {
+                match sender.send(&frame(0)) {
+                    Ok(()) => accepted += 1,
+                    Err(SendError::Backpressure) => tokio::task::yield_now().await,
+                    Err(SendError::Closed) => break,
+                }
+                assert!(Instant::now() < deadline, "writer never noticed the reset");
             }
-            assert!(Instant::now() < deadline, "writer never noticed the reset");
-        }
-        let (rt, ()) = writer.join().expect("writer panicked");
+            writer.await.expect("writer panicked");
+        });
+        vanish.join().expect("peer");
 
         // Written, failed and stranded frames all gave their permits back,
         // while a sender is still alive.
@@ -751,14 +753,14 @@ mod tests {
         const CAP: usize = 8;
         let Rig {
             rt,
-            mut peer,
+            peer,
             sender,
             queue,
             read_half: _read_half,
             write_half,
         } = rig(CAP, 4 * CAP);
         {
-            let out = queue.out.lock();
+            let out = queue.out.borrow();
             assert_eq!((out.bytes.capacity(), out.lens.capacity()), (0, 0));
         }
         for i in 0..CAP {
@@ -773,22 +775,25 @@ mod tests {
         // Frames the writer has taken no longer count: with the peer not
         // reading yet, a second capful is accepted as soon as the first is
         // in the writer's hands.
-        let writer = drive(rt, write_loop(Arc::clone(&queue), write_half));
-        let deadline = Instant::now() + Duration::from_secs(30);
-        let mut sent = CAP;
-        while sent < 2 * CAP {
-            match sender.send(&frame(sent)) {
-                Ok(()) => sent += 1,
-                Err(SendError::Backpressure) => std::thread::yield_now(),
-                Err(SendError::Closed) => panic!("writer stopped"),
+        let writer = rt.spawn(write_loop(Rc::clone(&queue), write_half));
+        rt.block_on(async {
+            let deadline = Instant::now() + Duration::from_secs(30);
+            let mut sent = CAP;
+            while sent < 2 * CAP {
+                match sender.send(&frame(sent)) {
+                    Ok(()) => sent += 1,
+                    Err(SendError::Backpressure) => tokio::task::yield_now().await,
+                    Err(SendError::Closed) => panic!("writer stopped"),
+                }
+                assert!(Instant::now() < deadline, "writer never took the queue");
             }
-            assert!(Instant::now() < deadline, "writer never took the queue");
-        }
-        for (i, msg) in read_frames(&mut peer, 2 * CAP).iter().enumerate() {
+        });
+        let reads = peer_reads(peer, 2 * CAP);
+        drop(sender);
+        rt.block_on(writer).expect("writer panicked");
+        for (i, msg) in reads.join().expect("peer").iter().enumerate() {
             assert_eq!(*msg, frame(i));
         }
-        drop(sender);
-        writer.join().expect("writer panicked");
         assert_eq!(queue.counters.snapshot().frames_out, 2 * CAP as u64);
         assert_eq!(permits(&queue), 4 * CAP);
     }
@@ -798,44 +803,44 @@ mod tests {
         const EACH: usize = 200;
         let Rig {
             rt,
-            mut peer,
+            peer,
             sender,
             queue,
             read_half: _read_half,
             write_half,
         } = rig(2 * EACH + 1, 2 * EACH + 1);
-        let writer = drive(rt, write_loop(Arc::clone(&queue), write_half));
+        let writer = rt.spawn(write_loop(Rc::clone(&queue), write_half));
 
         // Nothing else is queued and nothing follows: the writer must not
         // be waiting for company.
-        peer.set_read_timeout(Some(Duration::from_secs(30)))
-            .expect("timeout");
+        let reads = peer_reads(peer.try_clone().expect("clone"), 1);
         sender.send(&frame(7)).expect("lone frame");
-        assert_eq!(read_frames(&mut peer, 1), vec![frame(7)]);
+        rt.block_on(until_finished(&reads));
+        assert_eq!(reads.join().expect("peer"), vec![frame(7)]);
 
-        // The reader task's echo replies and the control loop's messages
-        // from two threads, neither of them the writer's: one queue,
+        // The reader task's echo replies and the control loop's messages,
+        // two tasks on the writer's thread taking turns: one queue,
         // released together.
-        let start = Barrier::new(2);
-        let echo = sender.clone();
         let tagged = |tag: u32, i: usize| {
             OfMessage::new(Xid(tag << 16 | i as u32), OfBody::EchoReply(Bytes::new()))
         };
-        let got = std::thread::scope(|s| {
-            s.spawn(|| {
-                start.wait();
+        let reads = peer_reads(peer, 2 * EACH);
+        let producers = [(1, sender.clone()), (2, sender)].map(|(tag, sender)| {
+            rt.spawn(async move {
                 for i in 0..EACH {
-                    echo.send(&tagged(1, i)).expect("echo side");
+                    sender.send(&tagged(tag, i)).expect("room");
+                    tokio::task::yield_now().await;
                 }
-            });
-            s.spawn(|| {
-                start.wait();
-                for i in 0..EACH {
-                    sender.send(&tagged(2, i)).expect("control side");
-                }
-            });
-            read_frames(&mut peer, 2 * EACH)
+            })
         });
+        rt.block_on(async {
+            for producer in producers {
+                producer.await.expect("producer");
+            }
+            // With both senders gone the writer ends once it has drained.
+            writer.await.expect("writer panicked");
+        });
+        let got = reads.join().expect("peer");
         // Whole frames only, and each producer's in its own order.
         for tag in [1, 2] {
             let mine: Vec<&OfMessage> = got.iter().filter(|m| m.xid.0 >> 16 == tag).collect();
@@ -844,25 +849,20 @@ mod tests {
                 assert_eq!(*msg, tagged(tag, i));
             }
         }
-        drop((sender, echo));
-        writer.join().expect("writer panicked");
         assert_eq!(permits(&queue), 2 * EACH + 1);
     }
 
     // Whole connections: both ends opened the way the endpoints open them.
 
     fn runtime() -> tokio::runtime::Runtime {
-        tokio::runtime::Builder::new_current_thread()
-            .enable_all()
-            .build()
-            .expect("runtime")
+        tokio::runtime::Runtime::new().expect("runtime")
     }
 
     struct End {
         conn: Conn,
         reader: FrameReader,
         counters: Arc<ChannelCounters>,
-        budget: Arc<SendBudget>,
+        budget: Rc<SendBudget>,
     }
 
     const PERMITS: usize = 64;
@@ -981,7 +981,7 @@ mod tests {
                     assert!(Instant::now() < deadline, "writer never closed its queue");
                     tokio::time::sleep(Duration::from_millis(1)).await;
                 }
-                assert_eq!(victim.budget.permits.load(Ordering::Acquire), PERMITS);
+                assert_eq!(victim.budget.permits.get(), PERMITS);
                 assert_eq!(peer.counters.snapshot().decode_errors, 0);
             }
         });

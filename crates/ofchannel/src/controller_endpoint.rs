@@ -61,8 +61,9 @@ use std::collections::{HashMap, HashSet};
 use std::hash::{BuildHasher, Hasher};
 use std::io;
 use std::net::SocketAddr;
+use std::rc::Rc;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -71,7 +72,6 @@ use ofproto::flow_match::OfMatch;
 use ofproto::flow_mod::{FlowMod, FlowModCommand};
 use ofproto::messages::{FeaturesReply, OfBody, OfMessage};
 use ofproto::types::DatapathId;
-use parking_lot::Mutex;
 use tokio::sync::mpsc;
 
 use crate::config::ChannelConfig;
@@ -279,12 +279,12 @@ impl ControllerView {
 
     /// Current connection table.
     pub fn status(&self) -> ControllerStatus {
-        self.status.lock().clone()
+        crate::lock(&self.status).clone()
     }
 
     /// The mirrored flow tables, keyed by raw datapath id.
     pub fn flow_tables(&self) -> HashMap<u64, Vec<FlowRuleView>> {
-        let tables = self.tables.lock();
+        let tables = crate::lock(&self.tables);
         tables
             .iter()
             .map(|(dpid, table)| (*dpid, table.rules.clone()))
@@ -299,13 +299,13 @@ pub struct ControllerEndpoint {
     tables: Tables,
     shutdown: Arc<AtomicBool>,
     local_addr: SocketAddr,
-    handle: Option<JoinHandle<Box<dyn ControlPlane>>>,
+    handle: Option<JoinHandle<Option<Box<dyn ControlPlane>>>>,
 }
 
 impl std::fmt::Debug for ControllerEndpoint {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ControllerEndpoint")
-            .field("status", &*self.status.lock())
+            .field("status", &self.status())
             .finish()
     }
 }
@@ -318,8 +318,8 @@ impl ControllerEndpoint {
     ///
     /// # Errors
     ///
-    /// Fails when the listener cannot bind or the endpoint's thread cannot
-    /// start.
+    /// Fails when the listener cannot bind, or the endpoint's thread or its
+    /// runtime cannot start.
     pub fn listen(
         control: Box<dyn ControlPlane>,
         addr: SocketAddr,
@@ -336,13 +336,11 @@ impl ControllerEndpoint {
             let status = Arc::clone(&status);
             let tables = Arc::clone(&tables);
             let shutdown = Arc::clone(&shutdown);
-            std::thread::Builder::new()
-                .name("ofchannel-controller".to_owned())
-                .spawn(move || {
-                    run(
-                        control, listener, config, counters, status, tables, shutdown,
-                    )
-                })?
+            crate::start("ofchannel-controller", move |rt| {
+                rt.block_on(run(
+                    control, listener, config, counters, status, tables, shutdown,
+                ))
+            })?
         };
         Ok(ControllerEndpoint {
             counters,
@@ -367,7 +365,7 @@ impl ControllerEndpoint {
 
     /// Current connection table.
     pub fn status(&self) -> ControllerStatus {
-        self.status.lock().clone()
+        crate::lock(&self.status).clone()
     }
 
     /// A cloneable read-only view for dashboards and the ops surface.
@@ -386,6 +384,8 @@ impl ControllerEndpoint {
             .take()
             .expect("endpoint already shut down")
             .join()
+            .ok()
+            .flatten()
             .expect("controller endpoint thread panicked")
     }
 }
@@ -475,7 +475,7 @@ const EVENT_CHANNEL_CAP: usize = 4096;
 
 type Shared = conn::Shared<Event>;
 
-fn run(
+async fn run(
     control: Box<dyn ControlPlane>,
     listener: std::net::TcpListener,
     config: ControllerConfig,
@@ -484,10 +484,6 @@ fn run(
     tables: Tables,
     shutdown: Arc<AtomicBool>,
 ) -> Box<dyn ControlPlane> {
-    let rt = tokio::runtime::Builder::new_current_thread()
-        .enable_all()
-        .build()
-        .expect("build controller runtime");
     let (events_tx, events_rx) = mpsc::channel::<Event>(EVENT_CHANNEL_CAP);
     let shared = Shared::new(
         config.channel,
@@ -497,20 +493,19 @@ fn run(
     );
     // Every inbound dial is a task of its own; the control loop holds the
     // only receiver, and this thread runs them all.
-    rt.spawn(conn::accept_each(listener, move |stream| {
-        accepted(stream, Arc::clone(&shared))
+    tokio::spawn(conn::accept_each(listener, move |stream| {
+        accepted(stream, Rc::clone(&shared))
     }));
-    let control = rt.block_on(control_loop(
+    control_loop(
         control, events_rx, config, counters, status, tables, shutdown,
-    ));
-    drop(rt);
-    control
+    )
+    .await
 }
 
 /// One inbound dial: handshake under its deadline, then the connection,
 /// reported to the control loop. A dial that does not complete the handshake
 /// is a counted connect failure.
-async fn accepted(mut stream: tokio::net::TcpStream, shared: Arc<Shared>) {
+async fn accepted(mut stream: tokio::net::TcpStream, shared: Rc<Shared>) {
     let Ok((features, residue)) = handshake::initiate_async(&mut stream, &shared.cfg).await else {
         shared.counters.record_connect_failure();
         return;
@@ -670,7 +665,7 @@ async fn control_loop(
                 .collect();
             devices.sort_unstable_by_key(|d| d.0);
             devices.dedup();
-            let mut st = status.lock();
+            let mut st = crate::lock(&status);
             st.connected_switches = switches;
             st.connected_devices = devices;
         }
@@ -749,7 +744,7 @@ fn flush(conns: &ConnTable, tables: &Mutex<HashMap<u64, TableMirror>>, out: &mut
         };
         let _ = st.conn.send(&msg);
         if let OfBody::FlowMod(fm) = &msg.body {
-            tables.lock().entry(dpid.0).or_default().apply(fm);
+            crate::lock(tables).entry(dpid.0).or_default().apply(fm);
         }
     }
     out.reset();
@@ -861,11 +856,11 @@ mod tests {
                     .with_priority(priority)
                     .with_cookie(step as u64);
                 fm.command = commands[command];
-                view.tables.lock().entry(1).or_default().apply(&fm);
+                view.tables.lock().unwrap().entry(1).or_default().apply(&fm);
                 mirror_by_scan(&mut scanned, &fm);
                 let tables = view.flow_tables();
                 proptest::prop_assert_eq!(&tables[&1], &scanned, "after step {}: {:?}", step, fm);
-                let mirror = view.tables.lock();
+                let mirror = view.tables.lock().unwrap();
                 proptest::prop_assert_eq!(mirror[&1].index.len(), scanned.len());
             }
         }
@@ -941,7 +936,11 @@ mod tests {
         );
         assert_eq!(counters.snapshot().reconnects, 1);
         assert_eq!(
-            tables.lock().get(&1).map(|table| table.rules.len()),
+            tables
+                .lock()
+                .unwrap()
+                .get(&1)
+                .map(|table| table.rules.len()),
             Some(1),
             "only what reached A is mirrored"
         );

@@ -434,10 +434,10 @@ mod tests {
     /// endpoints and a plain `std::net` peer run the same machine.
     #[test]
     fn blocking_initiate_async_accept_interop() {
-        let rt = tokio::runtime::Runtime::new().unwrap();
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap();
         let server = std::thread::spawn(move || {
+            let rt = tokio::runtime::Runtime::new().unwrap();
             let (stream, _) = listener.accept().unwrap();
             let mut stream = rt.block_on(async { tokio::net::TcpStream::from_std(stream) })?;
             rt.block_on(accept_async(

@@ -58,6 +58,9 @@ pub use counters::{ChannelCounters, CountersSnapshot};
 pub use swarm::{run_swarm, SwarmConfig, SwarmReport};
 pub use switch_endpoint::SwitchEndpoint;
 
+use std::sync::{Mutex, MutexGuard};
+use std::thread::JoinHandle;
+
 use netsim::iface::DeviceId;
 use ofproto::messages::FeaturesReply;
 use ofproto::types::DatapathId;
@@ -95,6 +98,49 @@ pub fn device_features(index: usize) -> FeaturesReply {
         n_buffers: 0,
         n_tables: 0,
         ports: Vec::new(),
+    }
+}
+
+/// Locks a snapshot an endpoint's thread shares with the threads that read
+/// it: its status, its mirrored tables, its telemetry.
+fn lock<T>(shared: &Mutex<T>) -> MutexGuard<'_, T> {
+    shared
+        .lock()
+        .expect("a thread panicked holding an endpoint's snapshot")
+}
+
+/// Starts an endpoint's thread, `name`, and builds its runtime there: the
+/// runtime, and every task, socket and timer on it, never leaves that
+/// thread. Hands back the runtime's build error, if any, before `serve`
+/// runs on it; the thread's result is `None` only then. The runtime drops,
+/// closing every socket its tasks held, before the thread ends.
+pub(crate) fn start<T: Send + 'static>(
+    name: &str,
+    serve: impl FnOnce(&tokio::runtime::Runtime) -> T + Send + 'static,
+) -> std::io::Result<JoinHandle<Option<T>>> {
+    let (built_tx, built) = std::sync::mpsc::sync_channel(1);
+    let thread = std::thread::Builder::new()
+        .name(name.to_owned())
+        .spawn(move || {
+            let rt = match tokio::runtime::Runtime::new() {
+                Ok(rt) => rt,
+                Err(e) => {
+                    let _ = built_tx.send(Err(e));
+                    return None;
+                }
+            };
+            let _ = built_tx.send(Ok(()));
+            Some(serve(&rt))
+        })?;
+    match built.recv() {
+        Ok(Ok(())) => Ok(thread),
+        Ok(Err(e)) => {
+            let _ = thread.join();
+            Err(e)
+        }
+        Err(_) => Err(std::io::Error::other(
+            "the endpoint's thread ended at start",
+        )),
     }
 }
 

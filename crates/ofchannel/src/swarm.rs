@@ -13,15 +13,15 @@
 //! `packet_in` throughput sustained over a window that starts only after
 //! the whole fleet is connected — connect-phase warmup never inflates it.
 
+use std::cell::{Cell, RefCell};
 use std::net::SocketAddr;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::rc::Rc;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use netsim::packet::Packet;
 use ofproto::messages::{FeaturesReply, OfBody, OfMessage, PacketIn, PacketInReason};
 use ofproto::types::{DatapathId, MacAddr, PortNo, Xid};
-use parking_lot::Mutex;
 
 use crate::config::ChannelConfig;
 use crate::conn::{self, SendBudget, SendError};
@@ -109,17 +109,17 @@ impl SwarmReport {
 /// Shared run state between the driver and the switch tasks.
 struct SwarmShared {
     cfg: SwarmConfig,
-    connected: AtomicUsize,
-    failed: AtomicUsize,
-    sent: AtomicU64,
-    shed: AtomicU64,
+    connected: Cell<usize>,
+    failed: Cell<usize>,
+    sent: Cell<u64>,
+    shed: Cell<u64>,
     /// The fleet's transport counters; `frames_in` is what the controller
     /// sent it.
     counters: Arc<ChannelCounters>,
     /// Unlimited: a load generator sheds only what a connection's own queue
     /// bound refuses.
-    budget: Arc<SendBudget>,
-    latencies: Mutex<Vec<Duration>>,
+    budget: Rc<SendBudget>,
+    latencies: RefCell<Vec<Duration>>,
 }
 
 /// Runs one swarm against a listening controller at `addr` on the calling
@@ -130,22 +130,20 @@ struct SwarmShared {
 /// Fails when the runtime cannot start or when not a single switch managed
 /// to connect before the deadline.
 pub fn run_swarm(addr: SocketAddr, config: &SwarmConfig) -> std::io::Result<SwarmReport> {
-    let rt = tokio::runtime::Builder::new_current_thread()
-        .enable_all()
-        .build()?;
-    let shared = Arc::new(SwarmShared {
+    let rt = tokio::runtime::Runtime::new()?;
+    let shared = Rc::new(SwarmShared {
         cfg: *config,
-        connected: AtomicUsize::new(0),
-        failed: AtomicUsize::new(0),
-        sent: AtomicU64::new(0),
-        shed: AtomicU64::new(0),
+        connected: Cell::new(0),
+        failed: Cell::new(0),
+        sent: Cell::new(0),
+        shed: Cell::new(0),
         counters: Arc::new(ChannelCounters::new()),
         budget: SendBudget::new(usize::MAX),
-        latencies: Mutex::new(Vec::with_capacity(config.switches)),
+        latencies: RefCell::new(Vec::with_capacity(config.switches)),
     });
 
     for i in 0..config.switches {
-        rt.spawn(switch_task(addr, i, Arc::clone(&shared)));
+        rt.spawn(switch_task(addr, i, Rc::clone(&shared)));
     }
 
     // Dropping the runtime drops every switch task, and with it the task's
@@ -154,11 +152,11 @@ pub fn run_swarm(addr: SocketAddr, config: &SwarmConfig) -> std::io::Result<Swar
 }
 
 /// Waits for the fleet to settle, then measures one throughput window.
-async fn drive(shared: Arc<SwarmShared>) -> std::io::Result<SwarmReport> {
+async fn drive(shared: Rc<SwarmShared>) -> std::io::Result<SwarmReport> {
     let cfg = shared.cfg;
     let connect_started = Instant::now();
     loop {
-        let done = shared.connected.load(Ordering::SeqCst) + shared.failed.load(Ordering::SeqCst);
+        let done = shared.connected.get() + shared.failed.get();
         if done >= cfg.switches {
             break;
         }
@@ -167,7 +165,7 @@ async fn drive(shared: Arc<SwarmShared>) -> std::io::Result<SwarmReport> {
         }
         tokio::time::sleep(Duration::from_millis(20)).await;
     }
-    let connected = shared.connected.load(Ordering::SeqCst);
+    let connected = shared.connected.get();
     if connected == 0 {
         return Err(std::io::Error::new(
             std::io::ErrorKind::TimedOut,
@@ -175,19 +173,19 @@ async fn drive(shared: Arc<SwarmShared>) -> std::io::Result<SwarmReport> {
         ));
     }
 
-    let sent0 = shared.sent.load(Ordering::SeqCst);
-    let shed0 = shared.shed.load(Ordering::SeqCst);
+    let sent0 = shared.sent.get();
+    let shed0 = shared.shed.get();
     let window_started = Instant::now();
     tokio::time::sleep(cfg.window).await;
     let window = window_started.elapsed();
-    let sent1 = shared.sent.load(Ordering::SeqCst);
-    let shed1 = shared.shed.load(Ordering::SeqCst);
+    let sent1 = shared.sent.get();
+    let shed1 = shared.shed.get();
 
-    let mut latencies = shared.latencies.lock().clone();
+    let mut latencies = shared.latencies.take();
     latencies.sort_unstable();
     Ok(SwarmReport {
         connected,
-        handshake_failures: shared.failed.load(Ordering::SeqCst),
+        handshake_failures: shared.failed.get(),
         connect_latencies: latencies,
         packet_ins_sent: sent1 - sent0,
         packet_ins_shed: shed1 - shed0,
@@ -199,7 +197,7 @@ async fn drive(shared: Arc<SwarmShared>) -> std::io::Result<SwarmReport> {
 /// One simulated switch: one dial (connect and handshake, each under its
 /// [`ChannelConfig`] deadline), then a frame-draining reader task
 /// beside a paced `packet_in` generator.
-async fn switch_task(addr: SocketAddr, index: usize, shared: Arc<SwarmShared>) {
+async fn switch_task(addr: SocketAddr, index: usize, shared: Rc<SwarmShared>) {
     let cfg = shared.cfg;
     tokio::time::sleep(cfg.connect_stagger * index as u32).await;
 
@@ -218,11 +216,11 @@ async fn switch_task(addr: SocketAddr, index: usize, shared: Arc<SwarmShared>) {
         Some((ends.ok()?, latency))
     };
     let Some(((conn, mut reader), latency)) = handshaken.await else {
-        shared.failed.fetch_add(1, Ordering::SeqCst);
+        shared.failed.set(shared.failed.get() + 1);
         return;
     };
-    shared.latencies.lock().push(latency);
-    shared.connected.fetch_add(1, Ordering::SeqCst);
+    shared.latencies.borrow_mut().push(latency);
+    shared.connected.set(shared.connected.get() + 1);
 
     // The reader counts the controller's frames and answers its keepalive;
     // flow-mods installed on a simulated switch have no table to land in.
@@ -236,8 +234,8 @@ async fn switch_task(addr: SocketAddr, index: usize, shared: Arc<SwarmShared>) {
     loop {
         seq += 1;
         match conn.send(&packet_in(index, seq)) {
-            Ok(()) => shared.sent.fetch_add(1, Ordering::SeqCst),
-            Err(SendError::Backpressure) => shared.shed.fetch_add(1, Ordering::SeqCst),
+            Ok(()) => shared.sent.set(shared.sent.get() + 1),
+            Err(SendError::Backpressure) => shared.shed.set(shared.shed.get() + 1),
             Err(SendError::Closed) => return,
         };
         next += interval;

@@ -18,9 +18,10 @@
 //! modelled as a socket).
 //!
 //! The endpoint runs on one std thread of its own, `ofchannel-switch`,
-//! which drives a one-thread runtime. One task there owns the switch, the
-//! devices and the fault state, and waits on one queue: commands from the
-//! handle, reports from the connection tasks, the earliest timed duty.
+//! which builds and drives a one-thread runtime. One task there owns the
+//! switch, the devices and the fault state, and waits on two queues and a
+//! clock: commands from the handle (the one queue another thread writes),
+//! reports from the connection tasks, and the earliest timed duty.
 //! Dials, handshakes, reads and writes are tasks of their own on the
 //! crate's one connection type, none of which ever blocks the thread, so
 //! nothing a peer does — or fails to do — on a socket can hold the
@@ -30,8 +31,11 @@
 //! simply does not dial.
 
 use std::collections::{HashMap, HashSet};
+use std::future::poll_fn;
 use std::net::SocketAddr;
-use std::sync::Arc;
+use std::rc::Rc;
+use std::sync::{Arc, Mutex};
+use std::task::{Context, Poll};
 use std::time::{Duration, Instant};
 
 use netsim::iface::{DataPlaneDevice, DeviceOutput, SwitchTelemetry};
@@ -41,7 +45,6 @@ use netsim::Fault;
 use ofproto::flow_match::OfMatch;
 use ofproto::messages::{FeaturesReply, OfBody, OfMessage};
 use ofproto::types::Xid;
-use parking_lot::Mutex;
 use tokio::sync::mpsc::{self, error::TryRecvError};
 
 use crate::config::{next_backoff, ChannelConfig};
@@ -49,29 +52,82 @@ use crate::conn::{self, Conn};
 use crate::counters::{ChannelCounters, CountersSnapshot};
 use crate::device_features;
 
-/// What the serving task waits on: commands from the handle and reports
-/// from the connection tasks. `slot` 0 is the switch's own session, `1 + i`
-/// that of device `i`. A session has one dial task at a time, and it serves
-/// one connection, so a slot's reports are ordered: `Connected`, then
-/// `Inbound`s, then exactly one `Closed`, before the next dial starts.
-enum Event {
+/// What the handle asks of the serving task, from whatever thread holds it.
+enum Command {
     Inject { in_port: u16, packet: Packet },
     Fault(Fault),
     Shutdown,
+}
+
+/// What the connection tasks tell the serving task, on its own thread.
+/// `slot` 0 is the switch's own session, `1 + i` that of device `i`. A
+/// session has one dial task at a time, and it serves one connection, so a
+/// slot's reports are ordered: `Connected`, then `Inbound`s, then exactly
+/// one `Closed`, before the next dial starts.
+enum Report {
     Connected { slot: usize, conn: Conn },
     Inbound { slot: usize, msg: OfMessage },
     Closed { slot: usize },
 }
 
+enum Event {
+    Command(Command),
+    Report(Report),
+}
+
+/// The serving task's two queues.
+struct Queues {
+    commands: mpsc::Receiver<Command>,
+    reports: mpsc::Receiver<Report>,
+    /// Which queue [`Queues::try_next`] looks at first; it alternates, so
+    /// neither queue holds the other up for a whole batch.
+    commands_first: bool,
+}
+
+impl Queues {
+    /// Waits for a command or a report. A handle that is gone is a
+    /// shutdown.
+    fn poll_next(&mut self, cx: &mut Context<'_>) -> Poll<Event> {
+        if let Poll::Ready(command) = self.commands.poll_recv(cx) {
+            return Poll::Ready(Event::Command(command.unwrap_or(Command::Shutdown)));
+        }
+        self.reports
+            .poll_recv(cx)
+            .map(|report| Event::Report(report.expect("the serving task holds a sender")))
+    }
+
+    /// What is queued, without waiting.
+    fn try_next(&mut self) -> Option<Event> {
+        self.commands_first = !self.commands_first;
+        if self.commands_first {
+            self.try_command().or_else(|| self.try_report())
+        } else {
+            self.try_report().or_else(|| self.try_command())
+        }
+    }
+
+    fn try_command(&mut self) -> Option<Event> {
+        match self.commands.try_recv() {
+            Ok(command) => Some(Event::Command(command)),
+            Err(TryRecvError::Empty) => None,
+            Err(TryRecvError::Disconnected) => Some(Event::Command(Command::Shutdown)),
+        }
+    }
+
+    fn try_report(&mut self) -> Option<Event> {
+        self.reports.try_recv().ok().map(Event::Report)
+    }
+}
+
 /// Handle to a switch being served over TCP.
 pub struct SwitchEndpoint {
-    events: mpsc::Sender<Event>,
+    commands: mpsc::Sender<Command>,
     counters: Arc<ChannelCounters>,
     telemetry: Arc<Mutex<SwitchTelemetry>>,
     flow_rules: Arc<Mutex<Vec<(OfMatch, u16, u64)>>>,
     /// The thread driving the serving task; `None` once it has been
     /// stopped.
-    thread: Option<std::thread::JoinHandle<Switch>>,
+    thread: Option<std::thread::JoinHandle<Option<Switch>>>,
 }
 
 impl std::fmt::Debug for SwitchEndpoint {
@@ -91,63 +147,66 @@ impl SwitchEndpoint {
     ///
     /// # Errors
     ///
-    /// Fails when the runtime or its thread cannot start.
+    /// Fails when the endpoint's thread or its runtime cannot start.
     pub fn spawn(
         switch: Switch,
         devices: Vec<(u16, Box<dyn DataPlaneDevice>)>,
         controller: SocketAddr,
         config: ChannelConfig,
     ) -> std::io::Result<SwitchEndpoint> {
-        let rt = tokio::runtime::Runtime::new()?;
-        let (events, events_rx) = mpsc::channel(EVENT_CHANNEL_CAP);
+        let (commands, commands_rx) = mpsc::channel(EVENT_CHANNEL_CAP);
         let counters = Arc::new(ChannelCounters::new());
-        // One switch has no fleet to budget: only a connection's own queue
-        // bound refuses frames here.
-        let shared = conn::Shared::new(config, Arc::clone(&counters), usize::MAX, events.clone());
-        let device_slots = devices
-            .into_iter()
-            .map(|(port, logic)| DeviceSlot {
-                port,
-                logic,
-                session: Session::default(),
-                last_tick: Instant::now(),
-                down: false,
-                restart_at: None,
-            })
-            .collect();
-
         let telemetry = Arc::new(Mutex::new(switch.telemetry(0.0)));
         let flow_rules = Arc::new(Mutex::new(Vec::new()));
-        let serving = Serving {
-            switch,
-            session: Session::default(),
-            devices: device_slots,
-            faults: FaultState::new(),
-            config,
-            controller,
-            shared,
-            counters: Arc::clone(&counters),
-            telemetry: Arc::clone(&telemetry),
-            flow_rules: Arc::clone(&flow_rules),
-            start: Instant::now(),
-            last_expire: Instant::now(),
-            last_util_at: Instant::now(),
-            busy_accum: 0.0,
-            datapath_util: 0.0,
-            xid: 1,
+        let serving = {
+            let counters = Arc::clone(&counters);
+            let telemetry = Arc::clone(&telemetry);
+            let flow_rules = Arc::clone(&flow_rules);
+            move |rt: &tokio::runtime::Runtime| {
+                let (reports, reports_rx) = mpsc::channel(EVENT_CHANNEL_CAP);
+                // One switch has no fleet to budget: only a connection's own
+                // queue bound refuses frames here.
+                let shared = conn::Shared::new(config, Arc::clone(&counters), usize::MAX, reports);
+                let devices = devices
+                    .into_iter()
+                    .map(|(port, logic)| DeviceSlot {
+                        port,
+                        logic,
+                        session: Session::default(),
+                        last_tick: Instant::now(),
+                        down: false,
+                        restart_at: None,
+                    })
+                    .collect();
+                let serving = Serving {
+                    switch,
+                    session: Session::default(),
+                    devices,
+                    faults: FaultState::new(),
+                    config,
+                    controller,
+                    shared,
+                    counters,
+                    telemetry,
+                    flow_rules,
+                    start: Instant::now(),
+                    last_expire: Instant::now(),
+                    last_util_at: Instant::now(),
+                    busy_accum: 0.0,
+                    datapath_util: 0.0,
+                    xid: 1,
+                };
+                let queues = Queues {
+                    commands: commands_rx,
+                    reports: reports_rx,
+                    commands_first: false,
+                };
+                rt.block_on(serve(serving, queues))
+            }
         };
-        let thread = std::thread::Builder::new()
-            .name("ofchannel-switch".to_owned())
-            .spawn(move || {
-                let switch = rt.block_on(serve(serving, events_rx));
-                // Dropping the runtime drops every dial and connection task,
-                // which closes their sockets.
-                drop(rt);
-                switch
-            })?;
-
+        let thread = crate::start("ofchannel-switch", serving)?;
         Ok(SwitchEndpoint {
-            events,
+            commands,
             counters,
             telemetry,
             flow_rules,
@@ -158,15 +217,15 @@ impl SwitchEndpoint {
     /// Queues a command for the serving task. When the task is so far
     /// behind that its queue is full, the caller waits for room: a command
     /// is never dropped.
-    fn submit(&self, event: Event) {
-        if let Err(mpsc::error::TrySendError::Full(event)) = self.events.try_send(event) {
-            let _ = self.events.blocking_send(event);
+    fn submit(&self, command: Command) {
+        if let Err(mpsc::error::TrySendError::Full(command)) = self.commands.try_send(command) {
+            let _ = self.commands.blocking_send(command);
         }
     }
 
     /// Feeds one packet into the data plane at `in_port`.
     pub fn inject(&self, in_port: u16, packet: Packet) {
-        self.submit(Event::Inject { in_port, packet });
+        self.submit(Command::Inject { in_port, packet });
     }
 
     /// Injects an infrastructure fault — the same [`Fault`] values a
@@ -190,7 +249,7 @@ impl SwitchEndpoint {
     ///   controller sends before the switch applies them.
     /// * [`Fault::ControllerStall`] is controller-side and ignored here.
     pub fn inject_fault(&self, fault: Fault) {
-        self.submit(Event::Fault(fault));
+        self.submit(Command::Fault(fault));
     }
 
     /// Current transport counters.
@@ -200,28 +259,32 @@ impl SwitchEndpoint {
 
     /// Latest switch resource snapshot.
     pub fn telemetry(&self) -> SwitchTelemetry {
-        *self.telemetry.lock()
+        *crate::lock(&self.telemetry)
     }
 
     /// Snapshot of the installed flow rules as `(match, priority, cookie)`
     /// triples, refreshed on the telemetry cadence — what a test harness
     /// needs to verify a post-reconnect resync reinstalled the defense.
     pub fn flow_rules(&self) -> Vec<(OfMatch, u16, u64)> {
-        self.flow_rules.lock().clone()
+        crate::lock(&self.flow_rules).clone()
     }
 
     /// Stops serving and returns the switch for inspection.
     pub fn shutdown(mut self) -> Switch {
         let thread = self.thread.take().expect("endpoint already shut down");
-        self.submit(Event::Shutdown);
-        thread.join().expect("switch endpoint thread panicked")
+        self.submit(Command::Shutdown);
+        thread
+            .join()
+            .ok()
+            .flatten()
+            .expect("switch endpoint thread panicked")
     }
 }
 
 impl Drop for SwitchEndpoint {
     fn drop(&mut self) {
         if let Some(thread) = self.thread.take() {
-            self.submit(Event::Shutdown);
+            self.submit(Command::Shutdown);
             let _ = thread.join();
         }
     }
@@ -237,7 +300,7 @@ async fn redial(
     pause: Duration,
     controller: SocketAddr,
     features: FeaturesReply,
-    shared: Arc<conn::Shared<Event>>,
+    shared: Rc<conn::Shared<Report>>,
 ) {
     tokio::time::sleep(pause).await;
     let mut backoff = shared.cfg.reconnect_base;
@@ -251,10 +314,10 @@ async fn redial(
             }
         }
     };
-    let connected = |_, conn| Event::Connected { slot, conn };
+    let connected = |_, conn| Report::Connected { slot, conn };
     let inbound = |_, msg| match msg {
-        Some(msg) => Event::Inbound { slot, msg },
-        None => Event::Closed { slot },
+        Some(msg) => Report::Inbound { slot, msg },
+        None => Report::Closed { slot },
     };
     shared.serve(stream, residue, connected, inbound).await;
 }
@@ -361,9 +424,9 @@ const DATAPATH_BUDGET: usize = 512;
 /// and the timed duties get their turn.
 const EVENT_BUDGET: usize = 512;
 
-/// Depth of the serving task's event queue. Connection tasks wait for room
-/// (which is what pushes back on a flooding controller); so do `inject`
-/// callers.
+/// Depth of each of the serving task's queues. Connection tasks wait for
+/// room (which is what pushes back on a flooding controller); so do
+/// `inject` callers.
 const EVENT_CHANNEL_CAP: usize = 4096;
 
 /// Flow and buffer expiry cadence. Every other timed duty but the device
@@ -385,7 +448,7 @@ struct Serving {
     config: ChannelConfig,
     /// Where every session dials.
     controller: SocketAddr,
-    shared: Arc<conn::Shared<Event>>,
+    shared: Rc<conn::Shared<Report>>,
     counters: Arc<ChannelCounters>,
     telemetry: Arc<Mutex<SwitchTelemetry>>,
     flow_rules: Arc<Mutex<Vec<(OfMatch, u16, u64)>>>,
@@ -401,7 +464,7 @@ struct Serving {
 /// a batch of events, pumps the datapath, runs what is due. It never waits
 /// on a socket — dialing, handshaking, reading and writing all happen in
 /// other tasks — so no peer can hold it up.
-async fn serve(mut s: Serving, mut events: mpsc::Receiver<Event>) -> Switch {
+async fn serve(mut s: Serving, mut queues: Queues) -> Switch {
     for slot in 0..=s.devices.len() {
         s.dial(slot, Duration::ZERO);
     }
@@ -413,17 +476,10 @@ async fn serve(mut s: Serving, mut events: mpsc::Receiver<Event>) -> Switch {
         // only looks at the queue.
         let mut next = if busy {
             tokio::task::yield_now().await;
-            match events.try_recv() {
-                Ok(event) => Some(event),
-                Err(TryRecvError::Empty) => None,
-                Err(TryRecvError::Disconnected) => return s.switch,
-            }
+            queues.try_next()
         } else {
-            match tokio::time::timeout(s.next_wait(), events.recv()).await {
-                Ok(Some(event)) => Some(event),
-                Ok(None) => return s.switch,
-                Err(_) => None,
-            }
+            let next = poll_fn(|cx| queues.poll_next(cx));
+            tokio::time::timeout(s.next_wait(), next).await.ok()
         };
         let now = s.start.elapsed().as_secs_f64();
         s.restart_what_is_due(now);
@@ -436,7 +492,7 @@ async fn serve(mut s: Serving, mut events: mpsc::Receiver<Event>) -> Switch {
             if batch >= EVENT_BUDGET {
                 break;
             }
-            next = events.try_recv().ok();
+            next = queues.try_next();
         }
         busy = s.pump_datapath(now) || batch >= EVENT_BUDGET;
         s.run_timed_duties(now);
@@ -482,7 +538,7 @@ impl Serving {
             Some(index) => device_features(index),
         };
         self.session_mut(slot).dialing = true;
-        let shared = Arc::clone(&self.shared);
+        let shared = Rc::clone(&self.shared);
         tokio::spawn(redial(slot, pause, self.controller, features, shared));
     }
 
@@ -508,14 +564,14 @@ impl Serving {
     /// Handles one event; `false` is the order to stop.
     fn handle(&mut self, event: Event, now: f64) -> bool {
         match event {
-            Event::Shutdown => return false,
-            Event::Inject { in_port, packet } => {
+            Event::Command(Command::Shutdown) => return false,
+            Event::Command(Command::Inject { in_port, packet }) => {
                 if !self.faults.switch_down && !self.faults.link_drops(in_port) {
                     self.switch.enqueue(in_port, packet);
                 }
             }
-            Event::Fault(fault) => self.apply_fault(fault),
-            Event::Connected { slot, conn } => {
+            Event::Command(Command::Fault(fault)) => self.apply_fault(fault),
+            Event::Report(Report::Connected { slot, conn }) => {
                 if self.held(slot) {
                     // Its handshake was under way when the fault struck.
                     conn.close();
@@ -527,7 +583,7 @@ impl Serving {
                     self.counters.record_reconnect();
                 }
             }
-            Event::Inbound { slot, msg } => {
+            Event::Report(Report::Inbound { slot, msg }) => {
                 if self.session_mut(slot).conn.is_none() {
                     return true;
                 }
@@ -554,7 +610,7 @@ impl Serving {
                     }
                 }
             }
-            Event::Closed { slot } => {
+            Event::Report(Report::Closed { slot }) => {
                 // The dial task ends with its connection. Pause one base
                 // interval before the next, so that a controller that keeps
                 // closing sessions is not hammered.
@@ -631,14 +687,14 @@ impl Serving {
             self.datapath_util = (self.busy_accum / dt).min(1.0);
             self.busy_accum = 0.0;
             self.last_util_at = Instant::now();
-            *self.flow_rules.lock() = self
+            *crate::lock(&self.flow_rules) = self
                 .switch
                 .table
                 .iter()
                 .map(|e| (e.of_match, e.priority, e.cookie))
                 .collect();
         }
-        *self.telemetry.lock() = self.switch.telemetry(self.datapath_util);
+        *crate::lock(&self.telemetry) = self.switch.telemetry(self.datapath_util);
     }
 
     /// Hands forwarded packets that land on a device port to the device;

@@ -6,9 +6,11 @@
 //! `ofchannel`'s many-switch controller endpoint genuinely multiplexes
 //! thousands of TCP connections on one thread:
 //!
-//! - [`runtime`]: a one-thread executor built on [`std::task::Wake`]:
-//!   [`runtime::Runtime::block_on`] polls its future, runs the queued
-//!   tasks, and waits in `epoll_wait` only when nothing can run. Building a
+//! - [`runtime`]: a one-thread executor: [`runtime::Runtime::block_on`]
+//!   runs the tasks that were woken and waits in `epoll_wait` only when
+//!   none was. A runtime is built, driven and dropped on one thread, which
+//!   owns its tasks, sockets and timers outright, so [`spawn`] asks no
+//!   `Send` of a future and nothing but the wake path is locked. Building a
 //!   runtime starts no thread.
 //! - an epoll reactor turned by that same thread (via direct `extern "C"`
 //!   declarations — std already links libc, mirroring how
@@ -20,8 +22,8 @@
 //!   `into_split` read/write halves (each half owns a dup'ed fd and its own
 //!   epoll registration).
 //! - [`time`]: [`time::sleep`] and [`time::timeout`].
-//! - [`sync`]: bounded [`sync::mpsc`] channels (with a blocking send for
-//!   threads outside the runtime) and a broadcast [`sync::Notify`].
+//! - [`sync`]: bounded [`sync::mpsc`] channels, with a blocking send for
+//!   threads outside the runtime: what crosses threads besides a wake.
 //! - [`task`]: [`spawn`], [`JoinHandle`] and [`task::yield_now`].
 //!
 //! Only the API surface the workspace uses is provided. Single-waiter

@@ -5,11 +5,10 @@ use std::net::{Shutdown, SocketAddr};
 use std::os::fd::AsRawFd;
 
 use crate::reactor::{Source, READABLE, WRITABLE};
-use crate::runtime::Handle;
 use crate::sys;
 
 fn register(fd: i32) -> io::Result<Source> {
-    Source::new(Handle::current().core.reactor.clone(), fd)
+    Source::new(crate::runtime::current(), fd)
 }
 
 async fn rw_op<T>(
@@ -124,16 +123,6 @@ impl TcpStream {
             buf = &buf[n..];
         }
         Ok(())
-    }
-
-    /// The peer's address.
-    pub fn peer_addr(&self) -> io::Result<SocketAddr> {
-        self.inner.peer_addr()
-    }
-
-    /// The local address.
-    pub fn local_addr(&self) -> io::Result<SocketAddr> {
-        self.inner.local_addr()
     }
 
     /// Sets `TCP_NODELAY`.

@@ -1,9 +1,11 @@
-//! Async synchronization: bounded mpsc channels and a notifier.
+//! Bounded mpsc channels: the one piece of the shim meant to carry values
+//! between threads (a thread outside the runtime, or another runtime, may
+//! hold a [`mpsc::Sender`]).
 
 use std::collections::VecDeque;
 use std::future::{poll_fn, Future};
 use std::sync::{Arc, Mutex};
-use std::task::{Poll, Waker};
+use std::task::{Context, Poll, Waker};
 
 /// Multi-producer, single-consumer bounded channels.
 pub mod mpsc {
@@ -185,19 +187,23 @@ pub mod mpsc {
         /// Dequeues, waiting for a message; `None` once every sender is
         /// gone and the queue is drained.
         pub async fn recv(&mut self) -> Option<T> {
-            poll_fn(|cx| {
-                let mut chan = self.chan.lock().unwrap();
-                if let Some(value) = chan.queue.pop_front() {
-                    chan.wake_senders();
-                    return Poll::Ready(Some(value));
-                }
-                if chan.senders == 0 {
-                    return Poll::Ready(None);
-                }
-                chan.recv_waker = Some(cx.waker().clone());
-                Poll::Pending
-            })
-            .await
+            poll_fn(|cx| self.poll_recv(cx)).await
+        }
+
+        /// Dequeues a message, or registers `cx` to be woken when one
+        /// arrives; `Ready(None)` once every sender is gone and the queue
+        /// is drained. Lets one task wait on several receivers at once.
+        pub fn poll_recv(&mut self, cx: &mut Context<'_>) -> Poll<Option<T>> {
+            let mut chan = self.chan.lock().unwrap();
+            if let Some(value) = chan.queue.pop_front() {
+                chan.wake_senders();
+                return Poll::Ready(Some(value));
+            }
+            if chan.senders == 0 {
+                return Poll::Ready(None);
+            }
+            chan.recv_waker = Some(cx.waker().clone());
+            Poll::Pending
         }
 
         /// Dequeues without waiting.
@@ -220,77 +226,6 @@ pub mod mpsc {
             chan.rx_alive = false;
             chan.queue.clear();
             chan.wake_senders();
-        }
-    }
-}
-
-/// Notifies waiting tasks. Supports the single-waiter (`notify_one`) and
-/// broadcast (`notify_waiters` + re-checked flag) patterns.
-#[derive(Default)]
-pub struct Notify {
-    st: Mutex<NotifyState>,
-}
-
-#[derive(Default)]
-struct NotifyState {
-    permit: bool,
-    epoch: u64,
-    wakers: Vec<Waker>,
-}
-
-impl Notify {
-    /// A notifier with no stored permit.
-    pub fn new() -> Notify {
-        Notify::default()
-    }
-
-    /// Waits for a notification: consumes a stored permit, or completes
-    /// once a `notify_waiters` generation passes after registration.
-    pub async fn notified(&self) {
-        let mut registered_epoch: Option<u64> = None;
-        poll_fn(|cx| {
-            let mut st = self.st.lock().unwrap();
-            if st.permit {
-                st.permit = false;
-                return Poll::Ready(());
-            }
-            if let Some(epoch) = registered_epoch {
-                if st.epoch != epoch {
-                    return Poll::Ready(());
-                }
-            }
-            registered_epoch = Some(st.epoch);
-            st.wakers.push(cx.waker().clone());
-            Poll::Pending
-        })
-        .await
-    }
-
-    /// Stores a permit and wakes one waiter to claim it.
-    pub fn notify_one(&self) {
-        let waker = {
-            let mut st = self.st.lock().unwrap();
-            st.permit = true;
-            if st.wakers.is_empty() {
-                None
-            } else {
-                Some(st.wakers.remove(0))
-            }
-        };
-        if let Some(waker) = waker {
-            waker.wake();
-        }
-    }
-
-    /// Wakes every current waiter without storing a permit.
-    pub fn notify_waiters(&self) {
-        let wakers = {
-            let mut st = self.st.lock().unwrap();
-            st.epoch += 1;
-            std::mem::take(&mut st.wakers)
-        };
-        for waker in wakers {
-            waker.wake();
         }
     }
 }

@@ -1,13 +1,14 @@
 //! Task spawning and join handles.
 
 use std::any::Any;
+use std::cell::RefCell;
 use std::future::Future;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::pin::Pin;
-use std::sync::{Arc, Mutex};
+use std::rc::Rc;
 use std::task::{Context, Poll, Waker};
 
-use crate::runtime::{BoxFuture, Handle};
+use crate::runtime::{self, BoxFuture};
 
 /// Spawns a future onto the current runtime.
 ///
@@ -16,10 +17,10 @@ use crate::runtime::{BoxFuture, Handle};
 /// Panics when called from outside a runtime context.
 pub fn spawn<F>(future: F) -> JoinHandle<F::Output>
 where
-    F: Future + Send + 'static,
-    F::Output: Send + 'static,
+    F: Future + 'static,
+    F::Output: 'static,
 {
-    Handle::current().spawn(future)
+    runtime::spawn(&runtime::current(), future)
 }
 
 /// The spawned task panicked before completing.
@@ -35,31 +36,20 @@ impl std::fmt::Display for JoinError {
 impl std::error::Error for JoinError {}
 
 struct JoinCell<T> {
-    st: Mutex<JoinState<T>>,
-}
-
-struct JoinState<T> {
     result: Option<Result<T, JoinError>>,
     waker: Option<Waker>,
 }
 
 /// Awaits a spawned task's output.
 pub struct JoinHandle<T> {
-    cell: Arc<JoinCell<T>>,
-}
-
-impl<T> JoinHandle<T> {
-    /// Whether the task has finished (successfully or by panic).
-    pub fn is_finished(&self) -> bool {
-        self.cell.st.lock().unwrap().result.is_some()
-    }
+    cell: Rc<RefCell<JoinCell<T>>>,
 }
 
 impl<T> Future for JoinHandle<T> {
     type Output = Result<T, JoinError>;
 
     fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<Self::Output> {
-        let mut st = self.cell.st.lock().unwrap();
+        let mut st = self.cell.borrow_mut();
         match st.result.take() {
             Some(result) => Poll::Ready(result),
             None => {
@@ -105,20 +95,18 @@ impl<F: Future> Future for CatchPanic<F> {
 /// handle observing its result.
 pub(crate) fn wrap<F>(future: F) -> (BoxFuture, JoinHandle<F::Output>)
 where
-    F: Future + Send + 'static,
-    F::Output: Send + 'static,
+    F: Future + 'static,
+    F::Output: 'static,
 {
-    let cell = Arc::new(JoinCell {
-        st: Mutex::new(JoinState {
-            result: None,
-            waker: None,
-        }),
-    });
-    let out = cell.clone();
+    let cell = Rc::new(RefCell::new(JoinCell {
+        result: None,
+        waker: None,
+    }));
+    let out = Rc::clone(&cell);
     let wrapped = async move {
         let result = CatchPanic(future).await.map_err(|_| JoinError(()));
         let waker = {
-            let mut st = out.st.lock().unwrap();
+            let mut st = out.borrow_mut();
             st.result = Some(result);
             st.waker.take()
         };

@@ -2,33 +2,35 @@
 
 use std::future::Future;
 use std::pin::Pin;
-use std::sync::Arc;
+use std::rc::Rc;
 use std::task::{Context, Poll};
 use std::time::{Duration, Instant};
 
-use crate::reactor::Reactor;
-use crate::runtime::Handle;
+use crate::runtime::{self, Core};
 
 /// Completes once `deadline` has passed.
 pub struct Sleep {
     deadline: Instant,
     /// Captured lazily at first poll so `sleep(..)` can be constructed
     /// outside a runtime context (e.g. as a `block_on` argument).
-    reactor: Option<Arc<Reactor>>,
+    core: Option<Rc<Core>>,
     timer: Option<u64>,
 }
 
 /// Sleeps for `duration`.
 pub fn sleep(duration: Duration) -> Sleep {
-    sleep_until(Instant::now() + duration)
+    Sleep {
+        deadline: Instant::now() + duration,
+        core: None,
+        timer: None,
+    }
 }
 
-/// Sleeps until `deadline`.
-pub fn sleep_until(deadline: Instant) -> Sleep {
-    Sleep {
-        deadline,
-        reactor: None,
-        timer: None,
+impl Sleep {
+    fn cancel(&mut self) {
+        if let (Some(core), Some(id)) = (&self.core, self.timer.take()) {
+            core.reactor.remove_timer(self.deadline, id);
+        }
     }
 }
 
@@ -37,24 +39,16 @@ impl Future for Sleep {
 
     fn poll(mut self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<()> {
         if Instant::now() >= self.deadline {
-            if let (Some(reactor), Some(id)) = (self.reactor.clone(), self.timer.take()) {
-                reactor.remove_timer(self.deadline, id);
-            }
+            self.cancel();
             return Poll::Ready(());
         }
-        let reactor = match &self.reactor {
-            Some(reactor) => reactor.clone(),
-            None => {
-                let reactor = Handle::current().core.reactor.clone();
-                self.reactor = Some(reactor.clone());
-                reactor
-            }
-        };
-        match self.timer {
-            None => {
-                self.timer = Some(reactor.insert_timer(self.deadline, cx.waker().clone()));
-            }
-            Some(id) => reactor.update_timer(self.deadline, id, cx.waker().clone()),
+        let this = &mut *self;
+        let core = this.core.get_or_insert_with(runtime::current);
+        match this.timer {
+            None => this.timer = Some(core.reactor.insert_timer(this.deadline, cx.waker().clone())),
+            Some(id) => core
+                .reactor
+                .update_timer(this.deadline, id, cx.waker().clone()),
         }
         Poll::Pending
     }
@@ -62,9 +56,7 @@ impl Future for Sleep {
 
 impl Drop for Sleep {
     fn drop(&mut self) {
-        if let (Some(reactor), Some(id)) = (self.reactor.take(), self.timer.take()) {
-            reactor.remove_timer(self.deadline, id);
-        }
+        self.cancel();
     }
 }
 

@@ -1,16 +1,18 @@
 //! Behavioural tests for the vendored tokio shim: executor, timers,
 //! channels, and the epoll-backed TCP types.
 
+use std::cell::Cell;
+use std::rc::Rc;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use tokio::runtime::{Builder, Runtime};
-use tokio::sync::{mpsc, Notify};
+use tokio::runtime::Runtime;
+use tokio::sync::mpsc;
 use tokio::time::{sleep, timeout};
 
 fn rt() -> Runtime {
-    Builder::new_current_thread().enable_all().build().unwrap()
+    Runtime::new().unwrap()
 }
 
 #[test]
@@ -112,32 +114,90 @@ fn mpsc_try_send_backpressure() {
     });
 }
 
+/// A spawned future need not be `Send`: the runtime's thread owns it.
 #[test]
-fn notify_wakes_waiters() {
+fn a_spawned_future_may_hold_an_rc() {
     let rt = rt();
+    let shared = Rc::new(Cell::new(1));
+    let task = {
+        let shared = Rc::clone(&shared);
+        rt.spawn(async move {
+            sleep(Duration::from_millis(1)).await;
+            shared.set(shared.get() + 1);
+            shared.get() * 10
+        })
+    };
+    assert_eq!(rt.block_on(task).unwrap(), 20);
+    assert_eq!((shared.get(), Rc::strong_count(&shared)), (2, 1));
+}
+
+/// Several threads wake the tasks of one runtime at once while its thread
+/// waits in `epoll_wait`: each task sees the last of its wakes and ends.
+#[test]
+fn wakes_from_many_threads_at_once_are_none_of_them_lost() {
+    const TASKS: usize = 16;
+    const THREADS: usize = 4;
+    const ROUNDS: usize = 200;
+    struct Gate {
+        count: AtomicUsize,
+        waker: std::sync::Mutex<Option<std::task::Waker>>,
+    }
+    let gates: Arc<Vec<Gate>> = Arc::new(
+        (0..TASKS)
+            .map(|_| Gate {
+                count: AtomicUsize::new(0),
+                waker: std::sync::Mutex::new(None),
+            })
+            .collect(),
+    );
+    let rt = rt();
+    let tasks: Vec<_> = (0..TASKS)
+        .map(|i| {
+            let gates = Arc::clone(&gates);
+            rt.spawn(std::future::poll_fn(move |cx| {
+                let gate = &gates[i];
+                // The waker is in place before the count is read, so a
+                // wake either finds it or comes before the read.
+                *gate.waker.lock().unwrap() = Some(cx.waker().clone());
+                if gate.count.load(Ordering::SeqCst) == THREADS * ROUNDS {
+                    std::task::Poll::Ready(())
+                } else {
+                    std::task::Poll::Pending
+                }
+            }))
+        })
+        .collect();
+    let start = Arc::new(std::sync::Barrier::new(THREADS));
+    let wakers: Vec<_> = (0..THREADS)
+        .map(|_| {
+            let (gates, start) = (Arc::clone(&gates), Arc::clone(&start));
+            std::thread::spawn(move || {
+                // By then the runtime's thread waits in epoll_wait.
+                std::thread::sleep(Duration::from_millis(20));
+                start.wait();
+                for _ in 0..ROUNDS {
+                    for gate in gates.iter() {
+                        gate.count.fetch_add(1, Ordering::SeqCst);
+                        let waker = gate.waker.lock().unwrap().clone();
+                        if let Some(waker) = waker {
+                            waker.wake();
+                        }
+                    }
+                }
+            })
+        })
+        .collect();
     rt.block_on(async {
-        let notify = Arc::new(Notify::new());
-        let woken = Arc::new(AtomicUsize::new(0));
-        let mut handles = Vec::new();
-        for _ in 0..4 {
-            let notify = notify.clone();
-            let woken = woken.clone();
-            handles.push(tokio::spawn(async move {
-                notify.notified().await;
-                woken.fetch_add(1, Ordering::SeqCst);
-            }));
-        }
-        // Let the waiters register before broadcasting.
-        sleep(Duration::from_millis(30)).await;
-        notify.notify_waiters();
-        for handle in handles {
-            timeout(Duration::from_secs(5), handle)
+        for task in tasks {
+            timeout(Duration::from_secs(10), task)
                 .await
-                .expect("waiter should wake")
+                .expect("a wake was lost")
                 .unwrap();
         }
-        assert_eq!(woken.load(Ordering::SeqCst), 4);
     });
+    for waker in wakers {
+        waker.join().unwrap();
+    }
 }
 
 /// A task waiting on a channel, with its nearest timer a second away, is
