@@ -33,14 +33,10 @@ pub fn program() -> Program {
     )
 }
 
-/// Blocks a MAC address.
+/// Blocks a MAC address: a write of that one key ([`Env::insert`]), so
+/// the analyzer converts only its rule again.
 pub fn block(env: &mut Env, mac: MacAddr) {
-    let mut blocked = env
-        .get("blockedMacs")
-        .and_then(|v| v.as_set().ok().cloned())
-        .unwrap_or_default();
-    blocked.insert(Value::Mac(mac));
-    env.set("blockedMacs", Value::Set(blocked));
+    env.insert("blockedMacs", Value::Mac(mac));
 }
 
 /// Seeds `n` deterministic blocked MACs (bench workload).

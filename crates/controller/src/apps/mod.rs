@@ -60,6 +60,96 @@ mod tests {
         }
     }
 
+    /// Every path of the evaluation apps and `route`, as (app, path, packet,
+    /// decision, nodes): the node count is the simulator's CPU model
+    /// ([`policy::ExecResult::nodes`]), so an evaluation that counts one
+    /// node more or less moves every figure. The counts are those of the
+    /// interpreter before the tables had hash indexes.
+    #[test]
+    fn every_paths_node_count_is_pinned() {
+        use ofproto::flow_match::FlowKeys;
+        use ofproto::types::{ethertype, ipproto, MacAddr};
+        use policy::interp::{execute, ConcreteDecision};
+        use std::net::Ipv4Addr;
+
+        let (a, b) = (MacAddr::from_u64(0xa), MacAddr::from_u64(0xb));
+        let (ip_a, ip_b) = (Ipv4Addr::new(10, 0, 1, 1), Ipv4Addr::new(10, 0, 2, 2));
+        let ip = |src: Ipv4Addr, dst: Ipv4Addr| FlowKeys {
+            in_port: 2,
+            dl_src: b,
+            dl_dst: a,
+            dl_type: ethertype::IPV4,
+            nw_src: src,
+            nw_dst: dst,
+            nw_proto: ipproto::TCP,
+            tp_dst: 22,
+            ..FlowKeys::default()
+        };
+        let arp = FlowKeys {
+            dl_type: ethertype::ARP,
+            ..ip(ip_b, ip_a)
+        };
+        let broadcast = FlowKeys {
+            dl_dst: MacAddr::BROADCAST,
+            ..ip(ip_b, ip_a)
+        };
+        let unknown = FlowKeys {
+            dl_src: MacAddr::from_u64(0xc),
+            dl_dst: MacAddr::from_u64(0xd),
+            ..ip(Ipv4Addr::new(172, 16, 0, 1), Ipv4Addr::new(172, 16, 0, 2))
+        };
+        let known = ip(ip_b, ip_a);
+        let upper = ip(Ipv4Addr::new(200, 0, 0, 1), ip_balancer::DEFAULT_VIP);
+        let lower = ip(ip_b, ip_balancer::DEFAULT_VIP);
+        let (l2, balancer, l3) = (
+            l2_learning::program,
+            ip_balancer::program,
+            l3_learning::program,
+        );
+        let (firewall, blocker) = (of_firewall::program, mac_blocker::program);
+        let cases: Vec<(Program, &str, FlowKeys, &str, u64)> = vec![
+            (l2(), "broadcast", broadcast, "flood", 7),
+            (l2(), "unknown destination", unknown, "flood", 12),
+            (l2(), "known destination", known, "install", 16),
+            (balancer(), "not IPv4", arp, "noop", 5),
+            (balancer(), "not the VIP", known, "noop", 8),
+            (balancer(), "upper half", upper, "install", 17),
+            (balancer(), "lower half", lower, "install", 17),
+            (l3(), "not IPv4", arp, "flood", 5),
+            (l3(), "unknown destination", unknown, "flood", 12),
+            (l3(), "known destination", known, "install", 17),
+            (firewall(), "not IPv4", arp, "flood", 5),
+            (firewall(), "blocked tuple", known, "install", 18),
+            (firewall(), "allowed tuple", unknown, "flood", 13),
+            (blocker(), "blocked source", known, "install", 6),
+            (blocker(), "allowed source", unknown, "flood", 5),
+            (route::program(), "not IPv4", arp, "noop", 4),
+            (route::program(), "routed", known, "install", 17),
+            (route::program(), "unrouted", unknown, "drop", 10),
+        ];
+        let mut expected = Vec::new();
+        let mut actual = Vec::new();
+        for (program, path, keys, decision, nodes) in cases {
+            expected.push((program.name.clone(), path, decision, nodes));
+            let mut env = program.initial_env();
+            l2_learning::learn_host(&mut env, a, 1);
+            l3_learning::learn_host(&mut env, ip_a, 1);
+            of_firewall::block(&mut env, ip_b, ip_a, ipproto::TCP, 22);
+            mac_blocker::block(&mut env, b);
+            route::add_route(&mut env, ip_a, 3);
+            let result = execute(&program, &keys, &mut env).expect("a seeded app runs");
+            let taken = match result.decision {
+                ConcreteDecision::Install(_) => "install",
+                ConcreteDecision::PacketOutFlood => "flood",
+                ConcreteDecision::PacketOutPort(_) => "port",
+                ConcreteDecision::Drop => "drop",
+                ConcreteDecision::NoOp => "noop",
+            };
+            actual.push((program.name, path, taken, result.nodes));
+        }
+        assert_eq!(actual, expected);
+    }
+
     #[test]
     fn evaluation_apps_match_paper_set() {
         let names: Vec<String> = evaluation_apps().into_iter().map(|p| p.name).collect();

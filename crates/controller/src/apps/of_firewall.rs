@@ -59,19 +59,18 @@ pub fn program() -> Program {
     )
 }
 
-/// Blocks one (src, dst, proto, dport) tuple.
+/// Blocks one (src, dst, proto, dport) tuple: a write of that one key
+/// ([`Env::insert`]), so the analyzer converts only its rule again.
 pub fn block(env: &mut Env, src: Ipv4Addr, dst: Ipv4Addr, proto: u8, dport: u16) {
-    let mut rules = env
-        .get("firewallRules")
-        .and_then(|v| v.as_set().ok().cloned())
-        .unwrap_or_default();
-    rules.insert(Value::Tuple(vec![
-        Value::Ip(src),
-        Value::Ip(dst),
-        Value::Int(u64::from(proto)),
-        Value::Int(u64::from(dport)),
-    ]));
-    env.set("firewallRules", Value::Set(rules));
+    env.insert(
+        "firewallRules",
+        Value::Tuple(vec![
+            Value::Ip(src),
+            Value::Ip(dst),
+            Value::Int(u64::from(proto)),
+            Value::Int(u64::from(dport)),
+        ]),
+    );
 }
 
 /// Seeds `n` deterministic blocked tuples (bench workload).

@@ -214,11 +214,12 @@ impl ControllerPlatform {
             let consumed_buffer = buffer.take();
             match result.decision {
                 ConcreteDecision::Install(rule) => {
-                    let mut fm: FlowMod = rule.to_flow_mod();
+                    // Copy the actions only when an explicit forward is
+                    // needed; the buffered case releases through the rule,
+                    // and the flow-mod takes the rule's own.
+                    let forward = consumed_buffer.is_none().then(|| rule.actions.clone());
+                    let mut fm: FlowMod = rule.into_flow_mod();
                     fm.buffer_id = consumed_buffer;
-                    // Clone the actions only when an explicit forward is
-                    // needed; the buffered case releases through the rule.
-                    let forward = consumed_buffer.is_none().then(|| fm.actions.clone());
                     out.send(dpid, OfMessage::new(xid, OfBody::FlowMod(fm)));
                     if let Some(actions) = forward {
                         // No switch buffer holds the packet (amplified or

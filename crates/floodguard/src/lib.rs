@@ -457,29 +457,38 @@ impl FloodGuard {
     /// The cache hangs off a physical port, so a plain flood would hand
     /// every broadcast to the cache, which would re-raise it — traffic
     /// looping through the controller forever. Excluding the cache port
-    /// preserves flood semantics for real hosts.
+    /// preserves flood semantics for real hosts. A packet-out that floods
+    /// nowhere is left as it is; one that does gets one list, sized once.
     fn rewrite_floods(&self, out: &mut ControlOutput) {
+        let floods =
+            |action: &Action| matches!(action, Action::Output(PortNo::Flood | PortNo::All));
         let cache_port = self.agent.cache_port();
         for (dpid, msg) in &mut out.messages {
             let OfBody::PacketOut(po) = &mut msg.body else {
                 continue;
             };
+            if !po.actions.iter().any(floods) {
+                continue;
+            }
             let Some(i) = self.tables.index(*dpid) else {
                 continue;
             };
-            let ports = &self.tables.switches[i].ports;
             let in_port = po.in_port.physical();
-            let mut actions = Vec::with_capacity(po.actions.len());
+            let outputs = || {
+                self.tables.switches[i]
+                    .ports
+                    .iter()
+                    .filter(|&&p| p != cache_port && Some(p) != in_port)
+                    .map(|&p| Action::Output(PortNo::Physical(p)))
+            };
+            let flooding = po.actions.iter().filter(|a| floods(a)).count();
+            let mut actions =
+                Vec::with_capacity(po.actions.len() - flooding + flooding * outputs().count());
             for action in &po.actions {
-                match action {
-                    Action::Output(PortNo::Flood | PortNo::All) => {
-                        for &p in ports.iter() {
-                            if p != cache_port && Some(p) != in_port {
-                                actions.push(Action::Output(PortNo::Physical(p)));
-                            }
-                        }
-                    }
-                    other => actions.push(*other),
+                if floods(action) {
+                    actions.extend(outputs());
+                } else {
+                    actions.push(*action);
                 }
             }
             po.actions = actions;

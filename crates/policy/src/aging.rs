@@ -87,8 +87,9 @@ struct Slot<V> {
     links: [Link; 2],
 }
 
-/// The stamps of one map's entries (and, for an overlay, the entries
-/// themselves: `V` is the value type, `()` where the map holds them).
+/// One map's entries with their stamps. A learned map's ledger is also
+/// its hash index: [`crate::env::Env`] answers point reads of the map from
+/// it rather than from the map's ordered view.
 #[derive(Debug, Clone)]
 pub(crate) struct Ledger<V> {
     index: HashMap<Value, u32>,

@@ -33,7 +33,12 @@ pub struct ProactiveRule {
 impl ProactiveRule {
     /// Converts into an `Add` flow-mod.
     pub fn to_flow_mod(&self) -> FlowMod {
-        FlowMod::add(self.of_match, self.actions.clone())
+        self.clone().into_flow_mod()
+    }
+
+    /// Converts into an `Add` flow-mod that takes the rule's actions.
+    pub fn into_flow_mod(self) -> FlowMod {
+        FlowMod::add(self.of_match, self.actions)
             .with_priority(self.priority)
             .with_idle_timeout(self.idle_timeout)
             .with_hard_timeout(self.hard_timeout)

@@ -1,11 +1,12 @@
 //! The global-variable environment of a controller application — the
 //! "state sensitive variables" the paper's application tracker watches.
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
 use crate::aging::Ledger;
 pub use crate::aging::Lifetime;
-use crate::value::Value;
+use crate::index::{HashedMap, HashedSet, Probe};
+use crate::value::{TypeError, Value};
 
 /// Writes an [`Env`] remembers. A constant, not a setting: a consumer that
 /// falls further behind than this re-reads the whole environment, which is
@@ -16,10 +17,11 @@ const JOURNAL_CAP: usize = 256;
 /// the [`Env`] has to look at again.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Change<'a> {
-    /// [`Env::learn`] inserted or overwrote `key` in the map `global`, or
-    /// an eviction, an expiry or a demotion removed it.
+    /// [`Env::learn`] inserted or overwrote `key` in the map `global`, an
+    /// eviction, an expiry or a demotion removed it, or [`Env::insert`] or
+    /// [`Env::remove`] added it to or took it from the set `global`.
     Key {
-        /// The map written.
+        /// The map or set written.
         global: &'a str,
         /// The key written.
         key: &'a Value,
@@ -65,14 +67,82 @@ impl Journal {
     }
 }
 
-/// One learned map's lifetime: the stamps of its entries, and its
+/// One learned map's lifetime: its entries with their stamps, and its
 /// quarantine overlay.
 #[derive(Debug, Clone)]
 struct Aging {
     global: String,
     lifetime: Lifetime,
-    main: Ledger<()>,
+    /// The map's entries, hashed: also what answers its point reads.
+    main: Ledger<Value>,
     overlay: Ledger<Value>,
+}
+
+/// What answers a point read of a global without descending its ordered
+/// view (see [`crate::index`]).
+#[derive(Debug, Clone)]
+enum Index {
+    /// A scalar: there is nothing to look up in it.
+    Scalar,
+    /// A map without a lifetime: its entries.
+    Map(HashedMap),
+    /// A set: its items.
+    Set(HashedSet),
+    /// A map with a lifetime: `Env::aging[i].main` holds its entries, so
+    /// they are not hashed a second time.
+    Learned(usize),
+}
+
+impl Index {
+    /// The index of `value`, a global that is not a learned map.
+    fn of(value: &Value) -> Index {
+        match value {
+            Value::Map(map) => Index::Map(HashedMap::of(map)),
+            Value::Set(set) => Index::Set(HashedSet::of(set)),
+            _ => Index::Scalar,
+        }
+    }
+}
+
+/// A global: its value, which is also the ordered view [`Env::get`]
+/// returns, and the index beside it.
+#[derive(Debug, Clone)]
+struct Global {
+    value: Value,
+    index: Index,
+}
+
+/// One global resolved for point reads ([`Env::table`]): a lookup costs
+/// the key it is given, not the size of the table.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Table<'a> {
+    global: &'a Global,
+    aging: &'a [Aging],
+}
+
+impl<'a> Table<'a> {
+    /// The value `key` maps to in the map, if any.
+    pub(crate) fn get(self, key: &dyn Probe) -> Result<Option<&'a Value>, TypeError> {
+        match &self.global.index {
+            Index::Map(map) => Ok(map.get(key)),
+            Index::Learned(a) => Ok(self.aging[*a].main.get(&key.key().to_value())),
+            _ => {
+                let map = self.global.value.as_map()?;
+                Ok(map.get(&*key.key().to_value()))
+            }
+        }
+    }
+
+    /// Whether the set holds `item`.
+    pub(crate) fn contains(self, item: &dyn Probe) -> Result<bool, TypeError> {
+        match &self.global.index {
+            Index::Set(set) => Ok(set.contains(item)),
+            _ => {
+                let set = self.global.value.as_set()?;
+                Ok(set.contains(&*item.key().to_value()))
+            }
+        }
+    }
 }
 
 /// A versioned map of global variables.
@@ -81,6 +151,12 @@ struct Aging {
 /// the version to decide when proactive flow rules must be regenerated
 /// (paper §IV-D "Handling Dynamics"), and asks [`Env::changes_since`] which
 /// entries moved so that it regenerates only those.
+///
+/// A map or set global is held twice over: in key order, which is what
+/// [`Env::get`] returns and rule conversion enumerates, and hashed, which
+/// is what a handler's point reads ask. A write of one key
+/// ([`Env::learn`], [`Env::insert`], [`Env::remove`]) costs that key in
+/// both.
 ///
 /// A map declared with a [`Lifetime`] ([`Env::declare_lifetime`]) forgets
 /// entries nobody learns again, holds a bounded number of them, and has a
@@ -91,11 +167,12 @@ struct Aging {
 /// journal. Entries learned since a point in time can be moved there after
 /// the fact ([`Env::demote_since`]).
 ///
-/// Equality compares globals and version; the journal, the stamps and the
-/// overlay are bookkeeping about how the environment got there.
+/// Equality compares globals and version; the journal, the stamps, the
+/// indexes and the overlay are bookkeeping about how the environment got
+/// there.
 #[derive(Debug, Clone, Default)]
 pub struct Env {
-    globals: BTreeMap<String, Value>,
+    globals: BTreeMap<String, Global>,
     version: u64,
     journal: Journal,
     aging: Vec<Aging>,
@@ -114,7 +191,13 @@ pub struct Env {
 
 impl PartialEq for Env {
     fn eq(&self, other: &Env) -> bool {
-        self.globals == other.globals && self.version == other.version
+        self.version == other.version
+            && self.globals.len() == other.globals.len()
+            && self
+                .globals
+                .iter()
+                .zip(&other.globals)
+                .all(|((a, x), (b, y))| a == b && x.value == y.value)
     }
 }
 
@@ -126,25 +209,87 @@ impl Env {
 
     /// Reads a global. A learned map reads without its quarantine overlay.
     pub fn get(&self, name: &str) -> Option<&Value> {
-        self.globals.get(name)
+        self.globals.get(name).map(|g| &g.value)
+    }
+
+    /// Resolves a global for point reads: a map lookup or a set membership
+    /// test through it costs the key, not the table.
+    pub(crate) fn table(&self, name: &str) -> Option<Table<'_>> {
+        self.globals.get(name).map(|global| Table {
+            global,
+            aging: &self.aging,
+        })
     }
 
     /// Writes a global, bumping the version. A map declared with a lifetime
     /// starts its entries' lifetimes over, at the environment's clock, and
     /// keeps at most its capacity of them (the first in key order).
     pub fn set(&mut self, name: &str, value: Value) {
+        let aged = self.aging.iter().position(|a| a.global == name);
+        // A learned map's index is its ledger, which `restamp` rebuilds.
+        let index = match (aged, &value) {
+            (Some(a), Value::Map(_)) => Index::Learned(a),
+            _ => Index::of(&value),
+        };
         // Overwrite in place: the name is allocated on first insert only.
         match self.globals.get_mut(name) {
-            Some(slot) => *slot = value,
+            Some(slot) => *slot = Global { value, index },
             None => {
-                self.globals.insert(name.to_owned(), value);
+                self.globals
+                    .insert(name.to_owned(), Global { value, index });
             }
         }
         self.version += 1;
         self.journal.record(name, None);
-        if let Some(a) = self.aging.iter().position(|a| a.global == name) {
+        if let Some(a) = aged {
             self.restamp(a);
         }
+    }
+
+    /// Adds `item` to the set global `name`, creating the set if needed.
+    /// Bumps the version and journals the item ([`Change::Key`]) only when
+    /// the set did not hold it; whether it did not. A global that is not a
+    /// set is left alone.
+    pub fn insert(&mut self, name: &str, item: Value) -> bool {
+        match self.globals.get_mut(name) {
+            Some(Global {
+                value: Value::Set(set),
+                index: Index::Set(hashed),
+            }) => {
+                if !hashed.insert(item.clone()) {
+                    return false;
+                }
+                set.insert(item.clone());
+                self.version += 1;
+                self.journal.record(name, Some(item));
+                true
+            }
+            Some(_) => false,
+            None => {
+                self.set(name, Value::Set(BTreeSet::from([item])));
+                true
+            }
+        }
+    }
+
+    /// Takes `item` from the set global `name`. Bumps the version and
+    /// journals the item ([`Change::Key`]) only when the set held it;
+    /// whether it did.
+    pub fn remove(&mut self, name: &str, item: &Value) -> bool {
+        let Some(Global {
+            value: Value::Set(set),
+            index: Index::Set(hashed),
+        }) = self.globals.get_mut(name)
+        else {
+            return false;
+        };
+        if !hashed.remove(item) {
+            return false;
+        }
+        set.remove(item);
+        self.version += 1;
+        self.journal.record(name, Some(item.clone()));
+        true
     }
 
     /// Gives the map global `name` a lifetime: its current entries are
@@ -178,7 +323,8 @@ impl Env {
             .map(|a| a.lifetime)
     }
 
-    /// Rebuilds the stamps of aging entry `a` from its map.
+    /// Rebuilds the stamps of aging entry `a` from its map, which from now
+    /// on they index.
     fn restamp(&mut self, a: usize) {
         let Aging {
             global,
@@ -189,16 +335,21 @@ impl Env {
         main.clear();
         // Every entry is stamped anew: the next sweep looks.
         self.next_due = f64::NEG_INFINITY;
-        let Some(Value::Map(map)) = self.globals.get_mut(global.as_str()) else {
+        let Some(Global {
+            value: Value::Map(map),
+            index,
+        }) = self.globals.get_mut(global.as_str())
+        else {
             return;
         };
+        *index = Index::Learned(a);
         let capacity = lifetime.capacity as usize;
         while map.len() > capacity {
             map.pop_last();
             self.aged_out += 1;
         }
-        for key in map.keys() {
-            main.insert(key.clone(), (), self.clock);
+        for (key, value) in map.iter() {
+            main.insert(key.clone(), value.clone(), self.clock);
             if overlay.remove(key) {
                 self.quarantined -= 1;
             }
@@ -225,49 +376,55 @@ impl Env {
     /// into the map; and a new key at capacity first evicts the least
     /// recently seen entry (a write of its own).
     pub fn learn(&mut self, name: &str, key: Value, value: Value) {
-        let aging = self.aging.iter_mut().find(|a| a.global == name);
-        match self.globals.get_mut(name) {
-            Some(Value::Map(map)) => {
-                let (known, unchanged) = match map.get(&key) {
-                    Some(old) => (true, *old == value),
-                    None => (false, false),
-                };
-                if let Some(aging) = aging {
-                    if known {
-                        aging.main.refresh(&key, None, self.clock);
-                    } else {
-                        if aging.overlay.remove(&key) {
-                            self.quarantined -= 1;
-                        }
-                        if aging.main.len() >= aging.lifetime.capacity as usize {
-                            if let Some((evicted, ())) = aging.main.evict() {
-                                map.remove(&evicted);
-                                self.version += 1;
-                                self.journal.record(name, Some(evicted));
-                                self.aged_out += 1;
-                            }
-                        }
-                        aging.main.insert(key.clone(), (), self.clock);
-                        self.next_due = self.next_due.min(aging.lifetime.first_due(self.clock));
+        let Some(global) = self.globals.get_mut(name) else {
+            self.set(name, Value::Map(BTreeMap::from([(key, value)])));
+            return;
+        };
+        let Global {
+            value: Value::Map(map),
+            index,
+        } = global
+        else {
+            return;
+        };
+        match index {
+            Index::Learned(a) => {
+                let aging = &mut self.aging[*a];
+                if let Some(old) = aging.main.get(&key) {
+                    let changed = *old != value;
+                    aging
+                        .main
+                        .refresh(&key, changed.then(|| value.clone()), self.clock);
+                    if !changed {
+                        return;
                     }
-                }
-                if !unchanged {
-                    map.insert(key.clone(), value);
-                    self.version += 1;
-                    self.journal.record(name, Some(key));
+                } else {
+                    if aging.overlay.remove(&key) {
+                        self.quarantined -= 1;
+                    }
+                    if aging.main.len() >= aging.lifetime.capacity as usize {
+                        if let Some((evicted, _)) = aging.main.evict() {
+                            map.remove(&evicted);
+                            self.version += 1;
+                            self.journal.record(name, Some(evicted));
+                            self.aged_out += 1;
+                        }
+                    }
+                    aging.main.insert(key.clone(), value.clone(), self.clock);
+                    self.next_due = self.next_due.min(aging.lifetime.first_due(self.clock));
                 }
             }
-            Some(_) => {}
-            None => {
-                let map = BTreeMap::from([(key, value)]);
-                self.globals.insert(name.to_owned(), Value::Map(map));
-                self.version += 1;
-                self.journal.record(name, None);
-                if let Some(a) = self.aging.iter().position(|a| a.global == name) {
-                    self.restamp(a);
+            Index::Map(hashed) => {
+                if hashed.get(&key) == Some(&value) {
+                    return;
                 }
+                hashed.insert(key.clone(), value.clone());
             }
+            Index::Set(_) | Index::Scalar => unreachable!("a map is indexed as one"),
         }
+        map.insert(key.clone(), value);
+        self.version += 1;
+        self.journal.record(name, Some(key));
     }
 
     /// Learns `key -> value` into the quarantine overlay of the map global
@@ -280,16 +437,10 @@ impl Env {
     /// its own least recently seen entry is evicted. A map written here
     /// first, and not declared, gets [`Lifetime::LEARNED`].
     pub fn quarantine(&mut self, name: &str, key: Value, value: Value) {
-        match self.globals.get(name) {
-            Some(Value::Map(map)) if map.contains_key(&key) => return,
-            Some(Value::Map(_)) => {}
+        match self.table(name).map(|table| table.get(&key)) {
+            Some(Ok(None)) => {}
             Some(_) => return,
-            None => {
-                self.globals
-                    .insert(name.to_owned(), Value::Map(BTreeMap::new()));
-                self.version += 1;
-                self.journal.record(name, None);
-            }
+            None => self.set(name, Value::Map(BTreeMap::new())),
         }
         let a = match self.aging.iter().position(|a| a.global == name) {
             Some(a) => a,
@@ -347,11 +498,15 @@ impl Env {
             overlay,
         } in aging
         {
-            let Some(Value::Map(map)) = globals.get_mut(global.as_str()) else {
+            let Some(Global {
+                value: Value::Map(map),
+                ..
+            }) = globals.get_mut(global.as_str())
+            else {
                 continue;
             };
             let bound = lifetime.quarantine as usize;
-            main.take_born_since(cutoff, |key, ()| {
+            main.take_born_since(cutoff, |key, _| {
                 let Some(value) = map.remove(&key) else {
                     return;
                 };
@@ -407,8 +562,12 @@ impl Env {
                 self.quarantined -= 1;
                 gone += 1;
             }
-            if let Some(Value::Map(map)) = self.globals.get_mut(aging.global.as_str()) {
-                while let Some((key, ())) = aging.main.pop_due(&aging.lifetime, now) {
+            if let Some(Global {
+                value: Value::Map(map),
+                ..
+            }) = self.globals.get_mut(aging.global.as_str())
+            {
+                while let Some((key, _)) = aging.main.pop_due(&aging.lifetime, now) {
                     map.remove(&key);
                     self.version += 1;
                     self.journal.record(&aging.global, Some(key));
@@ -483,7 +642,7 @@ impl Env {
     /// Total entries across all container-valued globals (a size measure of
     /// the application's dynamic state).
     pub fn state_size(&self) -> usize {
-        self.globals.values().map(Value::container_len).sum()
+        self.globals.values().map(|g| g.value.container_len()).sum()
     }
 }
 
@@ -784,6 +943,206 @@ mod tests {
         assert_eq!(env.version(), v + JOURNAL_CAP as u64 + 1);
         assert!(env.changes_since(v).is_none());
         assert!(env.changes_since(v + 1).is_some());
+    }
+
+    #[test]
+    fn set_writes_are_key_writes() {
+        let mut env = Env::new();
+        env.set("s", Value::Set(BTreeSet::new()));
+        let v = env.version();
+        assert!(env.insert("s", Value::Int(1)));
+        assert_eq!(env.version(), v + 1, "one bump for one item");
+        assert!(!env.insert("s", Value::Int(1)), "held already");
+        assert!(!env.remove("s", &Value::Int(2)), "never held");
+        assert_eq!(env.version(), v + 1, "a no-op is not a change");
+        assert!(env.remove("s", &Value::Int(1)));
+        assert_eq!(env.version(), v + 2);
+        let item = Value::Int(1);
+        assert_eq!(
+            env.changes_since(v).unwrap().collect::<Vec<_>>(),
+            vec![
+                Change::Key {
+                    global: "s",
+                    key: &item
+                };
+                2
+            ]
+        );
+        assert_eq!(env.get("s"), Some(&Value::Set(BTreeSet::new())));
+        // Anything but a set is left alone; a missing set comes into being.
+        env.set("x", Value::Int(3));
+        let v = env.version();
+        assert!(!env.insert("x", Value::Int(1)));
+        assert!(!env.remove("x", &Value::Int(3)));
+        assert!(env.insert("t", Value::Int(1)));
+        assert_eq!(
+            env.changes_since(v).unwrap().collect::<Vec<_>>(),
+            vec![Change::Replaced { global: "t" }]
+        );
+        assert_eq!(
+            env.get("t"),
+            Some(&Value::Set(BTreeSet::from([Value::Int(1)])))
+        );
+    }
+
+    mod point_reads {
+        use super::*;
+        use crate::builder::*;
+        use crate::interp::{execute, ConcreteDecision};
+        use crate::program::{GlobalSpec, Program};
+        use ofproto::flow_match::FlowKeys;
+        use ofproto::types::MacAddr;
+        use proptest::prelude::*;
+
+        /// `m` learned (a ledger answers it), `p` keyed by (mac, port)
+        /// tuples, `s` a set of such tuples.
+        fn globals() -> Vec<GlobalSpec> {
+            let spec = |name: &str, initial: Value, lifetime| GlobalSpec {
+                name: name.into(),
+                initial,
+                state_sensitive: true,
+                description: String::new(),
+                lifetime,
+            };
+            vec![
+                spec("m", Value::Map(BTreeMap::new()), Some(SHORT)),
+                spec("p", Value::Map(BTreeMap::new()), None),
+                spec("s", Value::Set(BTreeSet::new()), None),
+            ]
+        }
+
+        /// A handler that answers one point read of `map` (or of the set
+        /// `s`) as its decision.
+        fn probe(name: &str, body: Vec<crate::Stmt>) -> Program {
+            Program::new(name, globals(), body)
+        }
+
+        fn mac(k: u8) -> Value {
+            Value::Mac(MacAddr::from_u64(u64::from(k)))
+        }
+
+        fn pair(k: u8) -> Value {
+            Value::Tuple(vec![mac(k), Value::Int(u64::from(k % 3))])
+        }
+
+        fn keys(k: u8) -> FlowKeys {
+            FlowKeys {
+                dl_src: MacAddr::from_u64(u64::from(k)),
+                in_port: u16::from(k % 3),
+                ..FlowKeys::default()
+            }
+        }
+
+        #[derive(Debug, Clone)]
+        enum Op {
+            Learn(bool, u8, u8),
+            Quarantine(u8, u8),
+            Demote(u8),
+            Expire(u8),
+            Set(u8, u8),
+            Insert(u8),
+            Remove(u8),
+        }
+
+        fn arb_op() -> impl Strategy<Value = Op> {
+            prop_oneof![
+                (any::<bool>(), 0u8..8, 1u8..4).prop_map(|(m, k, v)| Op::Learn(m, k, v)),
+                (0u8..8, 1u8..4).prop_map(|(k, v)| Op::Quarantine(k, v)),
+                (0u8..30).prop_map(Op::Demote),
+                (0u8..30).prop_map(Op::Expire),
+                (0u8..3, 0u8..8).prop_map(|(g, k)| Op::Set(g, k)),
+                (0u8..8).prop_map(Op::Insert),
+                (0u8..8).prop_map(Op::Remove),
+            ]
+        }
+
+        fn apply(env: &mut Env, op: &Op) {
+            match *op {
+                Op::Learn(true, k, v) => env.learn("m", mac(k), Value::Int(u64::from(v))),
+                Op::Learn(false, k, v) => env.learn("p", pair(k), Value::Int(u64::from(v))),
+                Op::Quarantine(k, v) => env.quarantine("m", mac(k), Value::Int(u64::from(v))),
+                Op::Demote(t) => {
+                    env.demote_since(f64::from(t));
+                }
+                Op::Expire(t) => {
+                    env.expire(f64::from(t));
+                }
+                // Replace a global as a whole with the keys below `k`.
+                Op::Set(0, k) => env.set(
+                    "m",
+                    Value::Map((0..k).map(|i| (mac(i), Value::Int(7))).collect()),
+                ),
+                Op::Set(1, k) => env.set(
+                    "p",
+                    Value::Map((0..k).map(|i| (pair(i), Value::Int(7))).collect()),
+                ),
+                Op::Set(_, k) => env.set("s", Value::Set((0..k).map(pair).collect())),
+                Op::Insert(k) => {
+                    env.insert("s", pair(k));
+                }
+                Op::Remove(k) => {
+                    env.remove("s", &pair(k));
+                }
+            }
+        }
+
+        /// What a read answers, as a decision: the port a map holds, or a
+        /// flood where it holds none.
+        fn answer(found: Option<&Value>) -> ConcreteDecision {
+            found.map_or(ConcreteDecision::PacketOutFlood, |port| {
+                ConcreteDecision::PacketOutPort(port.as_int().unwrap() as u16)
+            })
+        }
+
+        proptest! {
+            #[test]
+            fn every_point_read_agrees_with_the_ordered_view(
+                ops in proptest::collection::vec(arb_op(), 1..40)
+            ) {
+                let get = |map: &str, key: Expr| {
+                    vec![if_else(
+                        map_contains(global(map), key.clone()),
+                        vec![emit(Decision::PacketOutPort(map_get(global(map), key)))],
+                        vec![emit(Decision::PacketOutFlood)],
+                    )]
+                };
+                let pair_expr = || tuple([field(Field::DlSrc), field(Field::InPort)]);
+                let learned = probe("m", get("m", field(Field::DlSrc)));
+                let hashed = probe("p", get("p", pair_expr()));
+                let member = probe(
+                    "s",
+                    vec![if_else(
+                        set_contains(global("s"), pair_expr()),
+                        vec![emit(Decision::Drop)],
+                        vec![emit(Decision::PacketOutFlood)],
+                    )],
+                );
+                let mut env = learned.initial_env();
+                for op in &ops {
+                    apply(&mut env, op);
+                    for k in 0..8 {
+                        let view = |name: &str| env.get(name).unwrap().clone();
+                        let (m, p, s) = (view("m"), view("p"), view("s"));
+                        let in_m = m.as_map().unwrap().get(&mac(k));
+                        let expected = answer(in_m.or_else(|| env.quarantined("m", &mac(k))));
+                        let version = env.version();
+                        let read = execute(&learned, &keys(k), &mut env).unwrap();
+                        prop_assert_eq!(read.decision, expected, "m[{}] after {:?}", k, op);
+                        let expected = answer(p.as_map().unwrap().get(&pair(k)));
+                        let read = execute(&hashed, &keys(k), &mut env).unwrap();
+                        prop_assert_eq!(read.decision, expected, "p[{}] after {:?}", k, op);
+                        let expected = if s.as_set().unwrap().contains(&pair(k)) {
+                            ConcreteDecision::Drop
+                        } else {
+                            ConcreteDecision::PacketOutFlood
+                        };
+                        let read = execute(&member, &keys(k), &mut env).unwrap();
+                        prop_assert_eq!(read.decision, expected, "{} in s after {:?}", k, op);
+                        prop_assert_eq!(env.version(), version, "a read writes nothing");
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -7,8 +7,9 @@ use std::net::Ipv4Addr;
 
 use ofproto::flow_match::FlowKeys;
 
-use crate::env::Env;
-use crate::value::Value;
+use crate::env::{Env, Table};
+use crate::index::{Items, Probe};
+use crate::value::{TypeError, Value};
 
 /// A packet header field readable by a handler.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -179,14 +180,53 @@ pub fn mask_ip(ip: Ipv4Addr, prefix_len: u32) -> Ipv4Addr {
     Ipv4Addr::from(u32::from(ip) & mask)
 }
 
+/// The container operand of a lookup or a membership test. A global is
+/// read through its hash index ([`Env::table`]), so the test costs the key
+/// and not the table; any other expression is evaluated to a value.
+enum Container<'a> {
+    Global(Table<'a>),
+    Value(Cow<'a, Value>),
+}
+
+impl<'a> Container<'a> {
+    /// The value `key` maps to, if the container is a map that holds it.
+    fn get(self, key: &dyn Probe) -> Result<Option<Cow<'a, Value>>, TypeError> {
+        Ok(match self {
+            Container::Global(table) => table.get(key)?.map(Cow::Borrowed),
+            Container::Value(Cow::Borrowed(map)) => {
+                map.as_map()?.get(&*key.key().to_value()).map(Cow::Borrowed)
+            }
+            Container::Value(Cow::Owned(map)) => map
+                .as_map()?
+                .get(&*key.key().to_value())
+                .cloned()
+                .map(Cow::Owned),
+        })
+    }
+
+    /// Whether the container is a set that holds `item`.
+    fn contains(self, item: &dyn Probe) -> Result<bool, TypeError> {
+        match self {
+            Container::Global(table) => table.contains(item),
+            Container::Value(set) => Ok(set.as_set()?.contains(&*item.key().to_value())),
+        }
+    }
+}
+
 /// The quarantined value of `key` in the map `map` reads, when `map` is a
 /// global.
-fn quarantined<'a>(map: &Expr, env: &'a Env, key: &Value) -> Option<&'a Value> {
+fn quarantined<'a>(map: &Expr, env: &'a Env, key: &dyn Probe) -> Option<&'a Value> {
     match map {
-        Expr::Global(name) => env.quarantined(name, key),
+        Expr::Global(name) if env.quarantined_len() > 0 => {
+            env.quarantined(name, &key.key().to_value())
+        }
         _ => None,
     }
 }
+
+/// Tuple keys of at most this many items are probed for without being
+/// built ([`Expr::with_key`]).
+const INLINE_ITEMS: usize = 8;
 
 impl Expr {
     /// Evaluates against concrete packet keys and an environment, copying
@@ -203,7 +243,7 @@ impl Expr {
     /// copying a container: constants, globals and entries looked up in
     /// them are borrowed from `self` and `env`; only scalars computed on
     /// the way (field reads, booleans, masked addresses) and tuples are
-    /// owned. The cost of `macToPort[dl_dst]` is therefore one tree probe
+    /// owned. The cost of `macToPort[dl_dst]` is therefore one hash probe
     /// whatever the table's size.
     ///
     /// `nodes` counts evaluated AST nodes (the interpreter's cost model).
@@ -236,6 +276,53 @@ impl Expr {
         nodes: &mut u64,
     ) -> Result<Cow<'a, Value>, EvalError> {
         self.eval_in(keys, env, true, nodes)
+    }
+
+    /// Evaluates the container operand of a lookup or a membership test,
+    /// counting the same nodes [`Expr::eval_in`] would.
+    fn container<'a>(
+        &'a self,
+        keys: &FlowKeys,
+        env: &'a Env,
+        overlay: bool,
+        nodes: &mut u64,
+    ) -> Result<Container<'a>, EvalError> {
+        match self {
+            Expr::Global(name) => {
+                *nodes += 1;
+                env.table(name)
+                    .map(Container::Global)
+                    .ok_or_else(|| EvalError::UnknownGlobal(name.clone()))
+            }
+            other => other
+                .eval_in(keys, env, overlay, nodes)
+                .map(Container::Value),
+        }
+    }
+
+    /// Evaluates the key operand of a lookup or a membership test and hands
+    /// it to `probe`, counting the same nodes [`Expr::eval_in`] would. A
+    /// tuple's items are handed over where they were evaluated, so a
+    /// composite key costs no allocation.
+    fn with_key<'a, R>(
+        &'a self,
+        keys: &FlowKeys,
+        env: &'a Env,
+        overlay: bool,
+        nodes: &mut u64,
+        probe: impl FnOnce(&dyn Probe) -> R,
+    ) -> Result<R, EvalError> {
+        match self {
+            Expr::Tuple(items) if items.len() <= INLINE_ITEMS => {
+                *nodes += 1;
+                let mut held: [Cow<'a, Value>; INLINE_ITEMS] = Default::default();
+                for (slot, item) in held.iter_mut().zip(items) {
+                    *slot = item.eval_in(keys, env, overlay, nodes)?;
+                }
+                Ok(probe(&Items(&held[..items.len()])))
+            }
+            other => Ok(probe(&*other.eval_in(keys, env, overlay, nodes)?)),
+        }
     }
 
     fn eval_in<'a>(
@@ -271,32 +358,28 @@ impl Expr {
             ),
             Expr::Not(e) => Value::Bool(!e.eval_in(keys, env, overlay, nodes)?.as_bool()?),
             Expr::MapContains { map: map_expr, key } => {
-                let map = map_expr.eval_in(keys, env, overlay, nodes)?;
-                let key = key.eval_in(keys, env, overlay, nodes)?;
-                Value::Bool(
-                    map.as_map()?.contains_key(&*key)
-                        || overlay && quarantined(map_expr, env, &key).is_some(),
-                )
+                let map = map_expr.container(keys, env, overlay, nodes)?;
+                key.with_key(keys, env, overlay, nodes, |key| {
+                    Ok::<_, TypeError>(Value::Bool(
+                        map.get(key)?.is_some()
+                            || overlay && quarantined(map_expr, env, key).is_some(),
+                    ))
+                })??
             }
             Expr::MapGet { map: map_expr, key } => {
-                let map = map_expr.eval_in(keys, env, overlay, nodes)?;
-                let key = key.eval_in(keys, env, overlay, nodes)?;
-                return Ok(match map {
-                    Cow::Borrowed(map) => match map.as_map()?.get(&*key) {
-                        Some(value) => Cow::Borrowed(value),
-                        None if overlay => quarantined(map_expr, env, &key)
+                let map = map_expr.container(keys, env, overlay, nodes)?;
+                return Ok(key.with_key(keys, env, overlay, nodes, |key| {
+                    Ok::<_, TypeError>(match map.get(key)? {
+                        Some(value) => value,
+                        None if overlay => quarantined(map_expr, env, key)
                             .map_or(Cow::Owned(Value::None), Cow::Borrowed),
                         None => Cow::Owned(Value::None),
-                    },
-                    Cow::Owned(map) => {
-                        Cow::Owned(map.as_map()?.get(&*key).cloned().unwrap_or(Value::None))
-                    }
-                });
+                    })
+                })??);
             }
             Expr::SetContains { set, item } => {
-                let set = set.eval_in(keys, env, overlay, nodes)?;
-                let item = item.eval_in(keys, env, overlay, nodes)?;
-                Value::Bool(set.as_set()?.contains(&*item))
+                let set = set.container(keys, env, overlay, nodes)?;
+                Value::Bool(item.with_key(keys, env, overlay, nodes, |item| set.contains(item))??)
             }
             Expr::HighBit(e) => {
                 let ip = e.eval_in(keys, env, overlay, nodes)?.as_ip()?;

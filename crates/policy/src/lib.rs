@@ -37,6 +37,7 @@ pub mod builder;
 pub mod convert;
 pub mod env;
 pub mod expr;
+mod index;
 pub mod interp;
 pub mod program;
 pub mod stmt;

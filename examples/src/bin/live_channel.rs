@@ -13,10 +13,11 @@
 //!
 //! The run has three acts: benign traffic teaching the controller, a
 //! table-miss flood that trips the detector and migrates the flood into
-//! the cache, and a cooldown showing the transport counters — frames,
-//! backpressure rejections, queue high-water — after the storm. It exits
-//! non-zero when the sessions do not come up within 10 s or nothing was
-//! re-raised from the cache.
+//! the cache, and a cooldown that closes both sessions and shows the
+//! transport counters — frames, backpressure rejections, queue high-water
+//! — after the storm. It exits non-zero when the sessions do not come up
+//! within 10 s, nothing was re-raised from the cache, or the switch side
+//! sent a different number of frames than the controller side received.
 //!
 //! Run with: `cargo run -p floodguard-examples --release --bin live_channel`
 
@@ -29,7 +30,7 @@ use controller::platform::ControllerPlatform;
 use floodguard::{DetectionConfig, FloodGuard, FloodGuardConfig};
 use netsim::packet::Packet;
 use netsim::switch::Switch;
-use netsim::SwitchProfile;
+use netsim::{DeviceId, Fault, SwitchId, SwitchProfile};
 use ofchannel::{ChannelConfig, ControllerConfig, ControllerEndpoint, SwitchEndpoint};
 use ofproto::types::{DatapathId, MacAddr};
 
@@ -198,9 +199,30 @@ fn main() -> ExitCode {
         );
     }
 
+    // Both sides quiet before their counters are read: a frame is counted
+    // out once its batch's write has returned, so a live snapshot can
+    // trail the peer's count of it. The switch's session is cut and its
+    // cache crashed for good, so neither dials again; once the controller
+    // holds neither session it has read both to their end.
+    endpoint.inject_fault(Fault::ControlPartition { sw: SwitchId(0) });
+    endpoint.inject_fault(Fault::DeviceCrash {
+        dev: DeviceId(0),
+        restart_after: f64::INFINITY,
+    });
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while {
+        let s = controller.status();
+        !s.connected_switches.is_empty() || !s.connected_devices.is_empty()
+    } {
+        if Instant::now() >= deadline {
+            eprintln!("sessions still up 10 s after they were cut");
+            return ExitCode::FAILURE;
+        }
+        std::thread::sleep(Duration::from_millis(10));
+    }
     let switch_side = endpoint.counters();
     let controller_side = controller.counters();
-    println!("\ntransport counters after the storm:");
+    println!("\ntransport counters after the storm, both sessions closed:");
     println!(
         "  switch side:     {} frames out ({} bytes), {} in; backpressure rejections {}, queue hwm {}",
         switch_side.frames_out,
@@ -228,6 +250,13 @@ fn main() -> ExitCode {
     );
     if snap.stats.reraised == 0 {
         eprintln!("nothing was re-raised from the cache");
+        return ExitCode::FAILURE;
+    }
+    if switch_side.frames_out != controller_side.frames_in {
+        eprintln!(
+            "the switch side sent {} frames, the controller side received {}",
+            switch_side.frames_out, controller_side.frames_in
+        );
         return ExitCode::FAILURE;
     }
     ExitCode::SUCCESS

@@ -11,7 +11,7 @@ use ofproto::types::{ethertype, ipproto, MacAddr};
 use policy::interp::{execute, ConcreteDecision};
 use policy::{Env, Program};
 use proptest::prelude::*;
-use symexec::{convert_to_rules, generate_path_conditions};
+use symexec::{convert_to_rules, generate_path_conditions, KeyDelta, KeyedConversion};
 
 /// Concrete execution of `program` on `keys`; if it installs a rule, that
 /// rule must be among the proactive rules generated from the post-execution
@@ -172,6 +172,49 @@ fn mac_blocker_agreement() {
     let pcs = generate_path_conditions(&program);
     let conversion = convert_to_rules(&pcs, &env);
     assert_eq!(conversion.rules.len(), 12);
+}
+
+/// Converts `program` on a 1000-entry table, applies `block` to it and
+/// brings the conversion up to date key-wise: the delta, checked against a
+/// full conversion.
+fn block_delta(program: &Program, seed: fn(&mut Env, usize), block: impl Fn(&mut Env)) -> KeyDelta {
+    let mut env = program.initial_env();
+    seed(&mut env, 1000);
+    let pcs = generate_path_conditions(program);
+    let mut kept = KeyedConversion::convert(&pcs, &env);
+    assert_eq!(kept.len(), 1000);
+    block(&mut env);
+    let delta = kept
+        .apply(&pcs, &env)
+        .expect("a block is a write of one key, converted alone");
+    assert!(delta.removed.is_empty());
+    assert_eq!(kept.into_rules(), convert_to_rules(&pcs, &env).rules);
+    delta
+}
+
+#[test]
+fn an_administrators_block_converts_its_one_key() {
+    let mac = MacAddr::from_u64(0xbad);
+    let delta = block_delta(
+        &apps::mac_blocker::program(),
+        apps::mac_blocker::seed,
+        |env| apps::mac_blocker::block(env, mac),
+    );
+    assert_eq!(delta.added.len(), 1);
+    assert_eq!(delta.added[0].of_match.keys.dl_src, mac);
+
+    let (src, dst) = (Ipv4Addr::new(1, 2, 3, 4), Ipv4Addr::new(5, 6, 7, 8));
+    let delta = block_delta(
+        &apps::of_firewall::program(),
+        apps::of_firewall::seed,
+        |env| apps::of_firewall::block(env, src, dst, ipproto::TCP, 22),
+    );
+    assert_eq!(delta.added.len(), 1);
+    let keys = delta.added[0].of_match.keys;
+    assert_eq!(
+        (keys.nw_src, keys.nw_dst, keys.nw_proto, keys.tp_dst),
+        (src, dst, ipproto::TCP, 22)
+    );
 }
 
 #[test]

@@ -35,16 +35,19 @@ use std::cell::Cell;
 use std::net::Ipv4Addr;
 
 use controller::apps;
-use controller::platform::App;
+use controller::platform::{App, ControllerPlatform};
 use floodguard::analyzer::Analyzer;
 use floodguard::config::DetectionConfig;
 use floodguard::detector::Detector;
+use floodguard::{FloodGuard, FloodGuardConfig};
 use netsim::host::{CbrSource, Host, UdpFlood};
+use netsim::iface::{ControlOutput, ControlPlane};
 use netsim::packet::{FlowTag, Packet};
 use netsim::{Simulation, SwitchId, SwitchProfile};
 use ofproto::actions::Action;
 use ofproto::flow_match::{FlowKeys, OfMatch};
-use ofproto::types::{MacAddr, PortNo};
+use ofproto::messages::{FeaturesReply, OfBody, OfMessage, PacketIn, PacketInReason};
+use ofproto::types::{DatapathId, MacAddr, PortNo, Xid};
 use policy::interp::{execute, execute_at, ConcreteDecision, Provenance};
 use policy::{Env, Lifetime, Program, Value};
 use rand::rngs::StdRng;
@@ -133,6 +136,44 @@ fn seeded_apps(entries: usize) -> Vec<(Program, Env)> {
         .collect()
 }
 
+/// An application's seeding helper: `n` entries into its table.
+type Seed = fn(&mut Env, usize);
+
+/// (allocations, bytes) of seeding `n` entries into `program`'s table.
+fn seed_cost(program: &Program, seed: Seed, n: usize) -> (u64, u64) {
+    let mut env = program.initial_env();
+    let before = ALLOCATED.with(Cell::get);
+    seed(&mut env, n);
+    let after = ALLOCATED.with(Cell::get);
+    assert_eq!(env.state_size(), n, "{}: seeded", program.name);
+    (after.0 - before.0, after.1 - before.1)
+}
+
+#[test]
+fn seeding_an_administrators_table_costs_what_it_adds() {
+    // Each block is one key written in place: twice the entries, twice
+    // the allocations and bytes, give or take a hash table's doubling. The
+    // parent copied the whole table for every block, which is quadratic:
+    // about four times here.
+    let seeds: [(Program, Seed); 2] = [
+        (apps::of_firewall::program(), apps::of_firewall::seed),
+        (apps::mac_blocker::program(), apps::mac_blocker::seed),
+    ];
+    for (program, seed) in &seeds {
+        let (small, small_bytes) = seed_cost(program, *seed, 1000);
+        let (large, large_bytes) = seed_cost(program, *seed, 2000);
+        eprintln!(
+            "{} {small} {small_bytes} {large} {large_bytes}",
+            program.name
+        );
+        assert!(
+            large * 10 <= small * 22 && large_bytes * 10 <= small_bytes * 22,
+            "{}: ({small}, {small_bytes}) (allocations, bytes) for 1000 entries, ({large}, {large_bytes}) for 2000",
+            program.name
+        );
+    }
+}
+
 /// (allocations, bytes) of one `execute`, and what it decided.
 fn measure(program: &Program, keys: &FlowKeys, env: &mut Env) -> ((u64, u64), ConcreteDecision) {
     let before = ALLOCATED.with(Cell::get);
@@ -186,6 +227,133 @@ fn execute_allocations_do_not_depend_on_state_size() {
             program.name
         );
     }
+}
+
+/// A platform running the six applications of fgbench's
+/// `live_large_state`, each holding `entries` entries of state.
+fn seeded_platform(entries: usize) -> ControllerPlatform {
+    let mut platform = ControllerPlatform::new();
+    for (program, env) in seeded_apps(entries) {
+        let name = program.name.clone();
+        platform.register(program);
+        platform.app_mut(&name).expect("registered").env = env;
+    }
+    platform
+}
+
+/// An unbuffered packet_in of a 1400-byte UDP packet from host 0 to host
+/// 1, on host 0's port: what fgbench's `live_large_state` sends.
+fn large_state_packet_in() -> PacketIn {
+    let data = Packet::udp(
+        host_mac(0),
+        host_mac(1),
+        host_ip(0),
+        host_ip(1),
+        4000,
+        53,
+        1400,
+    )
+    .to_bytes();
+    PacketIn {
+        buffer_id: None,
+        total_len: data.len() as u16,
+        in_port: PortNo::Physical(1),
+        reason: PacketInReason::NoMatch,
+        data,
+    }
+}
+
+/// (allocations, bytes) of the action lists `out`'s messages own.
+fn reply_action_lists(out: &ControlOutput) -> (u64, u64) {
+    out.messages
+        .iter()
+        .map(|(_, msg)| match &msg.body {
+            OfBody::FlowMod(fm) => &fm.actions,
+            OfBody::PacketOut(po) => &po.actions,
+            other => panic!("unexpected reply {other:?}"),
+        })
+        .filter(|actions| actions.capacity() > 0)
+        .map(|actions| {
+            (
+                1,
+                (actions.capacity() * std::mem::size_of::<Action>()) as u64,
+            )
+        })
+        .fold((0, 0), |(n, b), (dn, db)| (n + dn, b + db))
+}
+
+/// How many of `out`'s packet-outs flood, and the bytes of their one-action
+/// lists.
+fn flood_lists(out: &ControlOutput) -> (u64, u64) {
+    let floods = out
+        .messages
+        .iter()
+        .filter(|(_, msg)| {
+            matches!(&msg.body, OfBody::PacketOut(po)
+                if po.actions == [Action::Output(PortNo::Flood)])
+        })
+        .count() as u64;
+    (floods, floods * std::mem::size_of::<Action>() as u64)
+}
+
+#[test]
+fn a_large_state_packet_in_allocates_only_its_replies_action_lists() {
+    // Host 0 to host 1 through the six applications: three installs, each
+    // with a forwarding packet-out, and two floods. The parent made 12
+    // allocations (216 bytes) where these replies own 8 (64): the
+    // firewall's tuple key, and a second and a third copy of each install's
+    // actions. Under FloodGuard it made 19 (320) where 10 (112) are owned
+    // or replaced: it rebuilt every packet-out, flooding or not, growing
+    // each flood's list port by port.
+    let pi = large_state_packet_in();
+    let dpid = DatapathId(1);
+    let mut platform = seeded_platform(1024);
+    let mut out = ControlOutput::new();
+    // The first packet teaches the learning switches host 0's port and
+    // sizes the recycled output; measure the steady state after it.
+    platform.handle_packet_in(dpid, Xid(1), &pi, &mut out);
+    out.reset();
+    let before = ALLOCATED.with(Cell::get);
+    platform.handle_packet_in(dpid, Xid(2), &pi, &mut out);
+    let after = ALLOCATED.with(Cell::get);
+    assert_eq!(
+        out.messages.len(),
+        8,
+        "three installs, each forwarded, two floods"
+    );
+    assert_eq!(
+        (after.0 - before.0, after.1 - before.1),
+        reply_action_lists(&out),
+        "platform: (allocations, bytes) against its replies' action lists"
+    );
+    // FloodGuard turns each flood into the ports it may reach: a list of
+    // its own in place of the platform's one-action list.
+    let (floods, flood_bytes) = flood_lists(&out);
+    assert_eq!(floods, 2);
+    let mut floodguard = FloodGuard::new(seeded_platform(1024), FloodGuardConfig::default(), 99);
+    let features = FeaturesReply {
+        datapath_id: dpid,
+        n_buffers: 512,
+        n_tables: 1,
+        ports: [1, 2, 3, 4, 99].map(PortNo::Physical).to_vec(),
+    };
+    floodguard.on_switch_connect(dpid, features, 0.0, &mut out);
+    let mut cost = (0, 0);
+    for (xid, now) in [(1, 1e-3), (2, 2e-3)] {
+        out.reset();
+        let msg = OfMessage::new(Xid(xid), OfBody::PacketIn(pi.clone()));
+        let before = ALLOCATED.with(Cell::get);
+        floodguard.on_message(dpid, msg, now, &mut out);
+        let after = ALLOCATED.with(Cell::get);
+        cost = (after.0 - before.0, after.1 - before.1);
+    }
+    assert_eq!(flood_lists(&out), (0, 0), "every flood rewritten");
+    let (lists, bytes) = reply_action_lists(&out);
+    assert_eq!(
+        cost,
+        (lists + floods, bytes + flood_bytes),
+        "FloodGuard: (allocations, bytes) against its replies' action lists and the floods it rewrote"
+    );
 }
 
 /// The paper's five applications, `sources` spoofed sources learned by
