@@ -30,6 +30,7 @@ impl ControlOutput {
     }
 
     /// Queues a message toward switch `dpid`.
+    #[inline]
     pub fn send(&mut self, dpid: DatapathId, msg: OfMessage) {
         self.messages.push((dpid, msg));
     }
@@ -40,6 +41,7 @@ impl ControlOutput {
     /// reuse the existing entry (and its `String`) instead of growing the
     /// list — with [`ControlOutput::reset`] this makes a recycled output
     /// allocation-free once every app name has been seen.
+    #[inline]
     pub fn charge(&mut self, app: &str, seconds: f64) {
         if let Some((_, total)) = self.cpu.iter_mut().find(|(name, _)| name == app) {
             *total += seconds;
@@ -55,6 +57,7 @@ impl ControlOutput {
 
     /// Empties the output for reuse, keeping message capacity and the app
     /// name strings (their charges are zeroed).
+    #[inline]
     pub fn reset(&mut self) {
         self.messages.clear();
         for (_, seconds) in &mut self.cpu {

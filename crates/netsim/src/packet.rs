@@ -521,6 +521,7 @@ impl Packet {
     /// Returns `None` when the bytes are too short to contain the headers
     /// they claim. Batch and tag metadata are not on the wire and come back
     /// as defaults.
+    #[inline]
     pub fn parse(data: &[u8]) -> Option<Packet> {
         let mut buf = data;
         if buf.remaining() < ETH_HEADER_LEN {

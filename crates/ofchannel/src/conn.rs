@@ -26,7 +26,7 @@ use std::sync::Arc;
 use std::task::{Poll, Waker};
 use std::time::{Duration, Instant};
 
-use bytes::{Bytes, BytesMut};
+use bytes::{Buf, Bytes, BytesMut};
 use ofproto::messages::{FeaturesReply, OfBody, OfMessage};
 use ofproto::types::Xid;
 use ofproto::wire;
@@ -47,6 +47,10 @@ pub(crate) enum SendError {
     Backpressure,
     /// The writer task is gone; the connection is dead.
     Closed,
+    /// A frame of the message would be longer than its 16-bit length field
+    /// can say ([`wire::FrameTooLong`]); nothing was queued, and the
+    /// connection carries on.
+    Oversize,
 }
 
 /// The endpoint-wide pool of in-flight frame permits.
@@ -178,8 +182,13 @@ impl FrameSender {
             } else if out.lens.len() >= queue.cap {
                 Err(SendError::Backpressure)
             } else {
-                out.lens.push(wire::encode_into(msg, &mut out.bytes));
-                Ok((out.lens.len(), out.writer.take()))
+                match wire::try_encode_into(msg, &mut out.bytes) {
+                    Ok(len) => {
+                        out.lens.push(len);
+                        Ok((out.lens.len(), out.writer.take()))
+                    }
+                    Err(_) => Err(SendError::Oversize),
+                }
             }
         };
         match queued {
@@ -192,9 +201,13 @@ impl FrameSender {
             }
             Err(refused) => {
                 queue.budget.release();
-                if refused == SendError::Backpressure {
-                    queue.counters.record_send_blocked();
-                    queue.counters.observe_queue_depth(queue.cap);
+                match refused {
+                    SendError::Backpressure => {
+                        queue.counters.record_send_blocked();
+                        queue.counters.observe_queue_depth(queue.cap);
+                    }
+                    SendError::Oversize => queue.counters.record_send_oversize(),
+                    SendError::Closed => {}
                 }
                 Err(refused)
             }
@@ -281,9 +294,9 @@ pub(crate) struct Conn {
 
 impl Conn {
     /// Queues `msg` toward the peer. A refused frame is dropped, never
-    /// retried here: the counters record each backpressure rejection, and
-    /// the peer observes the gap the way it would observe loss on a
-    /// congested channel.
+    /// retried here: the counters record each backpressure rejection and
+    /// each oversize refusal, and the peer observes the gap the way it
+    /// would observe loss on a congested channel.
     pub(crate) fn send(&self, msg: &OfMessage) -> Result<(), SendError> {
         self.sender.send(msg)
     }
@@ -326,8 +339,10 @@ impl Conn {
 pub(crate) struct FrameReader {
     read_half: tokio::net::OwnedReadHalf,
     buf: BytesMut,
+    /// How much of `buf` the frames decoded so far span; consumed before
+    /// the next read.
+    at: usize,
     chunk: Vec<u8>,
-    decoded: std::vec::IntoIter<OfMessage>,
     link: Rc<Link>,
     echo: FrameSender,
     counters: Arc<ChannelCounters>,
@@ -340,25 +355,28 @@ impl FrameReader {
     /// and the connection is over.
     pub(crate) async fn next(&mut self) -> Option<OfMessage> {
         loop {
-            for msg in self.decoded.by_ref() {
-                self.counters.record_frame_in(wire::wire_len(&msg));
-                match msg.body {
-                    OfBody::EchoRequest(data) => {
-                        let _ = self
-                            .echo
-                            .send(&OfMessage::new(msg.xid, OfBody::EchoReply(data)));
+            match wire::decode_frame(&self.buf[self.at..]) {
+                Ok(Some((msg, len))) => {
+                    // The first frame of each read stamps the receive clock.
+                    if self.at == 0 {
+                        self.link.last_rx.set(Instant::now());
                     }
-                    OfBody::EchoReply(_) => {}
-                    _ => return Some(msg),
-                }
-            }
-            match wire::decode_frames(&mut self.buf) {
-                Ok(msgs) if !msgs.is_empty() => {
-                    self.link.last_rx.set(Instant::now());
-                    self.decoded = msgs.into_iter();
+                    self.at += len;
+                    // Counted at the length the peer wrote, not the length
+                    // of what the message needed of it.
+                    self.counters.record_frame_in(len);
+                    match msg.body {
+                        OfBody::EchoRequest(data) => {
+                            let _ = self
+                                .echo
+                                .send(&OfMessage::new(msg.xid, OfBody::EchoReply(data)));
+                        }
+                        OfBody::EchoReply(_) => {}
+                        _ => return Some(msg),
+                    }
                     continue;
                 }
-                Ok(_) => {}
+                Ok(None) => self.buf.advance(std::mem::take(&mut self.at)),
                 Err(_) => {
                     self.counters.record_decode_error();
                     return None;
@@ -405,8 +423,8 @@ pub(crate) fn open(
     let reader = FrameReader {
         read_half,
         buf: residue,
+        at: 0,
         chunk: vec![0u8; READ_CHUNK],
-        decoded: Vec::new().into_iter(),
         link: Rc::clone(&link),
         echo: sender.clone(),
         counters: Arc::clone(counters),
@@ -559,7 +577,12 @@ mod tests {
     use super::*;
     use std::io::{Read, Write};
 
-    use ofproto::types::DatapathId;
+    use ofproto::actions::Action;
+    use ofproto::flow_match::OfMatch;
+    use ofproto::flow_mod::FlowMod;
+    use ofproto::messages::{PacketIn, PacketInReason, PacketOut};
+    use ofproto::types::{DatapathId, PortNo};
+    use proptest::prelude::*;
 
     const BODY: usize = 16 * 1024;
     const FRAME: usize = wire::OFP_HEADER_LEN + BODY;
@@ -717,6 +740,7 @@ mod tests {
                     Ok(()) => accepted += 1,
                     Err(SendError::Backpressure) => tokio::task::yield_now().await,
                     Err(SendError::Closed) => break,
+                    Err(SendError::Oversize) => unreachable!("every frame here fits"),
                 }
                 assert!(Instant::now() < deadline, "writer never noticed the reset");
             }
@@ -784,6 +808,7 @@ mod tests {
                     Ok(()) => sent += 1,
                     Err(SendError::Backpressure) => tokio::task::yield_now().await,
                     Err(SendError::Closed) => panic!("writer stopped"),
+                    Err(SendError::Oversize) => unreachable!("every frame here fits"),
                 }
                 assert!(Instant::now() < deadline, "writer never took the queue");
             }
@@ -987,6 +1012,151 @@ mod tests {
         });
     }
 
+    /// The packet_out that forwards an unbuffered packet_in as large as a
+    /// frame can carry is 6 bytes too long for one frame: the sender
+    /// refuses and counts it, and the session carries on with nothing
+    /// broken on the wire.
+    #[test]
+    fn an_oversize_message_is_refused_and_the_session_stays_up() {
+        let rt = runtime();
+        rt.block_on(async {
+            let (a, mut b) = ends(ChannelConfig::default()).await;
+            let data = Bytes::from(vec![0xab; wire::MAX_FRAME_LEN - wire::OFP_HEADER_LEN - 10]);
+            let forward = OfMessage::new(
+                Xid(1),
+                OfBody::PacketOut(PacketOut {
+                    buffer_id: None,
+                    in_port: PortNo::Physical(1),
+                    actions: vec![Action::Output(PortNo::Flood)],
+                    data: Some(data),
+                }),
+            );
+            assert_eq!(a.conn.send(&forward), Err(SendError::Oversize));
+            assert_eq!(a.budget.permits.get(), PERMITS, "a refusal holds no permit");
+            a.conn.send(&barrier(2)).expect("room");
+            let got = tokio::time::timeout(Duration::from_secs(5), b.reader.next()).await;
+            assert_eq!(got, Ok(Some(barrier(2))));
+            let sent = a.counters.snapshot();
+            assert_eq!((sent.sends_oversize, sent.sends_blocked), (1, 0));
+            let seen = b.counters.snapshot();
+            assert_eq!(
+                (seen.frames_in, seen.bytes_in, seen.decode_errors),
+                (1, 8, 0)
+            );
+        });
+    }
+
+    /// A frame whose header declares body bytes its message does not need
+    /// is counted at the length the peer wrote.
+    #[test]
+    fn a_frame_is_counted_at_its_declared_length() {
+        let rt = runtime();
+        rt.block_on(async {
+            let (a, mut b) = ends(ChannelConfig::default()).await;
+            let mut frame = wire::encode(&barrier(9)).to_vec();
+            frame[3] += 4;
+            frame.extend_from_slice(&[0xee; 4]);
+            frame.extend_from_slice(&wire::encode(&barrier(10)));
+            (&a.conn.link.socket).write_all(&frame).expect("raw write");
+            for xid in [9, 10] {
+                let got = tokio::time::timeout(Duration::from_secs(5), b.reader.next()).await;
+                assert_eq!(got, Ok(Some(barrier(xid))));
+            }
+            let snap = b.counters.snapshot();
+            assert_eq!((snap.frames_in, snap.bytes_in), (2, 12 + 8));
+        });
+    }
+
+    /// Messages the reader hands its owner and keepalive it keeps.
+    fn arb_message() -> impl Strategy<Value = OfMessage> {
+        let data =
+            |max: usize| proptest::collection::vec(any::<u8>(), 0..max).prop_map(Bytes::from);
+        prop_oneof![
+            any::<u32>().prop_map(barrier),
+            (any::<u32>(), data(64))
+                .prop_map(|(xid, data)| OfMessage::new(Xid(xid), OfBody::EchoRequest(data))),
+            (any::<u32>(), data(64))
+                .prop_map(|(xid, data)| OfMessage::new(Xid(xid), OfBody::EchoReply(data))),
+            (any::<u32>(), 1u16..64, data(3000)).prop_map(|(xid, port, data)| {
+                OfMessage::new(
+                    Xid(xid),
+                    OfBody::PacketIn(PacketIn {
+                        buffer_id: None,
+                        total_len: data.len() as u16,
+                        in_port: PortNo::Physical(port),
+                        reason: PacketInReason::NoMatch,
+                        data,
+                    }),
+                )
+            }),
+            (any::<u32>(), 1u16..64, any::<u64>()).prop_map(|(xid, port, cookie)| {
+                let mut fm =
+                    FlowMod::add(OfMatch::any(), vec![Action::Output(PortNo::Physical(port))]);
+                fm.cookie = cookie;
+                OfMessage::new(Xid(xid), OfBody::FlowMod(fm))
+            }),
+        ]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+
+        /// Encoded messages written in pieces cut anywhere come out of the
+        /// reader whole and in order, keepalive kept back, and every byte
+        /// written is counted in.
+        #[test]
+        fn the_reader_yields_what_was_written_however_the_stream_is_cut(
+            msgs in proptest::collection::vec(arb_message(), 1..12),
+            cuts in proptest::collection::vec(any::<u16>(), 0..12),
+        ) {
+            let mut stream = Vec::new();
+            for msg in &msgs {
+                wire::encode_into(msg, &mut stream);
+            }
+            // A last barrier: once it is out, every frame before it is in.
+            let last = barrier(u32::MAX);
+            wire::encode_into(&last, &mut stream);
+            let mut cuts: Vec<usize> = cuts.iter().map(|&c| usize::from(c) % stream.len()).collect();
+            cuts.push(stream.len());
+            cuts.sort_unstable();
+            let mut owned: Vec<OfMessage> = msgs
+                .iter()
+                .filter(|m| !matches!(m.body, OfBody::EchoRequest(_) | OfBody::EchoReply(_)))
+                .cloned()
+                .collect();
+            owned.push(last);
+            let written = stream.len() as u64;
+
+            let rt = runtime();
+            let (got, snap) = rt.block_on(async {
+                let (a, mut b) = ends(ChannelConfig::default()).await;
+                let writer = tokio::spawn(async move {
+                    let mut fed = 0;
+                    for cut in cuts {
+                        (&a.conn.link.socket)
+                            .write_all(&stream[fed..cut])
+                            .expect("raw write");
+                        fed = cut;
+                        // The reader takes this piece before the next lands.
+                        tokio::time::sleep(Duration::from_micros(50)).await;
+                    }
+                    a
+                });
+                let mut got = Vec::new();
+                while got.len() < owned.len() {
+                    let next = tokio::time::timeout(Duration::from_secs(5), b.reader.next()).await;
+                    got.push(next.expect("in time").expect("the stream stays open"));
+                }
+                drop(writer.await.expect("writer"));
+                (got, b.counters.snapshot())
+            });
+            prop_assert_eq!(&got, &owned);
+            prop_assert_eq!(snap.frames_in, msgs.len() as u64 + 1);
+            prop_assert_eq!(snap.bytes_in, written);
+            prop_assert_eq!(snap.decode_errors, 0);
+        }
+    }
+
     #[test]
     fn full_queue_reports_backpressure() {
         let rt = runtime();
@@ -1008,6 +1178,7 @@ mod tests {
                         break;
                     }
                     Err(SendError::Closed) => panic!("connection closed"),
+                    Err(SendError::Oversize) => unreachable!("every frame here fits"),
                 }
             }
             assert!(saw_backpressure, "queue never filled");

@@ -21,6 +21,7 @@ pub struct ChannelCounters {
     send_queue_hwm: AtomicU64,
     keepalive_timeouts: AtomicU64,
     budget_exhausted: AtomicU64,
+    sends_oversize: AtomicU64,
 }
 
 /// A point-in-time copy of [`ChannelCounters`].
@@ -48,6 +49,9 @@ pub struct CountersSnapshot {
     pub keepalive_timeouts: u64,
     /// Sends rejected because the endpoint-wide send budget was spent.
     pub budget_exhausted: u64,
+    /// Sends refused because a frame of the message would be longer than
+    /// its 16-bit length field can say.
+    pub sends_oversize: u64,
 }
 
 impl ChannelCounters {
@@ -95,6 +99,10 @@ impl ChannelCounters {
         self.budget_exhausted.fetch_add(1, Ordering::Relaxed);
     }
 
+    pub(crate) fn record_send_oversize(&self) {
+        self.sends_oversize.fetch_add(1, Ordering::Relaxed);
+    }
+
     /// Copies the current values.
     pub fn snapshot(&self) -> CountersSnapshot {
         CountersSnapshot {
@@ -109,6 +117,7 @@ impl ChannelCounters {
             send_queue_hwm: self.send_queue_hwm.load(Ordering::Relaxed),
             keepalive_timeouts: self.keepalive_timeouts.load(Ordering::Relaxed),
             budget_exhausted: self.budget_exhausted.load(Ordering::Relaxed),
+            sends_oversize: self.sends_oversize.load(Ordering::Relaxed),
         }
     }
 }

@@ -6,12 +6,15 @@
 //!
 //! * One framed connection (the crate-private `conn` module) that every
 //!   endpoint here serves its sockets through: tasks on the vendored async
-//!   runtime, never a thread per socket. A reader drives
-//!   [`ofproto::wire::decode_frames`] over the byte stream, counts frames,
-//!   stamps the receive clock and answers `echo_request` itself; a writer
-//!   task drains a **bounded** send queue with one `write_all` per burst, so
-//!   a peer that stops reading surfaces as counted backpressure
-//!   ([`CountersSnapshot::sends_blocked`]) instead of unbounded buffering.
+//!   runtime, never a thread per socket. A reader takes one frame at a
+//!   time off the byte stream ([`ofproto::wire::decode_frame`]), counts it
+//!   at its declared length, stamps the receive clock and answers
+//!   `echo_request` itself; a writer task drains a **bounded** send queue
+//!   with one `write_all` per burst, so a peer that stops reading surfaces
+//!   as counted backpressure ([`CountersSnapshot::sends_blocked`]) instead
+//!   of unbounded buffering. A message too long for one frame is refused
+//!   and counted ([`CountersSnapshot::sends_oversize`]), never written
+//!   with a length field that wrapped.
 //! * [`handshake`] — the `HELLO` → `FEATURES` exchange that opens every
 //!   session and identifies the peer: one I/O-free state machine, driven
 //!   over `std::net` for plain-socket peers and over the runtime for the

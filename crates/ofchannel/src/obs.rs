@@ -25,6 +25,7 @@ pub struct ChannelObs {
     send_queue_hwm: obs::Gauge,
     keepalive_timeouts: obs::Gauge,
     budget_exhausted: obs::Gauge,
+    sends_oversize: obs::Gauge,
 }
 
 impl ChannelObs {
@@ -45,6 +46,7 @@ impl ChannelObs {
             send_queue_hwm: g("send_queue_hwm"),
             keepalive_timeouts: g("keepalive_timeouts"),
             budget_exhausted: g("budget_exhausted"),
+            sends_oversize: g("sends_oversize"),
         }
     }
 
@@ -61,6 +63,7 @@ impl ChannelObs {
         self.send_queue_hwm.set(snap.send_queue_hwm as f64);
         self.keepalive_timeouts.set(snap.keepalive_timeouts as f64);
         self.budget_exhausted.set(snap.budget_exhausted as f64);
+        self.sends_oversize.set(snap.sends_oversize as f64);
     }
 }
 
@@ -90,6 +93,6 @@ mod tests {
         );
         assert_eq!(hub.registry.gauge("ofchannel.switch.reconnects").get(), 1.0);
         // One gauge per snapshot field was registered.
-        assert_eq!(hub.registry.len(), 11);
+        assert_eq!(hub.registry.len(), 12);
     }
 }

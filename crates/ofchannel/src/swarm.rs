@@ -235,7 +235,9 @@ async fn switch_task(addr: SocketAddr, index: usize, shared: Rc<SwarmShared>) {
         seq += 1;
         match conn.send(&packet_in(index, seq)) {
             Ok(()) => shared.sent.set(shared.sent.get() + 1),
-            Err(SendError::Backpressure) => shared.shed.set(shared.shed.get() + 1),
+            Err(SendError::Backpressure | SendError::Oversize) => {
+                shared.shed.set(shared.shed.get() + 1);
+            }
             Err(SendError::Closed) => return,
         };
         next += interval;

@@ -52,7 +52,10 @@ const TABLE_NAME_LEN: usize = 32;
 const FLOW_STATS_FIXED_LEN: usize = 48 + OFP_MATCH_LEN;
 
 /// The largest frame the header's 16-bit length can describe.
-const MAX_FRAME_LEN: usize = u16::MAX as usize;
+pub const MAX_FRAME_LEN: usize = u16::MAX as usize;
+
+/// Size of a flow-stats reply frame without its entries.
+const FLOW_STATS_EMPTY_LEN: usize = OFP_HEADER_LEN + 4;
 
 /// Error produced when decoding malformed bytes.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -91,6 +94,24 @@ impl fmt::Display for DecodeError {
 }
 
 impl std::error::Error for DecodeError {}
+
+/// Error from [`try_encode_into`]: a frame of the message would be longer
+/// than [`MAX_FRAME_LEN`], so its length field could not say how long it
+/// is. Holds that frame's length.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct FrameTooLong(pub usize);
+
+impl fmt::Display for FrameTooLong {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(
+            f,
+            "a {}-byte frame exceeds the {MAX_FRAME_LEN}-byte length field",
+            self.0
+        )
+    }
+}
+
+impl std::error::Error for FrameTooLong {}
 
 fn ensure(buf: &impl Buf, needed: usize) -> Result<(), DecodeError> {
     if buf.remaining() < needed {
@@ -321,14 +342,13 @@ fn flow_stats_len(stats: &FlowStats) -> usize {
 /// least one frame. Every frame but the last goes out with
 /// `OFPSF_REPLY_MORE` set.
 fn flow_stats_frames(stats: &[FlowStats]) -> Vec<(&[FlowStats], usize)> {
-    const EMPTY: usize = OFP_HEADER_LEN + 4;
     let mut frames = Vec::new();
-    let (mut start, mut len) = (0, EMPTY);
+    let (mut start, mut len) = (0, FLOW_STATS_EMPTY_LEN);
     for (i, entry) in stats.iter().enumerate() {
         let entry_len = flow_stats_len(entry);
         if i > start && len + entry_len > MAX_FRAME_LEN {
             frames.push((&stats[start..i], len));
-            (start, len) = (i, EMPTY);
+            (start, len) = (i, FLOW_STATS_EMPTY_LEN);
         }
         len += entry_len;
     }
@@ -354,9 +374,7 @@ fn put_flow_stats(xid: Xid, stats: &[FlowStats], more: bool, buf: &mut impl BufM
             0
         });
         for s in entries {
-            let entry_len = flow_stats_len(s);
-            debug_assert!(entry_len <= MAX_FRAME_LEN - OFP_HEADER_LEN - 4);
-            buf.put_u16(entry_len as u16);
+            buf.put_u16(flow_stats_len(s) as u16);
             buf.put_u8(0); // table_id
             buf.put_u8(0); // pad
             put_match(buf, &s.of_match);
@@ -407,17 +425,45 @@ pub fn encode(msg: &OfMessage) -> Bytes {
 /// A flow-stats reply longer than one frame can be goes out as several,
 /// all under the message's xid, every one but the last with
 /// `OFPSF_REPLY_MORE` set: the decoder returns them as
-/// [`StatsReply::FlowMore`] parts and a last [`StatsReply::Flow`]. No
-/// other message is that long.
+/// [`StatsReply::FlowMore`] parts and a last [`StatsReply::Flow`].
+///
+/// # Panics
+///
+/// Panics when a frame of the message would be longer than
+/// [`MAX_FRAME_LEN`] (a `packet_out` or `packet_in` whose data is nearly
+/// that long), rather than write a length field that wrapped. A sender that
+/// must survive such a message uses [`try_encode_into`].
 pub fn encode_into(msg: &OfMessage, buf: &mut impl BufMut) -> usize {
+    try_encode_into(msg, buf).unwrap_or_else(|too_long| panic!("{too_long}"))
+}
+
+/// [`encode_into`] for a message that may not fit: appends nothing and
+/// returns [`FrameTooLong`] when a frame of it would be longer than
+/// [`MAX_FRAME_LEN`].
+///
+/// # Errors
+///
+/// [`FrameTooLong`] with the length of the first frame that does not fit.
+pub fn try_encode_into(msg: &OfMessage, buf: &mut impl BufMut) -> Result<usize, FrameTooLong> {
     if let OfBody::StatsReply(reply @ (StatsReply::Flow(stats) | StatsReply::FlowMore(stats))) =
         &msg.body
     {
+        // A reply is split between entries, so only an entry that fills a
+        // frame on its own can make one too long.
+        if let Some(entry_len) = stats
+            .iter()
+            .map(flow_stats_len)
+            .find(|len| FLOW_STATS_EMPTY_LEN + len > MAX_FRAME_LEN)
+        {
+            return Err(FrameTooLong(FLOW_STATS_EMPTY_LEN + entry_len));
+        }
         let more = matches!(reply, StatsReply::FlowMore(_));
-        return put_flow_stats(msg.xid, stats, more, buf);
+        return Ok(put_flow_stats(msg.xid, stats, more, buf));
     }
     let total = wire_len(msg);
-    debug_assert!(total <= MAX_FRAME_LEN, "a {total}-byte frame");
+    if total > MAX_FRAME_LEN {
+        return Err(FrameTooLong(total));
+    }
     buf.put_u8(OFP_VERSION);
     buf.put_u8(msg.body.type_code());
     buf.put_u16(total as u16);
@@ -546,7 +592,7 @@ pub fn encode_into(msg: &OfMessage, buf: &mut impl BufMut) -> usize {
         }
         OfBody::StatsReply(_) => unreachable!("encoded above"),
     }
-    total
+    Ok(total)
 }
 
 /// Peeks at a frame header and reports how many bytes the frame spans.
@@ -575,14 +621,32 @@ pub fn frame_len(data: &[u8]) -> Result<Option<usize>, DecodeError> {
     Ok(Some(length))
 }
 
+/// Decodes the frame at the front of a stream: the message and the
+/// frame's length as its header declares it, which is how many bytes of
+/// `data` the frame spans — body bytes the message does not need included.
+///
+/// Returns `Ok(None)` while `data` holds less than the whole frame (read
+/// more and retry).
+///
+/// # Errors
+///
+/// The [`DecodeError`] of a header that [`frame_len`] refuses or of a
+/// whole frame that [`decode`] refuses.
+pub fn decode_frame(data: &[u8]) -> Result<Option<(OfMessage, usize)>, DecodeError> {
+    match frame_len(data)? {
+        Some(len) if len <= data.len() => Ok(Some((decode(&data[..len])?, len))),
+        _ => Ok(None),
+    }
+}
+
 /// Drains every complete frame from a streaming read buffer.
 ///
 /// TCP delivers a byte stream, so a single `read` may carry half a message
 /// or several coalesced ones. This consumes whole frames from the front of
 /// `buf` — leaving a trailing partial frame in place for the next read — and
-/// decodes each. On error the offending frame has already been consumed, so
-/// a caller that chooses to tolerate decode errors can call again to resync
-/// at the next frame boundary.
+/// decodes each ([`decode_frame`]). On error the offending frame has
+/// already been consumed, so a caller that chooses to tolerate decode
+/// errors can call again to resync at the next frame boundary.
 ///
 /// # Errors
 ///
@@ -594,19 +658,25 @@ pub fn decode_frames(buf: &mut BytesMut) -> Result<Vec<OfMessage>, DecodeError> 
     // Frames are decoded where they lie; `at` is how far the buffer is
     // consumed, whole frames only, the offending one included.
     let mut at = 0;
-    let outcome = (|| {
-        while let Some(len) = frame_len(&buf[at..])? {
-            if buf.len() - at < len {
-                break;
+    let outcome = loop {
+        match decode_frame(&buf[at..]) {
+            Ok(Some((msg, len))) => {
+                messages.push(msg);
+                at += len;
             }
-            let frame = &buf[at..at + len];
-            at += len;
-            messages.push(decode(frame)?);
+            Ok(None) => break Ok(messages),
+            Err(error) => {
+                // A whole frame that fails goes with its error; a header
+                // that frames nothing is left where it lies.
+                if let Ok(Some(len)) = frame_len(&buf[at..]) {
+                    at += len;
+                }
+                break Err(error);
+            }
         }
-        Ok(())
-    })();
+    };
     buf.advance(at);
-    outcome.map(|()| messages)
+    outcome
 }
 
 /// Decodes one message from `data`.
@@ -1218,6 +1288,81 @@ mod tests {
         let mut bytes = encode(&msg).to_vec();
         bytes.extend_from_slice(&[0xff; 16]);
         assert_eq!(decode(&bytes).unwrap(), msg);
+    }
+
+    /// The packet_out that forwards an unbuffered packet_in as large as a
+    /// frame can carry.
+    fn forward_of_the_largest_packet_in() -> (OfMessage, OfMessage) {
+        let data = Bytes::from(vec![0xab; MAX_FRAME_LEN - OFP_HEADER_LEN - 10]);
+        let packet_in = OfMessage::new(
+            Xid(1),
+            OfBody::PacketIn(PacketIn {
+                buffer_id: None,
+                total_len: data.len() as u16,
+                in_port: PortNo::Physical(1),
+                reason: PacketInReason::NoMatch,
+                data: data.clone(),
+            }),
+        );
+        let packet_out = OfMessage::new(
+            Xid(2),
+            OfBody::PacketOut(PacketOut {
+                buffer_id: None,
+                in_port: PortNo::Physical(1),
+                actions: vec![Action::Output(PortNo::Flood)],
+                data: Some(data),
+            }),
+        );
+        (packet_in, packet_out)
+    }
+
+    #[test]
+    fn a_frame_too_long_for_its_length_field_is_refused_whole() {
+        let (packet_in, packet_out) = forward_of_the_largest_packet_in();
+        // The packet_in fills its frame exactly and goes out whole.
+        assert_eq!(wire_len(&packet_in), MAX_FRAME_LEN);
+        roundtrip(packet_in);
+        // Its forward is 6 bytes longer than any length field can say.
+        assert_eq!(wire_len(&packet_out), MAX_FRAME_LEN + 6);
+        let mut buf = vec![1, 2, 3];
+        assert_eq!(
+            try_encode_into(&packet_out, &mut buf),
+            Err(FrameTooLong(MAX_FRAME_LEN + 6))
+        );
+        assert_eq!(buf, [1, 2, 3], "nothing of a refused message is written");
+    }
+
+    #[test]
+    #[should_panic(expected = "a 65541-byte frame exceeds")]
+    fn encode_into_will_not_wrap_a_length_field() {
+        let (_, packet_out) = forward_of_the_largest_packet_in();
+        encode_into(&packet_out, &mut Vec::new());
+    }
+
+    #[test]
+    fn a_frame_spans_its_declared_length() {
+        // A barrier needs no body; this one's header declares four bytes
+        // of it anyway, and a hello follows.
+        let mut stream = encode(&OfMessage::new(Xid(3), OfBody::BarrierRequest)).to_vec();
+        stream[3] += 4;
+        stream.extend_from_slice(&[0xee; 4]);
+        let hello = encode(&OfMessage::new(Xid(4), OfBody::Hello));
+        stream.extend_from_slice(&hello);
+
+        let barrier = OfMessage::new(Xid(3), OfBody::BarrierRequest);
+        assert_eq!(decode_frame(&stream[..11]), Ok(None), "one byte short");
+        assert_eq!(decode_frame(&stream), Ok(Some((barrier.clone(), 12))));
+        assert_eq!(
+            decode_frame(&stream[12..]),
+            Ok(Some((OfMessage::new(Xid(4), OfBody::Hello), 8)))
+        );
+        let mut buf = BytesMut::new();
+        buf.extend_from_slice(&stream);
+        assert_eq!(
+            decode_frames(&mut buf),
+            Ok(vec![barrier, OfMessage::new(Xid(4), OfBody::Hello)])
+        );
+        assert!(buf.is_empty());
     }
 }
 

@@ -300,6 +300,7 @@ fn counters_json(c: &CountersSnapshot) -> Json {
         .set("send_queue_hwm", c.send_queue_hwm)
         .set("keepalive_timeouts", c.keepalive_timeouts)
         .set("budget_exhausted", c.budget_exhausted)
+        .set("sends_oversize", c.sends_oversize)
 }
 
 fn status_json(view: &ControllerView) -> Json {

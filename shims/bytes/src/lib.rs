@@ -8,6 +8,7 @@
 //! subset; anything not exercised by the workspace is intentionally absent.
 
 #![warn(missing_docs)]
+#![warn(clippy::missing_inline_in_public_items)]
 
 use std::borrow::Borrow;
 use std::fmt;
@@ -25,6 +26,7 @@ pub struct Bytes {
 
 impl Bytes {
     /// Creates an empty `Bytes`.
+    #[inline]
     pub fn new() -> Bytes {
         Bytes::default()
     }
@@ -33,11 +35,13 @@ impl Bytes {
     ///
     /// Unlike upstream this copies once; callers only rely on the resulting
     /// value's contents, not on zero-copy behavior.
+    #[inline]
     pub fn from_static(data: &'static [u8]) -> Bytes {
         Bytes::copy_from_slice(data)
     }
 
     /// Copies `data` into a new `Bytes`.
+    #[inline]
     pub fn copy_from_slice(data: &[u8]) -> Bytes {
         let arc: Arc<[u8]> = Arc::from(data);
         Bytes {
@@ -48,11 +52,13 @@ impl Bytes {
     }
 
     /// Number of bytes.
+    #[inline]
     pub fn len(&self) -> usize {
         self.end - self.start
     }
 
     /// Whether the buffer is empty.
+    #[inline]
     pub fn is_empty(&self) -> bool {
         self.start == self.end
     }
@@ -62,6 +68,7 @@ impl Bytes {
     /// # Panics
     ///
     /// Panics when the range is out of bounds.
+    #[inline]
     pub fn slice(&self, range: impl RangeBounds<usize>) -> Bytes {
         let len = self.len();
         let begin = match range.start_bound() {
@@ -82,6 +89,7 @@ impl Bytes {
         }
     }
 
+    #[inline]
     fn as_slice(&self) -> &[u8] {
         &self.data[self.start..self.end]
     }
@@ -90,24 +98,28 @@ impl Bytes {
 impl Deref for Bytes {
     type Target = [u8];
 
+    #[inline]
     fn deref(&self) -> &[u8] {
         self.as_slice()
     }
 }
 
 impl AsRef<[u8]> for Bytes {
+    #[inline]
     fn as_ref(&self) -> &[u8] {
         self.as_slice()
     }
 }
 
 impl Borrow<[u8]> for Bytes {
+    #[inline]
     fn borrow(&self) -> &[u8] {
         self.as_slice()
     }
 }
 
 impl From<Vec<u8>> for Bytes {
+    #[inline]
     fn from(data: Vec<u8>) -> Bytes {
         let arc: Arc<[u8]> = Arc::from(data.into_boxed_slice());
         Bytes {
@@ -119,18 +131,21 @@ impl From<Vec<u8>> for Bytes {
 }
 
 impl From<&'static [u8]> for Bytes {
+    #[inline]
     fn from(data: &'static [u8]) -> Bytes {
         Bytes::copy_from_slice(data)
     }
 }
 
 impl From<BytesMut> for Bytes {
+    #[inline]
     fn from(data: BytesMut) -> Bytes {
         data.freeze()
     }
 }
 
 impl fmt::Debug for Bytes {
+    #[inline]
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "b\"")?;
         for &b in self.as_slice() {
@@ -141,6 +156,7 @@ impl fmt::Debug for Bytes {
 }
 
 impl PartialEq for Bytes {
+    #[inline]
     fn eq(&self, other: &Bytes) -> bool {
         self.as_slice() == other.as_slice()
     }
@@ -149,36 +165,42 @@ impl PartialEq for Bytes {
 impl Eq for Bytes {}
 
 impl PartialEq<[u8]> for Bytes {
+    #[inline]
     fn eq(&self, other: &[u8]) -> bool {
         self.as_slice() == other
     }
 }
 
 impl PartialEq<&[u8]> for Bytes {
+    #[inline]
     fn eq(&self, other: &&[u8]) -> bool {
         self.as_slice() == *other
     }
 }
 
 impl PartialEq<Vec<u8>> for Bytes {
+    #[inline]
     fn eq(&self, other: &Vec<u8>) -> bool {
         self.as_slice() == other.as_slice()
     }
 }
 
 impl Hash for Bytes {
+    #[inline]
     fn hash<H: Hasher>(&self, state: &mut H) {
         self.as_slice().hash(state);
     }
 }
 
 impl PartialOrd for Bytes {
+    #[inline]
     fn partial_cmp(&self, other: &Bytes) -> Option<std::cmp::Ordering> {
         Some(self.cmp(other))
     }
 }
 
 impl Ord for Bytes {
+    #[inline]
     fn cmp(&self, other: &Bytes) -> std::cmp::Ordering {
         self.as_slice().cmp(other.as_slice())
     }
@@ -188,6 +210,7 @@ impl<'a> IntoIterator for &'a Bytes {
     type Item = &'a u8;
     type IntoIter = std::slice::Iter<'a, u8>;
 
+    #[inline]
     fn into_iter(self) -> Self::IntoIter {
         self.as_slice().iter()
     }
@@ -205,11 +228,13 @@ pub struct BytesMut {
 
 impl BytesMut {
     /// Creates an empty buffer.
+    #[inline]
     pub fn new() -> BytesMut {
         BytesMut::default()
     }
 
     /// Creates an empty buffer with `capacity` bytes pre-allocated.
+    #[inline]
     pub fn with_capacity(capacity: usize) -> BytesMut {
         BytesMut {
             buf: Vec::with_capacity(capacity),
@@ -218,32 +243,38 @@ impl BytesMut {
     }
 
     /// Number of unread bytes.
+    #[inline]
     pub fn len(&self) -> usize {
         self.buf.len() - self.read
     }
 
     /// Whether all written bytes have been consumed.
+    #[inline]
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
 
     /// Ensures room for `additional` more bytes.
+    #[inline]
     pub fn reserve(&mut self, additional: usize) {
         self.buf.reserve(additional);
     }
 
     /// Appends `data`.
+    #[inline]
     pub fn extend_from_slice(&mut self, data: &[u8]) {
         self.buf.extend_from_slice(data);
     }
 
     /// Grows or shrinks the readable region to `new_len`, filling with
     /// `value` when growing.
+    #[inline]
     pub fn resize(&mut self, new_len: usize, value: u8) {
         self.buf.resize(self.read + new_len, value);
     }
 
     /// Discards all content.
+    #[inline]
     pub fn clear(&mut self) {
         self.buf.clear();
         self.read = 0;
@@ -254,6 +285,7 @@ impl BytesMut {
     /// # Panics
     ///
     /// Panics when `at > self.len()`.
+    #[inline]
     pub fn split_to(&mut self, at: usize) -> BytesMut {
         assert!(at <= self.len(), "split_to out of bounds");
         let head = self.buf[self.read..self.read + at].to_vec();
@@ -263,6 +295,7 @@ impl BytesMut {
     }
 
     /// Converts the unread remainder into an immutable [`Bytes`].
+    #[inline]
     pub fn freeze(self) -> Bytes {
         Bytes::from(if self.read == 0 {
             self.buf
@@ -271,11 +304,13 @@ impl BytesMut {
         })
     }
 
+    #[inline]
     fn as_slice(&self) -> &[u8] {
         &self.buf[self.read..]
     }
 
     /// Drops already-consumed head storage once it dominates the buffer.
+    #[inline]
     fn compact(&mut self) {
         if self.read > 4096 && self.read * 2 >= self.buf.len() {
             self.buf.drain(..self.read);
@@ -287,18 +322,21 @@ impl BytesMut {
 impl Deref for BytesMut {
     type Target = [u8];
 
+    #[inline]
     fn deref(&self) -> &[u8] {
         self.as_slice()
     }
 }
 
 impl AsRef<[u8]> for BytesMut {
+    #[inline]
     fn as_ref(&self) -> &[u8] {
         self.as_slice()
     }
 }
 
 impl fmt::Debug for BytesMut {
+    #[inline]
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("BytesMut")
             .field("len", &self.len())
@@ -307,6 +345,7 @@ impl fmt::Debug for BytesMut {
 }
 
 impl PartialEq for BytesMut {
+    #[inline]
     fn eq(&self, other: &BytesMut) -> bool {
         self.as_slice() == other.as_slice()
     }
@@ -326,11 +365,13 @@ pub trait Buf {
     fn advance(&mut self, cnt: usize);
 
     /// Whether any bytes remain.
+    #[inline]
     fn has_remaining(&self) -> bool {
         self.remaining() > 0
     }
 
     /// Reads one byte.
+    #[inline]
     fn get_u8(&mut self) -> u8 {
         let v = self.chunk()[0];
         self.advance(1);
@@ -338,6 +379,7 @@ pub trait Buf {
     }
 
     /// Reads a big-endian `u16`.
+    #[inline]
     fn get_u16(&mut self) -> u16 {
         let mut raw = [0u8; 2];
         self.copy_to_slice(&mut raw);
@@ -345,6 +387,7 @@ pub trait Buf {
     }
 
     /// Reads a big-endian `u32`.
+    #[inline]
     fn get_u32(&mut self) -> u32 {
         let mut raw = [0u8; 4];
         self.copy_to_slice(&mut raw);
@@ -352,6 +395,7 @@ pub trait Buf {
     }
 
     /// Reads a big-endian `u64`.
+    #[inline]
     fn get_u64(&mut self) -> u64 {
         let mut raw = [0u8; 8];
         self.copy_to_slice(&mut raw);
@@ -363,6 +407,7 @@ pub trait Buf {
     /// # Panics
     ///
     /// Panics when fewer than `dst.len()` bytes remain.
+    #[inline]
     fn copy_to_slice(&mut self, dst: &mut [u8]) {
         assert!(self.remaining() >= dst.len(), "buffer underflow");
         dst.copy_from_slice(&self.chunk()[..dst.len()]);
@@ -371,28 +416,34 @@ pub trait Buf {
 }
 
 impl Buf for &[u8] {
+    #[inline]
     fn remaining(&self) -> usize {
         self.len()
     }
 
+    #[inline]
     fn chunk(&self) -> &[u8] {
         self
     }
 
+    #[inline]
     fn advance(&mut self, cnt: usize) {
         *self = &self[cnt..];
     }
 }
 
 impl Buf for Bytes {
+    #[inline]
     fn remaining(&self) -> usize {
         self.len()
     }
 
+    #[inline]
     fn chunk(&self) -> &[u8] {
         self.as_slice()
     }
 
+    #[inline]
     fn advance(&mut self, cnt: usize) {
         assert!(cnt <= self.len(), "advance out of bounds");
         self.start += cnt;
@@ -400,14 +451,17 @@ impl Buf for Bytes {
 }
 
 impl Buf for BytesMut {
+    #[inline]
     fn remaining(&self) -> usize {
         self.len()
     }
 
+    #[inline]
     fn chunk(&self) -> &[u8] {
         self.as_slice()
     }
 
+    #[inline]
     fn advance(&mut self, cnt: usize) {
         assert!(cnt <= self.len(), "advance out of bounds");
         self.read += cnt;
@@ -421,33 +475,39 @@ pub trait BufMut {
     fn put_slice(&mut self, data: &[u8]);
 
     /// Appends one byte.
+    #[inline]
     fn put_u8(&mut self, v: u8) {
         self.put_slice(&[v]);
     }
 
     /// Appends a big-endian `u16`.
+    #[inline]
     fn put_u16(&mut self, v: u16) {
         self.put_slice(&v.to_be_bytes());
     }
 
     /// Appends a big-endian `u32`.
+    #[inline]
     fn put_u32(&mut self, v: u32) {
         self.put_slice(&v.to_be_bytes());
     }
 
     /// Appends a big-endian `u64`.
+    #[inline]
     fn put_u64(&mut self, v: u64) {
         self.put_slice(&v.to_be_bytes());
     }
 }
 
 impl BufMut for BytesMut {
+    #[inline]
     fn put_slice(&mut self, data: &[u8]) {
         self.buf.extend_from_slice(data);
     }
 }
 
 impl BufMut for Vec<u8> {
+    #[inline]
     fn put_slice(&mut self, data: &[u8]) {
         self.extend_from_slice(data);
     }

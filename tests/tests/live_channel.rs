@@ -138,6 +138,64 @@ fn l2_learning_installs_flows_over_tcp() {
     drop(controller);
 }
 
+/// A switch with no packet buffer sends a packet_in as large as a frame
+/// can carry; the l2-learning controller's flood of it would be 6 bytes
+/// longer than any length field can say. The controller refuses and counts
+/// that one packet_out instead of writing a frame whose length wrapped, and
+/// the session carries on: the next exchange installs a flow, and neither
+/// side sees a decode error or a reconnect.
+#[test]
+fn a_packet_out_too_long_for_one_frame_is_refused_and_the_session_stays_up() {
+    let mut platform = ControllerPlatform::new();
+    platform.register(apps::l2_learning::program());
+    let controller = listen(Box::new(platform), ControllerConfig::default());
+    let mut profile = SwitchProfile::software();
+    profile.buffer_slots = 0;
+    let switch = Switch::new(DatapathId(1), profile, vec![1, 2]);
+    let endpoint = SwitchEndpoint::spawn(
+        switch,
+        Vec::new(),
+        addr(&controller),
+        ChannelConfig::default(),
+    )
+    .unwrap();
+    assert!(
+        wait_for(Duration::from_secs(10), || {
+            controller.status().connected_switches == vec![DatapathId(1)]
+        }),
+        "controller never completed the switch handshake"
+    );
+
+    let host_a = MacAddr::from_u64(0xaa);
+    let host_b = MacAddr::from_u64(0xbb);
+    let (ip_a, ip_b) = (Ipv4Addr::new(10, 0, 0, 1), Ipv4Addr::new(10, 0, 0, 2));
+    // The packet_in's 18 header bytes and this packet fill 65,535 bytes.
+    let largest = Packet::udp(host_a, host_b, ip_a, ip_b, 5000, 5001, 65_517);
+    endpoint.inject(1, largest);
+    assert!(
+        wait_for(Duration::from_secs(10), || {
+            controller.counters().sends_oversize == 1
+        }),
+        "the oversize flood was not refused"
+    );
+
+    let b_to_a = Packet::udp(host_b, host_a, ip_b, ip_a, 5001, 5000, 200);
+    assert!(
+        wait_for(Duration::from_secs(10), || {
+            endpoint.inject(2, b_to_a);
+            endpoint.telemetry().flow_count >= Some(1)
+        }),
+        "the session did not carry on after the refusal"
+    );
+    let (switch_side, controller_side) = (endpoint.counters(), controller.counters());
+    assert_eq!(controller_side.sends_oversize, 1);
+    assert_eq!((switch_side.decode_errors, switch_side.reconnects), (0, 0));
+    assert_eq!(controller_side.decode_errors, 0);
+    assert_eq!(controller.status().connected_switches, vec![DatapathId(1)]);
+    drop(endpoint.shutdown());
+    drop(controller);
+}
+
 /// A controller whose switch dies mid-stream keeps serving: the switch
 /// dials again, completes a second handshake, and the reconnect counter
 /// records it.
