@@ -1,3 +1,5 @@
+//! Own binary: it measures the whole process's CPU share.
+//!
 //! Regression test for idle CPU burn in the live transport.
 //!
 //! Both endpoints used to wake on a fixed 1 ms poll even with no traffic,
@@ -6,9 +8,6 @@
 //! side, an epoll reactor on the controller side), so an idle pair should
 //! cost a small fraction of one core: timed duties (echo keepalive,
 //! telemetry snapshots, expiry sweeps) still fire, but nothing spins.
-//!
-//! The test lives in its own file so the measured process contains only
-//! this scenario's threads.
 
 use std::time::{Duration, Instant};
 

@@ -1,3 +1,5 @@
+//! Own binary: its counting global allocator sees the whole process.
+//!
 //! What a spoofing attacker writes — the tables the applications learn —
 //! must not set what the controller's own work costs (ROADMAP item 1).
 //!

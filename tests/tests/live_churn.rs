@@ -1,3 +1,5 @@
+//! Own binary: it counts the whole process's threads and descriptors.
+//!
 //! Endpoint churn must leave nothing behind, connections must not cost
 //! threads, and an endpoint is one thread.
 //!
@@ -7,9 +9,6 @@
 //! or thread exhaustion. Connections are tasks on each endpoint's runtime
 //! now, each endpoint runs its runtime on one thread of its own, and
 //! dropping an endpoint must return that thread and every descriptor.
-//!
-//! The test lives in its own file so the counted process contains only this
-//! scenario's threads and descriptors.
 
 use std::time::{Duration, Instant};
 
