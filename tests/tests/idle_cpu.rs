@@ -13,6 +13,7 @@ use std::time::{Duration, Instant};
 
 use controller::apps;
 use controller::platform::ControllerPlatform;
+use integration_tests::wait_for;
 use netsim::switch::Switch;
 use netsim::SwitchProfile;
 use ofchannel::{ChannelConfig, ControllerConfig, ControllerEndpoint, SwitchEndpoint};
@@ -25,17 +26,6 @@ use ofproto::types::DatapathId;
 fn process_cpu_ns() -> Option<u64> {
     let stat = std::fs::read_to_string("/proc/self/schedstat").ok()?;
     stat.split_whitespace().next()?.parse().ok()
-}
-
-fn wait_for(deadline: Duration, mut probe: impl FnMut() -> bool) -> bool {
-    let start = Instant::now();
-    while start.elapsed() < deadline {
-        if probe() {
-            return true;
-        }
-        std::thread::sleep(Duration::from_millis(5));
-    }
-    false
 }
 
 /// A connected-but-idle switch/controller pair must stay under 30% of one

@@ -15,15 +15,7 @@ use bench::adversary::{
     VICTIM_SYN_CAPACITY,
 };
 use bench::arena::check_gate;
-
-/// Seed for the matrix runs. CI sweeps several via `FG_FAULT_SEED`;
-/// locally the default keeps runs reproducible.
-fn fault_seed() -> u64 {
-    std::env::var("FG_FAULT_SEED")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(42)
-}
+use integration_tests::fault_seed;
 
 /// Writes the rendered matrix table into the artifact directory
 /// (`FG_FAULT_LOG_DIR`); a no-op when the variable is unset. Written

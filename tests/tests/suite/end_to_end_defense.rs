@@ -2,11 +2,7 @@
 //! claims, asserted as shape properties.
 
 use bench::{run, AttackProtocol, Defense, Scenario};
-use floodguard::FloodGuardConfig;
-
-fn fg() -> Defense {
-    Defense::FloodGuard(FloodGuardConfig::default())
-}
+use integration_tests::fg;
 
 #[test]
 fn software_attack_collapses_undefended_network() {

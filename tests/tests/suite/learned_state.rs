@@ -20,6 +20,7 @@ use bench::{run, Defense, Scenario};
 use controller::apps;
 use controller::platform::ControllerPlatform;
 use floodguard::{FloodGuard, FloodGuardConfig, State};
+use integration_tests::wait_for;
 use netsim::host::{NewFlowProbe, UdpFlood};
 use netsim::iface::{ControlOutput, ControlPlane, DeviceId, Telemetry};
 use netsim::packet::Packet;
@@ -595,18 +596,6 @@ fn twenty_episodes_on_one_system_leave_no_cache_first_source_in_the_rules() {
             );
         }
     }
-}
-
-/// Polls `probe` every 5 ms until it holds or `deadline` passes.
-fn wait_for(deadline: Duration, mut probe: impl FnMut() -> bool) -> bool {
-    let start = Instant::now();
-    while start.elapsed() < deadline {
-        if probe() {
-            return true;
-        }
-        std::thread::sleep(Duration::from_millis(5));
-    }
-    false
 }
 
 fn ms(d: Duration) -> f64 {

@@ -21,6 +21,7 @@ use std::time::{Duration, Instant};
 use controller::apps;
 use controller::platform::ControllerPlatform;
 use floodguard::{CacheConfig, DetectionConfig, FloodGuard, FloodGuardConfig, State};
+use integration_tests::wait_for;
 use netsim::iface::{ControlOutput, ControlPlane, NullControlPlane};
 use netsim::packet::Packet;
 use netsim::switch::Switch;
@@ -31,18 +32,6 @@ use ofproto::flow_match::OfMatch;
 use ofproto::flow_mod::{FlowMod, FlowModCommand};
 use ofproto::messages::{FeaturesReply, OfBody, OfMessage, StatsReply};
 use ofproto::types::{DatapathId, MacAddr, PortNo, Xid};
-
-/// Polls `probe` until it returns true or `deadline` elapses.
-fn wait_for(deadline: Duration, mut probe: impl FnMut() -> bool) -> bool {
-    let start = Instant::now();
-    while start.elapsed() < deadline {
-        if probe() {
-            return true;
-        }
-        std::thread::sleep(Duration::from_millis(5));
-    }
-    false
-}
 
 /// A controller endpoint serving `control` on an ephemeral loopback port.
 fn listen(control: Box<dyn ControlPlane>, config: ControllerConfig) -> ControllerEndpoint {

@@ -11,11 +11,12 @@
 
 use std::io::Write;
 use std::net::{Ipv4Addr, TcpStream};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use controller::apps;
 use controller::platform::ControllerPlatform;
 use floodguard::{DetectionConfig, FloodGuard, FloodGuardConfig};
+use integration_tests::wait_for;
 use netsim::packet::Packet;
 use netsim::switch::Switch;
 use netsim::SwitchProfile;
@@ -27,18 +28,6 @@ use ofchannel::{
 use ofproto::messages::FeaturesReply;
 use ofproto::types::{DatapathId, MacAddr, PortNo};
 use ops::{OpsServer, OpsState};
-
-/// Polls `probe` until it returns true or `deadline` elapses.
-fn wait_for(deadline: Duration, mut probe: impl FnMut() -> bool) -> bool {
-    let start = Instant::now();
-    while start.elapsed() < deadline {
-        if probe() {
-            return true;
-        }
-        std::thread::sleep(Duration::from_millis(5));
-    }
-    false
-}
 
 fn floodguard_controller(detection: DetectionConfig) -> FloodGuard {
     let mut platform = ControllerPlatform::new();

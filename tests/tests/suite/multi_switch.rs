@@ -8,23 +8,14 @@
 //! multi-cache machinery itself (migration rules per switch, one cache per
 //! switch, shared intake/rate control) is what this file exercises.
 
-use std::net::Ipv4Addr;
-
 use controller::apps;
 use controller::platform::ControllerPlatform;
 use floodguard::{FloodGuard, FloodGuardConfig, State};
+use integration_tests::{ip, mac};
 use netsim::engine::Simulation;
 use netsim::host::{BulkSender, UdpFlood};
 use netsim::profile::SwitchProfile;
-use ofproto::types::{DatapathId, MacAddr};
-
-fn mac(n: u64) -> MacAddr {
-    MacAddr::from_u64(n)
-}
-
-fn ip(n: u8) -> Ipv4Addr {
-    Ipv4Addr::new(10, 0, 0, n)
-}
+use ofproto::types::DatapathId;
 
 const CACHE_PORT: u16 = 99;
 

@@ -13,6 +13,7 @@ use floodguard::{
     CacheConfig, CacheFailPolicy, DetectionConfig, FloodGuard, FloodGuardConfig, RecoveryConfig,
     State,
 };
+use integration_tests::{fault_seed, fg};
 use netsim::engine::SwitchId;
 use netsim::host::{CbrSource, UdpFlood};
 use netsim::iface::{ControlOutput, ControlPlane, DeviceId as Device, Telemetry};
@@ -22,19 +23,6 @@ use ofproto::flow_match::OfMatch;
 use ofproto::flow_mod::FlowModCommand;
 use ofproto::messages::{FeaturesReply, OfBody, OfMessage};
 use ofproto::types::{DatapathId, MacAddr};
-
-fn fg() -> Defense {
-    Defense::FloodGuard(FloodGuardConfig::default())
-}
-
-/// Seed for the fault scenarios. CI sweeps several via `FG_FAULT_SEED`;
-/// locally the default matches the bench suite.
-fn fault_seed() -> u64 {
-    std::env::var("FG_FAULT_SEED")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(42)
-}
 
 /// Dumps the run's fault log where CI collects artifacts
 /// (`FG_FAULT_LOG_DIR`); a no-op when the variable is unset. Written

@@ -2,8 +2,7 @@
 //! interoperability of everything the control plane emits, and codec/flow
 //! table interplay under realistic message streams.
 
-use std::net::Ipv4Addr;
-
+use integration_tests::{ip, mac};
 use netsim::engine::Simulation;
 use netsim::host::{BulkSender, UdpFlood};
 use netsim::iface::{ControlOutput, ControlPlane};
@@ -12,16 +11,8 @@ use netsim::profile::SwitchProfile;
 use ofproto::actions::Action;
 use ofproto::flow_match::OfMatch;
 use ofproto::messages::{OfBody, OfMessage, PacketOut};
-use ofproto::types::{DatapathId, MacAddr, PortNo, Xid};
+use ofproto::types::{DatapathId, PortNo, Xid};
 use ofproto::wire::{decode, encode};
-
-fn mac(n: u64) -> MacAddr {
-    MacAddr::from_u64(n)
-}
-
-fn ip(n: u8) -> Ipv4Addr {
-    Ipv4Addr::new(10, 0, 0, n)
-}
 
 #[test]
 fn two_switch_topology_forwards_end_to_end() {
