@@ -1432,10 +1432,20 @@ fn a_table_emptied_behind_the_controllers_back_is_repaired_in_one_round() {
 #[test]
 fn a_redirect_deleted_by_another_controller_is_repaired_from_its_flow_removed() {
     let (controller, mut peer, monitor) = SwitchPeer::behind_floodguard();
+    // Defense, and a table-stats count answered since. The monitor shows a
+    // tick's update round before its flow-mods reach the switch, so the
+    // Init update may still be on its way when the redirects are in. A
+    // count goes out only on a tick with no read outstanding, after that
+    // tick's rounds: every round before it has arrived, including one for
+    // what packet_ins sent before the redirects taught, and after it the
+    // switch sends no packet_in to teach anything.
     assert!(
         peer.flood_until(|peer| {
             let snap = monitor.lock();
-            snap.state == Some(State::Defense) && snap.stats.updates >= 1 && peer.redirects() == 2
+            snap.state == Some(State::Defense)
+                && snap.stats.updates >= 1
+                && peer.redirects() == 2
+                && peer.counted > 0
         }),
         "no defense: {:?}",
         monitor.lock().stats
