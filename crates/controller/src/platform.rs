@@ -71,7 +71,6 @@ impl App {
 #[derive(Debug, Default)]
 pub struct ControllerPlatform {
     apps: Vec<App>,
-    node_cost: f64,
     packet_ins: u64,
     /// The latest time a message or a tick brought: what a `packet_in`
     /// handed over without one is stamped with.
@@ -79,25 +78,15 @@ pub struct ControllerPlatform {
 }
 
 impl ControllerPlatform {
-    /// Creates an empty platform with the default per-node cost.
+    /// Creates an empty platform.
     pub fn new() -> ControllerPlatform {
-        ControllerPlatform {
-            apps: Vec::new(),
-            node_cost: DEFAULT_NODE_COST,
-            packet_ins: 0,
-            now: 0.0,
-        }
+        ControllerPlatform::default()
     }
 
     /// Registers an application; dispatch order is registration order.
     pub fn register(&mut self, program: Program) -> &mut Self {
         self.apps.push(App::new(program));
         self
-    }
-
-    /// Overrides the per-AST-node CPU cost.
-    pub fn set_node_cost(&mut self, seconds: f64) {
-        self.node_cost = seconds;
     }
 
     /// The registered applications.
@@ -210,7 +199,7 @@ impl ControllerPlatform {
             };
             app.handled += 1;
             app.nodes_executed += result.nodes;
-            out.charge(&app.program.name, result.nodes as f64 * self.node_cost);
+            out.charge(&app.program.name, result.nodes as f64 * DEFAULT_NODE_COST);
             let consumed_buffer = buffer.take();
             match result.decision {
                 ConcreteDecision::Install(rule) => {

@@ -31,7 +31,7 @@
 //! window and the merge define the simulation's same-time ordering. It is
 //! the ordering of the per-switch parallel engine this one replaced, at any
 //! of its thread counts, and every checked-in artifact encodes it; the
-//! golden tests (`chain`, `topo`, `tests/tests/sched_equivalence.rs`) pin
+//! golden tests (`chain`, `topo`, `tests/tests/suite/sched_equivalence.rs`) pin
 //! it.
 //!
 //! Every host and switch draws from its own seeded RNG stream (derived from
@@ -657,6 +657,10 @@ pub struct ControllerStats {
     pub cpu_seconds: f64,
 }
 
+/// Width of the controller's CPU-utilization buckets, seconds: the time
+/// resolution of Fig. 12.
+const CPU_BUCKET_S: f64 = 0.05;
+
 /// The simulation: topology, plugged-in logic and the event loop.
 ///
 /// Internally the simulation is a **coordinator** — which owns the control
@@ -685,7 +689,6 @@ pub struct Simulation {
     app_cpu: HashMap<String, UtilizationTracker>,
     ctrl_total_cpu: UtilizationTracker,
     maintenance_interval: f64,
-    cpu_bucket: f64,
     started: bool,
     fault_log: Vec<FaultLogEntry>,
     ctrl_scratch: ControlOutput,
@@ -710,9 +713,8 @@ impl Simulation {
             ctrl_scheduled: false,
             ctrl_stats: ControllerStats::default(),
             app_cpu: HashMap::new(),
-            ctrl_total_cpu: UtilizationTracker::new(0.05),
+            ctrl_total_cpu: UtilizationTracker::new(CPU_BUCKET_S),
             maintenance_interval: 0.05,
-            cpu_bucket: 0.05,
             started: false,
             fault_log: Vec::new(),
             ctrl_scratch: ControlOutput::new(),
@@ -865,12 +867,6 @@ impl Simulation {
             "set_link_latency must be called before the simulation starts"
         );
         self.dp.link_latency = seconds;
-    }
-
-    /// Sets the width of CPU-utilization buckets (Fig. 12 resolution).
-    pub fn set_cpu_bucket(&mut self, seconds: f64) {
-        self.cpu_bucket = seconds;
-        self.ctrl_total_cpu = UtilizationTracker::new(seconds);
     }
 
     /// Adds a switch with the given ports; returns its id.
@@ -1125,7 +1121,7 @@ impl Simulation {
             }
             self.app_cpu
                 .entry(app.clone())
-                .or_insert_with(|| UtilizationTracker::new(self.cpu_bucket))
+                .or_insert_with(|| UtilizationTracker::new(CPU_BUCKET_S))
                 .add(now, *seconds);
         }
         for (dpid, msg) in out.messages.drain(..) {

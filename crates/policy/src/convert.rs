@@ -96,20 +96,6 @@ pub fn constrain_prefix(
     })
 }
 
-/// Evaluates an action template against concrete keys and environment.
-///
-/// # Errors
-///
-/// Propagates expression-evaluation failures.
-pub fn instantiate_action(
-    action: &ActionTemplate,
-    keys: &FlowKeys,
-    env: &Env,
-    nodes: &mut u64,
-) -> Result<Action, EvalError> {
-    instantiate_action_in(action, keys, env, Expr::eval_ref, nodes)
-}
-
 /// An evaluator: [`Expr::eval_ref`] or [`Expr::eval_app`].
 pub(crate) type Eval =
     for<'a> fn(&'a Expr, &FlowKeys, &'a Env, &mut u64) -> Result<Cow<'a, Value>, EvalError>;
