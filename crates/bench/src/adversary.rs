@@ -11,7 +11,7 @@
 //! Everything here is a pure function of the configuration — no wall-clock
 //! fields — so `render` is byte-identical across runs and sweep-thread
 //! counts. The `defense_arena` bin drives it next to the classic matrix;
-//! `tests/tests/adversaries.rs` asserts a defended-or-documented-gap
+//! `tests/tests/suite/adversaries.rs` asserts a defended-or-documented-gap
 //! verdict for every cell.
 
 use netsim::adversary::AdversaryStats;

@@ -29,7 +29,7 @@ use policy::{Env, Program};
 use netsim::iface::{ControlOutput, ControlPlane, Telemetry};
 use netsim::packet::Packet;
 
-/// Default CPU cost per interpreted AST node, seconds.
+/// CPU cost per interpreted AST node, seconds: every platform charges it.
 ///
 /// Calibrated so a typical handler costs on the order of a millisecond —
 /// together with platform dispatch this yields the paper's ~130 ms

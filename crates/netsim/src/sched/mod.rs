@@ -102,7 +102,7 @@ pub(crate) fn sanitize_time(time: f64, now: f64) -> f64 {
 ///
 /// Implementations must produce identical pop sequences for identical
 /// schedule/pop interleavings (see the equivalence proptests in this module
-/// and `tests/tests/sched_equivalence.rs`): the earliest time first, ties
+/// and `tests/tests/suite/sched_equivalence.rs`): the earliest time first, ties
 /// broken by insertion order, past times clamped to `now`, non-finite times
 /// rejected per `sanitize_time`.
 pub trait Scheduler<E> {

@@ -22,7 +22,7 @@
 //! same total order produce identical pop sequences, so swapping the wheel
 //! in for the heap preserves bit-exact simulation determinism (enforced by
 //! the equivalence proptests in `sched::tests` and
-//! `tests/tests/sched_equivalence.rs`).
+//! `tests/tests/suite/sched_equivalence.rs`).
 //!
 //! Ring-before-overflow is safe: buckets are a monotone function of time,
 //! and the overflow tier only holds buckets at or beyond `cur_bucket +
