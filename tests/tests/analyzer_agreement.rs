@@ -1,3 +1,5 @@
+//! Own binary: its test ids stay `tests/analyzer_agreement.rs::<test>`.
+//!
 //! Agreement between the two executions of the same application programs:
 //! whatever rule the *concrete* interpreter installs reactively must be in
 //! the proactive rule set Algorithm 2 derives from the same state — the

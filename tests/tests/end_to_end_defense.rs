@@ -1,3 +1,5 @@
+//! Own binary: its test ids stay `tests/end_to_end_defense.rs::<test>`.
+//!
 //! End-to-end defense scenarios on the full simulator: the paper's headline
 //! claims, asserted as shape properties.
 

@@ -1,3 +1,5 @@
+//! Own binary: its test ids stay `tests/live_channel.rs::<test>`.
+//!
 //! Integration tests for the live OpenFlow transport (`ofchannel`).
 //!
 //! Everything here runs over real loopback TCP with ephemeral ports, the

@@ -1,3 +1,5 @@
+//! Own binary: its test ids stay `tests/resilience.rs::<test>`.
+//!
 //! Resilience and failure-injection scenarios: scheduling-aware attackers,
 //! repeated attack waves, slow-ramp attacks, cache overflow, and very long
 //! runs.

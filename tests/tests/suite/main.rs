@@ -1,21 +1,19 @@
-//! One test binary for every integration test that needs no process of
-//! its own. A module here is what was one file under `tests/`.
+//! One test binary for the integration tests. A module here is what was
+//! one file under `tests/`. The files still under `tests/` are binaries of
+//! their own: three measure their whole process, and four keep the test
+//! ids (`tests/<file>.rs::<test>`) their results are recorded under.
 
 mod ablations;
 mod adversaries;
-mod analyzer_agreement;
 mod analyzer_scale;
 mod arena;
 mod cache_properties;
-mod end_to_end_defense;
 mod flow_table_equivalence;
 mod learned_state;
-mod live_channel;
 mod live_ops;
 mod migration_mechanics;
 mod multi_switch;
 mod obs_timeline;
-mod resilience;
 mod rule_placement;
 mod sched_equivalence;
 mod solver_soundness;
